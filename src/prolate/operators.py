@@ -456,20 +456,27 @@ def operator_from_bytes(data: bytes):
     if r.pos != len(data):
         raise FactorFileError("trailing bytes after factor data")
 
-    params = SlepianParams.create(int(n), float(w), float(epsilon), k=int(k))
-    if kind == 2:
-        pf = PartialFourier(params.n, params.w)
-        l = LowRankFactor(factors[0], factors[1])
-        u = LowRankFactor(factors[2], factors[3])
-        op = FastFactorization(params, pf, l, u)
-    else:
-        b_op = ToeplitzOperator(prolate_symbol(params.n, params.w))
-        if kind == 1:
-            op = FastProjector(params, b_op, LowRankFactor(factors[0], factors[1]))
-        elif kind == 3:
-            op = FastPseudoinverse(params, b_op, LowRankFactor(factors[0], factors[1]))
+    # a header that passes the format checks can still name an impossible
+    # operator (w outside (0, 1/2), mismatched ranks) or one too large to rebuild
+    try:
+        params = SlepianParams.create(int(n), float(w), float(epsilon), k=int(k))
+        if kind == 2:
+            pf = PartialFourier(params.n, params.w)
+            l = LowRankFactor(factors[0], factors[1])
+            u = LowRankFactor(factors[2], factors[3])
+            op = FastFactorization(params, pf, l, u)
         else:
-            op = FastTikhonov(params, float(alpha), b_op, LowRankFactor.symmetric(factors[0]))
+            b_op = ToeplitzOperator(prolate_symbol(params.n, params.w))
+            if kind == 1:
+                op = FastProjector(params, b_op, LowRankFactor(factors[0], factors[1]))
+            elif kind == 3:
+                op = FastPseudoinverse(params, b_op, LowRankFactor(factors[0], factors[1]))
+            else:
+                op = FastTikhonov(params, float(alpha), b_op, LowRankFactor.symmetric(factors[0]))
+    except ValueError as exc:
+        raise FactorFileError(f"invalid operator header: {exc}") from exc
+    except MemoryError:
+        raise FactorFileError(f"header size n={n} is too large to rebuild") from None
     if abs(op.error_bound - error_bound) > 1e-15 * max(1.0, abs(error_bound)):
         raise FactorFileError("stored error bound disagrees with the reconstructed operator")
     return op

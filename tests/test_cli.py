@@ -200,6 +200,29 @@ class TestPrecomputeAndLoad:
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "truncated" in err
 
+    def test_huge_header_size_is_io_error(self, tmp_path, capsys):
+        # rank-0 factors keep the file at 75 bytes while its header asks for n = 2^40
+        import struct
+
+        path = tmp_path / "op.fslt"
+        path.write_bytes(b"FSLT" + struct.pack("<I", 1)
+                         + struct.pack("<QdddQB", 1 << 40, 0.25, 1e-6, 0.0, 0, 1)
+                         + struct.pack("<d", 1e-6) + struct.pack("<QB", 0, 0) * 2)
+        assert path.stat().st_size == 75
+        rc, _, err = run_cli(["load-check", str(path)], capsys)
+        assert rc == 2 and "too large" in err
+
+    def test_header_outside_domain_is_io_error(self, tmp_path, capsys):
+        import struct
+
+        path = tmp_path / "op.fslt"
+        run_cli(["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-3", "--kind", "project",
+                 "--out", str(path)], capsys)
+        data = path.read_bytes()
+        path.write_bytes(data[:16] + struct.pack("<d", 0.9) + data[24:])  # the header's w
+        rc, _, err = run_cli(["load-check", str(path)], capsys)
+        assert rc == 2 and "half-bandwidth" in err
+
     def test_missing_file_is_io_error(self, capsys):
         rc, _, _ = run_cli(["load-check", "/no/such/file.fslt"], capsys)
         assert rc == 2

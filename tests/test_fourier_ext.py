@@ -3,14 +3,35 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from prolate.fourier_ext import (
+    GRID_BLOCK,
     FourierExtensionConfig,
     SyntheticTarget,
     _PeriodSamples,
     _quad_coeffs,
+    _reconstruct,
     run_fourier_extension,
 )
+
+U = np.finfo(float).eps
+
+# rel_rms rows for m_values=(16, 40), seed 3, computed with the target sampled
+# node by node and a dense reconstruction basis; the blocked grid sums may
+# move them by rounding only
+PINNED_ROWS = {
+    (16, "fourier"): 0.2058093932012574,
+    (16, "ext_exact_pinv"): 0.13757261018049396,
+    (16, "ext_fast_pinv"): 0.13757261018335462,
+    (16, "ext_exact_tik"): 0.1358277964437912,
+    (16, "ext_fast_tik"): 0.13582779644364265,
+    (40, "fourier"): 0.11682546816760647,
+    (40, "ext_exact_pinv"): 0.06705438230815897,
+    (40, "ext_fast_pinv"): 0.06705438233500868,
+    (40, "ext_exact_tik"): 0.06694258699828695,
+    (40, "ext_fast_tik"): 0.06694258699819747,
+}
 
 
 def small_target(seed=3, n_bumps=5):
@@ -77,6 +98,8 @@ class TestConfig:
             FourierExtensionConfig(pinv_threshold=2.0)
         with pytest.raises(ValueError):
             FourierExtensionConfig(m_values=(0,))
+        with pytest.raises(ValueError):
+            FourierExtensionConfig(eval_points=1)
 
 
 class TestSyntheticTarget:
@@ -92,6 +115,67 @@ class TestSyntheticTarget:
     def test_constant(self):
         target = SyntheticTarget.constant(3.5)
         assert np.array_equal(target(np.array([-1.0, 0.3, 1.0])), np.full(3, 3.5))
+        assert np.array_equal(target.on_grid(-1.0, 0.01, GRID_BLOCK + 3), np.full(GRID_BLOCK + 3, 3.5))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_on_grid_matches_call(self, data):
+        # the blocked sums against direct evaluation at the same rounded nodes
+        count = data.draw(st.sampled_from([0, 1, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1])
+                          | st.integers(2, 3 * GRID_BLOCK + 7), label="count")
+        start = data.draw(st.floats(-2.0, 1.0), label="start")
+        step = data.draw(st.floats(1e-5, 4.0 / max(count, 1)), label="step")
+        node = st.integers(0, max(count - 1, 0)).map(lambda j: start + step * j)
+        edge = (st.sampled_from([count - 1, count])
+                | st.integers(0, count // GRID_BLOCK + 1).flatmap(
+                    lambda b: st.sampled_from([b * GRID_BLOCK, b * GRID_BLOCK - 1]))).map(lambda j: start + step * j)
+        outside = st.floats(1.0, 3.0, exclude_min=True) | st.floats(-3.0, -1.0, exclude_max=True)
+        centers = data.draw(st.lists(node | edge | outside | st.floats(-1.0, 1.0), max_size=8), label="centers")
+        k = len(centers)
+        target = SyntheticTarget(
+            slope=data.draw(st.floats(-5.0, 5.0), label="slope"),
+            offset=data.draw(st.floats(-2.0, 2.0), label="offset"),
+            amps=np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k), label="amps")),
+            centers=np.array(centers),
+            widths=np.array(data.draw(st.lists(st.floats(1e-3, 1e-1), min_size=k, max_size=k), label="widths")),
+        )
+        nodes = start + step * np.arange(count)
+        got = target.on_grid(start, step, count)
+        want = target(nodes)
+        assert got.shape == (count,)
+        # node rounding moves each exponent by about u * max|t| / w_k; sums add k + 2 roundings
+        reach = abs(start) + step * (count + GRID_BLOCK)
+        amps = np.abs(target.amps)
+        tol = (np.sum(amps * 16 * U * (reach / target.widths + 1))
+               + (k + 4) * U * (amps.sum() + abs(target.offset) + abs(target.slope) * reach))
+        assert np.abs(got - want).max(initial=0.0) <= tol
+
+    def test_on_grid_matches_call_at_full_size(self):
+        target = small_target(seed=1, n_bumps=130)
+        h = 3.0 / (1 << 16)
+        count = int(math.floor(2.0 / h)) + 1
+        got = target.on_grid(-1.0, h, count)
+        assert np.abs(got - target(-1.0 + h * np.arange(count))).max() <= 1e-12
+
+    @pytest.mark.parametrize("step, count", [(0.0, 10), (-0.1, 10), (float("nan"), 10), (0.1, -1)])
+    def test_on_grid_rejects_bad_grid(self, step, count):
+        with pytest.raises(ValueError):
+            small_target().on_grid(0.0, step, count)
+
+
+class TestReconstruct:
+    @pytest.mark.parametrize("m_max", [8, 80, 640])
+    @pytest.mark.parametrize("half_period", [1.0, 1.5])
+    def test_blocked_matches_dense_basis(self, m_max, half_period):
+        rng = np.random.default_rng(m_max)
+        coeffs = rng.standard_normal(2 * m_max + 1) + 1j * rng.standard_normal(2 * m_max + 1)
+        count = 10_000
+        step = 2.0 / (count - 1)
+        t = -1.0 + step * np.arange(count)
+        basis = np.exp(1j * math.pi * np.outer(t, np.arange(-m_max, m_max + 1)) / half_period)
+        want = np.real(basis @ coeffs) / math.sqrt(2.0 * half_period)
+        got = _reconstruct(coeffs, m_max, half_period, -1.0, step, count)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestRunExtension:
@@ -102,6 +186,16 @@ class TestRunExtension:
         ]
         for _, _, rel, sec in rows:
             assert np.isfinite(rel) and rel >= 0 and sec >= 0
+
+    def test_rows_pinned_and_repeatable(self):
+        cfg = FourierExtensionConfig(m_values=(16, 40))
+        rows = run_fourier_extension(cfg, seed=3)
+        again = run_fourier_extension(cfg, seed=3)
+        assert [row[:3] for row in rows] == [row[:3] for row in again]
+        got = {(m, meth): rel for m, meth, rel, _ in rows}
+        assert got.keys() == PINNED_ROWS.keys()
+        for key, want in PINNED_ROWS.items():
+            assert abs(got[key] - want) <= 1e-12 * want, key
 
     def test_error_decreases_with_order(self):
         rows = run_fourier_extension(FourierExtensionConfig(m_values=(16, 64)), seed=4)
