@@ -8,7 +8,6 @@ everything in O(n log n).
 """
 
 from .dpss import (
-    EigenPair,
     PreconditionViolated,
     TransitionEigenSet,
     commuting_tridiagonal,
@@ -48,15 +47,12 @@ from .operators import (
     FastTikhonov,
     PrecisionFloorWarning,
     SlepianParams,
-    dense_reference,
     load_operator,
-    matrix_2norm,
     save_operator,
 )
 
 __all__ = [
     "AdiConfig",
-    "EigenPair",
     "FastFactorization",
     "FastProjector",
     "FastPseudoinverse",
@@ -76,12 +72,10 @@ __all__ = [
     "bandwidth_shift_factor",
     "cfadi_solve",
     "commuting_tridiagonal",
-    "dense_reference",
     "dense_slepian_basis",
     "fourier_correction_factor",
     "hilbert_factor",
     "load_operator",
-    "matrix_2norm",
     "pinv_correction",
     "projection_correction",
     "prolate_matrix_dense",

@@ -115,9 +115,11 @@ def prolate_matrix_dense(n: int, w: float) -> np.ndarray:
 class ToeplitzOperator:
     """Fast application of a symmetric Toeplitz matrix via a circulant embedding.
 
-    The embedding length is the smallest power of two >= 2n and the circulant
-    spectrum is precomputed at construction, so each apply() costs two FFTs.
-    Instances are immutable and safe to share across threads.
+    The embedding length is the smallest power of two >= 2n.  The embedded
+    circulant is real and symmetric, so its spectrum is real; the half
+    spectrum is precomputed at construction and every apply is one real
+    FFT pair per real vector.  Instances are immutable and safe to share
+    across threads.
     """
 
     def __init__(self, symbol: ToeplitzSymbol):
@@ -125,19 +127,14 @@ class ToeplitzOperator:
         n = symbol.n
         self.n = n
         self.fft_len = next_pow2(2 * n)
-        circ = circulant_embedding(symbol.col, self.fft_len)
-        self.spectrum = np.fft.fft(circ)
-        # the embedded circulant is real and symmetric, so its spectrum is real;
-        # the half spectrum drives an all-real transform path
-        self.half_spectrum = np.fft.rfft(circ).real
+        self.half_spectrum = np.fft.rfft(circulant_embedding(symbol.col, self.fft_len)).real
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """T @ x in O(n log n); output is complex regardless of input dtype."""
+        """T @ x in O(n log n); real x goes through apply_real, complex x as its real and imaginary parts."""
         x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a length-{self.n} vector, got shape {x.shape}")
-        xs = np.fft.fft(x, n=self.fft_len)
-        return np.fft.ifft(self.spectrum * xs)[: self.n]
+        if np.iscomplexobj(x):
+            return self.apply_real(x.real) + 1j * self.apply_real(x.imag)
+        return self.apply_real(x)
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
         """T @ x for real x through the half-spectrum; returns a real vector."""
@@ -150,12 +147,14 @@ class ToeplitzOperator:
         return np.fft.irfft(self.half_spectrum * xs, n=self.fft_len)[: self.n]
 
     def apply_block(self, x: np.ndarray) -> np.ndarray:
-        """T @ X for an (n, m) block of column vectors."""
+        """T @ X for a real (n, m) block of column vectors; returns a real block."""
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[0] != self.n:
             raise ValueError(f"expected an ({self.n}, m) block, got shape {x.shape}")
-        xs = np.fft.fft(x, n=self.fft_len, axis=0)
-        return np.fft.ifft(self.spectrum[:, None] * xs, axis=0)[: self.n]
+        if np.iscomplexobj(x):
+            raise ValueError("apply_block expects a real block")
+        xs = np.fft.rfft(x, n=self.fft_len, axis=0)
+        return np.fft.irfft(self.half_spectrum[:, None] * xs, n=self.fft_len, axis=0)[: self.n]
 
     def dense(self) -> np.ndarray:
         return self.symbol.dense()

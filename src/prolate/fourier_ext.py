@@ -180,11 +180,11 @@ def _quad_coeffs(samples: _PeriodSamples, q: int, m_max: int, half_period: float
     sliver is integrated by a one-panel trapezoid.
     """
     fv, n_in, h = samples.for_q(q)
-    pad = np.zeros(q)
-    pad[: n_in + 1] = fv
-    spec = np.fft.fft(pad)
     m = np.arange(-m_max, m_max + 1)
-    base = h * np.exp(1j * math.pi * m / half_period) * spec[np.mod(m, q)]
+    # the samples are real, so the transform at -m is the conjugate of the one at m
+    spec = np.fft.rfft(fv, n=q)[np.abs(m)]
+    spec = np.where(m < 0, spec.conj(), spec)
+    base = h * np.exp(1j * math.pi * m / half_period) * spec
     t_last = -1.0 + h * n_in
     phase_last = np.exp(-1j * math.pi * m * t_last / half_period)
     g_first = fv[0] * np.exp(1j * math.pi * m / half_period)

@@ -74,10 +74,14 @@ class LowRankFactor:
         return self.left.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.left @ (self.right.conj().T @ x)
+        return _product(self.left, _adjoint_product(self.right, x))
 
     def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.right.conj().T @ x
+        return _adjoint_product(self.right, x)
+
+    def synthesize(self, c: np.ndarray) -> np.ndarray:
+        """left @ c without copying left: the synthesis half of a two-sided factorization."""
+        return _product(self.left, c)
 
     def dense(self) -> np.ndarray:
         return self.left @ self.right.conj().T
@@ -90,6 +94,20 @@ class LowRankFactor:
     @classmethod
     def symmetric(cls, u: np.ndarray) -> "LowRankFactor":
         return cls(u, u)
+
+
+def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x without copying m: a real m takes complex x as two real products."""
+    if np.iscomplexobj(x) and not np.iscomplexobj(m):
+        return m @ x.real + 1j * (m @ x.imag)
+    return m @ x
+
+
+def _adjoint_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m^H @ x without copying m."""
+    if np.iscomplexobj(m):
+        return (np.conj(x) @ m).conj()
+    return _product(m.T, x)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +166,11 @@ def jacobi_dn(u, one_minus_m: float):
     return np.cos(phi) / np.cos(phi_prev - phi)
 
 
-def adi_shifts(a: float, b: float, r: int, mode: str = "elliptic") -> np.ndarray:
+def adi_shifts(a: float, b: float, r: int) -> np.ndarray:
     """r positive shift parameters for a spectrum inside [a, b].
 
-    "elliptic" places them at Jacobi dn points (the optimal choice backing
-    the rank certificate); "log_spaced" is the closed-form fallback
-    p_k = a^((2k-1)/(2r)) * b^((2r-2k+1)/(2r)).
+    They sit at Jacobi dn points, the optimal choice backing the rank
+    certificate.
     """
     if not 0.0 < a <= b:
         raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
@@ -162,34 +179,20 @@ def adi_shifts(a: float, b: float, r: int, mode: str = "elliptic") -> np.ndarray
     if a == b:
         return np.full(r, a)
     k = np.arange(1, r + 1)
-    if mode == "log_spaced":
-        return np.exp(((2 * k - 1) * math.log(a) + (2 * r - 2 * k + 1) * math.log(b)) / (2 * r))
-    if mode != "elliptic":
-        raise ValueError(f"unknown shift mode {mode!r}")
     one_minus_m = (a / b) ** 2
     big_k = _complete_elliptic_k(one_minus_m)
     u = (2 * k - 1) / (2 * r) * big_k
     return b * jacobi_dn(u, one_minus_m)
 
 
-def shift_quality(a: float, b: float, shifts: np.ndarray, grid: int = 10_000) -> float:
-    """max over a grid of |prod (x - p_j)/(x + p_j)|^2 on [a, b]."""
-    x = np.linspace(a, b, grid)
-    phi = np.ones_like(x)
-    for p in shifts:
-        phi *= (x - p) / (x + p)
-    return float(np.max(phi**2))
-
-
 @dataclass(frozen=True)
 class AdiConfig:
-    """A planned ADI iteration: spectrum bounds, count, shifts, and the shift mode."""
+    """A planned ADI iteration: spectrum bounds, count and shifts."""
 
     a: float
     b: float
     r: int
     shifts: np.ndarray
-    mode: str
 
     def __post_init__(self):
         if not 0.0 < self.a <= self.b:
@@ -204,12 +207,12 @@ class AdiConfig:
         return self.b / self.a
 
     @classmethod
-    def plan(cls, a: float, b: float, delta: float, mode: str = "elliptic") -> "AdiConfig":
+    def plan(cls, a: float, b: float, delta: float) -> "AdiConfig":
         """Pick the certified iteration count for relative error delta, then the shifts."""
         if not 0.0 < a <= b:
             raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
         r = adi_rank(b / a, delta)
-        return cls(a=a, b=b, r=r, shifts=adi_shifts(a, b, r, mode=mode), mode=mode)
+        return cls(a=a, b=b, r=r, shifts=adi_shifts(a, b, r))
 
 
 def cfadi_solve(a_diag: np.ndarray, b_col: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -242,7 +245,7 @@ def hilbert_matrix_dense(n: int) -> np.ndarray:
     return 1.0 / (np.add.outer(idx, idx) + 1.0)
 
 
-def hilbert_factor(n: int, delta_h: float, mode: str = "elliptic") -> np.ndarray:
+def hilbert_factor(n: int, delta_h: float) -> np.ndarray:
     """Z with ||H - Z Z'|| <= delta_h for the n x n Hilbert matrix.
 
     H solves the Lyapunov equation with A = diag(m + 1/2) and an all-ones
@@ -254,7 +257,7 @@ def hilbert_factor(n: int, delta_h: float, mode: str = "elliptic") -> np.ndarray
     if delta_h <= 0.0:
         raise ValueError(f"tolerance must be positive, got {delta_h}")
     delta = min(delta_h / math.pi, 1.0)
-    config = AdiConfig.plan(0.5, n - 0.5, delta, mode=mode)
+    config = AdiConfig.plan(0.5, n - 0.5, delta)
     return cfadi_solve(np.arange(n) + 0.5, np.ones(n), config.shifts)
 
 

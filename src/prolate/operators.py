@@ -17,17 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpss import (
-    DENSE_GUARD,
-    default_subspace_dim,
-    transition_eigenpairs,
-    transition_window,
-)
+from .dpss import default_subspace_dim, transition_eigenpairs, transition_window
 from .fft_kernels import (
     PartialFourier,
     ToeplitzOperator,
     nearest_odd_integer,
-    prolate_matrix_dense,
     prolate_symbol,
 )
 from .lowrank import (
@@ -46,8 +40,6 @@ __all__ = [
     "FastPseudoinverse",
     "FastTikhonov",
     "PrecisionFloorWarning",
-    "dense_reference",
-    "matrix_2norm",
     "save_operator",
     "load_operator",
     "operator_from_bytes",
@@ -129,11 +121,7 @@ class FastProjector:
 
     def apply(self, x) -> np.ndarray:
         x = _as_vector(x, self.params.n)
-        if np.iscomplexobj(x):
-            y = self.b_op.apply(x)
-        else:
-            y = self.b_op.apply_real(x)
-        return y + self.u.apply(x)
+        return self.b_op.apply(x) + self.u.apply(x)
 
     def factors(self):
         return (self.u.left, self.u.right)
@@ -178,11 +166,7 @@ class FastPseudoinverse:
 
     def apply(self, y) -> np.ndarray:
         y = _as_vector(y, self.params.n)
-        if np.iscomplexobj(y):
-            out = self.b_op.apply(y)
-        else:
-            out = self.b_op.apply_real(y)
-        return out + self.u.apply(y)
+        return self.b_op.apply(y) + self.u.apply(y)
 
     def factors(self):
         return (self.u.left, self.u.right)
@@ -230,11 +214,7 @@ class FastTikhonov:
 
     def apply(self, y) -> np.ndarray:
         y = _as_vector(y, self.params.n)
-        if np.iscomplexobj(y):
-            out = self.b_op.apply(y)
-        else:
-            out = self.b_op.apply_real(y)
-        return out / (1.0 + self.alpha) + self.u.apply(y)
+        return self.b_op.apply(y) / (1.0 + self.alpha) + self.u.apply(y)
 
     def factors(self):
         return (self.u.left,)
@@ -287,79 +267,13 @@ class FastFactorization:
         if c.shape != (self.k_prime,):
             raise ValueError(f"expected {self.k_prime} coefficients, got shape {c.shape}")
         nf, nl = self.pf.num_cols, self.l.rank
-        return (
-            self.pf.apply(c[:nf])
-            + self.l.left @ c[nf:nf + nl]
-            + self.u.left @ c[nf + nl:]
-        )
+        return self.pf.apply(c[:nf]) + self.l.synthesize(c[nf:nf + nl]) + self.u.synthesize(c[nf + nl:])
 
     def apply(self, x) -> np.ndarray:
         return self.decompress(self.compress(x))
 
     def factors(self):
         return (self.l.left, self.l.right, self.u.left, self.u.right)
-
-
-# ---------------------------------------------------------------------------
-# Dense reference operators (test oracles)
-
-
-def dense_reference(kind: str, params: SlepianParams, alpha: float | None = None) -> np.ndarray:
-    """Dense S_k S_k', truncated pseudoinverse, or Tikhonov map via eigendecomposition.
-
-    Eigenvalues feeding the pseudoinverse and Tikhonov maps are refined by a
-    Rayleigh quotient against the exact dense matrix, which matters when
-    alpha is small.  Guarded to n <= DENSE_GUARD.
-    """
-    n, w, k = params.n, params.w, params.k
-    if n > DENSE_GUARD:
-        raise ValueError(f"dense reference guarded to n <= {DENSE_GUARD}, got {n}")
-    b = prolate_matrix_dense(n, w)
-    lams, vecs = np.linalg.eigh(b)
-    lams, vecs = lams[::-1].copy(), vecs[:, ::-1].copy()
-    if kind == "projection":
-        vk = vecs[:, :k]
-        return vk @ vk.T
-    refined = np.clip(np.einsum("ij,ij->j", vecs, b @ vecs), 0.0, 1.0)
-    if kind == "pinv":
-        vk = vecs[:, :k]
-        return (vk / refined[:k]) @ vk.T
-    if kind == "tikhonov":
-        if alpha is None or alpha <= 0.0:
-            raise ValueError("tikhonov reference needs a positive alpha")
-        f = refined / (refined**2 + alpha)
-        return (vecs * f) @ vecs.T
-    raise ValueError(f"unknown reference kind {kind!r}")
-
-
-def matrix_2norm(m: np.ndarray, seed: int = 0) -> float:
-    """Spectral norm: exact singular values up to 1024, power iteration beyond.
-
-    The power iteration is graded to 1e-3 relative accuracy within 200
-    steps; the early-exit criterion is tighter than that because the
-    per-step change understates the remaining error when the top singular
-    values cluster.
-    """
-    m = np.asarray(m)
-    if min(m.shape) <= 1024:
-        return float(np.linalg.norm(m, 2))
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    s = 0.0
-    for _ in range(200):
-        u = m @ v
-        v = m.conj().T @ u
-        g = np.linalg.norm(v)
-        if g == 0.0:
-            return 0.0
-        s = math.sqrt(g)
-        v /= g
-        if abs(s - prev) <= 1e-6 * s:
-            return s
-        prev = s
-    return s
 
 
 # ---------------------------------------------------------------------------

@@ -168,5 +168,14 @@ def diag_lyapunov_dense(a_diag, b_col):
     return np.outer(b_col, b_col) / np.add.outer(a_diag, a_diag)
 
 
+def shift_quality(a, b, shifts, grid=10_000):
+    """max over a grid of |prod (x - p_j)/(x + p_j)|^2 on [a, b]: the ADI error factor."""
+    x = np.linspace(a, b, grid)
+    phi = np.ones_like(x)
+    for p in shifts:
+        phi *= (x - p) / (x + p)
+    return float(np.max(phi**2))
+
+
 def norm2(m):
     return float(np.linalg.norm(m, 2))

@@ -142,7 +142,7 @@ def test_04_fast_factorization():
         ref = projection_oracle(n, w, params.k)
         assert op.k_prime <= op.k_prime_budget(), (n, w, eps, op.k_prime)
         min_slack = min(min_slack, op.k_prime_budget() - op.k_prime)
-        rng = np.random.default_rng(abs(hash((n, w, eps, "fact"))) % 2**32)
+        rng = np.random.default_rng(abs(hash((n, w, eps, FastFactorization.kind))) % 2**32)
         for _ in range(20):
             x = rng.standard_normal(n)
             err = np.linalg.norm(op.apply(x) - ref @ x) / (2 * eps * np.linalg.norm(x))

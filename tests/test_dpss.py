@@ -94,14 +94,15 @@ class TestTransitionEigenpairs:
         want = int(np.count_nonzero((dense > eps) & (dense < 1 - eps)))
         assert es.count == want
         if want == 0:
-            assert not es.below_k and not es.at_or_above_k
+            (lam2, _), (lam3, _) = es.split()
+            assert lam2.size == 0 and lam3.size == 0
 
     def test_postconditions(self):
         n, w, eps = 128, 0.25, 1e-6
         es = transition_eigenpairs(n, w, eps)
         assert np.all((es.lams > eps) & (es.lams < 1 - eps))
-        assert all(p.index < es.k for p in es.below_k)
-        assert all(p.index >= es.k for p in es.at_or_above_k)
+        (lam2, _), _ = es.split()
+        assert es.start_index + lam2.size == es.k
         dense = eigvals_dense(n, w)
         want = int(np.count_nonzero((dense > eps) & (dense < 1 - eps)))
         assert es.count == want

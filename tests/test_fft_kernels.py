@@ -103,13 +103,19 @@ class TestToeplitzOperator:
         x = rng.standard_normal(257)
         real_out = op.apply_real(x)
         assert not np.iscomplexobj(real_out)
-        assert np.linalg.norm(real_out - op.apply(x).real) <= 1e-13 * np.linalg.norm(x)
+        out = op.apply(x)
+        assert not np.iscomplexobj(out) and np.array_equal(out, real_out)
+        # complex input is the same kernel on its real and imaginary parts
+        y = rng.standard_normal(257)
+        assert np.array_equal(op.apply(x + 1j * y), real_out + 1j * op.apply_real(y))
         assert np.linalg.norm(real_out - op.dense() @ x) <= 1e-12 * np.linalg.norm(x)
 
     def test_real_path_rejects_complex(self):
         op = ToeplitzOperator(prolate_symbol(8, 0.25))
         with pytest.raises(ValueError):
             op.apply_real(np.zeros(8, dtype=complex))
+        with pytest.raises(ValueError):
+            op.apply_block(np.zeros((8, 2), dtype=complex))
 
     def test_dimension_mismatch(self):
         op = ToeplitzOperator(prolate_symbol(8, 0.25))
