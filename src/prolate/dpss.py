@@ -1,13 +1,14 @@
 """Slepian basis vectors and eigenvalues through the commuting tridiagonal matrix.
 
 Only the handful of eigenpairs whose eigenvalues fall strictly between the
-two cluster plateaus are ever needed; they are located by expanding a
-windowed tridiagonal eigensolve outward from the expected transition index,
-with each eigenvalue recovered as a Rayleigh quotient against the fast
-Toeplitz apply (the tridiagonal's own spectrum is unrelated to the
-concentration values).  Where a caller weights eigenvalues steeply enough
-that double-precision quotients are too coarse, refine_window recomputes
-the ones it flags in extended precision.
+two cluster plateaus are ever needed.  Their index range is predicted from
+the asymptotic eigenvalue distribution and solved in one pass on the two
+half-size tridiagonals of the even and the odd Slepian vectors, with each
+eigenvalue recovered as a Rayleigh quotient against the fast Toeplitz apply
+(the tridiagonal's own spectrum is unrelated to the concentration values).
+Where a caller weights eigenvalues steeply enough that double-precision
+quotients are too coarse, refine_window recomputes the ones it flags in
+extended precision.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ __all__ = [
 DENSE_GUARD = 4096
 _CLAMP_TOL = 1e-12
 _SIGN_TOL = 1e-12
+_SQRT_HALF = math.sqrt(0.5)
+# pairs solved beyond each predicted window edge
+_WINDOW_MARGIN = 4
 _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_EXT = float(np.finfo(np.longdouble).eps)
 # columns per longdouble transform, bounding its complex256 workspace
@@ -96,24 +100,66 @@ def _clamp_eigenvalue(lam: float) -> float:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the first entry larger than the sign tolerance positive, per column."""
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        nz = np.flatnonzero(np.abs(col) > _SIGN_TOL)
-        lead = nz[0] if nz.size else int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            vectors[:, j] = -col
+    """Make the first entry larger than the sign tolerance positive, per column (in place)."""
+    mag = np.abs(vectors)
+    big = mag > _SIGN_TOL
+    lead = np.where(big.any(axis=0), big.argmax(axis=0), mag.argmax(axis=0))
+    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
     return vectors
 
 
-def _slepian_vectors(d, e, n, lo, hi):
-    """Slepian eigenvectors for the index range [lo, hi] (inclusive, ascending)."""
-    if n == 1:
-        return np.ones((1, 1))
-    # slepian index l corresponds to the (n-1-l)-th ascending tridiagonal eigenvalue
-    tri_lo, tri_hi = n - 1 - hi, n - 1 - lo
-    _, vec = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(tri_lo, tri_hi))
-    return _fix_signs(vec[:, ::-1].copy())
+def _parity_tridiagonals(n: int, w: float):
+    """The half-size tridiagonals of the even and of the odd Slepian vectors.
+
+    The commuting tridiagonal is persymmetric, so each eigenvector is even
+    (v[m] = v[n-1-m]) or odd (v[m] = -v[n-1-m]) and is fixed by its first
+    ceil(n/2) or floor(n/2) entries.  Returns ((d_even, e_even), (d_odd, e_odd)):
+    for even n = 2p both are the leading p x p block with e[p-1] added to
+    (even) or subtracted from (odd) its last diagonal entry; for odd
+    n = 2p + 1 the odd one is the leading p x p block and the even one the
+    leading (p+1) x (p+1) block with its last off-diagonal entry scaled by
+    sqrt(2), which makes the middle entry's coupling symmetric.  Slepian
+    vector l has the parity of l, and the parities' spectra interlace, so it
+    is the (l // 2)-th eigenvector of its parity's block in descending order.
+    """
+    d, e = commuting_tridiagonal(n, w)
+    p = n // 2
+    if n % 2 == 0:
+        d_even, d_odd = d[:p].copy(), d[:p].copy()
+        d_even[-1] += e[p - 1]
+        d_odd[-1] -= e[p - 1]
+        return (d_even, e[: p - 1]), (d_odd, e[: p - 1])
+    e_even = e[:p].copy()
+    if p:
+        e_even[-1] *= math.sqrt(2.0)
+    return (d[: p + 1], e_even), (d[:p], e[: max(p - 1, 0)])
+
+
+def _slepian_rows(n: int, w: float, first: int, last: int) -> np.ndarray:
+    """Slepian vectors first..last (inclusive), one per row of a C-ordered array.
+
+    Each parity's share of the range is one index range of its half-size
+    tridiagonal, solved by one bisection/inverse-iteration call; the half
+    vectors are then mirrored into place.
+    """
+    rows = np.zeros((last - first + 1, n))
+    p = n // 2
+    for parity, (d, e) in enumerate(_parity_tridiagonals(n, w)):
+        j0, j1 = (first - parity + 1) // 2, (last - parity) // 2
+        if j0 > j1:
+            continue
+        # descending index j is the (size-1-j)-th ascending eigenvalue
+        size = d.size
+        _, half = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(size - 1 - j1, size - 1 - j0))
+        half = half[:, ::-1].T
+        out = rows[2 * j0 + parity - first :: 2]
+        lead = half[:, :p] * _SQRT_HALF
+        out[:, :p] = lead
+        out[:, n - p :] = lead[:, ::-1] if parity == 0 else -lead[:, ::-1]
+        if n % 2 and parity == 0:
+            out[:, p] = half[:, p]
+    _fix_signs(rows.T)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -146,60 +192,86 @@ class TransitionEigenSet:
         )
 
 
+def _predicted_range(n, w, lo, hi):
+    """Slepian index range [first, last] expected to hold every eigenvalue in (lo, hi).
+
+    The eigenvalue t sits near index 2nw + (1/pi^2) log(8n sin 2 pi w) log((1 - t)/t)
+    (Slepian's asymptotics; Karnik, Romberg & Davenport bound the count
+    non-asymptotically); each edge gets _WINDOW_MARGIN pairs on top.
+    A threshold at or beyond the end of (0, 1) covers that end of the index
+    range, and one inside the float noise floor is predicted at the floor,
+    where the noisy quotients start falling to it.
+    """
+    spread = max(math.log(8.0 * n * math.sin(2.0 * math.pi * w)), 1.0) / math.pi**2
+    floor = quotient_error(n, w)
+
+    def index(t):
+        t = min(max(t, floor), 1.0 - floor)
+        return 2.0 * n * w + spread * math.log((1.0 - t) / t)
+
+    first = 0 if hi >= 1.0 else math.floor(index(hi)) - _WINDOW_MARGIN
+    last = n - 1 if lo <= 0.0 else math.ceil(index(lo)) + _WINDOW_MARGIN
+    return min(max(first, 0), n - 1), min(max(last, 0), n - 1)
+
+
+def _window_edges(lams, lo, hi):
+    """(start, stop): the first eigenvalue below hi, and the first at or below lo after it."""
+    below_hi = np.flatnonzero(lams < hi)
+    start = int(below_hi[0]) if below_hi.size else lams.size
+    at_or_below_lo = np.flatnonzero(lams[start:] <= lo)
+    return start, start + (int(at_or_below_lo[0]) if at_or_below_lo.size else lams.size - start)
+
+
 def transition_window(n, w, lo, hi, b_op=None, max_pairs=4096):
     """All consecutive eigenpairs with lo < lam < hi.
 
-    Returns (start_index, lams, vectors).  The window is found by expanding a
-    tridiagonal eigensolve outward from round(2nw) until an eigenvalue >= hi
-    appears on the low-index side and one <= lo on the high-index side (or
-    the spectrum ends).  Eigenvalues below the float noise floor cannot be
-    told apart from zero (see quotient_error), so a low threshold below that
-    ends the window wherever a noisy value first falls to it; a caller that
-    needs that edge placed honestly re-decides it with refine_window.
-    max_pairs caps the sweep.
+    Returns (start_index, lams, vectors).  One solve covers the index range
+    that _predicted_range sizes from the asymptotic eigenvalue count; only
+    if an edge is not reached inside it (an eigenvalue >= hi before the
+    window on the low-index side, one <= lo after it on the high-index side,
+    or the end of the spectrum) does the range grow in chunks of 16, 32, ...
+    on that side.  Eigenvalues below the float noise floor cannot be told
+    apart from zero (see quotient_error), so a low threshold below that ends
+    the window wherever a noisy value first falls to it; a caller that needs
+    that edge placed honestly re-decides it with refine_window.  max_pairs
+    caps the solved range.
     """
     empty = np.zeros(0), np.zeros((n, 0))
     if lo >= hi or hi <= 0.0 or lo >= 1.0:
         return min(max(default_subspace_dim(n, w), 0), n), *empty
     if b_op is None:
         b_op = ToeplitzOperator(prolate_symbol(n, w))
-    d, e = commuting_tridiagonal(n, w)
 
-    center = min(max(default_subspace_dim(n, w), 0), n - 1)
-    chunk = 16
-    e_lo = max(0, center - chunk)
-    e_hi = min(n - 1, center + chunk)
-    vecs = _slepian_vectors(d, e, n, e_lo, e_hi)
-    lams = _rayleigh_block(vecs, b_op)
-
-    while True:
-        if lams[0] < hi and e_lo > 0:
-            step = min(chunk, e_lo)
-            new = _slepian_vectors(d, e, n, e_lo - step, e_lo - 1)
-            vecs = np.hstack([new, vecs])
-            lams = np.concatenate([_rayleigh_block(new, b_op), lams])
-            e_lo -= step
-        elif lams[-1] > lo and e_hi < n - 1:
-            step = min(chunk, n - 1 - e_hi)
-            new = _slepian_vectors(d, e, n, e_hi + 1, e_hi + step)
-            vecs = np.hstack([vecs, new])
-            lams = np.concatenate([lams, _rayleigh_block(new, b_op)])
-            e_hi += step
-        else:
-            break
-        chunk = min(2 * chunk, 512)
-        if lams.size > max_pairs:
+    def solve(first, last, held=0):
+        if held + last - first + 1 > max_pairs:
             raise RuntimeError(
                 f"transition window exceeded {max_pairs} eigenpairs for n={n}, "
                 f"thresholds ({lo:g}, {hi:g}); thresholds are likely below "
                 "the eigenvalue resolution of double precision"
             )
+        rows = _slepian_rows(n, w, first, last)
+        return rows, _rayleigh_block(rows.T, b_op)
 
-    below_hi = np.flatnonzero(lams < hi)
-    start_off = int(below_hi[0]) if below_hi.size else lams.size
-    at_or_below_lo = np.flatnonzero(lams[start_off:] <= lo)
-    stop_off = start_off + (int(at_or_below_lo[0]) if at_or_below_lo.size else lams.size - start_off)
-    return e_lo + start_off, lams[start_off:stop_off].copy(), vecs[:, start_off:stop_off].copy()
+    first, last = _predicted_range(n, w, lo, hi)
+    rows, lams = solve(first, last)
+    chunk = 16
+    while True:
+        if lams[0] < hi and first > 0:
+            step = min(chunk, first)
+            new_rows, new_lams = solve(first - step, first - 1, lams.size)
+            rows, lams = np.vstack([new_rows, rows]), np.concatenate([new_lams, lams])
+            first -= step
+        elif _window_edges(lams, lo, hi)[1] == lams.size and last < n - 1:
+            step = min(chunk, n - 1 - last)
+            new_rows, new_lams = solve(last + 1, last + step, lams.size)
+            rows, lams = np.vstack([rows, new_rows]), np.concatenate([lams, new_lams])
+            last += step
+        else:
+            break
+        chunk = min(2 * chunk, 512)
+
+    start, stop = _window_edges(lams, lo, hi)
+    return first + start, lams[start:stop].copy(), np.ascontiguousarray(rows[start:stop].T)
 
 
 def quotient_error(n: int, w: float, extended: bool = False) -> float:
@@ -208,11 +280,12 @@ def quotient_error(n: int, w: float, extended: bool = False) -> float:
     For the float64 quotients of transition_window it is
     eps64 * (w n / 4 + 8 log2 n): the float64 symbol's rounded sine
     arguments add up coherently, so the error grows with w n.  Measured
-    1.5-69x below this against rayleigh_extended on the real-FFT quotients
+    1.5-82x below this against rayleigh_extended on the real-FFT quotients
     of the window (1e-12, 1 - 1e-12), for n in [64, 2^16] and w in
     [0.01, 0.49].  For rayleigh_extended it is eps_ext * (8 + sqrt(n)),
-    eps_ext the machine epsilon of np.longdouble; measured 3.5-34x below
-    against 30-digit mpmath quotients for n in [64, 1024].  Where
+    eps_ext the machine epsilon of np.longdouble; measured 3.2-27x below
+    against 30-digit mpmath quotients of the same vectors for n in
+    [64, 1024] and w in [0.01, 0.49].  Where
     np.longdouble is no wider than float64 the float64 estimate stands for
     both.
     """
@@ -227,9 +300,10 @@ def vector_error(n: int, w: float) -> float:
     u * (n / (4 sin(2 pi w)) + 16), u the float64 unit roundoff.  The
     commuting tridiagonal separates every eigenvalue, so the float64 vectors
     are resolved individually, but its gaps near the transition shrink with
-    sin(2 pi w) while its norm does not.  Measured 1.5-37x below this for
-    n in [64, 4096] and w in [0.01, 0.49], against vectors refined by
-    longdouble inverse iteration.
+    sin(2 pi w) while its norm does not.  Measured 3.6-45x below this on
+    the window (1e-12, 1 - 1e-12) for n in [64, 4096] and w in
+    [0.01, 0.49], against vectors refined by longdouble inverse iteration
+    on the full tridiagonal.
     """
     return 0.5 * _EPS64 * (n / (4.0 * math.sin(2.0 * math.pi * w)) + 16.0)
 
@@ -259,6 +333,7 @@ def refine_window(n, w, start, lams, vecs, flagged, lo, extend=False):
     place the low edge either: the pairs after the window are refined four
     at a time until one falls to lo or to the extended noise floor.  The
     window is then cut before the first eigenvalue at or below that edge.
+    The extra pairs come from the same half-size solves as the window's.
     Returns (lams, vecs) for the pairs from start on.
     """
     lams = np.array(lams, dtype=float)
@@ -266,10 +341,9 @@ def refine_window(n, w, start, lams, vecs, flagged, lo, extend=False):
         lams[flagged] = rayleigh_extended(vecs[:, flagged], n, w)
     edge = max(lo, quotient_error(n, w, extended=True)) if extend else lo
     if extend:
-        d, e = commuting_tridiagonal(n, w)
         while start + lams.size < n and (lams.size == 0 or lams[-1] > edge):
             first = start + lams.size
-            new = _slepian_vectors(d, e, n, first, min(n - 1, first + 3))
+            new = _slepian_rows(n, w, first, min(n - 1, first + 3)).T
             vecs = np.hstack([vecs, new])
             lams = np.concatenate([lams, rayleigh_extended(new, n, w)])
     at_edge = np.flatnonzero(lams <= edge)

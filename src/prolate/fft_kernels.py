@@ -147,14 +147,20 @@ class ToeplitzOperator:
         return np.fft.irfft(self.half_spectrum * xs, n=self.fft_len)[: self.n]
 
     def apply_block(self, x: np.ndarray) -> np.ndarray:
-        """T @ X for a real (n, m) block of column vectors; returns a real block."""
+        """T @ X for a real (n, m) block of column vectors; returns a real block.
+
+        The transforms run along the last axis of x.T, one row per column,
+        which is the contiguous axis when x is column-major (a transposed
+        row-major block).
+        """
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[0] != self.n:
             raise ValueError(f"expected an ({self.n}, m) block, got shape {x.shape}")
         if np.iscomplexobj(x):
             raise ValueError("apply_block expects a real block")
-        xs = np.fft.rfft(x, n=self.fft_len, axis=0)
-        return np.fft.irfft(self.half_spectrum[:, None] * xs, n=self.fft_len, axis=0)[: self.n]
+        xs = np.fft.rfft(x.T, n=self.fft_len)
+        xs *= self.half_spectrum
+        return np.fft.irfft(xs, n=self.fft_len)[:, : self.n].T
 
     def dense(self) -> np.ndarray:
         return self.symbol.dense()
@@ -211,13 +217,3 @@ class PartialFourier:
     def project(self, x: np.ndarray) -> np.ndarray:
         """The circulant projector F F* applied to x."""
         return self.apply(self.adjoint(x))
-
-    def columns_dense(self) -> np.ndarray:
-        """Materialize F; reference/oracle path only."""
-        k = np.arange(-self.half_span, self.half_span + 1)
-        m = np.arange(self.n)
-        return np.exp(2j * np.pi * np.outer(m, k) / self.n) / self._scale
-
-    def projector_dense(self) -> np.ndarray:
-        f = self.columns_dense()
-        return f @ f.conj().T

@@ -33,7 +33,6 @@ __all__ = [
     "jacobi_dn",
     "cfadi_solve",
     "hilbert_factor",
-    "hilbert_matrix_dense",
     "zeta_even",
     "sinc_alias_factor",
     "bandwidth_shift_factor",
@@ -237,12 +236,6 @@ def cfadi_solve(a_diag: np.ndarray, b_col: np.ndarray, shifts: np.ndarray) -> np
         z = math.sqrt(shifts[k] / shifts[k - 1]) * (a_diag - shifts[k - 1]) / (a_diag + shifts[k]) * z
         cols.append(z)
     return np.column_stack(cols)
-
-
-def hilbert_matrix_dense(n: int) -> np.ndarray:
-    """Entries 1/(m+n+1); operator norm at most pi."""
-    idx = np.arange(n, dtype=float)
-    return 1.0 / (np.add.outer(idx, idx) + 1.0)
 
 
 def hilbert_factor(n: int, delta_h: float) -> np.ndarray:

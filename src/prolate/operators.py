@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpss import default_subspace_dim, transition_eigenpairs, transition_window
+from .dpss import TransitionEigenSet, default_subspace_dim, transition_eigenpairs, transition_window
 from .fft_kernels import (
     PartialFourier,
     ToeplitzOperator,
@@ -158,10 +158,10 @@ class FastPseudoinverse:
         if not epsilon < cutoff < 1.0 - epsilon:
             raise ValueError(f"cutoff {cutoff} must lie inside ({epsilon}, {1 - epsilon})")
         b_op = ToeplitzOperator(prolate_symbol(n, w))
-        start, lams, _ = transition_window(n, w, epsilon, 1.0 - epsilon, b_op=b_op)
+        start, lams, vecs = transition_window(n, w, epsilon, 1.0 - epsilon, b_op=b_op)
         k = start + int(np.count_nonzero(lams >= cutoff))
         params = SlepianParams.create(n, w, epsilon, k=k)
-        eigset = transition_eigenpairs(n, w, epsilon, k=k, b_op=b_op)
+        eigset = TransitionEigenSet(n, w, epsilon, 1.0 - epsilon, k, start, lams, vecs)
         return cls(params, b_op, pinv_correction(eigset))
 
     def apply(self, y) -> np.ndarray:

@@ -40,6 +40,25 @@ def dirichlet_projector_dense(n, w_prime):
     return out
 
 
+def hilbert_matrix_dense(n):
+    """Entries 1/(m+l+1); operator norm at most pi."""
+    idx = np.arange(n, dtype=float)
+    return 1.0 / (np.add.outer(idx, idx) + 1.0)
+
+
+def fourier_columns_dense(pf):
+    """The frame F of a PartialFourier, materialized: exp(2 pi i m k / n) / sqrt(n), k ascending."""
+    k = np.arange(-pf.half_span, pf.half_span + 1)
+    m = np.arange(pf.n)
+    return np.exp(2j * np.pi * np.outer(m, k) / pf.n) / math.sqrt(pf.n)
+
+
+def fourier_projector_dense(pf):
+    """F F* of a PartialFourier, from its materialized frame."""
+    f = fourier_columns_dense(pf)
+    return f @ f.conj().T
+
+
 def sinc_alias_dense(n):
     """The odd residual kernel: sinc minus Dirichlet minus the two adjacent images."""
     d = np.subtract.outer(np.arange(n), np.arange(n)).astype(float)
@@ -103,6 +122,48 @@ def tridiagonal_dense(n, w):
     diag = ((n - 1 - 2 * m) / 2.0) ** 2 * math.cos(2.0 * math.pi * w)
     off = (m[: n - 1] + 1.0) * (n - 1 - m[: n - 1]) / 2.0
     return diag, off
+
+
+def chunked_window(n, w, lo, hi):
+    """(start, count) of the window lo < lam < hi, found by growing a full-size tridiagonal solve.
+
+    The search the library used before it predicted its window: bisection
+    and inverse iteration on the full commuting tridiagonal for the 33
+    indices around round(2nw), grown by 16, 32, ... (at most 512) indices
+    on the low side until an eigenvalue >= hi precedes the window, then on
+    the high side until the last one is <= lo, or the spectrum ends; the
+    eigenvalues are float64 Rayleigh quotients against the dense matrix.
+    """
+    diag, off = tridiagonal_dense(n, w)
+    b = prolate_dense(n, w)
+
+    def quotients(first, last):
+        _, v = scipy.linalg.eigh_tridiagonal(
+            diag, off, select="i", select_range=(n - 1 - last, n - 1 - first), lapack_driver="stebz")
+        v = v[:, ::-1]
+        return np.clip(np.einsum("ij,ij->j", v, b @ v), 0.0, 1.0)
+
+    center = min(int(math.floor(2.0 * n * w + 0.5)), n - 1)
+    chunk = 16
+    first, last = max(0, center - chunk), min(n - 1, center + chunk)
+    lams = quotients(first, last)
+    while True:
+        if lams[0] < hi and first > 0:
+            step = min(chunk, first)
+            lams = np.concatenate([quotients(first - step, first - 1), lams])
+            first -= step
+        elif lams[-1] > lo and last < n - 1:
+            step = min(chunk, n - 1 - last)
+            lams = np.concatenate([lams, quotients(last + 1, last + step)])
+            last += step
+        else:
+            break
+        chunk = min(2 * chunk, 512)
+    below_hi = np.flatnonzero(lams < hi)
+    start = int(below_hi[0]) if below_hi.size else lams.size
+    at_or_below_lo = np.flatnonzero(lams[start:] <= lo)
+    count = int(at_or_below_lo[0]) if at_or_below_lo.size else lams.size - start
+    return first + start, count
 
 
 def prolate_dense_extended(n, w):

@@ -27,7 +27,6 @@ from prolate.lowrank import (
     bandwidth_shift_factor,
     fourier_correction_factor,
     hilbert_factor,
-    hilbert_matrix_dense,
     sinc_alias_factor,
     correction_rank_budget,
     tikhonov_correction,
@@ -46,6 +45,8 @@ from oracles import (
     dirichlet_projector_dense,
     eig_dense,
     eigvals_dense,
+    fourier_projector_dense,
+    hilbert_matrix_dense,
     kernel_mismatch_dense,
     norm2,
     pinv_oracle,
@@ -240,7 +241,7 @@ def test_09_phase_conjugation_identity():
             b0 = bandwidth_shift_dense(n, w, w_prime)
             lhs = (da @ a0 @ da.conj().T - da.conj() @ a0 @ da) / 2j
             lhs += (db @ b0 @ db.conj().T + db.conj() @ b0 @ db) / 2
-            rhs = prolate_dense(n, w) - PartialFourier(n, w).projector_dense()
+            rhs = prolate_dense(n, w) - fourier_projector_dense(PartialFourier(n, w))
             dev = float(np.abs(lhs - rhs).max())
             worst = max(worst, dev)
             assert dev <= 1e-10, (n, w, dev)

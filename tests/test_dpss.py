@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from prolate import dpss
 from prolate.dpss import (
     PreconditionViolated,
     commuting_tridiagonal,
@@ -19,7 +22,15 @@ from prolate.dpss import (
 from prolate.fft_kernels import ToeplitzOperator, ToeplitzSymbol, prolate_symbol
 from prolate.lowrank import transition_count_budget
 
-from oracles import eig_dense, eig_extended, eigvals_dense, needs_extended, prolate_dense
+from oracles import (
+    chunked_window,
+    eig_dense,
+    eig_extended,
+    eigvals_dense,
+    needs_extended,
+    prolate_dense,
+    tridiagonal_dense,
+)
 
 
 class TestCommutingTridiagonal:
@@ -54,6 +65,108 @@ class TestCommutingTridiagonal:
         assert start == 0 and lams.size == n
         dense = eigvals_dense(n, w)
         assert np.abs(np.sort(lams)[::-1] - dense).max() <= 1e-10
+
+
+class TestParitySplit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 4, 5]) | st.integers(1, 300),
+        w=st.sampled_from([1e-4, 1e-3, 0.499, 0.4999]) | st.floats(1e-4, 0.4999),
+    )
+    def test_vectors_match_full_size_solve(self, n, w):
+        # every Slepian vector, from the half-size solves, against the full-size
+        # bisection/inverse-iteration solve, up to sign; both carry an error of
+        # about u ||T|| / gap (measured at most 0.72 of it for n <= 511)
+        diag, off = tridiagonal_dense(n, w)
+        vals, full = scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stebz")
+        vals, full = vals[::-1], full[:, ::-1]
+        start, lams, vecs = transition_window(n, w, -1.0, 2.0)
+        assert start == 0 and vecs.shape == (n, n)
+        dev = np.minimum(np.abs(vecs - full).max(axis=0), np.abs(vecs + full).max(axis=0))
+        diffs = np.abs(np.diff(vals))
+        gap = np.minimum(np.append(diffs, np.inf), np.insert(diffs, 0, np.inf))
+        norm = np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0)
+        eps = np.finfo(float).eps
+        assert np.all(dev <= 16.0 * eps * (1.0 + norm / gap))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 100, 101])
+    @pytest.mark.parametrize("w", [1e-3, 0.1, 0.25, 0.499])
+    def test_parity_spectra_interlace(self, n, w):
+        # descending even and odd spectra alternate, even first, and together
+        # are the full tridiagonal's spectrum
+        (d_even, e_even), (d_odd, e_odd) = dpss._parity_tridiagonals(n, w)
+        assert d_even.size == (n + 1) // 2 and d_odd.size == n // 2
+        merged = np.empty(n)
+        merged[0::2] = scipy.linalg.eigvalsh_tridiagonal(d_even, e_even)[::-1]
+        if n > 1:
+            merged[1::2] = scipy.linalg.eigvalsh_tridiagonal(d_odd, e_odd)[::-1]
+        assert np.all(np.diff(merged) <= 0.0)
+        diag, off = tridiagonal_dense(n, w)
+        full = scipy.linalg.eigvalsh_tridiagonal(diag, off)[::-1]
+        assert np.abs(merged - full).max() <= 1e-12 * max(1.0, np.abs(full).max())
+
+
+_PAIRS = [(1e-3, 1 - 1e-3), (1e-6, 1 - 1e-6), (1e-9, 1 - 1e-9), (1.01e-8, 1 - 1e-6 / 3), (0.3, 0.4), (-1.0, 2.0)]
+_BELOW_FLOOR = [(1e-17, 1 - 1e-9), (1e-40, 1 - 1e-6)]
+
+
+def _count_eigh_calls(monkeypatch):
+    calls = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    return calls
+
+
+class TestPredictedWindow:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64, 100, 256, 777, 1024])
+    @pytest.mark.parametrize("w", [0.003, 1.0 / 16.0, 0.25, 0.45, 0.499])
+    def test_same_window_as_chunked_expansion(self, n, w):
+        for lo, hi in _PAIRS + _BELOW_FLOOR:
+            start, lams, _ = transition_window(n, w, lo, hi)
+            ref_start, ref_count = chunked_window(n, w, lo, hi)
+            assert start == ref_start, (lo, hi)
+            if lo >= quotient_error(n, w) or lo < 0.0:
+                assert lams.size == ref_count, (lo, hi)
+            else:
+                # below the noise floor the edge falls wherever a noisy quotient
+                # first reaches lo: both searches must end inside the noise band
+                dense = eigvals_dense(n, w)
+                for stop in (start + lams.size, ref_start + ref_count):
+                    assert stop == n or dense[stop] <= lo + 2.0 * quotient_error(n, w), (lo, hi)
+
+    def test_fallback_expansion_when_prediction_falls_short(self, monkeypatch):
+        # a prediction of one index forces growth on both sides
+        n, w, lo, hi = 1024, 0.25, 1e-9, 1 - 1e-9
+        want_start, want_lams, want_vecs = transition_window(n, w, lo, hi)
+        center = dpss.default_subspace_dim(n, w)
+        monkeypatch.setattr(dpss, "_predicted_range", lambda *args: (center, center))
+        calls = _count_eigh_calls(monkeypatch)
+        start, lams, vecs = transition_window(n, w, lo, hi)
+        assert len(calls) > 2
+        assert (start, lams.size) == (want_start, want_lams.size) == chunked_window(n, w, lo, hi)
+        assert np.abs(lams - want_lams).max() <= quotient_error(n, w)
+        assert np.abs(vecs - want_vecs).max() <= 1e-12
+
+    def test_pair_cap(self, monkeypatch):
+        # the cap holds for the predicted range and for the fallback's growth
+        with pytest.raises(RuntimeError, match="exceeded 10 eigenpairs"):
+            transition_window(64, 0.25, -1.0, 2.0, max_pairs=10)
+        monkeypatch.setattr(dpss, "_predicted_range", lambda *args: (32, 32))
+        with pytest.raises(RuntimeError, match="exceeded 10 eigenpairs"):
+            transition_window(256, 0.25, 1e-9, 1 - 1e-9, max_pairs=10)
+
+    @pytest.mark.parametrize("w, lo, hi", [
+        (0.25, 1e-6, 1 - 1e-6), (1.0 / 16.0, 1e-9, 1 - 1e-9), (0.25, 1.01e-8, 1 - 1e-6 / 3),
+    ])
+    def test_benchmark_point_makes_two_solves(self, monkeypatch, w, lo, hi):
+        calls = _count_eigh_calls(monkeypatch)
+        _, lams, _ = transition_window(2**14, w, lo, hi)
+        assert lams.size > 0 and len(calls) <= 2
 
 
 class TestRayleighLambda:

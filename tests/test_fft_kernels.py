@@ -14,7 +14,7 @@ from prolate.fft_kernels import (
     prolate_symbol,
 )
 
-from oracles import dirichlet_projector_dense, prolate_dense, norm2
+from oracles import dirichlet_projector_dense, fourier_columns_dense, fourier_projector_dense, norm2, prolate_dense
 
 
 def test_next_pow2():
@@ -94,9 +94,12 @@ class TestToeplitzOperator:
     def test_apply_block_matches_apply(self, rng):
         op = ToeplitzOperator(prolate_symbol(48, 0.3))
         block = rng.standard_normal((48, 5))
-        got = op.apply_block(block)
-        for j in range(5):
-            assert np.linalg.norm(got[:, j] - op.apply(block[:, j])) < 1e-13
+        # row-major, and column-major as the transition window passes it
+        for x in (block, np.asfortranarray(block)):
+            got = op.apply_block(x)
+            assert got.shape == (48, 5)
+            for j in range(5):
+                assert np.linalg.norm(got[:, j] - op.apply(block[:, j])) < 1e-13
 
     def test_real_path_matches_complex_path(self, rng):
         op = ToeplitzOperator(prolate_symbol(257, 0.23))
@@ -156,7 +159,7 @@ class TestPartialFourier:
 
     def test_adjoint_on_own_columns(self):
         pf = PartialFourier(64, 0.25)
-        cols = pf.columns_dense()
+        cols = fourier_columns_dense(pf)
         for j in (0, 16, 32):
             got = pf.adjoint(cols[:, j])
             want = np.zeros(pf.num_cols)
@@ -165,7 +168,7 @@ class TestPartialFourier:
 
     def test_adjoint_matches_dense(self, rng):
         pf = PartialFourier(64, 0.25)
-        cols = pf.columns_dense()
+        cols = fourier_columns_dense(pf)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         assert np.linalg.norm(pf.adjoint(x) - cols.conj().T @ x) <= 1e-12 * np.linalg.norm(x)
 
@@ -175,13 +178,13 @@ class TestPartialFourier:
 
     def test_apply_matches_dense(self, rng):
         pf = PartialFourier(64, 0.25)
-        cols = pf.columns_dense()
+        cols = fourier_columns_dense(pf)
         c = rng.standard_normal(pf.num_cols) + 1j * rng.standard_normal(pf.num_cols)
         assert np.linalg.norm(pf.apply(c) - cols @ c) <= 1e-12 * np.linalg.norm(c)
 
     def test_projector_idempotent_and_hermitian(self):
         for n, w in [(64, 0.25), (256, 0.25), (100, 0.13)]:
-            ff = PartialFourier(n, w).projector_dense()
+            ff = fourier_projector_dense(PartialFourier(n, w))
             assert norm2(ff @ ff - ff) <= 1e-10
             assert norm2(ff - ff.conj().T) <= 1e-12
 
@@ -195,12 +198,12 @@ class TestPartialFourier:
     def test_trace_counts_columns(self):
         for n, w in [(64, 0.25), (128, 1 / 16)]:
             pf = PartialFourier(n, w)
-            tr = float(np.trace(pf.projector_dense()).real)
+            tr = float(np.trace(fourier_projector_dense(pf)).real)
             assert tr == pytest.approx(pf.num_cols, rel=1e-8)
 
     def test_projector_matches_dirichlet_formula(self):
         pf = PartialFourier(32, 0.25)
-        got = pf.projector_dense()
+        got = fourier_projector_dense(pf)
         want = dirichlet_projector_dense(32, pf.w_prime)
         assert np.abs(got.real - want).max() <= 1e-12
         assert np.abs(got.imag).max() <= 1e-12

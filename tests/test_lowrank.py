@@ -16,7 +16,6 @@ from prolate.lowrank import (
     cfadi_solve,
     fourier_correction_factor,
     hilbert_factor,
-    hilbert_matrix_dense,
     jacobi_dn,
     pinv_correction,
     projection_correction,
@@ -31,6 +30,8 @@ from oracles import (
     diag_lyapunov_dense,
     eig_dense,
     eig_extended,
+    fourier_projector_dense,
+    hilbert_matrix_dense,
     kernel_mismatch_dense,
     needs_extended,
     norm2,
@@ -274,7 +275,7 @@ class TestStructuralIdentity:
         b0 = bandwidth_shift_dense(n, w, w_prime)
         lhs = (da @ a0 @ da.conj().T - da.conj() @ a0 @ da) / 2j
         lhs += (db @ b0 @ db.conj().T + db.conj() @ b0 @ db) / 2
-        rhs = prolate_dense(n, w) - PartialFourier(n, w).projector_dense()
+        rhs = prolate_dense(n, w) - fourier_projector_dense(PartialFourier(n, w))
         assert np.abs(lhs - rhs).max() <= 1e-10
 
     def test_hilbert_unfolding(self):
@@ -295,7 +296,7 @@ class TestFourierCorrectionFactor:
     def test_certified_bound_and_rank(self, n, w, eps):
         fac = fourier_correction_factor(n, w, eps)
         b = prolate_dense(n, w)
-        ff = PartialFourier(n, w).projector_dense()
+        ff = fourier_projector_dense(PartialFourier(n, w))
         assert norm2(b - ff - fac.dense()) <= eps
         assert fac.rank <= correction_rank_budget(n, eps)
 
