@@ -11,8 +11,6 @@ from .dpss import (
     PreconditionViolated,
     TransitionEigenSet,
     commuting_tridiagonal,
-    dense_slepian_basis,
-    rayleigh_lambda,
     transition_count,
     transition_eigenpairs,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "bandwidth_shift_factor",
     "cfadi_solve",
     "commuting_tridiagonal",
-    "dense_slepian_basis",
     "fourier_correction_factor",
     "hilbert_factor",
     "load_operator",
@@ -80,7 +77,6 @@ __all__ = [
     "projection_correction",
     "prolate_matrix_dense",
     "prolate_symbol",
-    "rayleigh_lambda",
     "run_fourier_extension",
     "save_operator",
     "sinc_alias_factor",

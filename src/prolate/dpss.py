@@ -24,7 +24,6 @@ from .fft_kernels import (
     circulant_embedding,
     next_pow2,
     prolate_column_extended,
-    prolate_matrix_dense,
     prolate_symbol,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "PreconditionViolated",
     "TransitionEigenSet",
     "commuting_tridiagonal",
-    "rayleigh_lambda",
     "transition_window",
     "refine_window",
     "rayleigh_extended",
@@ -40,7 +38,6 @@ __all__ = [
     "vector_error",
     "transition_eigenpairs",
     "transition_count",
-    "dense_slepian_basis",
     "default_subspace_dim",
     "DENSE_GUARD",
 ]
@@ -81,16 +78,6 @@ def commuting_tridiagonal(n: int, w: float):
     diag = ((n - 1 - 2 * m) / 2.0) ** 2 * math.cos(2.0 * math.pi * w)
     off = (m[: n - 1] + 1.0) * (n - 1 - m[: n - 1]) / 2.0
     return diag, off
-
-
-def rayleigh_lambda(v: np.ndarray, b_op: ToeplitzOperator) -> float:
-    """v' (B v) through the fast Toeplitz apply, clamped into [0, 1]."""
-    v = np.asarray(v)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"expected a unit vector, got norm {nrm}")
-    lam = float(np.real(np.vdot(v, b_op.apply(v))))
-    return _clamp_eigenvalue(lam)
 
 
 def _clamp_eigenvalue(lam: float) -> float:
@@ -225,12 +212,12 @@ def _window_edges(lams, lo, hi):
 def transition_window(n, w, lo, hi, b_op=None, max_pairs=4096):
     """All consecutive eigenpairs with lo < lam < hi.
 
-    Returns (start_index, lams, vectors).  One solve covers the index range
-    that _predicted_range sizes from the asymptotic eigenvalue count; only
-    if an edge is not reached inside it (an eigenvalue >= hi before the
-    window on the low-index side, one <= lo after it on the high-index side,
-    or the end of the spectrum) does the range grow in chunks of 16, 32, ...
-    on that side.  Eigenvalues below the float noise floor cannot be told
+    Returns (start_index, lams, vectors), the vectors column-major.  One
+    solve covers the index range that _predicted_range sizes from the
+    asymptotic eigenvalue count; only if an edge is not reached inside it
+    (an eigenvalue >= hi before the window on the low-index side, one <= lo
+    after it on the high-index side, or the end of the spectrum) does the
+    range grow in chunks of 16, 32, ... on that side.  Eigenvalues below the float noise floor cannot be told
     apart from zero (see quotient_error), so a low threshold below that ends
     the window wherever a noisy value first falls to it; a caller that needs
     that edge placed honestly re-decides it with refine_window.  max_pairs
@@ -271,7 +258,7 @@ def transition_window(n, w, lo, hi, b_op=None, max_pairs=4096):
         chunk = min(2 * chunk, 512)
 
     start, stop = _window_edges(lams, lo, hi)
-    return first + start, lams[start:stop].copy(), np.ascontiguousarray(rows[start:stop].T)
+    return first + start, lams[start:stop].copy(), rows[start:stop].copy().T
 
 
 def quotient_error(n: int, w: float, extended: bool = False) -> float:
@@ -381,17 +368,3 @@ def transition_count(n, w, epsilon, b_op=None, max_pairs=4096) -> int:
     _, lams, _ = transition_window(n, w, epsilon, 1.0 - epsilon, b_op=b_op, max_pairs=max_pairs)
     return int(lams.size)
 
-
-def dense_slepian_basis(n: int, w: float):
-    """Full Slepian basis and eigenvalues by dense eigendecomposition (test oracle).
-
-    Returns (S, lams) with orthonormal columns and eigenvalues descending.
-    Guarded to n <= DENSE_GUARD.
-    """
-    if n > DENSE_GUARD:
-        raise ValueError(f"dense Slepian basis guarded to n <= {DENSE_GUARD}, got {n}")
-    b = prolate_matrix_dense(n, w)
-    lams, vecs = np.linalg.eigh(b)
-    lams, vecs = lams[::-1], vecs[:, ::-1]
-    lams = np.array([_clamp_eigenvalue(float(x)) for x in lams])
-    return _fix_signs(vecs.copy()), lams

@@ -192,15 +192,16 @@ class PartialFourier:
         self._scale = math.sqrt(n)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """F* x, ordered by ascending column frequency."""
+        """F* x, ordered by ascending column frequency; a real x takes a real FFT and conjugates."""
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ValueError(f"expected a length-{self.n} vector, got shape {x.shape}")
-        spec = np.fft.fft(x)
         r = self.half_span
-        if r == 0:
-            return spec[:1] / self._scale
-        return np.concatenate([spec[self.n - r:], spec[: r + 1]]) / self._scale
+        if np.iscomplexobj(x):
+            spec = np.fft.fft(x)
+            return np.concatenate([spec[self.n - r:], spec[: r + 1]]) / self._scale
+        low = np.fft.rfft(x)[: r + 1]
+        return np.concatenate([low[r:0:-1].conj(), low]) / self._scale
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """F c: scatter the coefficients into their DFT bins and invert."""

@@ -11,12 +11,16 @@ Three families of factors are produced here:
   pseudoinverse, or the Tikhonov solution map.
 
 Assembled together they give the circulant-plus-low-rank split of the
-prolate matrix with an operator-norm certificate.
+prolate matrix with an operator-norm certificate.  Every correction is one
+LowRankFactor kept in structured form: the Fourier correction as its real
+blocks with the phase diagonals recomputed per call, each eigen-partition
+correction as one spectral record V diag(g) V^T.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,64 +53,180 @@ _SQRT_CLAMP = -1e-14
 # share of epsilon that one window eigenvalue's quotient error may cost the
 # Tikhonov map before that eigenvalue is recomputed in extended precision
 _REFINE_SHARE = 0.25
+# rows per chunk of a factor's analysis products
+_CHUNK = 8192
+
+
+# One outer product of a LowRankFactor: D J^flip_left blocks[left] diag(pre * post) blocks[right]^T
+# J^flip_right D^*, with D = diag(e^{i step m}), J the row reversal, pre and post scalars or vectors.
+Term = namedtuple("Term", "left right step flip_left flip_right pre post")
 
 
 @dataclass(frozen=True)
 class LowRankFactor:
-    """Tall-skinny pair (left, right) standing for left @ right.conj().T."""
+    """A sum of Terms over real, column-major n-row blocks; the phases are recomputed on every call.
 
-    left: np.ndarray
-    right: np.ndarray
+    adjoint_apply(x) returns pre * R^T J D^* x term by term and synthesize(c)
+    sums D J L (post * c), so each block meets one real product per call: a
+    stacked block of the input's cosine- and sine-modulated (and reversed)
+    copies, or of the coefficients summed over the terms that share a phase
+    pair.  weights is the vector the factor was built from (the spectral g;
+    empty for the Fourier correction), persisted with the blocks.
+    """
+
+    blocks: tuple
+    terms: tuple
+    weights: np.ndarray
 
     def __post_init__(self):
-        if self.left.shape != self.right.shape or self.left.ndim != 2:
-            raise ValueError(
-                f"factor halves must share an (n, r) shape, got {self.left.shape} and {self.right.shape}"
-            )
+        n = self.blocks[0].shape[0]
+        if any(b.ndim != 2 or b.shape[0] != n for b in self.blocks) or any(
+                self.blocks[t.left].shape[1] != self.blocks[t.right].shape[1] for t in self.terms):
+            raise ValueError("blocks must share their row count and each term pair two blocks of one width")
 
     @property
     def rank(self) -> int:
-        return self.left.shape[1]
+        return sum(self.blocks[t.right].shape[1] for t in self.terms)
 
     @property
     def n(self) -> int:
-        return self.left.shape[0]
+        return self.blocks[0].shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return _product(self.left, _adjoint_product(self.right, x))
+        return self.synthesize(self._analyze(x))
 
     def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
-        return _adjoint_product(self.right, x)
+        return self._analyze(x)
+
+    def _analyze(self, x):
+        x = np.asarray(x)
+        rows = np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x[None, :]
+        m, trig, parts = len(rows), {}, {}
+        for r in dict.fromkeys(t.right for t in self.terms):
+            mods = list(dict.fromkeys((abs(t.step), t.flip_right) for t in self.terms if t.right == r))
+            copies, block = _modulated(rows, mods, trig), self.blocks[r]
+            # summed over row chunks whose slices of the block and the copies stay in cache
+            prod = (block.T @ copies[0])[:, None] if len(copies) == 1 else sum(
+                block[i:i + _CHUNK].T @ copies[:, i:i + _CHUNK].T for i in range(0, self.n, _CHUNK))
+            del copies
+            for s, flip in mods:
+                parts[r, s, flip], prod = prod[:, :2 * m if s else m], prod[:, 2 * m if s else m:]
+        out = []
+        for t in self.terms:
+            # e^{-i step m} x = cos(|step| m) x - i sign(step) sin(|step| m) x
+            p = parts[t.right, abs(t.step), t.flip_right]
+            c = p[:, :m] - (1j if t.step > 0 else -1j) * p[:, m:] if t.step else p
+            out.append(t.pre * (c[:, 0] if m == 1 else c[:, 0] + 1j * c[:, 1]))
+        return np.concatenate(out)
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
-        """left @ c without copying left: the synthesis half of a two-sided factorization."""
-        return _product(self.left, c)
-
-    def dense(self) -> np.ndarray:
-        return self.left @ self.right.conj().T
+        """Sum of the terms' left halves applied to their slices of c; no block is copied."""
+        c = np.asarray(c)
+        if c.shape != (self.rank,):
+            raise ValueError(f"expected {self.rank} coefficients, got shape {c.shape}")
+        edges = np.cumsum([0] + [self.blocks[t.right].shape[1] for t in self.terms])
+        trig, out, tmp = {}, [None, None], None
+        for l in dict.fromkeys(t.left for t in self.terms):
+            # under phases cos + i sin and cos - i sin, terms sharing a step size and a reversal
+            # enter as a sum E (times cos) and a difference O (times i sin):
+            # cos (E_r + i E_i) + i sin (O_r + i O_i) = (cos E_r - sin O_i) + i (cos E_i + sin O_r)
+            sums = {}
+            for i, t in enumerate(self.terms):
+                if t.left == l:
+                    part = t.post * c[edges[i]:edges[i + 1]]
+                    for odd in (False, True) if t.step else (False,):
+                        key = (abs(t.step), t.flip_left, odd)
+                        sums[key] = sums.get(key, 0) + (math.copysign(1.0, t.step) if odd else 1.0) * part
+            rows = [(key, j, v) for key, total in sums.items()
+                    for j, v in enumerate((total.real, total.imag) if np.iscomplexobj(total) else (total,))]
+            for step in {k[0] for k in sums if k[0]}:
+                _trig(self.n, step, trig)  # ahead of the product, so the table's temporaries stay off its peak
+            coef, block_t = np.stack([v for _, _, v in rows]), self.blocks[l].T
+            prod = (coef[0] @ block_t)[None] if len(rows) == 1 else coef @ block_t
+            for ((s, flip, odd), imag, _), p in zip(rows, prod):
+                p = p[::-1] if flip else p
+                if s:
+                    p = tmp = np.multiply(p, _trig(self.n, s, trig)[odd], out=tmp)
+                target, negate = imag ^ odd, imag and odd
+                if out[target] is None:
+                    out[target] = -p if negate else p.copy()
+                else:
+                    (np.subtract if negate else np.add)(out[target], p, out=out[target])
+            del prod
+        if out[1] is None:
+            return out[0]
+        result = np.empty(self.n, dtype=complex)
+        result.real, result.imag = 0.0 if out[0] is None else out[0], out[1]
+        return result
 
     @classmethod
-    def zeros(cls, n: int, dtype=np.float64) -> "LowRankFactor":
-        z = np.zeros((n, 0), dtype=dtype)
-        return cls(z, z)
+    def spectral(cls, vectors: np.ndarray, g: np.ndarray) -> "LowRankFactor":
+        """V diag(g) V^T; the coefficients sqrt|g| V^T x carry half of each signed weight g."""
+        g = np.asarray(g, dtype=float)
+        if vectors.ndim != 2 or g.shape != (vectors.shape[1],):
+            raise ValueError(f"need one weight per column, got {g.shape} for {vectors.shape}")
+        root = np.sqrt(np.abs(g))
+        return cls((np.asfortranarray(vectors),), (Term(0, 0, 0.0, False, False, root, np.sign(g) * root),), g)
 
     @classmethod
-    def symmetric(cls, u: np.ndarray) -> "LowRankFactor":
-        return cls(u, u)
+    def fourier(cls, w: float, blocks) -> "LowRankFactor":
+        """B - F F* from its real blocks (z, va, va ca^T, vb, vb cb^T), with d_a = e^{2 pi i w' m},
+        d_b = e^{i pi (w + w') m} and the reversal of z applied on the fly."""
+        if len(blocks) != 5:
+            raise ValueError(f"the Fourier correction has 5 blocks, got {len(blocks)}")
+        a, b = fourier_steps(blocks[0].shape[0], w)
+        hilb, odd = 1.0 / (2.0 * math.pi * 1j), 1.0 / (2.0 * 1j)
+        terms = [Term(0, 0, a, False, True, 1.0, hilb), Term(0, 0, a, True, False, 1.0, -hilb),
+                 Term(0, 0, -a, False, True, 1.0, -hilb), Term(0, 0, -a, True, False, 1.0, hilb),
+                 Term(1, 2, a, False, False, 1.0, odd), Term(1, 2, -a, False, False, 1.0, -odd),
+                 Term(3, 4, b, False, False, 1.0, 0.5), Term(3, 4, -b, False, False, 1.0, 0.5)]
+        return cls(tuple(np.asfortranarray(v) for v in blocks), tuple(terms), np.zeros(0))
 
 
-def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x without copying m: a real m takes complex x as two real products."""
-    if np.iscomplexobj(x) and not np.iscomplexobj(m):
-        return m @ x.real + 1j * (m @ x.imag)
-    return m @ x
+def fourier_steps(n: int, w: float):
+    """Phase steps (2 pi w', pi (w + w')) of d_a and d_b, w' the odd-count bandwidth."""
+    w_prime = nearest_odd_integer(2.0 * n * w) / (2.0 * n)
+    return 2.0 * math.pi * w_prime, math.pi * (w + w_prime)
 
 
-def _adjoint_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m^H @ x without copying m."""
-    if np.iscomplexobj(m):
-        return (np.conj(x) @ m).conj()
-    return _product(m.T, x)
+def _trig(n, s, cache):
+    """cos(s m) and sin(s m), m = 0..n-1, for s*m rounded as np.exp(1j * s * m) rounds it; once per call.
+
+    Angle sums over rows of 256 give them within a few ulps of np.cos and
+    np.sin at a fraction of the cost: s*m = a + b + e with a = s*256*(m // 256)
+    and b = s*(m % 256) rounded as s*m is, and e their exact (Sterbenz)
+    difference, which enters to first order: cos(a + b + e) = cos(a + b) - e sin(a + b).
+    """
+    if s not in cache:
+        e = np.arange(-(-n // 256) * 256, dtype=float).reshape(-1, 256)
+        e *= s
+        a, b = e[:, 0].copy(), e[0].copy()
+        e -= a[:, None]
+        e -= b
+        rot = np.multiply.outer(np.exp(1j * a), np.exp(1j * b))
+        cos = np.subtract(rot.real, e * rot.imag)
+        e *= rot.real
+        e += rot.imag
+        cache[s] = cos.ravel()[:n], e.ravel()[:n]
+    return cache[s]
+
+
+def _modulated(rows, mods, trig):
+    """The real input rows (reversed where flip) times cos(s m) and sin(s m) per (s, flip); s = 0: the rows."""
+    if mods == [(0.0, False)]:
+        return rows
+    m, n = rows.shape
+    tables = [_trig(n, s, trig) if s else (None,) for s, _ in mods]  # ahead of the output's peak
+    out, at = np.empty((m * sum(len(t) for t in tables), n)), 0
+    for (s, flip), table in zip(mods, tables):
+        src = rows[:, ::-1] if flip else rows
+        for v in table:
+            if v is None:
+                out[at:at + m] = src
+            else:
+                np.multiply(src, v[::-1] if flip else v, out=out[at:at + m])
+            at += m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +355,7 @@ def cfadi_solve(a_diag: np.ndarray, b_col: np.ndarray, shifts: np.ndarray) -> np
     for k in range(1, shifts.size):
         z = math.sqrt(shifts[k] / shifts[k - 1]) * (a_diag - shifts[k - 1]) / (a_diag + shifts[k]) * z
         cols.append(z)
-    return np.column_stack(cols)
+    return np.array(cols).T
 
 
 def hilbert_factor(n: int, delta_h: float) -> np.ndarray:
@@ -294,9 +414,6 @@ class PolynomialKernelFactor:
     def rank(self) -> int:
         return self.basis.shape[1]
 
-    def dense(self) -> np.ndarray:
-        return self.basis @ self.coeffs @ self.basis.T
-
 
 def _binomial_expand(coeffs_by_degree, n, width):
     """Coefficient matrix c with sum_k a_k ((m-l)/n)^k == basis @ c @ basis.T."""
@@ -305,6 +422,14 @@ def _binomial_expand(coeffs_by_degree, n, width):
         for i in range(deg + 1):
             c[i, deg - i] += a * math.comb(deg, i) * (-1.0) ** (deg - i)
     return c
+
+
+def _sinc_terms(tol):
+    return max(int(math.ceil(math.log(2.0 / (3.0 * math.pi * tol)) / (2.0 * math.log(2.0)))), 0)
+
+
+def _shift_terms(tol):
+    return max(int(math.ceil(math.log(3.0 / (2.0 * tol)) / (2.0 * math.log(6.0 / math.pi)))), 1)
 
 
 def sinc_alias_factor(n: int, tol: float) -> PolynomialKernelFactor:
@@ -319,7 +444,7 @@ def sinc_alias_factor(n: int, tol: float) -> PolynomialKernelFactor:
         raise ValueError(f"dimension must be positive, got {n}")
     if not 0.0 < tol < 8.0 / (3.0 * math.pi):
         raise ValueError(f"tolerance must lie in (0, 8/(3 pi)), got {tol}")
-    r = max(int(math.ceil(math.log(2.0 / (3.0 * math.pi * tol)) / (2.0 * math.log(2.0)))), 0)
+    r = _sinc_terms(tol)
     width = 2 * r
     grid = (np.arange(n, dtype=float) / n)[:, None]
     basis = grid ** np.arange(width)[None, :] if width else np.zeros((n, 0))
@@ -345,7 +470,7 @@ def bandwidth_shift_factor(n: int, w: float, w_prime: float, tol: float) -> Poly
         raise ValueError("w' must round 2nw to a neighboring odd integer")
     if not 0.0 < tol < 1.5:
         raise ValueError(f"tolerance must lie in (0, 3/2), got {tol}")
-    r = max(int(math.ceil(math.log(3.0 / (2.0 * tol)) / (2.0 * math.log(6.0 / math.pi)))), 1)
+    r = _shift_terms(tol)
     width = 2 * r - 1
     grid = (np.arange(n, dtype=float) / n)[:, None]
     basis = grid ** np.arange(width)[None, :]
@@ -374,7 +499,7 @@ def transition_count_budget(n: int, epsilon: float) -> float:
 
 
 def fourier_correction_factor(n: int, w: float, epsilon: float) -> LowRankFactor:
-    """Factor (left, right) with ||B - F F* - left @ right^H|| <= epsilon.
+    """Factor with ||B - F F* - factor|| <= epsilon, stored as its real blocks.
 
     The tolerance is split 4 pi/15 to the Hilbert block and 7/30 to each
     Taylor block, which sums back to epsilon after the assembly; the rank
@@ -385,45 +510,22 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> LowRankFactor
     if not 0.0 < w < 0.5:
         raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
     w_prime = nearest_odd_integer(2.0 * n * w) / (2.0 * n)
-    delta_h = 4.0 * math.pi / 15.0 * epsilon
-    delta_taylor = 7.0 / 30.0 * epsilon
-
+    delta_h, delta_taylor = _fourier_tolerances(epsilon)
     z = hilbert_factor(n, delta_h)
     odd = sinc_alias_factor(n, delta_taylor)
     even = bandwidth_shift_factor(n, w, w_prime, delta_taylor)
+    return LowRankFactor.fourier(w, (z, odd.basis, odd.basis @ odd.coeffs.T, even.basis, even.basis @ even.coeffs.T))
 
-    idx = np.arange(n)
-    d_a = np.exp(2j * np.pi * w_prime * idx)[:, None]
-    d_b = np.exp(1j * np.pi * (w + w_prime) * idx)[:, None]
-    z_flip = z[::-1, :]
-    va, ca = odd.basis, odd.coeffs
-    vb, cb = even.basis, even.coeffs
 
-    s_hilb = 1.0 / (2.0 * math.pi * 1j)
-    s_odd = 1.0 / (2.0 * 1j)
-    left = np.hstack([
-        s_hilb * d_a * z,
-        -s_hilb * d_a * z_flip,
-        -s_hilb * d_a.conj() * z,
-        s_hilb * d_a.conj() * z_flip,
-        s_odd * d_a * va,
-        -s_odd * d_a.conj() * va,
-        0.5 * d_b * vb,
-        0.5 * d_b.conj() * vb,
-    ])
-    va_ct = va @ ca.T
-    vb_ct = vb @ cb.T
-    right = np.hstack([
-        d_a * z_flip,
-        d_a * z,
-        d_a.conj() * z_flip,
-        d_a.conj() * z,
-        d_a * va_ct,
-        d_a.conj() * va_ct,
-        d_b * vb_ct,
-        d_b.conj() * vb_ct,
-    ])
-    return LowRankFactor(left, right)
+def _fourier_tolerances(epsilon):
+    return 4.0 * math.pi / 15.0 * epsilon, 7.0 / 30.0 * epsilon
+
+
+def fourier_widths(n: int, epsilon: float):
+    """Widths of the Fourier correction's z, va and vb blocks at (n, epsilon), found without building them."""
+    delta_h, delta_taylor = _fourier_tolerances(epsilon)
+    z_width = adi_rank(2 * n - 1, min(delta_h / math.pi, 1.0))
+    return z_width, 2 * _sinc_terms(delta_taylor), 2 * _shift_terms(delta_taylor) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -431,29 +533,24 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> LowRankFactor
 
 
 def projection_correction(eigset: TransitionEigenSet) -> LowRankFactor:
-    """(u1, u2) with ||S_k S_k' - (B + u1 u2')|| bounded by the search tolerance.
+    """V diag(g) V' with ||S_k S_k' - (B + V diag(g) V')|| bounded by the search tolerance.
 
-    u1 = [V2 (I - L2)^(1/2), -V3 L3^(1/2)], u2 flips the sign of the second
-    block; V2/V3 hold the transition eigenvectors below / at-or-above k.
+    g = [1 - L2, -L3]: V2/V3 hold the transition eigenvectors below /
+    at-or-above k, each pushed to its side of the split.
     """
-    (lam2, vec2), (lam3, vec3) = eigset.split()
-    w2 = np.sqrt(1.0 - lam2)
-    w3 = np.sqrt(lam3)
-    u1 = np.hstack([vec2 * w2, -vec3 * w3])
-    u2 = np.hstack([vec2 * w2, vec3 * w3])
-    return LowRankFactor(u1, u2)
+    (lam2, _), (lam3, _) = eigset.split()
+    return LowRankFactor.spectral(eigset.vectors, np.concatenate([1.0 - lam2, -lam3]))
 
 
 def pinv_correction(eigset: TransitionEigenSet) -> LowRankFactor:
-    """(u3, u4) with ||B_k^+ - (B + u3 u4')|| within three times the search tolerance."""
-    (lam2, vec2), (lam3, vec3) = eigset.split()
+    """V diag(g) V' with ||B_k^+ - (B + V diag(g) V')|| within three times the search tolerance.
+
+    g = [1/L2 - L2, -L3].
+    """
+    (lam2, _), (lam3, _) = eigset.split()
     if np.any(lam2 <= 0.0):
         raise ValueError("below-split eigenvalues must be positive")
-    w2 = np.sqrt(1.0 / lam2 - lam2)
-    w3 = np.sqrt(lam3)
-    u3 = np.hstack([vec2 * w2, -vec3 * w3])
-    u4 = np.hstack([vec2 * w2, vec3 * w3])
-    return LowRankFactor(u3, u4)
+    return LowRankFactor.spectral(eigset.vectors, np.concatenate([1.0 / lam2 - lam2, -lam3]))
 
 
 def _tikhonov_weight(lams, alpha):
@@ -483,7 +580,7 @@ def tikhonov_precision_floor(n: int, w: float, alpha: float) -> float:
 
 
 def tikhonov_correction(n, w, epsilon, alpha, b_op=None, max_pairs=4096) -> LowRankFactor:
-    """Symmetric factor u5 with ||(B^2 + a I)^{-1} B - (B/(1+a) + u5 u5')|| <= epsilon.
+    """V diag(g) V' with ||(B^2 + a I)^{-1} B - (B/(1+a) + V diag(g) V')|| <= epsilon.
 
     The retained eigenpairs are those with a(1+a)*epsilon < lam < 1 - epsilon/3
     (thresholds of the regularized solution map, not the projector ones);
@@ -509,5 +606,4 @@ def tikhonov_correction(n, w, epsilon, alpha, b_op=None, max_pairs=4096) -> LowR
     weights = _tikhonov_weight(lams, alpha)
     if np.any(weights < _SQRT_CLAMP):
         raise ValueError("negative spectral weight beyond the clamp tolerance")
-    u5 = vecs * np.sqrt(np.maximum(weights, 0.0))
-    return LowRankFactor.symmetric(u5)
+    return LowRankFactor.spectral(vecs, np.maximum(weights, 0.0))

@@ -3,13 +3,13 @@
 Each operator packages a fast Toeplitz (or partial Fourier) part with the
 low-rank correction that turns it into the target spectral operator, plus
 the certified operator-norm error bound of the construction.  A common
-binary format persists any of them to disk and restores an operator whose
-applications are bit-identical to the original.
+binary format persists any of them to disk, each correction in its
+structured form, and restores an operator whose applications are
+bit-identical to the original.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 import warnings
@@ -27,6 +27,8 @@ from .fft_kernels import (
 from .lowrank import (
     LowRankFactor,
     fourier_correction_factor,
+    fourier_steps,
+    fourier_widths,
     pinv_correction,
     projection_correction,
     tikhonov_correction,
@@ -98,7 +100,54 @@ def _as_vector(x, n):
     return x
 
 
-class FastProjector:
+class _SpectralOperator:
+    """B / (1 + alpha) plus one spectral correction V diag(g) V^T: the projector, pinv and Tikhonov map.
+
+    The kinds differ only in the spectral weight g they put on the transition
+    eigenvectors V, in alpha (zero but for Tikhonov) and in the multiple of
+    epsilon they certify; each binds build and apply in its own body.
+    """
+
+    alpha, bound_factor = 0.0, 1.0
+
+    def __init__(self, params: SlepianParams, b_op: ToeplitzOperator, correction: LowRankFactor):
+        self.params, self.b_op, self.u = params, b_op, correction
+        self.error_bound = self.bound_factor * params.epsilon
+
+    def corrections(self):
+        return (self.u,)
+
+    def factors(self):
+        """Every n-row array the operator holds."""
+        return self.u.blocks
+
+
+def _build_spectral(cls, params: SlepianParams, alpha: float | None = None):
+    """The kind's spectral weight g on the transition eigenvectors, plus the Toeplitz part (alpha: Tikhonov's)."""
+    b_op = ToeplitzOperator(prolate_symbol(params.n, params.w))
+    if cls.kind == 4:
+        correction = tikhonov_correction(params.n, params.w, params.epsilon, alpha, b_op=b_op)
+    else:
+        eigset = transition_eigenpairs(params.n, params.w, params.epsilon, k=params.k, b_op=b_op)
+        correction = (projection_correction if cls.kind == 1 else pinv_correction)(eigset)
+    op = cls(params, *((alpha,) if cls.kind == 4 else ()), b_op, correction)
+    if params.epsilon < getattr(op, "precision_floor", 0.0):
+        warnings.warn(
+            f"tolerance {params.epsilon:g} lies below the Tikhonov precision floor "
+            f"{op.precision_floor:.2g} at n={params.n}, w={params.w:g}, alpha={op.alpha:g}; "
+            "expect errors up to about the floor",
+            PrecisionFloorWarning,
+            stacklevel=2,
+        )
+    return op
+
+
+def _apply_spectral(self, x) -> np.ndarray:
+    x = _as_vector(x, self.params.n)
+    return self.b_op.apply(x) / (1.0 + self.alpha) + self.u.apply(x)
+
+
+class FastProjector(_SpectralOperator):
     """Projector onto the leading-k Slepian subspace as Toeplitz plus low-rank.
 
     apply(x) deviates from the exact subspace projection by at most
@@ -106,47 +155,20 @@ class FastProjector:
     """
 
     kind = 1
-
-    def __init__(self, params: SlepianParams, b_op: ToeplitzOperator, correction: LowRankFactor):
-        self.params = params
-        self.b_op = b_op
-        self.u = correction
-        self.error_bound = params.epsilon
-
-    @classmethod
-    def build(cls, params: SlepianParams) -> "FastProjector":
-        b_op = ToeplitzOperator(prolate_symbol(params.n, params.w))
-        eigset = transition_eigenpairs(params.n, params.w, params.epsilon, k=params.k, b_op=b_op)
-        return cls(params, b_op, projection_correction(eigset))
-
-    def apply(self, x) -> np.ndarray:
-        x = _as_vector(x, self.params.n)
-        return self.b_op.apply(x) + self.u.apply(x)
-
-    def factors(self):
-        return (self.u.left, self.u.right)
+    build = classmethod(_build_spectral)
+    apply = _apply_spectral
 
 
-class FastPseudoinverse:
+class FastPseudoinverse(_SpectralOperator):
     """Rank-k truncated pseudoinverse of the prolate matrix as Toeplitz plus low-rank.
 
     apply(y) deviates from the exact truncated-pseudoinverse solve by at
     most error_bound * ||y|| with error_bound = 3 * epsilon.
     """
 
-    kind = 3
-
-    def __init__(self, params: SlepianParams, b_op: ToeplitzOperator, correction: LowRankFactor):
-        self.params = params
-        self.b_op = b_op
-        self.u = correction
-        self.error_bound = 3.0 * params.epsilon
-
-    @classmethod
-    def build(cls, params: SlepianParams) -> "FastPseudoinverse":
-        b_op = ToeplitzOperator(prolate_symbol(params.n, params.w))
-        eigset = transition_eigenpairs(params.n, params.w, params.epsilon, k=params.k, b_op=b_op)
-        return cls(params, b_op, pinv_correction(eigset))
+    kind, bound_factor = 3, 3.0
+    build = classmethod(_build_spectral)
+    apply = _apply_spectral
 
     @classmethod
     def build_with_cutoff(cls, n: int, w: float, epsilon: float, cutoff: float) -> "FastPseudoinverse":
@@ -164,15 +186,8 @@ class FastPseudoinverse:
         eigset = TransitionEigenSet(n, w, epsilon, 1.0 - epsilon, k, start, lams, vecs)
         return cls(params, b_op, pinv_correction(eigset))
 
-    def apply(self, y) -> np.ndarray:
-        y = _as_vector(y, self.params.n)
-        return self.b_op.apply(y) + self.u.apply(y)
 
-    def factors(self):
-        return (self.u.left, self.u.right)
-
-
-class FastTikhonov:
+class FastTikhonov(_SpectralOperator):
     """Tikhonov solution map (B^2 + alpha I)^{-1} B as scaled Toeplitz plus low-rank.
 
     apply(y) deviates from the exact regularized solve by at most
@@ -185,39 +200,16 @@ class FastTikhonov:
     """
 
     kind = 4
+    build = classmethod(_build_spectral)
+    apply = _apply_spectral
 
     def __init__(self, params: SlepianParams, alpha: float, b_op: ToeplitzOperator, correction: LowRankFactor):
-        self.params = params
         self.alpha = alpha
-        self.b_op = b_op
-        self.u = correction
-        self.error_bound = params.epsilon
+        super().__init__(params, b_op, correction)
 
     @property
     def precision_floor(self) -> float:
         return tikhonov_precision_floor(self.params.n, self.params.w, self.alpha)
-
-    @classmethod
-    def build(cls, params: SlepianParams, alpha: float) -> "FastTikhonov":
-        b_op = ToeplitzOperator(prolate_symbol(params.n, params.w))
-        u5 = tikhonov_correction(params.n, params.w, params.epsilon, alpha, b_op=b_op)
-        op = cls(params, alpha, b_op, u5)
-        if params.epsilon < op.precision_floor:
-            warnings.warn(
-                f"tolerance {params.epsilon:g} lies below the Tikhonov precision floor "
-                f"{op.precision_floor:.2g} at n={params.n}, w={params.w:g}, alpha={alpha:g}; "
-                "expect errors up to about the floor",
-                PrecisionFloorWarning,
-                stacklevel=2,
-            )
-        return op
-
-    def apply(self, y) -> np.ndarray:
-        y = _as_vector(y, self.params.n)
-        return self.b_op.apply(y) / (1.0 + self.alpha) + self.u.apply(y)
-
-    def factors(self):
-        return (self.u.left,)
 
 
 class FastFactorization:
@@ -272,18 +264,31 @@ class FastFactorization:
     def apply(self, x) -> np.ndarray:
         return self.decompress(self.compress(x))
 
+    def corrections(self):
+        return (self.l, self.u)
+
     def factors(self):
-        return (self.l.left, self.l.right, self.u.left, self.u.right)
+        """Every n-row array the operator holds."""
+        return self.l.blocks + self.u.blocks
 
 
 # ---------------------------------------------------------------------------
-# Persistence: magic "FSLT", version 1, little-endian
+# Persistence: magic "FSLT", little-endian; version 2 is written, versions 1 and 2 are read.
+# Version 2: "FSLT", u32 version, u64 n, f64 w, f64 epsilon, f64 alpha, u64 k, u8 kind, 7 pad
+# bytes, f64 error bound; a record header per correction (the factorization: Fourier, then
+# spectral; other kinds: spectral), a u64 weight count and a u64 width per block (spectral: V;
+# Fourier: z, va, va ca^T, vb, vb cb^T); then per record its weights and its n x width blocks,
+# column-major float64, every offset a multiple of 8.  Version 1 held the dense factor halves:
+# the header unpadded, a (u64 rank, u8 complex flag) per half, then the halves column-major.
 
 
-_MAGIC = b"FSLT"
-_VERSION = 1
+_MAGIC, _VERSION = b"FSLT", 2
 _KIND_NAMES = {1: "projector", 2: "factorization", 3: "pinv", 4: "tikhonov"}
-_FACTOR_COUNT = {1: 2, 2: 4, 3: 2, 4: 1}
+_RECORDS = {1: ("spectral",), 2: ("fourier", "spectral"), 3: ("spectral",), 4: ("spectral",)}
+_BLOCKS = {"spectral": 1, "fourier": 5}
+_V1_HALVES = {1: 2, 2: 4, 3: 2, 4: 1}
+# largest n a file without stored columns may name: its length cannot bound n
+MAX_EMPTY_N = 1 << 20
 
 
 class FactorFileError(Exception):
@@ -302,26 +307,23 @@ class TruncatedFileError(FactorFileError):
     pass
 
 
-def operator_to_bytes(op) -> bytes:
-    """Serialize an operator: header, error bound, per-factor (rank, flag), data blocks."""
+def operator_to_bytes(op) -> bytearray:
+    """Serialize an operator as FSLT version 2, each array written once into one preallocated buffer."""
     p = op.params
-    alpha = getattr(op, "alpha", 0.0)
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", _VERSION))
-    buf.write(struct.pack("<QdddQB", p.n, p.w, p.epsilon, alpha, p.k, op.kind))
-    buf.write(struct.pack("<d", op.error_bound))
-    factors = op.factors()
-    for f in factors:
-        flag = 1 if np.iscomplexobj(f) else 0
-        buf.write(struct.pack("<QB", f.shape[1], flag))
-    for f in factors:
-        if np.iscomplexobj(f):
-            data = np.asarray(f, dtype="<c16").ravel(order="F").view("<f8")
-        else:
-            data = np.asarray(f, dtype="<f8").ravel(order="F")
-        buf.write(data.tobytes())
-    return buf.getvalue()
+    head = [_MAGIC, struct.pack("<IQdddQB7xd", _VERSION, p.n, p.w, p.epsilon, getattr(op, "alpha", 0.0),
+                                p.k, op.kind, op.error_bound)]
+    arrays = []
+    for f in op.corrections():
+        head.append(struct.pack(f"<{1 + len(f.blocks)}Q", f.weights.size, *(b.shape[1] for b in f.blocks)))
+        arrays += [f.weights, *f.blocks]
+    head = b"".join(head)
+    out, at = bytearray(len(head) + sum(a.nbytes for a in arrays)), len(head)
+    out[:at] = head
+    for a in arrays:
+        if a.size:
+            np.frombuffer(out, "<f8", a.size, at).reshape(a.shape, order="F")[...] = a
+        at += a.nbytes
+    return out
 
 
 def save_operator(op, path) -> None:
@@ -344,50 +346,102 @@ class _Reader:
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def arrays(self, n, shapes, dtypes):
+        """Read-only views of the arrays that must fill the rest of the file, checked before any is read.
 
-def operator_from_bytes(data: bytes):
-    """Rebuild an operator; the fast transforms are reconstructed from (n, w)."""
+        Without a stored column the file's length cannot bound n, so n is capped at MAX_EMPTY_N.
+        """
+        sizes = [math.prod(shape) * np.dtype(dt).itemsize for shape, dt in zip(shapes, dtypes)]
+        if sum(sizes) != len(self.data) - self.pos:
+            if sum(sizes) > len(self.data) - self.pos:
+                raise TruncatedFileError("file truncated while reading factor data")
+            raise FactorFileError("trailing bytes after factor data")
+        if not any(len(shape) == 2 and shape[1] for shape in shapes) and n > MAX_EMPTY_N:
+            raise FactorFileError(f"header size n={n} is too large to rebuild: a file without "
+                                  f"stored columns may name n up to {MAX_EMPTY_N}")
+        out = []
+        for shape, dt, size in zip(shapes, dtypes, sizes):
+            raw = np.frombuffer(self.data, dt, math.prod(shape), self.pos) if size else np.zeros(0, dt)
+            out.append(raw.reshape(shape, order="F"))
+            self.pos += size
+        return out
+
+
+def _from_v1(kind, params, halves) -> list:
+    """The dense version-1 halves in the structured form; the eigen halves (u1, u2) must agree up to column signs."""
+    out = []
+    if kind == 2:
+        # [s d_a z, -s d_a Jz, -s d_a* z, s d_a* Jz, d_a va/2i, -d_a* va/2i, d_b vb/2, d_b* vb/2] and
+        # [d_a Jz, d_a z, d_a* Jz, d_a* z, d_a va ca^T, d_a* va ca^T, d_b vb cb^T, d_b* vb cb^T]
+        left, right = halves[:2]
+        rz, ra, rb = fourier_widths(params.n, params.epsilon)
+        if left.shape[1] != 4 * rz + 2 * ra + 2 * rb or not np.iscomplexobj(left) or not np.iscomplexobj(right):
+            raise FactorFileError("version-1 Fourier factor does not match the rank its header implies")
+        m = np.arange(params.n)
+        a, b = (np.exp(-1j * step * m)[:, None] for step in fourier_steps(params.n, params.w))
+        ta, tb = 4 * rz, 4 * rz + 2 * ra
+        # z = Re(d_a* d_a z), va = Re(2i d_a* (d_a va/2i)), ..., each read off one group
+        groups = ((a, right, rz, rz, 1), (a, left, ta, ra, 2j), (a, right, ta, ra, 1), (b, left, tb, rb, 2),
+                  (b, right, tb, rb, 1))
+        out.append(LowRankFactor.fourier(params.w, tuple((d * h[:, i:i + r] * f).real for d, h, i, r, f in groups)))
+        halves = halves[2:]
+    u1, u2 = halves[0], halves[-1]
+    if np.iscomplexobj(u1) or np.iscomplexobj(u2):
+        raise FactorFileError("version-1 eigen factor is complex")
+    same = np.all(u1 == u2, axis=0)
+    if not np.all(same | np.all(u1 == -u2, axis=0)):
+        raise FactorFileError("version-1 eigen factor: second block is not a signed copy of the first")
+    return out + [LowRankFactor.spectral(np.array(u2, order="F"), np.where(same, 1.0, -1.0))]
+
+
+def operator_from_bytes(data):
+    """Rebuild an operator; the fast transforms and the Fourier phases are recomputed from (n, w).
+
+    The header is bounded before anything is allocated.  A version-2
+    operator's blocks are read-only views of data (copied first unless it is
+    bytes); a version-1 file's dense halves are converted to the structured form.
+    """
+    data = bytes(data)
     r = _Reader(data)
     if r.take(4, "magic") != _MAGIC:
         raise BadMagicError("bad magic: not a persisted-factor file")
     (version,) = r.unpack("<I", "version")
-    if version != _VERSION:
+    if version not in (1, _VERSION):
         raise UnsupportedVersionError(f"unsupported format version {version}")
     n, w, epsilon, alpha, k, kind = r.unpack("<QdddQB", "header")
-    if kind not in _FACTOR_COUNT:
+    if kind not in _KIND_NAMES:
         raise FactorFileError(f"unknown operator kind {kind}")
+    r.take(7 if version == _VERSION else 0, "header")
     (error_bound,) = r.unpack("<d", "error bound")
-    heads = [r.unpack("<QB", "factor header") for _ in range(_FACTOR_COUNT[kind])]
-    factors = []
-    for rank, flag in heads:
-        count = n * rank * (2 if flag else 1)
-        raw = np.frombuffer(r.take(8 * count, "factor data"), dtype="<f8")
-        if flag:
-            mat = raw.view("<c16").reshape((n, rank), order="F")
-        else:
-            mat = raw.reshape((n, rank), order="F")
-        factors.append(np.ascontiguousarray(mat))
-    if r.pos != len(data):
-        raise FactorFileError("trailing bytes after factor data")
+    if version == _VERSION:
+        heads = [r.unpack(f"<{1 + _BLOCKS[rec]}Q", "record header") for rec in _RECORDS[kind]]
+        shapes = [shape for h in heads for shape in [(h[0],)] + [(n, width) for width in h[1:]]]
+        stored = r.arrays(n, shapes, ["<f8"] * len(shapes))
+    else:
+        heads = [r.unpack("<QB", "factor header") for _ in range(_V1_HALVES[kind])]
+        stored = r.arrays(n, [(n, rank) for rank, _ in heads], ["<c16" if flag else "<f8" for _, flag in heads])
 
     # a header that passes the format checks can still name an impossible
     # operator (w outside (0, 1/2), mismatched ranks) or one too large to rebuild
     try:
         params = SlepianParams.create(int(n), float(w), float(epsilon), k=int(k))
+        if version == _VERSION:
+            corrections = []
+            for rec in _RECORDS[kind]:
+                weights, blocks, stored = stored[0], stored[1:1 + _BLOCKS[rec]], stored[1 + _BLOCKS[rec]:]
+                if rec == "fourier" and weights.size:
+                    raise ValueError("a Fourier record holds no weights")
+                corrections.append(LowRankFactor.spectral(blocks[0], weights) if rec == "spectral"
+                                   else LowRankFactor.fourier(params.w, blocks))
+        else:
+            corrections = _from_v1(kind, params, stored)
         if kind == 2:
-            pf = PartialFourier(params.n, params.w)
-            l = LowRankFactor(factors[0], factors[1])
-            u = LowRankFactor(factors[2], factors[3])
-            op = FastFactorization(params, pf, l, u)
+            op = FastFactorization(params, PartialFourier(params.n, params.w), *corrections)
         else:
             b_op = ToeplitzOperator(prolate_symbol(params.n, params.w))
-            if kind == 1:
-                op = FastProjector(params, b_op, LowRankFactor(factors[0], factors[1]))
-            elif kind == 3:
-                op = FastPseudoinverse(params, b_op, LowRankFactor(factors[0], factors[1]))
-            else:
-                op = FastTikhonov(params, float(alpha), b_op, LowRankFactor.symmetric(factors[0]))
-    except ValueError as exc:
+            cls = {1: FastProjector, 3: FastPseudoinverse, 4: FastTikhonov}[kind]
+            op = cls(params, *((float(alpha),) if kind == 4 else ()), b_op, corrections[0])
+    except (ValueError, OverflowError) as exc:
         raise FactorFileError(f"invalid operator header: {exc}") from exc
     except MemoryError:
         raise FactorFileError(f"header size n={n} is too large to rebuild") from None
@@ -402,11 +456,10 @@ def load_operator(path):
 
 
 def describe_operator(op) -> str:
+    """Kind, parameters, each correction's coefficient rank and the certified bound, on one line."""
     p = op.params
-    ranks = ",".join(str(f.shape[1]) for f in op.factors())
-    alpha = getattr(op, "alpha", None)
-    alpha_txt = f" alpha={alpha:g}" if alpha is not None else ""
+    alpha_txt = f" alpha={op.alpha:g}" if op.kind == 4 else ""
     return (
-        f"{_KIND_NAMES[op.kind]} n={p.n} w={p.w:g} eps={p.epsilon:g} k={p.k}"
-        f"{alpha_txt} ranks=[{ranks}] error_bound={op.error_bound:g}"
+        f"{_KIND_NAMES[op.kind]} n={p.n} w={p.w:g} eps={p.epsilon:g} k={p.k}{alpha_txt} "
+        f"ranks=[{','.join(str(f.rank) for f in op.corrections())}] error_bound={op.error_bound:g}"
     )

@@ -6,6 +6,7 @@ Expensive spectral data is cached per (n, w).
 """
 
 import math
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -240,3 +241,86 @@ def shift_quality(a, b, shifts, grid=10_000):
 
 def norm2(m):
     return float(np.linalg.norm(m, 2))
+
+
+def rayleigh_lambda(v, b_op):
+    """v' (B v) for a unit vector v through a Toeplitz apply, clamped into [0, 1] (1e-12 leeway)."""
+    v = np.asarray(v)
+    nrm = np.linalg.norm(v)
+    if abs(nrm - 1.0) > 1e-8:
+        raise ValueError(f"expected a unit vector, got norm {nrm}")
+    return _clamp(float(np.real(np.vdot(v, b_op.apply(v)))))
+
+
+def _clamp(lam):
+    if lam < -1e-12 or lam > 1.0 + 1e-12:
+        raise ValueError(f"eigenvalue estimate {lam} outside [0, 1] beyond clamp tolerance")
+    return min(max(lam, 0.0), 1.0)
+
+
+def dense_slepian_basis(n, w):
+    """Full Slepian basis and eigenvalues by dense eigendecomposition, eigenvalues descending.
+
+    The first entry above 1e-12 of each vector is positive, as in the fast
+    solver.  Guarded to n <= 4096.
+    """
+    if n > 4096:
+        raise ValueError(f"dense Slepian basis guarded to n <= 4096, got {n}")
+    lams, vecs = np.linalg.eigh(prolate_dense(n, w))
+    vecs = vecs[:, ::-1].copy()
+    big = np.abs(vecs) > 1e-12
+    lead = np.where(big.any(axis=0), big.argmax(axis=0), np.abs(vecs).argmax(axis=0))
+    vecs *= np.where(vecs[lead, np.arange(n)] < 0, -1.0, 1.0)
+    return vecs, np.array([_clamp(float(x)) for x in lams[::-1]])
+
+
+def kernel_dense(fac):
+    """A PolynomialKernelFactor as its dense matrix basis @ coeffs @ basis'."""
+    return fac.basis @ fac.coeffs @ fac.basis.T
+
+
+def factor_halves(f):
+    """Dense (left, right) with left @ right^H equal to the LowRankFactor f, one column block per term.
+
+    Each term's phase diagonal, reversals and weights are applied to its
+    stored blocks here, outside the factor's own products; a term without a
+    phase keeps its halves real.
+    """
+    m = np.arange(f.n)
+    lefts, rights = [], []
+    for t in f.terms:
+        left, right = f.blocks[t.left], f.blocks[t.right]
+        d = np.exp(1j * t.step * m)[:, None] if t.step else 1.0
+        lefts.append(d * (left[::-1] if t.flip_left else left) * t.post)
+        rights.append(d * (right[::-1] if t.flip_right else right) * t.pre)
+    return np.hstack(lefts), np.hstack(rights)
+
+
+def factor_dense(f):
+    """The dense matrix a LowRankFactor stands for."""
+    left, right = factor_halves(f)
+    return left @ right.conj().T
+
+
+def v1_bytes(op):
+    """op in the FSLT version-1 layout: its dense factor halves, column-major, re/im interleaved.
+
+    The projector and the pseudoinverse stored (u1, u2) with u1 = u2 up to
+    column signs, Tikhonov one symmetric half, the factorization the
+    Fourier correction's complex halves before its eigen halves.
+    """
+    p = op.params
+    if op.kind == 2:
+        halves = [*factor_halves(op.l), *factor_halves(op.u)]
+    elif op.kind == 4:
+        halves = [factor_halves(op.u)[1]]
+    else:
+        halves = list(factor_halves(op.u))
+    out = [b"FSLT", struct.pack("<I", 1),
+           struct.pack("<QdddQB", p.n, p.w, p.epsilon, getattr(op, "alpha", 0.0), p.k, op.kind),
+           struct.pack("<d", op.error_bound)]
+    out += [struct.pack("<QB", h.shape[1], int(np.iscomplexobj(h))) for h in halves]
+    for h in halves:
+        flat = h.ravel(order="F")
+        out.append((flat.astype("<c16").view("<f8") if np.iscomplexobj(h) else flat.astype("<f8")).tobytes())
+    return b"".join(out)

@@ -7,9 +7,9 @@ import pytest
 
 from prolate.cli import main, prediction_rhs
 from prolate.fourier_ext import FourierExtensionConfig, SyntheticTarget, run_fourier_extension
-from prolate.operators import FastPseudoinverse, SlepianParams
+from prolate.operators import MAX_EMPTY_N, FastFactorization, FastProjector, FastPseudoinverse, SlepianParams
 
-from oracles import eig_dense, pinv_oracle, prolate_dense
+from oracles import eig_dense, pinv_oracle, prolate_dense, v1_bytes
 
 
 def run_cli(args, capsys):
@@ -193,7 +193,7 @@ class TestPrecomputeAndLoad:
         run_cli(["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-3", "--kind", "project",
                  "--out", str(path)], capsys)
         data = path.read_bytes()
-        path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+        path.write_bytes(data[:4] + struct.pack("<I", 99) + data[8:])
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "version" in err
         path.write_bytes(data[:-16])
@@ -211,6 +211,50 @@ class TestPrecomputeAndLoad:
         assert path.stat().st_size == 75
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "too large" in err
+
+    def test_rank_zero_header_above_cap_is_io_error(self, tmp_path, capsys):
+        # without stored columns the file's length does not bound n, so n is capped
+        import struct
+
+        head = struct.pack("<QdddQB", MAX_EMPTY_N + 1, 0.25, 0.49, 0.0, 0, 1)
+        path = tmp_path / "op.fslt"
+        for blob in (
+            b"FSLT" + struct.pack("<I", 1) + head + struct.pack("<d", 0.49) + struct.pack("<QB", 0, 0) * 2,
+            b"FSLT" + struct.pack("<I", 2) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQ", 0, 0),
+        ):
+            path.write_bytes(blob)
+            rc, _, err = run_cli(["load-check", str(path)], capsys)
+            assert rc == 2 and "too large" in err
+
+    def test_describes_each_correction_rank(self, tmp_path, capsys):
+        want = {
+            "project": "projector n=64 w=0.25 eps=0.001 k=32 ranks=[8] error_bound=0.001",
+            "factorize": "factorization n=64 w=0.25 eps=0.001 k=32 ranks=[74,8] error_bound=0.002",
+            "pinv": "pinv n=64 w=0.25 eps=0.001 k=32 ranks=[8] error_bound=0.003",
+            "tikhonov": "tikhonov n=64 w=0.25 eps=0.001 k=32 alpha=0.01 ranks=[11] error_bound=0.001",
+        }
+        for kind, line in want.items():
+            path = tmp_path / f"{kind}.fslt"
+            rc, _, err = run_cli(
+                ["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-3", "--kind", kind,
+                 "--alpha", "0.01", "--out", str(path)],
+                capsys,
+            )
+            assert rc == 0 and err.strip() == line
+            rc, out, _ = run_cli(["load-check", str(path)], capsys)
+            assert rc == 0 and out.strip() == line
+
+    def test_version_1_files(self, tmp_path, capsys):
+        params = SlepianParams.create(64, 0.25, 1e-3)
+        path = tmp_path / "old.fslt"
+        for op in (FastProjector.build(params), FastFactorization.build(params)):
+            path.write_bytes(v1_bytes(op))
+            rc, out, _ = run_cli(["load-check", str(path)], capsys)
+            assert rc == 0 and out.startswith(("projector", "factorization"))
+        # an eigen factor whose second half is not a signed copy of the first
+        path.write_bytes(v1_bytes(op)[:-8] + bytes(8))
+        rc, _, err = run_cli(["load-check", str(path)], capsys)
+        assert rc == 2 and "signed copy" in err
 
     def test_header_outside_domain_is_io_error(self, tmp_path, capsys):
         import struct

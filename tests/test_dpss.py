@@ -10,10 +10,8 @@ from prolate.dpss import (
     PreconditionViolated,
     commuting_tridiagonal,
     default_subspace_dim,
-    dense_slepian_basis,
     quotient_error,
     rayleigh_extended,
-    rayleigh_lambda,
     refine_window,
     transition_count,
     transition_eigenpairs,
@@ -24,11 +22,13 @@ from prolate.lowrank import transition_count_budget
 
 from oracles import (
     chunked_window,
+    dense_slepian_basis,
     eig_dense,
     eig_extended,
     eigvals_dense,
     needs_extended,
     prolate_dense,
+    rayleigh_lambda,
     tridiagonal_dense,
 )
 

@@ -30,8 +30,11 @@ from oracles import (
     diag_lyapunov_dense,
     eig_dense,
     eig_extended,
+    factor_dense,
+    factor_halves,
     fourier_projector_dense,
     hilbert_matrix_dense,
+    kernel_dense,
     kernel_mismatch_dense,
     needs_extended,
     norm2,
@@ -197,23 +200,23 @@ class TestZetaEven:
 class TestSincAliasFactor:
     def test_zero_diagonal(self):
         fac = sinc_alias_factor(32, 1e-6)
-        assert np.abs(np.diag(fac.dense())).max() <= 1e-15
+        assert np.abs(np.diag(kernel_dense(fac))).max() <= 1e-15
 
     def test_antisymmetry(self):
-        m = sinc_alias_factor(24, 1e-8).dense()
+        m = kernel_dense(sinc_alias_factor(24, 1e-8))
         assert np.abs(m + m.T).max() <= 1e-14
 
     def test_dense_bound(self):
         n, tol = 64, 7e-6 / 30
         fac = sinc_alias_factor(n, tol)
-        assert norm2(sinc_alias_dense(n) - fac.dense()) <= tol
+        assert norm2(sinc_alias_dense(n) - kernel_dense(fac)) <= tol
 
     @pytest.mark.parametrize("n", [32, 128, 256])
     @pytest.mark.parametrize("eps", [1e-3, 1e-9])
     def test_frobenius_truncation_bound(self, n, eps):
         tol = 7 * eps / 30
         fac = sinc_alias_factor(n, tol)
-        err = np.linalg.norm(sinc_alias_dense(n) - fac.dense(), "fro")
+        err = np.linalg.norm(sinc_alias_dense(n) - kernel_dense(fac), "fro")
         assert err <= fac.frobenius_bound
         assert fac.frobenius_bound == pytest.approx(
             2 / (3 * math.pi) * 4.0 ** (-(fac.rank // 2)), rel=1e-12
@@ -230,12 +233,12 @@ class TestBandwidthShiftFactor:
         w_prime = nearest_odd_integer(2 * n * w) / (2 * n)
         assert w_prime == w
         fac = bandwidth_shift_factor(n, w, w_prime, 1e-6)
-        assert np.abs(fac.dense()).max() == 0.0
+        assert np.abs(kernel_dense(fac)).max() == 0.0
 
     def test_symmetry(self):
         n, w = 48, 0.25
         w_prime = nearest_odd_integer(2 * n * w) / (2 * n)
-        m = bandwidth_shift_factor(n, w, w_prime, 1e-8).dense()
+        m = kernel_dense(bandwidth_shift_factor(n, w, w_prime, 1e-8))
         assert np.abs(m - m.T).max() <= 1e-14
 
     def test_dense_bound(self):
@@ -243,7 +246,7 @@ class TestBandwidthShiftFactor:
         w_prime = nearest_odd_integer(2 * n * w) / (2 * n)
         tol = 7e-6 / 30
         fac = bandwidth_shift_factor(n, w, w_prime, tol)
-        assert norm2(bandwidth_shift_dense(n, w, w_prime) - fac.dense()) <= tol
+        assert norm2(bandwidth_shift_dense(n, w, w_prime) - kernel_dense(fac)) <= tol
 
     @pytest.mark.parametrize("n", [32, 128, 256])
     @pytest.mark.parametrize("eps", [1e-3, 1e-9])
@@ -252,7 +255,7 @@ class TestBandwidthShiftFactor:
         w_prime = nearest_odd_integer(2 * n * w) / (2 * n)
         tol = 7 * eps / 30
         fac = bandwidth_shift_factor(n, w, w_prime, tol)
-        err = np.linalg.norm(bandwidth_shift_dense(n, w, w_prime) - fac.dense(), "fro")
+        err = np.linalg.norm(bandwidth_shift_dense(n, w, w_prime) - kernel_dense(fac), "fro")
         assert err <= fac.frobenius_bound
         r = (fac.rank + 1) // 2
         assert fac.frobenius_bound == pytest.approx(1.5 * (math.pi / 6) ** (2 * r), rel=1e-12)
@@ -297,7 +300,7 @@ class TestFourierCorrectionFactor:
         fac = fourier_correction_factor(n, w, eps)
         b = prolate_dense(n, w)
         ff = fourier_projector_dense(PartialFourier(n, w))
-        assert norm2(b - ff - fac.dense()) <= eps
+        assert norm2(b - ff - factor_dense(fac)) <= eps
         assert fac.rank <= correction_rank_budget(n, eps)
 
     def test_domain(self):
@@ -320,15 +323,18 @@ class TestProjectionCorrection:
         es = transition_eigenpairs(n, w, eps, k=128)
         u = projection_correction(es)
         b = prolate_dense(n, w)
-        assert norm2(projection_oracle(n, w, 128) - (b + u.dense())) <= eps
+        assert norm2(projection_oracle(n, w, 128) - (b + factor_dense(u))) <= eps
 
     def test_block_structure(self):
+        # one stored copy of the window vectors; g keeps the below-split pairs
+        # (positive) and pushes the rest out (negative)
         es = transition_eigenpairs(256, 0.25, 1e-6)
         u = projection_correction(es)
         (lam2, _), (lam3, _) = es.split()
         n2 = lam2.size
-        assert np.array_equal(u.left[:, :n2], u.right[:, :n2])
-        assert np.array_equal(u.left[:, n2:], -u.right[:, n2:])
+        assert len(u.blocks) == 1 and np.array_equal(u.blocks[0], es.vectors)
+        assert np.all(u.weights[:n2] > 0) and np.all(u.weights[n2:] < 0)
+        assert np.array_equal(u.weights, np.concatenate([1 - lam2, -lam3]))
 
 
 class TestPinvCorrection:
@@ -337,13 +343,14 @@ class TestPinvCorrection:
         es = transition_eigenpairs(n, w, eps)
         u = pinv_correction(es)
         b = prolate_dense(n, w)
-        assert norm2(pinv_oracle(n, w, es.k) - (b + u.dense())) <= 3 * eps
+        assert norm2(pinv_oracle(n, w, es.k) - (b + factor_dense(u))) <= 3 * eps
 
     def test_below_split_column_norms(self):
         es = transition_eigenpairs(256, 0.25, 1e-6)
         u = pinv_correction(es)
         (lam2, _), _ = es.split()
-        got = np.sum(u.left[:, : lam2.size] ** 2, axis=0)
+        left, _ = factor_halves(u)
+        got = np.sum(left[:, : lam2.size] ** 2, axis=0)
         assert np.allclose(got, 1 / lam2 - lam2, rtol=1e-10)
 
     def test_empty_transition_set(self):
@@ -372,7 +379,7 @@ class TestTikhonovCorrection:
         n, w, eps, alpha = 128, 0.25, 1e-6, 1e-2
         u = tikhonov_correction(n, w, eps, alpha)
         b = prolate_dense(n, w)
-        assert norm2(tikhonov_oracle(n, w, alpha) - (b / (1 + alpha) + u.dense())) <= eps
+        assert norm2(tikhonov_oracle(n, w, alpha) - (b / (1 + alpha) + factor_dense(u))) <= eps
 
     def test_huge_alpha_empty_set(self):
         n, w, eps, alpha = 64, 0.25, 1e-3, 1e6
@@ -403,32 +410,42 @@ class TestTikhonovCorrection:
 
     def test_weights_nonnegative(self):
         u = tikhonov_correction(256, 0.25, 1e-6, 1e-2)
-        assert np.all(np.isfinite(u.left))
-        # symmetric factor: both halves are the same array
-        assert u.left is u.right
+        assert np.all(np.isfinite(u.blocks[0]))
+        # symmetric factor: one stored block, a nonnegative weight
+        assert len(u.blocks) == 1 and u.terms[0].left == u.terms[0].right
+        assert np.all(u.weights >= 0)
 
 
 class TestLowRankFactor:
     def test_apply_matches_dense(self, rng):
+        # a spectral record and a modulated record with reversed halves, on
+        # real and complex input, against the dense matrix of their terms
         def draw(shape, cplx):
             out = rng.standard_normal(shape)
             return out + 1j * rng.standard_normal(shape) if cplx else out
 
-        # every pairing of a real or complex factor with real or complex input
-        for factor_cplx in (False, True):
-            left, right = draw((16, 3), factor_cplx), draw((16, 3), factor_cplx)
-            f = LowRankFactor(left, right)
+        n = 16
+        blocks = tuple(rng.standard_normal((n, r)) for r in (3, 2, 2, 4, 4))
+        for f in (LowRankFactor.spectral(blocks[0], draw(3, False)), LowRankFactor.fourier(0.2, blocks)):
+            left, right = factor_halves(f)
             for x_cplx in (False, True):
-                x, c = draw(16, x_cplx), draw(3, x_cplx)
+                x, c = draw(n, x_cplx), draw(f.rank, x_cplx)
                 assert np.allclose(f.apply(x), (left @ right.conj().T) @ x)
                 assert np.allclose(f.adjoint_apply(x), right.conj().T @ x)
                 assert np.allclose(f.synthesize(c), left @ c)
+            if f.terms[0].step == 0:
+                assert not np.iscomplexobj(f.apply(draw(n, False)))
 
     def test_zero_width(self, rng):
-        f = LowRankFactor.zeros(8)
+        f = LowRankFactor.spectral(np.zeros((8, 0)), np.zeros(0))
         assert f.rank == 0
         assert np.linalg.norm(f.apply(rng.standard_normal(8))) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            LowRankFactor(np.zeros((4, 2)), np.zeros((4, 3)))
+            LowRankFactor.spectral(np.zeros((4, 2)), np.zeros(3))
+        with pytest.raises(ValueError):
+            LowRankFactor.fourier(0.25, (np.zeros((4, 1)), np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((4, 1)),
+                                         np.zeros((4, 1))))
+        with pytest.raises(ValueError):
+            LowRankFactor.fourier(0.25, (np.zeros((4, 1)),) * 4 + (np.zeros((5, 1)),))

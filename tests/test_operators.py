@@ -6,9 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from prolate.dpss import PreconditionViolated
+from prolate.dpss import PreconditionViolated, default_subspace_dim, transition_eigenpairs
+from prolate.fft_kernels import PartialFourier, ToeplitzOperator
 from prolate.operators import (
+    MAX_EMPTY_N,
     BadMagicError,
+    FactorFileError,
     FastFactorization,
     FastProjector,
     FastPseudoinverse,
@@ -25,6 +28,8 @@ from prolate.operators import (
 
 from oracles import (
     eig_dense,
+    factor_halves,
+    v1_bytes,
     needs_extended,
     pinv_oracle,
     projection_oracle,
@@ -224,19 +229,22 @@ def test_concurrent_application_is_safe(rng):
 
 
 def test_applies_copy_no_factor(rng):
-    # a factor copied (conjugated) or upcast to complex on the way would
-    # alone take its own size in memory during the call
+    # a stored block copied (conjugated, reversed, modulated or upcast to
+    # complex) on the way would alone take at least the smallest block's size
+    # in memory during the call
     n = 2048
     params = SlepianParams.create(n, 0.25, 1e-6)
-    proj = FastProjector.build(params)
-    fact = FastFactorization.build(params)
+    built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
+             FastTikhonov.build(params, 1e-2)]
+    fact = built[1]
     x = rng.standard_normal(n)
     xc = x + 1j * rng.standard_normal(n)
-    cases = [
-        ("complex projector apply", lambda: proj.apply(xc), proj.u.right),
-        ("real compress", lambda: fact.compress(x), fact.l.right),
-    ]
-    for label, call, factor in cases:
+    c = fact.compress(xc)
+    cases = [(f"{op.kind} apply {v.dtype}", lambda op=op, v=v: op.apply(v), op) for op in built for v in (x, xc)]
+    cases += [(f"compress {v.dtype}", lambda v=v: fact.compress(v), fact) for v in (x, xc)]
+    cases += [("decompress", lambda: fact.decompress(c), fact)]
+    for label, call, op in cases:
+        bound = min(f.nbytes for f in op.factors())
         call()
         tracemalloc.start()
         try:
@@ -244,7 +252,7 @@ def test_applies_copy_no_factor(rng):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < factor.nbytes, (label, peak, factor.nbytes)
+        assert peak < bound, (label, peak, bound)
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +287,7 @@ class TestPersistence:
         blob = operator_to_bytes(ops[3])
         assert blob[:4] == b"FSLT"
         version, = struct.unpack("<I", blob[4:8])
-        assert version == 1
+        assert version == 2
 
     def test_bad_magic(self, ops):
         blob = operator_to_bytes(ops[0])
@@ -289,7 +297,7 @@ class TestPersistence:
     def test_unsupported_version(self, ops):
         blob = operator_to_bytes(ops[0])
         with pytest.raises(UnsupportedVersionError):
-            operator_from_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+            operator_from_bytes(blob[:4] + struct.pack("<I", 99) + blob[8:])
 
     def test_truncated(self, ops):
         blob = operator_to_bytes(ops[0])
@@ -303,3 +311,115 @@ class TestPersistence:
         blob = operator_to_bytes(ops[0])
         with pytest.raises(FactorFileError):
             operator_from_bytes(blob + b"\x00")
+
+
+@pytest.fixture(scope="module")
+def ops256():
+    params = SlepianParams.create(256, 0.25, 1e-6)
+    return [
+        FastProjector.build(params),
+        FastFactorization.build(params),
+        FastPseudoinverse.build(params),
+        FastTikhonov.build(params, 1e-2),
+    ]
+
+
+def _n_row_arrays(obj, n, found):
+    """ids of the arrays with n rows reachable from obj's attributes, past the fast transforms."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.shape[0] == n:
+            found.add(id(obj))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _n_row_arrays(item, n, found)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, (ToeplitzOperator, PartialFourier, type)):
+        for value in vars(obj).values():
+            _n_row_arrays(value, n, found)
+    return found
+
+
+class TestStructuredFactors:
+    def test_factors_list_every_held_array(self, ops256):
+        for op in ops256:
+            listed = {id(a) for a in op.factors()}
+            assert _n_row_arrays(op, 256, set()) == listed, op.kind
+
+    def test_file_is_header_plus_listed_arrays(self, ops256):
+        for op in ops256:
+            records = op.corrections()
+            head = 64 + sum(8 * (1 + len(f.blocks)) for f in records)
+            small = sum(f.weights.nbytes for f in records)
+            assert len(operator_to_bytes(op)) == head + sum(a.nbytes for a in op.factors()) + small
+
+    def test_ranks_keep_their_meaning(self, ops256):
+        # coefficient counts: the columns of the dense halves, and the transition window
+        proj, fact = ops256[0], ops256[1]
+        assert fact.l.rank == factor_halves(fact.l)[0].shape[1]
+        assert proj.u.rank == fact.u.rank == transition_eigenpairs(256, 0.25, 1e-6).count
+
+    def test_encode_writes_each_array_once(self):
+        op = FastFactorization.build(SlepianParams.create(2**14, 0.25, 1e-6))
+        tracemalloc.start()
+        try:
+            blob = operator_to_bytes(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(blob) + 2**20, (peak, len(blob))
+
+
+class TestVersion1:
+    def test_loads_and_applies_as_version_2(self, ops256, rng):
+        for op in ops256:
+            old = operator_from_bytes(v1_bytes(op))
+            assert old.kind == op.kind and [f.rank for f in old.corrections()] == [f.rank for f in op.corrections()]
+            for x in (rng.standard_normal(256), rng.standard_normal(256) + 1j * rng.standard_normal(256)):
+                want = op.apply(x)
+                assert np.linalg.norm(old.apply(x) - want) <= 1e-13 * np.linalg.norm(want), op.kind
+            if op.kind == 2:
+                want = op.compress(x)
+                assert np.linalg.norm(old.compress(x) - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_eigen_halves_must_be_signed_copies(self, ops256):
+        for op in (ops256[0], ops256[1], ops256[2]):
+            blob = v1_bytes(op)
+            # the last value belongs to the second eigen half
+            with pytest.raises(FactorFileError, match="signed copy"):
+                operator_from_bytes(blob[:-8] + struct.pack("<d", 0.125))
+
+    def test_corrupt_files_raise_only_file_errors(self):
+        # every header field (n, w, eps, alpha, k) at extreme bit patterns, then
+        # seeded byte flips and truncations, in both versions
+        params = SlepianParams.create(64, 0.25, 1e-3)
+        built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
+                 FastTikhonov.build(params, 1e-2)]
+        blobs = [bytes(operator_to_bytes(op)) for op in built] + [v1_bytes(op) for op in built]
+        corrupt = [blob[:at] + struct.pack("<Q", value) + blob[at + 8:]
+                   for blob in blobs for at in range(8, 48, 8) for value in (0, 1, 2**20 + 1, 2**63 - 1, 2**64 - 1)]
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            blob = bytearray(blobs[rng.integers(len(blobs))])
+            blob[rng.integers(len(blob))] = rng.integers(256)
+            corrupt += [bytes(blob), bytes(blob[: rng.integers(len(blob))])]
+        for blob in corrupt:
+            try:
+                operator_from_bytes(blob)
+            except FactorFileError:
+                pass
+
+    def test_rank_zero_header_capped(self):
+        n = MAX_EMPTY_N + 1
+        head = struct.pack("<QdddQB", n, 0.25, 0.49, 0.0, default_subspace_dim(n, 0.25), 1)
+        files = [
+            b"FSLT" + struct.pack("<I", 1) + head + struct.pack("<d", 0.49) + struct.pack("<QB", 0, 0) * 2,
+            b"FSLT" + struct.pack("<I", 2) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQ", 0, 0),
+        ]
+        for blob in files:
+            tracemalloc.start()
+            try:
+                with pytest.raises(FactorFileError, match="too large"):
+                    operator_from_bytes(blob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
