@@ -7,84 +7,44 @@ those corrections with certified operator-norm error bounds and applies
 everything in O(n log n).
 """
 
-from .dpss import (
-    PreconditionViolated,
-    TransitionEigenSet,
-    commuting_tridiagonal,
-    transition_count,
-    transition_eigenpairs,
-)
-from .fft_kernels import (
-    PartialFourier,
-    ToeplitzOperator,
-    ToeplitzSymbol,
-    prolate_matrix_dense,
-    prolate_symbol,
-)
+from .dpss import PreconditionViolated
 from .fourier_ext import FourierExtensionConfig, SyntheticTarget, run_fourier_extension
-from .lowrank import (
-    AdiConfig,
-    LowRankFactor,
-    adi_rank,
-    adi_shifts,
-    bandwidth_shift_factor,
-    cfadi_solve,
-    fourier_correction_factor,
-    hilbert_factor,
-    pinv_correction,
-    projection_correction,
-    sinc_alias_factor,
-    tikhonov_correction,
-    tikhonov_precision_floor,
-    zeta_even,
-)
 from .operators import (
+    BadMagicError,
+    FactorFileError,
     FastFactorization,
     FastProjector,
     FastPseudoinverse,
     FastTikhonov,
     PrecisionFloorWarning,
     SlepianParams,
+    TruncatedFileError,
+    UnsupportedVersionError,
     load_operator,
+    operator_from_bytes,
+    operator_to_bytes,
     save_operator,
 )
 
 __all__ = [
-    "AdiConfig",
-    "FastFactorization",
+    "SlepianParams",
     "FastProjector",
+    "FastFactorization",
     "FastPseudoinverse",
     "FastTikhonov",
-    "FourierExtensionConfig",
-    "LowRankFactor",
-    "PartialFourier",
     "PrecisionFloorWarning",
     "PreconditionViolated",
-    "SlepianParams",
-    "SyntheticTarget",
-    "ToeplitzOperator",
-    "ToeplitzSymbol",
-    "TransitionEigenSet",
-    "adi_rank",
-    "adi_shifts",
-    "bandwidth_shift_factor",
-    "cfadi_solve",
-    "commuting_tridiagonal",
-    "fourier_correction_factor",
-    "hilbert_factor",
-    "load_operator",
-    "pinv_correction",
-    "projection_correction",
-    "prolate_matrix_dense",
-    "prolate_symbol",
-    "run_fourier_extension",
     "save_operator",
-    "sinc_alias_factor",
-    "tikhonov_correction",
-    "tikhonov_precision_floor",
-    "transition_count",
-    "transition_eigenpairs",
-    "zeta_even",
+    "load_operator",
+    "operator_to_bytes",
+    "operator_from_bytes",
+    "FactorFileError",
+    "BadMagicError",
+    "UnsupportedVersionError",
+    "TruncatedFileError",
+    "FourierExtensionConfig",
+    "SyntheticTarget",
+    "run_fourier_extension",
 ]
 
 __version__ = "0.1.0"

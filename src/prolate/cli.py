@@ -19,6 +19,7 @@ import numpy as np
 from .dpss import (
     DENSE_GUARD,
     PreconditionViolated,
+    slepian_plan,
     transition_count,
 )
 from .fft_kernels import prolate_matrix_dense
@@ -225,9 +226,10 @@ def _build_operator(mode, n, w, eps, alpha, k=None):
     return _MODES[mode].build(params)
 
 
-def _median_time(fn, trials):
+def _median_time(fn, trials, reset=lambda: None):
     times = []
     for _ in range(trials):
+        reset()
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -245,7 +247,9 @@ def _cmd_bench(args):
             rng = np.random.default_rng(seeds[i])
             i += 1
             x = rng.standard_normal(n)
-            setup = _median_time(lambda: _build_operator(mode, n, w, eps, args.alpha), args.trials)
+            # a cold plan before each trial, so that no trial reuses another's solved pairs
+            setup = _median_time(lambda: _build_operator(mode, n, w, eps, args.alpha), args.trials,
+                                 slepian_plan.cache_clear)
             op = _build_operator(mode, n, w, eps, args.alpha)
             apply_s = _median_time(lambda: op.apply(x), args.trials)
             dense_s = ""

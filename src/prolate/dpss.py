@@ -9,11 +9,26 @@ eigenvalue recovered as a Rayleigh quotient against the fast Toeplitz apply
 Where a caller weights eigenvalues steeply enough that double-precision
 quotients are too coarse, refine_window recomputes the ones it flags in
 extended precision.
+
+Every build at one (n, w) shares one SlepianPlan: the Toeplitz part and
+the pairs solved so far, about (pairs solved) x n x 8 bytes (about 27 MB
+at n = 2^16, w = 1/4), so a later window solves only the pairs no earlier
+one did.  slepian_plan holds one (n, w) at a time; `prolate bench` clears
+it before each timed build.  The tridiagonal solves run scipy's OpenBLAS on
+the calling thread: their level-1 BLAS gains nothing from more threads,
+whose rounding and idle spinning only made a build's bytes depend on the
+thread count and its time on the load of the machine.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import mmap
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +44,10 @@ from .fft_kernels import (
 
 __all__ = [
     "PreconditionViolated",
+    "SlepianPlan",
     "TransitionEigenSet",
     "commuting_tridiagonal",
+    "slepian_plan",
     "transition_window",
     "refine_window",
     "rayleigh_extended",
@@ -122,45 +139,151 @@ def _parity_tridiagonals(n: int, w: float):
     return (d[: p + 1], e_even), (d[:p], e[: max(p - 1, 0)])
 
 
-def _slepian_rows(n: int, w: float, first: int, last: int) -> np.ndarray:
-    """Slepian vectors first..last (inclusive), one per row of a C-ordered array.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Each parity's share of the range is one index range of its half-size
-    tridiagonal, solved by one bisection/inverse-iteration call; the half
-    vectors are then mirrored into place.
-    """
-    rows = np.zeros((last - first + 1, n))
-    p = n // 2
-    for parity, (d, e) in enumerate(_parity_tridiagonals(n, w)):
-        j0, j1 = (first - parity + 1) // 2, (last - parity) // 2
-        if j0 > j1:
+
+# private and faulted in at creation: every mapped array is written in full right away
+_MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)}
+              if hasattr(mmap, "MAP_ANONYMOUS") else {})
+
+
+def mapped_rows(rows: int, n: int) -> np.ndarray:
+    """A zeroed C-ordered (rows, n) float array in an anonymous memory map of its own."""
+    return np.frombuffer(mmap.mmap(-1, max(8 * rows * n, 1), **_MAP_FLAGS), float, count=rows * n).reshape(rows, n)
+
+
+def mapped_columns(block: np.ndarray) -> np.ndarray:
+    """A column-major copy of a 2-D block in a memory map of its own, returned to the system when dropped."""
+    out = mapped_rows(block.shape[1], block.shape[0]).T
+    out[...] = block
+    return out
+
+
+@functools.cache
+def _openblas_thread_setter():
+    """openblas_set_num_threads_local of the OpenBLAS bundled with scipy, or None (another BLAS)."""
+    for path in glob.glob(os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs", "libscipy_openblas*")):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
             continue
-        # descending index j is the (size-1-j)-th ascending eigenvalue
-        size = d.size
-        _, half = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(size - 1 - j1, size - 1 - j0))
-        half = half[:, ::-1].T
-        out = rows[2 * j0 + parity - first :: 2]
-        lead = half[:, :p] * _SQRT_HALF
-        out[:, :p] = lead
-        out[:, n - p :] = lead[:, ::-1] if parity == 0 else -lead[:, ::-1]
-        if n % 2 and parity == 0:
-            out[:, p] = half[:, p]
-    _fix_signs(rows.T)
-    return rows
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+class _OneBlasThread:
+    """Scipy's OpenBLAS runs one thread while any of these sections is open; its thread count is process-wide."""
+
+    def __init__(self):
+        self._lock, self._open, self._restore = threading.Lock(), 0, 0
+
+    def __enter__(self):
+        setter = _openblas_thread_setter()
+        if setter is not None:
+            with self._lock:
+                if self._open == 0:
+                    self._restore = setter(1)
+                self._open += 1
+
+    def __exit__(self, *exc):
+        setter = _openblas_thread_setter()
+        if setter is not None:
+            with self._lock:
+                self._open -= 1
+                if self._open == 0:
+                    setter(self._restore)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+class SlepianPlan:
+    """The Toeplitz part, the two parity tridiagonals and the Slepian pairs solved so far at one (n, w).
+
+    The pairs are one snapshot (first, rows, lams): rows[j] is Slepian vector first + j and lams[j]
+    its float64 Rayleigh quotient.  Stored arrays are read-only and a snapshot is replaced, never
+    written, so concurrent builds at one (n, w) can at worst solve the same missing pairs twice.
+    Rows live in their own memory maps: held on the malloc heap across builds, they kept it from
+    returning the builds' temporaries (peak RSS up to 50 MB higher).
+    """
+
+    def __init__(self, n: int, w: float):
+        self.n, self.w = n, w
+        self.b_op = ToeplitzOperator(prolate_symbol(n, w))
+        _read_only(self.b_op.symbol.col)
+        _read_only(self.b_op.half_spectrum)
+        self.tridiagonals = tuple((_read_only(d), _read_only(e)) for d, e in _parity_tridiagonals(n, w))
+        self._held = (0, _read_only(np.zeros((0, n))), _read_only(np.zeros(0)))
+
+    def pairs(self, first: int, last: int):
+        """(rows, lams) of Slepian indices first..last (inclusive), read-only.
+
+        Solves only the indices the snapshot lacks, one range per side that
+        grows; a range apart from the snapshot replaces it.
+        """
+        held_first, rows, lams = self._held
+        stop = held_first + lams.size
+        if not held_first <= first <= last < stop:
+            if last + 1 < held_first or first > stop or not lams.size:
+                held_first, (rows, lams) = first, self._solve(first, last)
+            else:
+                parts = ([self._solve(first, held_first - 1)] if first < held_first else []) + [(rows, lams)]
+                parts += [self._solve(stop, last)] if last >= stop else []
+                held_first = min(first, held_first)
+                rows = np.concatenate([r for r, _ in parts], out=mapped_rows(max(last + 1, stop) - held_first, self.n))
+                lams = np.concatenate([v for _, v in parts])
+            self._held = (held_first, _read_only(rows), _read_only(lams))
+        at = first - held_first
+        return rows[at:at + last - first + 1], lams[at:at + last - first + 1]
+
+    def _solve(self, first: int, last: int):
+        """Slepian vectors first..last, one per row of a C-ordered array, and their quotients.
+
+        Each parity's share of the range is one index range of its half-size
+        tridiagonal, solved by one bisection/inverse-iteration call; the half
+        vectors are then mirrored into place.
+        """
+        n = self.n
+        rows = mapped_rows(last - first + 1, n)
+        p = n // 2
+        for parity, (d, e) in enumerate(self.tridiagonals):
+            j0, j1 = (first - parity + 1) // 2, (last - parity) // 2
+            if j0 > j1:
+                continue
+            # descending index j is the (size-1-j)-th ascending eigenvalue
+            size = d.size
+            # inverse iteration's level-1 BLAS on half-length vectors: a second thread only changes its rounding
+            with _one_blas_thread:
+                _, half = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(size - 1 - j1, size - 1 - j0))
+            half = half[:, ::-1].T
+            out = rows[2 * j0 + parity - first :: 2]
+            lead = half[:, :p] * _SQRT_HALF
+            out[:, :p] = lead
+            out[:, n - p :] = lead[:, ::-1] if parity == 0 else -lead[:, ::-1]
+            if n % 2 and parity == 0:
+                out[:, p] = half[:, p]
+        _fix_signs(rows.T)
+        lams = np.einsum("ij,ij->j", rows.T, self.b_op.apply_block(rows.T))
+        return rows, np.array([_clamp_eigenvalue(float(x)) for x in lams])
+
+
+@functools.lru_cache(maxsize=1)
+def slepian_plan(n: int, w: float) -> SlepianPlan:
+    """The shared plan of the most recent (n, w); one is held at a time."""
+    return SlepianPlan(n, w)
 
 
 @dataclass(frozen=True)
 class TransitionEigenSet:
-    """Consecutive eigenpairs with lo < lam < hi, split at the subspace dimension k.
+    """Consecutive eigenpairs with epsilon < lam < 1 - epsilon, split at the subspace dimension k.
 
     ``vectors[:, j]`` belongs to Slepian index ``start_index + j``; the set
     is empty when both cluster plateaus meet.
     """
 
-    n: int
-    w: float
-    lo: float
-    hi: float
     k: int
     start_index: int
     lams: np.ndarray
@@ -209,56 +332,44 @@ def _window_edges(lams, lo, hi):
     return start, start + (int(at_or_below_lo[0]) if at_or_below_lo.size else lams.size - start)
 
 
-def transition_window(n, w, lo, hi, b_op=None, max_pairs=4096):
-    """All consecutive eigenpairs with lo < lam < hi.
+def transition_window(n, w, lo, hi, max_pairs=4096):
+    """All consecutive eigenpairs with lo < lam < hi, taken from slepian_plan(n, w).
 
-    Returns (start_index, lams, vectors), the vectors column-major.  One
-    solve covers the index range that _predicted_range sizes from the
-    asymptotic eigenvalue count; only if an edge is not reached inside it
+    Returns (start_index, lams, vectors), the vectors column-major, all three
+    the caller's own.  The first request covers the index range that
+    _predicted_range sizes from the asymptotic eigenvalue count; only if an edge is not reached inside it
     (an eigenvalue >= hi before the window on the low-index side, one <= lo
     after it on the high-index side, or the end of the spectrum) does the
     range grow in chunks of 16, 32, ... on that side.  Eigenvalues below the float noise floor cannot be told
     apart from zero (see quotient_error), so a low threshold below that ends
     the window wherever a noisy value first falls to it; a caller that needs
     that edge placed honestly re-decides it with refine_window.  max_pairs
-    caps the solved range.
+    caps the requested range, solved or held.
     """
     empty = np.zeros(0), np.zeros((n, 0))
     if lo >= hi or hi <= 0.0 or lo >= 1.0:
         return min(max(default_subspace_dim(n, w), 0), n), *empty
-    if b_op is None:
-        b_op = ToeplitzOperator(prolate_symbol(n, w))
-
-    def solve(first, last, held=0):
-        if held + last - first + 1 > max_pairs:
+    plan = slepian_plan(n, w)
+    first, last = _predicted_range(n, w, lo, hi)
+    chunk = 16
+    while True:
+        if last - first + 1 > max_pairs:
             raise RuntimeError(
                 f"transition window exceeded {max_pairs} eigenpairs for n={n}, "
                 f"thresholds ({lo:g}, {hi:g}); thresholds are likely below "
                 "the eigenvalue resolution of double precision"
             )
-        rows = _slepian_rows(n, w, first, last)
-        return rows, _rayleigh_block(rows.T, b_op)
-
-    first, last = _predicted_range(n, w, lo, hi)
-    rows, lams = solve(first, last)
-    chunk = 16
-    while True:
+        rows, lams = plan.pairs(first, last)
         if lams[0] < hi and first > 0:
-            step = min(chunk, first)
-            new_rows, new_lams = solve(first - step, first - 1, lams.size)
-            rows, lams = np.vstack([new_rows, rows]), np.concatenate([new_lams, lams])
-            first -= step
+            first -= min(chunk, first)
         elif _window_edges(lams, lo, hi)[1] == lams.size and last < n - 1:
-            step = min(chunk, n - 1 - last)
-            new_rows, new_lams = solve(last + 1, last + step, lams.size)
-            rows, lams = np.vstack([rows, new_rows]), np.concatenate([lams, new_lams])
-            last += step
+            last += min(chunk, n - 1 - last)
         else:
             break
         chunk = min(2 * chunk, 512)
 
     start, stop = _window_edges(lams, lo, hi)
-    return first + start, lams[start:stop].copy(), rows[start:stop].copy().T
+    return first + start, lams[start:stop].copy(), mapped_columns(rows[start:stop].T)
 
 
 def quotient_error(n: int, w: float, extended: bool = False) -> float:
@@ -320,7 +431,7 @@ def refine_window(n, w, start, lams, vecs, flagged, lo, extend=False):
     place the low edge either: the pairs after the window are refined four
     at a time until one falls to lo or to the extended noise floor.  The
     window is then cut before the first eigenvalue at or below that edge.
-    The extra pairs come from the same half-size solves as the window's.
+    The extra pairs come from slepian_plan(n, w), like the window's.
     Returns (lams, vecs) for the pairs from start on.
     """
     lams = np.array(lams, dtype=float)
@@ -330,20 +441,15 @@ def refine_window(n, w, start, lams, vecs, flagged, lo, extend=False):
     if extend:
         while start + lams.size < n and (lams.size == 0 or lams[-1] > edge):
             first = start + lams.size
-            new = _slepian_rows(n, w, first, min(n - 1, first + 3)).T
+            new = slepian_plan(n, w).pairs(first, min(n - 1, first + 3))[0].T
             vecs = np.hstack([vecs, new])
             lams = np.concatenate([lams, rayleigh_extended(new, n, w)])
     at_edge = np.flatnonzero(lams <= edge)
     stop = int(at_edge[0]) if at_edge.size else lams.size
-    return lams[:stop].copy(), vecs[:, :stop].copy()
+    return lams[:stop].copy(), mapped_columns(vecs[:, :stop])
 
 
-def _rayleigh_block(vecs, b_op):
-    lams = np.einsum("ij,ij->j", vecs, b_op.apply_block(vecs))
-    return np.array([_clamp_eigenvalue(float(x)) for x in lams])
-
-
-def transition_eigenpairs(n, w, epsilon, k=None, b_op=None, max_pairs=4096) -> TransitionEigenSet:
+def transition_eigenpairs(n, w, epsilon, k=None, max_pairs=4096) -> TransitionEigenSet:
     """Eigenpairs with epsilon < lam < 1 - epsilon, split at k (default round(2nw)).
 
     Raises PreconditionViolated unless lam^(k-1) > epsilon and lam^(k) < 1 - epsilon.
@@ -352,19 +458,19 @@ def transition_eigenpairs(n, w, epsilon, k=None, b_op=None, max_pairs=4096) -> T
         raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
     if k is None:
         k = default_subspace_dim(n, w)
-    start, lams, vecs = transition_window(n, w, epsilon, 1.0 - epsilon, b_op=b_op, max_pairs=max_pairs)
+    start, lams, vecs = transition_window(n, w, epsilon, 1.0 - epsilon, max_pairs=max_pairs)
     if not start <= k <= start + lams.size:
         raise PreconditionViolated(
             f"subspace dimension k={k} violates the split condition: eigenvalues in "
             f"({epsilon:g}, {1 - epsilon:g}) occupy indices [{start}, {start + lams.size})"
         )
-    return TransitionEigenSet(n, w, epsilon, 1.0 - epsilon, k, start, lams, vecs)
+    return TransitionEigenSet(k, start, lams, vecs)
 
 
-def transition_count(n, w, epsilon, b_op=None, max_pairs=4096) -> int:
+def transition_count(n, w, epsilon, max_pairs=4096) -> int:
     """Number of eigenvalues strictly inside (epsilon, 1 - epsilon)."""
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
-    _, lams, _ = transition_window(n, w, epsilon, 1.0 - epsilon, b_op=b_op, max_pairs=max_pairs)
+    _, lams, _ = transition_window(n, w, epsilon, 1.0 - epsilon, max_pairs=max_pairs)
     return int(lams.size)
 

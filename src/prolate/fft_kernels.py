@@ -55,9 +55,6 @@ class ToeplitzSymbol:
     def n(self) -> int:
         return self.col.size
 
-    def dense(self) -> np.ndarray:
-        return scipy.linalg.toeplitz(self.col)
-
 
 def prolate_symbol(n: int, w: float) -> ToeplitzSymbol:
     """Symbol of the n x n prolate matrix with half-bandwidth w in (0, 1/2).
@@ -109,7 +106,7 @@ def circulant_embedding(col: np.ndarray, fft_len: int) -> np.ndarray:
 
 def prolate_matrix_dense(n: int, w: float) -> np.ndarray:
     """Dense prolate matrix; reference/oracle path only."""
-    return prolate_symbol(n, w).dense()
+    return scipy.linalg.toeplitz(prolate_symbol(n, w).col)
 
 
 class ToeplitzOperator:
@@ -161,9 +158,6 @@ class ToeplitzOperator:
         xs = np.fft.rfft(x.T, n=self.fft_len)
         xs *= self.half_spectrum
         return np.fft.irfft(xs, n=self.fft_len)[:, : self.n].T
-
-    def dense(self) -> np.ndarray:
-        return self.symbol.dense()
 
 
 class PartialFourier:

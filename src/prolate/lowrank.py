@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpss import TransitionEigenSet, quotient_error, refine_window, transition_window, vector_error
+from .dpss import (
+    TransitionEigenSet,
+    mapped_columns,
+    mapped_rows,
+    quotient_error,
+    refine_window,
+    transition_window,
+    vector_error,
+)
 from .fft_kernels import nearest_odd_integer
 
 __all__ = [
@@ -166,7 +174,7 @@ class LowRankFactor:
         if vectors.ndim != 2 or g.shape != (vectors.shape[1],):
             raise ValueError(f"need one weight per column, got {g.shape} for {vectors.shape}")
         root = np.sqrt(np.abs(g))
-        return cls((np.asfortranarray(vectors),), (Term(0, 0, 0.0, False, False, root, np.sign(g) * root),), g)
+        return cls((_column_major(vectors),), (Term(0, 0, 0.0, False, False, root, np.sign(g) * root),), g)
 
     @classmethod
     def fourier(cls, w: float, blocks) -> "LowRankFactor":
@@ -180,7 +188,18 @@ class LowRankFactor:
                  Term(0, 0, -a, False, True, 1.0, -hilb), Term(0, 0, -a, True, False, 1.0, hilb),
                  Term(1, 2, a, False, False, 1.0, odd), Term(1, 2, -a, False, False, 1.0, -odd),
                  Term(3, 4, b, False, False, 1.0, 0.5), Term(3, 4, -b, False, False, 1.0, 0.5)]
-        return cls(tuple(np.asfortranarray(v) for v in blocks), tuple(terms), np.zeros(0))
+        return cls(tuple(_column_major(v) for v in blocks), tuple(terms), np.zeros(0))
+
+
+def _column_major(block):
+    """block if column-major already, else a column-major copy in a memory map of its own.
+
+    The builders hand over their blocks in maps (the loader: read-only views
+    of the file bytes), so a dropped operator returns its memory to the system
+    whatever was allocated after it; on the malloc heap, one small live
+    allocation above the blocks could keep tens of MB resident.
+    """
+    return block if block.flags.f_contiguous else mapped_columns(block)
 
 
 def fourier_steps(n: int, w: float):
@@ -349,13 +368,11 @@ def cfadi_solve(a_diag: np.ndarray, b_col: np.ndarray, shifts: np.ndarray) -> np
         raise ValueError("diagonal entries must be positive")
     if np.any(shifts <= 0.0):
         raise ValueError("shift parameters must be positive")
-    cols = []
-    z = math.sqrt(2.0 * shifts[0]) / (a_diag + shifts[0]) * b_col
-    cols.append(z)
+    cols = mapped_rows(shifts.size, a_diag.size)
+    cols[0] = z = math.sqrt(2.0 * shifts[0]) / (a_diag + shifts[0]) * b_col
     for k in range(1, shifts.size):
-        z = math.sqrt(shifts[k] / shifts[k - 1]) * (a_diag - shifts[k - 1]) / (a_diag + shifts[k]) * z
-        cols.append(z)
-    return np.array(cols).T
+        cols[k] = z = math.sqrt(shifts[k] / shifts[k - 1]) * (a_diag - shifts[k - 1]) / (a_diag + shifts[k]) * z
+    return cols.T
 
 
 def hilbert_factor(n: int, delta_h: float) -> np.ndarray:
@@ -579,7 +596,7 @@ def tikhonov_precision_floor(n: int, w: float, alpha: float) -> float:
     return quotient_error(n, w, extended=True) * slope + vector_error(n, w) * weight
 
 
-def tikhonov_correction(n, w, epsilon, alpha, b_op=None, max_pairs=4096) -> LowRankFactor:
+def tikhonov_correction(n, w, epsilon, alpha, max_pairs=4096) -> LowRankFactor:
     """V diag(g) V' with ||(B^2 + a I)^{-1} B - (B/(1+a) + V diag(g) V')|| <= epsilon.
 
     The retained eigenpairs are those with a(1+a)*epsilon < lam < 1 - epsilon/3
@@ -597,7 +614,7 @@ def tikhonov_correction(n, w, epsilon, alpha, b_op=None, max_pairs=4096) -> LowR
         raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
     lo = alpha * (1.0 + alpha) * epsilon
     hi = 1.0 - epsilon / 3.0
-    start, lams, vecs = transition_window(n, w, lo, hi, b_op=b_op, max_pairs=max_pairs)
+    start, lams, vecs = transition_window(n, w, lo, hi, max_pairs=max_pairs)
     max_slope = _REFINE_SHARE * epsilon / quotient_error(n, w)
     flagged = np.abs(_tikhonov_slope(lams, alpha)) > max_slope
     extend = abs(_tikhonov_slope(lo, alpha)) > max_slope

@@ -17,13 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpss import TransitionEigenSet, default_subspace_dim, transition_eigenpairs, transition_window
-from .fft_kernels import (
-    PartialFourier,
-    ToeplitzOperator,
-    nearest_odd_integer,
-    prolate_symbol,
-)
+from .dpss import default_subspace_dim, quotient_error, slepian_plan, transition_eigenpairs, transition_window
+from .fft_kernels import PartialFourier, nearest_odd_integer
 from .lowrank import (
     LowRankFactor,
     fourier_correction_factor,
@@ -93,6 +88,16 @@ class PrecisionFloorWarning(UserWarning):
     """
 
 
+def _warn_below_floor(op):
+    """op, after a PrecisionFloorWarning if its tolerance lies at or below its precision floor."""
+    p, alpha_txt = op.params, (f", alpha={op.alpha:g}" if op.kind == 4 else "")
+    if p.epsilon <= op.precision_floor:
+        warnings.warn(f"tolerance {p.epsilon:g} lies below the {_KIND_NAMES[op.kind]} precision floor "
+                      f"{op.precision_floor:.2g} at n={p.n}, w={p.w:g}{alpha_txt}; "
+                      "expect errors up to about the floor", PrecisionFloorWarning, stacklevel=3)
+    return op
+
+
 def _as_vector(x, n):
     x = np.asarray(x)
     if x.shape != (n,):
@@ -105,14 +110,20 @@ class _SpectralOperator:
 
     The kinds differ only in the spectral weight g they put on the transition
     eigenvectors V, in alpha (zero but for Tikhonov) and in the multiple of
-    epsilon they certify; each binds build and apply in its own body.
+    epsilon they certify; each binds build and apply in its own body.  B is
+    the Toeplitz part of slepian_plan(n, w).
     """
 
     alpha, bound_factor = 0.0, 1.0
 
-    def __init__(self, params: SlepianParams, b_op: ToeplitzOperator, correction: LowRankFactor):
-        self.params, self.b_op, self.u = params, b_op, correction
+    def __init__(self, params: SlepianParams, correction: LowRankFactor):
+        self.params, self.b_op, self.u = params, slepian_plan(params.n, params.w).b_op, correction
         self.error_bound = self.bound_factor * params.epsilon
+
+    @property
+    def precision_floor(self) -> float:
+        """The float64 eigenvalue noise quotient_error(n, w): at or below it the window edge is set by noise."""
+        return quotient_error(self.params.n, self.params.w)
 
     def corrections(self):
         return (self.u,)
@@ -124,22 +135,12 @@ class _SpectralOperator:
 
 def _build_spectral(cls, params: SlepianParams, alpha: float | None = None):
     """The kind's spectral weight g on the transition eigenvectors, plus the Toeplitz part (alpha: Tikhonov's)."""
-    b_op = ToeplitzOperator(prolate_symbol(params.n, params.w))
     if cls.kind == 4:
-        correction = tikhonov_correction(params.n, params.w, params.epsilon, alpha, b_op=b_op)
+        correction = tikhonov_correction(params.n, params.w, params.epsilon, alpha)
     else:
-        eigset = transition_eigenpairs(params.n, params.w, params.epsilon, k=params.k, b_op=b_op)
+        eigset = transition_eigenpairs(params.n, params.w, params.epsilon, k=params.k)
         correction = (projection_correction if cls.kind == 1 else pinv_correction)(eigset)
-    op = cls(params, *((alpha,) if cls.kind == 4 else ()), b_op, correction)
-    if params.epsilon < getattr(op, "precision_floor", 0.0):
-        warnings.warn(
-            f"tolerance {params.epsilon:g} lies below the Tikhonov precision floor "
-            f"{op.precision_floor:.2g} at n={params.n}, w={params.w:g}, alpha={op.alpha:g}; "
-            "expect errors up to about the floor",
-            PrecisionFloorWarning,
-            stacklevel=2,
-        )
-    return op
+    return _warn_below_floor(cls(params, *((alpha,) if cls.kind == 4 else ()), correction))
 
 
 def _apply_spectral(self, x) -> np.ndarray:
@@ -179,12 +180,9 @@ class FastPseudoinverse(_SpectralOperator):
         """
         if not epsilon < cutoff < 1.0 - epsilon:
             raise ValueError(f"cutoff {cutoff} must lie inside ({epsilon}, {1 - epsilon})")
-        b_op = ToeplitzOperator(prolate_symbol(n, w))
-        start, lams, vecs = transition_window(n, w, epsilon, 1.0 - epsilon, b_op=b_op)
+        start, lams, _ = transition_window(n, w, epsilon, 1.0 - epsilon)
         k = start + int(np.count_nonzero(lams >= cutoff))
-        params = SlepianParams.create(n, w, epsilon, k=k)
-        eigset = TransitionEigenSet(n, w, epsilon, 1.0 - epsilon, k, start, lams, vecs)
-        return cls(params, b_op, pinv_correction(eigset))
+        return _build_spectral(cls, SlepianParams.create(n, w, epsilon, k=k))
 
 
 class FastTikhonov(_SpectralOperator):
@@ -203,9 +201,9 @@ class FastTikhonov(_SpectralOperator):
     build = classmethod(_build_spectral)
     apply = _apply_spectral
 
-    def __init__(self, params: SlepianParams, alpha: float, b_op: ToeplitzOperator, correction: LowRankFactor):
+    def __init__(self, params: SlepianParams, alpha: float, correction: LowRankFactor):
         self.alpha = alpha
-        super().__init__(params, b_op, correction)
+        super().__init__(params, correction)
 
     @property
     def precision_floor(self) -> float:
@@ -223,6 +221,7 @@ class FastFactorization:
     """
 
     kind = 2
+    precision_floor = _SpectralOperator.precision_floor
 
     def __init__(self, params: SlepianParams, pf: PartialFourier, l: LowRankFactor, u: LowRankFactor):
         self.params = params
@@ -233,11 +232,10 @@ class FastFactorization:
 
     @classmethod
     def build(cls, params: SlepianParams) -> "FastFactorization":
-        b_op = ToeplitzOperator(prolate_symbol(params.n, params.w))
         pf = PartialFourier(params.n, params.w)
         l = fourier_correction_factor(params.n, params.w, params.epsilon)
-        eigset = transition_eigenpairs(params.n, params.w, params.epsilon, k=params.k, b_op=b_op)
-        return cls(params, pf, l, projection_correction(eigset))
+        eigset = transition_eigenpairs(params.n, params.w, params.epsilon, k=params.k)
+        return _warn_below_floor(cls(params, pf, l, projection_correction(eigset)))
 
     @property
     def k_prime(self) -> int:
@@ -438,9 +436,8 @@ def operator_from_bytes(data):
         if kind == 2:
             op = FastFactorization(params, PartialFourier(params.n, params.w), *corrections)
         else:
-            b_op = ToeplitzOperator(prolate_symbol(params.n, params.w))
             cls = {1: FastProjector, 3: FastPseudoinverse, 4: FastTikhonov}[kind]
-            op = cls(params, *((float(alpha),) if kind == 4 else ()), b_op, corrections[0])
+            op = cls(params, *((float(alpha),) if kind == 4 else ()), corrections[0])
     except (ValueError, OverflowError) as exc:
         raise FactorFileError(f"invalid operator header: {exc}") from exc
     except MemoryError:

@@ -32,6 +32,11 @@ def prolate_dense(n, w):
     return out
 
 
+def toeplitz_dense(op):
+    """The symmetric Toeplitz matrix a ToeplitzOperator applies, from its first column."""
+    return scipy.linalg.toeplitz(op.symbol.col)
+
+
 def dirichlet_projector_dense(n, w_prime):
     """Entrywise Dirichlet kernel sin(2*pi*w'*(m-l)) / (n*sin(pi*(m-l)/n)), diagonal 2w'."""
     d = np.subtract.outer(np.arange(n), np.arange(n)).astype(float)

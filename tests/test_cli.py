@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from prolate.cli import main, prediction_rhs
 from prolate.fourier_ext import FourierExtensionConfig, SyntheticTarget, run_fourier_extension
@@ -80,6 +81,25 @@ class TestBench:
         assert rc == 0
         _, rows = parse_csv(out)
         assert rows[0][6] == ""
+
+    def test_every_trial_builds_cold(self, capsys, monkeypatch):
+        calls = []
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+        per_trial = {}
+        for trials in (1, 3):
+            calls.clear()
+            rc, _, _ = run_cli(["bench", "--n", "96", "--w", "0.25", "--eps", "1e-3", "--trials", str(trials),
+                                "--mode", "project"], capsys)
+            assert rc == 0
+            per_trial[trials] = len(calls)
+        # the untimed build that feeds the apply timing reuses the last trial's pairs
+        assert per_trial[1] > 0 and per_trial[3] == 3 * per_trial[1]
 
 
 class TestLinearPredict:

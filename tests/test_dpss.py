@@ -111,12 +111,14 @@ _BELOW_FLOOR = [(1e-17, 1 - 1e-9), (1e-40, 1 - 1e-6)]
 
 
 def _count_eigh_calls(monkeypatch):
+    """A list that gets, per eigh_tridiagonal call, the number of pairs it solved."""
     calls = []
     solve = scipy.linalg.eigh_tridiagonal
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+        out = solve(*args, **kwargs)
+        calls.append(out[1].shape[1])
+        return out
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
     return calls
@@ -145,6 +147,7 @@ class TestPredictedWindow:
         want_start, want_lams, want_vecs = transition_window(n, w, lo, hi)
         center = dpss.default_subspace_dim(n, w)
         monkeypatch.setattr(dpss, "_predicted_range", lambda *args: (center, center))
+        dpss.slepian_plan.cache_clear()
         calls = _count_eigh_calls(monkeypatch)
         start, lams, vecs = transition_window(n, w, lo, hi)
         assert len(calls) > 2
@@ -154,6 +157,7 @@ class TestPredictedWindow:
 
     def test_pair_cap(self, monkeypatch):
         # the cap holds for the predicted range and for the fallback's growth
+        dpss.slepian_plan.cache_clear()
         with pytest.raises(RuntimeError, match="exceeded 10 eigenpairs"):
             transition_window(64, 0.25, -1.0, 2.0, max_pairs=10)
         monkeypatch.setattr(dpss, "_predicted_range", lambda *args: (32, 32))
@@ -164,9 +168,128 @@ class TestPredictedWindow:
         (0.25, 1e-6, 1 - 1e-6), (1.0 / 16.0, 1e-9, 1 - 1e-9), (0.25, 1.01e-8, 1 - 1e-6 / 3),
     ])
     def test_benchmark_point_makes_two_solves(self, monkeypatch, w, lo, hi):
+        dpss.slepian_plan.cache_clear()
         calls = _count_eigh_calls(monkeypatch)
         _, lams, _ = transition_window(2**14, w, lo, hi)
         assert lams.size > 0 and len(calls) <= 2
+
+
+class TestSlepianPlan:
+    def test_repeat_and_superset_windows_solve_only_what_is_missing(self, monkeypatch):
+        n, w, eps, alpha = 4096, 0.25, 1e-6, 1e-2
+        dpss.slepian_plan.cache_clear()
+        calls = _count_eigh_calls(monkeypatch)
+        first = transition_window(n, w, eps, 1.0 - eps)
+        assert len(calls) <= 2
+        calls.clear()
+        again = transition_window(n, w, eps, 1.0 - eps)
+        assert calls == []
+        assert again[0] == first[0] and np.array_equal(again[1], first[1]) and np.array_equal(again[2], first[2])
+        # the Tikhonov thresholds of FastTikhonov.build widen the window on both sides
+        held = dpss.slepian_plan(n, w)._held[2].size
+        start, lams, _ = transition_window(n, w, alpha * (1.0 + alpha) * eps, 1.0 - eps / 3.0)
+        growth = dpss.slepian_plan(n, w)._held[2].size - held
+        assert start < first[0] and lams.size > first[1].size
+        assert 0 < len(calls) <= 4 and sum(calls) == growth > 0
+
+    def test_window_matches_a_cold_solve_after_other_windows(self):
+        n, w = 1024, 1.0 / 16.0
+        dpss.slepian_plan.cache_clear()
+        cold = transition_window(n, w, 1e-9, 1 - 1e-9)
+        for lo, hi in [(0.3, 0.4), (1e-3, 1 - 1e-3), (1e-12, 1 - 1e-12), (1e-9, 1 - 1e-9)]:
+            transition_window(n, w, lo, hi)
+        warm = transition_window(n, w, 1e-9, 1 - 1e-9)
+        assert warm[0] == cold[0] and warm[1].size == cold[1].size
+        assert np.abs(warm[1] - cold[1]).max() <= quotient_error(n, w)
+        assert np.abs(warm[2] - cold[2]).max() <= 1e-12
+
+    def test_holds_one_point(self):
+        dpss.slepian_plan.cache_clear()
+        plan = dpss.slepian_plan(64, 0.25)
+        assert dpss.slepian_plan(64, 0.25) is plan
+        other = dpss.slepian_plan(65, 0.25)
+        assert dpss.slepian_plan.cache_info().currsize == 1
+        assert dpss.slepian_plan(65, 0.25) is other and dpss.slepian_plan(64, 0.25) is not plan
+
+    def test_stored_arrays_are_read_only(self):
+        dpss.slepian_plan.cache_clear()
+        transition_window(256, 0.25, 1e-6, 1 - 1e-6)
+        plan = dpss.slepian_plan(256, 0.25)
+        _, rows, lams = plan._held
+        rows_view, lams_view = plan.pairs(120, 130)
+        stored = [rows, lams, rows_view, lams_view, plan.b_op.half_spectrum, plan.b_op.symbol.col]
+        stored += [a for pair in plan.tridiagonals for a in pair]
+        for a in stored:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    def test_writing_into_a_window_leaves_the_next_unchanged(self):
+        n, w, lo, hi = 256, 0.25, 1e-6, 1 - 1e-6
+        dpss.slepian_plan.cache_clear()
+        start, lams, vecs = transition_window(n, w, lo, hi)
+        want_lams, want_vecs = lams.copy(), vecs.copy()
+        lams[:] = 0.5
+        vecs[:] = 1.0
+        again = transition_window(n, w, lo, hi)
+        assert again[0] == start
+        assert np.array_equal(again[1], want_lams) and np.array_equal(again[2], want_vecs)
+
+
+@pytest.fixture
+def blas_threads():
+    """blas_threads() reads scipy's OpenBLAS thread count, blas_threads(k) sets it; restored after the test."""
+    setter = dpss._openblas_thread_setter()
+    if setter is None:
+        pytest.skip("scipy does not run its bundled OpenBLAS")
+    original = setter(1)
+    setter(original)
+
+    def threads(k=None):
+        previous = setter(1 if k is None else k)
+        if k is None:
+            setter(previous)
+        return previous
+
+    yield threads
+    setter(original)
+
+
+class TestSolveThreads:
+    def test_solves_run_on_one_thread_and_restore_the_count(self, monkeypatch, blas_threads):
+        blas_threads(2)
+        want = blas_threads()
+        seen = []
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def watched(*args, **kwargs):
+            seen.append(blas_threads())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", watched)
+        dpss.slepian_plan.cache_clear()
+        transition_window(256, 0.25, 1e-6, 1 - 1e-6)
+        assert seen and set(seen) == {1}
+        assert blas_threads() == want
+
+    def test_sections_nest(self, blas_threads):
+        blas_threads(2)
+        want = blas_threads()
+        with dpss._one_blas_thread:
+            with dpss._one_blas_thread:
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == want
+
+    def test_window_does_not_depend_on_the_thread_count(self, blas_threads):
+        # at n = 2^15 the half-size tridiagonals are long enough for OpenBLAS to split level-1 BLAS
+        windows = []
+        for k in (1, 2):
+            blas_threads(k)
+            dpss.slepian_plan.cache_clear()
+            windows.append(transition_window(2**15, 0.25, 1e-6, 1 - 1e-6))
+        (start1, lams1, vecs1), (start2, lams2, vecs2) = windows
+        assert start1 == start2 and np.array_equal(lams1, lams2) and np.array_equal(vecs1, vecs2)
 
 
 class TestRayleighLambda:

@@ -1,4 +1,5 @@
 import math
+import mmap
 import struct
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from prolate.dpss import PreconditionViolated, default_subspace_dim, transition_eigenpairs
+from prolate.dpss import PreconditionViolated, default_subspace_dim, slepian_plan, transition_eigenpairs
 from prolate.fft_kernels import PartialFourier, ToeplitzOperator
 from prolate.operators import (
     MAX_EMPTY_N,
@@ -201,6 +202,81 @@ class TestFastTikhonov:
         assert op.precision_floor < op.error_bound
 
 
+class TestPrecisionFloor:
+    @pytest.mark.parametrize("cls", [FastProjector, FastPseudoinverse, FastFactorization])
+    def test_warns_at_or_below_quotient_floor(self, cls):
+        params = SlepianParams.create(4096, 0.25, 1e-14)
+        with pytest.warns(PrecisionFloorWarning, match={1: "projector", 2: "factorization", 3: "pinv"}[cls.kind]):
+            op = cls.build(params)
+        assert op.precision_floor >= params.epsilon
+
+    def test_build_with_cutoff_warns(self):
+        with pytest.warns(PrecisionFloorWarning, match="pinv"):
+            FastPseudoinverse.build_with_cutoff(4096, 0.25, 1e-14, 0.5)
+
+    def test_silent_above_the_floor(self):
+        params = SlepianParams.create(4096, 0.25, 1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            built = [cls.build(params) for cls in (FastProjector, FastPseudoinverse, FastFactorization)]
+            built.append(FastPseudoinverse.build_with_cutoff(4096, 0.25, 1e-6, 0.5))
+        for op in built:
+            assert op.precision_floor < op.error_bound
+
+
+def _apply(op, x):
+    return op.decompress(op.compress(x)) if op.kind == 2 else op.apply(x)
+
+
+class TestSharedPlan:
+    """Builds at one (n, w) share the solved pairs and still equal cold builds."""
+
+    @pytest.mark.parametrize("n, w, eps", [(256, 0.25, 1e-6), (2**14, 0.25, 1e-6), (2**14, 1.0 / 16.0, 1e-9)])
+    def test_warm_builds_equal_cold_builds(self, n, w, eps, rng):
+        params = SlepianParams.create(n, w, eps)
+        kinds = {
+            "projector": lambda: FastProjector.build(params),
+            "tikhonov": lambda: FastTikhonov.build(params, 1e-2),
+            "pinv": lambda: FastPseudoinverse.build(params),
+            "factorization": lambda: FastFactorization.build(params),
+        }
+        cold = {}
+        for name, build in kinds.items():
+            slepian_plan.cache_clear()
+            cold[name] = build()
+        # the benchmark's order: the projector first, the rest reusing its pairs
+        slepian_plan.cache_clear()
+        warm = {name: build() for name, build in kinds.items()}
+        warm["projector again"] = kinds["projector"]()
+        cold["projector again"] = cold["projector"]
+        for name, op in warm.items():
+            if name != "tikhonov":
+                assert operator_to_bytes(op) == operator_to_bytes(cold[name]), name
+        tik, tik_cold = warm["tikhonov"], cold["tikhonov"]
+        assert tik.u.rank == tik_cold.u.rank
+        assert np.abs(tik.u.weights - tik_cold.u.weights).max() <= 1e-12 * np.abs(tik_cold.u.weights).max()
+        for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            want = tik_cold.apply(x)
+            assert np.linalg.norm(tik.apply(x) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_any_order_within_rounding(self, rng):
+        n, w, eps = 1024, 0.25, 1e-6
+        params = SlepianParams.create(n, w, eps)
+        builds = [lambda: FastTikhonov.build(params, 1e-2), lambda: FastPseudoinverse.build(params),
+                  lambda: FastFactorization.build(params), lambda: FastProjector.build(params)]
+        cold = []
+        for build in builds:
+            slepian_plan.cache_clear()
+            cold.append(build())
+        slepian_plan.cache_clear()
+        x = rng.standard_normal(n)
+        for build, ref in zip(builds, cold):
+            op = build()
+            assert [f.rank for f in op.corrections()] == [f.rank for f in ref.corrections()]
+            want = _apply(ref, x)
+            assert np.linalg.norm(_apply(op, x) - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_all_operators_linear(rng):
     params = SlepianParams.create(96, 0.25, 1e-6)
     ops = [
@@ -343,6 +419,15 @@ class TestStructuredFactors:
         for op in ops256:
             listed = {id(a) for a in op.factors()}
             assert _n_row_arrays(op, 256, set()) == listed, op.kind
+
+    def test_built_blocks_live_in_maps_of_their_own(self, ops256):
+        # a dropped operator then returns its blocks to the system, whatever was allocated after it
+        for op in ops256:
+            for a in op.factors():
+                base = a
+                while isinstance(base, np.ndarray):
+                    base = base.base
+                assert a.flags.f_contiguous and isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
 
     def test_file_is_header_plus_listed_arrays(self, ops256):
         for op in ops256:
