@@ -6,6 +6,15 @@ the asymptotic eigenvalue distribution and solved in one pass on the two
 half-size tridiagonals of the even and the odd Slepian vectors, with each
 eigenvalue recovered as a Rayleigh quotient against the fast Toeplitz apply
 (the tridiagonal's own spectrum is unrelated to the concentration values).
+
+Inverse iteration needs a tridiagonal eigenvalue only isolated from its
+neighbours, not exact, so bisection stops at 1e-5 of _gap_estimate, a lower
+estimate of the smallest same-parity gap; at n = 2^16 that halves the
+bisection's time.  Each loose solve is then checked: its eigenvalues must
+lie at least the estimate apart, and a Sturm count must find no other
+eigenvalue within the estimate of their range.  A range that fails is
+solved again with the bisection run to full precision.
+
 Where a caller weights eigenvalues steeply enough that double-precision
 quotients are too coarse, refine_window recomputes the ones it flags in
 extended precision.
@@ -67,6 +76,9 @@ _SQRT_HALF = math.sqrt(0.5)
 _WINDOW_MARGIN = 4
 _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_EXT = float(np.finfo(np.longdouble).eps)
+# bisection stops at this fraction of the gap estimate; inverse iteration from
+# there gives the full-precision solve's vectors to 2e-14 at n = 2^16 (1.4e-13 at 2^18)
+_ISOLATION = 1e-5
 # columns per longdouble transform, bounding its complex256 workspace
 _EXT_CHUNK = 16
 
@@ -137,6 +149,34 @@ def _parity_tridiagonals(n: int, w: float):
     if p:
         e_even[-1] *= math.sqrt(2.0)
     return (d[: p + 1], e_even), (d[:p], e[: max(p - 1, 0)])
+
+
+def _gap_estimate(n: int, w: float) -> float:
+    """A lower estimate of the smallest gap between same-parity eigenvalues of the commuting tridiagonal.
+
+    2 s / max(log(8 s), 1) with s = n sin(2 pi w): the gaps are smallest in
+    the transition band, whose width the log of Slepian's asymptotics sets.
+    Over every eigenvalue of both parity tridiagonals the smallest gap
+    measured at least 1.45x above this for n in [2, 2^16] and w in
+    [1e-4, 0.4999], and 1.45-1.5x above it at the windows of n >= 1024.
+    """
+    s = n * math.sin(2.0 * math.pi * w)
+    return 2.0 * s / max(math.log(8.0 * s), 1.0)
+
+
+def _isolated(d, e, vals, gap) -> bool:
+    """Whether the consecutive ascending eigenvalues vals of the tridiagonal (d, e) lie at least gap from every other.
+
+    Their own differences settle the gaps among them; one Sturm count (LAPACK
+    dstebz over (vals[0] - gap, vals[-1] + gap], stopped before any bisection)
+    settles their outer neighbours.
+    """
+    if d.size == 1:
+        return True
+    if np.any(np.diff(vals) < gap):
+        return False
+    lo, hi = vals[0] - gap, vals[-1] + gap
+    return scipy.linalg.lapack.dstebz(d, e, 1, lo, hi, 0, 0, 2.0 * (hi - lo), b"E")[0] == vals.size
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -243,21 +283,31 @@ class SlepianPlan:
         """Slepian vectors first..last, one per row of a C-ordered array, and their quotients.
 
         Each parity's share of the range is one index range of its half-size
-        tridiagonal, solved by one bisection/inverse-iteration call; the half
+        tridiagonal, solved by one bisection/inverse-iteration call whose
+        bisection stops at _ISOLATION of the gap estimate.  If those
+        eigenvalues are not isolated by the estimate (_isolated), the range is
+        solved again with the bisection run to full precision.  The half
         vectors are then mirrored into place.
         """
         n = self.n
         rows = mapped_rows(last - first + 1, n)
         p = n // 2
+        gap = _gap_estimate(n, self.w)
         for parity, (d, e) in enumerate(self.tridiagonals):
             j0, j1 = (first - parity + 1) // 2, (last - parity) // 2
             if j0 > j1:
                 continue
             # descending index j is the (size-1-j)-th ascending eigenvalue
-            size = d.size
+            select = {"select": "i", "select_range": (d.size - 1 - j1, d.size - 1 - j0)}
             # inverse iteration's level-1 BLAS on half-length vectors: a second thread only changes its rounding
             with _one_blas_thread:
-                _, half = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(size - 1 - j1, size - 1 - j0))
+                try:
+                    vals, half = scipy.linalg.eigh_tridiagonal(d, e, tol=_ISOLATION * gap, **select)
+                    isolated = _isolated(d, e, vals, gap)
+                except np.linalg.LinAlgError:
+                    isolated = False
+                if not isolated:
+                    _, half = scipy.linalg.eigh_tridiagonal(d, e, **select)
             half = half[:, ::-1].T
             out = rows[2 * j0 + parity - first :: 2]
             lead = half[:, :p] * _SQRT_HALF
@@ -376,16 +426,17 @@ def quotient_error(n: int, w: float, extended: bool = False) -> float:
     """Estimated absolute error of a transition eigenvalue taken as a Rayleigh quotient.
 
     For the float64 quotients of transition_window it is
-    eps64 * (w n / 4 + 8 log2 n): the float64 symbol's rounded sine
-    arguments add up coherently, so the error grows with w n.  Measured
-    1.5-82x below this against rayleigh_extended on the real-FFT quotients
-    of the window (1e-12, 1 - 1e-12), for n in [64, 2^16] and w in
-    [0.01, 0.49].  For rayleigh_extended it is eps_ext * (8 + sqrt(n)),
-    eps_ext the machine epsilon of np.longdouble; measured 3.2-27x below
-    against 30-digit mpmath quotients of the same vectors for n in
-    [64, 1024] and w in [0.01, 0.49].  Where
-    np.longdouble is no wider than float64 the float64 estimate stands for
-    both.
+    eps64 * (w n / 4 + 8 log2 n).  The w n term was the coherent sum of
+    the float64 symbol's rounded sine arguments; since prolate_symbol
+    reduces w*m from its exact product the error no longer grows with w n,
+    and the estimate stands as a conservative bound.  Measured 10-267x
+    below it against rayleigh_extended on the real-FFT quotients of the
+    window (1e-12, 1 - 1e-12), for n in [64, 2^16] and w in [0.01, 0.49]
+    (1.7-48x before the reduction).  For rayleigh_extended it is
+    eps_ext * (8 + sqrt(n)), eps_ext the machine epsilon of np.longdouble;
+    measured 3.2-27x below against 30-digit mpmath quotients of the same
+    vectors for n in [64, 1024] and w in [0.01, 0.49].  Where np.longdouble
+    is no wider than float64 the float64 estimate stands for both.
     """
     if extended and _EPS_EXT < _EPS64:
         return _EPS_EXT * (8.0 + math.sqrt(n))
@@ -398,10 +449,11 @@ def vector_error(n: int, w: float) -> float:
     u * (n / (4 sin(2 pi w)) + 16), u the float64 unit roundoff.  The
     commuting tridiagonal separates every eigenvalue, so the float64 vectors
     are resolved individually, but its gaps near the transition shrink with
-    sin(2 pi w) while its norm does not.  Measured 3.6-45x below this on
-    the window (1e-12, 1 - 1e-12) for n in [64, 4096] and w in
+    sin(2 pi w) while its norm does not.  Measured 5.9-92x below this on
+    the window (1e-12, 1 - 1e-12) for n in [64, 16384] and w in
     [0.01, 0.49], against vectors refined by longdouble inverse iteration
-    on the full tridiagonal.
+    on the full tridiagonal (4.0-99x with the bisection run to full
+    precision instead of to isolation).
     """
     return 0.5 * _EPS64 * (n / (4.0 * math.sin(2.0 * math.pi * w)) + 16.0)
 
@@ -449,7 +501,7 @@ def refine_window(n, w, start, lams, vecs, flagged, lo, extend=False):
     return lams[:stop].copy(), mapped_columns(vecs[:, :stop])
 
 
-def transition_eigenpairs(n, w, epsilon, k=None, max_pairs=4096) -> TransitionEigenSet:
+def transition_eigenpairs(n, w, epsilon, k=None) -> TransitionEigenSet:
     """Eigenpairs with epsilon < lam < 1 - epsilon, split at k (default round(2nw)).
 
     Raises PreconditionViolated unless lam^(k-1) > epsilon and lam^(k) < 1 - epsilon.
@@ -458,7 +510,7 @@ def transition_eigenpairs(n, w, epsilon, k=None, max_pairs=4096) -> TransitionEi
         raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
     if k is None:
         k = default_subspace_dim(n, w)
-    start, lams, vecs = transition_window(n, w, epsilon, 1.0 - epsilon, max_pairs=max_pairs)
+    start, lams, vecs = transition_window(n, w, epsilon, 1.0 - epsilon)
     if not start <= k <= start + lams.size:
         raise PreconditionViolated(
             f"subspace dimension k={k} violates the split condition: eigenvalues in "
@@ -467,10 +519,10 @@ def transition_eigenpairs(n, w, epsilon, k=None, max_pairs=4096) -> TransitionEi
     return TransitionEigenSet(k, start, lams, vecs)
 
 
-def transition_count(n, w, epsilon, max_pairs=4096) -> int:
+def transition_count(n, w, epsilon) -> int:
     """Number of eigenvalues strictly inside (epsilon, 1 - epsilon)."""
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
-    _, lams, _ = transition_window(n, w, epsilon, 1.0 - epsilon, max_pairs=max_pairs)
+    _, lams, _ = transition_window(n, w, epsilon, 1.0 - epsilon)
     return int(lams.size)
 

@@ -56,10 +56,32 @@ class ToeplitzSymbol:
         return self.col.size
 
 
+def _reduced_product(w, m: np.ndarray) -> np.ndarray:
+    """w*m minus its nearest integer, within one rounding of the exact product's, in m's dtype.
+
+    The rounded product p and its rounding error (Dekker's two-product with
+    Veltkamp's splitting) are reduced apart: p minus its nearest integer is exact.
+    """
+    split = m.dtype.type(2 ** ((np.finfo(m.dtype).nmant + 2) // 2) + 1)
+
+    def halves(x):
+        c = split * x
+        hi = c - (c - x)
+        return hi, x - hi
+
+    w = m.dtype.type(w)
+    p = w * m
+    (w_hi, w_lo), (m_hi, m_lo) = halves(w), halves(m)
+    err = ((w_hi * m_hi - p) + w_hi * m_lo + w_lo * m_hi) + w_lo * m_lo
+    return (p - np.rint(p)) + err
+
+
 def prolate_symbol(n: int, w: float) -> ToeplitzSymbol:
     """Symbol of the n x n prolate matrix with half-bandwidth w in (0, 1/2).
 
     col[0] = 2w (the sinc limit) and col[m] = sin(2*pi*w*m) / (pi*m) for m >= 1.
+    w*m is reduced modulo one from its exact product before the sine, so each
+    sine argument is off by a few ulps of 2*pi rather than of 2*pi*w*m.
     """
     if n <= 0:
         raise ValueError(f"matrix dimension must be positive, got {n}")
@@ -68,18 +90,16 @@ def prolate_symbol(n: int, w: float) -> ToeplitzSymbol:
     col = np.empty(n)
     col[0] = 2.0 * w
     if n > 1:
-        m = np.arange(1, n)
-        col[1:] = np.sin(2.0 * np.pi * w * m) / (np.pi * m)
+        m = np.arange(1, n, dtype=float)
+        col[1:] = np.sin(2.0 * np.pi * _reduced_product(w, m)) / (np.pi * m)
     return ToeplitzSymbol(col)
 
 
 def prolate_column_extended(n: int, w: float) -> np.ndarray:
     """First column of the n x n prolate matrix in np.longdouble.
 
-    w*m is reduced modulo one before the sine, so every entry carries the
-    extended precision.  The float64 symbol cannot: its sine argument
-    2*pi*w*m is rounded to about u*2*pi*w*m, and those errors add up
-    coherently across the matrix.
+    w*m is reduced modulo one from its exact product before the sine, as in
+    prolate_symbol, so every entry carries the extended precision.
     """
     if n <= 0:
         raise ValueError(f"matrix dimension must be positive, got {n}")
@@ -89,7 +109,7 @@ def prolate_column_extended(n: int, w: float) -> np.ndarray:
     m = np.arange(1, n).astype(np.longdouble)
     col = np.empty(n, dtype=np.longdouble)
     col[0] = 2 * np.longdouble(w)
-    col[1:] = np.sin(2 * pi * np.fmod(np.longdouble(w) * m, np.longdouble(1.0))) / (pi * m)
+    col[1:] = np.sin(2 * pi * _reduced_product(w, m)) / (pi * m)
     return col
 
 

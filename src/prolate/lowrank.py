@@ -596,7 +596,7 @@ def tikhonov_precision_floor(n: int, w: float, alpha: float) -> float:
     return quotient_error(n, w, extended=True) * slope + vector_error(n, w) * weight
 
 
-def tikhonov_correction(n, w, epsilon, alpha, max_pairs=4096) -> LowRankFactor:
+def tikhonov_correction(n, w, epsilon, alpha) -> LowRankFactor:
     """V diag(g) V' with ||(B^2 + a I)^{-1} B - (B/(1+a) + V diag(g) V')|| <= epsilon.
 
     The retained eigenpairs are those with a(1+a)*epsilon < lam < 1 - epsilon/3
@@ -614,7 +614,7 @@ def tikhonov_correction(n, w, epsilon, alpha, max_pairs=4096) -> LowRankFactor:
         raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
     lo = alpha * (1.0 + alpha) * epsilon
     hi = 1.0 - epsilon / 3.0
-    start, lams, vecs = transition_window(n, w, lo, hi, max_pairs=max_pairs)
+    start, lams, vecs = transition_window(n, w, lo, hi)
     max_slope = _REFINE_SHARE * epsilon / quotient_error(n, w)
     flagged = np.abs(_tikhonov_slope(lams, alpha)) > max_slope
     extend = abs(_tikhonov_slope(lo, alpha)) > max_slope

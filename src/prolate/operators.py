@@ -202,6 +202,8 @@ class FastTikhonov(_SpectralOperator):
     apply = _apply_spectral
 
     def __init__(self, params: SlepianParams, alpha: float, correction: LowRankFactor):
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"regularization weight must be positive and finite, got {alpha}")
         self.alpha = alpha
         super().__init__(params, correction)
 
@@ -442,7 +444,7 @@ def operator_from_bytes(data):
         raise FactorFileError(f"invalid operator header: {exc}") from exc
     except MemoryError:
         raise FactorFileError(f"header size n={n} is too large to rebuild") from None
-    if abs(op.error_bound - error_bound) > 1e-15 * max(1.0, abs(error_bound)):
+    if not abs(op.error_bound - error_bound) <= 1e-15 * max(1.0, abs(error_bound)):
         raise FactorFileError("stored error bound disagrees with the reconstructed operator")
     return op
 

@@ -5,12 +5,22 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
 
 from prolate.cli import main, prediction_rhs
 from prolate.fourier_ext import FourierExtensionConfig, SyntheticTarget, run_fourier_extension
-from prolate.operators import MAX_EMPTY_N, FastFactorization, FastProjector, FastPseudoinverse, SlepianParams
+from prolate.operators import (
+    MAX_EMPTY_N,
+    FactorFileError,
+    FastFactorization,
+    FastProjector,
+    FastPseudoinverse,
+    SlepianParams,
+    operator_from_bytes,
+)
 
 from oracles import eig_dense, pinv_oracle, prolate_dense, v1_bytes
+from strategies import fslt_bytes
 
 
 def run_cli(args, capsys):
@@ -286,6 +296,20 @@ class TestPrecomputeAndLoad:
         path.write_bytes(data[:16] + struct.pack("<d", 0.9) + data[24:])  # the header's w
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "half-bandwidth" in err
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=fslt_bytes())
+    def test_any_unloadable_file_is_io_error_without_traceback(self, tmp_path, capsys, data):
+        path = tmp_path / "fuzzed.fslt"
+        path.write_bytes(data)
+        try:
+            operator_from_bytes(data)
+            loads = True
+        except FactorFileError:
+            loads = False
+        rc, _, err = run_cli(["load-check", str(path)], capsys)
+        assert rc in ((0, 2) if loads else (2,))
+        assert "Traceback" not in err and (rc == 0 or err.startswith("prolate: "))
 
     def test_missing_file_is_io_error(self, capsys):
         rc, _, _ = run_cli(["load-check", "/no/such/file.fslt"], capsys)

@@ -110,14 +110,16 @@ _PAIRS = [(1e-3, 1 - 1e-3), (1e-6, 1 - 1e-6), (1e-9, 1 - 1e-9), (1.01e-8, 1 - 1e
 _BELOW_FLOOR = [(1e-17, 1 - 1e-9), (1e-40, 1 - 1e-6)]
 
 
-def _count_eigh_calls(monkeypatch):
-    """A list that gets, per eigh_tridiagonal call, the number of pairs it solved."""
+def _count_eigh_calls(monkeypatch, tols=None):
+    """A list that gets, per eigh_tridiagonal call, the number of pairs it solved (and tols its bisection tolerance)."""
     calls = []
     solve = scipy.linalg.eigh_tridiagonal
 
     def counted(*args, **kwargs):
         out = solve(*args, **kwargs)
         calls.append(out[1].shape[1])
+        if tols is not None:
+            tols.append(kwargs.get("tol", 0.0))
         return out
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
@@ -172,6 +174,102 @@ class TestPredictedWindow:
         calls = _count_eigh_calls(monkeypatch)
         _, lams, _ = transition_window(2**14, w, lo, hi)
         assert lams.size > 0 and len(calls) <= 2
+
+
+# the three benchmark windows at n = 2^14 (projector, projector, Tikhonov thresholds), then w = 0.02 and 1/16
+_ISOLATION_POINTS = [
+    (2**14, 0.25, 1e-6, 1 - 1e-6), (2**14, 1.0 / 16.0, 1e-9, 1 - 1e-9), (2**14, 0.25, 1.01e-8, 1 - 1e-6 / 3),
+    (4096, 0.02, 1e-12, 1 - 1e-12), (2**14, 0.02, 1e-9, 1 - 1e-9), (1024, 1.0 / 16.0, -1.0, 2.0),
+]
+
+
+def _full_precision(monkeypatch):
+    """Make every eigh_tridiagonal call bisect to full precision, whatever tol it is passed."""
+    solve = scipy.linalg.eigh_tridiagonal
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", lambda *args, tol=0.0, **kwargs: solve(*args, **kwargs))
+
+
+class TestIsolatedBisection:
+    @pytest.mark.parametrize("n, w, lo, hi", _ISOLATION_POINTS)
+    def test_vectors_match_a_full_precision_solve(self, monkeypatch, n, w, lo, hi):
+        # within TestParitySplit's bound 16 u (1 + ||T|| / gap), gap the full tridiagonal's
+        dpss.slepian_plan.cache_clear()
+        start, lams, vecs = transition_window(n, w, lo, hi)
+        with monkeypatch.context() as m:
+            _full_precision(m)
+            dpss.slepian_plan.cache_clear()
+            want_start, want_lams, want_vecs = transition_window(n, w, lo, hi)
+        assert (start, lams.size) == (want_start, want_lams.size)
+        diag, off = tridiagonal_dense(n, w)
+        first, last = max(start - 1, 0), min(start + lams.size, n - 1)
+        vals = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - 1 - last, n - 1 - first))[::-1]
+        diffs = np.abs(np.diff(vals))
+        gap = np.minimum(np.append(diffs, np.inf), np.insert(diffs, 0, np.inf))[start - first:][:lams.size]
+        norm = np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0)
+        dev = np.abs(vecs - want_vecs).max(axis=0)
+        assert np.all(dev <= 16.0 * np.finfo(float).eps * (1.0 + norm / gap))
+        assert np.abs(lams - want_lams).max() <= quotient_error(n, w)
+
+    def test_too_large_a_gap_estimate_falls_back_to_full_precision(self, monkeypatch):
+        n, w, lo, hi = 4096, 0.25, 1e-9, 1 - 1e-9
+        with monkeypatch.context() as m:
+            _full_precision(m)
+            dpss.slepian_plan.cache_clear()
+            want = transition_window(n, w, lo, hi)
+        monkeypatch.setattr(dpss, "_gap_estimate", lambda n, w: 1e3 * n * n)
+        dpss.slepian_plan.cache_clear()
+        tols = []
+        calls = _count_eigh_calls(monkeypatch, tols)
+        got = transition_window(n, w, lo, hi)
+        # each parity: the loose solve, rejected, then the full-precision one
+        assert len(calls) == 4 and tols[0] > 0.0 and tols[1] == 0.0 and tols[2] > 0.0 and tols[3] == 0.0
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    def test_failed_loose_solve_falls_back_to_full_precision(self, monkeypatch):
+        n, w, lo, hi = 1024, 0.25, 1e-9, 1 - 1e-9
+        dpss.slepian_plan.cache_clear()
+        want = transition_window(n, w, lo, hi)
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def failing(*args, tol=0.0, **kwargs):
+            if tol > 0.0:
+                raise np.linalg.LinAlgError("eigenvectors failed to converge")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
+        dpss.slepian_plan.cache_clear()
+        got = transition_window(n, w, lo, hi)
+        assert got[0] == want[0] and got[1].size == want[1].size
+        assert np.abs(got[1] - want[1]).max() <= quotient_error(n, w) and np.abs(got[2] - want[2]).max() <= 1e-12
+
+    @pytest.mark.parametrize("w, eps", [(0.25, 1e-6), (1.0 / 16.0, 1e-9)])
+    def test_benchmark_points_bisect_loosely_without_fallback(self, monkeypatch, w, eps):
+        # a projector window, then the wider Tikhonov one (alpha = 1e-2) grown from it
+        dpss.slepian_plan.cache_clear()
+        tols = []
+        calls = _count_eigh_calls(monkeypatch, tols)
+        transition_window(2**14, w, eps, 1 - eps)
+        transition_window(2**14, w, 1e-2 * (1 + 1e-2) * eps, 1 - eps / 3)
+        assert 2 <= len(calls) <= 6 and all(t > 0.0 for t in tols)
+
+    def test_gap_estimate_is_below_every_same_parity_gap(self):
+        for n in [2, 3, 4, 5, 9, 16, 33, 100, 257, 1024]:
+            for w in [1e-4, 0.003, 0.02, 1.0 / 16.0, 0.25, 0.45, 0.4999]:
+                for d, e in dpss._parity_tridiagonals(n, w):
+                    if d.size > 1:
+                        assert np.diff(scipy.linalg.eigvalsh_tridiagonal(d, e)).min() >= dpss._gap_estimate(n, w)
+
+    def test_isolation_check_sees_outer_neighbours(self):
+        (d, e), _ = dpss._parity_tridiagonals(512, 0.25)
+        vals = scipy.linalg.eigvalsh_tridiagonal(d, e)
+        gap = np.diff(vals).min()
+        assert dpss._isolated(d, e, vals[100:110], gap) and dpss._isolated(d, e, vals[100:101], gap)
+        assert not dpss._isolated(d, e, vals[100:110], 1.01 * (vals[101] - vals[100]))
+        # the ends of the spectrum have one outer neighbour each, seen only by the Sturm count
+        assert dpss._isolated(d, e, vals[:1], 0.99 * (vals[1] - vals[0]))
+        assert not dpss._isolated(d, e, vals[:1], 1.01 * (vals[1] - vals[0]))
+        assert dpss._isolated(d, e, vals[-1:], 0.99 * (vals[-1] - vals[-2]))
+        assert not dpss._isolated(d, e, vals[-1:], 1.01 * (vals[-1] - vals[-2]))
 
 
 class TestSlepianPlan:

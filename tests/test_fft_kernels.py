@@ -18,6 +18,7 @@ from oracles import (
     dirichlet_projector_dense,
     fourier_columns_dense,
     fourier_projector_dense,
+    needs_extended,
     norm2,
     prolate_dense,
     toeplitz_dense,
@@ -36,16 +37,40 @@ def test_nearest_odd_integer(x, want):
     assert nearest_odd_integer(x) == want
 
 
+def _sine_errors(col, w, offsets):
+    """|col[m] pi m - sin(2 pi w m)| at each offset m, against a 40-digit mpmath sine."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = [mpmath.sin(2 * mpmath.pi * mpmath.mpf(w) * int(m)) for m in offsets]
+        return np.array([float(abs(mpmath.mpf(np.format_float_scientific(col[m], unique=True)) * mpmath.pi * int(m) - x))
+                         for m, x in zip(offsets, exact)])
+
+
+# offsets up to 2^16, where an unreduced float64 argument 2 pi w m is off by up to 1e-13
+_LARGE_OFFSETS = np.random.default_rng(5).integers(2**15, 2**16, 40)
+
+
 class TestProlateColumnExtended:
+    @needs_extended
+    @pytest.mark.parametrize("w", [0.1, 1.0 / 3.0])
+    def test_sines_reduced_from_the_exact_product(self, w):
+        col = prolate_column_extended(2**16, w)
+        assert _sine_errors(col, w, _LARGE_OFFSETS).max() <= 16 * np.finfo(np.longdouble).eps
+
     @pytest.mark.parametrize("w", [0.01, 0.25, 0.3, 0.49])
     def test_rounds_to_float64_symbol(self, w):
         col = prolate_column_extended(300, w)
         assert col.dtype == np.longdouble
-        # the float64 symbol's rounded sine arguments cost it about 2 u w per entry
+        # both reduce w*m from its exact product: the float64 symbol is its rounding, to a few ulps
         assert np.max(np.abs(col.astype(float) - prolate_symbol(300, w).col)) <= 4e-16
 
 
 class TestProlateSymbol:
+    @pytest.mark.parametrize("w", [0.1, 0.25, 1.0 / 3.0, 0.45])
+    def test_sines_reduced_from_the_exact_product(self, w):
+        col = prolate_symbol(2**16, w).col
+        assert _sine_errors(col, w, _LARGE_OFFSETS).max() <= 1e-15
+
     def test_diagonal_value(self):
         for w in (0.1, 0.25, 0.49):
             assert prolate_symbol(4, w).col[0] == 2 * w

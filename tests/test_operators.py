@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from prolate.dpss import PreconditionViolated, default_subspace_dim, slepian_plan, transition_eigenpairs
 from prolate.fft_kernels import PartialFourier, ToeplitzOperator
@@ -36,6 +37,7 @@ from oracles import (
     projection_oracle,
     tikhonov_oracle,
 )
+from strategies import fslt_bytes
 
 
 class TestSlepianParams:
@@ -491,6 +493,26 @@ class TestVersion1:
                 operator_from_bytes(blob)
             except FactorFileError:
                 pass
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=fslt_bytes())
+    def test_any_bytes_load_or_raise_a_file_error(self, data):
+        try:
+            op = operator_from_bytes(data)
+        except FactorFileError:
+            return
+        assert op.kind in (1, 2, 3, 4)
+        if op.kind == 4:
+            assert 0.0 < op.alpha < math.inf
+
+    def test_header_values_outside_domain_are_file_errors(self):
+        blob = bytes(operator_to_bytes(FastTikhonov.build(SlepianParams.create(48, 0.25, 1e-3), 1e-2)))
+        for alpha in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(FactorFileError, match="regularization weight"):
+                operator_from_bytes(blob[:32] + struct.pack("<d", alpha) + blob[40:])
+        # the stored error bound, at offset 56, follows the kind and its padding
+        with pytest.raises(FactorFileError, match="error bound disagrees"):
+            operator_from_bytes(blob[:56] + struct.pack("<d", math.nan) + blob[64:])
 
     def test_rank_zero_header_capped(self):
         n = MAX_EMPTY_N + 1
