@@ -1,8 +1,10 @@
 """Batch experiment driver: eigenvalue gap counts, timings, extension demos, factor files.
 
-Every subcommand emits RFC-4180-style CSV (UTF-8, LF, header row) to --out
-(stdout by default).  Outputs are deterministic for a fixed --seed except
-the timing columns.  Exit codes: 0 success, 1 validation error, 2 IO error.
+The experiment subcommands emit RFC-4180-style CSV (UTF-8, LF, header row)
+to --out (stdout by default), precompute writes a factor file there and
+load-check prints one summary line.  Outputs are deterministic (for a fixed
+--seed where inputs are drawn) except the timing columns.  Exit codes: 0
+success, 1 validation error, 2 IO error.
 """
 
 from __future__ import annotations
@@ -50,13 +52,11 @@ _MODES = {
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Cartesian experiment grid with a repetition count and an RNG seed."""
+    """Cartesian experiment grid over signal lengths, half-bandwidths and tolerances."""
 
     n_values: tuple[int, ...]
     w_values: tuple[float, ...]
     eps_values: tuple[float, ...]
-    trials: int
-    seed: int
 
     def __post_init__(self):
         if any(n < 2 for n in self.n_values):
@@ -65,8 +65,6 @@ class ExperimentGrid:
             raise ValueError("half-bandwidths must lie in (0, 1/2)")
         if any(not 0.0 < e < 0.5 for e in self.eps_values):
             raise ValueError("tolerances must lie in (0, 1/2)")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
 
     def points(self):
         for n in self.n_values:
@@ -96,22 +94,19 @@ def _build_parser():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=12345, help="RNG seed (default 12345)")
-    common.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
-    common.add_argument(
-        "--dense-guard",
-        type=int,
-        default=DENSE_GUARD,
-        help=f"largest n for dense comparisons (default {DENSE_GUARD})",
-    )
-    common.add_argument("--trials", type=int, default=3, help="timing repetitions (default 3)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=12345, help="RNG seed (default 12345)")
+    guard = argparse.ArgumentParser(add_help=False)
+    guard.add_argument("--dense-guard", type=int, default=DENSE_GUARD,
+                       help=f"largest n for dense comparisons (default {DENSE_GUARD})")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
         "gap-count",
-        parents=[common],
+        parents=[out],
         help="count eigenvalues between the cluster plateaus",
         description="CSV columns: n, w, eps, count (eigenvalues strictly inside "
         "(eps, 1-eps)), cor1_bound ((8/pi^2 log(8n)+12) log(15/eps)), asymptotic "
@@ -123,7 +118,7 @@ def _build_parser():
 
     p = sub.add_parser(
         "bench",
-        parents=[common],
+        parents=[out, seed, guard],
         help="setup/apply timings for the fast operators",
         description="CSV columns: n, w, eps, mode, setup_seconds, apply_seconds, "
         "dense_apply_seconds (blank above --dense-guard).  Medians over --trials.",
@@ -133,10 +128,11 @@ def _build_parser():
     p.add_argument("--w", type=_float_list, default=(0.25,))
     p.add_argument("--eps", type=_float_list, default=(1e-6,))
     p.add_argument("--alpha", type=float, default=1e-2, help="tikhonov weight (default 1e-2)")
+    p.add_argument("--trials", type=int, default=3, help="timing repetitions (default 3)")
 
     p = sub.add_parser(
         "fourier-ext",
-        parents=[common],
+        parents=[out, seed],
         help="Gibbs-suppression comparison on the extension least-squares problem",
         description="CSV columns: m, method (fourier | ext_exact_pinv | ext_fast_pinv | "
         "ext_exact_tik | ext_fast_tik), rel_rms (relative RMS error on a uniform "
@@ -152,7 +148,7 @@ def _build_parser():
 
     p = sub.add_parser(
         "linear-predict",
-        parents=[common],
+        parents=[out, guard],
         help="one-step linear prediction of a bandlimited process",
         description="CSV columns: n, w, eps, coeff_l2, coeff_linf, topk_residual "
         "(norm of B a - b on the leading-k eigenspace; blank above --dense-guard).",
@@ -163,7 +159,7 @@ def _build_parser():
 
     p = sub.add_parser(
         "precompute",
-        parents=[common],
+        parents=[out],
         help="build an operator and persist its factors",
         description="Writes the binary factor file to --out (required, not '-').",
     )
@@ -176,7 +172,6 @@ def _build_parser():
 
     p = sub.add_parser(
         "load-check",
-        parents=[common],
         help="load a factor file, verify it round-trips, print a summary",
     )
     p.add_argument("path")
@@ -208,7 +203,7 @@ def _fmt(x):
 
 
 def _cmd_gap_count(args):
-    grid = ExperimentGrid(args.n, args.w, args.eps, args.trials, args.seed)
+    grid = ExperimentGrid(args.n, args.w, args.eps)
     rows = []
     for n, w, eps in grid.points():
         count = transition_count(n, w, eps)
@@ -237,7 +232,9 @@ def _median_time(fn, trials, reset=lambda: None):
 
 
 def _cmd_bench(args):
-    grid = ExperimentGrid(args.n, args.w, args.eps, args.trials, args.seed)
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
+    grid = ExperimentGrid(args.n, args.w, args.eps)
     modes = args.mode or sorted(_MODES)
     seeds = np.random.SeedSequence(args.seed).spawn(len(list(grid.points())) * len(modes))
     rows = []
@@ -290,7 +287,7 @@ def prediction_rhs(n: int, w: float) -> np.ndarray:
 
 
 def _cmd_linear_predict(args):
-    grid = ExperimentGrid(args.n, args.w, args.eps, args.trials, args.seed)
+    grid = ExperimentGrid(args.n, args.w, args.eps)
     rows = []
     for n, w, eps in grid.points():
         b = prediction_rhs(n, w)
@@ -325,10 +322,7 @@ def _cmd_load_check(args):
     with open(args.path, "rb") as fh:
         original = fh.read()
     op = operator_from_bytes(original)
-    encoded = operator_to_bytes(op)
-    if encoded[4:8] != original[4:8]:  # an earlier version, converted on load: its conversion must round-trip
-        original, encoded = encoded, operator_to_bytes(operator_from_bytes(encoded))
-    if encoded != original:
+    if operator_to_bytes(op) != original:
         raise FactorFileError("file does not round-trip bit-identically")
     print(describe_operator(op))
     return 0

@@ -79,8 +79,10 @@ _EPS_EXT = float(np.finfo(np.longdouble).eps)
 # bisection stops at this fraction of the gap estimate; inverse iteration from
 # there gives the full-precision solve's vectors to 2e-14 at n = 2^16 (1.4e-13 at 2^18)
 _ISOLATION = 1e-5
-# columns per longdouble transform, bounding its complex256 workspace
-_EXT_CHUNK = 16
+# columns per block transform, bounding its workspace (complex256 for the longdouble one)
+_BLOCK_COLS = 16
+# most eigenpairs a transition window may request, solved or held
+_MAX_PAIRS = 4096
 
 
 class PreconditionViolated(ValueError):
@@ -287,7 +289,9 @@ class SlepianPlan:
         bisection stops at _ISOLATION of the gap estimate.  If those
         eigenvalues are not isolated by the estimate (_isolated), the range is
         solved again with the bisection run to full precision.  The half
-        vectors are then mirrored into place.
+        vectors are then mirrored into place, and their quotients taken
+        _BLOCK_COLS rows per transform: one transform of the whole range
+        would hold about four times its size in buffers.
         """
         n = self.n
         rows = mapped_rows(last - first + 1, n)
@@ -316,7 +320,8 @@ class SlepianPlan:
             if n % 2 and parity == 0:
                 out[:, p] = half[:, p]
         _fix_signs(rows.T)
-        lams = np.einsum("ij,ij->j", rows.T, self.b_op.apply_block(rows.T))
+        blocks = (rows[j:j + _BLOCK_COLS].T for j in range(0, len(rows), _BLOCK_COLS))
+        lams = np.concatenate([np.einsum("ij,ij->j", v, self.b_op.apply_block(v)) for v in blocks])
         return rows, np.array([_clamp_eigenvalue(float(x)) for x in lams])
 
 
@@ -382,7 +387,7 @@ def _window_edges(lams, lo, hi):
     return start, start + (int(at_or_below_lo[0]) if at_or_below_lo.size else lams.size - start)
 
 
-def transition_window(n, w, lo, hi, max_pairs=4096):
+def transition_window(n, w, lo, hi):
     """All consecutive eigenpairs with lo < lam < hi, taken from slepian_plan(n, w).
 
     Returns (start_index, lams, vectors), the vectors column-major, all three
@@ -393,8 +398,8 @@ def transition_window(n, w, lo, hi, max_pairs=4096):
     range grow in chunks of 16, 32, ... on that side.  Eigenvalues below the float noise floor cannot be told
     apart from zero (see quotient_error), so a low threshold below that ends
     the window wherever a noisy value first falls to it; a caller that needs
-    that edge placed honestly re-decides it with refine_window.  max_pairs
-    caps the requested range, solved or held.
+    that edge placed honestly re-decides it with refine_window.  The
+    requested range is capped at _MAX_PAIRS.
     """
     empty = np.zeros(0), np.zeros((n, 0))
     if lo >= hi or hi <= 0.0 or lo >= 1.0:
@@ -403,9 +408,9 @@ def transition_window(n, w, lo, hi, max_pairs=4096):
     first, last = _predicted_range(n, w, lo, hi)
     chunk = 16
     while True:
-        if last - first + 1 > max_pairs:
+        if last - first + 1 > _MAX_PAIRS:
             raise RuntimeError(
-                f"transition window exceeded {max_pairs} eigenpairs for n={n}, "
+                f"transition window exceeded {_MAX_PAIRS} eigenpairs for n={n}, "
                 f"thresholds ({lo:g}, {hi:g}); thresholds are likely below "
                 "the eigenvalue resolution of double precision"
             )
@@ -468,10 +473,10 @@ def rayleigh_extended(vecs: np.ndarray, n: int, w: float) -> np.ndarray:
     fft_len = next_pow2(2 * n)
     half = np.fft.rfft(circulant_embedding(prolate_column_extended(n, w), fft_len)).real
     out = np.empty(vecs.shape[1])
-    for j in range(0, vecs.shape[1], _EXT_CHUNK):
-        v = vecs[:, j:j + _EXT_CHUNK].astype(np.longdouble)
+    for j in range(0, vecs.shape[1], _BLOCK_COLS):
+        v = vecs[:, j:j + _BLOCK_COLS].astype(np.longdouble)
         bv = np.fft.irfft(half[:, None] * np.fft.rfft(v, n=fft_len, axis=0), n=fft_len, axis=0)[:n]
-        out[j:j + _EXT_CHUNK] = np.einsum("ij,ij->j", v, bv) / np.einsum("ij,ij->j", v, v)
+        out[j:j + _BLOCK_COLS] = np.einsum("ij,ij->j", v, bv) / np.einsum("ij,ij->j", v, v)
     return np.array([_clamp_eigenvalue(float(x)) for x in out])
 
 

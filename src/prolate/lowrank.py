@@ -24,6 +24,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from .dpss import (
     TransitionEigenSet,
@@ -37,7 +38,6 @@ from .dpss import (
 from .fft_kernels import nearest_odd_integer
 
 __all__ = [
-    "AdiConfig",
     "LowRankFactor",
     "PolynomialKernelFactor",
     "adi_rank",
@@ -45,7 +45,6 @@ __all__ = [
     "jacobi_dn",
     "cfadi_solve",
     "hilbert_factor",
-    "zeta_even",
     "sinc_alias_factor",
     "bandwidth_shift_factor",
     "fourier_correction_factor",
@@ -323,36 +322,6 @@ def adi_shifts(a: float, b: float, r: int) -> np.ndarray:
     return b * jacobi_dn(u, one_minus_m)
 
 
-@dataclass(frozen=True)
-class AdiConfig:
-    """A planned ADI iteration: spectrum bounds, count and shifts."""
-
-    a: float
-    b: float
-    r: int
-    shifts: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 < self.a <= self.b:
-            raise ValueError(f"need 0 < a <= b, got a={self.a}, b={self.b}")
-        if self.r < 1 or self.shifts.shape != (self.r,):
-            raise ValueError("shift count must match the iteration count")
-        if np.any(self.shifts < self.a - 1e-12) or np.any(self.shifts > self.b + 1e-12):
-            raise ValueError("shifts must lie inside [a, b]")
-
-    @property
-    def kappa(self) -> float:
-        return self.b / self.a
-
-    @classmethod
-    def plan(cls, a: float, b: float, delta: float) -> "AdiConfig":
-        """Pick the certified iteration count for relative error delta, then the shifts."""
-        if not 0.0 < a <= b:
-            raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
-        r = adi_rank(b / a, delta)
-        return cls(a=a, b=b, r=r, shifts=adi_shifts(a, b, r))
-
-
 def cfadi_solve(a_diag: np.ndarray, b_col: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Low-rank factor Z with Z Z' approximating the solution of A X + X A' = b b'.
 
@@ -386,33 +355,12 @@ def hilbert_factor(n: int, delta_h: float) -> np.ndarray:
         raise ValueError(f"dimension must be positive, got {n}")
     if delta_h <= 0.0:
         raise ValueError(f"tolerance must be positive, got {delta_h}")
-    delta = min(delta_h / math.pi, 1.0)
-    config = AdiConfig.plan(0.5, n - 0.5, delta)
-    return cfadi_solve(np.arange(n) + 0.5, np.ones(n), config.shifts)
+    r = adi_rank(2 * n - 1, min(delta_h / math.pi, 1.0))
+    return cfadi_solve(np.arange(n) + 0.5, np.ones(n), adi_shifts(0.5, n - 0.5, r))
 
 
 # ---------------------------------------------------------------------------
 # Taylor factors for the two smooth difference kernels
-
-
-def zeta_even(k: int) -> float:
-    """zeta(2k) by closed form for small k, direct summation with a tail bound after."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    closed = {
-        1: math.pi**2 / 6.0,
-        2: math.pi**4 / 90.0,
-        3: math.pi**6 / 945.0,
-        4: math.pi**8 / 9450.0,
-    }
-    if k in closed:
-        return closed[k]
-    s = 2 * k
-    # tail after q terms is below q^(1-s)/(s-1); push it under 1e-17
-    q = int(math.ceil((1e-17 * (s - 1)) ** (1.0 / (1 - s))))
-    q = min(max(q, 8), 10**6)
-    terms = (np.arange(q, 0, -1, dtype=float)) ** (-s)
-    return float(math.fsum(terms))
 
 
 @dataclass(frozen=True)
@@ -441,14 +389,6 @@ def _binomial_expand(coeffs_by_degree, n, width):
     return c
 
 
-def _sinc_terms(tol):
-    return max(int(math.ceil(math.log(2.0 / (3.0 * math.pi * tol)) / (2.0 * math.log(2.0)))), 0)
-
-
-def _shift_terms(tol):
-    return max(int(math.ceil(math.log(3.0 / (2.0 * tol)) / (2.0 * math.log(6.0 / math.pi)))), 1)
-
-
 def sinc_alias_factor(n: int, tol: float) -> PolynomialKernelFactor:
     """Low-rank factor of the odd residual kernel left after unfolding the Hilbert part.
 
@@ -461,13 +401,13 @@ def sinc_alias_factor(n: int, tol: float) -> PolynomialKernelFactor:
         raise ValueError(f"dimension must be positive, got {n}")
     if not 0.0 < tol < 8.0 / (3.0 * math.pi):
         raise ValueError(f"tolerance must lie in (0, 8/(3 pi)), got {tol}")
-    r = _sinc_terms(tol)
+    r = max(int(math.ceil(math.log(2.0 / (3.0 * math.pi * tol)) / (2.0 * math.log(2.0)))), 0)
     width = 2 * r
     grid = (np.arange(n, dtype=float) / n)[:, None]
     basis = grid ** np.arange(width)[None, :] if width else np.zeros((n, 0))
     by_degree = []
     for k in range(1, r + 1):
-        a_k = (2.0 / (n * math.pi)) * (1.0 - (1.0 - 2.0 ** (1 - 2 * k)) * zeta_even(k))
+        a_k = (2.0 / (n * math.pi)) * (1.0 - (1.0 - 2.0 ** (1 - 2 * k)) * scipy.special.zeta(2 * k))
         by_degree.append((2 * k - 1, a_k))
     coeffs = _binomial_expand(by_degree, n, width)
     bound = (2.0 / (3.0 * math.pi)) * 4.0 ** (-r)
@@ -487,7 +427,7 @@ def bandwidth_shift_factor(n: int, w: float, w_prime: float, tol: float) -> Poly
         raise ValueError("w' must round 2nw to a neighboring odd integer")
     if not 0.0 < tol < 1.5:
         raise ValueError(f"tolerance must lie in (0, 3/2), got {tol}")
-    r = _shift_terms(tol)
+    r = max(int(math.ceil(math.log(3.0 / (2.0 * tol)) / (2.0 * math.log(6.0 / math.pi)))), 1)
     width = 2 * r - 1
     grid = (np.arange(n, dtype=float) / n)[:, None]
     basis = grid ** np.arange(width)[None, :]
@@ -527,22 +467,11 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> LowRankFactor
     if not 0.0 < w < 0.5:
         raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
     w_prime = nearest_odd_integer(2.0 * n * w) / (2.0 * n)
-    delta_h, delta_taylor = _fourier_tolerances(epsilon)
+    delta_h, delta_taylor = 4.0 * math.pi / 15.0 * epsilon, 7.0 / 30.0 * epsilon
     z = hilbert_factor(n, delta_h)
     odd = sinc_alias_factor(n, delta_taylor)
     even = bandwidth_shift_factor(n, w, w_prime, delta_taylor)
     return LowRankFactor.fourier(w, (z, odd.basis, odd.basis @ odd.coeffs.T, even.basis, even.basis @ even.coeffs.T))
-
-
-def _fourier_tolerances(epsilon):
-    return 4.0 * math.pi / 15.0 * epsilon, 7.0 / 30.0 * epsilon
-
-
-def fourier_widths(n: int, epsilon: float):
-    """Widths of the Fourier correction's z, va and vb blocks at (n, epsilon), found without building them."""
-    delta_h, delta_taylor = _fourier_tolerances(epsilon)
-    z_width = adi_rank(2 * n - 1, min(delta_h / math.pi, 1.0))
-    return z_width, 2 * _sinc_terms(delta_taylor), 2 * _shift_terms(delta_taylor) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from .fft_kernels import PartialFourier, nearest_odd_integer
 from .lowrank import (
     LowRankFactor,
     fourier_correction_factor,
-    fourier_steps,
-    fourier_widths,
     pinv_correction,
     projection_correction,
     tikhonov_correction,
@@ -273,20 +271,18 @@ class FastFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: magic "FSLT", little-endian; version 2 is written, versions 1 and 2 are read.
-# Version 2: "FSLT", u32 version, u64 n, f64 w, f64 epsilon, f64 alpha, u64 k, u8 kind, 7 pad
-# bytes, f64 error bound; a record header per correction (the factorization: Fourier, then
-# spectral; other kinds: spectral), a u64 weight count and a u64 width per block (spectral: V;
-# Fourier: z, va, va ca^T, vb, vb cb^T); then per record its weights and its n x width blocks,
-# column-major float64, every offset a multiple of 8.  Version 1 held the dense factor halves:
-# the header unpadded, a (u64 rank, u8 complex flag) per half, then the halves column-major.
+# Persistence: magic "FSLT", little-endian, version 2 only.
+# "FSLT", u32 version, u64 n, f64 w, f64 epsilon, f64 alpha, u64 k, u8 kind, 7 pad bytes,
+# f64 error bound; a record header per correction (the factorization: Fourier, then spectral;
+# other kinds: spectral), a u64 weight count and a u64 width per block (spectral: V; Fourier:
+# z, va, va ca^T, vb, vb cb^T); then per record its weights and its n x width blocks,
+# column-major float64, every offset a multiple of 8.
 
 
 _MAGIC, _VERSION = b"FSLT", 2
 _KIND_NAMES = {1: "projector", 2: "factorization", 3: "pinv", 4: "tikhonov"}
 _RECORDS = {1: ("spectral",), 2: ("fourier", "spectral"), 3: ("spectral",), 4: ("spectral",)}
 _BLOCKS = {"spectral": 1, "fourier": 5}
-_V1_HALVES = {1: 2, 2: 4, 3: 2, 4: 1}
 # largest n a file without stored columns may name: its length cannot bound n
 MAX_EMPTY_N = 1 << 20
 
@@ -300,7 +296,7 @@ class BadMagicError(FactorFileError):
 
 
 class UnsupportedVersionError(FactorFileError):
-    pass
+    """A format version other than 2; rebuild a version-1 file with `prolate precompute`."""
 
 
 class TruncatedFileError(FactorFileError):
@@ -346,12 +342,12 @@ class _Reader:
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def arrays(self, n, shapes, dtypes):
-        """Read-only views of the arrays that must fill the rest of the file, checked before any is read.
+    def arrays(self, n, shapes):
+        """Read-only float64 views of the arrays that must fill the rest of the file, checked before any is read.
 
         Without a stored column the file's length cannot bound n, so n is capped at MAX_EMPTY_N.
         """
-        sizes = [math.prod(shape) * np.dtype(dt).itemsize for shape, dt in zip(shapes, dtypes)]
+        sizes = [8 * math.prod(shape) for shape in shapes]
         if sum(sizes) != len(self.data) - self.pos:
             if sum(sizes) > len(self.data) - self.pos:
                 raise TruncatedFileError("file truncated while reading factor data")
@@ -360,81 +356,49 @@ class _Reader:
             raise FactorFileError(f"header size n={n} is too large to rebuild: a file without "
                                   f"stored columns may name n up to {MAX_EMPTY_N}")
         out = []
-        for shape, dt, size in zip(shapes, dtypes, sizes):
-            raw = np.frombuffer(self.data, dt, math.prod(shape), self.pos) if size else np.zeros(0, dt)
+        for shape, size in zip(shapes, sizes):
+            raw = np.frombuffer(self.data, "<f8", math.prod(shape), self.pos) if size else np.zeros(0)
             out.append(raw.reshape(shape, order="F"))
             self.pos += size
         return out
 
 
-def _from_v1(kind, params, halves) -> list:
-    """The dense version-1 halves in the structured form; the eigen halves (u1, u2) must agree up to column signs."""
-    out = []
-    if kind == 2:
-        # [s d_a z, -s d_a Jz, -s d_a* z, s d_a* Jz, d_a va/2i, -d_a* va/2i, d_b vb/2, d_b* vb/2] and
-        # [d_a Jz, d_a z, d_a* Jz, d_a* z, d_a va ca^T, d_a* va ca^T, d_b vb cb^T, d_b* vb cb^T]
-        left, right = halves[:2]
-        rz, ra, rb = fourier_widths(params.n, params.epsilon)
-        if left.shape[1] != 4 * rz + 2 * ra + 2 * rb or not np.iscomplexobj(left) or not np.iscomplexobj(right):
-            raise FactorFileError("version-1 Fourier factor does not match the rank its header implies")
-        m = np.arange(params.n)
-        a, b = (np.exp(-1j * step * m)[:, None] for step in fourier_steps(params.n, params.w))
-        ta, tb = 4 * rz, 4 * rz + 2 * ra
-        # z = Re(d_a* d_a z), va = Re(2i d_a* (d_a va/2i)), ..., each read off one group
-        groups = ((a, right, rz, rz, 1), (a, left, ta, ra, 2j), (a, right, ta, ra, 1), (b, left, tb, rb, 2),
-                  (b, right, tb, rb, 1))
-        out.append(LowRankFactor.fourier(params.w, tuple((d * h[:, i:i + r] * f).real for d, h, i, r, f in groups)))
-        halves = halves[2:]
-    u1, u2 = halves[0], halves[-1]
-    if np.iscomplexobj(u1) or np.iscomplexobj(u2):
-        raise FactorFileError("version-1 eigen factor is complex")
-    same = np.all(u1 == u2, axis=0)
-    if not np.all(same | np.all(u1 == -u2, axis=0)):
-        raise FactorFileError("version-1 eigen factor: second block is not a signed copy of the first")
-    return out + [LowRankFactor.spectral(np.array(u2, order="F"), np.where(same, 1.0, -1.0))]
-
-
 def operator_from_bytes(data):
-    """Rebuild an operator; the fast transforms and the Fourier phases are recomputed from (n, w).
+    """Rebuild an operator from FSLT version 2, recomputing the fast transforms and Fourier phases from (n, w).
 
-    The header is bounded before anything is allocated.  A version-2
-    operator's blocks are read-only views of data (copied first unless it is
-    bytes); a version-1 file's dense halves are converted to the structured form.
+    The header is bounded before anything is allocated.  The blocks are
+    read-only views of data, so loading bytes allocates nothing in proportion
+    to the file: past the views, a load allocates the Toeplitz part of
+    slepian_plan(n, w) when that plan is not held yet (about 8 x 8n bytes,
+    mostly its transform) and a few KB otherwise; the factorization takes no
+    plan.  Any other buffer, such as a bytearray, is first copied to bytes:
+    one more copy of the file.
     """
     data = bytes(data)
     r = _Reader(data)
     if r.take(4, "magic") != _MAGIC:
         raise BadMagicError("bad magic: not a persisted-factor file")
     (version,) = r.unpack("<I", "version")
-    if version not in (1, _VERSION):
-        raise UnsupportedVersionError(f"unsupported format version {version}")
-    n, w, epsilon, alpha, k, kind = r.unpack("<QdddQB", "header")
+    if version != _VERSION:
+        raise UnsupportedVersionError(f"unsupported format version {version}; only version {_VERSION} is read")
+    n, w, epsilon, alpha, k, kind = r.unpack("<QdddQB7x", "header")
     if kind not in _KIND_NAMES:
         raise FactorFileError(f"unknown operator kind {kind}")
-    r.take(7 if version == _VERSION else 0, "header")
     (error_bound,) = r.unpack("<d", "error bound")
-    if version == _VERSION:
-        heads = [r.unpack(f"<{1 + _BLOCKS[rec]}Q", "record header") for rec in _RECORDS[kind]]
-        shapes = [shape for h in heads for shape in [(h[0],)] + [(n, width) for width in h[1:]]]
-        stored = r.arrays(n, shapes, ["<f8"] * len(shapes))
-    else:
-        heads = [r.unpack("<QB", "factor header") for _ in range(_V1_HALVES[kind])]
-        stored = r.arrays(n, [(n, rank) for rank, _ in heads], ["<c16" if flag else "<f8" for _, flag in heads])
+    heads = [r.unpack(f"<{1 + _BLOCKS[rec]}Q", "record header") for rec in _RECORDS[kind]]
+    stored = r.arrays(n, [shape for h in heads for shape in [(h[0],)] + [(n, width) for width in h[1:]]])
 
     # a header that passes the format checks can still name an impossible
     # operator (w outside (0, 1/2), mismatched ranks) or one too large to rebuild
     try:
         params = SlepianParams.create(int(n), float(w), float(epsilon), k=int(k))
-        if version == _VERSION:
-            corrections = []
-            for rec in _RECORDS[kind]:
-                weights, blocks, stored = stored[0], stored[1:1 + _BLOCKS[rec]], stored[1 + _BLOCKS[rec]:]
-                if rec == "fourier" and weights.size:
-                    raise ValueError("a Fourier record holds no weights")
-                corrections.append(LowRankFactor.spectral(blocks[0], weights) if rec == "spectral"
-                                   else LowRankFactor.fourier(params.w, blocks))
-        else:
-            corrections = _from_v1(kind, params, stored)
+        corrections = []
+        for rec in _RECORDS[kind]:
+            weights, blocks, stored = stored[0], stored[1:1 + _BLOCKS[rec]], stored[1 + _BLOCKS[rec]:]
+            if rec == "fourier" and weights.size:
+                raise ValueError("a Fourier record holds no weights")
+            corrections.append(LowRankFactor.spectral(blocks[0], weights) if rec == "spectral"
+                               else LowRankFactor.fourier(params.w, blocks))
         if kind == 2:
             op = FastFactorization(params, PartialFourier(params.n, params.w), *corrections)
         else:

@@ -6,7 +6,6 @@ Expensive spectral data is cached per (n, w).
 """
 
 import math
-import struct
 from functools import lru_cache
 
 import numpy as np
@@ -306,26 +305,3 @@ def factor_dense(f):
     left, right = factor_halves(f)
     return left @ right.conj().T
 
-
-def v1_bytes(op):
-    """op in the FSLT version-1 layout: its dense factor halves, column-major, re/im interleaved.
-
-    The projector and the pseudoinverse stored (u1, u2) with u1 = u2 up to
-    column signs, Tikhonov one symmetric half, the factorization the
-    Fourier correction's complex halves before its eigen halves.
-    """
-    p = op.params
-    if op.kind == 2:
-        halves = [*factor_halves(op.l), *factor_halves(op.u)]
-    elif op.kind == 4:
-        halves = [factor_halves(op.u)[1]]
-    else:
-        halves = list(factor_halves(op.u))
-    out = [b"FSLT", struct.pack("<I", 1),
-           struct.pack("<QdddQB", p.n, p.w, p.epsilon, getattr(op, "alpha", 0.0), p.k, op.kind),
-           struct.pack("<d", op.error_bound)]
-    out += [struct.pack("<QB", h.shape[1], int(np.iscomplexobj(h))) for h in halves]
-    for h in halves:
-        flat = h.ravel(order="F")
-        out.append((flat.astype("<c16").view("<f8") if np.iscomplexobj(h) else flat.astype("<f8")).tobytes())
-    return b"".join(out)

@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 from prolate.operators import FastFactorization, FastProjector, FastPseudoinverse, FastTikhonov, SlepianParams
 from prolate.operators import operator_to_bytes
 
-from oracles import v1_bytes
-
 # the fixed-width fields from n on: the header's u64 and f64 fields, the error bound and the record headers
 _FIELDS = range(8, 96)
 
 
 @lru_cache(maxsize=1)
 def small_fslt_files():
-    """FSLT files of every kind at n = 48 (w = 1/4, eps = 1e-3, alpha = 1e-2), version 2 then version 1."""
+    """FSLT files of every kind at n = 48 (w = 1/4, eps = 1e-3, alpha = 1e-2)."""
     params = SlepianParams.create(48, 0.25, 1e-3)
     built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
              FastTikhonov.build(params, 1e-2)]
-    return tuple(bytes(operator_to_bytes(op)) for op in built) + tuple(v1_bytes(op) for op in built)
+    return tuple(bytes(operator_to_bytes(op)) for op in built)
 
 
 @st.composite

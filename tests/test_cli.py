@@ -12,14 +12,12 @@ from prolate.fourier_ext import FourierExtensionConfig, SyntheticTarget, run_fou
 from prolate.operators import (
     MAX_EMPTY_N,
     FactorFileError,
-    FastFactorization,
-    FastProjector,
     FastPseudoinverse,
     SlepianParams,
     operator_from_bytes,
 )
 
-from oracles import eig_dense, pinv_oracle, prolate_dense, v1_bytes
+from oracles import eig_dense, pinv_oracle, prolate_dense
 from strategies import fslt_bytes
 
 
@@ -223,22 +221,26 @@ class TestPrecomputeAndLoad:
         run_cli(["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-3", "--kind", "project",
                  "--out", str(path)], capsys)
         data = path.read_bytes()
-        path.write_bytes(data[:4] + struct.pack("<I", 99) + data[8:])
-        rc, _, err = run_cli(["load-check", str(path)], capsys)
-        assert rc == 2 and "version" in err
+        # version 99, and a rank-0 version-1 projector as that version laid it out
+        v1 = (b"FSLT" + struct.pack("<I", 1) + struct.pack("<QdddQB", 64, 0.25, 1e-3, 0.0, 32, 1)
+              + struct.pack("<d", 1e-3) + struct.pack("<QB", 0, 0) * 2)
+        for blob in (data[:4] + struct.pack("<I", 99) + data[8:], v1):
+            path.write_bytes(blob)
+            rc, _, err = run_cli(["load-check", str(path)], capsys)
+            assert rc == 2 and "version" in err and "Traceback" not in err
         path.write_bytes(data[:-16])
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "truncated" in err
 
     def test_huge_header_size_is_io_error(self, tmp_path, capsys):
-        # rank-0 factors keep the file at 75 bytes while its header asks for n = 2^40
+        # a rank-0 record keeps the file at 80 bytes while its header asks for n = 2^40
         import struct
 
         path = tmp_path / "op.fslt"
-        path.write_bytes(b"FSLT" + struct.pack("<I", 1)
-                         + struct.pack("<QdddQB", 1 << 40, 0.25, 1e-6, 0.0, 0, 1)
-                         + struct.pack("<d", 1e-6) + struct.pack("<QB", 0, 0) * 2)
-        assert path.stat().st_size == 75
+        path.write_bytes(b"FSLT" + struct.pack("<I", 2)
+                         + struct.pack("<QdddQB7x", 1 << 40, 0.25, 1e-6, 0.0, 0, 1)
+                         + struct.pack("<d", 1e-6) + struct.pack("<QQ", 0, 0))
+        assert path.stat().st_size == 80
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "too large" in err
 
@@ -248,13 +250,10 @@ class TestPrecomputeAndLoad:
 
         head = struct.pack("<QdddQB", MAX_EMPTY_N + 1, 0.25, 0.49, 0.0, 0, 1)
         path = tmp_path / "op.fslt"
-        for blob in (
-            b"FSLT" + struct.pack("<I", 1) + head + struct.pack("<d", 0.49) + struct.pack("<QB", 0, 0) * 2,
-            b"FSLT" + struct.pack("<I", 2) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQ", 0, 0),
-        ):
-            path.write_bytes(blob)
-            rc, _, err = run_cli(["load-check", str(path)], capsys)
-            assert rc == 2 and "too large" in err
+        path.write_bytes(b"FSLT" + struct.pack("<I", 2) + head + bytes(7) + struct.pack("<d", 0.49)
+                         + struct.pack("<QQ", 0, 0))
+        rc, _, err = run_cli(["load-check", str(path)], capsys)
+        assert rc == 2 and "too large" in err
 
     def test_describes_each_correction_rank(self, tmp_path, capsys):
         want = {
@@ -273,18 +272,6 @@ class TestPrecomputeAndLoad:
             assert rc == 0 and err.strip() == line
             rc, out, _ = run_cli(["load-check", str(path)], capsys)
             assert rc == 0 and out.strip() == line
-
-    def test_version_1_files(self, tmp_path, capsys):
-        params = SlepianParams.create(64, 0.25, 1e-3)
-        path = tmp_path / "old.fslt"
-        for op in (FastProjector.build(params), FastFactorization.build(params)):
-            path.write_bytes(v1_bytes(op))
-            rc, out, _ = run_cli(["load-check", str(path)], capsys)
-            assert rc == 0 and out.startswith(("projector", "factorization"))
-        # an eigen factor whose second half is not a signed copy of the first
-        path.write_bytes(v1_bytes(op)[:-8] + bytes(8))
-        rc, _, err = run_cli(["load-check", str(path)], capsys)
-        assert rc == 2 and "signed copy" in err
 
     def test_header_outside_domain_is_io_error(self, tmp_path, capsys):
         import struct
@@ -325,3 +312,11 @@ class TestPrecomputeAndLoad:
     def test_bad_usage_is_validation_error(self, capsys):
         rc, _, _ = run_cli(["bench", "--mode", "warp"], capsys)
         assert rc == 1
+
+    def test_each_subcommand_takes_only_the_options_it_reads(self, capsys):
+        for argv in (["gap-count", "--seed", "1"], ["gap-count", "--trials", "2"], ["linear-predict", "--seed", "1"],
+                     ["fourier-ext", "--dense-guard", "8"], ["load-check", "--out", "x.csv", "op.fslt"]):
+            rc, _, err = run_cli(argv, capsys)
+            assert rc == 1 and "unrecognized arguments" in err, argv
+        rc, _, err = run_cli(["bench", "--trials", "0"], capsys)
+        assert rc == 1 and "trials must be at least 1" in err

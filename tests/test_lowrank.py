@@ -8,7 +8,6 @@ from prolate import lowrank
 from prolate.dpss import transition_eigenpairs
 from prolate.fft_kernels import PartialFourier, nearest_odd_integer
 from prolate.lowrank import (
-    AdiConfig,
     LowRankFactor,
     adi_rank,
     adi_shifts,
@@ -22,7 +21,6 @@ from prolate.lowrank import (
     sinc_alias_factor,
     correction_rank_budget,
     tikhonov_correction,
-    zeta_even,
 )
 
 from oracles import (
@@ -105,23 +103,6 @@ class TestAdiShifts:
             adi_shifts(1.0, 2.0, 0)
 
 
-class TestAdiConfig:
-    def test_plan_bundles_rank_and_shifts(self):
-        cfg = AdiConfig.plan(0.5, 127.5, 1e-6)
-        assert cfg.r == adi_rank(255.0, 1e-6)
-        assert cfg.kappa == 255.0
-        assert np.array_equal(cfg.shifts, adi_shifts(0.5, 127.5, cfg.r))
-        assert shift_quality(cfg.a, cfg.b, cfg.shifts) <= 1e-6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdiConfig.plan(-1.0, 2.0, 1e-3)
-        with pytest.raises(ValueError):
-            AdiConfig(a=1.0, b=2.0, r=3, shifts=np.array([1.5, 1.5]))
-        with pytest.raises(ValueError):
-            AdiConfig(a=1.0, b=2.0, r=1, shifts=np.array([5.0]))
-
-
 class TestCfadi:
     def test_scalar_exact(self):
         z = cfadi_solve(np.array([2.0]), np.array([3.0]), np.array([2.0]))
@@ -176,25 +157,6 @@ class TestHilbertFactor:
     def test_norm_below_pi(self):
         for n in (16, 64, 256):
             assert norm2(hilbert_matrix_dense(n)) <= math.pi
-
-
-class TestZetaEven:
-    def test_classical_identities(self):
-        assert zeta_even(1) == pytest.approx(math.pi**2 / 6, rel=1e-15)
-        assert zeta_even(2) == pytest.approx(math.pi**4 / 90, rel=1e-15)
-
-    def test_against_scipy(self):
-        for k in (3, 4, 5, 8, 20):
-            assert zeta_even(k) == pytest.approx(float(scipy.special.zeta(2 * k)), rel=1e-14)
-
-    def test_monotone_to_one(self):
-        vals = [zeta_even(k) for k in range(1, 12)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert vals[-1] > 1.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            zeta_even(0)
 
 
 class TestSincAliasFactor:

@@ -31,7 +31,6 @@ from prolate.operators import (
 from oracles import (
     eig_dense,
     factor_halves,
-    v1_bytes,
     needs_extended,
     pinv_oracle,
     projection_oracle,
@@ -374,8 +373,13 @@ class TestPersistence:
 
     def test_unsupported_version(self, ops):
         blob = operator_to_bytes(ops[0])
-        with pytest.raises(UnsupportedVersionError):
-            operator_from_bytes(blob[:4] + struct.pack("<I", 99) + blob[8:])
+        p = ops[0].params
+        # a rank-0 version-1 projector as that version laid it out: unpadded header, a (rank, complex flag) per half
+        v1 = (b"FSLT" + struct.pack("<I", 1) + struct.pack("<QdddQB", p.n, p.w, p.epsilon, 0.0, p.k, 1)
+              + struct.pack("<d", ops[0].error_bound) + struct.pack("<QB", 0, 0) * 2)
+        for data in (blob[:4] + struct.pack("<I", 99) + blob[8:], v1):
+            with pytest.raises(UnsupportedVersionError):
+                operator_from_bytes(data)
 
     def test_truncated(self, ops):
         blob = operator_to_bytes(ops[0])
@@ -455,32 +459,37 @@ class TestStructuredFactors:
         assert peak <= len(blob) + 2**20, (peak, len(blob))
 
 
-class TestVersion1:
-    def test_loads_and_applies_as_version_2(self, ops256, rng):
-        for op in ops256:
-            old = operator_from_bytes(v1_bytes(op))
-            assert old.kind == op.kind and [f.rank for f in old.corrections()] == [f.rank for f in op.corrections()]
-            for x in (rng.standard_normal(256), rng.standard_normal(256) + 1j * rng.standard_normal(256)):
-                want = op.apply(x)
-                assert np.linalg.norm(old.apply(x) - want) <= 1e-13 * np.linalg.norm(want), op.kind
-            if op.kind == 2:
-                want = op.compress(x)
-                assert np.linalg.norm(old.compress(x) - want) <= 1e-13 * np.linalg.norm(want)
+@pytest.fixture(scope="module")
+def files14():
+    params = SlepianParams.create(2**14, 0.25, 1e-6)
+    built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
+             FastTikhonov.build(params, 1e-2)]
+    return [bytes(operator_to_bytes(op)) for op in built]
 
-    def test_eigen_halves_must_be_signed_copies(self, ops256):
-        for op in (ops256[0], ops256[1], ops256[2]):
-            blob = v1_bytes(op)
-            # the last value belongs to the second eigen half
-            with pytest.raises(FactorFileError, match="signed copy"):
-                operator_from_bytes(blob[:-8] + struct.pack("<d", 0.125))
 
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+def test_decode_allocates_nothing_in_proportion_to_the_file(files14, kind):
+    # from bytes the blocks are views of the file; a cold plan's Toeplitz part measured 8.0 x 8n
+    n, blob = 2**14, files14[kind - 1]
+    slepian_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        op = operator_from_bytes(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.kind == kind and not any(a.flags.writeable for a in op.factors())
+    assert peak <= 10 * 8 * n + 2**16 < len(blob), (peak, len(blob))
+
+
+class TestCorruptFiles:
     def test_corrupt_files_raise_only_file_errors(self):
         # every header field (n, w, eps, alpha, k) at extreme bit patterns, then
-        # seeded byte flips and truncations, in both versions
+        # seeded byte flips and truncations
         params = SlepianParams.create(64, 0.25, 1e-3)
         built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
                  FastTikhonov.build(params, 1e-2)]
-        blobs = [bytes(operator_to_bytes(op)) for op in built] + [v1_bytes(op) for op in built]
+        blobs = [bytes(operator_to_bytes(op)) for op in built]
         corrupt = [blob[:at] + struct.pack("<Q", value) + blob[at + 8:]
                    for blob in blobs for at in range(8, 48, 8) for value in (0, 1, 2**20 + 1, 2**63 - 1, 2**64 - 1)]
         rng = np.random.default_rng(11)
@@ -517,16 +526,12 @@ class TestVersion1:
     def test_rank_zero_header_capped(self):
         n = MAX_EMPTY_N + 1
         head = struct.pack("<QdddQB", n, 0.25, 0.49, 0.0, default_subspace_dim(n, 0.25), 1)
-        files = [
-            b"FSLT" + struct.pack("<I", 1) + head + struct.pack("<d", 0.49) + struct.pack("<QB", 0, 0) * 2,
-            b"FSLT" + struct.pack("<I", 2) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQ", 0, 0),
-        ]
-        for blob in files:
-            tracemalloc.start()
-            try:
-                with pytest.raises(FactorFileError, match="too large"):
-                    operator_from_bytes(blob)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2**20
+        blob = b"FSLT" + struct.pack("<I", 2) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQ", 0, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FactorFileError, match="too large"):
+                operator_from_bytes(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
