@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpss import (
-    DENSE_GUARD,
-    PreconditionViolated,
-    slepian_plan,
-    transition_count,
-)
-from .fft_kernels import prolate_matrix_dense
+from .dpss import FULL_BASIS_MAX_N, PreconditionViolated, slepian_plan, transition_count
 from .fourier_ext import FourierExtensionConfig, run_fourier_extension
 from .lowrank import transition_count_budget
 from .operators import (
@@ -98,9 +92,6 @@ def _build_parser():
     out.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=12345, help="RNG seed (default 12345)")
-    guard = argparse.ArgumentParser(add_help=False)
-    guard.add_argument("--dense-guard", type=int, default=DENSE_GUARD,
-                       help=f"largest n for dense comparisons (default {DENSE_GUARD})")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -118,10 +109,10 @@ def _build_parser():
 
     p = sub.add_parser(
         "bench",
-        parents=[out, seed, guard],
+        parents=[out, seed],
         help="setup/apply timings for the fast operators",
-        description="CSV columns: n, w, eps, mode, setup_seconds, apply_seconds, "
-        "dense_apply_seconds (blank above --dense-guard).  Medians over --trials.",
+        description="CSV columns: n, w, eps, mode, setup_seconds (cold build), apply_seconds.  "
+        "Medians over --trials.",
     )
     p.add_argument("--mode", choices=sorted(_MODES), action="append", default=None)
     p.add_argument("--n", type=_int_list, default=(1024, 4096, 16384))
@@ -148,10 +139,10 @@ def _build_parser():
 
     p = sub.add_parser(
         "linear-predict",
-        parents=[out, guard],
+        parents=[out],
         help="one-step linear prediction of a bandlimited process",
         description="CSV columns: n, w, eps, coeff_l2, coeff_linf, topk_residual "
-        "(norm of B a - b on the leading-k eigenspace; blank above --dense-guard).",
+        f"(norm of B a - b on the leading-k Slepian vectors; blank above n = {FULL_BASIS_MAX_N}).",
     )
     p.add_argument("--n", type=_int_list, default=(512,))
     p.add_argument("--w", type=_float_list, default=(0.25,))
@@ -249,16 +240,8 @@ def _cmd_bench(args):
                                  slepian_plan.cache_clear)
             op = _build_operator(mode, n, w, eps, args.alpha)
             apply_s = _median_time(lambda: op.apply(x), args.trials)
-            dense_s = ""
-            if n <= args.dense_guard:
-                b = prolate_matrix_dense(n, w)
-                dense_s = _fmt(_median_time(lambda: b @ x, args.trials))
-            rows.append((n, _fmt(w), _fmt(eps), mode, _fmt(setup), _fmt(apply_s), dense_s))
-    _write_rows(
-        args.out,
-        ["n", "w", "eps", "mode", "setup_seconds", "apply_seconds", "dense_apply_seconds"],
-        rows,
-    )
+            rows.append((n, _fmt(w), _fmt(eps), mode, _fmt(setup), _fmt(apply_s)))
+    _write_rows(args.out, ["n", "w", "eps", "mode", "setup_seconds", "apply_seconds"], rows)
     return 0
 
 
@@ -294,11 +277,10 @@ def _cmd_linear_predict(args):
         op = FastPseudoinverse.build(SlepianParams.create(n, w, eps))
         a = op.apply(b)
         resid = ""
-        if n <= args.dense_guard:
-            dense = prolate_matrix_dense(n, w)
-            _, vecs = np.linalg.eigh(dense)
-            vk = vecs[:, ::-1][:, : op.params.k]
-            resid = _fmt(float(np.linalg.norm(vk.T @ (dense @ a - b))))
+        if n <= FULL_BASIS_MAX_N:
+            plan = slepian_plan(n, w)
+            lead = plan.pairs(0, op.params.k - 1)[0]
+            resid = _fmt(float(np.linalg.norm(lead @ (plan.b_op.apply(a) - b))))
         rows.append((
             n, _fmt(w), _fmt(eps),
             _fmt(float(np.linalg.norm(a))),

@@ -65,10 +65,12 @@ __all__ = [
     "transition_eigenpairs",
     "transition_count",
     "default_subspace_dim",
-    "DENSE_GUARD",
+    "FULL_BASIS_MAX_N",
 ]
 
-DENSE_GUARD = 4096
+# largest n at which the extension experiment's exact rows hold the full Slepian
+# basis (n^2 x 8 bytes, 134 MB at the cap) and linear prediction its leading k rows
+FULL_BASIS_MAX_N = 4096
 _CLAMP_TOL = 1e-12
 _SIGN_TOL = 1e-12
 _SQRT_HALF = math.sqrt(0.5)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "ToeplitzSymbol",
@@ -21,7 +20,6 @@ __all__ = [
     "prolate_symbol",
     "prolate_column_extended",
     "circulant_embedding",
-    "prolate_matrix_dense",
     "nearest_odd_integer",
     "next_pow2",
 ]
@@ -122,11 +120,6 @@ def circulant_embedding(col: np.ndarray, fft_len: int) -> np.ndarray:
     if n > 1:
         circ[fft_len - n + 1:] = col[1:][::-1]
     return circ
-
-
-def prolate_matrix_dense(n: int, w: float) -> np.ndarray:
-    """Dense prolate matrix; reference/oracle path only."""
-    return scipy.linalg.toeplitz(prolate_symbol(n, w).col)
 
 
 class ToeplitzOperator:

@@ -4,9 +4,10 @@ A function on [-1, 1] that is continuous but not smooth, with mismatched
 endpoints, is approximated three ways: by its truncated Fourier series
 (which rings), and by least-squares extension to a longer period, solving
 the prolate normal equations with either the truncated pseudoinverse or
-Tikhonov regularization -- each in an exact dense variant and a fast
-structured variant.  Coefficient integrals are computed by FFT quadrature
-whose length grows with the truncation order.
+Tikhonov regularization -- each exactly, from all n Slepian pairs of the
+shared plan with extended-precision eigenvalues, and by a fast structured
+operator.  Coefficient integrals are computed by FFT quadrature whose
+length grows with the truncation order.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpss import DENSE_GUARD
-from .fft_kernels import prolate_matrix_dense
+from .dpss import FULL_BASIS_MAX_N, rayleigh_extended, slepian_plan
 from .operators import FastPseudoinverse, FastTikhonov, SlepianParams
 
 __all__ = [
@@ -63,6 +63,9 @@ class FourierExtensionConfig:
             raise ValueError(f"eigenvalue cutoff must lie in (0, 1), got {self.pinv_threshold}")
         if any(m < 1 for m in self.m_values):
             raise ValueError("truncation orders must be positive")
+        if any(2 * m + 1 > FULL_BASIS_MAX_N for m in self.m_values):
+            raise ValueError(f"truncation orders must be at most {(FULL_BASIS_MAX_N - 1) // 2}: the exact "
+                             f"solvers hold all n = 2m + 1 Slepian vectors, n <= {FULL_BASIS_MAX_N}")
         if self.eval_points < 2:
             raise ValueError(f"evaluation grid needs at least 2 points, got {self.eval_points}")
 
@@ -210,12 +213,22 @@ def _reconstruct(coeffs: np.ndarray, m_max: int, half_period: float, start: floa
     return out.ravel()[:count] / math.sqrt(2.0 * half_period)
 
 
+def _exact_pairs(n: int, w: float):
+    """All n Slepian pairs (lams, vecs) at (n, w), in descending order, vecs[:, j] the j-th vector.
+
+    The vectors come from slepian_plan(n, w), which then holds all of them
+    (n^2 x 8 bytes); the eigenvalues are their longdouble Rayleigh quotients.
+    """
+    vecs = slepian_plan(n, w).pairs(0, n - 1)[0].T
+    return rayleigh_extended(vecs, n, w), vecs
+
+
 def run_fourier_extension(config: FourierExtensionConfig, seed: int = 0):
-    """Run the five-method comparison; returns rows (m, method, rel_rms, seconds).
+    """Run the five-method comparison; returns rows (m, method, rel_rms, seconds) in METHODS order per m.
 
     seconds covers the method's full coefficient pipeline: quadrature of its
     integral family plus, for the extension methods, the normal-equations
-    solve (including any dense eigendecomposition or operator build).
+    solve (including the exact solvers' eigenpairs or the fast operator's build).
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     target = SyntheticTarget.constant() if config.constant_target else SyntheticTarget.draw(rng)
@@ -247,45 +260,34 @@ def run_fourier_extension(config: FourierExtensionConfig, seed: int = 0):
         recon = _reconstruct(fhat, m, 1.0, *eval_grid)
         rows.append((m, "fourier", _rel_rms(recon, f_eval, f_norm), t_series_quad))
 
-        # dense spectral data shared by the two exact solvers
+        # the fast solvers first, so that their timings include their own window solves
+        solved = {}
         t0 = time.perf_counter()
-        if n > DENSE_GUARD:
-            raise ValueError(f"extension order m={m} needs dense size {n} > guard {DENSE_GUARD}")
-        b = prolate_matrix_dense(n, w)
-        lams, vecs = np.linalg.eigh(b)
-        lams, vecs = lams[::-1].copy(), vecs[:, ::-1].copy()
-        refined = np.clip(np.einsum("ij,ij->j", vecs, b @ vecs), 0.0, 1.0)
+        fast_pinv = FastPseudoinverse.build_with_cutoff(n, w, config.fast_eps, config.pinv_threshold)
+        solved["ext_fast_pinv"] = fast_pinv.apply(yhat), t_ext_quad + time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        fast_tik = FastTikhonov.build(SlepianParams.create(n, w, config.fast_eps), config.alpha)
+        solved["ext_fast_tik"] = fast_tik.apply(yhat), t_ext_quad + time.perf_counter() - t0
+
+        # the eigenpairs shared by the two exact solvers
+        t0 = time.perf_counter()
+        lams, vecs = _exact_pairs(n, w)
         t_eig = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        kcut = int(np.count_nonzero(lams >= config.pinv_threshold))
-        vk = vecs[:, :kcut]
-        ghat = vk @ ((vk.T @ yhat) / refined[:kcut])
-        t_solve = time.perf_counter() - t0
-        recon = _reconstruct(ghat, m, t_ext, *eval_grid)
-        rows.append((m, "ext_exact_pinv", _rel_rms(recon, f_eval, f_norm), t_ext_quad + t_eig + t_solve))
+        vk = vecs[:, :np.count_nonzero(lams >= config.pinv_threshold)]
+        ghat = vk @ ((vk.T @ yhat) / lams[:vk.shape[1]])
+        solved["ext_exact_pinv"] = ghat, t_ext_quad + t_eig + time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        fast_pinv = FastPseudoinverse.build_with_cutoff(n, w, config.fast_eps, config.pinv_threshold)
-        ghat = fast_pinv.apply(yhat)
-        t_solve = time.perf_counter() - t0
-        recon = _reconstruct(ghat, m, t_ext, *eval_grid)
-        rows.append((m, "ext_fast_pinv", _rel_rms(recon, f_eval, f_norm), t_ext_quad + t_solve))
+        ghat = (vecs * (lams / (lams**2 + config.alpha))) @ (vecs.T @ yhat)
+        solved["ext_exact_tik"] = ghat, t_ext_quad + t_eig + time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        f_tik = refined / (refined**2 + config.alpha)
-        ghat = (vecs * f_tik) @ (vecs.T @ yhat)
-        t_solve = time.perf_counter() - t0
-        recon = _reconstruct(ghat, m, t_ext, *eval_grid)
-        rows.append((m, "ext_exact_tik", _rel_rms(recon, f_eval, f_norm), t_ext_quad + t_eig + t_solve))
-
-        t0 = time.perf_counter()
-        params = SlepianParams.create(n, w, config.fast_eps)
-        fast_tik = FastTikhonov.build(params, config.alpha)
-        ghat = fast_tik.apply(yhat)
-        t_solve = time.perf_counter() - t0
-        recon = _reconstruct(ghat, m, t_ext, *eval_grid)
-        rows.append((m, "ext_fast_tik", _rel_rms(recon, f_eval, f_norm), t_ext_quad + t_solve))
+        for method in METHODS[1:]:
+            ghat, seconds = solved[method]
+            recon = _reconstruct(ghat, m, t_ext, *eval_grid)
+            rows.append((m, method, _rel_rms(recon, f_eval, f_norm), seconds))
     return rows
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dpss import default_subspace_dim, quotient_error, slepian_plan, transition_eigenpairs, transition_window
-from .fft_kernels import PartialFourier, nearest_odd_integer
+from .fft_kernels import PartialFourier
 from .lowrank import (
     LowRankFactor,
     fourier_correction_factor,
@@ -48,18 +48,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SlepianParams:
-    """Problem parameters (n, w, epsilon) plus the derived odd-count bandwidth and split.
+    """Problem parameters (n, w, epsilon) plus the subspace split k.
 
-    w_prime satisfies 2*n*w_prime = nearest odd integer to 2*n*w; k defaults
-    to round(2nw) (half-up).  The eigenvalue condition on k is validated when
-    an operator is built, where the transition eigenpairs are available.
+    k defaults to round(2nw) (half-up).  The eigenvalue condition on k is
+    validated when an operator is built, where the transition eigenpairs are
+    available.
     """
 
     n: int
     w: float
     epsilon: float
-    w_prime: float
-    num_fourier_cols: int
     k: int
 
     @classmethod
@@ -70,12 +68,11 @@ class SlepianParams:
             raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
         if not 0.0 < epsilon < 0.5:
             raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
-        q = nearest_odd_integer(2.0 * n * w)
         if k is None:
             k = default_subspace_dim(n, w)
         if not 0 <= k <= n:
             raise ValueError(f"subspace dimension k={k} outside [0, {n}]")
-        return cls(n=n, w=w, epsilon=epsilon, w_prime=q / (2.0 * n), num_fourier_cols=q, k=k)
+        return cls(n=n, w=w, epsilon=epsilon, k=k)
 
 
 class PrecisionFloorWarning(UserWarning):

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 
+from prolate import cli, operators
 from prolate.cli import main, prediction_rhs
 from prolate.fourier_ext import FourierExtensionConfig, SyntheticTarget, run_fourier_extension
 from prolate.operators import (
@@ -74,21 +75,10 @@ class TestBench:
         )
         assert rc == 0
         header, rows = parse_csv(out)
-        assert header == ["n", "w", "eps", "mode", "setup_seconds", "apply_seconds", "dense_apply_seconds"]
+        assert header == ["n", "w", "eps", "mode", "setup_seconds", "apply_seconds"]
         assert len(rows) == 2
         for row in rows:
             assert float(row[4]) > 0 and float(row[5]) > 0
-            assert row[6] != ""  # below the dense guard
-
-    def test_dense_column_blank_above_guard(self, capsys):
-        rc, out, _ = run_cli(
-            ["bench", "--n", "128", "--w", "0.25", "--eps", "1e-3", "--trials", "1",
-             "--mode", "project", "--dense-guard", "64"],
-            capsys,
-        )
-        assert rc == 0
-        _, rows = parse_csv(out)
-        assert rows[0][6] == ""
 
     def test_every_trial_builds_cold(self, capsys, monkeypatch):
         calls = []
@@ -134,6 +124,25 @@ class TestLinearPredict:
         n, w, eps = 256, 0.25, 1e-6
         b_norm = np.linalg.norm(prediction_rhs(n, w))
         assert float(rows[0][5]) <= 3 * eps * b_norm * (1 + 1e-6)
+
+    def test_topk_residual_matches_dense_oracle(self, capsys):
+        n, w, eps = 256, 0.25, 1e-6
+        rc, out, _ = run_cli(["linear-predict", "--n", str(n), "--w", str(w), "--eps", str(eps)], capsys)
+        assert rc == 0
+        _, rows = parse_csv(out)
+        b = prediction_rhs(n, w)
+        op = FastPseudoinverse.build(SlepianParams.create(n, w, eps))
+        a = op.apply(b)
+        vk = eig_dense(n, w)[1][:, : op.params.k]
+        want = np.linalg.norm(vk.T @ (prolate_dense(n, w) @ a - b))
+        assert abs(float(rows[0][5]) - want) <= 1e-14
+
+    def test_topk_residual_blank_above_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "FULL_BASIS_MAX_N", 64)
+        rc, out, _ = run_cli(["linear-predict", "--n", "64,128", "--w", "0.25", "--eps", "1e-6"], capsys)
+        assert rc == 0
+        _, rows = parse_csv(out)
+        assert rows[0][5] != "" and rows[1][5] == ""
 
 
 class TestFourierExtension:
@@ -255,6 +264,20 @@ class TestPrecomputeAndLoad:
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "too large" in err
 
+    def test_rebuild_out_of_memory_is_io_error(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "op.fslt"
+        run_cli(["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-3", "--kind", "project",
+                 "--out", str(path)], capsys)
+
+        def no_memory(n, w):
+            raise MemoryError
+
+        monkeypatch.setattr(operators, "slepian_plan", no_memory)
+        with pytest.raises(FactorFileError, match="too large"):
+            operator_from_bytes(path.read_bytes())
+        rc, _, err = run_cli(["load-check", str(path)], capsys)
+        assert rc == 2 and "too large" in err and "Traceback" not in err
+
     def test_describes_each_correction_rank(self, tmp_path, capsys):
         want = {
             "project": "projector n=64 w=0.25 eps=0.001 k=32 ranks=[8] error_bound=0.001",
@@ -315,7 +338,8 @@ class TestPrecomputeAndLoad:
 
     def test_each_subcommand_takes_only_the_options_it_reads(self, capsys):
         for argv in (["gap-count", "--seed", "1"], ["gap-count", "--trials", "2"], ["linear-predict", "--seed", "1"],
-                     ["fourier-ext", "--dense-guard", "8"], ["load-check", "--out", "x.csv", "op.fslt"]):
+                     ["fourier-ext", "--dense-guard", "8"], ["bench", "--dense-guard", "8"],
+                     ["linear-predict", "--dense-guard", "8"], ["load-check", "--out", "x.csv", "op.fslt"]):
             rc, _, err = run_cli(argv, capsys)
             assert rc == 1 and "unrecognized arguments" in err, argv
         rc, _, err = run_cli(["bench", "--trials", "0"], capsys)

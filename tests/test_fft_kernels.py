@@ -10,7 +10,6 @@ from prolate.fft_kernels import (
     nearest_odd_integer,
     next_pow2,
     prolate_column_extended,
-    prolate_matrix_dense,
     prolate_symbol,
 )
 
@@ -80,7 +79,7 @@ class TestProlateSymbol:
         assert prolate_symbol(2, 0.25).col[1] == pytest.approx(1.0 / math.pi, abs=1e-15)
 
     def test_matches_entrywise_formula(self):
-        got = prolate_matrix_dense(64, 0.25)
+        got = toeplitz_dense(ToeplitzOperator(prolate_symbol(64, 0.25)))
         assert np.abs(got - prolate_dense(64, 0.25)).max() < 1e-15
 
     def test_bounded_by_diagonal(self):

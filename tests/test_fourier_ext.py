@@ -5,15 +5,19 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
+from prolate.dpss import FULL_BASIS_MAX_N
 from prolate.fourier_ext import (
     GRID_BLOCK,
     FourierExtensionConfig,
     SyntheticTarget,
     _PeriodSamples,
+    _exact_pairs,
     _quad_coeffs,
     _reconstruct,
     run_fourier_extension,
 )
+
+from oracles import eigvals_dense, needs_extended, norm2, tikhonov_oracle
 
 U = np.finfo(float).eps
 
@@ -100,6 +104,10 @@ class TestConfig:
             FourierExtensionConfig(m_values=(0,))
         with pytest.raises(ValueError):
             FourierExtensionConfig(eval_points=1)
+        # rejected before any quadrature: the exact solvers would hold all 4097 Slepian vectors
+        with pytest.raises(ValueError, match="at most 2047"):
+            FourierExtensionConfig(m_values=(40, 2048))
+        FourierExtensionConfig(m_values=((FULL_BASIS_MAX_N - 1) // 2,))
 
 
 class TestSyntheticTarget:
@@ -176,6 +184,23 @@ class TestReconstruct:
         want = np.real(basis @ coeffs) / math.sqrt(2.0 * half_period)
         got = _reconstruct(coeffs, m_max, half_period, -1.0, step, count)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestExactPairs:
+    @needs_extended
+    def test_exact_tikhonov_map_matches_extended_oracle(self):
+        # the weight's slope reaches 1/alpha = 1e8, so the eigenvalues need extended precision
+        n, w, alpha = 81, 1.0 / 3.0, 1e-8
+        lams, vecs = _exact_pairs(n, w)
+        got = (vecs * (lams / (lams**2 + alpha))) @ vecs.T
+        assert norm2(got - tikhonov_oracle(n, w, alpha)) <= 1e-10
+
+    def test_full_descending_orthonormal_basis(self):
+        n, w = 41, 1.0 / 3.0
+        lams, vecs = _exact_pairs(n, w)
+        assert vecs.shape == (n, n) and lams.shape == (n,)
+        assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-13
+        assert np.abs(lams - eigvals_dense(n, w)).max() <= 1e-14
 
 
 class TestRunExtension:
