@@ -12,9 +12,10 @@ Three families of factors are produced here:
 
 Assembled together they give the circulant-plus-low-rank split of the
 prolate matrix with an operator-norm certificate.  Every correction is one
-LowRankFactor kept in structured form: the Fourier correction as its real
-blocks with the phase diagonals recomputed per call, each eigen-partition
-correction as one spectral record V diag(g) V^T.
+LowRankFactor kept in structured form, phases recomputed per call: the
+Fourier correction as the Hilbert factor z, one monomial basis (m/n)^j and
+two Taylor coefficient matrices, each eigen-partition correction as
+V diag(g) V^T with only the leading rows of V's even and odd columns.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import scipy.special
 
 from .dpss import (
     TransitionEigenSet,
+    _read_only,
     mapped_columns,
     mapped_rows,
     quotient_error,
@@ -64,40 +66,49 @@ _REFINE_SHARE = 0.25
 _CHUNK = 8192
 
 
-# One outer product of a LowRankFactor: D J^flip_left blocks[left] diag(pre * post) blocks[right]^T
-# J^flip_right D^*, with D = diag(e^{i step m}), J the row reversal, pre and post scalars or vectors.
-Term = namedtuple("Term", "left right step flip_left flip_right pre post")
+# One outer product of a LowRankFactor, its coefficients at slot: D J^flip_left P diag(post) C P^T J^flip_right D^*,
+# P the leading width columns of blocks[block] at n rows, C = coefs[coef] or I, D = diag(e^{i step m}), J the reversal.
+Term = namedtuple("Term", "block width coef step flip_left flip_right post slot")
 
 
 @dataclass(frozen=True)
 class LowRankFactor:
-    """A sum of Terms over real, column-major n-row blocks; the phases are recomputed on every call.
+    """A sum of Terms over real column-major blocks and small coefficient matrices; phases recomputed per call.
 
-    adjoint_apply(x) returns pre * R^T J D^* x term by term and synthesize(c)
-    sums D J L (post * c), so each block meets one real product per call: a
-    stacked block of the input's cosine- and sine-modulated (and reversed)
-    copies, or of the coefficients summed over the terms that share a phase
-    pair.  weights is the vector the factor was built from (the spectral g;
-    empty for the Fourier correction), persisted with the blocks.
+    A block holds n rows or, where parities gives its parity (0 even, 1 odd
+    under row reversal), the leading ceil(n/2) or floor(n/2) rows.
+    adjoint_apply(x) puts C P^T J D^* x into each term's slot and synthesize(c)
+    sums D J P (post * c[slot]), so each block meets one real product per call:
+    of the input's cosine- and sine-modulated (and reversed) copies, folded to
+    x_lead +- reversed(x_tail) for a parity half, or of the coefficients summed
+    over the terms sharing a phase pair.  weights is the g of P diag(g) P^T,
+    sqrt|g| on each side of the coefficients, or empty (the Fourier correction).
     """
 
+    n: int
     blocks: tuple
+    parities: tuple
+    coefs: tuple
     terms: tuple
     weights: np.ndarray
 
     def __post_init__(self):
-        n = self.blocks[0].shape[0]
-        if any(b.ndim != 2 or b.shape[0] != n for b in self.blocks) or any(
-                self.blocks[t.left].shape[1] != self.blocks[t.right].shape[1] for t in self.terms):
-            raise ValueError("blocks must share their row count and each term pair two blocks of one width")
+        rows = [self.n if p is None else (self.n + 1 - p) // 2 for p in self.parities]
+        if (len(rows) != len(self.blocks) or any(b.ndim != 2 or len(b) != r for b, r in zip(self.blocks, rows))
+                or self.weights.shape not in ((0,), (self.rank,))):
+            raise ValueError("each block must hold n rows or its parity's leading rows, and each coefficient a weight")
+        if any(t.width > self.blocks[t.block].shape[1] or len(range(self.rank)[t.slot]) != t.width
+               or t.coef is not None and self.coefs[t.coef].shape != (t.width, t.width) for t in self.terms):
+            raise ValueError("each term must fit its block, its slot and its coefficient matrix")
 
     @property
     def rank(self) -> int:
-        return sum(self.blocks[t.right].shape[1] for t in self.terms)
+        return sum(t.width for t in self.terms)
 
     @property
-    def n(self) -> int:
-        return self.blocks[0].shape[0]
+    def arrays(self) -> tuple:
+        """Every array the factor holds, in file order: the weights, the blocks, the coefficient matrices."""
+        return (self.weights, *self.blocks, *self.coefs)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.synthesize(self._analyze(x))
@@ -109,38 +120,45 @@ class LowRankFactor:
         x = np.asarray(x)
         rows = np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x[None, :]
         m, trig, parts = len(rows), {}, {}
-        for r in dict.fromkeys(t.right for t in self.terms):
-            mods = list(dict.fromkeys((abs(t.step), t.flip_right) for t in self.terms if t.right == r))
-            copies, block = _modulated(rows, mods, trig), self.blocks[r]
+        for r in dict.fromkeys(t.block for t in self.terms):
+            mods = list(dict.fromkeys((abs(t.step), t.flip_right) for t in self.terms if t.block == r))
+            copies, block = _fold(_modulated(rows, mods, trig), self.parities[r]), self.blocks[r]
             # summed over row chunks whose slices of the block and the copies stay in cache
             prod = (block.T @ copies[0])[:, None] if len(copies) == 1 else sum(
-                block[i:i + _CHUNK].T @ copies[:, i:i + _CHUNK].T for i in range(0, self.n, _CHUNK))
+                block[i:i + _CHUNK].T @ copies[:, i:i + _CHUNK].T for i in range(0, max(len(block), 1), _CHUNK))
             del copies
             for s, flip in mods:
                 parts[r, s, flip], prod = prod[:, :2 * m if s else m], prod[:, 2 * m if s else m:]
-        out = []
+        c = np.empty(self.rank, complex if m == 2 or any(t.step for t in self.terms) else float)
         for t in self.terms:
+            p = parts[t.block, abs(t.step), t.flip_right][:t.width]
+            p = p if t.coef is None else self.coefs[t.coef] @ p
             # e^{-i step m} x = cos(|step| m) x - i sign(step) sin(|step| m) x
-            p = parts[t.right, abs(t.step), t.flip_right]
-            c = p[:, :m] - (1j if t.step > 0 else -1j) * p[:, m:] if t.step else p
-            out.append(t.pre * (c[:, 0] if m == 1 else c[:, 0] + 1j * c[:, 1]))
-        return np.concatenate(out)
+            p = p[:, :m] - (1j if t.step > 0 else -1j) * p[:, m:] if t.step else p
+            c[t.slot] = p[:, 0] if m == 1 else p[:, 0] + 1j * p[:, 1]
+        if self.weights.size:
+            c *= np.sqrt(np.abs(self.weights))
+        return c
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
-        """Sum of the terms' left halves applied to their slices of c; no block is copied."""
+        """Sum of the terms' left halves applied to their slots of c; no block is copied."""
         c = np.asarray(c)
         if c.shape != (self.rank,):
             raise ValueError(f"expected {self.rank} coefficients, got shape {c.shape}")
-        edges = np.cumsum([0] + [self.blocks[t.right].shape[1] for t in self.terms])
-        trig, out, tmp = {}, [None, None], None
-        for l in dict.fromkeys(t.left for t in self.terms):
+        if self.weights.size:
+            c = c * (np.sign(self.weights) * np.sqrt(np.abs(self.weights)))
+        result = np.zeros(self.n, complex if np.iscomplexobj(c) or any(t.step for t in self.terms) else float)
+        out = (result.real, result.imag) if np.iscomplexobj(result) else (result,)
+        trig, tmp, halves = {}, None, ({}, {})
+        for r in dict.fromkeys(t.block for t in self.terms):
             # under phases cos + i sin and cos - i sin, terms sharing a step size and a reversal
             # enter as a sum E (times cos) and a difference O (times i sin):
             # cos (E_r + i E_i) + i sin (O_r + i O_i) = (cos E_r - sin O_i) + i (cos E_i + sin O_r)
-            sums = {}
-            for i, t in enumerate(self.terms):
-                if t.left == l:
-                    part = t.post * c[edges[i]:edges[i + 1]]
+            sums, block = {}, self.blocks[r]
+            for t in self.terms:
+                if t.block == r:
+                    part = t.post * c[t.slot]
+                    part = np.pad(part, (0, block.shape[1] - t.width)) if t.width < block.shape[1] else part
                     for odd in (False, True) if t.step else (False,):
                         key = (abs(t.step), t.flip_left, odd)
                         sums[key] = sums.get(key, 0) + (math.copysign(1.0, t.step) if odd else 1.0) * part
@@ -148,46 +166,50 @@ class LowRankFactor:
                     for j, v in enumerate((total.real, total.imag) if np.iscomplexobj(total) else (total,))]
             for step in {k[0] for k in sums if k[0]}:
                 _trig(self.n, step, trig)  # ahead of the product, so the table's temporaries stay off its peak
-            coef, block_t = np.stack([v for _, _, v in rows]), self.blocks[l].T
-            prod = (coef[0] @ block_t)[None] if len(rows) == 1 else coef @ block_t
+            coef = np.stack([v for _, _, v in rows])
+            prod = (coef[0] @ block.T)[None] if len(rows) == 1 else coef @ block.T
             for ((s, flip, odd), imag, _), p in zip(rows, prod):
+                if self.parities[r] is not None:  # one product per part; unfolded below with the other parity's
+                    halves[imag][self.parities[r]] = p
+                    continue
                 p = p[::-1] if flip else p
                 if s:
                     p = tmp = np.multiply(p, _trig(self.n, s, trig)[odd], out=tmp)
                 target, negate = imag ^ odd, imag and odd
-                if out[target] is None:
-                    out[target] = -p if negate else p.copy()
-                else:
-                    (np.subtract if negate else np.add)(out[target], p, out=out[target])
+                (np.subtract if negate else np.add)(out[target], p, out=out[target])
             del prod
-        if out[1] is None:
-            return out[0]
-        result = np.empty(self.n, dtype=complex)
-        result.real, result.imag = 0.0 if out[0] is None else out[0], out[1]
+        for pair, target in zip(halves, out):
+            _unfold(pair, target)
         return result
 
     @classmethod
-    def spectral(cls, vectors: np.ndarray, g: np.ndarray) -> "LowRankFactor":
-        """V diag(g) V^T; the coefficients sqrt|g| V^T x carry half of each signed weight g."""
-        g = np.asarray(g, dtype=float)
-        if vectors.ndim != 2 or g.shape != (vectors.shape[1],):
-            raise ValueError(f"need one weight per column, got {g.shape} for {vectors.shape}")
-        root = np.sqrt(np.abs(g))
-        return cls((_column_major(vectors),), (Term(0, 0, 0.0, False, False, root, np.sign(g) * root),), g)
+    def spectral(cls, n: int, lead: int, halves, g: np.ndarray) -> "LowRankFactor":
+        """V diag(g) V^T from the leading rows of V's even and odd columns, column 0 of parity lead; the
+        coefficients keep V's column order, the even ones at lead, lead + 2, ..., the odd ones in between."""
+        halves = tuple(_column_major(h) for h in halves)
+        terms = tuple(Term(p, h.shape[1], None, 0.0, False, False, 1.0, slice(abs(p - lead), None, 2))
+                      for p, h in enumerate(halves))
+        return cls(n, halves, (0, 1), (), terms, np.asarray(g, dtype=float))
 
     @classmethod
-    def fourier(cls, w: float, blocks) -> "LowRankFactor":
-        """B - F F* from its real blocks (z, va, va ca^T, vb, vb cb^T), with d_a = e^{2 pi i w' m},
-        d_b = e^{i pi (w + w') m} and the reversal of z applied on the fly."""
-        if len(blocks) != 5:
-            raise ValueError(f"the Fourier correction has 5 blocks, got {len(blocks)}")
-        a, b = fourier_steps(blocks[0].shape[0], w)
+    def fourier(cls, w: float, blocks, coefs) -> "LowRankFactor":
+        """B - F F* from z, the monomial basis and the Taylor coefficients ca and cb, with
+        d_a = e^{2 pi i w' m}, d_b = e^{i pi (w + w') m} and the reversal of z applied on the fly;
+        the odd and the even Taylor terms read the leading ra and rb columns of the one basis."""
+        (z, _), (ra, rb) = blocks, (len(c) for c in coefs)
+        n, rz = z.shape
+        w_prime = nearest_odd_integer(2.0 * n * w) / (2.0 * n)
+        a, b = 2.0 * math.pi * w_prime, math.pi * (w + w_prime)
         hilb, odd = 1.0 / (2.0 * math.pi * 1j), 1.0 / (2.0 * 1j)
-        terms = [Term(0, 0, a, False, True, 1.0, hilb), Term(0, 0, a, True, False, 1.0, -hilb),
-                 Term(0, 0, -a, False, True, 1.0, -hilb), Term(0, 0, -a, True, False, 1.0, hilb),
-                 Term(1, 2, a, False, False, 1.0, odd), Term(1, 2, -a, False, False, 1.0, -odd),
-                 Term(3, 4, b, False, False, 1.0, 0.5), Term(3, 4, -b, False, False, 1.0, 0.5)]
-        return cls(tuple(_column_major(v) for v in blocks), tuple(terms), np.zeros(0))
+        specs = [(0, rz, None, a, False, True, hilb), (0, rz, None, a, True, False, -hilb),
+                 (0, rz, None, -a, False, True, -hilb), (0, rz, None, -a, True, False, hilb),
+                 (1, ra, 0, a, False, False, odd), (1, ra, 0, -a, False, False, -odd),
+                 (1, rb, 1, b, False, False, 0.5), (1, rb, 1, -b, False, False, 0.5)]
+        edges = np.cumsum([0] + [s[1] for s in specs]).tolist()
+        terms = tuple(Term(*s, slice(edges[i], edges[i + 1])) for i, s in enumerate(specs))
+        # column-major like the loader's views, so that a reloaded factor's products round alike
+        coefs = tuple(np.asfortranarray(c, dtype=float) for c in coefs)
+        return cls(n, tuple(_column_major(v) for v in blocks), (None, None), coefs, terms, _read_only(np.zeros(0)))
 
 
 def _column_major(block):
@@ -199,12 +221,6 @@ def _column_major(block):
     allocation above the blocks could keep tens of MB resident.
     """
     return block if block.flags.f_contiguous else mapped_columns(block)
-
-
-def fourier_steps(n: int, w: float):
-    """Phase steps (2 pi w', pi (w + w')) of d_a and d_b, w' the odd-count bandwidth."""
-    w_prime = nearest_odd_integer(2.0 * n * w) / (2.0 * n)
-    return 2.0 * math.pi * w_prime, math.pi * (w + w_prime)
 
 
 def _trig(n, s, cache):
@@ -245,6 +261,24 @@ def _modulated(rows, mods, trig):
                 np.multiply(src, v[::-1] if flip else v, out=out[at:at + m])
             at += m
     return out
+
+
+def _fold(rows, parity):
+    """The rows as a parity half sees them: x_lead + reversed(x_tail), the middle entry once (even), or minus it."""
+    p = rows.shape[1] // 2
+    if parity is None:
+        return rows
+    out = rows[:, :(rows.shape[1] + 1 - parity) // 2].copy()
+    (np.subtract if parity else np.add)(out[:, :p], rows[:, ::-1][:, :p], out=out[:, :p])
+    return out
+
+
+def _unfold(halves, out):
+    """Adds to out the vectors whose leading rows are halves[parity], mirrored (even) or mirrored and negated (odd)."""
+    tail = out[len(out) - len(out) // 2:][::-1]
+    for parity, v in halves.items():
+        out[:len(v)] += v
+        (np.subtract if parity else np.add)(tail, v[:len(tail)], out=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +490,7 @@ def transition_count_budget(n: int, epsilon: float) -> float:
 
 
 def fourier_correction_factor(n: int, w: float, epsilon: float) -> LowRankFactor:
-    """Factor with ||B - F F* - factor|| <= epsilon, stored as its real blocks.
+    """Factor with ||B - F F* - factor|| <= epsilon, stored as z, one monomial basis and two coefficient matrices.
 
     The tolerance is split 4 pi/15 to the Hilbert block and 7/30 to each
     Taylor block, which sums back to epsilon after the assembly; the rank
@@ -471,11 +505,21 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> LowRankFactor
     z = hilbert_factor(n, delta_h)
     odd = sinc_alias_factor(n, delta_taylor)
     even = bandwidth_shift_factor(n, w, w_prime, delta_taylor)
-    return LowRankFactor.fourier(w, (z, odd.basis, odd.basis @ odd.coeffs.T, even.basis, even.basis @ even.coeffs.T))
+    # both bases are (m/n)^j: the wider one serves both coefficient matrices
+    basis = max(odd.basis, even.basis, key=lambda b: b.shape[1])
+    return LowRankFactor.fourier(w, (z, basis), (odd.coeffs, even.coeffs))
 
 
 # ---------------------------------------------------------------------------
 # Eigen-partition corrections
+
+
+def _spectral(start, vectors, g):
+    """V diag(g) V^T for the window vectors V of Slepian indices start, start + 1, ...: Slepian vector l has the
+    parity of l, so only the leading rows of each parity's columns are copied out of V, which the build drops."""
+    n = vectors.shape[0]
+    halves = [mapped_columns(vectors[:(n + 1 - p) // 2, (p - start) % 2::2]) for p in (0, 1)]
+    return LowRankFactor.spectral(n, start % 2, halves, g)
 
 
 def projection_correction(eigset: TransitionEigenSet) -> LowRankFactor:
@@ -485,7 +529,7 @@ def projection_correction(eigset: TransitionEigenSet) -> LowRankFactor:
     at-or-above k, each pushed to its side of the split.
     """
     (lam2, _), (lam3, _) = eigset.split()
-    return LowRankFactor.spectral(eigset.vectors, np.concatenate([1.0 - lam2, -lam3]))
+    return _spectral(eigset.start_index, eigset.vectors, np.concatenate([1.0 - lam2, -lam3]))
 
 
 def pinv_correction(eigset: TransitionEigenSet) -> LowRankFactor:
@@ -496,7 +540,7 @@ def pinv_correction(eigset: TransitionEigenSet) -> LowRankFactor:
     (lam2, _), (lam3, _) = eigset.split()
     if np.any(lam2 <= 0.0):
         raise ValueError("below-split eigenvalues must be positive")
-    return LowRankFactor.spectral(eigset.vectors, np.concatenate([1.0 / lam2 - lam2, -lam3]))
+    return _spectral(eigset.start_index, eigset.vectors, np.concatenate([1.0 / lam2 - lam2, -lam3]))
 
 
 def _tikhonov_weight(lams, alpha):
@@ -552,4 +596,4 @@ def tikhonov_correction(n, w, epsilon, alpha) -> LowRankFactor:
     weights = _tikhonov_weight(lams, alpha)
     if np.any(weights < _SQRT_CLAMP):
         raise ValueError("negative spectral weight beyond the clamp tolerance")
-    return LowRankFactor.spectral(vecs, np.maximum(weights, 0.0))
+    return _spectral(start, vecs, np.maximum(weights, 0.0))

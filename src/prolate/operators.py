@@ -124,8 +124,8 @@ class _SpectralOperator:
         return (self.u,)
 
     def factors(self):
-        """Every n-row array the operator holds."""
-        return self.u.blocks
+        """Every array the operator holds: its correction's weights, parity halves and coefficient matrices."""
+        return self.u.arrays
 
 
 def _build_spectral(cls, params: SlepianParams, alpha: float | None = None):
@@ -263,23 +263,27 @@ class FastFactorization:
         return (self.l, self.u)
 
     def factors(self):
-        """Every n-row array the operator holds."""
-        return self.l.blocks + self.u.blocks
+        """Every array the operator holds: each correction's weights, blocks and coefficient matrices."""
+        return self.l.arrays + self.u.arrays
 
 
 # ---------------------------------------------------------------------------
-# Persistence: magic "FSLT", little-endian, version 2 only.
+# Persistence: magic "FSLT", little-endian, version 3 only.
 # "FSLT", u32 version, u64 n, f64 w, f64 epsilon, f64 alpha, u64 k, u8 kind, 7 pad bytes,
 # f64 error bound; a record header per correction (the factorization: Fourier, then spectral;
-# other kinds: spectral), a u64 weight count and a u64 width per block (spectral: V; Fourier:
-# z, va, va ca^T, vb, vb cb^T); then per record its weights and its n x width blocks,
-# column-major float64, every offset a multiple of 8.
+# other kinds: spectral):
+#   spectral: u64 lead (the parity of V's column 0), u64 even count, u64 odd count;
+#   Fourier:  u64 z width, u64 basis width, u64 ra, u64 rb (ra, rb <= basis width);
+# then per record its arrays, column-major float64, every offset a multiple of 8:
+#   spectral: the weights g (even + odd, in V's column order), the ceil(n/2) x even leading rows
+#             of the even columns, the floor(n/2) x odd leading rows of the odd columns;
+#   Fourier:  z (n x z width), the basis (m/n)^j (n x basis width), ca (ra x ra), cb (rb x rb).
 
 
-_MAGIC, _VERSION = b"FSLT", 2
+_MAGIC, _VERSION = b"FSLT", 3
 _KIND_NAMES = {1: "projector", 2: "factorization", 3: "pinv", 4: "tikhonov"}
 _RECORDS = {1: ("spectral",), 2: ("fourier", "spectral"), 3: ("spectral",), 4: ("spectral",)}
-_BLOCKS = {"spectral": 1, "fourier": 5}
+_FIELDS = {"spectral": 3, "fourier": 4}
 # largest n a file without stored columns may name: its length cannot bound n
 MAX_EMPTY_N = 1 << 20
 
@@ -293,7 +297,7 @@ class BadMagicError(FactorFileError):
 
 
 class UnsupportedVersionError(FactorFileError):
-    """A format version other than 2; rebuild a version-1 file with `prolate precompute`."""
+    """A format version other than 3; rebuild an older file with `prolate precompute` from its header."""
 
 
 class TruncatedFileError(FactorFileError):
@@ -301,14 +305,16 @@ class TruncatedFileError(FactorFileError):
 
 
 def operator_to_bytes(op) -> bytearray:
-    """Serialize an operator as FSLT version 2, each array written once into one preallocated buffer."""
+    """Serialize an operator as FSLT version 3, each array written once into one preallocated buffer."""
     p = op.params
     head = [_MAGIC, struct.pack("<IQdddQB7xd", _VERSION, p.n, p.w, p.epsilon, getattr(op, "alpha", 0.0),
                                 p.k, op.kind, op.error_bound)]
     arrays = []
-    for f in op.corrections():
-        head.append(struct.pack(f"<{1 + len(f.blocks)}Q", f.weights.size, *(b.shape[1] for b in f.blocks)))
-        arrays += [f.weights, *f.blocks]
+    for rec, f in zip(_RECORDS[op.kind], op.corrections()):
+        lead = (f.terms[0].slot.start,) if rec == "spectral" else ()  # the even term's first coefficient
+        head.append(struct.pack(f"<{_FIELDS[rec]}Q", *lead, *(b.shape[1] for b in f.blocks),
+                                *(len(c) for c in f.coefs)))
+        arrays += f.arrays
     head = b"".join(head)
     out, at = bytearray(len(head) + sum(a.nbytes for a in arrays)), len(head)
     out[:at] = head
@@ -324,44 +330,29 @@ def save_operator(op, path) -> None:
         fh.write(operator_to_bytes(op))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _unpack(data, at, fmt, what):
+    """The values of fmt at offset at of data, and the offset after them."""
+    if at + struct.calcsize(fmt) > len(data):
+        raise TruncatedFileError(f"file truncated while reading {what}")
+    return struct.unpack_from(fmt, data, at), at + struct.calcsize(fmt)
 
-    def take(self, size: int, what: str) -> bytes:
-        if self.pos + size > len(self.data):
-            raise TruncatedFileError(f"file truncated while reading {what}")
-        out = self.data[self.pos:self.pos + size]
-        self.pos += size
-        return out
 
-    def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    def arrays(self, n, shapes):
-        """Read-only float64 views of the arrays that must fill the rest of the file, checked before any is read.
-
-        Without a stored column the file's length cannot bound n, so n is capped at MAX_EMPTY_N.
-        """
-        sizes = [8 * math.prod(shape) for shape in shapes]
-        if sum(sizes) != len(self.data) - self.pos:
-            if sum(sizes) > len(self.data) - self.pos:
-                raise TruncatedFileError("file truncated while reading factor data")
-            raise FactorFileError("trailing bytes after factor data")
-        if not any(len(shape) == 2 and shape[1] for shape in shapes) and n > MAX_EMPTY_N:
-            raise FactorFileError(f"header size n={n} is too large to rebuild: a file without "
-                                  f"stored columns may name n up to {MAX_EMPTY_N}")
-        out = []
-        for shape, size in zip(shapes, sizes):
-            raw = np.frombuffer(self.data, "<f8", math.prod(shape), self.pos) if size else np.zeros(0)
-            out.append(raw.reshape(shape, order="F"))
-            self.pos += size
-        return out
+def _record_shapes(rec, n, head):
+    """The shapes of a record's arrays in file order, after the header checks that bound no array."""
+    if rec == "fourier":
+        z, width, ra, rb = head
+        if max(ra, rb) > width:
+            raise FactorFileError(f"Fourier record: Taylor widths {ra} and {rb} exceed the basis width {width}")
+        return [(0,), (n, z), (n, width), (ra, ra), (rb, rb)]
+    lead, even, odd = head
+    first, second = (even, odd) if lead == 0 else (odd, even)
+    if lead > 1 or not 0 <= first - second <= 1:
+        raise FactorFileError(f"spectral record: {even} even, {odd} odd columns cannot alternate from parity {lead}")
+    return [(even + odd,), ((n + 1) // 2, even), (n // 2, odd)]
 
 
 def operator_from_bytes(data):
-    """Rebuild an operator from FSLT version 2, recomputing the fast transforms and Fourier phases from (n, w).
+    """Rebuild an operator from FSLT version 3, recomputing the fast transforms and Fourier phases from (n, w).
 
     The header is bounded before anything is allocated.  The blocks are
     read-only views of data, so loading bytes allocates nothing in proportion
@@ -372,30 +363,46 @@ def operator_from_bytes(data):
     one more copy of the file.
     """
     data = bytes(data)
-    r = _Reader(data)
-    if r.take(4, "magic") != _MAGIC:
+    (magic,), at = _unpack(data, 0, "<4s", "magic")
+    if magic != _MAGIC:
         raise BadMagicError("bad magic: not a persisted-factor file")
-    (version,) = r.unpack("<I", "version")
+    (version,), at = _unpack(data, at, "<I", "version")
     if version != _VERSION:
         raise UnsupportedVersionError(f"unsupported format version {version}; only version {_VERSION} is read")
-    n, w, epsilon, alpha, k, kind = r.unpack("<QdddQB7x", "header")
+    (n, w, epsilon, alpha, k, kind), at = _unpack(data, at, "<QdddQB7x", "header")
     if kind not in _KIND_NAMES:
         raise FactorFileError(f"unknown operator kind {kind}")
-    (error_bound,) = r.unpack("<d", "error bound")
-    heads = [r.unpack(f"<{1 + _BLOCKS[rec]}Q", "record header") for rec in _RECORDS[kind]]
-    stored = r.arrays(n, [shape for h in heads for shape in [(h[0],)] + [(n, width) for width in h[1:]]])
+    (error_bound,), at = _unpack(data, at, "<d", "error bound")
+    records = []
+    for rec in _RECORDS[kind]:
+        head, at = _unpack(data, at, f"<{_FIELDS[rec]}Q", "record header")
+        records.append((rec, head, _record_shapes(rec, n, head)))
+
+    # every array must fill the rest of the file, checked before any is read; without a stored
+    # column the file's length cannot bound n, so n is capped at MAX_EMPTY_N
+    size = 8 * sum(math.prod(shape) for _, _, shapes in records for shape in shapes)
+    if size != len(data) - at:
+        if size > len(data) - at:
+            raise TruncatedFileError("file truncated while reading factor data")
+        raise FactorFileError("trailing bytes after factor data")
+    if not any(shape[1] for _, _, shapes in records for shape in shapes[1:3]) and n > MAX_EMPTY_N:
+        raise FactorFileError(f"header size n={n} is too large to rebuild: a file without "
+                              f"stored columns may name n up to {MAX_EMPTY_N}")
+    stored = []
+    for _, _, shapes in records:
+        stored.append([])
+        for shape in shapes:
+            stored[-1].append(np.frombuffer(data, "<f8", math.prod(shape), at).reshape(shape, order="F"))
+            at += 8 * math.prod(shape)
 
     # a header that passes the format checks can still name an impossible
     # operator (w outside (0, 1/2), mismatched ranks) or one too large to rebuild
     try:
         params = SlepianParams.create(int(n), float(w), float(epsilon), k=int(k))
         corrections = []
-        for rec in _RECORDS[kind]:
-            weights, blocks, stored = stored[0], stored[1:1 + _BLOCKS[rec]], stored[1 + _BLOCKS[rec]:]
-            if rec == "fourier" and weights.size:
-                raise ValueError("a Fourier record holds no weights")
-            corrections.append(LowRankFactor.spectral(blocks[0], weights) if rec == "spectral"
-                               else LowRankFactor.fourier(params.w, blocks))
+        for (rec, head, _), (weights, *blocks) in zip(records, stored):
+            corrections.append(LowRankFactor.spectral(params.n, head[0], blocks, weights) if rec == "spectral"
+                               else LowRankFactor.fourier(params.w, blocks[:2], blocks[2:]))
         if kind == 2:
             op = FastFactorization(params, PartialFourier(params.n, params.w), *corrections)
         else:
@@ -416,10 +423,11 @@ def load_operator(path):
 
 
 def describe_operator(op) -> str:
-    """Kind, parameters, each correction's coefficient rank and the certified bound, on one line."""
+    """Kind, parameters, each correction's coefficient rank, the stored factor bytes and the certified bound."""
     p = op.params
     alpha_txt = f" alpha={op.alpha:g}" if op.kind == 4 else ""
     return (
         f"{_KIND_NAMES[op.kind]} n={p.n} w={p.w:g} eps={p.epsilon:g} k={p.k}{alpha_txt} "
-        f"ranks=[{','.join(str(f.rank) for f in op.corrections())}] error_bound={op.error_bound:g}"
+        f"ranks=[{','.join(str(f.rank) for f in op.corrections())}] "
+        f"factor_bytes={sum(a.nbytes for a in op.factors())} error_bound={op.error_bound:g}"
     )

@@ -283,21 +283,40 @@ def kernel_dense(fac):
     return fac.basis @ fac.coeffs @ fac.basis.T
 
 
-def factor_halves(f):
-    """Dense (left, right) with left @ right^H equal to the LowRankFactor f, one column block per term.
+def unfolded_block(f, index):
+    """Block index of the LowRankFactor f at its full n rows: a parity half mirrored below its leading rows
+    (even), or mirrored and negated with a zero middle row for odd n (odd)."""
+    block, parity, n = f.blocks[index], f.parities[index], f.n
+    if parity is None:
+        return block
+    mirror = block[: n // 2][::-1] * (-1.0 if parity else 1.0)
+    middle = np.zeros((n % 2 if parity else 0, block.shape[1]))
+    return np.vstack([block, middle, mirror])
 
-    Each term's phase diagonal, reversals and weights are applied to its
-    stored blocks here, outside the factor's own products; a term without a
-    phase keeps its halves real.
+
+def factor_halves(f):
+    """Dense (left, right) with left @ right^H equal to the LowRankFactor f, one column per coefficient.
+
+    Each term's blocks are unfolded to n rows, cut to the term's width and
+    given its coefficient matrix, phase diagonal, reversals and weights here,
+    outside the factor's own products, and placed at the term's slot; the
+    weights g put sqrt|g| on each side and their signs on the left.  Without
+    a phase the halves stay real.
     """
     m = np.arange(f.n)
-    lefts, rights = [], []
+    dtype = complex if any(t.step for t in f.terms) else float
+    left, right = np.zeros((f.n, f.rank), dtype), np.zeros((f.n, f.rank), dtype)
     for t in f.terms:
-        left, right = f.blocks[t.left], f.blocks[t.right]
+        basis = unfolded_block(f, t.block)[:, : t.width]
+        coef = np.eye(t.width) if t.coef is None else f.coefs[t.coef]
         d = np.exp(1j * t.step * m)[:, None] if t.step else 1.0
-        lefts.append(d * (left[::-1] if t.flip_left else left) * t.post)
-        rights.append(d * (right[::-1] if t.flip_right else right) * t.pre)
-    return np.hstack(lefts), np.hstack(rights)
+        left[:, t.slot] = d * (basis[::-1] if t.flip_left else basis) * t.post
+        right[:, t.slot] = d * ((basis[::-1] if t.flip_right else basis) @ coef.T)
+    if f.weights.size:
+        root = np.sqrt(np.abs(f.weights))
+        left *= np.sign(f.weights) * root
+        right *= root
+    return left, right
 
 
 def factor_dense(f):

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared across the test modules."""
+"""Hypothesis strategies and hand-built factor files shared across the test modules."""
 
 import struct
 from functools import lru_cache
@@ -8,13 +8,25 @@ from hypothesis import strategies as st
 from prolate.operators import FastFactorization, FastProjector, FastPseudoinverse, FastTikhonov, SlepianParams
 from prolate.operators import operator_to_bytes
 
-# the fixed-width fields from n on: the header's u64 and f64 fields, the error bound and the record headers
-_FIELDS = range(8, 96)
+# u64 fields per record header of each kind in FSLT version 3: a spectral record holds
+# (lead parity, even count, odd count), a Fourier record (z width, basis width, ra, rb)
+_RECORD_FIELDS = {1: 3, 2: 4 + 3, 3: 3, 4: 3}
+
+
+def header_length(kind):
+    """Bytes before the first array of a version-3 file: the 64-byte header and the record headers."""
+    return 64 + 8 * _RECORD_FIELDS[kind]
+
+
+def version_2_projector(params, error_bound):
+    """A rank-0 projector as FSLT version 2 laid it out: its header, then a (weight count, width of V) record."""
+    head = struct.pack("<QdddQB7xd", params.n, params.w, params.epsilon, 0.0, params.k, 1, error_bound)
+    return b"FSLT" + struct.pack("<I", 2) + head + struct.pack("<QQ", 0, 0)
 
 
 @lru_cache(maxsize=1)
 def small_fslt_files():
-    """FSLT files of every kind at n = 48 (w = 1/4, eps = 1e-3, alpha = 1e-2)."""
+    """FSLT files of every kind at n = 48 (w = 1/4, eps = 1e-3, alpha = 1e-2), in kind order."""
     params = SlepianParams.create(48, 0.25, 1e-3)
     built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
              FastTikhonov.build(params, 1e-2)]
@@ -23,13 +35,16 @@ def small_fslt_files():
 
 @st.composite
 def _mutated(draw):
-    blob = bytearray(draw(st.sampled_from(small_fslt_files())))
+    kind = draw(st.integers(1, 4))
+    blob = bytearray(small_fslt_files()[kind - 1])
+    # the fixed-width fields from n on: the header's u64 and f64 fields, the error bound and the record headers
+    fields = range(8, header_length(kind), 8)
     for _ in range(draw(st.integers(1, 4))):
         edit = draw(st.sampled_from(["byte", "u64", "f64"]))
         if edit == "byte":
             blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
         else:
-            at = draw(st.sampled_from(_FIELDS))
+            at = draw(st.sampled_from(fields))
             value = draw(st.integers(0, 2**64 - 1)) if edit == "u64" else draw(st.floats())
             blob[at:at + 8] = struct.pack("<Q" if edit == "u64" else "<d", value)
     if draw(st.booleans()):
@@ -41,6 +56,6 @@ def fslt_bytes():
     """Byte strings a factor-file loader may be handed: valid small files with a few edits
     (a byte, or an integer or float over a fixed-width field) and possibly truncated, an FSLT
     magic and version followed by noise, and plain noise."""
-    versioned = st.builds(lambda v, rest: b"FSLT" + struct.pack("<I", v) + rest, st.sampled_from([1, 2]),
+    versioned = st.builds(lambda v, rest: b"FSLT" + struct.pack("<I", v) + rest, st.sampled_from([1, 2, 3]),
                           st.binary(max_size=256))
     return st.one_of(_mutated(), versioned, st.binary(max_size=256))

@@ -265,6 +265,20 @@ class TestFourierCorrectionFactor:
         assert norm2(b - ff - factor_dense(fac)) <= eps
         assert fac.rank <= correction_rank_budget(n, eps)
 
+    @pytest.mark.parametrize("n,eps", [(64, 1e-3), (2**16, 1e-6)])
+    def test_one_basis_serves_both_taylor_blocks(self, n, eps):
+        # both Taylor bases are (m/n)^j: the factor keeps the wider one and the two coefficient matrices
+        w = 0.25
+        w_prime = nearest_odd_integer(2 * n * w) / (2 * n)
+        odd, even = sinc_alias_factor(n, 7 * eps / 30), bandwidth_shift_factor(n, w, w_prime, 7 * eps / 30)
+        fac = fourier_correction_factor(n, w, eps)
+        z, basis = fac.blocks
+        assert basis.shape[1] == max(odd.rank, even.rank) and fac.parities == (None, None)
+        for kernel in (odd, even):
+            assert np.abs(basis[:, : kernel.rank] - kernel.basis).max() <= 1e-15
+        assert [np.array_equal(c, k.coeffs) for c, k in zip(fac.coefs, (odd, even))] == [True, True]
+        assert fac.rank == 4 * z.shape[1] + 2 * odd.rank + 2 * even.rank
+
     def test_domain(self):
         with pytest.raises(ValueError):
             fourier_correction_factor(64, 0.25, 0.7)
@@ -288,15 +302,21 @@ class TestProjectionCorrection:
         assert norm2(projection_oracle(n, w, 128) - (b + factor_dense(u))) <= eps
 
     def test_block_structure(self):
-        # one stored copy of the window vectors; g keeps the below-split pairs
-        # (positive) and pushes the rest out (negative)
-        es = transition_eigenpairs(256, 0.25, 1e-6)
-        u = projection_correction(es)
-        (lam2, _), (lam3, _) = es.split()
-        n2 = lam2.size
-        assert len(u.blocks) == 1 and np.array_equal(u.blocks[0], es.vectors)
-        assert np.all(u.weights[:n2] > 0) and np.all(u.weights[n2:] < 0)
-        assert np.array_equal(u.weights, np.concatenate([1 - lam2, -lam3]))
+        # the window vectors of each parity stored once, as their leading rows; g keeps the
+        # below-split pairs (positive) and pushes the rest out (negative), in Slepian index order
+        for n in (256, 257):
+            es = transition_eigenpairs(n, 0.25, 1e-6)
+            u = projection_correction(es)
+            (lam2, _), (lam3, _) = es.split()
+            n2, lead = lam2.size, es.start_index % 2
+            assert u.parities == (0, 1) and not u.coefs
+            assert np.array_equal(u.blocks[0], es.vectors[: (n + 1) // 2, lead::2])
+            assert np.array_equal(u.blocks[1], es.vectors[: n // 2, 1 - lead :: 2])
+            assert np.all(u.weights[:n2] > 0) and np.all(u.weights[n2:] < 0)
+            assert np.array_equal(u.weights, np.concatenate([1 - lam2, -lam3]))
+            # the halves stand for the full-row V diag(g) V^T
+            full = (es.vectors * u.weights) @ es.vectors.T
+            assert np.abs(factor_dense(u) - full).max() <= 1e-15
 
 
 class TestPinvCorrection:
@@ -372,23 +392,29 @@ class TestTikhonovCorrection:
 
     def test_weights_nonnegative(self):
         u = tikhonov_correction(256, 0.25, 1e-6, 1e-2)
-        assert np.all(np.isfinite(u.blocks[0]))
-        # symmetric factor: one stored block, a nonnegative weight
-        assert len(u.blocks) == 1 and u.terms[0].left == u.terms[0].right
+        assert all(np.all(np.isfinite(b)) for b in u.blocks)
+        # symmetric factor: the two parity halves without coefficient matrices, a nonnegative weight
+        assert u.parities == (0, 1) and not u.coefs
         assert np.all(u.weights >= 0)
 
 
 class TestLowRankFactor:
     def test_apply_matches_dense(self, rng):
-        # a spectral record and a modulated record with reversed halves, on
-        # real and complex input, against the dense matrix of their terms
+        # a spectral record of parity halves, odd column first, and a modulated record with
+        # reversed halves and coefficient matrices on one basis, on real and complex input,
+        # against the dense matrix of their terms, at odd and even n
         def draw(shape, cplx):
             out = rng.standard_normal(shape)
             return out + 1j * rng.standard_normal(shape) if cplx else out
 
-        n = 16
-        blocks = tuple(rng.standard_normal((n, r)) for r in (3, 2, 2, 4, 4))
-        for f in (LowRankFactor.spectral(blocks[0], draw(3, False)), LowRankFactor.fourier(0.2, blocks)):
+        factors = []
+        for n in (15, 16):
+            halves = (draw(((n + 1) // 2, 2), False), draw((n // 2, 3), False))
+            factors += [LowRankFactor.spectral(n, 1, halves, draw(5, False)),
+                        LowRankFactor.fourier(0.2, (draw((n, 3), False), draw((n, 4), False)),
+                                              (draw((2, 2), False), draw((4, 4), False)))]
+        for f in factors:
+            n = f.n
             left, right = factor_halves(f)
             for x_cplx in (False, True):
                 x, c = draw(n, x_cplx), draw(f.rank, x_cplx)
@@ -399,15 +425,28 @@ class TestLowRankFactor:
                 assert not np.iscomplexobj(f.apply(draw(n, False)))
 
     def test_zero_width(self, rng):
-        f = LowRankFactor.spectral(np.zeros((8, 0)), np.zeros(0))
-        assert f.rank == 0
-        assert np.linalg.norm(f.apply(rng.standard_normal(8))) == 0.0
+        for n in (1, 8, 9):
+            f = LowRankFactor.spectral(n, 1, (np.zeros(((n + 1) // 2, 0)), np.zeros((n // 2, 0))), np.zeros(0))
+            assert f.rank == 0
+            for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j):
+                assert np.linalg.norm(f.apply(x)) == 0.0 and f.apply(x).shape == (n,)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            LowRankFactor.spectral(np.zeros((4, 2)), np.zeros(3))
-        with pytest.raises(ValueError):
-            LowRankFactor.fourier(0.25, (np.zeros((4, 1)), np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((4, 1)),
-                                         np.zeros((4, 1))))
-        with pytest.raises(ValueError):
-            LowRankFactor.fourier(0.25, (np.zeros((4, 1)),) * 4 + (np.zeros((5, 1)),))
+        two = (np.zeros((2, 1)), np.zeros((2, 1)))
+        for n, lead, halves, g in [
+            (4, 0, two, np.zeros(3)),  # one weight per column
+            (5, 0, two, np.zeros(2)),  # odd n: the even half holds the middle row too
+            (4, 0, (np.zeros((2, 0)), np.zeros((2, 2))), np.zeros(2)),  # two odd columns cannot alternate
+            (4, 2, two, np.zeros(2)),  # a lead parity of 0 or 1
+        ]:
+            with pytest.raises(ValueError):
+                LowRankFactor.spectral(n, lead, halves, g)
+        z, basis = np.zeros((4, 1)), np.zeros((4, 2))
+        for blocks, coefs in [
+            ((z, basis), (np.zeros((3, 3)), np.zeros((2, 2)))),  # a Taylor width beyond the basis
+            ((z, basis), (np.zeros((2, 1)), np.zeros((2, 2)))),  # coefficient matrices are square
+            ((z, np.zeros((5, 2))), (np.zeros((2, 2)), np.zeros((2, 2)))),  # one row count
+            ((z, basis, basis), (np.zeros((2, 2)), np.zeros((2, 2)))),  # z and one basis
+        ]:
+            with pytest.raises(ValueError):
+                LowRankFactor.fourier(0.25, blocks, coefs)

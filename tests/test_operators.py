@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from prolate.dpss import PreconditionViolated, default_subspace_dim, slepian_plan, transition_eigenpairs
+from prolate.dpss import (
+    PreconditionViolated,
+    default_subspace_dim,
+    slepian_plan,
+    transition_eigenpairs,
+    transition_window,
+)
 from prolate.fft_kernels import PartialFourier, ToeplitzOperator
 from prolate.operators import (
     MAX_EMPTY_N,
@@ -36,7 +42,7 @@ from oracles import (
     projection_oracle,
     tikhonov_oracle,
 )
-from strategies import fslt_bytes
+from strategies import fslt_bytes, header_length, small_fslt_files, version_2_projector
 
 
 class TestSlepianParams:
@@ -304,22 +310,26 @@ def test_concurrent_application_is_safe(rng):
 
 
 def test_applies_copy_no_factor(rng):
-    # a stored block copied (conjugated, reversed, modulated or upcast to
-    # complex) on the way would alone take at least the smallest block's size
-    # in memory during the call
+    # a stored block copied (conjugated, reversed, folded, modulated or upcast
+    # to complex) on the way would alone take at least the smallest block's
+    # size in memory during the call; the Toeplitz and partial Fourier parts
+    # hold no block, and their transforms' workspace outgrows a parity half
     n = 2048
     params = SlepianParams.create(n, 0.25, 1e-6)
     built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
              FastTikhonov.build(params, 1e-2)]
-    fact = built[1]
     x = rng.standard_normal(n)
     xc = x + 1j * rng.standard_normal(n)
-    c = fact.compress(xc)
-    cases = [(f"{op.kind} apply {v.dtype}", lambda op=op, v=v: op.apply(v), op) for op in built for v in (x, xc)]
-    cases += [(f"compress {v.dtype}", lambda v=v: fact.compress(v), fact) for v in (x, xc)]
-    cases += [("decompress", lambda: fact.decompress(c), fact)]
-    for label, call, op in cases:
-        bound = min(f.nbytes for f in op.factors())
+    cases = []
+    for op in built:
+        for f in op.corrections():
+            for v in (x, xc):
+                c = f.adjoint_apply(v)
+                calls = [("apply", lambda f=f, v=v: f.apply(v)), ("adjoint_apply", lambda f=f, v=v: f.adjoint_apply(v)),
+                         ("synthesize", lambda f=f, c=c: f.synthesize(c))]
+                cases += [(f"{op.kind} rank {f.rank} {name} {v.dtype}", call, f) for name, call in calls]
+    for label, call, f in cases:
+        bound = min(b.nbytes for b in f.blocks)
         call()
         tracemalloc.start()
         try:
@@ -328,6 +338,67 @@ def test_applies_copy_no_factor(rng):
         finally:
             tracemalloc.stop()
         assert peak < bound, (label, peak, bound)
+
+
+_WINDOWS = {"empty": (0.1, 0.49), "narrow": (0.25, 0.3), "wide": (0.25, 1e-6)}
+
+
+class TestParityHalves:
+    """The spectral records keep each parity's leading rows; every kind still meets its bound."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 81, 161, 256, 257])
+    @pytest.mark.parametrize("window", sorted(_WINDOWS))
+    def test_every_kind_within_its_bound(self, n, window, rng):
+        w, eps = _WINDOWS[window]
+        params = SlepianParams.create(n, w, eps)
+        built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
+                 FastTikhonov.build(params, 1e-2)]
+        exact = {1: projection_oracle(n, w, params.k), 2: projection_oracle(n, w, params.k),
+                 3: pinv_oracle(n, w, params.k), 4: tikhonov_oracle(n, w, 1e-2)}
+        for op in built:
+            reloaded = operator_from_bytes(operator_to_bytes(op))
+            for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+                got = _apply(op, x)
+                assert np.linalg.norm(got - exact[op.kind] @ x) <= op.error_bound * np.linalg.norm(x), op.kind
+                assert np.array_equal(_apply(reloaded, x), got)
+
+    def test_windows_reach_every_parity_mix(self):
+        # the grid above holds empty windows, windows of one parity only (either one) and mixed ones
+        mixes = set()
+        for n in (1, 2, 3, 81, 161, 256, 257):
+            for w, eps in _WINDOWS.values():
+                params = SlepianParams.create(n, w, eps)
+                for op in (FastProjector.build(params), FastTikhonov.build(params, 1e-2)):
+                    even, odd = (b.shape[1] for b in op.u.blocks)
+                    mixes.add((even > 0, odd > 0))
+        assert mixes == {(False, False), (True, False), (False, True), (True, True)}
+
+    def test_agree_with_full_rows_from_the_plan(self, rng):
+        # apply, compress and decompress against V diag(g) V^T with the full rows of V from slepian_plan
+        n, w, eps, alpha = 2**14, 0.25, 1e-6, 1e-2
+        params = SlepianParams.create(n, w, eps)
+        start = transition_eigenpairs(n, w, eps).start_index
+        tikhonov_start = transition_window(n, w, alpha * (1 + alpha) * eps, 1 - eps / 3)[0]
+        built = [(FastProjector.build(params), start), (FastPseudoinverse.build(params), start),
+                 (FastTikhonov.build(params, alpha), tikhonov_start), (FastFactorization.build(params), start)]
+        x = rng.standard_normal(n)
+        for op, first in built:
+            g = np.asarray(op.u.weights)
+            v = slepian_plan(n, w).pairs(first, first + g.size - 1)[0].T
+            assert all(a.shape[0] <= (n + 1) // 2 for a in op.u.blocks)
+            for y in (x, x + 1j * rng.standard_normal(n)):
+                if op.kind == 2:
+                    nf, nl = op.pf.num_cols, op.l.rank
+                    c = op.compress(y)
+                    want = np.concatenate([op.pf.adjoint(y), op.l.adjoint_apply(y), np.sqrt(np.abs(g)) * (v.T @ y)])
+                    assert np.linalg.norm(c - want) <= 1e-14 * np.linalg.norm(want)
+                    want = (op.pf.apply(c[:nf]) + op.l.synthesize(c[nf:nf + nl])
+                            + v @ (np.sign(g) * np.sqrt(np.abs(g)) * c[nf + nl:]))
+                    got = op.decompress(c)
+                else:
+                    want = op.b_op.apply(y) / (1.0 + op.alpha) + v @ (g * (v.T @ y))
+                    got = op.apply(y)
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), op.kind
 
 
 @pytest.fixture(scope="module")
@@ -362,7 +433,7 @@ class TestPersistence:
         blob = operator_to_bytes(ops[3])
         assert blob[:4] == b"FSLT"
         version, = struct.unpack("<I", blob[4:8])
-        assert version == 2
+        assert version == 3
 
     def test_bad_magic(self, ops):
         blob = operator_to_bytes(ops[0])
@@ -375,8 +446,8 @@ class TestPersistence:
         # a rank-0 version-1 projector as that version laid it out: unpadded header, a (rank, complex flag) per half
         v1 = (b"FSLT" + struct.pack("<I", 1) + struct.pack("<QdddQB", p.n, p.w, p.epsilon, 0.0, p.k, 1)
               + struct.pack("<d", ops[0].error_bound) + struct.pack("<QB", 0, 0) * 2)
-        for data in (blob[:4] + struct.pack("<I", 99) + blob[8:], v1):
-            with pytest.raises(UnsupportedVersionError):
+        for data in (blob[:4] + struct.pack("<I", 99) + blob[8:], v1, version_2_projector(p, ops[0].error_bound)):
+            with pytest.raises(UnsupportedVersionError, match="only version 3"):
                 operator_from_bytes(data)
 
     def test_truncated(self, ops):
@@ -404,41 +475,49 @@ def ops256():
     ]
 
 
-def _n_row_arrays(obj, n, found):
-    """ids of the arrays with n rows reachable from obj's attributes, past the fast transforms."""
+def _held_arrays(obj, found):
+    """ids of the arrays reachable from obj's attributes, past the fast transforms."""
     if isinstance(obj, np.ndarray):
-        if obj.ndim and obj.shape[0] == n:
-            found.add(id(obj))
+        found.add(id(obj))
     elif isinstance(obj, (tuple, list)):
         for item in obj:
-            _n_row_arrays(item, n, found)
+            _held_arrays(item, found)
     elif hasattr(obj, "__dict__") and not isinstance(obj, (ToeplitzOperator, PartialFourier, type)):
         for value in vars(obj).values():
-            _n_row_arrays(value, n, found)
+            _held_arrays(value, found)
     return found
 
 
 class TestStructuredFactors:
     def test_factors_list_every_held_array(self, ops256):
+        # blocks, coefficient matrices and weights alike, so the factor bytes hide none
         for op in ops256:
             listed = {id(a) for a in op.factors()}
-            assert _n_row_arrays(op, 256, set()) == listed, op.kind
+            assert _held_arrays(op, set()) == listed, op.kind
+            assert len(listed) == len(op.factors()) == sum(len(f.arrays) for f in op.corrections())
 
     def test_built_blocks_live_in_maps_of_their_own(self, ops256):
         # a dropped operator then returns its blocks to the system, whatever was allocated after it
         for op in ops256:
-            for a in op.factors():
+            for a in (b for f in op.corrections() for b in f.blocks):
                 base = a
                 while isinstance(base, np.ndarray):
                     base = base.base
                 assert a.flags.f_contiguous and isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
 
     def test_file_is_header_plus_listed_arrays(self, ops256):
+        # a 64-byte header, three u64 fields per spectral record and four per Fourier record, then every listed
+        # array once: the spectral weights and halves, the Fourier z, basis, ca and cb
         for op in ops256:
-            records = op.corrections()
-            head = 64 + sum(8 * (1 + len(f.blocks)) for f in records)
-            small = sum(f.weights.nbytes for f in records)
-            assert len(operator_to_bytes(op)) == head + sum(a.nbytes for a in op.factors()) + small
+            head = 64 + 8 * sum(3 if f.parities == (0, 1) else 4 for f in op.corrections())
+            assert len(operator_to_bytes(op)) == head + sum(a.nbytes for a in op.factors())
+        n, h = 256, 128
+        proj, fact = ops256[0], ops256[1]
+        even, odd = (b.shape[1] for b in proj.u.blocks)
+        assert sum(a.nbytes for a in proj.factors()) == 8 * ((even + odd) + h * even + h * odd)
+        (z, width), (ra, rb) = (b.shape[1] for b in fact.l.blocks), (len(c) for c in fact.l.coefs)
+        assert max(ra, rb) == width
+        assert sum(a.nbytes for a in fact.l.arrays) == 8 * (n * z + n * width + ra * ra + rb * rb)
 
     def test_ranks_keep_their_meaning(self, ops256):
         # coefficient counts: the columns of the dense halves, and the transition window
@@ -482,14 +561,15 @@ def test_decode_allocates_nothing_in_proportion_to_the_file(files14, kind):
 
 class TestCorruptFiles:
     def test_corrupt_files_raise_only_file_errors(self):
-        # every header field (n, w, eps, alpha, k) at extreme bit patterns, then
-        # seeded byte flips and truncations
+        # every header field (n, w, eps, alpha, k, kind, bound) and every record header field
+        # at extreme bit patterns, then seeded byte flips and truncations
         params = SlepianParams.create(64, 0.25, 1e-3)
         built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
                  FastTikhonov.build(params, 1e-2)]
         blobs = [bytes(operator_to_bytes(op)) for op in built]
         corrupt = [blob[:at] + struct.pack("<Q", value) + blob[at + 8:]
-                   for blob in blobs for at in range(8, 48, 8) for value in (0, 1, 2**20 + 1, 2**63 - 1, 2**64 - 1)]
+                   for kind, blob in enumerate(blobs, 1) for at in range(8, header_length(kind), 8)
+                   for value in (0, 1, 2, 3, 2**20 + 1, 2**63 - 1, 2**64 - 1)]
         rng = np.random.default_rng(11)
         for _ in range(200):
             blob = bytearray(blobs[rng.integers(len(blobs))])
@@ -524,7 +604,7 @@ class TestCorruptFiles:
     def test_rank_zero_header_capped(self):
         n = MAX_EMPTY_N + 1
         head = struct.pack("<QdddQB", n, 0.25, 0.49, 0.0, default_subspace_dim(n, 0.25), 1)
-        blob = b"FSLT" + struct.pack("<I", 2) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQ", 0, 0)
+        blob = b"FSLT" + struct.pack("<I", 3) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQQ", 0, 0, 0)
         tracemalloc.start()
         try:
             with pytest.raises(FactorFileError, match="too large"):
@@ -533,3 +613,49 @@ class TestCorruptFiles:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_record_fields_are_bounded_before_any_allocation(self):
+        # each new record field at a hostile value: a FactorFileError naming it or the file length,
+        # with nothing allocated in proportion to the value
+        proj, fact = (bytes(b) for b in small_fslt_files()[:2])
+        huge = 2**63 - 1
+
+        def spectral(lead, even, odd):
+            return proj[:64] + struct.pack("<QQQ", lead, even, odd) + proj[88:]
+
+        def fourier(z, width, ra, rb):
+            return fact[:64] + struct.pack("<QQQQ", z, width, ra, rb) + fact[96:]
+
+        lead, even, odd = struct.unpack("<QQQ", proj[64:88])
+        z, width, ra, rb = struct.unpack("<QQQQ", fact[64:96])
+        cases = [
+            (spectral(2, even, odd), "cannot alternate"),
+            (spectral(0, odd + 2, odd), "cannot alternate"),
+            (spectral(0, even, even + 1), "cannot alternate"),
+            (spectral(lead, huge, huge), "truncated"),
+            (spectral(0, 2**32, 2**32), "truncated"),
+            (fourier(z, width, width + 1, rb), "exceed the basis"),
+            (fourier(z, width, ra, huge), "exceed the basis"),
+            (fourier(z, huge, huge, huge), "truncated"),
+            (fourier(huge, width, ra, rb), "truncated"),
+            (fourier(z, width, 0, 0), "trailing bytes"),
+        ]
+        for blob, message in cases:
+            tracemalloc.start()
+            try:
+                with pytest.raises(FactorFileError, match=message):
+                    operator_from_bytes(blob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, message
+
+    def test_odd_columns_alone_bound_n(self):
+        # a window of odd columns only: the halves still name n through their rows
+        n, w, eps = 3, 0.25, 0.3
+        op = FastProjector.build(SlepianParams.create(n, w, eps))
+        assert [b.shape[1] for b in op.u.blocks] == [0, 1]
+        blob = bytes(operator_to_bytes(op))
+        assert np.array_equal(operator_from_bytes(blob).apply(np.arange(3.0)), op.apply(np.arange(3.0)))
+        with pytest.raises(TruncatedFileError):
+            operator_from_bytes(blob[:8] + struct.pack("<Q", 2**40) + blob[16:])
