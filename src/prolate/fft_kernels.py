@@ -211,16 +211,16 @@ class PartialFourier:
         return np.concatenate([low[r:0:-1].conj(), low]) / self._scale
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        """F c: scatter the coefficients into their DFT bins and invert."""
+        """F c: scatter the coefficients, scaled by sqrt(n), into their DFT bins and invert."""
         c = np.asarray(c)
         if c.shape != (self.num_cols,):
             raise ValueError(f"expected {self.num_cols} coefficients, got shape {c.shape}")
-        r = self.half_span
+        r, c = self.half_span, c * self._scale
         spec = np.zeros(self.n, dtype=complex)
         if r > 0:
             spec[self.n - r:] = c[:r]
         spec[: r + 1] = c[r:]
-        return np.fft.ifft(spec) * self._scale
+        return np.fft.ifft(spec)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """The circulant projector F F* applied to x."""

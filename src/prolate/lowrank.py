@@ -13,13 +13,16 @@ Three families of factors are produced here:
 Assembled together they give the circulant-plus-low-rank split of the
 prolate matrix with an operator-norm certificate.  Every correction is one
 LowRankFactor kept in structured form, phases recomputed per call: the
-Fourier correction as the Hilbert factor z, one monomial basis (m/n)^j and
-two Taylor coefficient matrices, each eigen-partition correction as
-V diag(g) V^T with only the leading rows of V's even and odd columns.
+Fourier correction as the Hilbert factor z and two Taylor coefficient
+matrices (their monomial basis (m/n)^j is fixed by n and never stored: each
+row tile of a product forms a small local basis and shifts it), each
+eigen-partition correction as V diag(g) V^T with only the leading rows of
+V's even and odd columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -37,11 +40,12 @@ from .dpss import (
     transition_window,
     vector_error,
 )
-from .fft_kernels import nearest_odd_integer
+from .fft_kernels import _reduced_product, nearest_odd_integer
 
 __all__ = [
     "LowRankFactor",
     "PolynomialKernelFactor",
+    "taylor_widths",
     "adi_rank",
     "adi_shifts",
     "jacobi_dn",
@@ -62,12 +66,18 @@ _SQRT_CLAMP = -1e-14
 # share of epsilon that one window eigenvalue's quotient error may cost the
 # Tikhonov map before that eigenvalue is recomputed in extended precision
 _REFINE_SHARE = 0.25
-# rows per chunk of a factor's analysis products
+# rows per chunk of a spectral record's analysis products
 _CHUNK = 8192
+# rows per tile of the Fourier correction's products: analysis sums over a tile's rows, which
+# ran fastest while a tile of z and its modulated copies stay in cache; synthesis writes them,
+# which two BLAS threads share best in long tiles
+_ANALYSIS_TILE, _SYNTHESIS_TILE = 4096, 16384
 
 
 # One outer product of a LowRankFactor, its coefficients at slot: D J^flip_left P diag(post) C P^T J^flip_right D^*,
-# P the leading width columns of blocks[block] at n rows, C = coefs[coef] or I, D = diag(e^{i step m}), J the reversal.
+# P the leading width columns of blocks[block] at n rows or, for block None, of the monomial basis (m/n)^j,
+# C = coefs[coef] or I, J the reversal, and D = I (step 0), d_a^{+-1} = e^{+-2 pi i w' m} (step +-1)
+# or d_b^{+-1} = e^{+-i pi (w + w') m} (step +-2).
 Term = namedtuple("Term", "block width coef step flip_left flip_right post slot")
 
 
@@ -75,14 +85,19 @@ Term = namedtuple("Term", "block width coef step flip_left flip_right post slot"
 class LowRankFactor:
     """A sum of Terms over real column-major blocks and small coefficient matrices; phases recomputed per call.
 
-    A block holds n rows or, where parities gives its parity (0 even, 1 odd
-    under row reversal), the leading ceil(n/2) or floor(n/2) rows.
-    adjoint_apply(x) puts C P^T J D^* x into each term's slot and synthesize(c)
-    sums D J P (post * c[slot]), so each block meets one real product per call:
-    of the input's cosine- and sine-modulated (and reversed) copies, folded to
-    x_lead +- reversed(x_tail) for a parity half, or of the coefficients summed
-    over the terms sharing a phase pair.  weights is the g of P diag(g) P^T,
-    sqrt|g| on each side of the coefficients, or empty (the Fourier correction).
+    A spectral factor is P diag(g) P^T over the leading ceil(n/2) rows of
+    P's even columns and the leading floor(n/2) rows of its odd ones
+    (parities 0 and 1 under row reversal): analysis folds x to
+    x_lead +- reversed(x_tail), synthesis unfolds both parities' products,
+    and g enters as sqrt|g| on each side of the coefficients.
+
+    The Fourier correction (w > 0) holds z and the Taylor coefficient
+    matrices only.  Its products run over row tiles that read z once per
+    call; the basis rows of the tile at i0 are the local table (k/n)^j times
+    the Pascal shift S(t0)[k, j] = C(j, k) t0^(j - k), t0 = i0/n, and each
+    phase is a local cos/sin table times one rotation per tile, both from
+    exactly reduced turns (_phases).  The shift and the rotation act on the
+    coefficient side.
     """
 
     n: int
@@ -91,13 +106,15 @@ class LowRankFactor:
     coefs: tuple
     terms: tuple
     weights: np.ndarray
+    w: float = 0.0
 
     def __post_init__(self):
         rows = [self.n if p is None else (self.n + 1 - p) // 2 for p in self.parities]
         if (len(rows) != len(self.blocks) or any(b.ndim != 2 or len(b) != r for b, r in zip(self.blocks, rows))
                 or self.weights.shape not in ((0,), (self.rank,))):
             raise ValueError("each block must hold n rows or its parity's leading rows, and each coefficient a weight")
-        if any(t.width > self.blocks[t.block].shape[1] or len(range(self.rank)[t.slot]) != t.width
+        if any(t.block is not None and t.width > self.blocks[t.block].shape[1]
+               or len(range(self.rank)[t.slot]) != t.width
                or t.coef is not None and self.coefs[t.coef].shape != (t.width, t.width) for t in self.terms):
             raise ValueError("each term must fit its block, its slot and its coefficient matrix")
 
@@ -119,97 +136,67 @@ class LowRankFactor:
     def _analyze(self, x):
         x = np.asarray(x)
         rows = np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x[None, :]
-        m, trig, parts = len(rows), {}, {}
-        for r in dict.fromkeys(t.block for t in self.terms):
-            mods = list(dict.fromkeys((abs(t.step), t.flip_right) for t in self.terms if t.block == r))
-            copies, block = _fold(_modulated(rows, mods, trig), self.parities[r]), self.blocks[r]
-            # summed over row chunks whose slices of the block and the copies stay in cache
-            prod = (block.T @ copies[0])[:, None] if len(copies) == 1 else sum(
-                block[i:i + _CHUNK].T @ copies[:, i:i + _CHUNK].T for i in range(0, max(len(block), 1), _CHUNK))
-            del copies
-            for s, flip in mods:
-                parts[r, s, flip], prod = prod[:, :2 * m if s else m], prod[:, 2 * m if s else m:]
-        c = np.empty(self.rank, complex if m == 2 or any(t.step for t in self.terms) else float)
+        if self.w:
+            return _fourier_analysis(self, rows)
+        c = np.empty(self.rank, complex if len(rows) == 2 else float)
         for t in self.terms:
-            p = parts[t.block, abs(t.step), t.flip_right][:t.width]
-            p = p if t.coef is None else self.coefs[t.coef] @ p
-            # e^{-i step m} x = cos(|step| m) x - i sign(step) sin(|step| m) x
-            p = p[:, :m] - (1j if t.step > 0 else -1j) * p[:, m:] if t.step else p
-            c[t.slot] = p[:, 0] if m == 1 else p[:, 0] + 1j * p[:, 1]
+            p = _half_product(self.blocks[t.block], _fold(rows, self.parities[t.block]))
+            c[t.slot] = p[:, 0] if len(rows) == 1 else p[:, 0] + 1j * p[:, 1]
         if self.weights.size:
             c *= np.sqrt(np.abs(self.weights))
         return c
 
-    def synthesize(self, c: np.ndarray) -> np.ndarray:
-        """Sum of the terms' left halves applied to their slots of c; no block is copied."""
+    def synthesize(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Sum of the terms' left halves applied to their slots of c, added into out when one is given (a new
+        output is complex for the Fourier correction or complex c); no block is copied."""
         c = np.asarray(c)
         if c.shape != (self.rank,):
             raise ValueError(f"expected {self.rank} coefficients, got shape {c.shape}")
+        if out is None:
+            out = np.zeros(self.n, complex if np.iscomplexobj(c) or self.w else float)
+        if self.w:
+            _fourier_synthesis(self, c, out)
+            return out
         if self.weights.size:
             c = c * (np.sign(self.weights) * np.sqrt(np.abs(self.weights)))
-        result = np.zeros(self.n, complex if np.iscomplexobj(c) or any(t.step for t in self.terms) else float)
-        out = (result.real, result.imag) if np.iscomplexobj(result) else (result,)
-        trig, tmp, halves = {}, None, ({}, {})
-        for r in dict.fromkeys(t.block for t in self.terms):
-            # under phases cos + i sin and cos - i sin, terms sharing a step size and a reversal
-            # enter as a sum E (times cos) and a difference O (times i sin):
-            # cos (E_r + i E_i) + i sin (O_r + i O_i) = (cos E_r - sin O_i) + i (cos E_i + sin O_r)
-            sums, block = {}, self.blocks[r]
-            for t in self.terms:
-                if t.block == r:
-                    part = t.post * c[t.slot]
-                    part = np.pad(part, (0, block.shape[1] - t.width)) if t.width < block.shape[1] else part
-                    for odd in (False, True) if t.step else (False,):
-                        key = (abs(t.step), t.flip_left, odd)
-                        sums[key] = sums.get(key, 0) + (math.copysign(1.0, t.step) if odd else 1.0) * part
-            rows = [(key, j, v) for key, total in sums.items()
-                    for j, v in enumerate((total.real, total.imag) if np.iscomplexobj(total) else (total,))]
-            for step in {k[0] for k in sums if k[0]}:
-                _trig(self.n, step, trig)  # ahead of the product, so the table's temporaries stay off its peak
-            coef = np.stack([v for _, _, v in rows])
-            prod = (coef[0] @ block.T)[None] if len(rows) == 1 else coef @ block.T
-            for ((s, flip, odd), imag, _), p in zip(rows, prod):
-                if self.parities[r] is not None:  # one product per part; unfolded below with the other parity's
-                    halves[imag][self.parities[r]] = p
-                    continue
-                p = p[::-1] if flip else p
-                if s:
-                    p = tmp = np.multiply(p, _trig(self.n, s, trig)[odd], out=tmp)
-                target, negate = imag ^ odd, imag and odd
-                (np.subtract if negate else np.add)(out[target], p, out=out[target])
-            del prod
-        for pair, target in zip(halves, out):
-            _unfold(pair, target)
-        return result
+        halves = ({}, {})  # one product per parity and part; unfolded together below
+        for t in self.terms:
+            v, block = c[t.slot], self.blocks[t.block]
+            coef = np.stack([v.real, v.imag] if np.iscomplexobj(v) else [v])
+            prod = (coef[0] @ block.T)[None] if len(coef) == 1 else coef @ block.T
+            for part, p in zip(halves, prod):
+                part[self.parities[t.block]] = p
+        for part, target in zip(halves, (out.real, out.imag) if np.iscomplexobj(out) else (out,)):
+            _unfold(part, target)
+        return out
 
     @classmethod
     def spectral(cls, n: int, lead: int, halves, g: np.ndarray) -> "LowRankFactor":
         """V diag(g) V^T from the leading rows of V's even and odd columns, column 0 of parity lead; the
         coefficients keep V's column order, the even ones at lead, lead + 2, ..., the odd ones in between."""
         halves = tuple(_column_major(h) for h in halves)
-        terms = tuple(Term(p, h.shape[1], None, 0.0, False, False, 1.0, slice(abs(p - lead), None, 2))
+        terms = tuple(Term(p, h.shape[1], None, 0, False, False, 1.0, slice(abs(p - lead), None, 2))
                       for p, h in enumerate(halves))
         return cls(n, halves, (0, 1), (), terms, np.asarray(g, dtype=float))
 
     @classmethod
-    def fourier(cls, w: float, blocks, coefs) -> "LowRankFactor":
-        """B - F F* from z, the monomial basis and the Taylor coefficients ca and cb, with
-        d_a = e^{2 pi i w' m}, d_b = e^{i pi (w + w') m} and the reversal of z applied on the fly;
-        the odd and the even Taylor terms read the leading ra and rb columns of the one basis."""
-        (z, _), (ra, rb) = blocks, (len(c) for c in coefs)
-        n, rz = z.shape
-        w_prime = nearest_odd_integer(2.0 * n * w) / (2.0 * n)
-        a, b = 2.0 * math.pi * w_prime, math.pi * (w + w_prime)
+    def fourier(cls, w: float, z, coefs) -> "LowRankFactor":
+        """B - F F* from z and the Taylor coefficients ca and cb, with d_a = e^{2 pi i w' m}, d_b = e^{i pi (w + w') m}
+        and the reversal of z applied on the fly; the odd and the even Taylor terms read the leading ra and rb
+        columns of the monomial basis (m/n)^j, which n fixes and no array holds."""
+        if not 0.0 < w < 0.5:
+            raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
+        (n, rz), (ra, rb) = z.shape, (len(c) for c in coefs)
         hilb, odd = 1.0 / (2.0 * math.pi * 1j), 1.0 / (2.0 * 1j)
-        specs = [(0, rz, None, a, False, True, hilb), (0, rz, None, a, True, False, -hilb),
-                 (0, rz, None, -a, False, True, -hilb), (0, rz, None, -a, True, False, hilb),
-                 (1, ra, 0, a, False, False, odd), (1, ra, 0, -a, False, False, -odd),
-                 (1, rb, 1, b, False, False, 0.5), (1, rb, 1, -b, False, False, 0.5)]
+        specs = [(0, rz, None, 1, False, True, hilb), (0, rz, None, 1, True, False, -hilb),
+                 (0, rz, None, -1, False, True, -hilb), (0, rz, None, -1, True, False, hilb),
+                 (None, ra, 0, 1, False, False, odd), (None, ra, 0, -1, False, False, -odd),
+                 (None, rb, 1, 2, False, False, 0.5), (None, rb, 1, -2, False, False, 0.5)]
         edges = np.cumsum([0] + [s[1] for s in specs]).tolist()
         terms = tuple(Term(*s, slice(edges[i], edges[i + 1])) for i, s in enumerate(specs))
         # column-major like the loader's views, so that a reloaded factor's products round alike
         coefs = tuple(np.asfortranarray(c, dtype=float) for c in coefs)
-        return cls(n, tuple(_column_major(v) for v in blocks), (None, None), coefs, terms, _read_only(np.zeros(0)))
+        return cls(n, (_column_major(z),), (None,), coefs, terms, _read_only(np.zeros(0)), w)
 
 
 def _column_major(block):
@@ -223,51 +210,16 @@ def _column_major(block):
     return block if block.flags.f_contiguous else mapped_columns(block)
 
 
-def _trig(n, s, cache):
-    """cos(s m) and sin(s m), m = 0..n-1, for s*m rounded as np.exp(1j * s * m) rounds it; once per call.
-
-    Angle sums over rows of 256 give them within a few ulps of np.cos and
-    np.sin at a fraction of the cost: s*m = a + b + e with a = s*256*(m // 256)
-    and b = s*(m % 256) rounded as s*m is, and e their exact (Sterbenz)
-    difference, which enters to first order: cos(a + b + e) = cos(a + b) - e sin(a + b).
-    """
-    if s not in cache:
-        e = np.arange(-(-n // 256) * 256, dtype=float).reshape(-1, 256)
-        e *= s
-        a, b = e[:, 0].copy(), e[0].copy()
-        e -= a[:, None]
-        e -= b
-        rot = np.multiply.outer(np.exp(1j * a), np.exp(1j * b))
-        cos = np.subtract(rot.real, e * rot.imag)
-        e *= rot.real
-        e += rot.imag
-        cache[s] = cos.ravel()[:n], e.ravel()[:n]
-    return cache[s]
-
-
-def _modulated(rows, mods, trig):
-    """The real input rows (reversed where flip) times cos(s m) and sin(s m) per (s, flip); s = 0: the rows."""
-    if mods == [(0.0, False)]:
-        return rows
-    m, n = rows.shape
-    tables = [_trig(n, s, trig) if s else (None,) for s, _ in mods]  # ahead of the output's peak
-    out, at = np.empty((m * sum(len(t) for t in tables), n)), 0
-    for (s, flip), table in zip(mods, tables):
-        src = rows[:, ::-1] if flip else rows
-        for v in table:
-            if v is None:
-                out[at:at + m] = src
-            else:
-                np.multiply(src, v[::-1] if flip else v, out=out[at:at + m])
-            at += m
-    return out
+def _half_product(block, copies):
+    """block^T copies^T for the folded input rows, summed over row chunks whose slices stay in cache."""
+    if len(copies) == 1:
+        return (block.T @ copies[0])[:, None]
+    return sum(block[i:i + _CHUNK].T @ copies[:, i:i + _CHUNK].T for i in range(0, max(len(block), 1), _CHUNK))
 
 
 def _fold(rows, parity):
     """The rows as a parity half sees them: x_lead + reversed(x_tail), the middle entry once (even), or minus it."""
     p = rows.shape[1] // 2
-    if parity is None:
-        return rows
     out = rows[:, :(rows.shape[1] + 1 - parity) // 2].copy()
     (np.subtract if parity else np.add)(out[:, :p], rows[:, ::-1][:, :p], out=out[:, :p])
     return out
@@ -279,6 +231,121 @@ def _unfold(halves, out):
     for parity, v in halves.items():
         out[:len(v)] += v
         (np.subtract if parity else np.add)(tail, v[:len(tail)], out=tail)
+
+
+def _phases(n, w, step, m):
+    """cos and sin of the phase of |step| at the integer rows m, from its turns reduced modulo one exactly.
+
+    The turns are w' m = q m / (2n) (step 1), taken from the integer
+    q m mod 2n, or (w + w') m / 2 (step 2): w m / 2 through
+    _reduced_product plus q m mod 4n over 4n.  q = 2 n w' is the odd integer
+    nearest 2nw, so no angle error grows with n.
+    """
+    q = nearest_odd_integer(2.0 * n * w)
+    if abs(step) == 1:
+        turns = (q * m % (2 * n)) / (2 * n)
+    else:
+        turns = _reduced_product(0.5 * w, m.astype(float)) + (q * m % (4 * n)) / (4 * n)
+    angle = 2.0 * math.pi * (turns - np.rint(turns))
+    return np.cos(angle), np.sin(angle)
+
+
+@functools.lru_cache(maxsize=2)
+def _tiling(n, w, width, cap):
+    """The Fourier correction's tiles at (n, w) for a basis of width columns, cached like slepian_plan.
+
+    Returns the tile length, the tile starts i0, the local basis (k/n)^j as
+    width x tile, the local table [cos_a, cos_a, sin_a, sin_a, cos_b, cos_b,
+    sin_b, sin_b] of both steps' phases at k = 0..tile-1, the (cos, sin) of
+    the rotations of the starts and of their mirrors n - 1 - i0 per (step,
+    mirrored), and the Pascal shift of tile i.  A tile holds cap rows, or
+    n/4 (at least 64) where that is fewer, so that at small n its workspace
+    stays a fraction of z's bytes.  Every weight of a shift is positive, so
+    (k/n)^j S(t0) keeps the rounding bound of (m/n)^j.
+    """
+    tile = min(cap, max(64, n // 4), n)
+    starts, local, j = np.arange(0, n, tile), np.arange(tile), np.arange(width)
+    basis = _read_only((local / n) ** j[:, None])
+    (cos_a, sin_a), (cos_b, sin_b) = (_phases(n, w, s, local) for s in (1, 2))
+    table = _read_only(np.stack([cos_a, cos_a, sin_a, sin_a, cos_b, cos_b, sin_b, sin_b]))
+    rotations = {(s, flip): tuple(map(_read_only, _phases(n, w, s, n - 1 - starts if flip else starts)))
+                 for s in (1, 2) for flip in (0, 1)}
+    binom = np.array([[math.comb(b, a) for b in j] for a in j], dtype=float)  # C(j, k) at [k, j]
+    powers, gap = (starts / n)[:, None] ** j, np.maximum(j - j[:, None], 0)
+    return tile, starts, basis, table, rotations, lambda i: binom * powers[i][gap]
+
+
+def _fourier_analysis(f, rows):
+    """C P^T J D^* x for every term of the Fourier correction f, x given as its real rows (x, or its two parts).
+
+    Per tile, x (reversed for z's reversed terms) times the local cos and sin
+    tables meets the tile's rows of z and its shifted local basis in one
+    product each; a term sums its tiles' products under their rotations,
+    e^{-i step i0} (reversed: e^{-i step (n - 1 - i0)}).
+    """
+    n, m, (z,) = f.n, len(rows), f.blocks
+    tile, starts, basis, table, rotations, shift = _tiling(n, f.w, max(len(c) for c in f.coefs), _ANALYSIS_TILE)
+    # x reversed times cos_a and sin_a, then x times cos_a, sin_a, cos_b and sin_b: z meets the first four
+    copies = np.empty((6, m, tile))
+    pz, pb = np.empty((len(starts), 4, m, z.shape[1])), np.empty((len(starts), 4, m, len(basis)))
+    for i, i0 in enumerate(starts):
+        k = min(tile, n - i0)
+        np.multiply(rows[None, :, n - i0 - k:n - i0][..., ::-1], table[0:4:2, None, :k], out=copies[:2, :, :k])
+        np.multiply(rows[None, :, i0:i0 + k], table[::2, None, :k], out=copies[2:, :, :k])
+        pz[i] = (copies[:4].reshape(4 * m, tile)[:, :k] @ z[i0:i0 + k]).reshape(4, m, -1)
+        pb[i] = ((copies[2:].reshape(4 * m, tile)[:, :k] @ basis[:, :k].T) @ shift(i)).reshape(4, m, -1)
+    c = np.empty(f.rank, complex)
+    for t in f.terms:
+        s, sign = abs(t.step), math.copysign(1.0, t.step)
+        p, j = (pz, 0 if t.flip_right else 2) if t.block is not None else (pb, 2 * s - 2)
+        cos, sin = (p[:, i, 0] + 1j * p[:, i, 1] if m == 2 else p[:, i, 0] for i in (j, j + 1))
+        # e^{-i step m} at m = i0 + k is e^{-i step i0} (cos - i sign sin); reversed rows m = n - 1 - i0 - k
+        # take e^{-i step (n - 1 - i0)} (cos + i sign sin)
+        rot_cos, rot_sin = rotations[s, t.flip_right]
+        acc = (rot_cos - 1j * sign * rot_sin) @ (cos + (1j if t.flip_right else -1j) * sign * sin)
+        c[t.slot] = acc[:t.width] if t.coef is None else f.coefs[t.coef] @ acc[:t.width]
+    return c
+
+
+def _fourier_synthesis(f, c, out):
+    """Adds to the complex out each term's D J P (post c[slot]) of the Fourier correction f.
+
+    Terms sharing a block, a step size and a reversal form a group and enter
+    as E = u+ + u- times cos and O = u+ - u- times i sin (reversed: u- - u+),
+    with u+- = e^{+-i |step| i0} post c[slot] for the tile at i0 (reversed:
+    e^{+-i |step| (n - 1 - i0)}).  Per tile one product of z's rows and one of
+    the shifted local basis meet the groups' E and i O as real rows; the
+    reversed group's sum is added to the mirrored rows.
+    """
+    n, (z,) = f.n, f.blocks
+    tile, starts, basis, table, rotations, shift = _tiling(n, f.w, max(len(c) for c in f.coefs), _SYNTHESIS_TILE)
+    # per tile and group (z: forward, reversed; basis: step 1, step 2): E and i O over the block's columns
+    uz, ub = (np.zeros((len(starts), 2, 2, width), complex) for width in (z.shape[1], len(basis)))
+    for t in f.terms:
+        s, sign = abs(t.step), math.copysign(1.0, t.step)
+        rot_cos, rot_sin = rotations[s, t.flip_left]
+        u = np.multiply.outer(rot_cos + 1j * sign * rot_sin, t.post * c[t.slot])
+        group = uz[:, int(t.flip_left)] if t.block is not None else ub[:, s - 1, :, :t.width]
+        group[:, 0] += u
+        group[:, 1] += (-1j if t.flip_left else 1j) * sign * u
+    # rows (E.re, E.im, (iO).re, (iO).im) per group, in the layout of the table's rows
+    uz, ub = (np.stack([u.real, u.imag], axis=3).reshape(len(starts), 8, -1) for u in (uz, ub))
+    re, im = out.real, out.imag
+    for i, i0 in enumerate(starts):
+        k = min(tile, n - i0)
+        yz = (uz[i] @ z[i0:i0 + k].T).reshape(2, 4, k)
+        yb = ((ub[i] @ shift(i).T) @ basis[:, :k]).reshape(2, 4, k)
+        yz *= table[:4, :k]
+        yb *= table[:, :k].reshape(2, 4, k)
+        # cos E + sin (i O): the real and imaginary rows of each group
+        yz, yb = yz[:, :2] + yz[:, 2:], yb[:, :2] + yb[:, 2:]
+        yz[0] += yb[0]
+        yz[0] += yb[1]
+        re[i0:i0 + k] += yz[0, 0]
+        im[i0:i0 + k] += yz[0, 1]
+        re[n - i0 - k:n - i0] += yz[1, 0, ::-1]
+        im[n - i0 - k:n - i0] += yz[1, 1, ::-1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +466,41 @@ def hilbert_factor(n: int, delta_h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolynomialKernelFactor:
-    """Symmetric polynomial kernel basis @ coeffs @ basis.T with normalized monomials.
+    """Symmetric polynomial kernel basis @ coeffs @ basis.T in the normalized monomials basis[m, j] = (m/n)^j.
 
-    basis[m, j] = (m/n)^j keeps entries in [0, 1]; the represented matrix is
-    identical to the raw-monomial form but stays well-scaled at large n.
+    The basis keeps entries in [0, 1], so the represented matrix is the
+    raw-monomial form's but stays well-scaled at large n; n and the width of
+    coeffs fix it, so it is not stored.
     """
 
-    basis: np.ndarray
+    n: int
     coeffs: np.ndarray
     frobenius_bound: float
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
+        return self.coeffs.shape[0]
 
 
-def _binomial_expand(coeffs_by_degree, n, width):
+def _odd_terms(tol):
+    """Taylor terms of the odd residual kernel within Frobenius error tol."""
+    return max(int(math.ceil(math.log(2.0 / (3.0 * math.pi * tol)) / (2.0 * math.log(2.0)))), 0)
+
+
+def _even_terms(tol):
+    """Taylor terms of the even bandwidth-shift kernel within Frobenius error tol."""
+    return max(int(math.ceil(math.log(3.0 / (2.0 * tol)) / (2.0 * math.log(6.0 / math.pi)))), 1)
+
+
+def taylor_widths(epsilon: float) -> tuple:
+    """(ra, rb): the widths of fourier_correction_factor's odd and even Taylor coefficient matrices at epsilon."""
+    tol = 7.0 / 30.0 * epsilon
+    if not (0.0 < epsilon < 0.5 and tol >= np.finfo(float).tiny):
+        raise ValueError(f"tolerance must lie in (0, 1/2), 7/30 of it a normal float, got {epsilon}")
+    return 2 * _odd_terms(tol), 2 * _even_terms(tol) - 1
+
+
+def _binomial_expand(coeffs_by_degree, width):
     """Coefficient matrix c with sum_k a_k ((m-l)/n)^k == basis @ c @ basis.T."""
     c = np.zeros((width, width))
     for deg, a in coeffs_by_degree:
@@ -435,17 +521,13 @@ def sinc_alias_factor(n: int, tol: float) -> PolynomialKernelFactor:
         raise ValueError(f"dimension must be positive, got {n}")
     if not 0.0 < tol < 8.0 / (3.0 * math.pi):
         raise ValueError(f"tolerance must lie in (0, 8/(3 pi)), got {tol}")
-    r = max(int(math.ceil(math.log(2.0 / (3.0 * math.pi * tol)) / (2.0 * math.log(2.0)))), 0)
-    width = 2 * r
-    grid = (np.arange(n, dtype=float) / n)[:, None]
-    basis = grid ** np.arange(width)[None, :] if width else np.zeros((n, 0))
+    r = _odd_terms(tol)
     by_degree = []
     for k in range(1, r + 1):
         a_k = (2.0 / (n * math.pi)) * (1.0 - (1.0 - 2.0 ** (1 - 2 * k)) * scipy.special.zeta(2 * k))
         by_degree.append((2 * k - 1, a_k))
-    coeffs = _binomial_expand(by_degree, n, width)
     bound = (2.0 / (3.0 * math.pi)) * 4.0 ** (-r)
-    return PolynomialKernelFactor(basis, coeffs, bound)
+    return PolynomialKernelFactor(n, _binomial_expand(by_degree, 2 * r), bound)
 
 
 def bandwidth_shift_factor(n: int, w: float, w_prime: float, tol: float) -> PolynomialKernelFactor:
@@ -461,18 +543,14 @@ def bandwidth_shift_factor(n: int, w: float, w_prime: float, tol: float) -> Poly
         raise ValueError("w' must round 2nw to a neighboring odd integer")
     if not 0.0 < tol < 1.5:
         raise ValueError(f"tolerance must lie in (0, 3/2), got {tol}")
-    r = max(int(math.ceil(math.log(3.0 / (2.0 * tol)) / (2.0 * math.log(6.0 / math.pi)))), 1)
-    width = 2 * r - 1
-    grid = (np.arange(n, dtype=float) / n)[:, None]
-    basis = grid ** np.arange(width)[None, :]
+    r = _even_terms(tol)
     beta = math.pi * (w - w_prime) * n
     by_degree = []
     for k in range(r):
         a_k = (2.0 / (n * math.pi)) * (-1.0) ** k * beta ** (2 * k + 1) / math.factorial(2 * k + 1)
         by_degree.append((2 * k, a_k))
-    coeffs = _binomial_expand(by_degree, n, width)
     bound = 1.5 * (math.pi / 6.0) ** (2 * r)
-    return PolynomialKernelFactor(basis, coeffs, bound)
+    return PolynomialKernelFactor(n, _binomial_expand(by_degree, 2 * r - 1), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +568,7 @@ def transition_count_budget(n: int, epsilon: float) -> float:
 
 
 def fourier_correction_factor(n: int, w: float, epsilon: float) -> LowRankFactor:
-    """Factor with ||B - F F* - factor|| <= epsilon, stored as z, one monomial basis and two coefficient matrices.
+    """Factor with ||B - F F* - factor|| <= epsilon, stored as z and two Taylor coefficient matrices.
 
     The tolerance is split 4 pi/15 to the Hilbert block and 7/30 to each
     Taylor block, which sums back to epsilon after the assembly; the rank
@@ -505,9 +583,7 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> LowRankFactor
     z = hilbert_factor(n, delta_h)
     odd = sinc_alias_factor(n, delta_taylor)
     even = bandwidth_shift_factor(n, w, w_prime, delta_taylor)
-    # both bases are (m/n)^j: the wider one serves both coefficient matrices
-    basis = max(odd.basis, even.basis, key=lambda b: b.shape[1])
-    return LowRankFactor.fourier(w, (z, basis), (odd.coeffs, even.coeffs))
+    return LowRankFactor.fourier(w, z, (odd.coeffs, even.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .lowrank import (
     fourier_correction_factor,
     pinv_correction,
     projection_correction,
+    taylor_widths,
     tikhonov_correction,
     tikhonov_precision_floor,
 )
@@ -254,7 +255,9 @@ class FastFactorization:
         if c.shape != (self.k_prime,):
             raise ValueError(f"expected {self.k_prime} coefficients, got shape {c.shape}")
         nf, nl = self.pf.num_cols, self.l.rank
-        return self.pf.apply(c[:nf]) + self.l.synthesize(c[nf:nf + nl]) + self.u.synthesize(c[nf + nl:])
+        out = self.pf.apply(c[:nf])
+        self.l.synthesize(c[nf:nf + nl], out=out)
+        return self.u.synthesize(c[nf + nl:], out=out)
 
     def apply(self, x) -> np.ndarray:
         return self.decompress(self.compress(x))
@@ -268,22 +271,22 @@ class FastFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: magic "FSLT", little-endian, version 3 only.
+# Persistence: magic "FSLT", little-endian, version 4 only.
 # "FSLT", u32 version, u64 n, f64 w, f64 epsilon, f64 alpha, u64 k, u8 kind, 7 pad bytes,
 # f64 error bound; a record header per correction (the factorization: Fourier, then spectral;
 # other kinds: spectral):
 #   spectral: u64 lead (the parity of V's column 0), u64 even count, u64 odd count;
-#   Fourier:  u64 z width, u64 basis width, u64 ra, u64 rb (ra, rb <= basis width);
+#   Fourier:  u64 z width (at least 1), u64 ra, u64 rb (the Taylor widths that epsilon fixes);
 # then per record its arrays, column-major float64, every offset a multiple of 8:
 #   spectral: the weights g (even + odd, in V's column order), the ceil(n/2) x even leading rows
 #             of the even columns, the floor(n/2) x odd leading rows of the odd columns;
-#   Fourier:  z (n x z width), the basis (m/n)^j (n x basis width), ca (ra x ra), cb (rb x rb).
+#   Fourier:  z (n x z width), ca (ra x ra), cb (rb x rb); the monomial basis (m/n)^j is not stored.
 
 
-_MAGIC, _VERSION = b"FSLT", 3
+_MAGIC, _VERSION = b"FSLT", 4
 _KIND_NAMES = {1: "projector", 2: "factorization", 3: "pinv", 4: "tikhonov"}
 _RECORDS = {1: ("spectral",), 2: ("fourier", "spectral"), 3: ("spectral",), 4: ("spectral",)}
-_FIELDS = {"spectral": 3, "fourier": 4}
+_FIELDS = {"spectral": 3, "fourier": 3}
 # largest n a file without stored columns may name: its length cannot bound n
 MAX_EMPTY_N = 1 << 20
 
@@ -297,7 +300,7 @@ class BadMagicError(FactorFileError):
 
 
 class UnsupportedVersionError(FactorFileError):
-    """A format version other than 3; rebuild an older file with `prolate precompute` from its header."""
+    """A format version other than 4; rebuild an older file with `prolate precompute` from its header."""
 
 
 class TruncatedFileError(FactorFileError):
@@ -305,7 +308,7 @@ class TruncatedFileError(FactorFileError):
 
 
 def operator_to_bytes(op) -> bytearray:
-    """Serialize an operator as FSLT version 3, each array written once into one preallocated buffer."""
+    """Serialize an operator as FSLT version 4, each array written once into one preallocated buffer."""
     p = op.params
     head = [_MAGIC, struct.pack("<IQdddQB7xd", _VERSION, p.n, p.w, p.epsilon, getattr(op, "alpha", 0.0),
                                 p.k, op.kind, op.error_bound)]
@@ -337,13 +340,19 @@ def _unpack(data, at, fmt, what):
     return struct.unpack_from(fmt, data, at), at + struct.calcsize(fmt)
 
 
-def _record_shapes(rec, n, head):
+def _record_shapes(rec, n, epsilon, head):
     """The shapes of a record's arrays in file order, after the header checks that bound no array."""
     if rec == "fourier":
-        z, width, ra, rb = head
-        if max(ra, rb) > width:
-            raise FactorFileError(f"Fourier record: Taylor widths {ra} and {rb} exceed the basis width {width}")
-        return [(0,), (n, z), (n, width), (ra, ra), (rb, rb)]
+        z, ra, rb = head
+        if z == 0:
+            raise FactorFileError("Fourier record: z has no column, so the file cannot bound n")
+        try:
+            widths = taylor_widths(epsilon)
+        except ValueError as exc:
+            raise FactorFileError(f"invalid operator header: {exc}") from exc
+        if (ra, rb) != widths:
+            raise FactorFileError(f"Fourier record: Taylor widths {ra} and {rb} are not eps={epsilon:g}'s {widths}")
+        return [(0,), (n, z), (ra, ra), (rb, rb)]
     lead, even, odd = head
     first, second = (even, odd) if lead == 0 else (odd, even)
     if lead > 1 or not 0 <= first - second <= 1:
@@ -352,7 +361,7 @@ def _record_shapes(rec, n, head):
 
 
 def operator_from_bytes(data):
-    """Rebuild an operator from FSLT version 3, recomputing the fast transforms and Fourier phases from (n, w).
+    """Rebuild an operator from FSLT version 4, recomputing the fast transforms and Fourier phases from (n, w).
 
     The header is bounded before anything is allocated.  The blocks are
     read-only views of data, so loading bytes allocates nothing in proportion
@@ -376,7 +385,7 @@ def operator_from_bytes(data):
     records = []
     for rec in _RECORDS[kind]:
         head, at = _unpack(data, at, f"<{_FIELDS[rec]}Q", "record header")
-        records.append((rec, head, _record_shapes(rec, n, head)))
+        records.append((rec, head, _record_shapes(rec, n, epsilon, head)))
 
     # every array must fill the rest of the file, checked before any is read; without a stored
     # column the file's length cannot bound n, so n is capped at MAX_EMPTY_N
@@ -402,7 +411,7 @@ def operator_from_bytes(data):
         corrections = []
         for (rec, head, _), (weights, *blocks) in zip(records, stored):
             corrections.append(LowRankFactor.spectral(params.n, head[0], blocks, weights) if rec == "spectral"
-                               else LowRankFactor.fourier(params.w, blocks[:2], blocks[2:]))
+                               else LowRankFactor.fourier(params.w, blocks[0], blocks[1:]))
         if kind == 2:
             op = FastFactorization(params, PartialFourier(params.n, params.w), *corrections)
         else:

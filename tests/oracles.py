@@ -6,6 +6,7 @@ Expensive spectral data is cached per (n, w).
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -278,9 +279,30 @@ def dense_slepian_basis(n, w):
     return vecs, np.array([_clamp(float(x)) for x in lams[::-1]])
 
 
+def monomial_basis(n, width, dtype=float):
+    """The normalized monomials (m/n)^j, m < n, j < width, in dtype."""
+    return (np.arange(n, dtype=dtype) / dtype(n))[:, None] ** np.arange(width)
+
+
 def kernel_dense(fac):
-    """A PolynomialKernelFactor as its dense matrix basis @ coeffs @ basis'."""
-    return fac.basis @ fac.coeffs @ fac.basis.T
+    """A PolynomialKernelFactor as its dense matrix basis @ coeffs @ basis', the basis (m/n)^j expanded here."""
+    basis = monomial_basis(fac.n, fac.rank)
+    return basis @ fac.coeffs @ basis.T
+
+
+def phase_turns(n, w, step):
+    """Turns (angle / 2 pi) of a Fourier-correction phase at m = 0..n-1, in np.longdouble and within 2^-64.
+
+    |step| 1 is w' m = q m / (2n), |step| 2 is (w + w') m / 2, q = 2 floor(nw) + 1 the odd integer nearest
+    2nw; each is reduced modulo one in integer arithmetic from the exact binary value of w, and negated for a
+    negative step.
+    """
+    num, den = Fraction(w).as_integer_ratio()
+    q = 2 * (n * num // den) + 1
+    # turns = a m / d exactly: q m / (2n), or (2 n num + q den) m / (4 n den)
+    a, d = (q, 2 * n) if abs(step) == 1 else (2 * n * num + q * den, 4 * n * den)
+    scaled = np.array([(a * m % d << 64) // d for m in range(n)], dtype=np.uint64)
+    return math.copysign(1.0, step) * scaled.astype(np.longdouble) / np.longdouble(2.0) ** 64
 
 
 def unfolded_block(f, index):
@@ -297,19 +319,19 @@ def unfolded_block(f, index):
 def factor_halves(f):
     """Dense (left, right) with left @ right^H equal to the LowRankFactor f, one column per coefficient.
 
-    Each term's blocks are unfolded to n rows, cut to the term's width and
-    given its coefficient matrix, phase diagonal, reversals and weights here,
-    outside the factor's own products, and placed at the term's slot; the
-    weights g put sqrt|g| on each side and their signs on the left.  Without
-    a phase the halves stay real.
+    Each term's blocks are unfolded to n rows (block None: the monomial basis
+    (m/n)^j, expanded here), cut to the term's width and given its coefficient
+    matrix, phase diagonal, reversals and weights here, outside the factor's
+    own products, and placed at the term's slot; the weights g put sqrt|g| on
+    each side and their signs on the left.  Without a phase the halves stay
+    real.
     """
-    m = np.arange(f.n)
     dtype = complex if any(t.step for t in f.terms) else float
     left, right = np.zeros((f.n, f.rank), dtype), np.zeros((f.n, f.rank), dtype)
     for t in f.terms:
-        basis = unfolded_block(f, t.block)[:, : t.width]
+        basis = monomial_basis(f.n, t.width) if t.block is None else unfolded_block(f, t.block)[:, : t.width]
         coef = np.eye(t.width) if t.coef is None else f.coefs[t.coef]
-        d = np.exp(1j * t.step * m)[:, None] if t.step else 1.0
+        d = np.exp(2j * np.pi * phase_turns(f.n, f.w, t.step).astype(float))[:, None] if t.step else 1.0
         left[:, t.slot] = d * (basis[::-1] if t.flip_left else basis) * t.post
         right[:, t.slot] = d * ((basis[::-1] if t.flip_right else basis) @ coef.T)
     if f.weights.size:
@@ -324,3 +346,36 @@ def factor_dense(f):
     left, right = factor_halves(f)
     return left @ right.conj().T
 
+
+
+def _fourier_terms_extended(f):
+    """Per term of the Fourier correction f: its block at the term's width and its phase diagonal, in
+    np.longdouble, the monomial basis and the exactly reduced phases computed here."""
+    basis = monomial_basis(f.n, max(t.width for t in f.terms if t.block is None), np.longdouble)
+    blocks = [b.astype(np.longdouble) for b in f.blocks]
+    for t in f.terms:
+        turns = 2 * _PI_EXT * phase_turns(f.n, f.w, t.step)
+        block = basis if t.block is None else blocks[t.block]
+        yield t, block[:, : t.width], np.cos(turns) + 1j * np.sin(turns)
+
+
+def fourier_synthesis_extended(f, c):
+    """f.synthesize(c) for the Fourier correction f, sum over the terms of D J^flip_left P (post c[slot]), in
+    np.longdouble."""
+    out = np.zeros(f.n, np.clongdouble)
+    for t, block, d in _fourier_terms_extended(f):
+        v = np.clongdouble(t.post) * np.asarray(c[t.slot], np.clongdouble)
+        col = block @ v.real + 1j * (block @ v.imag)
+        out += d * (col[::-1] if t.flip_left else col)
+    return out
+
+
+def fourier_analysis_extended(f, x):
+    """f.adjoint_apply(x) for the Fourier correction f, C P^T J^flip_right D^* x per term, in np.longdouble."""
+    out = np.zeros(f.rank, np.clongdouble)
+    for t, block, d in _fourier_terms_extended(f):
+        y = d.conj() * np.asarray(x, np.clongdouble)
+        y = y[::-1] if t.flip_right else y
+        p = block.T @ y.real + 1j * (block.T @ y.imag)
+        out[t.slot] = p if t.coef is None else f.coefs[t.coef].astype(np.longdouble) @ p
+    return out

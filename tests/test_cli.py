@@ -19,7 +19,7 @@ from prolate.operators import (
 )
 
 from oracles import eig_dense, pinv_oracle, prolate_dense
-from strategies import fslt_bytes, version_2_projector
+from strategies import fslt_bytes, small_fslt_files, version_2_projector, version_3
 
 
 def run_cli(args, capsys):
@@ -230,11 +230,13 @@ class TestPrecomputeAndLoad:
         run_cli(["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-3", "--kind", "project",
                  "--out", str(path)], capsys)
         data = path.read_bytes()
-        # version 99, and rank-0 version-1 and version-2 projectors as those versions laid them out
+        # version 99, rank-0 version-1 and version-2 projectors as those versions laid them out, and this
+        # projector and a factorization as version 3 laid them out
         v1 = (b"FSLT" + struct.pack("<I", 1) + struct.pack("<QdddQB", 64, 0.25, 1e-3, 0.0, 32, 1)
               + struct.pack("<d", 1e-3) + struct.pack("<QB", 0, 0) * 2)
         v2 = version_2_projector(SlepianParams.create(64, 0.25, 1e-3), 1e-3)
-        for blob in (data[:4] + struct.pack("<I", 99) + data[8:], v1, v2):
+        v3 = [version_3(data), version_3(small_fslt_files()[1])]
+        for blob in (data[:4] + struct.pack("<I", 99) + data[8:], v1, v2, *v3):
             path.write_bytes(blob)
             rc, _, err = run_cli(["load-check", str(path)], capsys)
             assert rc == 2 and "version" in err and "Traceback" not in err
@@ -247,7 +249,7 @@ class TestPrecomputeAndLoad:
         import struct
 
         path = tmp_path / "op.fslt"
-        path.write_bytes(b"FSLT" + struct.pack("<I", 3)
+        path.write_bytes(b"FSLT" + struct.pack("<I", 4)
                          + struct.pack("<QdddQB7x", 1 << 40, 0.25, 1e-6, 0.0, 0, 1)
                          + struct.pack("<d", 1e-6) + struct.pack("<QQQ", 0, 0, 0))
         assert path.stat().st_size == 88
@@ -260,7 +262,7 @@ class TestPrecomputeAndLoad:
 
         head = struct.pack("<QdddQB", MAX_EMPTY_N + 1, 0.25, 0.49, 0.0, 0, 1)
         path = tmp_path / "op.fslt"
-        path.write_bytes(b"FSLT" + struct.pack("<I", 3) + head + bytes(7) + struct.pack("<d", 0.49)
+        path.write_bytes(b"FSLT" + struct.pack("<I", 4) + head + bytes(7) + struct.pack("<d", 0.49)
                          + struct.pack("<QQQ", 0, 0, 0))
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "too large" in err
@@ -281,10 +283,10 @@ class TestPrecomputeAndLoad:
 
     def test_describes_each_correction_rank(self, tmp_path, capsys):
         # factor bytes: the spectral weights and halves, 8 x (r + 32 r) at n = 64; the factorization adds z
-        # (n x 7), the basis (n x 13) and ca and cb (10 x 10 and 13 x 13)
+        # (n x 7) and ca and cb (10 x 10 and 13 x 13)
         want = {
             "project": "projector n=64 w=0.25 eps=0.001 k=32 ranks=[8] factor_bytes=2112 error_bound=0.001",
-            "factorize": "factorization n=64 w=0.25 eps=0.001 k=32 ranks=[74,8] factor_bytes=14504 error_bound=0.002",
+            "factorize": "factorization n=64 w=0.25 eps=0.001 k=32 ranks=[74,8] factor_bytes=7848 error_bound=0.002",
             "pinv": "pinv n=64 w=0.25 eps=0.001 k=32 ranks=[8] factor_bytes=2112 error_bound=0.003",
             "tikhonov": "tikhonov n=64 w=0.25 eps=0.001 k=32 alpha=0.01 ranks=[11] factor_bytes=2904 error_bound=0.001",
         }

@@ -16,6 +16,7 @@ from prolate.dpss import (
     transition_window,
 )
 from prolate.fft_kernels import PartialFourier, ToeplitzOperator
+from prolate.lowrank import taylor_widths
 from prolate.operators import (
     MAX_EMPTY_N,
     BadMagicError,
@@ -42,7 +43,7 @@ from oracles import (
     projection_oracle,
     tikhonov_oracle,
 )
-from strategies import fslt_bytes, header_length, small_fslt_files, version_2_projector
+from strategies import fslt_bytes, header_length, small_fslt_files, version_2_projector, version_3
 
 
 class TestSlepianParams:
@@ -433,7 +434,7 @@ class TestPersistence:
         blob = operator_to_bytes(ops[3])
         assert blob[:4] == b"FSLT"
         version, = struct.unpack("<I", blob[4:8])
-        assert version == 3
+        assert version == 4
 
     def test_bad_magic(self, ops):
         blob = operator_to_bytes(ops[0])
@@ -446,8 +447,11 @@ class TestPersistence:
         # a rank-0 version-1 projector as that version laid it out: unpadded header, a (rank, complex flag) per half
         v1 = (b"FSLT" + struct.pack("<I", 1) + struct.pack("<QdddQB", p.n, p.w, p.epsilon, 0.0, p.k, 1)
               + struct.pack("<d", ops[0].error_bound) + struct.pack("<QB", 0, 0) * 2)
-        for data in (blob[:4] + struct.pack("<I", 99) + blob[8:], v1, version_2_projector(p, ops[0].error_bound)):
-            with pytest.raises(UnsupportedVersionError, match="only version 3"):
+        # and every kind as version 3 laid it out, the factorization with its stored monomial basis
+        v3 = [version_3(operator_to_bytes(op)) for op in ops]
+        assert len(v3[1]) == len(operator_to_bytes(ops[1])) + 8 + 8 * 96 * max(len(c) for c in ops[1].l.coefs)
+        for data in (blob[:4] + struct.pack("<I", 99) + blob[8:], v1, version_2_projector(p, ops[0].error_bound), *v3):
+            with pytest.raises(UnsupportedVersionError, match="only version 4"):
                 operator_from_bytes(data)
 
     def test_truncated(self, ops):
@@ -506,18 +510,18 @@ class TestStructuredFactors:
                 assert a.flags.f_contiguous and isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
 
     def test_file_is_header_plus_listed_arrays(self, ops256):
-        # a 64-byte header, three u64 fields per spectral record and four per Fourier record, then every listed
-        # array once: the spectral weights and halves, the Fourier z, basis, ca and cb
+        # a 64-byte header, three u64 fields per record, then every listed array once: the spectral weights
+        # and halves, the Fourier z, ca and cb; the monomial basis is not stored
         for op in ops256:
-            head = 64 + 8 * sum(3 if f.parities == (0, 1) else 4 for f in op.corrections())
+            head = 64 + 8 * 3 * len(op.corrections())
             assert len(operator_to_bytes(op)) == head + sum(a.nbytes for a in op.factors())
         n, h = 256, 128
         proj, fact = ops256[0], ops256[1]
         even, odd = (b.shape[1] for b in proj.u.blocks)
         assert sum(a.nbytes for a in proj.factors()) == 8 * ((even + odd) + h * even + h * odd)
-        (z, width), (ra, rb) = (b.shape[1] for b in fact.l.blocks), (len(c) for c in fact.l.coefs)
-        assert max(ra, rb) == width
-        assert sum(a.nbytes for a in fact.l.arrays) == 8 * (n * z + n * width + ra * ra + rb * rb)
+        ((z,), (ra, rb)) = (b.shape[1] for b in fact.l.blocks), (len(c) for c in fact.l.coefs)
+        assert (ra, rb) == taylor_widths(1e-6)
+        assert sum(a.nbytes for a in fact.l.arrays) == 8 * (n * z + ra * ra + rb * rb)
 
     def test_ranks_keep_their_meaning(self, ops256):
         # coefficient counts: the columns of the dense halves, and the transition window
@@ -604,7 +608,7 @@ class TestCorruptFiles:
     def test_rank_zero_header_capped(self):
         n = MAX_EMPTY_N + 1
         head = struct.pack("<QdddQB", n, 0.25, 0.49, 0.0, default_subspace_dim(n, 0.25), 1)
-        blob = b"FSLT" + struct.pack("<I", 3) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQQ", 0, 0, 0)
+        blob = b"FSLT" + struct.pack("<I", 4) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQQ", 0, 0, 0)
         tracemalloc.start()
         try:
             with pytest.raises(FactorFileError, match="too large"):
@@ -623,22 +627,24 @@ class TestCorruptFiles:
         def spectral(lead, even, odd):
             return proj[:64] + struct.pack("<QQQ", lead, even, odd) + proj[88:]
 
-        def fourier(z, width, ra, rb):
-            return fact[:64] + struct.pack("<QQQQ", z, width, ra, rb) + fact[96:]
+        def fourier(z, ra, rb):
+            return fact[:64] + struct.pack("<QQQ", z, ra, rb) + fact[88:]
 
         lead, even, odd = struct.unpack("<QQQ", proj[64:88])
-        z, width, ra, rb = struct.unpack("<QQQQ", fact[64:96])
+        z, ra, rb = struct.unpack("<QQQ", fact[64:88])
         cases = [
             (spectral(2, even, odd), "cannot alternate"),
             (spectral(0, odd + 2, odd), "cannot alternate"),
             (spectral(0, even, even + 1), "cannot alternate"),
             (spectral(lead, huge, huge), "truncated"),
             (spectral(0, 2**32, 2**32), "truncated"),
-            (fourier(z, width, width + 1, rb), "exceed the basis"),
-            (fourier(z, width, ra, huge), "exceed the basis"),
-            (fourier(z, huge, huge, huge), "truncated"),
-            (fourier(huge, width, ra, rb), "truncated"),
-            (fourier(z, width, 0, 0), "trailing bytes"),
+            (fourier(0, ra, rb), "no column"),
+            (fourier(z, ra + 2, rb), "Taylor widths"),
+            (fourier(z, ra, rb - 2), "Taylor widths"),
+            (fourier(z, ra, huge), "Taylor widths"),
+            (fourier(z, huge, huge), "Taylor widths"),
+            (fourier(huge, ra, rb), "truncated"),
+            (fourier(z - 1, ra, rb), "trailing bytes"),
         ]
         for blob, message in cases:
             tracemalloc.start()
