@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpss import FULL_BASIS_MAX_N, PreconditionViolated, slepian_plan, transition_count
+from .dpss import FULL_BASIS_MAX_N, PreconditionViolated, slepian_plan, transition_window
 from .fourier_ext import FourierExtensionConfig, run_fourier_extension
 from .lowrank import transition_count_budget
 from .operators import (
@@ -197,7 +197,7 @@ def _cmd_gap_count(args):
     grid = ExperimentGrid(args.n, args.w, args.eps)
     rows = []
     for n, w, eps in grid.points():
-        count = transition_count(n, w, eps)
+        count = transition_window(n, w, eps, 1.0 - eps)[1].size
         bound = transition_count_budget(n, eps)
         asym = 2.0 / math.pi**2 * math.log(n) * math.log(1.0 / eps - 1.0)
         rows.append((n, _fmt(w), _fmt(eps), count, _fmt(bound), _fmt(asym)))

@@ -38,23 +38,15 @@ import math
 import mmap
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .fft_kernels import (
-    ToeplitzOperator,
-    circulant_embedding,
-    next_pow2,
-    prolate_column_extended,
-    prolate_symbol,
-)
+from .fft_kernels import ToeplitzOperator, circulant_embedding, next_pow2, prolate_column
 
 __all__ = [
     "PreconditionViolated",
     "SlepianPlan",
-    "TransitionEigenSet",
     "commuting_tridiagonal",
     "slepian_plan",
     "transition_window",
@@ -62,8 +54,6 @@ __all__ = [
     "rayleigh_extended",
     "quotient_error",
     "vector_error",
-    "transition_eigenpairs",
-    "transition_count",
     "default_subspace_dim",
     "FULL_BASIS_MAX_N",
 ]
@@ -256,8 +246,8 @@ class SlepianPlan:
 
     def __init__(self, n: int, w: float):
         self.n, self.w = n, w
-        self.b_op = ToeplitzOperator(prolate_symbol(n, w))
-        _read_only(self.b_op.symbol.col)
+        self.b_op = ToeplitzOperator(prolate_column(n, w))
+        _read_only(self.b_op.col)
         _read_only(self.b_op.half_spectrum)
         self.tridiagonals = tuple((_read_only(d), _read_only(e)) for d, e in _parity_tridiagonals(n, w))
         self._held = (0, _read_only(np.zeros((0, n))), _read_only(np.zeros(0)))
@@ -331,32 +321,6 @@ class SlepianPlan:
 def slepian_plan(n: int, w: float) -> SlepianPlan:
     """The shared plan of the most recent (n, w); one is held at a time."""
     return SlepianPlan(n, w)
-
-
-@dataclass(frozen=True)
-class TransitionEigenSet:
-    """Consecutive eigenpairs with epsilon < lam < 1 - epsilon, split at the subspace dimension k.
-
-    ``vectors[:, j]`` belongs to Slepian index ``start_index + j``; the set
-    is empty when both cluster plateaus meet.
-    """
-
-    k: int
-    start_index: int
-    lams: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.lams.size)
-
-    def split(self):
-        """(lams, vectors) below k and at-or-above k."""
-        cut = max(0, min(self.count, self.k - self.start_index))
-        return (
-            (self.lams[:cut], self.vectors[:, :cut]),
-            (self.lams[cut:], self.vectors[:, cut:]),
-        )
 
 
 def _predicted_range(n, w, lo, hi):
@@ -434,7 +398,7 @@ def quotient_error(n: int, w: float, extended: bool = False) -> float:
 
     For the float64 quotients of transition_window it is
     eps64 * (w n / 4 + 8 log2 n).  The w n term was the coherent sum of
-    the float64 symbol's rounded sine arguments; since prolate_symbol
+    the float64 column's rounded sine arguments; since prolate_column
     reduces w*m from its exact product the error no longer grows with w n,
     and the estimate stands as a conservative bound.  Measured 10-267x
     below it against rayleigh_extended on the real-FFT quotients of the
@@ -473,7 +437,7 @@ def rayleigh_extended(vecs: np.ndarray, n: int, w: float) -> np.ndarray:
     vector's, so float64 vectors give eigenvalues to about quotient_error(n, w, True).
     """
     fft_len = next_pow2(2 * n)
-    half = np.fft.rfft(circulant_embedding(prolate_column_extended(n, w), fft_len)).real
+    half = np.fft.rfft(circulant_embedding(prolate_column(n, w, np.longdouble), fft_len)).real
     out = np.empty(vecs.shape[1])
     for j in range(0, vecs.shape[1], _BLOCK_COLS):
         v = vecs[:, j:j + _BLOCK_COLS].astype(np.longdouble)
@@ -506,30 +470,3 @@ def refine_window(n, w, start, lams, vecs, flagged, lo, extend=False):
     at_edge = np.flatnonzero(lams <= edge)
     stop = int(at_edge[0]) if at_edge.size else lams.size
     return lams[:stop].copy(), mapped_columns(vecs[:, :stop])
-
-
-def transition_eigenpairs(n, w, epsilon, k=None) -> TransitionEigenSet:
-    """Eigenpairs with epsilon < lam < 1 - epsilon, split at k (default round(2nw)).
-
-    Raises PreconditionViolated unless lam^(k-1) > epsilon and lam^(k) < 1 - epsilon.
-    """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
-    if k is None:
-        k = default_subspace_dim(n, w)
-    start, lams, vecs = transition_window(n, w, epsilon, 1.0 - epsilon)
-    if not start <= k <= start + lams.size:
-        raise PreconditionViolated(
-            f"subspace dimension k={k} violates the split condition: eigenvalues in "
-            f"({epsilon:g}, {1 - epsilon:g}) occupy indices [{start}, {start + lams.size})"
-        )
-    return TransitionEigenSet(k, start, lams, vecs)
-
-
-def transition_count(n, w, epsilon) -> int:
-    """Number of eigenvalues strictly inside (epsilon, 1 - epsilon)."""
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
-    _, lams, _ = transition_window(n, w, epsilon, 1.0 - epsilon)
-    return int(lams.size)
-

@@ -9,16 +9,13 @@ Both apply to a vector in O(n log n) through a single precomputed transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ToeplitzSymbol",
     "ToeplitzOperator",
     "PartialFourier",
-    "prolate_symbol",
-    "prolate_column_extended",
+    "prolate_column",
     "circulant_embedding",
     "nearest_odd_integer",
     "next_pow2",
@@ -33,25 +30,6 @@ def next_pow2(m: int) -> int:
 def nearest_odd_integer(x: float) -> int:
     """Nearest odd integer to x; exact ties round upward."""
     return 2 * int(math.floor((x - 1.0) / 2.0 + 0.5)) + 1
-
-
-@dataclass(frozen=True)
-class ToeplitzSymbol:
-    """First column of a symmetric Toeplitz matrix: entry (m, n) is col[|m - n|]."""
-
-    col: np.ndarray
-
-    def __post_init__(self):
-        col = np.asarray(self.col, dtype=np.float64)
-        if col.ndim != 1 or col.size == 0:
-            raise ValueError("symbol column must be a nonempty 1-d array")
-        if not np.all(np.isfinite(col)):
-            raise ValueError("symbol column must be finite")
-        object.__setattr__(self, "col", col)
-
-    @property
-    def n(self) -> int:
-        return self.col.size
 
 
 def _reduced_product(w, m: np.ndarray) -> np.ndarray:
@@ -74,8 +52,8 @@ def _reduced_product(w, m: np.ndarray) -> np.ndarray:
     return (p - np.rint(p)) + err
 
 
-def prolate_symbol(n: int, w: float) -> ToeplitzSymbol:
-    """Symbol of the n x n prolate matrix with half-bandwidth w in (0, 1/2).
+def prolate_column(n: int, w: float, dtype=np.float64) -> np.ndarray:
+    """First column of the n x n prolate matrix with half-bandwidth w in (0, 1/2), in dtype.
 
     col[0] = 2w (the sinc limit) and col[m] = sin(2*pi*w*m) / (pi*m) for m >= 1.
     w*m is reduced modulo one from its exact product before the sine, so each
@@ -85,28 +63,10 @@ def prolate_symbol(n: int, w: float) -> ToeplitzSymbol:
         raise ValueError(f"matrix dimension must be positive, got {n}")
     if not 0.0 < w < 0.5:
         raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
-    col = np.empty(n)
-    col[0] = 2.0 * w
-    if n > 1:
-        m = np.arange(1, n, dtype=float)
-        col[1:] = np.sin(2.0 * np.pi * _reduced_product(w, m)) / (np.pi * m)
-    return ToeplitzSymbol(col)
-
-
-def prolate_column_extended(n: int, w: float) -> np.ndarray:
-    """First column of the n x n prolate matrix in np.longdouble.
-
-    w*m is reduced modulo one from its exact product before the sine, as in
-    prolate_symbol, so every entry carries the extended precision.
-    """
-    if n <= 0:
-        raise ValueError(f"matrix dimension must be positive, got {n}")
-    if not 0.0 < w < 0.5:
-        raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
-    pi = np.arccos(np.longdouble(-1.0))
-    m = np.arange(1, n).astype(np.longdouble)
-    col = np.empty(n, dtype=np.longdouble)
-    col[0] = 2 * np.longdouble(w)
+    pi = np.arccos(dtype(-1.0))
+    m = np.arange(1, n).astype(dtype)
+    col = np.empty(n, dtype=dtype)
+    col[0] = 2 * dtype(w)
     col[1:] = np.sin(2 * pi * _reduced_product(w, m)) / (pi * m)
     return col
 
@@ -132,12 +92,14 @@ class ToeplitzOperator:
     across threads.
     """
 
-    def __init__(self, symbol: ToeplitzSymbol):
-        self.symbol = symbol
-        n = symbol.n
-        self.n = n
-        self.fft_len = next_pow2(2 * n)
-        self.half_spectrum = np.fft.rfft(circulant_embedding(symbol.col, self.fft_len)).real
+    def __init__(self, col: np.ndarray):
+        """col is the first column: entry (m, l) of the matrix is col[|m - l|]."""
+        col = np.asarray(col, dtype=np.float64)
+        if col.ndim != 1 or col.size == 0 or not np.all(np.isfinite(col)):
+            raise ValueError("Toeplitz column must be a nonempty finite 1-d array")
+        self.col, self.n = col, col.size
+        self.fft_len = next_pow2(2 * self.n)
+        self.half_spectrum = np.fft.rfft(circulant_embedding(col, self.fft_len)).real
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """T @ x in O(n log n); real x goes through apply_real, complex x as its real and imaginary parts."""
@@ -221,7 +183,3 @@ class PartialFourier:
             spec[self.n - r:] = c[:r]
         spec[: r + 1] = c[r:]
         return np.fft.ifft(spec)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """The circulant projector F F* applied to x."""
-        return self.apply(self.adjoint(x))

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.special
 
 from .dpss import (
-    TransitionEigenSet,
+    PreconditionViolated,
     _read_only,
     mapped_columns,
     mapped_rows,
@@ -72,6 +72,8 @@ _CHUNK = 8192
 # ran fastest while a tile of z and its modulated copies stay in cache; synthesis writes them,
 # which two BLAS threads share best in long tiles
 _ANALYSIS_TILE, _SYNTHESIS_TILE = 4096, 16384
+# widest even Taylor block: its last coefficient divides by width!, and 171! is beyond float range
+_MAX_EVEN_WIDTH = 169
 
 
 # One outer product of a LowRankFactor, its coefficients at slot: D J^flip_left P diag(post) C P^T J^flip_right D^*,
@@ -488,12 +490,19 @@ def _odd_terms(tol):
 
 
 def _even_terms(tol):
-    """Taylor terms of the even bandwidth-shift kernel within Frobenius error tol."""
-    return max(int(math.ceil(math.log(3.0 / (2.0 * tol)) / (2.0 * math.log(6.0 / math.pi)))), 1)
+    """Taylor terms r of the even bandwidth-shift kernel within Frobenius error tol, its block 2r - 1 wide."""
+    r = max(int(math.ceil(math.log(3.0 / (2.0 * tol)) / (2.0 * math.log(6.0 / math.pi)))), 1)
+    if 2 * r - 1 > _MAX_EVEN_WIDTH:
+        raise ValueError(f"Taylor tolerance {tol:g} needs an even Taylor block of width {2 * r - 1}, "
+                         f"beyond the {_MAX_EVEN_WIDTH} whose factorials fit a float")
+    return r
 
 
 def taylor_widths(epsilon: float) -> tuple:
-    """(ra, rb): the widths of fourier_correction_factor's odd and even Taylor coefficient matrices at epsilon."""
+    """(ra, rb): the widths of fourier_correction_factor's odd and even Taylor coefficient matrices at epsilon.
+
+    Raises ValueError where rb would pass _MAX_EVEN_WIDTH, for epsilon below about 1.09e-47.
+    """
     tol = 7.0 / 30.0 * epsilon
     if not (0.0 < epsilon < 0.5 and tol >= np.finfo(float).tiny):
         raise ValueError(f"tolerance must lie in (0, 1/2), 7/30 of it a normal float, got {epsilon}")
@@ -572,10 +581,9 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> LowRankFactor
 
     The tolerance is split 4 pi/15 to the Hilbert block and 7/30 to each
     Taylor block, which sums back to epsilon after the assembly; the rank
-    stays within correction_rank_budget(n, epsilon).
+    stays within correction_rank_budget(n, epsilon); epsilon must pass taylor_widths.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
+    taylor_widths(epsilon)
     if not 0.0 < w < 0.5:
         raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
     w_prime = nearest_odd_integer(2.0 * n * w) / (2.0 * n)
@@ -598,25 +606,41 @@ def _spectral(start, vectors, g):
     return LowRankFactor.spectral(n, start % 2, halves, g)
 
 
-def projection_correction(eigset: TransitionEigenSet) -> LowRankFactor:
+def _split_window(n, w, epsilon, k):
+    """The window (start, lams, vecs) of eigenvalues in (epsilon, 1 - epsilon) and the count below the split k.
+
+    Raises PreconditionViolated unless lam^(k-1) > epsilon and lam^(k) < 1 - epsilon.
+    """
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
+    start, lams, vecs = transition_window(n, w, epsilon, 1.0 - epsilon)
+    if not start <= k <= start + lams.size:
+        raise PreconditionViolated(
+            f"subspace dimension k={k} violates the split condition: eigenvalues in "
+            f"({epsilon:g}, {1 - epsilon:g}) occupy indices [{start}, {start + lams.size})"
+        )
+    return start, lams, vecs, k - start
+
+
+def projection_correction(n, w, epsilon, k) -> LowRankFactor:
     """V diag(g) V' with ||S_k S_k' - (B + V diag(g) V')|| bounded by the search tolerance.
 
-    g = [1 - L2, -L3]: V2/V3 hold the transition eigenvectors below /
-    at-or-above k, each pushed to its side of the split.
+    V holds the eigenvectors with epsilon < lam < 1 - epsilon and g = [1 - L2, -L3]: the pairs
+    below / at-or-above k, each pushed to its side of the split.
     """
-    (lam2, _), (lam3, _) = eigset.split()
-    return _spectral(eigset.start_index, eigset.vectors, np.concatenate([1.0 - lam2, -lam3]))
+    start, lams, vecs, cut = _split_window(n, w, epsilon, k)
+    return _spectral(start, vecs, np.concatenate([1.0 - lams[:cut], -lams[cut:]]))
 
 
-def pinv_correction(eigset: TransitionEigenSet) -> LowRankFactor:
+def pinv_correction(n, w, epsilon, k) -> LowRankFactor:
     """V diag(g) V' with ||B_k^+ - (B + V diag(g) V')|| within three times the search tolerance.
 
-    g = [1/L2 - L2, -L3].
+    V as for projection_correction, g = [1/L2 - L2, -L3].
     """
-    (lam2, _), (lam3, _) = eigset.split()
-    if np.any(lam2 <= 0.0):
+    start, lams, vecs, cut = _split_window(n, w, epsilon, k)
+    if np.any(lams[:cut] <= 0.0):
         raise ValueError("below-split eigenvalues must be positive")
-    return _spectral(eigset.start_index, eigset.vectors, np.concatenate([1.0 / lam2 - lam2, -lam3]))
+    return _spectral(start, vecs, np.concatenate([1.0 / lams[:cut] - lams[:cut], -lams[cut:]]))
 
 
 def _tikhonov_weight(lams, alpha):

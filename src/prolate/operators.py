@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpss import default_subspace_dim, quotient_error, slepian_plan, transition_eigenpairs, transition_window
+from .dpss import default_subspace_dim, quotient_error, slepian_plan, transition_window
 from .fft_kernels import PartialFourier
 from .lowrank import (
     LowRankFactor,
@@ -131,11 +131,8 @@ class _SpectralOperator:
 
 def _build_spectral(cls, params: SlepianParams, alpha: float | None = None):
     """The kind's spectral weight g on the transition eigenvectors, plus the Toeplitz part (alpha: Tikhonov's)."""
-    if cls.kind == 4:
-        correction = tikhonov_correction(params.n, params.w, params.epsilon, alpha)
-    else:
-        eigset = transition_eigenpairs(params.n, params.w, params.epsilon, k=params.k)
-        correction = (projection_correction if cls.kind == 1 else pinv_correction)(eigset)
+    build = {1: projection_correction, 3: pinv_correction, 4: tikhonov_correction}[cls.kind]
+    correction = build(params.n, params.w, params.epsilon, alpha if cls.kind == 4 else params.k)
     return _warn_below_floor(cls(params, *((alpha,) if cls.kind == 4 else ()), correction))
 
 
@@ -232,8 +229,8 @@ class FastFactorization:
     def build(cls, params: SlepianParams) -> "FastFactorization":
         pf = PartialFourier(params.n, params.w)
         l = fourier_correction_factor(params.n, params.w, params.epsilon)
-        eigset = transition_eigenpairs(params.n, params.w, params.epsilon, k=params.k)
-        return _warn_below_floor(cls(params, pf, l, projection_correction(eigset)))
+        u = projection_correction(params.n, params.w, params.epsilon, params.k)
+        return _warn_below_floor(cls(params, pf, l, u))
 
     @property
     def k_prime(self) -> int:

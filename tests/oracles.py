@@ -34,7 +34,7 @@ def prolate_dense(n, w):
 
 def toeplitz_dense(op):
     """The symmetric Toeplitz matrix a ToeplitzOperator applies, from its first column."""
-    return scipy.linalg.toeplitz(op.symbol.col)
+    return scipy.linalg.toeplitz(op.col)
 
 
 def dirichlet_projector_dense(n, w_prime):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from prolate.dpss import transition_window
-from prolate.fft_kernels import PartialFourier, nearest_odd_integer, prolate_symbol, ToeplitzOperator
+from prolate.fft_kernels import PartialFourier, nearest_odd_integer
 from prolate.fourier_ext import FourierExtensionConfig, run_fourier_extension
 from prolate.lowrank import (
     bandwidth_shift_factor,

@@ -1,5 +1,7 @@
-"""The package's export list and the README's Library section name the same API."""
+"""The package's export list and the README's Library section name the same API, and every module's export list resolves."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -18,3 +20,11 @@ def test_readme_lists_exactly_the_exports():
 def test_every_export_resolves():
     for name in prolate.__all__:
         assert getattr(prolate, name) is not None, name
+
+
+def test_every_module_export_resolves():
+    modules = [importlib.import_module(f"prolate.{m.name}") for m in pkgutil.iter_modules(prolate.__path__)]
+    assert {"dpss", "fft_kernels", "lowrank", "operators"} <= {m.__name__.split(".")[1] for m in modules}
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"

@@ -312,6 +312,14 @@ class TestPrecomputeAndLoad:
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "half-bandwidth" in err
 
+    def test_tolerance_beyond_the_taylor_widths_is_validation_error(self, tmp_path, capsys):
+        # a factorization at eps = 1e-50 needs an even Taylor block whose factorials overflow a float
+        path = tmp_path / "fact.fslt"
+        rc, _, err = run_cli(["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-50", "--kind", "factorize",
+                              "--out", str(path)], capsys)
+        assert rc == 1 and "even Taylor block" in err and "Traceback" not in err
+        assert not path.exists()
+
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=fslt_bytes())
     def test_any_unloadable_file_is_io_error_without_traceback(self, tmp_path, capsys, data):

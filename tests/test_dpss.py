@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from prolate import dpss
+from prolate.cli import main
 from prolate.dpss import (
     PreconditionViolated,
     commuting_tridiagonal,
@@ -14,12 +15,10 @@ from prolate.dpss import (
     quotient_error,
     rayleigh_extended,
     refine_window,
-    transition_count,
-    transition_eigenpairs,
     transition_window,
 )
-from prolate.fft_kernels import ToeplitzOperator, ToeplitzSymbol, prolate_symbol
-from prolate.lowrank import transition_count_budget
+from prolate.fft_kernels import ToeplitzOperator, prolate_column
+from prolate.lowrank import pinv_correction, projection_correction, transition_count_budget
 
 from oracles import (
     chunked_window,
@@ -331,7 +330,7 @@ class TestSlepianPlan:
         plan = dpss.slepian_plan(256, 0.25)
         _, rows, lams = plan._held
         rows_view, lams_view = plan.pairs(120, 130)
-        stored = [rows, lams, rows_view, lams_view, plan.b_op.half_spectrum, plan.b_op.symbol.col]
+        stored = [rows, lams, rows_view, lams_view, plan.b_op.half_spectrum, plan.b_op.col]
         stored += [a for pair in plan.tridiagonals for a in pair]
         for a in stored:
             assert not a.flags.writeable
@@ -410,7 +409,7 @@ class TestRayleighLambda:
     def test_identity_symbol_gives_one(self, rng):
         col = np.zeros(32)
         col[0] = 1.0
-        op = ToeplitzOperator(ToeplitzSymbol(col))
+        op = ToeplitzOperator(col)
         v = rng.standard_normal(32)
         v /= np.linalg.norm(v)
         assert rayleigh_lambda(v, op) == pytest.approx(1.0, abs=1e-12)
@@ -418,78 +417,96 @@ class TestRayleighLambda:
     def test_extreme_slepian_vectors(self):
         n, w = 64, 0.25
         dense_lams, dense_vecs = eig_dense(n, w)
-        op = ToeplitzOperator(prolate_symbol(n, w))
+        op = ToeplitzOperator(prolate_column(n, w))
         assert rayleigh_lambda(dense_vecs[:, 0], op) == pytest.approx(dense_lams[0], abs=1e-10)
         assert rayleigh_lambda(dense_vecs[:, -1], op) == pytest.approx(dense_lams[-1], abs=1e-10)
 
     def test_rejects_non_unit_vector(self):
-        op = ToeplitzOperator(prolate_symbol(8, 0.25))
+        op = ToeplitzOperator(prolate_column(8, 0.25))
         with pytest.raises(ValueError):
             rayleigh_lambda(np.full(8, 0.9), op)
 
 
+def _window(n, w, eps):
+    """The transition window (start, lams, vecs) of eigenvalues in (eps, 1 - eps)."""
+    return transition_window(n, w, eps, 1.0 - eps)
+
+
 class TestTransitionEigenpairs:
+    """The window (eps, 1 - eps) and its split at k, as the projector and pinv corrections take them."""
+
     def test_count_matches_dense_and_bound(self):
         n, w, eps = 256, 0.25, 1e-3
-        es = transition_eigenpairs(n, w, eps)
+        _, lams, _ = _window(n, w, eps)
         dense = eigvals_dense(n, w)
         want = int(np.count_nonzero((dense > eps) & (dense < 1 - eps)))
-        assert es.count == want
-        assert es.count <= transition_count_budget(n, eps)
+        assert lams.size == want
+        assert lams.size <= transition_count_budget(n, eps)
 
     def test_wide_tolerance_can_be_empty(self):
         n, w, eps = 64, 0.25, 0.499
-        es = transition_eigenpairs(n, w, eps)
+        _, lams, _ = _window(n, w, eps)
         dense = eigvals_dense(n, w)
         want = int(np.count_nonzero((dense > eps) & (dense < 1 - eps)))
-        assert es.count == want
+        assert lams.size == want
         if want == 0:
-            (lam2, _), (lam3, _) = es.split()
-            assert lam2.size == 0 and lam3.size == 0
+            k = default_subspace_dim(n, w)
+            assert projection_correction(n, w, eps, k).rank == 0
+            assert pinv_correction(n, w, eps, k).rank == 0
 
     def test_postconditions(self):
         n, w, eps = 128, 0.25, 1e-6
-        es = transition_eigenpairs(n, w, eps)
-        assert np.all((es.lams > eps) & (es.lams < 1 - eps))
-        (lam2, _), _ = es.split()
-        assert es.start_index + lam2.size == es.k
+        k = default_subspace_dim(n, w)
+        start, lams, _ = _window(n, w, eps)
+        assert np.all((lams > eps) & (lams < 1 - eps))
+        assert start <= k <= start + lams.size
+        # the pairs below k are pulled up to one, the rest pushed down to zero
+        cut = k - start
+        weights = projection_correction(n, w, eps, k).weights
+        assert np.array_equal(weights, np.concatenate([1 - lams[:cut], -lams[cut:]]))
         dense = eigvals_dense(n, w)
         want = int(np.count_nonzero((dense > eps) & (dense < 1 - eps)))
-        assert es.count == want
+        assert lams.size == want
 
     def test_transition_vectors_orthogonal(self):
-        es = transition_eigenpairs(512, 0.25, 1e-6)
-        gram = es.vectors.T @ es.vectors
-        assert np.abs(gram - np.eye(es.count)).max() <= 1e-8
+        _, lams, vecs = _window(512, 0.25, 1e-6)
+        gram = vecs.T @ vecs
+        assert np.abs(gram - np.eye(lams.size)).max() <= 1e-8
 
     def test_split_respects_k(self):
-        es = transition_eigenpairs(256, 0.25, 1e-6, k=128)
-        (lam2, vec2), (lam3, vec3) = es.split()
-        assert lam2.size + lam3.size == es.count
-        assert vec2.shape[1] == lam2.size and vec3.shape[1] == lam3.size
+        n, w, eps, k = 256, 0.25, 1e-6, 128
+        start, lams, _ = _window(n, w, eps)
+        for correction in (projection_correction, pinv_correction):
+            u = correction(n, w, eps, k)
+            below = np.count_nonzero(u.weights > 0)
+            assert u.rank == lams.size and below == k - start
+            assert np.all(u.weights[below:] < 0)
 
     def test_bad_split_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            transition_eigenpairs(64, 0.25, 1e-3, k=0)
-        with pytest.raises(PreconditionViolated):
-            transition_eigenpairs(64, 0.25, 1e-3, k=64)
+        for correction in (projection_correction, pinv_correction):
+            for k in (0, 64):
+                with pytest.raises(PreconditionViolated, match=r"k=\d+ violates the split condition"):
+                    correction(64, 0.25, 1e-3, k)
 
     def test_deterministic(self):
-        a = transition_eigenpairs(128, 0.25, 1e-6)
-        b = transition_eigenpairs(128, 0.25, 1e-6)
-        assert np.array_equal(a.lams, b.lams)
-        assert np.array_equal(a.vectors, b.vectors)
+        a, b = _window(128, 0.25, 1e-6), _window(128, 0.25, 1e-6)
+        assert a[0] == b[0]
+        assert np.array_equal(a[1], b[1])
+        assert np.array_equal(a[2], b[2])
 
     def test_sign_convention(self):
         # first entry beyond the sign tolerance is positive in every vector
-        for vecs in (transition_eigenpairs(128, 0.25, 1e-6).vectors, dense_slepian_basis(64, 0.25)[0]):
+        for vecs in (_window(128, 0.25, 1e-6)[2], dense_slepian_basis(64, 0.25)[0]):
             for j in range(vecs.shape[1]):
                 col = vecs[:, j]
                 lead = np.flatnonzero(np.abs(col) > 1e-12)[0]
                 assert col[lead] > 0
 
-    def test_count_helper_agrees(self):
-        assert transition_count(128, 0.25, 1e-6) == transition_eigenpairs(128, 0.25, 1e-6).count
+    def test_count_helper_agrees(self, capsys):
+        # `prolate gap-count` counts the window the corrections are built from
+        assert main(["gap-count", "--n", "128", "--w", "0.25", "--eps", "1e-6"]) == 0
+        count = int(capsys.readouterr().out.splitlines()[1].split(",")[3])
+        assert count == _window(128, 0.25, 1e-6)[1].size == projection_correction(128, 0.25, 1e-6, 64).rank
 
 
 class TestDenseSlepianBasis:
@@ -520,7 +537,7 @@ class TestAsymptoticBand:
     def test_count_within_factor_two(self):
         for n in (256, 1024):
             for eps in (1e-3, 1e-6):
-                count = transition_count(n, 0.25, eps)
+                count = _window(n, 0.25, eps)[1].size
                 asym = 2.0 / math.pi**2 * math.log(n) * math.log(1.0 / eps - 1.0)
                 assert asym / 2 <= count <= 2 * asym
 

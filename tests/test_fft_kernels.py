@@ -6,11 +6,9 @@ import pytest
 from prolate.fft_kernels import (
     PartialFourier,
     ToeplitzOperator,
-    ToeplitzSymbol,
     nearest_odd_integer,
     next_pow2,
-    prolate_column_extended,
-    prolate_symbol,
+    prolate_column,
 )
 
 from oracles import (
@@ -50,80 +48,95 @@ _LARGE_OFFSETS = np.random.default_rng(5).integers(2**15, 2**16, 40)
 
 
 class TestProlateColumnExtended:
+    """prolate_column in np.longdouble."""
+
     @needs_extended
     @pytest.mark.parametrize("w", [0.1, 1.0 / 3.0])
     def test_sines_reduced_from_the_exact_product(self, w):
-        col = prolate_column_extended(2**16, w)
+        col = prolate_column(2**16, w, np.longdouble)
         assert _sine_errors(col, w, _LARGE_OFFSETS).max() <= 16 * np.finfo(np.longdouble).eps
 
     @pytest.mark.parametrize("w", [0.01, 0.25, 0.3, 0.49])
     def test_rounds_to_float64_symbol(self, w):
-        col = prolate_column_extended(300, w)
+        col = prolate_column(300, w, np.longdouble)
         assert col.dtype == np.longdouble
-        # both reduce w*m from its exact product: the float64 symbol is its rounding, to a few ulps
-        assert np.max(np.abs(col.astype(float) - prolate_symbol(300, w).col)) <= 4e-16
+        # both reduce w*m from its exact product: the float64 column is its rounding, to a few ulps
+        assert np.max(np.abs(col.astype(float) - prolate_column(300, w))) <= 4e-16
 
 
 class TestProlateSymbol:
+    """prolate_column in float64, its default dtype."""
+
     @pytest.mark.parametrize("w", [0.1, 0.25, 1.0 / 3.0, 0.45])
     def test_sines_reduced_from_the_exact_product(self, w):
-        col = prolate_symbol(2**16, w).col
+        col = prolate_column(2**16, w)
+        assert col.dtype == np.float64
         assert _sine_errors(col, w, _LARGE_OFFSETS).max() <= 1e-15
 
     def test_diagonal_value(self):
         for w in (0.1, 0.25, 0.49):
-            assert prolate_symbol(4, w).col[0] == 2 * w
+            assert prolate_column(4, w)[0] == 2 * w
+            assert prolate_column(4, w, np.longdouble)[0] == 2 * np.longdouble(w)
 
     def test_closed_form_entry(self):
         # sin(pi/2)/pi at offset one for w = 1/4
-        assert prolate_symbol(2, 0.25).col[1] == pytest.approx(1.0 / math.pi, abs=1e-15)
+        for dtype in (np.float64, np.longdouble):
+            assert prolate_column(2, 0.25, dtype)[1] == pytest.approx(1.0 / math.pi, abs=1e-15)
 
     def test_matches_entrywise_formula(self):
-        got = toeplitz_dense(ToeplitzOperator(prolate_symbol(64, 0.25)))
+        got = toeplitz_dense(ToeplitzOperator(prolate_column(64, 0.25)))
         assert np.abs(got - prolate_dense(64, 0.25)).max() < 1e-15
 
     def test_bounded_by_diagonal(self):
         for n, w in [(16, 0.1), (64, 0.25), (33, 0.47)]:
-            col = prolate_symbol(n, w).col
-            assert np.all(np.abs(col) <= 2 * w + 1e-15)
+            for dtype in (np.float64, np.longdouble):
+                col = prolate_column(n, w, dtype)
+                assert col.shape == (n,) and np.all(np.abs(col) <= 2 * w + 1e-15)
 
     def test_rejects_bad_domain(self):
-        with pytest.raises(ValueError):
-            prolate_symbol(0, 0.25)
-        for w in (0.0, 0.5, -0.1, 0.7):
+        for dtype in (np.float64, np.longdouble):
             with pytest.raises(ValueError):
-                prolate_symbol(8, w)
+                prolate_column(0, 0.25, dtype)
+            for w in (0.0, 0.5, -0.1, 0.7):
+                with pytest.raises(ValueError):
+                    prolate_column(8, w, dtype)
 
 
 class TestToeplitzOperator:
     def test_identity_symbol(self, rng):
         col = np.zeros(16)
         col[0] = 1.0
-        op = ToeplitzOperator(ToeplitzSymbol(col))
+        op = ToeplitzOperator(col)
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         assert np.linalg.norm(op.apply(x) - x) < 1e-14
+        assert op.col.dtype == np.float64 and np.array_equal(op.col, col)
+
+    def test_rejects_bad_column(self):
+        for col in (np.zeros(0), np.zeros((2, 2)), np.array([1.0, np.nan]), np.array([np.inf])):
+            with pytest.raises(ValueError):
+                ToeplitzOperator(col)
 
     def test_two_by_two_prolate(self):
-        op = ToeplitzOperator(prolate_symbol(2, 0.25))
+        op = ToeplitzOperator(prolate_column(2, 0.25))
         got = op.apply(np.array([1.0, 0.0]))
         assert got[0].real == pytest.approx(0.5, abs=1e-15)
         assert got[1].real == pytest.approx(1.0 / math.pi, abs=1e-15)
 
     def test_matches_dense_multiply(self, rng):
-        op = ToeplitzOperator(prolate_symbol(128, 0.25))
+        op = ToeplitzOperator(prolate_column(128, 0.25))
         x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         dense = toeplitz_dense(op)
         assert np.linalg.norm(op.apply(x) - dense @ x) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("n", [3, 17, 64, 257, 1024])
     def test_dense_agreement_grid(self, n, rng):
-        op = ToeplitzOperator(prolate_symbol(n, 0.21))
+        op = ToeplitzOperator(prolate_column(n, 0.21))
         dense = toeplitz_dense(op)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert np.linalg.norm(op.apply(x) - dense @ x) <= 1e-10 * np.linalg.norm(x)
 
     def test_apply_block_matches_apply(self, rng):
-        op = ToeplitzOperator(prolate_symbol(48, 0.3))
+        op = ToeplitzOperator(prolate_column(48, 0.3))
         block = rng.standard_normal((48, 5))
         # row-major, and column-major as the transition window passes it
         for x in (block, np.asfortranarray(block)):
@@ -133,7 +146,7 @@ class TestToeplitzOperator:
                 assert np.linalg.norm(got[:, j] - op.apply(block[:, j])) < 1e-13
 
     def test_real_path_matches_complex_path(self, rng):
-        op = ToeplitzOperator(prolate_symbol(257, 0.23))
+        op = ToeplitzOperator(prolate_column(257, 0.23))
         x = rng.standard_normal(257)
         real_out = op.apply_real(x)
         assert not np.iscomplexobj(real_out)
@@ -145,25 +158,25 @@ class TestToeplitzOperator:
         assert np.linalg.norm(real_out - toeplitz_dense(op) @ x) <= 1e-12 * np.linalg.norm(x)
 
     def test_real_path_rejects_complex(self):
-        op = ToeplitzOperator(prolate_symbol(8, 0.25))
+        op = ToeplitzOperator(prolate_column(8, 0.25))
         with pytest.raises(ValueError):
             op.apply_real(np.zeros(8, dtype=complex))
         with pytest.raises(ValueError):
             op.apply_block(np.zeros((8, 2), dtype=complex))
 
     def test_dimension_mismatch(self):
-        op = ToeplitzOperator(prolate_symbol(8, 0.25))
+        op = ToeplitzOperator(prolate_column(8, 0.25))
         with pytest.raises(ValueError):
             op.apply(np.zeros(9))
         with pytest.raises(ValueError):
             op.apply_real(np.zeros(9))
 
     def test_embedding_length(self):
-        op = ToeplitzOperator(prolate_symbol(100, 0.25))
+        op = ToeplitzOperator(prolate_column(100, 0.25))
         assert op.fft_len == 256
 
     def test_linearity(self, rng):
-        op = ToeplitzOperator(prolate_symbol(64, 0.25))
+        op = ToeplitzOperator(prolate_column(64, 0.25))
         x, y = rng.standard_normal(64), rng.standard_normal(64)
         lhs = op.apply(2.5 * x - 1.25 * y)
         rhs = 2.5 * op.apply(x) - 1.25 * op.apply(y)
@@ -222,8 +235,8 @@ class TestPartialFourier:
     def test_projection_idempotent_fast_path(self, rng):
         pf = PartialFourier(64, 0.25)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        once = pf.project(x)
-        twice = pf.project(once)
+        once = pf.apply(pf.adjoint(x))
+        twice = pf.apply(pf.adjoint(once))
         assert np.linalg.norm(twice - once) <= 1e-12 * np.linalg.norm(x)
 
     def test_trace_counts_columns(self):

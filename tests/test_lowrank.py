@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from prolate import lowrank
-from prolate.dpss import transition_eigenpairs
+from prolate.dpss import default_subspace_dim, transition_window
 from prolate.fft_kernels import PartialFourier, nearest_odd_integer
 from prolate.lowrank import (
     LowRankFactor,
@@ -288,21 +288,33 @@ class TestFourierCorrectionFactor:
         with pytest.raises(ValueError):
             fourier_correction_factor(64, 0.25, 0.7)
 
+    def test_widths_are_capped_where_factorials_leave_float_range(self):
+        # the even block's last coefficient divides by rb!, and 171! overflows a float
+        assert taylor_widths(1.1e-47) == (156, 169)
+        for eps in (1.09e-47, 1e-50, 1e-300):
+            with pytest.raises(ValueError, match="even Taylor block"):
+                taylor_widths(eps)
+            with pytest.raises(ValueError, match="even Taylor block"):
+                fourier_correction_factor(64, 0.25, eps)
+            with pytest.raises(ValueError, match="even Taylor block"):
+                bandwidth_shift_factor(64, 0.25, 33 / 128, 7 * eps / 30)
+        fac = fourier_correction_factor(64, 0.25, 1.1e-47)
+        assert [len(c) for c in fac.coefs] == [156, 169] and np.all(np.isfinite(fac.coefs[1]))
+
 
 class TestProjectionCorrection:
     def test_empty_transition_set(self):
         n, w, eps = 64, 0.25, 0.49
-        es = transition_eigenpairs(n, w, eps)
-        if es.count == 0:
-            u = projection_correction(es)
+        k = default_subspace_dim(n, w)
+        if transition_window(n, w, eps, 1 - eps)[1].size == 0:
+            u = projection_correction(n, w, eps, k)
             assert u.rank == 0
             b = prolate_dense(n, w)
-            assert norm2(projection_oracle(n, w, es.k) - b) <= eps
+            assert norm2(projection_oracle(n, w, k) - b) <= eps
 
     def test_dense_bound(self):
         n, w, eps = 256, 0.25, 1e-6
-        es = transition_eigenpairs(n, w, eps, k=128)
-        u = projection_correction(es)
+        u = projection_correction(n, w, eps, 128)
         b = prolate_dense(n, w)
         assert norm2(projection_oracle(n, w, 128) - (b + factor_dense(u))) <= eps
 
@@ -310,44 +322,46 @@ class TestProjectionCorrection:
         # the window vectors of each parity stored once, as their leading rows; g keeps the
         # below-split pairs (positive) and pushes the rest out (negative), in Slepian index order
         for n in (256, 257):
-            es = transition_eigenpairs(n, 0.25, 1e-6)
-            u = projection_correction(es)
-            (lam2, _), (lam3, _) = es.split()
-            n2, lead = lam2.size, es.start_index % 2
+            k = default_subspace_dim(n, 0.25)
+            start, lams, vecs = transition_window(n, 0.25, 1e-6, 1 - 1e-6)
+            u = projection_correction(n, 0.25, 1e-6, k)
+            n2, lead = k - start, start % 2
             assert u.parities == (0, 1) and not u.coefs
-            assert np.array_equal(u.blocks[0], es.vectors[: (n + 1) // 2, lead::2])
-            assert np.array_equal(u.blocks[1], es.vectors[: n // 2, 1 - lead :: 2])
+            assert np.array_equal(u.blocks[0], vecs[: (n + 1) // 2, lead::2])
+            assert np.array_equal(u.blocks[1], vecs[: n // 2, 1 - lead :: 2])
             assert np.all(u.weights[:n2] > 0) and np.all(u.weights[n2:] < 0)
-            assert np.array_equal(u.weights, np.concatenate([1 - lam2, -lam3]))
+            assert np.array_equal(u.weights, np.concatenate([1 - lams[:n2], -lams[n2:]]))
             # the halves stand for the full-row V diag(g) V^T
-            full = (es.vectors * u.weights) @ es.vectors.T
+            full = (vecs * u.weights) @ vecs.T
             assert np.abs(factor_dense(u) - full).max() <= 1e-15
 
 
 class TestPinvCorrection:
     def test_dense_bound(self):
         n, w, eps = 256, 0.25, 1e-6
-        es = transition_eigenpairs(n, w, eps)
-        u = pinv_correction(es)
+        k = default_subspace_dim(n, w)
+        u = pinv_correction(n, w, eps, k)
         b = prolate_dense(n, w)
-        assert norm2(pinv_oracle(n, w, es.k) - (b + factor_dense(u))) <= 3 * eps
+        assert norm2(pinv_oracle(n, w, k) - (b + factor_dense(u))) <= 3 * eps
 
     def test_below_split_column_norms(self):
-        es = transition_eigenpairs(256, 0.25, 1e-6)
-        u = pinv_correction(es)
-        (lam2, _), _ = es.split()
+        n, w, eps = 256, 0.25, 1e-6
+        k = default_subspace_dim(n, w)
+        start, lams, _ = transition_window(n, w, eps, 1 - eps)
+        u = pinv_correction(n, w, eps, k)
+        lam2 = lams[:k - start]
         left, _ = factor_halves(u)
         got = np.sum(left[:, : lam2.size] ** 2, axis=0)
         assert np.allclose(got, 1 / lam2 - lam2, rtol=1e-10)
 
     def test_empty_transition_set(self):
         n, w, eps = 64, 0.25, 0.49
-        es = transition_eigenpairs(n, w, eps)
-        if es.count == 0:
-            u = pinv_correction(es)
+        k = default_subspace_dim(n, w)
+        if transition_window(n, w, eps, 1 - eps)[1].size == 0:
+            u = pinv_correction(n, w, eps, k)
             assert u.rank == 0
             b = prolate_dense(n, w)
-            assert norm2(pinv_oracle(n, w, es.k) - b) <= 3 * eps
+            assert norm2(pinv_oracle(n, w, k) - b) <= 3 * eps
 
 
 class TestTikhonovCorrection:

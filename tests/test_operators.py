@@ -12,7 +12,6 @@ from prolate.dpss import (
     PreconditionViolated,
     default_subspace_dim,
     slepian_plan,
-    transition_eigenpairs,
     transition_window,
 )
 from prolate.fft_kernels import PartialFourier, ToeplitzOperator
@@ -139,6 +138,14 @@ class TestFastFactorization:
             out = op.apply(x)
             assert np.linalg.norm(out - ref @ x) <= 2 * eps * np.linalg.norm(x)
             assert np.linalg.norm(out.imag) <= 2 * eps * np.linalg.norm(x)
+
+    def test_tolerance_beyond_the_taylor_widths_is_a_value_error(self):
+        # below about 1.09e-47 the even Taylor block would need 171!, beyond float range
+        with pytest.raises(ValueError, match="even Taylor block of width 181"):
+            FastFactorization.build(SlepianParams.create(48, 0.25, 1e-50))
+        with pytest.warns(PrecisionFloorWarning):
+            op = FastFactorization.build(SlepianParams.create(48, 0.25, 1.1e-47))
+        assert [len(c) for c in op.l.coefs] == [156, 169]
 
 
 class TestFastPseudoinverse:
@@ -378,7 +385,7 @@ class TestParityHalves:
         # apply, compress and decompress against V diag(g) V^T with the full rows of V from slepian_plan
         n, w, eps, alpha = 2**14, 0.25, 1e-6, 1e-2
         params = SlepianParams.create(n, w, eps)
-        start = transition_eigenpairs(n, w, eps).start_index
+        start = transition_window(n, w, eps, 1 - eps)[0]
         tikhonov_start = transition_window(n, w, alpha * (1 + alpha) * eps, 1 - eps / 3)[0]
         built = [(FastProjector.build(params), start), (FastPseudoinverse.build(params), start),
                  (FastTikhonov.build(params, alpha), tikhonov_start), (FastFactorization.build(params), start)]
@@ -527,7 +534,7 @@ class TestStructuredFactors:
         # coefficient counts: the columns of the dense halves, and the transition window
         proj, fact = ops256[0], ops256[1]
         assert fact.l.rank == factor_halves(fact.l)[0].shape[1]
-        assert proj.u.rank == fact.u.rank == transition_eigenpairs(256, 0.25, 1e-6).count
+        assert proj.u.rank == fact.u.rank == transition_window(256, 0.25, 1e-6, 1 - 1e-6)[1].size
 
     def test_encode_writes_each_array_once(self):
         op = FastFactorization.build(SlepianParams.create(2**14, 0.25, 1e-6))
@@ -645,6 +652,8 @@ class TestCorruptFiles:
             (fourier(z, huge, huge), "Taylor widths"),
             (fourier(huge, ra, rb), "truncated"),
             (fourier(z - 1, ra, rb), "trailing bytes"),
+            # an eps whose even Taylor width is beyond float factorials, at the header's offset 24
+            (fact[:24] + struct.pack("<d", 1e-50) + fact[32:], "even Taylor block"),
         ]
         for blob, message in cases:
             tracemalloc.start()
