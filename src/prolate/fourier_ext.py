@@ -57,8 +57,8 @@ class FourierExtensionConfig:
     constant_target: bool = False
 
     def __post_init__(self):
-        if self.t_ext <= 1.0:
-            raise ValueError(f"extension half-period must exceed 1, got {self.t_ext}")
+        if not 1.0 < self.t_ext < math.inf:
+            raise ValueError(f"extension half-period must be finite and exceed 1, got {self.t_ext}")
         if not 0.0 < self.pinv_threshold < 1.0:
             raise ValueError(f"eigenvalue cutoff must lie in (0, 1), got {self.pinv_threshold}")
         if any(m < 1 for m in self.m_values):

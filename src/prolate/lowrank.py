@@ -11,20 +11,19 @@ Three families of factors are produced here:
   pseudoinverse, or the Tikhonov solution map.
 
 Assembled together they give the circulant-plus-low-rank split of the
-prolate matrix with an operator-norm certificate.  Every correction is one
-LowRankFactor kept in structured form, phases recomputed per call: the
-Fourier correction as the Hilbert factor z and two Taylor coefficient
-matrices (their monomial basis (m/n)^j is fixed by n and never stored: each
-row tile of a product forms a small local basis and shifts it), each
-eigen-partition correction as V diag(g) V^T with only the leading rows of
-V's even and odd columns.
+prolate matrix with an operator-norm certificate.  Each correction is kept
+in structured form, as one of the two LowRankFactor kinds, phases recomputed
+per call: a FourierFactor holds the Hilbert factor z and two Taylor
+coefficient matrices (their monomial basis (m/n)^j is fixed by n and never
+stored: each row tile of a product forms a small local basis and shifts it),
+a SpectralFactor holds an eigen-partition correction V diag(g) V^T as only
+the leading rows of V's even and odd columns.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,8 @@ from .fft_kernels import _reduced_product, nearest_odd_integer
 
 __all__ = [
     "LowRankFactor",
+    "SpectralFactor",
+    "FourierFactor",
     "PolynomialKernelFactor",
     "taylor_widths",
     "adi_rank",
@@ -76,129 +77,200 @@ _ANALYSIS_TILE, _SYNTHESIS_TILE = 4096, 16384
 _MAX_EVEN_WIDTH = 169
 
 
-# One outer product of a LowRankFactor, its coefficients at slot: D J^flip_left P diag(post) C P^T J^flip_right D^*,
-# P the leading width columns of blocks[block] at n rows or, for block None, of the monomial basis (m/n)^j,
-# C = coefs[coef] or I, J the reversal, and D = I (step 0), d_a^{+-1} = e^{+-2 pi i w' m} (step +-1)
-# or d_b^{+-1} = e^{+-i pi (w + w') m} (step +-2).
-Term = namedtuple("Term", "block width coef step flip_left flip_right post slot")
-
-
-@dataclass(frozen=True)
 class LowRankFactor:
-    """A sum of Terms over real column-major blocks and small coefficient matrices; phases recomputed per call.
+    """A correction in structured form, analyzing x as its real rows (x, or its two parts) and synthesizing."""
 
-    A spectral factor is P diag(g) P^T over the leading ceil(n/2) rows of
-    P's even columns and the leading floor(n/2) rows of its odd ones
-    (parities 0 and 1 under row reversal): analysis folds x to
-    x_lead +- reversed(x_tail), synthesis unfolds both parities' products,
-    and g enters as sqrt|g| on each side of the coefficients.
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.synthesize(self._analyze(_real_rows(x)))
 
-    The Fourier correction (w > 0) holds z and the Taylor coefficient
-    matrices only.  Its products run over row tiles that read z once per
-    call; the basis rows of the tile at i0 are the local table (k/n)^j times
-    the Pascal shift S(t0)[k, j] = C(j, k) t0^(j - k), t0 = i0/n, and each
-    phase is a local cos/sin table times one rotation per tile, both from
-    exactly reduced turns (_phases).  The shift and the rotation act on the
-    coefficient side.
+    def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
+        return self._analyze(_real_rows(x))
+
+
+def _real_rows(x):
+    x = np.asarray(x)
+    return np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x[None, :]
+
+
+class SpectralFactor(LowRankFactor):
+    """V diag(g) V^T over the leading ceil(n/2) rows of V's even columns and the leading floor(n/2) rows of its odd
+    ones (parities 0 and 1 under row reversal), column 0 of parity lead.
+
+    The coefficients keep V's column order: parity p's at abs(p - lead),
+    abs(p - lead) + 2, ...  Analysis folds x to x_lead +- reversed(x_tail),
+    synthesis unfolds both parities' products, and g enters as sqrt|g| on
+    each side of the coefficients.
     """
 
-    n: int
-    blocks: tuple
-    parities: tuple
-    coefs: tuple
-    terms: tuple
-    weights: np.ndarray
-    w: float = 0.0
-
-    def __post_init__(self):
-        rows = [self.n if p is None else (self.n + 1 - p) // 2 for p in self.parities]
-        if (len(rows) != len(self.blocks) or any(b.ndim != 2 or len(b) != r for b, r in zip(self.blocks, rows))
-                or self.weights.shape not in ((0,), (self.rank,))):
-            raise ValueError("each block must hold n rows or its parity's leading rows, and each coefficient a weight")
-        if any(t.block is not None and t.width > self.blocks[t.block].shape[1]
-               or len(range(self.rank)[t.slot]) != t.width
-               or t.coef is not None and self.coefs[t.coef].shape != (t.width, t.width) for t in self.terms):
-            raise ValueError("each term must fit its block, its slot and its coefficient matrix")
+    def __init__(self, n: int, lead: int, halves, g):
+        self.n, self.lead = n, lead
+        self.halves = tuple(_column_major(h) for h in halves)
+        self.weights = np.asarray(g, dtype=float)
+        even, odd = (h.shape[1] if h.ndim == 2 else -1 for h in self.halves)
+        # columns alternate from parity lead: even - odd is 0 or 1 from an even column, -1 or 0 from an odd one
+        if (lead not in (0, 1) or even - odd + lead not in (0, 1) or self.weights.shape != (even + odd,)
+                or [len(h) for h in self.halves] != [(n + 1) // 2, n // 2]):
+            raise ValueError("parity halves must hold their leading rows, alternate from lead and take one weight each")
 
     @property
     def rank(self) -> int:
-        return sum(t.width for t in self.terms)
+        return self.weights.size
 
     @property
     def arrays(self) -> tuple:
-        """Every array the factor holds, in file order: the weights, the blocks, the coefficient matrices."""
-        return (self.weights, *self.blocks, *self.coefs)
+        """Every array the factor holds, in file order: the weights, the even half, the odd half."""
+        return (self.weights, *self.halves)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.synthesize(self._analyze(x))
-
-    def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
-        return self._analyze(x)
-
-    def _analyze(self, x):
-        x = np.asarray(x)
-        rows = np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x[None, :]
-        if self.w:
-            return _fourier_analysis(self, rows)
+    def _analyze(self, rows):
         c = np.empty(self.rank, complex if len(rows) == 2 else float)
-        for t in self.terms:
-            p = _half_product(self.blocks[t.block], _fold(rows, self.parities[t.block]))
-            c[t.slot] = p[:, 0] if len(rows) == 1 else p[:, 0] + 1j * p[:, 1]
-        if self.weights.size:
-            c *= np.sqrt(np.abs(self.weights))
+        for p, half in enumerate(self.halves):
+            prod = _half_product(half, _fold(rows, p))
+            c[abs(p - self.lead)::2] = prod[:, 0] if len(rows) == 1 else prod[:, 0] + 1j * prod[:, 1]
+        c *= np.sqrt(np.abs(self.weights))
         return c
 
     def synthesize(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Sum of the terms' left halves applied to their slots of c, added into out when one is given (a new
-        output is complex for the Fourier correction or complex c); no block is copied."""
+        """V diag(sign(g) sqrt|g|) c added into out, a new vector (complex for complex c) when none is given."""
         c = np.asarray(c)
         if c.shape != (self.rank,):
             raise ValueError(f"expected {self.rank} coefficients, got shape {c.shape}")
         if out is None:
-            out = np.zeros(self.n, complex if np.iscomplexobj(c) or self.w else float)
-        if self.w:
-            _fourier_synthesis(self, c, out)
-            return out
-        if self.weights.size:
-            c = c * (np.sign(self.weights) * np.sqrt(np.abs(self.weights)))
-        halves = ({}, {})  # one product per parity and part; unfolded together below
-        for t in self.terms:
-            v, block = c[t.slot], self.blocks[t.block]
+            out = np.zeros(self.n, complex if np.iscomplexobj(c) else float)
+        c = c * (np.sign(self.weights) * np.sqrt(np.abs(self.weights)))
+        prods = []  # per parity, its product's real (and imaginary) rows; unfolded together below
+        for p, half in enumerate(self.halves):
+            v = c[abs(p - self.lead)::2]
             coef = np.stack([v.real, v.imag] if np.iscomplexobj(v) else [v])
-            prod = (coef[0] @ block.T)[None] if len(coef) == 1 else coef @ block.T
-            for part, p in zip(halves, prod):
-                part[self.parities[t.block]] = p
-        for part, target in zip(halves, (out.real, out.imag) if np.iscomplexobj(out) else (out,)):
+            prods.append((coef[0] @ half.T)[None] if len(coef) == 1 else coef @ half.T)
+        for part, target in zip(zip(*prods), (out.real, out.imag) if np.iscomplexobj(out) else (out,)):
             _unfold(part, target)
         return out
 
-    @classmethod
-    def spectral(cls, n: int, lead: int, halves, g: np.ndarray) -> "LowRankFactor":
-        """V diag(g) V^T from the leading rows of V's even and odd columns, column 0 of parity lead; the
-        coefficients keep V's column order, the even ones at lead, lead + 2, ..., the odd ones in between."""
-        halves = tuple(_column_major(h) for h in halves)
-        terms = tuple(Term(p, h.shape[1], None, 0, False, False, 1.0, slice(abs(p - lead), None, 2))
-                      for p, h in enumerate(halves))
-        return cls(n, halves, (0, 1), (), terms, np.asarray(g, dtype=float))
 
-    @classmethod
-    def fourier(cls, w: float, z, coefs) -> "LowRankFactor":
-        """B - F F* from z and the Taylor coefficients ca and cb, with d_a = e^{2 pi i w' m}, d_b = e^{i pi (w + w') m}
-        and the reversal of z applied on the fly; the odd and the even Taylor terms read the leading ra and rb
-        columns of the monomial basis (m/n)^j, which n fixes and no array holds."""
-        if not 0.0 < w < 0.5:
-            raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
-        (n, rz), (ra, rb) = z.shape, (len(c) for c in coefs)
-        hilb, odd = 1.0 / (2.0 * math.pi * 1j), 1.0 / (2.0 * 1j)
-        specs = [(0, rz, None, 1, False, True, hilb), (0, rz, None, 1, True, False, -hilb),
-                 (0, rz, None, -1, False, True, -hilb), (0, rz, None, -1, True, False, hilb),
-                 (None, ra, 0, 1, False, False, odd), (None, ra, 0, -1, False, False, -odd),
-                 (None, rb, 1, 2, False, False, 0.5), (None, rb, 1, -2, False, False, 0.5)]
-        edges = np.cumsum([0] + [s[1] for s in specs]).tolist()
-        terms = tuple(Term(*s, slice(edges[i], edges[i + 1])) for i, s in enumerate(specs))
+# The eight outer products of the Fourier correction, their coefficients in this order, (taylor, step, flip_left,
+# flip_right, post) each: D J^flip_left P diag(post) C P^T J^flip_right D^*, P the columns of z (taylor None) or the
+# leading columns of the monomial basis (m/n)^j with C = ca (taylor 0) or cb (taylor 1), J the reversal, and
+# D = d_a^{+-1} = e^{+-2 pi i w' m} (step +-1) or d_b^{+-1} = e^{+-i pi (w + w') m} (step +-2).
+_HILB, _ODD = 1.0 / (2.0 * math.pi * 1j), 1.0 / (2.0 * 1j)
+_FOURIER_TERMS = ((None, 1, False, True, _HILB), (None, 1, True, False, -_HILB),
+                  (None, -1, False, True, -_HILB), (None, -1, True, False, _HILB),
+                  (0, 1, False, False, _ODD), (0, -1, False, False, -_ODD),
+                  (1, 2, False, False, 0.5), (1, -2, False, False, 0.5))
+
+
+class FourierFactor(LowRankFactor):
+    """B - F F* from the Hilbert factor z and the Taylor coefficient matrices ca and cb, phases recomputed per call.
+
+    Its eight terms are those of _FOURIER_TERMS; the monomial basis (m/n)^j
+    of the Taylor terms is fixed by n and held by no array.  The products
+    run over row tiles that read z once per call; the basis rows of the
+    tile at i0 are the local table (k/n)^j times the Pascal shift
+    S(t0)[k, j] = C(j, k) t0^(j - k), t0 = i0/n, and each phase is a local
+    cos/sin table times one rotation per tile, both from exactly reduced
+    turns (_phases).  The shift and the rotation act on the coefficient
+    side.
+    """
+
+    def __init__(self, w: float, z, ca, cb):
+        if not 0.0 < w < 0.5 or np.ndim(z) != 2 or any(np.ndim(c) != 2 or len(c) != len(c.T) for c in (ca, cb)):
+            raise ValueError(f"need a half-bandwidth in (0, 1/2), z of n rows and ca and cb square, got w={w}")
         # column-major like the loader's views, so that a reloaded factor's products round alike
-        coefs = tuple(np.asfortranarray(c, dtype=float) for c in coefs)
-        return cls(n, (_column_major(z),), (None,), coefs, terms, _read_only(np.zeros(0)), w)
+        self.w, self.z = w, _column_major(z)
+        self.ca, self.cb = (np.asfortranarray(c, dtype=float) for c in (ca, cb))
+
+    @property
+    def n(self) -> int:
+        return len(self.z)
+
+    @property
+    def rank(self) -> int:
+        return 4 * self.z.shape[1] + 2 * len(self.ca) + 2 * len(self.cb)
+
+    @property
+    def arrays(self) -> tuple:
+        """Every array the factor holds, in file order: z, ca, cb."""
+        return (self.z, self.ca, self.cb)
+
+    def _terms(self):
+        """Per outer product of _FOURIER_TERMS: its entry, its coefficient matrix (None for z) and its slot."""
+        coefs = [None if taylor is None else (self.ca, self.cb)[taylor] for taylor, *_ in _FOURIER_TERMS]
+        edges = np.cumsum([0] + [self.z.shape[1] if c is None else len(c) for c in coefs]).tolist()
+        return zip(_FOURIER_TERMS, coefs, map(slice, edges, edges[1:]))
+
+    def _analyze(self, rows):
+        """C P^T J D^* x for every term, x given as its real rows.
+
+        Per tile, x (reversed for z's reversed terms) times the local cos and
+        sin tables meets the tile's rows of z and its shifted local basis in
+        one product each; a term sums its tiles' products under their
+        rotations, e^{-i step i0} (reversed: e^{-i step (n - 1 - i0)}).
+        """
+        n, m, z, width = self.n, len(rows), self.z, max(len(self.ca), len(self.cb))
+        tile, starts, basis, table, rotations, shift = _tiling(n, self.w, width, _ANALYSIS_TILE)
+        # x reversed times cos_a and sin_a, then x times cos_a, sin_a, cos_b and sin_b: z meets the first four
+        copies = np.empty((6, m, tile))
+        pz, pb = np.empty((len(starts), 4, m, z.shape[1])), np.empty((len(starts), 4, m, len(basis)))
+        for i, i0 in enumerate(starts):
+            k = min(tile, n - i0)
+            np.multiply(rows[None, :, n - i0 - k:n - i0][..., ::-1], table[0:4:2, None, :k], out=copies[:2, :, :k])
+            np.multiply(rows[None, :, i0:i0 + k], table[::2, None, :k], out=copies[2:, :, :k])
+            pz[i] = (copies[:4].reshape(4 * m, tile)[:, :k] @ z[i0:i0 + k]).reshape(4, m, -1)
+            pb[i] = ((copies[2:].reshape(4 * m, tile)[:, :k] @ basis[:, :k].T) @ shift(i)).reshape(4, m, -1)
+        c = np.empty(self.rank, complex)
+        for (taylor, step, _, flip_right, _), coef, slot in self._terms():
+            s, sign = abs(step), math.copysign(1.0, step)
+            p, j = (pz, 0 if flip_right else 2) if taylor is None else (pb, 2 * s - 2)
+            cos, sin = (p[:, i, 0] + 1j * p[:, i, 1] if m == 2 else p[:, i, 0] for i in (j, j + 1))
+            # e^{-i step m} at m = i0 + k is e^{-i step i0} (cos - i sign sin); reversed rows m = n - 1 - i0 - k
+            # take e^{-i step (n - 1 - i0)} (cos + i sign sin)
+            rot_cos, rot_sin = rotations[s, flip_right]
+            acc = (rot_cos - 1j * sign * rot_sin) @ (cos + (1j if flip_right else -1j) * sign * sin)
+            c[slot] = acc if coef is None else coef @ acc[:len(coef)]
+        return c
+
+    def synthesize(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Adds each term's D J P (post c[slot]) to out, a new complex vector when none is given.
+
+        Terms sharing a block, a step size and a reversal form a group and
+        enter as E = u+ + u- times cos and O = u+ - u- times i sin (reversed:
+        u- - u+), with u+- = e^{+-i |step| i0} post c[slot] for the tile at i0
+        (reversed: e^{+-i |step| (n - 1 - i0)}).  Per tile one product of z's
+        rows and one of the shifted local basis meet the groups' E and i O as
+        real rows; the reversed group's sum is added to the mirrored rows.
+        """
+        c = np.asarray(c)
+        if c.shape != (self.rank,):
+            raise ValueError(f"expected {self.rank} coefficients, got shape {c.shape}")
+        n, z, width = self.n, self.z, max(len(self.ca), len(self.cb))
+        out = np.zeros(n, complex) if out is None else out
+        tile, starts, basis, table, rotations, shift = _tiling(n, self.w, width, _SYNTHESIS_TILE)
+        # per tile and group (z: forward, reversed; basis: step 1, step 2): E and i O over the block's columns
+        uz, ub = (np.zeros((len(starts), 2, 2, cols), complex) for cols in (z.shape[1], len(basis)))
+        for (taylor, step, flip_left, _, post), _, slot in self._terms():
+            s, sign = abs(step), math.copysign(1.0, step)
+            rot_cos, rot_sin = rotations[s, flip_left]
+            u = np.multiply.outer(rot_cos + 1j * sign * rot_sin, post * c[slot])
+            group = uz[:, int(flip_left)] if taylor is None else ub[:, s - 1, :, :slot.stop - slot.start]
+            group[:, 0] += u
+            group[:, 1] += (-1j if flip_left else 1j) * sign * u
+        # rows (E.re, E.im, (iO).re, (iO).im) per group, in the layout of the table's rows
+        uz, ub = (np.stack([u.real, u.imag], axis=3).reshape(len(starts), 8, -1) for u in (uz, ub))
+        re, im = out.real, out.imag
+        for i, i0 in enumerate(starts):
+            k = min(tile, n - i0)
+            yz = (uz[i] @ z[i0:i0 + k].T).reshape(2, 4, k)
+            yb = ((ub[i] @ shift(i).T) @ basis[:, :k]).reshape(2, 4, k)
+            yz *= table[:4, :k]
+            yb *= table[:, :k].reshape(2, 4, k)
+            # cos E + sin (i O): the real and imaginary rows of each group
+            yz, yb = yz[:, :2] + yz[:, 2:], yb[:, :2] + yb[:, 2:]
+            yz[0] += yb[0]
+            yz[0] += yb[1]
+            re[i0:i0 + k] += yz[0, 0]
+            im[i0:i0 + k] += yz[0, 1]
+            re[n - i0 - k:n - i0] += yz[1, 0, ::-1]
+            im[n - i0 - k:n - i0] += yz[1, 1, ::-1]
+        return out
 
 
 def _column_major(block):
@@ -230,7 +302,7 @@ def _fold(rows, parity):
 def _unfold(halves, out):
     """Adds to out the vectors whose leading rows are halves[parity], mirrored (even) or mirrored and negated (odd)."""
     tail = out[len(out) - len(out) // 2:][::-1]
-    for parity, v in halves.items():
+    for parity, v in enumerate(halves):
         out[:len(v)] += v
         (np.subtract if parity else np.add)(tail, v[:len(tail)], out=tail)
 
@@ -275,79 +347,6 @@ def _tiling(n, w, width, cap):
     binom = np.array([[math.comb(b, a) for b in j] for a in j], dtype=float)  # C(j, k) at [k, j]
     powers, gap = (starts / n)[:, None] ** j, np.maximum(j - j[:, None], 0)
     return tile, starts, basis, table, rotations, lambda i: binom * powers[i][gap]
-
-
-def _fourier_analysis(f, rows):
-    """C P^T J D^* x for every term of the Fourier correction f, x given as its real rows (x, or its two parts).
-
-    Per tile, x (reversed for z's reversed terms) times the local cos and sin
-    tables meets the tile's rows of z and its shifted local basis in one
-    product each; a term sums its tiles' products under their rotations,
-    e^{-i step i0} (reversed: e^{-i step (n - 1 - i0)}).
-    """
-    n, m, (z,) = f.n, len(rows), f.blocks
-    tile, starts, basis, table, rotations, shift = _tiling(n, f.w, max(len(c) for c in f.coefs), _ANALYSIS_TILE)
-    # x reversed times cos_a and sin_a, then x times cos_a, sin_a, cos_b and sin_b: z meets the first four
-    copies = np.empty((6, m, tile))
-    pz, pb = np.empty((len(starts), 4, m, z.shape[1])), np.empty((len(starts), 4, m, len(basis)))
-    for i, i0 in enumerate(starts):
-        k = min(tile, n - i0)
-        np.multiply(rows[None, :, n - i0 - k:n - i0][..., ::-1], table[0:4:2, None, :k], out=copies[:2, :, :k])
-        np.multiply(rows[None, :, i0:i0 + k], table[::2, None, :k], out=copies[2:, :, :k])
-        pz[i] = (copies[:4].reshape(4 * m, tile)[:, :k] @ z[i0:i0 + k]).reshape(4, m, -1)
-        pb[i] = ((copies[2:].reshape(4 * m, tile)[:, :k] @ basis[:, :k].T) @ shift(i)).reshape(4, m, -1)
-    c = np.empty(f.rank, complex)
-    for t in f.terms:
-        s, sign = abs(t.step), math.copysign(1.0, t.step)
-        p, j = (pz, 0 if t.flip_right else 2) if t.block is not None else (pb, 2 * s - 2)
-        cos, sin = (p[:, i, 0] + 1j * p[:, i, 1] if m == 2 else p[:, i, 0] for i in (j, j + 1))
-        # e^{-i step m} at m = i0 + k is e^{-i step i0} (cos - i sign sin); reversed rows m = n - 1 - i0 - k
-        # take e^{-i step (n - 1 - i0)} (cos + i sign sin)
-        rot_cos, rot_sin = rotations[s, t.flip_right]
-        acc = (rot_cos - 1j * sign * rot_sin) @ (cos + (1j if t.flip_right else -1j) * sign * sin)
-        c[t.slot] = acc[:t.width] if t.coef is None else f.coefs[t.coef] @ acc[:t.width]
-    return c
-
-
-def _fourier_synthesis(f, c, out):
-    """Adds to the complex out each term's D J P (post c[slot]) of the Fourier correction f.
-
-    Terms sharing a block, a step size and a reversal form a group and enter
-    as E = u+ + u- times cos and O = u+ - u- times i sin (reversed: u- - u+),
-    with u+- = e^{+-i |step| i0} post c[slot] for the tile at i0 (reversed:
-    e^{+-i |step| (n - 1 - i0)}).  Per tile one product of z's rows and one of
-    the shifted local basis meet the groups' E and i O as real rows; the
-    reversed group's sum is added to the mirrored rows.
-    """
-    n, (z,) = f.n, f.blocks
-    tile, starts, basis, table, rotations, shift = _tiling(n, f.w, max(len(c) for c in f.coefs), _SYNTHESIS_TILE)
-    # per tile and group (z: forward, reversed; basis: step 1, step 2): E and i O over the block's columns
-    uz, ub = (np.zeros((len(starts), 2, 2, width), complex) for width in (z.shape[1], len(basis)))
-    for t in f.terms:
-        s, sign = abs(t.step), math.copysign(1.0, t.step)
-        rot_cos, rot_sin = rotations[s, t.flip_left]
-        u = np.multiply.outer(rot_cos + 1j * sign * rot_sin, t.post * c[t.slot])
-        group = uz[:, int(t.flip_left)] if t.block is not None else ub[:, s - 1, :, :t.width]
-        group[:, 0] += u
-        group[:, 1] += (-1j if t.flip_left else 1j) * sign * u
-    # rows (E.re, E.im, (iO).re, (iO).im) per group, in the layout of the table's rows
-    uz, ub = (np.stack([u.real, u.imag], axis=3).reshape(len(starts), 8, -1) for u in (uz, ub))
-    re, im = out.real, out.imag
-    for i, i0 in enumerate(starts):
-        k = min(tile, n - i0)
-        yz = (uz[i] @ z[i0:i0 + k].T).reshape(2, 4, k)
-        yb = ((ub[i] @ shift(i).T) @ basis[:, :k]).reshape(2, 4, k)
-        yz *= table[:4, :k]
-        yb *= table[:, :k].reshape(2, 4, k)
-        # cos E + sin (i O): the real and imaginary rows of each group
-        yz, yb = yz[:, :2] + yz[:, 2:], yb[:, :2] + yb[:, 2:]
-        yz[0] += yb[0]
-        yz[0] += yb[1]
-        re[i0:i0 + k] += yz[0, 0]
-        im[i0:i0 + k] += yz[0, 1]
-        re[n - i0 - k:n - i0] += yz[1, 0, ::-1]
-        im[n - i0 - k:n - i0] += yz[1, 1, ::-1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +575,7 @@ def transition_count_budget(n: int, epsilon: float) -> float:
     return (8.0 / math.pi**2 * math.log(8.0 * n) + 12.0) * math.log(15.0 / epsilon)
 
 
-def fourier_correction_factor(n: int, w: float, epsilon: float) -> LowRankFactor:
+def fourier_correction_factor(n: int, w: float, epsilon: float) -> FourierFactor:
     """Factor with ||B - F F* - factor|| <= epsilon, stored as z and two Taylor coefficient matrices.
 
     The tolerance is split 4 pi/15 to the Hilbert block and 7/30 to each
@@ -591,7 +590,7 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> LowRankFactor
     z = hilbert_factor(n, delta_h)
     odd = sinc_alias_factor(n, delta_taylor)
     even = bandwidth_shift_factor(n, w, w_prime, delta_taylor)
-    return LowRankFactor.fourier(w, z, (odd.coeffs, even.coeffs))
+    return FourierFactor(w, z, odd.coeffs, even.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +602,7 @@ def _spectral(start, vectors, g):
     parity of l, so only the leading rows of each parity's columns are copied out of V, which the build drops."""
     n = vectors.shape[0]
     halves = [mapped_columns(vectors[:(n + 1 - p) // 2, (p - start) % 2::2]) for p in (0, 1)]
-    return LowRankFactor.spectral(n, start % 2, halves, g)
+    return SpectralFactor(n, start % 2, halves, g)
 
 
 def _split_window(n, w, epsilon, k):
@@ -622,7 +621,7 @@ def _split_window(n, w, epsilon, k):
     return start, lams, vecs, k - start
 
 
-def projection_correction(n, w, epsilon, k) -> LowRankFactor:
+def projection_correction(n, w, epsilon, k) -> SpectralFactor:
     """V diag(g) V' with ||S_k S_k' - (B + V diag(g) V')|| bounded by the search tolerance.
 
     V holds the eigenvectors with epsilon < lam < 1 - epsilon and g = [1 - L2, -L3]: the pairs
@@ -632,7 +631,7 @@ def projection_correction(n, w, epsilon, k) -> LowRankFactor:
     return _spectral(start, vecs, np.concatenate([1.0 - lams[:cut], -lams[cut:]]))
 
 
-def pinv_correction(n, w, epsilon, k) -> LowRankFactor:
+def pinv_correction(n, w, epsilon, k) -> SpectralFactor:
     """V diag(g) V' with ||B_k^+ - (B + V diag(g) V')|| within three times the search tolerance.
 
     V as for projection_correction, g = [1/L2 - L2, -L3].
@@ -661,15 +660,16 @@ def tikhonov_precision_floor(n: int, w: float, alpha: float) -> float:
     magnified by the weight itself (up to 1/(2 sqrt(alpha))).  Both grow
     with n.  No tolerance below it can be met.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"regularization weight must be positive, got {alpha}")
-    # |f'| peaks at lambda = 0 or at its minimum, lambda^2 = 3 alpha (or the end of [0, 1])
-    slope = max(abs(_tikhonov_slope(0.0, alpha)), abs(_tikhonov_slope(min(1.0, math.sqrt(3.0 * alpha)), alpha)))
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"regularization weight must be positive and finite, got {alpha}")
+    # |f'| peaks at lambda = 0 or at its minimum, lambda^2 = 3 alpha (or the end of [0, 1]): it is f'(0) =
+    # 1/(alpha (1 + alpha)) up to alpha = 1 and -f'(1) = 2/(1 + alpha)^2 beyond, neither taken by squaring alpha
+    slope = 1.0 / (alpha * (1.0 + alpha)) if alpha <= 1.0 else 2.0 / (1.0 + alpha) / (1.0 + alpha)
     weight = 0.5 / math.sqrt(alpha) if alpha <= 1.0 else 1.0 / (1.0 + alpha)
     return quotient_error(n, w, extended=True) * slope + vector_error(n, w) * weight
 
 
-def tikhonov_correction(n, w, epsilon, alpha) -> LowRankFactor:
+def tikhonov_correction(n, w, epsilon, alpha) -> SpectralFactor:
     """V diag(g) V' with ||(B^2 + a I)^{-1} B - (B/(1+a) + V diag(g) V')|| <= epsilon.
 
     The retained eigenpairs are those with a(1+a)*epsilon < lam < 1 - epsilon/3
@@ -681,8 +681,8 @@ def tikhonov_correction(n, w, epsilon, alpha) -> LowRankFactor:
     refined values when float64 cannot place it.  The bound holds for
     epsilon down to tikhonov_precision_floor(n, w, a).
     """
-    if alpha <= 0.0:
-        raise ValueError(f"regularization weight must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"regularization weight must be positive and finite, got {alpha}")
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
     lo = alpha * (1.0 + alpha) * epsilon
@@ -690,7 +690,8 @@ def tikhonov_correction(n, w, epsilon, alpha) -> LowRankFactor:
     start, lams, vecs = transition_window(n, w, lo, hi)
     max_slope = _REFINE_SHARE * epsilon / quotient_error(n, w)
     flagged = np.abs(_tikhonov_slope(lams, alpha)) > max_slope
-    extend = abs(_tikhonov_slope(lo, alpha)) > max_slope
+    # a low edge at or above hi leaves the window empty; its slope would square the lo that a huge alpha gives
+    extend = lo < hi and abs(_tikhonov_slope(lo, alpha)) > max_slope
     if extend or np.any(flagged):
         lams, vecs = refine_window(n, w, start, lams, vecs, flagged, lo, extend=extend)
     weights = _tikhonov_weight(lams, alpha)

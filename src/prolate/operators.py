@@ -20,7 +20,8 @@ import numpy as np
 from .dpss import default_subspace_dim, quotient_error, slepian_plan, transition_window
 from .fft_kernels import PartialFourier
 from .lowrank import (
-    LowRankFactor,
+    FourierFactor,
+    SpectralFactor,
     fourier_correction_factor,
     pinv_correction,
     projection_correction,
@@ -112,7 +113,7 @@ class _SpectralOperator:
 
     alpha, bound_factor = 0.0, 1.0
 
-    def __init__(self, params: SlepianParams, correction: LowRankFactor):
+    def __init__(self, params: SlepianParams, correction: SpectralFactor):
         self.params, self.b_op, self.u = params, slepian_plan(params.n, params.w).b_op, correction
         self.error_bound = self.bound_factor * params.epsilon
 
@@ -125,7 +126,7 @@ class _SpectralOperator:
         return (self.u,)
 
     def factors(self):
-        """Every array the operator holds: its correction's weights, parity halves and coefficient matrices."""
+        """Every array the operator holds: its correction's weights and parity halves."""
         return self.u.arrays
 
 
@@ -194,7 +195,7 @@ class FastTikhonov(_SpectralOperator):
     build = classmethod(_build_spectral)
     apply = _apply_spectral
 
-    def __init__(self, params: SlepianParams, alpha: float, correction: LowRankFactor):
+    def __init__(self, params: SlepianParams, alpha: float, correction: SpectralFactor):
         if not 0.0 < alpha < math.inf:
             raise ValueError(f"regularization weight must be positive and finite, got {alpha}")
         self.alpha = alpha
@@ -218,7 +219,7 @@ class FastFactorization:
     kind = 2
     precision_floor = _SpectralOperator.precision_floor
 
-    def __init__(self, params: SlepianParams, pf: PartialFourier, l: LowRankFactor, u: LowRankFactor):
+    def __init__(self, params: SlepianParams, pf: PartialFourier, l: FourierFactor, u: SpectralFactor):
         self.params = params
         self.pf = pf
         self.l = l
@@ -263,18 +264,18 @@ class FastFactorization:
         return (self.l, self.u)
 
     def factors(self):
-        """Every array the operator holds: each correction's weights, blocks and coefficient matrices."""
+        """Every array the operator holds: the Fourier correction's z, ca and cb, then the spectral correction's."""
         return self.l.arrays + self.u.arrays
 
 
 # ---------------------------------------------------------------------------
 # Persistence: magic "FSLT", little-endian, version 4 only.
 # "FSLT", u32 version, u64 n, f64 w, f64 epsilon, f64 alpha, u64 k, u8 kind, 7 pad bytes,
-# f64 error bound; a record header per correction (the factorization: Fourier, then spectral;
-# other kinds: spectral):
+# f64 error bound; a record header of three u64 per correction (the factorization: its FourierFactor,
+# then its SpectralFactor; other kinds: their SpectralFactor):
 #   spectral: u64 lead (the parity of V's column 0), u64 even count, u64 odd count;
 #   Fourier:  u64 z width (at least 1), u64 ra, u64 rb (the Taylor widths that epsilon fixes);
-# then per record its arrays, column-major float64, every offset a multiple of 8:
+# then per record its arrays, column-major finite float64, every offset a multiple of 8:
 #   spectral: the weights g (even + odd, in V's column order), the ceil(n/2) x even leading rows
 #             of the even columns, the floor(n/2) x odd leading rows of the odd columns;
 #   Fourier:  z (n x z width), ca (ra x ra), cb (rb x rb); the monomial basis (m/n)^j is not stored.
@@ -283,7 +284,6 @@ class FastFactorization:
 _MAGIC, _VERSION = b"FSLT", 4
 _KIND_NAMES = {1: "projector", 2: "factorization", 3: "pinv", 4: "tikhonov"}
 _RECORDS = {1: ("spectral",), 2: ("fourier", "spectral"), 3: ("spectral",), 4: ("spectral",)}
-_FIELDS = {"spectral": 3, "fourier": 3}
 # largest n a file without stored columns may name: its length cannot bound n
 MAX_EMPTY_N = 1 << 20
 
@@ -310,10 +310,10 @@ def operator_to_bytes(op) -> bytearray:
     head = [_MAGIC, struct.pack("<IQdddQB7xd", _VERSION, p.n, p.w, p.epsilon, getattr(op, "alpha", 0.0),
                                 p.k, op.kind, op.error_bound)]
     arrays = []
-    for rec, f in zip(_RECORDS[op.kind], op.corrections()):
-        lead = (f.terms[0].slot.start,) if rec == "spectral" else ()  # the even term's first coefficient
-        head.append(struct.pack(f"<{_FIELDS[rec]}Q", *lead, *(b.shape[1] for b in f.blocks),
-                                *(len(c) for c in f.coefs)))
+    for f in op.corrections():
+        fields = ((f.lead, *(h.shape[1] for h in f.halves)) if isinstance(f, SpectralFactor)
+                  else (f.z.shape[1], len(f.ca), len(f.cb)))
+        head.append(struct.pack("<3Q", *fields))
         arrays += f.arrays
     head = b"".join(head)
     out, at = bytearray(len(head) + sum(a.nbytes for a in arrays)), len(head)
@@ -349,7 +349,7 @@ def _record_shapes(rec, n, epsilon, head):
             raise FactorFileError(f"invalid operator header: {exc}") from exc
         if (ra, rb) != widths:
             raise FactorFileError(f"Fourier record: Taylor widths {ra} and {rb} are not eps={epsilon:g}'s {widths}")
-        return [(0,), (n, z), (ra, ra), (rb, rb)]
+        return [(n, z), (ra, ra), (rb, rb)]
     lead, even, odd = head
     first, second = (even, odd) if lead == 0 else (odd, even)
     if lead > 1 or not 0 <= first - second <= 1:
@@ -381,7 +381,7 @@ def operator_from_bytes(data):
     (error_bound,), at = _unpack(data, at, "<d", "error bound")
     records = []
     for rec in _RECORDS[kind]:
-        head, at = _unpack(data, at, f"<{_FIELDS[rec]}Q", "record header")
+        head, at = _unpack(data, at, "<3Q", "record header")
         records.append((rec, head, _record_shapes(rec, n, epsilon, head)))
 
     # every array must fill the rest of the file, checked before any is read; without a stored
@@ -391,9 +391,17 @@ def operator_from_bytes(data):
         if size > len(data) - at:
             raise TruncatedFileError("file truncated while reading factor data")
         raise FactorFileError("trailing bytes after factor data")
-    if not any(shape[1] for _, _, shapes in records for shape in shapes[1:3]) and n > MAX_EMPTY_N:
+    if not any(len(shape) == 2 and shape[1] for _, _, shapes in records for shape in shapes) and n > MAX_EMPTY_N:
         raise FactorFileError(f"header size n={n} is too large to rebuild: a file without "
                               f"stored columns may name n up to {MAX_EMPTY_N}")
+    # one pass over every stored value, allocating nothing per value: a nan or inf leaves the sum not finite, and
+    # only then are the extremes read to tell it from finite values whose sum overflowed (min <= 0 <= max, so
+    # their own sum cannot overflow)
+    values = np.frombuffer(data, "<f8", size // 8, at)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    if not (math.isfinite(total) or math.isfinite(values.min(initial=0.0) + values.max(initial=0.0))):
+        raise FactorFileError("factor data holds a value that is not finite")
     stored = []
     for _, _, shapes in records:
         stored.append([])
@@ -406,9 +414,9 @@ def operator_from_bytes(data):
     try:
         params = SlepianParams.create(int(n), float(w), float(epsilon), k=int(k))
         corrections = []
-        for (rec, head, _), (weights, *blocks) in zip(records, stored):
-            corrections.append(LowRankFactor.spectral(params.n, head[0], blocks, weights) if rec == "spectral"
-                               else LowRankFactor.fourier(params.w, blocks[0], blocks[1:]))
+        for (rec, head, _), arrays in zip(records, stored):
+            corrections.append(SpectralFactor(params.n, head[0], arrays[1:], arrays[0]) if rec == "spectral"
+                               else FourierFactor(params.w, *arrays))
         if kind == 2:
             op = FastFactorization(params, PartialFourier(params.n, params.w), *corrections)
         else:

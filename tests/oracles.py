@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from prolate.lowrank import _FOURIER_TERMS, SpectralFactor
+
 _PI_EXT = np.arccos(np.longdouble(-1.0))
 
 # the extended-precision oracle and the extended-precision refinement need a
@@ -305,77 +307,78 @@ def phase_turns(n, w, step):
     return math.copysign(1.0, step) * scaled.astype(np.longdouble) / np.longdouble(2.0) ** 64
 
 
-def unfolded_block(f, index):
-    """Block index of the LowRankFactor f at its full n rows: a parity half mirrored below its leading rows
-    (even), or mirrored and negated with a zero middle row for odd n (odd)."""
-    block, parity, n = f.blocks[index], f.parities[index], f.n
-    if parity is None:
-        return block
-    mirror = block[: n // 2][::-1] * (-1.0 if parity else 1.0)
-    middle = np.zeros((n % 2 if parity else 0, block.shape[1]))
-    return np.vstack([block, middle, mirror])
+def unfolded_half(f, parity):
+    """Parity half of the SpectralFactor f at its full n rows: mirrored below its leading rows (even), or
+    mirrored and negated with a zero middle row for odd n (odd)."""
+    half, n = f.halves[parity], f.n
+    mirror = half[: n // 2][::-1] * (-1.0 if parity else 1.0)
+    middle = np.zeros((n % 2 if parity else 0, half.shape[1]))
+    return np.vstack([half, middle, mirror])
+
+
+def _fourier_terms(f, dtype=float):
+    """Per entry (taylor, step, flip_left, flip_right, post) of the FourierFactor f's term table: the entry, its
+    basis P (z, or the monomial basis (m/n)^j at its coefficient matrix's width, expanded here), its C (the
+    identity for z) and its slot, the slots following one another in table order; P and C in dtype."""
+    monomials, at = monomial_basis(f.n, max(len(f.ca), len(f.cb)), dtype), 0
+    for term in _FOURIER_TERMS:
+        coef = np.eye(f.z.shape[1], dtype=dtype) if term[0] is None else (f.ca, f.cb)[term[0]].astype(dtype)
+        basis = f.z.astype(dtype) if term[0] is None else monomials[:, : len(coef)]
+        yield term, basis, coef, slice(at, at + len(coef))
+        at += len(coef)
 
 
 def factor_halves(f):
-    """Dense (left, right) with left @ right^H equal to the LowRankFactor f, one column per coefficient.
+    """Dense (left, right) with left @ right^H equal to the factor f, one column per coefficient.
 
-    Each term's blocks are unfolded to n rows (block None: the monomial basis
-    (m/n)^j, expanded here), cut to the term's width and given its coefficient
-    matrix, phase diagonal, reversals and weights here, outside the factor's
-    own products, and placed at the term's slot; the weights g put sqrt|g| on
-    each side and their signs on the left.  Without a phase the halves stay
-    real.
+    A SpectralFactor's parity halves are unfolded to n rows and placed at
+    their coefficients abs(p - lead), abs(p - lead) + 2, ...; its weights g
+    put sqrt|g| on each side and their signs on the left, and the halves
+    stay real.  Each term of a FourierFactor gets its basis, coefficient
+    matrix, phase diagonal and reversals here, outside the factor's own
+    products, at its slot.
     """
-    dtype = complex if any(t.step for t in f.terms) else float
-    left, right = np.zeros((f.n, f.rank), dtype), np.zeros((f.n, f.rank), dtype)
-    for t in f.terms:
-        basis = monomial_basis(f.n, t.width) if t.block is None else unfolded_block(f, t.block)[:, : t.width]
-        coef = np.eye(t.width) if t.coef is None else f.coefs[t.coef]
-        d = np.exp(2j * np.pi * phase_turns(f.n, f.w, t.step).astype(float))[:, None] if t.step else 1.0
-        left[:, t.slot] = d * (basis[::-1] if t.flip_left else basis) * t.post
-        right[:, t.slot] = d * ((basis[::-1] if t.flip_right else basis) @ coef.T)
-    if f.weights.size:
+    if isinstance(f, SpectralFactor):
+        basis = np.zeros((f.n, f.rank))
+        for parity in (0, 1):
+            basis[:, abs(parity - f.lead)::2] = unfolded_half(f, parity)
         root = np.sqrt(np.abs(f.weights))
-        left *= np.sign(f.weights) * root
-        right *= root
+        return basis * (np.sign(f.weights) * root), basis * root
+    left, right = np.zeros((f.n, f.rank), complex), np.zeros((f.n, f.rank), complex)
+    for (_, step, flip_left, flip_right, post), basis, coef, slot in _fourier_terms(f):
+        d = np.exp(2j * np.pi * phase_turns(f.n, f.w, step).astype(float))[:, None]
+        left[:, slot] = d * (basis[::-1] if flip_left else basis) * post
+        right[:, slot] = d * ((basis[::-1] if flip_right else basis) @ coef.T)
     return left, right
 
 
 def factor_dense(f):
-    """The dense matrix a LowRankFactor stands for."""
+    """The dense matrix a SpectralFactor or FourierFactor stands for."""
     left, right = factor_halves(f)
     return left @ right.conj().T
 
 
-
-def _fourier_terms_extended(f):
-    """Per term of the Fourier correction f: its block at the term's width and its phase diagonal, in
-    np.longdouble, the monomial basis and the exactly reduced phases computed here."""
-    basis = monomial_basis(f.n, max(t.width for t in f.terms if t.block is None), np.longdouble)
-    blocks = [b.astype(np.longdouble) for b in f.blocks]
-    for t in f.terms:
-        turns = 2 * _PI_EXT * phase_turns(f.n, f.w, t.step)
-        block = basis if t.block is None else blocks[t.block]
-        yield t, block[:, : t.width], np.cos(turns) + 1j * np.sin(turns)
+def _phase_extended(f, step):
+    turns = 2 * _PI_EXT * phase_turns(f.n, f.w, step)
+    return np.cos(turns) + 1j * np.sin(turns)
 
 
 def fourier_synthesis_extended(f, c):
-    """f.synthesize(c) for the Fourier correction f, sum over the terms of D J^flip_left P (post c[slot]), in
+    """f.synthesize(c) for the FourierFactor f, sum over the terms of D J^flip_left P (post c[slot]), in
     np.longdouble."""
     out = np.zeros(f.n, np.clongdouble)
-    for t, block, d in _fourier_terms_extended(f):
-        v = np.clongdouble(t.post) * np.asarray(c[t.slot], np.clongdouble)
-        col = block @ v.real + 1j * (block @ v.imag)
-        out += d * (col[::-1] if t.flip_left else col)
+    for (_, step, flip_left, _, post), basis, _, slot in _fourier_terms(f, np.longdouble):
+        v = np.clongdouble(post) * np.asarray(c[slot], np.clongdouble)
+        col = basis @ v.real + 1j * (basis @ v.imag)
+        out += _phase_extended(f, step) * (col[::-1] if flip_left else col)
     return out
 
 
 def fourier_analysis_extended(f, x):
-    """f.adjoint_apply(x) for the Fourier correction f, C P^T J^flip_right D^* x per term, in np.longdouble."""
+    """f.adjoint_apply(x) for the FourierFactor f, C P^T J^flip_right D^* x per term, in np.longdouble."""
     out = np.zeros(f.rank, np.clongdouble)
-    for t, block, d in _fourier_terms_extended(f):
-        y = d.conj() * np.asarray(x, np.clongdouble)
-        y = y[::-1] if t.flip_right else y
-        p = block.T @ y.real + 1j * (block.T @ y.imag)
-        out[t.slot] = p if t.coef is None else f.coefs[t.coef].astype(np.longdouble) @ p
+    for (_, step, _, flip_right, _), basis, coef, slot in _fourier_terms(f, np.longdouble):
+        y = _phase_extended(f, step).conj() * np.asarray(x, np.clongdouble)
+        y = y[::-1] if flip_right else y
+        out[slot] = coef @ (basis.T @ y.real + 1j * (basis.T @ y.imag))
     return out

@@ -19,7 +19,7 @@ from prolate.operators import (
 )
 
 from oracles import eig_dense, pinv_oracle, prolate_dense
-from strategies import fslt_bytes, small_fslt_files, version_2_projector, version_3
+from strategies import fslt_bytes, header_length, small_fslt_files, version_2_projector, version_3
 
 
 def run_cli(args, capsys):
@@ -311,6 +311,35 @@ class TestPrecomputeAndLoad:
         path.write_bytes(data[:16] + struct.pack("<d", 0.9) + data[24:])  # the header's w
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "half-bandwidth" in err
+
+    def test_non_finite_factor_value_is_io_error(self, tmp_path, capsys):
+        # a nan weight, a nan in the even parity half, and for the factorization an inf in z and a nan in cb
+        import struct
+
+        path = tmp_path / "op.fslt"
+        for kind, blob in enumerate(small_fslt_files(), 1):
+            arrays, at = operator_from_bytes(blob).factors(), header_length(kind)
+            starts = [at + sum(a.nbytes for a in arrays[:i]) for i in range(len(arrays))]
+            spectral = starts[-3:]  # the weights and the two halves come last
+            cases = [(spectral[0], math.nan), (spectral[1], math.nan)]
+            if kind == 2:
+                cases += [(starts[0], math.inf), (starts[2], math.nan)]
+            for where, value in cases:
+                path.write_bytes(blob[:where] + struct.pack("<d", value) + blob[where + 8:])
+                rc, _, err = run_cli(["load-check", str(path)], capsys)
+                assert rc == 2 and "not finite" in err and "Traceback" not in err, (kind, where)
+
+    def test_huge_or_non_finite_numbers_exit_without_traceback(self, tmp_path, capsys):
+        # alpha far past where alpha^2 overflows a float, and extension half-periods that are not finite
+        path = tmp_path / "tik.fslt"
+        rc, _, err = run_cli(["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-3", "--kind", "tikhonov",
+                              "--alpha", "1e308", "--out", str(path)], capsys)
+        assert rc == 0 and "ranks=[0]" in err and "Traceback" not in err
+        rc, out, err = run_cli(["fourier-ext", "--m", "8", "--alpha", "1e300"], capsys)
+        assert rc == 0 and "ext_fast_tik" in out and "Traceback" not in err
+        for t_ext in ("nan", "inf"):
+            rc, _, err = run_cli(["fourier-ext", "--m", "8", "--t-ext", t_ext], capsys)
+            assert rc == 1 and "half-period must be finite" in err and "Traceback" not in err
 
     def test_tolerance_beyond_the_taylor_widths_is_validation_error(self, tmp_path, capsys):
         # a factorization at eps = 1e-50 needs an even Taylor block whose factorials overflow a float

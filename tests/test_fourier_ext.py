@@ -96,8 +96,9 @@ class TestConfig:
         assert cfg.fft_length(640) == 1 << 22
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FourierExtensionConfig(t_ext=0.9)
+        for t_ext in (0.9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="extension half-period must be finite and exceed 1"):
+                FourierExtensionConfig(t_ext=t_ext)
         with pytest.raises(ValueError):
             FourierExtensionConfig(pinv_threshold=2.0)
         with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ from prolate import lowrank
 from prolate.dpss import default_subspace_dim, transition_window
 from prolate.fft_kernels import PartialFourier, nearest_odd_integer
 from prolate.lowrank import (
-    LowRankFactor,
+    _FOURIER_TERMS,
+    FourierFactor,
+    SpectralFactor,
     adi_rank,
     adi_shifts,
     bandwidth_shift_factor,
@@ -276,12 +278,12 @@ class TestFourierCorrectionFactor:
         w_prime = nearest_odd_integer(2 * n * w) / (2 * n)
         odd, even = sinc_alias_factor(n, 7 * eps / 30), bandwidth_shift_factor(n, w, w_prime, 7 * eps / 30)
         fac = fourier_correction_factor(n, w, eps)
-        (z,) = fac.blocks
-        assert fac.parities == (None,) and fac.arrays[1:] == (z, *fac.coefs)
+        z = fac.z
+        assert isinstance(fac, FourierFactor) and fac.arrays == (z, fac.ca, fac.cb) and fac.n == n
         assert (odd.rank, even.rank) == taylor_widths(eps) and (odd.n, even.n) == (n, n)
-        assert [np.array_equal(c, k.coeffs) for c, k in zip(fac.coefs, (odd, even))] == [True, True]
-        taylor = [t for t in fac.terms if t.block is None]
-        assert sorted(t.width for t in taylor) == sorted([odd.rank] * 2 + [even.rank] * 2)
+        assert [np.array_equal(c, k.coeffs) for c, k in zip((fac.ca, fac.cb), (odd, even))] == [True, True]
+        taylor = [t[0] for t in _FOURIER_TERMS if t[0] is not None]
+        assert sorted(len((fac.ca, fac.cb)[t]) for t in taylor) == sorted([odd.rank] * 2 + [even.rank] * 2)
         assert fac.rank == 4 * z.shape[1] + 2 * odd.rank + 2 * even.rank
 
     def test_domain(self):
@@ -299,7 +301,7 @@ class TestFourierCorrectionFactor:
             with pytest.raises(ValueError, match="even Taylor block"):
                 bandwidth_shift_factor(64, 0.25, 33 / 128, 7 * eps / 30)
         fac = fourier_correction_factor(64, 0.25, 1.1e-47)
-        assert [len(c) for c in fac.coefs] == [156, 169] and np.all(np.isfinite(fac.coefs[1]))
+        assert [len(fac.ca), len(fac.cb)] == [156, 169] and np.all(np.isfinite(fac.cb))
 
 
 class TestProjectionCorrection:
@@ -326,9 +328,9 @@ class TestProjectionCorrection:
             start, lams, vecs = transition_window(n, 0.25, 1e-6, 1 - 1e-6)
             u = projection_correction(n, 0.25, 1e-6, k)
             n2, lead = k - start, start % 2
-            assert u.parities == (0, 1) and not u.coefs
-            assert np.array_equal(u.blocks[0], vecs[: (n + 1) // 2, lead::2])
-            assert np.array_equal(u.blocks[1], vecs[: n // 2, 1 - lead :: 2])
+            assert isinstance(u, SpectralFactor) and u.lead == lead
+            assert np.array_equal(u.halves[0], vecs[: (n + 1) // 2, lead::2])
+            assert np.array_equal(u.halves[1], vecs[: n // 2, 1 - lead :: 2])
             assert np.all(u.weights[:n2] > 0) and np.all(u.weights[n2:] < 0)
             assert np.array_equal(u.weights, np.concatenate([1 - lams[:n2], -lams[n2:]]))
             # the halves stand for the full-row V diag(g) V^T
@@ -411,9 +413,9 @@ class TestTikhonovCorrection:
 
     def test_weights_nonnegative(self):
         u = tikhonov_correction(256, 0.25, 1e-6, 1e-2)
-        assert all(np.all(np.isfinite(b)) for b in u.blocks)
+        assert all(np.all(np.isfinite(b)) for b in u.halves)
         # symmetric factor: the two parity halves without coefficient matrices, a nonnegative weight
-        assert u.parities == (0, 1) and not u.coefs
+        assert isinstance(u, SpectralFactor)
         assert np.all(u.weights >= 0)
 
 
@@ -429,8 +431,8 @@ class TestLowRankFactor:
         factors = []
         for n in (15, 16):
             halves = (draw(((n + 1) // 2, 2), False), draw((n // 2, 3), False))
-            factors += [LowRankFactor.spectral(n, 1, halves, draw(5, False)),
-                        LowRankFactor.fourier(0.2, draw((n, 3), False), (draw((2, 2), False), draw((4, 4), False)))]
+            factors += [SpectralFactor(n, 1, halves, draw(5, False)),
+                        FourierFactor(0.2, draw((n, 3), False), draw((2, 2), False), draw((4, 4), False))]
         for f in factors:
             n = f.n
             left, right = factor_halves(f)
@@ -439,12 +441,12 @@ class TestLowRankFactor:
                 assert np.allclose(f.apply(x), (left @ right.conj().T) @ x)
                 assert np.allclose(f.adjoint_apply(x), right.conj().T @ x)
                 assert np.allclose(f.synthesize(c), left @ c)
-            if f.terms[0].step == 0:
+            if isinstance(f, SpectralFactor):
                 assert not np.iscomplexobj(f.apply(draw(n, False)))
 
     def test_zero_width(self, rng):
         for n in (1, 8, 9):
-            f = LowRankFactor.spectral(n, 1, (np.zeros(((n + 1) // 2, 0)), np.zeros((n // 2, 0))), np.zeros(0))
+            f = SpectralFactor(n, 1, (np.zeros(((n + 1) // 2, 0)), np.zeros((n // 2, 0))), np.zeros(0))
             assert f.rank == 0
             for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j):
                 assert np.linalg.norm(f.apply(x)) == 0.0 and f.apply(x).shape == (n,)
@@ -458,7 +460,7 @@ class TestLowRankFactor:
             (4, 2, two, np.zeros(2)),  # a lead parity of 0 or 1
         ]:
             with pytest.raises(ValueError):
-                LowRankFactor.spectral(n, lead, halves, g)
+                SpectralFactor(n, lead, halves, g)
         z, square = np.zeros((4, 1)), np.zeros((2, 2))
         for w, block, coefs in [
             (0.25, z, (np.zeros((2, 1)), square)),  # coefficient matrices are square
@@ -468,7 +470,7 @@ class TestLowRankFactor:
             (0.5, z, (square, square)),
         ]:
             with pytest.raises(ValueError):
-                LowRankFactor.fourier(w, block, coefs)
+                FourierFactor(w, block, *coefs)
 
 
 class TestFourierTiles:

@@ -15,7 +15,7 @@ from prolate.dpss import (
     transition_window,
 )
 from prolate.fft_kernels import PartialFourier, ToeplitzOperator
-from prolate.lowrank import taylor_widths
+from prolate.lowrank import SpectralFactor, taylor_widths, tikhonov_precision_floor
 from prolate.operators import (
     MAX_EMPTY_N,
     BadMagicError,
@@ -145,7 +145,7 @@ class TestFastFactorization:
             FastFactorization.build(SlepianParams.create(48, 0.25, 1e-50))
         with pytest.warns(PrecisionFloorWarning):
             op = FastFactorization.build(SlepianParams.create(48, 0.25, 1.1e-47))
-        assert [len(c) for c in op.l.coefs] == [156, 169]
+        assert [len(op.l.ca), len(op.l.cb)] == [156, 169]
 
 
 class TestFastPseudoinverse:
@@ -194,8 +194,23 @@ class TestFastTikhonov:
             assert np.linalg.norm(op.apply(y) - ref @ y) <= eps * np.linalg.norm(y)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            FastTikhonov.build(SlepianParams.create(64, 0.25, 1e-3), -1.0)
+        for alpha in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="regularization weight must be positive and finite"):
+                FastTikhonov.build(SlepianParams.create(64, 0.25, 1e-3), alpha)
+            with pytest.raises(ValueError, match="regularization weight must be positive and finite"):
+                tikhonov_precision_floor(64, 0.25, alpha)
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-5])
+    def test_huge_alpha_builds_or_is_a_value_error(self, eps, rng):
+        # the window's low edge alpha (1 + alpha) eps passes 1 - eps/3 long before alpha nears the float limit;
+        # squaring that edge, or alpha itself in the precision floor, overflowed from alpha near 1e39
+        x = rng.standard_normal(64)
+        for alpha in (1e39, 1e78, 1e155, 1e308):
+            try:
+                op = FastTikhonov.build(SlepianParams.create(64, 0.25, eps), alpha)
+            except ValueError:
+                continue
+            assert op.u.rank == 0 and np.all(np.isfinite(op.apply(x))) and 0.0 <= op.precision_floor < eps
 
     def test_warns_below_precision_floor(self):
         params = SlepianParams.create(256, 0.25, 1e-9)
@@ -317,6 +332,11 @@ def test_concurrent_application_is_safe(rng):
         assert np.array_equal(a, b)
 
 
+def _blocks(f):
+    """The arrays of a correction whose rows follow n: a SpectralFactor's parity halves, a FourierFactor's z."""
+    return f.halves if isinstance(f, SpectralFactor) else (f.z,)
+
+
 def test_applies_copy_no_factor(rng):
     # a stored block copied (conjugated, reversed, folded, modulated or upcast
     # to complex) on the way would alone take at least the smallest block's
@@ -337,7 +357,7 @@ def test_applies_copy_no_factor(rng):
                          ("synthesize", lambda f=f, c=c: f.synthesize(c))]
                 cases += [(f"{op.kind} rank {f.rank} {name} {v.dtype}", call, f) for name, call in calls]
     for label, call, f in cases:
-        bound = min(b.nbytes for b in f.blocks)
+        bound = min(b.nbytes for b in _blocks(f))
         call()
         tracemalloc.start()
         try:
@@ -377,7 +397,7 @@ class TestParityHalves:
             for w, eps in _WINDOWS.values():
                 params = SlepianParams.create(n, w, eps)
                 for op in (FastProjector.build(params), FastTikhonov.build(params, 1e-2)):
-                    even, odd = (b.shape[1] for b in op.u.blocks)
+                    even, odd = (b.shape[1] for b in op.u.halves)
                     mixes.add((even > 0, odd > 0))
         assert mixes == {(False, False), (True, False), (False, True), (True, True)}
 
@@ -393,7 +413,7 @@ class TestParityHalves:
         for op, first in built:
             g = np.asarray(op.u.weights)
             v = slepian_plan(n, w).pairs(first, first + g.size - 1)[0].T
-            assert all(a.shape[0] <= (n + 1) // 2 for a in op.u.blocks)
+            assert all(a.shape[0] <= (n + 1) // 2 for a in op.u.halves)
             for y in (x, x + 1j * rng.standard_normal(n)):
                 if op.kind == 2:
                     nf, nl = op.pf.num_cols, op.l.rank
@@ -456,7 +476,7 @@ class TestPersistence:
               + struct.pack("<d", ops[0].error_bound) + struct.pack("<QB", 0, 0) * 2)
         # and every kind as version 3 laid it out, the factorization with its stored monomial basis
         v3 = [version_3(operator_to_bytes(op)) for op in ops]
-        assert len(v3[1]) == len(operator_to_bytes(ops[1])) + 8 + 8 * 96 * max(len(c) for c in ops[1].l.coefs)
+        assert len(v3[1]) == len(operator_to_bytes(ops[1])) + 8 + 8 * 96 * max(len(ops[1].l.ca), len(ops[1].l.cb))
         for data in (blob[:4] + struct.pack("<I", 99) + blob[8:], v1, version_2_projector(p, ops[0].error_bound), *v3):
             with pytest.raises(UnsupportedVersionError, match="only version 4"):
                 operator_from_bytes(data)
@@ -510,7 +530,7 @@ class TestStructuredFactors:
     def test_built_blocks_live_in_maps_of_their_own(self, ops256):
         # a dropped operator then returns its blocks to the system, whatever was allocated after it
         for op in ops256:
-            for a in (b for f in op.corrections() for b in f.blocks):
+            for a in (b for f in op.corrections() for b in _blocks(f)):
                 base = a
                 while isinstance(base, np.ndarray):
                     base = base.base
@@ -524,9 +544,9 @@ class TestStructuredFactors:
             assert len(operator_to_bytes(op)) == head + sum(a.nbytes for a in op.factors())
         n, h = 256, 128
         proj, fact = ops256[0], ops256[1]
-        even, odd = (b.shape[1] for b in proj.u.blocks)
+        even, odd = (b.shape[1] for b in proj.u.halves)
         assert sum(a.nbytes for a in proj.factors()) == 8 * ((even + odd) + h * even + h * odd)
-        ((z,), (ra, rb)) = (b.shape[1] for b in fact.l.blocks), (len(c) for c in fact.l.coefs)
+        z, ra, rb = fact.l.z.shape[1], len(fact.l.ca), len(fact.l.cb)
         assert (ra, rb) == taylor_widths(1e-6)
         assert sum(a.nbytes for a in fact.l.arrays) == 8 * (n * z + ra * ra + rb * rb)
 
@@ -665,11 +685,29 @@ class TestCorruptFiles:
                 tracemalloc.stop()
             assert peak < 2**20, message
 
+    def test_non_finite_factor_values_are_file_errors(self):
+        # a nan, inf or -inf at the first and the last entry of every stored array of every kind
+        for kind, blob in enumerate(small_fslt_files(), 1):
+            at = header_length(kind)
+            for a in operator_from_bytes(blob).factors():
+                for where in {at, at + a.nbytes - 8} if a.size else ():
+                    for value in (math.nan, math.inf, -math.inf):
+                        bad = blob[:where] + struct.pack("<d", value) + blob[where + 8:]
+                        with pytest.raises(FactorFileError, match="not finite"):
+                            operator_from_bytes(bad)
+                at += a.nbytes
+            assert at == len(blob)
+        # finite values whose sum overflows still load: two weights of 1.5e308 up front
+        proj = small_fslt_files()[0]
+        at = header_length(1)
+        op = operator_from_bytes(proj[:at] + struct.pack("<2d", 1.5e308, 1.5e308) + proj[at + 16:])
+        assert list(op.u.weights[:2]) == [1.5e308, 1.5e308]
+
     def test_odd_columns_alone_bound_n(self):
         # a window of odd columns only: the halves still name n through their rows
         n, w, eps = 3, 0.25, 0.3
         op = FastProjector.build(SlepianParams.create(n, w, eps))
-        assert [b.shape[1] for b in op.u.blocks] == [0, 1]
+        assert [b.shape[1] for b in op.u.halves] == [0, 1]
         blob = bytes(operator_to_bytes(op))
         assert np.array_equal(operator_from_bytes(blob).apply(np.arange(3.0)), op.apply(np.arange(3.0)))
         with pytest.raises(TruncatedFileError):
