@@ -188,7 +188,7 @@ class FourierFactor(LowRankFactor):
 
     @property
     def arrays(self) -> tuple:
-        """Every array the factor holds, in file order: z, ca, cb."""
+        """Every array the factor holds: z, ca, cb."""
         return (self.z, self.ca, self.cb)
 
     def _terms(self):
@@ -576,7 +576,7 @@ def transition_count_budget(n: int, epsilon: float) -> float:
 
 
 def fourier_correction_factor(n: int, w: float, epsilon: float) -> FourierFactor:
-    """Factor with ||B - F F* - factor|| <= epsilon, stored as z and two Taylor coefficient matrices.
+    """Factor with ||B - F F* - factor|| <= epsilon, held as z and two Taylor coefficient matrices, all read-only.
 
     The tolerance is split 4 pi/15 to the Hilbert block and 7/30 to each
     Taylor block, which sums back to epsilon after the assembly; the rank
@@ -590,7 +590,7 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> FourierFactor
     z = hilbert_factor(n, delta_h)
     odd = sinc_alias_factor(n, delta_taylor)
     even = bandwidth_shift_factor(n, w, w_prime, delta_taylor)
-    return FourierFactor(w, z, odd.coeffs, even.coeffs)
+    return FourierFactor(w, *(_read_only(np.asfortranarray(a)) for a in (z, odd.coeffs, even.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +647,9 @@ def _tikhonov_weight(lams, alpha):
 
 
 def _tikhonov_slope(lams, alpha):
-    """Derivative of the correction weight in lambda."""
-    return (alpha - lams**2) / (lams**2 + alpha) ** 2 - 1.0 / (1.0 + alpha)
+    """Derivative of the correction weight in lambda, divided twice by lambda^2 + alpha: its square underflows
+    to zero for a tiny alpha."""
+    return (alpha - lams**2) / (lams**2 + alpha) / (lams**2 + alpha) - 1.0 / (1.0 + alpha)
 
 
 def tikhonov_precision_floor(n: int, w: float, alpha: float) -> float:

@@ -3,9 +3,9 @@
 Each operator packages a fast Toeplitz (or partial Fourier) part with the
 low-rank correction that turns it into the target spectral operator, plus
 the certified operator-norm error bound of the construction.  A common
-binary format persists any of them to disk, each correction in its
-structured form, and restores an operator whose applications are
-bit-identical to the original.
+binary format persists any of them to disk as its header and its spectral
+correction in structured form, and restores an operator whose applications
+are bit-identical to the original.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 from .dpss import default_subspace_dim, quotient_error, slepian_plan, transition_window
 from .fft_kernels import PartialFourier
 from .lowrank import (
-    FourierFactor,
     SpectralFactor,
+    adi_rank,
     fourier_correction_factor,
     pinv_correction,
     projection_correction,
@@ -131,8 +131,9 @@ class _SpectralOperator:
 
 
 def _build_spectral(cls, params: SlepianParams, alpha: float | None = None):
-    """The kind's spectral weight g on the transition eigenvectors, plus the Toeplitz part (alpha: Tikhonov's)."""
-    build = {1: projection_correction, 3: pinv_correction, 4: tikhonov_correction}[cls.kind]
+    """The kind's spectral weight g on the transition eigenvectors, plus what the kind derives from params
+    (alpha: Tikhonov's); the factorization's spectral correction is the projector's."""
+    build = {1: projection_correction, 2: projection_correction, 3: pinv_correction, 4: tikhonov_correction}[cls.kind]
     correction = build(params.n, params.w, params.epsilon, alpha if cls.kind == 4 else params.k)
     return _warn_below_floor(cls(params, *((alpha,) if cls.kind == 4 else ()), correction))
 
@@ -214,24 +215,25 @@ class FastFactorization:
     rebuilds a vector within 2 * epsilon * ||x|| of the exact projection.
     The round trip stays complex; callers needing real output take the real
     part, which stays within the same bound of the (real) exact projection.
+    The partial Fourier frame and the Fourier correction are fixed by
+    (n, w, epsilon), so the operator derives them from params; only the
+    spectral correction u is handed in.
     """
 
     kind = 2
     precision_floor = _SpectralOperator.precision_floor
 
-    def __init__(self, params: SlepianParams, pf: PartialFourier, l: FourierFactor, u: SpectralFactor):
-        self.params = params
-        self.pf = pf
-        self.l = l
-        self.u = u
+    def __init__(self, params: SlepianParams, u: SpectralFactor):
+        self.params, self.u = params, u
+        self.pf = PartialFourier(params.n, params.w)
+        # looked up as this module's global at each call, where perfbench/tracing.py wraps it
+        self.l = fourier_correction_factor(params.n, params.w, params.epsilon)
         self.error_bound = 2.0 * params.epsilon
 
     @classmethod
     def build(cls, params: SlepianParams) -> "FastFactorization":
-        pf = PartialFourier(params.n, params.w)
-        l = fourier_correction_factor(params.n, params.w, params.epsilon)
-        u = projection_correction(params.n, params.w, params.epsilon, params.k)
-        return _warn_below_floor(cls(params, pf, l, u))
+        taylor_widths(params.epsilon)  # an eps beyond the Taylor blocks fails before the eigensolve
+        return _build_spectral(cls, params)
 
     @property
     def k_prime(self) -> int:
@@ -269,21 +271,17 @@ class FastFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: magic "FSLT", little-endian, version 4 only.
-# "FSLT", u32 version, u64 n, f64 w, f64 epsilon, f64 alpha, u64 k, u8 kind, 7 pad bytes,
-# f64 error bound; a record header of three u64 per correction (the factorization: its FourierFactor,
-# then its SpectralFactor; other kinds: their SpectralFactor):
-#   spectral: u64 lead (the parity of V's column 0), u64 even count, u64 odd count;
-#   Fourier:  u64 z width (at least 1), u64 ra, u64 rb (the Taylor widths that epsilon fixes);
-# then per record its arrays, column-major finite float64, every offset a multiple of 8:
-#   spectral: the weights g (even + odd, in V's column order), the ceil(n/2) x even leading rows
-#             of the even columns, the floor(n/2) x odd leading rows of the odd columns;
-#   Fourier:  z (n x z width), ca (ra x ra), cb (rb x rb); the monomial basis (m/n)^j is not stored.
+# Persistence: magic "FSLT", little-endian, version 5 only.
+# "FSLT", u32 version, u64 n, f64 w, f64 epsilon, f64 alpha, u64 k, u8 kind, 7 pad bytes, f64 error bound;
+# then every kind's one spectral record, its SpectralFactor u: three u64, lead (the parity of V's column 0),
+# even count and odd count, then its arrays, column-major finite float64, every offset a multiple of 8: the
+# weights g (even + odd, in V's column order), the ceil(n/2) x even leading rows of the even columns, the
+# floor(n/2) x odd leading rows of the odd columns.  Nothing else is stored: the factorization's partial
+# Fourier frame and Fourier correction are fixed by (n, w, epsilon), and the loader rebuilds them.
 
 
-_MAGIC, _VERSION = b"FSLT", 4
+_MAGIC, _VERSION = b"FSLT", 5
 _KIND_NAMES = {1: "projector", 2: "factorization", 3: "pinv", 4: "tikhonov"}
-_RECORDS = {1: ("spectral",), 2: ("fourier", "spectral"), 3: ("spectral",), 4: ("spectral",)}
 # largest n a file without stored columns may name: its length cannot bound n
 MAX_EMPTY_N = 1 << 20
 
@@ -297,7 +295,7 @@ class BadMagicError(FactorFileError):
 
 
 class UnsupportedVersionError(FactorFileError):
-    """A format version other than 4; rebuild an older file with `prolate precompute` from its header."""
+    """A format version other than 5; rebuild an older file with `prolate precompute` from its header."""
 
 
 class TruncatedFileError(FactorFileError):
@@ -305,20 +303,14 @@ class TruncatedFileError(FactorFileError):
 
 
 def operator_to_bytes(op) -> bytearray:
-    """Serialize an operator as FSLT version 4, each array written once into one preallocated buffer."""
-    p = op.params
-    head = [_MAGIC, struct.pack("<IQdddQB7xd", _VERSION, p.n, p.w, p.epsilon, getattr(op, "alpha", 0.0),
-                                p.k, op.kind, op.error_bound)]
-    arrays = []
-    for f in op.corrections():
-        fields = ((f.lead, *(h.shape[1] for h in f.halves)) if isinstance(f, SpectralFactor)
-                  else (f.z.shape[1], len(f.ca), len(f.cb)))
-        head.append(struct.pack("<3Q", *fields))
-        arrays += f.arrays
-    head = b"".join(head)
-    out, at = bytearray(len(head) + sum(a.nbytes for a in arrays)), len(head)
+    """Serialize an operator as FSLT version 5, its spectral record's arrays written once into one preallocated
+    buffer."""
+    p, u = op.params, op.u
+    head = struct.pack("<4sIQdddQB7xd3Q", _MAGIC, _VERSION, p.n, p.w, p.epsilon, getattr(op, "alpha", 0.0), p.k,
+                       op.kind, op.error_bound, u.lead, *(h.shape[1] for h in u.halves))
+    out, at = bytearray(len(head) + sum(a.nbytes for a in u.arrays)), len(head)
     out[:at] = head
-    for a in arrays:
+    for a in u.arrays:
         if a.size:
             np.frombuffer(out, "<f8", a.size, at).reshape(a.shape, order="F")[...] = a
         at += a.nbytes
@@ -337,36 +329,20 @@ def _unpack(data, at, fmt, what):
     return struct.unpack_from(fmt, data, at), at + struct.calcsize(fmt)
 
 
-def _record_shapes(rec, n, epsilon, head):
-    """The shapes of a record's arrays in file order, after the header checks that bound no array."""
-    if rec == "fourier":
-        z, ra, rb = head
-        if z == 0:
-            raise FactorFileError("Fourier record: z has no column, so the file cannot bound n")
-        try:
-            widths = taylor_widths(epsilon)
-        except ValueError as exc:
-            raise FactorFileError(f"invalid operator header: {exc}") from exc
-        if (ra, rb) != widths:
-            raise FactorFileError(f"Fourier record: Taylor widths {ra} and {rb} are not eps={epsilon:g}'s {widths}")
-        return [(n, z), (ra, ra), (rb, rb)]
-    lead, even, odd = head
-    first, second = (even, odd) if lead == 0 else (odd, even)
-    if lead > 1 or not 0 <= first - second <= 1:
-        raise FactorFileError(f"spectral record: {even} even, {odd} odd columns cannot alternate from parity {lead}")
-    return [(even + odd,), ((n + 1) // 2, even), (n // 2, odd)]
-
-
 def operator_from_bytes(data):
-    """Rebuild an operator from FSLT version 4, recomputing the fast transforms and Fourier phases from (n, w).
+    """Rebuild an operator from FSLT version 5, recomputing the fast transforms from (n, w) and the factorization's
+    Fourier correction from (n, w, epsilon).
 
-    The header is bounded before anything is allocated.  The blocks are
-    read-only views of data, so loading bytes allocates nothing in proportion
-    to the file: past the views, a load allocates the Toeplitz part of
-    slepian_plan(n, w) when that plan is not held yet (about 8 x 8n bytes,
-    mostly its transform) and a few KB otherwise; the factorization takes no
-    plan.  Any other buffer, such as a bytearray, is first copied to bytes:
-    one more copy of the file.
+    The header is bounded before anything is allocated.  The spectral
+    record's arrays are read-only views of data.  Past them, a load
+    allocates the Toeplitz part of slepian_plan(n, w) when that plan is not
+    held yet (about 8 x 8n bytes, mostly its transform) and a few KB
+    otherwise.  The factorization takes no plan but rebuilds its Hilbert
+    factor z, r x n x 8 bytes with r = adi_rank(2n - 1, 4 epsilon / 15); a
+    factorization file is rejected unless r n <= 8 MAX_EMPTY_N + 16 x (its
+    stored values), so z takes at most 64 MB plus 16 times the file's
+    factor data.  Any other buffer, such as a bytearray, is first copied to
+    bytes: one more copy of the file.
     """
     data = bytes(data)
     (magic,), at = _unpack(data, 0, "<4s", "magic")
@@ -375,53 +351,45 @@ def operator_from_bytes(data):
     (version,), at = _unpack(data, at, "<I", "version")
     if version != _VERSION:
         raise UnsupportedVersionError(f"unsupported format version {version}; only version {_VERSION} is read")
-    (n, w, epsilon, alpha, k, kind), at = _unpack(data, at, "<QdddQB7x", "header")
+    (n, w, epsilon, alpha, k, kind, error_bound, lead, even, odd), at = _unpack(data, at, "<QdddQB7xd3Q", "header")
     if kind not in _KIND_NAMES:
         raise FactorFileError(f"unknown operator kind {kind}")
-    (error_bound,), at = _unpack(data, at, "<d", "error bound")
-    records = []
-    for rec in _RECORDS[kind]:
-        head, at = _unpack(data, at, "<3Q", "record header")
-        records.append((rec, head, _record_shapes(rec, n, epsilon, head)))
+    first, second = (even, odd) if lead == 0 else (odd, even)
+    if lead > 1 or not 0 <= first - second <= 1:
+        raise FactorFileError(f"spectral record: {even} even, {odd} odd columns cannot alternate from parity {lead}")
 
-    # every array must fill the rest of the file, checked before any is read; without a stored
+    # the arrays must fill the rest of the file, checked before any is read; without a stored
     # column the file's length cannot bound n, so n is capped at MAX_EMPTY_N
-    size = 8 * sum(math.prod(shape) for _, _, shapes in records for shape in shapes)
-    if size != len(data) - at:
-        if size > len(data) - at:
+    shapes = [(even + odd,), ((n + 1) // 2, even), (n // 2, odd)]
+    sizes = [math.prod(shape) for shape in shapes]
+    count = sum(sizes)
+    if 8 * count != len(data) - at:
+        if 8 * count > len(data) - at:
             raise TruncatedFileError("file truncated while reading factor data")
         raise FactorFileError("trailing bytes after factor data")
-    if not any(len(shape) == 2 and shape[1] for _, _, shapes in records for shape in shapes) and n > MAX_EMPTY_N:
+    if not (even or odd) and n > MAX_EMPTY_N:
         raise FactorFileError(f"header size n={n} is too large to rebuild: a file without "
                               f"stored columns may name n up to {MAX_EMPTY_N}")
     # one pass over every stored value, allocating nothing per value: a nan or inf leaves the sum not finite, and
     # only then are the extremes read to tell it from finite values whose sum overflowed (min <= 0 <= max, so
     # their own sum cannot overflow)
-    values = np.frombuffer(data, "<f8", size // 8, at)
+    values = np.frombuffer(data, "<f8", count, at)
     with np.errstate(over="ignore", invalid="ignore"):
         total = values.sum()
     if not (math.isfinite(total) or math.isfinite(values.min(initial=0.0) + values.max(initial=0.0))):
         raise FactorFileError("factor data holds a value that is not finite")
-    stored = []
-    for _, _, shapes in records:
-        stored.append([])
-        for shape in shapes:
-            stored[-1].append(np.frombuffer(data, "<f8", math.prod(shape), at).reshape(shape, order="F"))
-            at += 8 * math.prod(shape)
+    g, *halves = (part.reshape(shape, order="F") for part, shape in zip(np.split(values, np.cumsum(sizes[:2])), shapes))
 
     # a header that passes the format checks can still name an impossible
     # operator (w outside (0, 1/2), mismatched ranks) or one too large to rebuild
     try:
         params = SlepianParams.create(int(n), float(w), float(epsilon), k=int(k))
-        corrections = []
-        for (rec, head, _), arrays in zip(records, stored):
-            corrections.append(SpectralFactor(params.n, head[0], arrays[1:], arrays[0]) if rec == "spectral"
-                               else FourierFactor(params.w, *arrays))
-        if kind == 2:
-            op = FastFactorization(params, PartialFourier(params.n, params.w), *corrections)
-        else:
-            cls = {1: FastProjector, 3: FastPseudoinverse, 4: FastTikhonov}[kind]
-            op = cls(params, *((float(alpha),) if kind == 4 else ()), corrections[0])
+        rank = adi_rank(2 * n - 1, 4.0 * params.epsilon / 15.0) if kind == 2 else 0
+        if rank * n > 8 * MAX_EMPTY_N + 16 * count:
+            raise FactorFileError(f"header n={n}, eps={epsilon:g} asks for a Hilbert factor of {rank} x n, "
+                                  f"beyond what the file's {count} stored values may rebuild")
+        cls = {1: FastProjector, 2: FastFactorization, 3: FastPseudoinverse, 4: FastTikhonov}[kind]
+        op = cls(params, *((float(alpha),) if kind == 4 else ()), SpectralFactor(params.n, lead, halves, g))
     except (ValueError, OverflowError) as exc:
         raise FactorFileError(f"invalid operator header: {exc}") from exc
     except MemoryError:
@@ -437,7 +405,7 @@ def load_operator(path):
 
 
 def describe_operator(op) -> str:
-    """Kind, parameters, each correction's coefficient rank, the stored factor bytes and the certified bound."""
+    """Kind, parameters, each correction's coefficient rank, the bytes of every array held and the certified bound."""
     p = op.params
     alpha_txt = f" alpha={op.alpha:g}" if op.kind == 4 else ""
     return (

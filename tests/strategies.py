@@ -3,34 +3,19 @@
 import struct
 from functools import lru_cache
 
-import numpy as np
 from hypothesis import strategies as st
 
 from prolate.operators import FastFactorization, FastProjector, FastPseudoinverse, FastTikhonov, SlepianParams
 from prolate.operators import operator_to_bytes
 
-# u64 fields per record header of each kind in FSLT version 4: a spectral record holds
-# (lead parity, even count, odd count), a Fourier record (z width, ra, rb)
-_RECORD_FIELDS = {1: 3, 2: 3 + 3, 3: 3, 4: 3}
+# bytes before the first array of a version-5 file of any kind: the 64-byte header and the spectral
+# record's three u64 (lead parity, even count, odd count)
+HEADER_LENGTH = 64 + 8 * 3
 
 
-def header_length(kind):
-    """Bytes before the first array of a version-4 file: the 64-byte header and the record headers."""
-    return 64 + 8 * _RECORD_FIELDS[kind]
-
-
-def version_3(blob):
-    """A version-4 file as FSLT version 3 laid it out: the same spectral records, and a Fourier record
-    headed (z width, basis width, ra, rb) with the basis (m/n)^j stored after z."""
-    blob = bytes(blob)
-    head = b"FSLT" + struct.pack("<I", 3) + blob[8:64]
-    n, kind = struct.unpack_from("<Q", blob, 8)[0], blob[48]
-    if kind != 2:
-        return head + blob[64:]
-    z, ra, rb = struct.unpack_from("<QQQ", blob, 64)
-    width, end = max(ra, rb), header_length(2) + 8 * n * z
-    basis = ((np.arange(n) / n)[:, None] ** np.arange(width)).tobytes(order="F")
-    return head + struct.pack("<QQQQ", z, width, ra, rb) + blob[88:end] + basis + blob[end:]
+def with_version(blob, version):
+    """blob with another format version in its version field."""
+    return bytes(blob[:4]) + struct.pack("<I", version) + bytes(blob[8:])
 
 
 def version_2_projector(params, error_bound):
@@ -52,8 +37,8 @@ def small_fslt_files():
 def _mutated(draw):
     kind = draw(st.integers(1, 4))
     blob = bytearray(small_fslt_files()[kind - 1])
-    # the fixed-width fields from n on: the header's u64 and f64 fields, the error bound and the record headers
-    fields = range(8, header_length(kind), 8)
+    # the fixed-width fields from n on: the header's u64 and f64 fields, the error bound and the record header
+    fields = range(8, HEADER_LENGTH, 8)
     for _ in range(draw(st.integers(1, 4))):
         edit = draw(st.sampled_from(["byte", "u64", "f64"]))
         if edit == "byte":
@@ -71,6 +56,6 @@ def fslt_bytes():
     """Byte strings a factor-file loader may be handed: valid small files with a few edits
     (a byte, or an integer or float over a fixed-width field) and possibly truncated, an FSLT
     magic and version followed by noise, and plain noise."""
-    versioned = st.builds(lambda v, rest: b"FSLT" + struct.pack("<I", v) + rest, st.sampled_from([1, 2, 3, 4]),
+    versioned = st.builds(lambda v, rest: b"FSLT" + struct.pack("<I", v) + rest, st.sampled_from([1, 2, 3, 4, 5]),
                           st.binary(max_size=256))
     return st.one_of(_mutated(), versioned, st.binary(max_size=256))

@@ -19,7 +19,7 @@ from prolate.operators import (
 )
 
 from oracles import eig_dense, pinv_oracle, prolate_dense
-from strategies import fslt_bytes, header_length, small_fslt_files, version_2_projector, version_3
+from strategies import HEADER_LENGTH, fslt_bytes, small_fslt_files, version_2_projector, with_version
 
 
 def run_cli(args, capsys):
@@ -230,13 +230,13 @@ class TestPrecomputeAndLoad:
         run_cli(["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-3", "--kind", "project",
                  "--out", str(path)], capsys)
         data = path.read_bytes()
-        # version 99, rank-0 version-1 and version-2 projectors as those versions laid them out, and this
-        # projector and a factorization as version 3 laid them out
+        # rank-0 version-1 and version-2 projectors as those versions laid them out, and this projector
+        # and a factorization under the version fields of 3, 4 and 99
         v1 = (b"FSLT" + struct.pack("<I", 1) + struct.pack("<QdddQB", 64, 0.25, 1e-3, 0.0, 32, 1)
               + struct.pack("<d", 1e-3) + struct.pack("<QB", 0, 0) * 2)
         v2 = version_2_projector(SlepianParams.create(64, 0.25, 1e-3), 1e-3)
-        v3 = [version_3(data), version_3(small_fslt_files()[1])]
-        for blob in (data[:4] + struct.pack("<I", 99) + data[8:], v1, v2, *v3):
+        older = [with_version(blob, v) for blob in (data, small_fslt_files()[1]) for v in (3, 4, 99)]
+        for blob in (v1, v2, *older):
             path.write_bytes(blob)
             rc, _, err = run_cli(["load-check", str(path)], capsys)
             assert rc == 2 and "version" in err and "Traceback" not in err
@@ -249,12 +249,22 @@ class TestPrecomputeAndLoad:
         import struct
 
         path = tmp_path / "op.fslt"
-        path.write_bytes(b"FSLT" + struct.pack("<I", 4)
+        path.write_bytes(b"FSLT" + struct.pack("<I", 5)
                          + struct.pack("<QdddQB7x", 1 << 40, 0.25, 1e-6, 0.0, 0, 1)
                          + struct.pack("<d", 1e-6) + struct.pack("<QQQ", 0, 0, 0))
         assert path.stat().st_size == 88
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "too large" in err
+
+    def test_large_fourier_rebuild_is_io_error(self, tmp_path, capsys):
+        # an 88-byte factorization file whose header asks for a 178 x 2^20 Hilbert factor
+        import struct
+
+        path = tmp_path / "fact.fslt"
+        path.write_bytes(b"FSLT" + struct.pack("<IQdddQB7xd3Q", 5, 1 << 20, 0.25, 1.1e-47, 0.0, 1 << 19, 2,
+                                                 2.2e-47, 0, 0, 0))
+        rc, _, err = run_cli(["load-check", str(path)], capsys)
+        assert rc == 2 and "Hilbert factor" in err and "Traceback" not in err
 
     def test_rank_zero_header_above_cap_is_io_error(self, tmp_path, capsys):
         # without stored columns the file's length does not bound n, so n is capped
@@ -262,7 +272,7 @@ class TestPrecomputeAndLoad:
 
         head = struct.pack("<QdddQB", MAX_EMPTY_N + 1, 0.25, 0.49, 0.0, 0, 1)
         path = tmp_path / "op.fslt"
-        path.write_bytes(b"FSLT" + struct.pack("<I", 4) + head + bytes(7) + struct.pack("<d", 0.49)
+        path.write_bytes(b"FSLT" + struct.pack("<I", 5) + head + bytes(7) + struct.pack("<d", 0.49)
                          + struct.pack("<QQQ", 0, 0, 0))
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "too large" in err
@@ -313,18 +323,13 @@ class TestPrecomputeAndLoad:
         assert rc == 2 and "half-bandwidth" in err
 
     def test_non_finite_factor_value_is_io_error(self, tmp_path, capsys):
-        # a nan weight, a nan in the even parity half, and for the factorization an inf in z and a nan in cb
+        # a nan weight and an inf in the even parity half, the first array after the weights
         import struct
 
         path = tmp_path / "op.fslt"
         for kind, blob in enumerate(small_fslt_files(), 1):
-            arrays, at = operator_from_bytes(blob).factors(), header_length(kind)
-            starts = [at + sum(a.nbytes for a in arrays[:i]) for i in range(len(arrays))]
-            spectral = starts[-3:]  # the weights and the two halves come last
-            cases = [(spectral[0], math.nan), (spectral[1], math.nan)]
-            if kind == 2:
-                cases += [(starts[0], math.inf), (starts[2], math.nan)]
-            for where, value in cases:
+            weights = operator_from_bytes(blob).u.weights
+            for where, value in ((HEADER_LENGTH, math.nan), (HEADER_LENGTH + weights.nbytes, math.inf)):
                 path.write_bytes(blob[:where] + struct.pack("<d", value) + blob[where + 8:])
                 rc, _, err = run_cli(["load-check", str(path)], capsys)
                 assert rc == 2 and "not finite" in err and "Traceback" not in err, (kind, where)
@@ -340,6 +345,15 @@ class TestPrecomputeAndLoad:
         for t_ext in ("nan", "inf"):
             rc, _, err = run_cli(["fourier-ext", "--m", "8", "--t-ext", t_ext], capsys)
             assert rc == 1 and "half-period must be finite" in err and "Traceback" not in err
+
+    def test_tiny_alpha_exits_without_traceback(self, tmp_path, capsys):
+        # alpha far below where (lambda^2 + alpha)^2 underflows: the map builds with a precision-floor warning
+        path = tmp_path / "tik.fslt"
+        rc, _, err = run_cli(["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-3", "--kind", "tikhonov",
+                              "--alpha", "1e-200", "--out", str(path)], capsys)
+        assert rc == 0 and "ranks=[21]" in err and "Traceback" not in err
+        rc, out, _ = run_cli(["load-check", str(path)], capsys)
+        assert rc == 0 and "alpha=1e-200 ranks=[21]" in out
 
     def test_tolerance_beyond_the_taylor_widths_is_validation_error(self, tmp_path, capsys):
         # a factorization at eps = 1e-50 needs an even Taylor block whose factorials overflow a float

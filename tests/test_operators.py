@@ -15,7 +15,7 @@ from prolate.dpss import (
     transition_window,
 )
 from prolate.fft_kernels import PartialFourier, ToeplitzOperator
-from prolate.lowrank import SpectralFactor, taylor_widths, tikhonov_precision_floor
+from prolate.lowrank import SpectralFactor, adi_rank, taylor_widths, tikhonov_precision_floor
 from prolate.operators import (
     MAX_EMPTY_N,
     BadMagicError,
@@ -42,7 +42,7 @@ from oracles import (
     projection_oracle,
     tikhonov_oracle,
 )
-from strategies import fslt_bytes, header_length, small_fslt_files, version_2_projector, version_3
+from strategies import HEADER_LENGTH, fslt_bytes, small_fslt_files, version_2_projector, with_version
 
 
 class TestSlepianParams:
@@ -140,9 +140,11 @@ class TestFastFactorization:
             assert np.linalg.norm(out.imag) <= 2 * eps * np.linalg.norm(x)
 
     def test_tolerance_beyond_the_taylor_widths_is_a_value_error(self):
-        # below about 1.09e-47 the even Taylor block would need 171!, beyond float range
-        with pytest.raises(ValueError, match="even Taylor block of width 181"):
-            FastFactorization.build(SlepianParams.create(48, 0.25, 1e-50))
+        # below about 1.09e-47 the even Taylor block would need 171!, beyond float range; it fails before the
+        # eigensolve, whose window at 2^16 would otherwise pass its pair cap first
+        for n in (48, 2**16):
+            with pytest.raises(ValueError, match="even Taylor block of width 181"):
+                FastFactorization.build(SlepianParams.create(n, 0.25, 1e-50))
         with pytest.warns(PrecisionFloorWarning):
             op = FastFactorization.build(SlepianParams.create(48, 0.25, 1.1e-47))
         assert [len(op.l.ca), len(op.l.cb)] == [156, 169]
@@ -211,6 +213,15 @@ class TestFastTikhonov:
             except ValueError:
                 continue
             assert op.u.rank == 0 and np.all(np.isfinite(op.apply(x))) and 0.0 <= op.precision_floor < eps
+
+    def test_tiny_alpha_builds_with_a_floor_warning(self, rng):
+        # the weight's slope divided by the square of lambda^2 + alpha, which underflowed to zero from alpha
+        # near 1e-162; down to the least subnormal the map now builds, its floor far above eps
+        x = rng.standard_normal(64)
+        for alpha in (1e-170, 1e-300, 5e-324):
+            with pytest.warns(PrecisionFloorWarning):
+                op = FastTikhonov.build(SlepianParams.create(64, 0.25, 1e-3), alpha)
+            assert op.u.rank == 21 and np.all(np.isfinite(op.apply(x))), alpha
 
     def test_warns_below_precision_floor(self):
         params = SlepianParams.create(256, 0.25, 1e-9)
@@ -461,7 +472,7 @@ class TestPersistence:
         blob = operator_to_bytes(ops[3])
         assert blob[:4] == b"FSLT"
         version, = struct.unpack("<I", blob[4:8])
-        assert version == 4
+        assert version == 5
 
     def test_bad_magic(self, ops):
         blob = operator_to_bytes(ops[0])
@@ -469,16 +480,15 @@ class TestPersistence:
             operator_from_bytes(b"XXXX" + blob[4:])
 
     def test_unsupported_version(self, ops):
-        blob = operator_to_bytes(ops[0])
         p = ops[0].params
         # a rank-0 version-1 projector as that version laid it out: unpadded header, a (rank, complex flag) per half
         v1 = (b"FSLT" + struct.pack("<I", 1) + struct.pack("<QdddQB", p.n, p.w, p.epsilon, 0.0, p.k, 1)
               + struct.pack("<d", ops[0].error_bound) + struct.pack("<QB", 0, 0) * 2)
-        # and every kind as version 3 laid it out, the factorization with its stored monomial basis
-        v3 = [version_3(operator_to_bytes(op)) for op in ops]
-        assert len(v3[1]) == len(operator_to_bytes(ops[1])) + 8 + 8 * 96 * max(len(ops[1].l.ca), len(ops[1].l.cb))
-        for data in (blob[:4] + struct.pack("<I", 99) + blob[8:], v1, version_2_projector(p, ops[0].error_bound), *v3):
-            with pytest.raises(UnsupportedVersionError, match="only version 4"):
+        # and every kind's version-5 file under the version fields of 3, 4 and 99: each older version
+        # laid out some record otherwise, so none is read
+        older = [with_version(operator_to_bytes(op), v) for op in ops for v in (3, 4, 99)]
+        for data in (v1, version_2_projector(p, ops[0].error_bound), *older):
+            with pytest.raises(UnsupportedVersionError, match="only version 5"):
                 operator_from_bytes(data)
 
     def test_truncated(self, ops):
@@ -537,17 +547,17 @@ class TestStructuredFactors:
                 assert a.flags.f_contiguous and isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
 
     def test_file_is_header_plus_listed_arrays(self, ops256):
-        # a 64-byte header, three u64 fields per record, then every listed array once: the spectral weights
-        # and halves, the Fourier z, ca and cb; the monomial basis is not stored
+        # every kind: the 64-byte header, the spectral record's three u64 fields, then its weights and halves
+        # once; the factorization's Fourier correction is held (and listed) but rebuilt, not stored
         for op in ops256:
-            head = 64 + 8 * 3 * len(op.corrections())
-            assert len(operator_to_bytes(op)) == head + sum(a.nbytes for a in op.factors())
+            assert len(operator_to_bytes(op)) == HEADER_LENGTH + sum(a.nbytes for a in op.u.arrays)
         n, h = 256, 128
         proj, fact = ops256[0], ops256[1]
         even, odd = (b.shape[1] for b in proj.u.halves)
         assert sum(a.nbytes for a in proj.factors()) == 8 * ((even + odd) + h * even + h * odd)
+        assert operator_to_bytes(fact)[64:] == operator_to_bytes(proj)[64:]
         z, ra, rb = fact.l.z.shape[1], len(fact.l.ca), len(fact.l.cb)
-        assert (ra, rb) == taylor_widths(1e-6)
+        assert (ra, rb) == taylor_widths(1e-6) and z == adi_rank(2 * n - 1, 4e-6 / 15)
         assert sum(a.nbytes for a in fact.l.arrays) == 8 * (n * z + ra * ra + rb * rb)
 
     def test_ranks_keep_their_meaning(self, ops256):
@@ -577,7 +587,8 @@ def files14():
 
 @pytest.mark.parametrize("kind", [1, 2, 3, 4])
 def test_decode_allocates_nothing_in_proportion_to_the_file(files14, kind):
-    # from bytes the blocks are views of the file; a cold plan's Toeplitz part measured 8.0 x 8n
+    # from bytes the blocks are views of the file; a cold plan's Toeplitz part measured 8.0 x 8n. The
+    # factorization's rebuilt z lives in a memory map, which tracemalloc does not count: the test below bounds it
     n, blob = 2**14, files14[kind - 1]
     slepian_plan.cache_clear()
     tracemalloc.start()
@@ -590,6 +601,26 @@ def test_decode_allocates_nothing_in_proportion_to_the_file(files14, kind):
     assert peak <= 10 * 8 * n + 2**16 < len(blob), (peak, len(blob))
 
 
+def _factorization_file(n, eps, columns):
+    """A version-5 factorization file at (n, 1/4, eps) whose spectral record holds 0 or 1 even column of zeros."""
+    head = struct.pack("<4sIQdddQB7xd3Q", b"FSLT", 5, n, 0.25, eps, 0.0, default_subspace_dim(n, 0.25), 2, 2 * eps,
+                       0, columns, 0)
+    return head + bytes(8 * columns * (1 + (n + 1) // 2))
+
+
+def test_factorization_rebuild_is_bounded_by_the_file(files14):
+    # a factorization file stores only its spectral record; the load rebuilds z, r x n x 8 bytes, within the
+    # loader's bound r n <= 8 MAX_EMPTY_N + 16 x (stored values), here by the second term alone
+    n, blob = 2**14, files14[1]
+    assert operator_from_bytes(blob).l.z.shape[1] * n <= 16 * (len(blob) - HEADER_LENGTH) // 8
+    # and by the first alone: an empty file at the cap may name eps = 0.45, whose z is 6 x 2^20 (48 MB)
+    op = operator_from_bytes(_factorization_file(MAX_EMPTY_N, 0.45, 0))
+    assert op.l.z.shape == (MAX_EMPTY_N, 6) and op.u.rank == 0
+    # an empty file at the cap may name eps = 0.45, whose z is 6 x 2^20 (48 MB)
+    op = operator_from_bytes(_factorization_file(MAX_EMPTY_N, 0.45, 0))
+    assert op.l.z.shape == (MAX_EMPTY_N, 6) and op.u.rank == 0
+
+
 class TestCorruptFiles:
     def test_corrupt_files_raise_only_file_errors(self):
         # every header field (n, w, eps, alpha, k, kind, bound) and every record header field
@@ -599,7 +630,7 @@ class TestCorruptFiles:
                  FastTikhonov.build(params, 1e-2)]
         blobs = [bytes(operator_to_bytes(op)) for op in built]
         corrupt = [blob[:at] + struct.pack("<Q", value) + blob[at + 8:]
-                   for kind, blob in enumerate(blobs, 1) for at in range(8, header_length(kind), 8)
+                   for blob in blobs for at in range(8, HEADER_LENGTH, 8)
                    for value in (0, 1, 2, 3, 2**20 + 1, 2**63 - 1, 2**64 - 1)]
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -635,7 +666,7 @@ class TestCorruptFiles:
     def test_rank_zero_header_capped(self):
         n = MAX_EMPTY_N + 1
         head = struct.pack("<QdddQB", n, 0.25, 0.49, 0.0, default_subspace_dim(n, 0.25), 1)
-        blob = b"FSLT" + struct.pack("<I", 4) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQQ", 0, 0, 0)
+        blob = b"FSLT" + struct.pack("<I", 5) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQQ", 0, 0, 0)
         tracemalloc.start()
         try:
             with pytest.raises(FactorFileError, match="too large"):
@@ -646,34 +677,29 @@ class TestCorruptFiles:
         assert peak < 2**20
 
     def test_record_fields_are_bounded_before_any_allocation(self):
-        # each new record field at a hostile value: a FactorFileError naming it or the file length,
-        # with nothing allocated in proportion to the value
+        # each record field at a hostile value, and factorization headers whose Fourier correction would be
+        # large to rebuild: a FactorFileError naming it or the file length, with nothing allocated in
+        # proportion to the value
         proj, fact = (bytes(b) for b in small_fslt_files()[:2])
         huge = 2**63 - 1
 
         def spectral(lead, even, odd):
             return proj[:64] + struct.pack("<QQQ", lead, even, odd) + proj[88:]
 
-        def fourier(z, ra, rb):
-            return fact[:64] + struct.pack("<QQQ", z, ra, rb) + fact[88:]
-
         lead, even, odd = struct.unpack("<QQQ", proj[64:88])
-        z, ra, rb = struct.unpack("<QQQ", fact[64:88])
         cases = [
             (spectral(2, even, odd), "cannot alternate"),
             (spectral(0, odd + 2, odd), "cannot alternate"),
             (spectral(0, even, even + 1), "cannot alternate"),
             (spectral(lead, huge, huge), "truncated"),
             (spectral(0, 2**32, 2**32), "truncated"),
-            (fourier(0, ra, rb), "no column"),
-            (fourier(z, ra + 2, rb), "Taylor widths"),
-            (fourier(z, ra, rb - 2), "Taylor widths"),
-            (fourier(z, ra, huge), "Taylor widths"),
-            (fourier(z, huge, huge), "Taylor widths"),
-            (fourier(huge, ra, rb), "truncated"),
-            (fourier(z - 1, ra, rb), "trailing bytes"),
             # an eps whose even Taylor width is beyond float factorials, at the header's offset 24
             (fact[:24] + struct.pack("<d", 1e-50) + fact[32:], "even Taylor block"),
+            # a Hilbert factor of 178 x 2^20 from no stored column or from one: r n > 8 x 2^20 + 16 x (values);
+            # and of 10 x 2^20 from no column, just past the 8 x 2^20 of an empty file
+            (_factorization_file(1 << 20, 1.1e-47, 0), "Hilbert factor"),
+            (_factorization_file(1 << 20, 1.1e-47, 1), "Hilbert factor"),
+            (_factorization_file(1 << 20, 0.05, 0), "Hilbert factor"),
         ]
         for blob, message in cases:
             tracemalloc.start()
@@ -687,9 +713,9 @@ class TestCorruptFiles:
 
     def test_non_finite_factor_values_are_file_errors(self):
         # a nan, inf or -inf at the first and the last entry of every stored array of every kind
-        for kind, blob in enumerate(small_fslt_files(), 1):
-            at = header_length(kind)
-            for a in operator_from_bytes(blob).factors():
+        for blob in small_fslt_files():
+            at = HEADER_LENGTH
+            for a in operator_from_bytes(blob).u.arrays:
                 for where in {at, at + a.nbytes - 8} if a.size else ():
                     for value in (math.nan, math.inf, -math.inf):
                         bad = blob[:where] + struct.pack("<d", value) + blob[where + 8:]
@@ -698,8 +724,7 @@ class TestCorruptFiles:
                 at += a.nbytes
             assert at == len(blob)
         # finite values whose sum overflows still load: two weights of 1.5e308 up front
-        proj = small_fslt_files()[0]
-        at = header_length(1)
+        proj, at = small_fslt_files()[0], HEADER_LENGTH
         op = operator_from_bytes(proj[:at] + struct.pack("<2d", 1.5e308, 1.5e308) + proj[at + 16:])
         assert list(op.u.weights[:2]) == [1.5e308, 1.5e308]
 

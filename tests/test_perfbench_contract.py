@@ -84,3 +84,6 @@ def test_every_wrapped_layer_records_a_span():
     missing = LAYER_SPANS - set(names)
     assert not missing, sorted(missing)
     assert names.count("operators.build.pinv") == 2
+    # a reloaded factorization rebuilds its Fourier correction inside the decode
+    assert any(sp.name == "lowrank.fourier_assembly" and sp.parent is not None
+               and tracer.spans[sp.parent].name == "operators.from_bytes" for sp in tracer.spans)
