@@ -22,11 +22,12 @@ extended precision.
 Every build at one (n, w) shares one SlepianPlan: the Toeplitz part and
 the pairs solved so far, about (pairs solved) x n x 8 bytes (about 27 MB
 at n = 2^16, w = 1/4), so a later window solves only the pairs no earlier
-one did.  slepian_plan holds one (n, w) at a time; `prolate bench` clears
-it before each timed build.  The tridiagonal solves run scipy's OpenBLAS on
-the calling thread: their level-1 BLAS gains nothing from more threads,
-whose rounding and idle spinning only made a build's bytes depend on the
-thread count and its time on the load of the machine.
+one did; every window is a read-only view of it, never a copy.
+slepian_plan holds one (n, w) at a time; `prolate bench` clears it before
+each timed build.  The tridiagonal solves run scipy's OpenBLAS on the
+calling thread: their level-1 BLAS gains nothing from more threads, whose
+rounding and idle spinning only made a build's bytes depend on the thread
+count and its time on the load of the machine.
 """
 
 from __future__ import annotations
@@ -281,9 +282,9 @@ class SlepianPlan:
         bisection stops at _ISOLATION of the gap estimate.  If those
         eigenvalues are not isolated by the estimate (_isolated), the range is
         solved again with the bisection run to full precision.  The half
-        vectors are then mirrored into place, and their quotients taken
-        _BLOCK_COLS rows per transform: one transform of the whole range
-        would hold about four times its size in buffers.
+        vectors are then scaled and mirrored into place, their signs fixed and
+        quotients taken _BLOCK_COLS rows at a time: a transform of the whole
+        range would hold about four times its size in buffers.
         """
         n = self.n
         rows = mapped_rows(last - first + 1, n)
@@ -306,13 +307,11 @@ class SlepianPlan:
                     _, half = scipy.linalg.eigh_tridiagonal(d, e, **select)
             half = half[:, ::-1].T
             out = rows[2 * j0 + parity - first :: 2]
-            lead = half[:, :p] * _SQRT_HALF
-            out[:, :p] = lead
-            out[:, n - p :] = lead[:, ::-1] if parity == 0 else -lead[:, ::-1]
+            np.multiply(half[:, :p], _SQRT_HALF, out=out[:, :p])
+            (np.positive if parity == 0 else np.negative)(out[:, :p][:, ::-1], out=out[:, n - p :])
             if n % 2 and parity == 0:
                 out[:, p] = half[:, p]
-        _fix_signs(rows.T)
-        blocks = (rows[j:j + _BLOCK_COLS].T for j in range(0, len(rows), _BLOCK_COLS))
+        blocks = (_fix_signs(rows[j:j + _BLOCK_COLS].T) for j in range(0, len(rows), _BLOCK_COLS))
         lams = np.concatenate([np.einsum("ij,ij->j", v, self.b_op.apply_block(v)) for v in blocks])
         return rows, np.array([_clamp_eigenvalue(float(x)) for x in lams])
 
@@ -356,8 +355,8 @@ def _window_edges(lams, lo, hi):
 def transition_window(n, w, lo, hi):
     """All consecutive eigenpairs with lo < lam < hi, taken from slepian_plan(n, w).
 
-    Returns (start_index, lams, vectors), the vectors column-major, all three
-    the caller's own.  The first request covers the index range that
+    Returns (start_index, lams, vectors), read-only views of the plan's snapshot,
+    the vectors column-major.  The first request covers the index range that
     _predicted_range sizes from the asymptotic eigenvalue count; only if an edge is not reached inside it
     (an eigenvalue >= hi before the window on the low-index side, one <= lo
     after it on the high-index side, or the end of the spectrum) does the
@@ -390,7 +389,7 @@ def transition_window(n, w, lo, hi):
         chunk = min(2 * chunk, 512)
 
     start, stop = _window_edges(lams, lo, hi)
-    return first + start, lams[start:stop].copy(), mapped_columns(rows[start:stop].T)
+    return first + start, lams[start:stop], rows[start:stop].T
 
 
 def quotient_error(n: int, w: float, extended: bool = False) -> float:
@@ -454,8 +453,9 @@ def refine_window(n, w, start, lams, vecs, flagged, lo, extend=False):
     place the low edge either: the pairs after the window are refined four
     at a time until one falls to lo or to the extended noise floor.  The
     window is then cut before the first eigenvalue at or below that edge.
-    The extra pairs come from slepian_plan(n, w), like the window's.
-    Returns (lams, vecs) for the pairs from start on.
+    The extra pairs come from slepian_plan(n, w), like the window's; only
+    their quotients are kept.  Returns (lams, vecs) for the pairs from start
+    on, vecs a read-only view of the plan's snapshot like the window's.
     """
     lams = np.array(lams, dtype=float)
     if np.any(flagged):
@@ -465,8 +465,7 @@ def refine_window(n, w, start, lams, vecs, flagged, lo, extend=False):
         while start + lams.size < n and (lams.size == 0 or lams[-1] > edge):
             first = start + lams.size
             new = slepian_plan(n, w).pairs(first, min(n - 1, first + 3))[0].T
-            vecs = np.hstack([vecs, new])
             lams = np.concatenate([lams, rayleigh_extended(new, n, w)])
     at_edge = np.flatnonzero(lams <= edge)
     stop = int(at_edge[0]) if at_edge.size else lams.size
-    return lams[:stop].copy(), mapped_columns(vecs[:, :stop])
+    return lams[:stop].copy(), slepian_plan(n, w).pairs(start, start + stop - 1)[0].T if stop else vecs[:, :0]

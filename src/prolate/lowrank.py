@@ -174,7 +174,7 @@ class FourierFactor(LowRankFactor):
     def __init__(self, w: float, z, ca, cb):
         if not 0.0 < w < 0.5 or np.ndim(z) != 2 or any(np.ndim(c) != 2 or len(c) != len(c.T) for c in (ca, cb)):
             raise ValueError(f"need a half-bandwidth in (0, 1/2), z of n rows and ca and cb square, got w={w}")
-        # column-major like the loader's views, so that a reloaded factor's products round alike
+        # z kept column-major in a memory map of its own, as cfadi_solve returns it (see _column_major)
         self.w, self.z = w, _column_major(z)
         self.ca, self.cb = (np.asfortranarray(c, dtype=float) for c in (ca, cb))
 

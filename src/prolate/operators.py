@@ -272,12 +272,12 @@ class FastFactorization:
 
 # ---------------------------------------------------------------------------
 # Persistence: magic "FSLT", little-endian, version 5 only.
-# "FSLT", u32 version, u64 n, f64 w, f64 epsilon, f64 alpha, u64 k, u8 kind, 7 pad bytes, f64 error bound;
-# then every kind's one spectral record, its SpectralFactor u: three u64, lead (the parity of V's column 0),
-# even count and odd count, then its arrays, column-major finite float64, every offset a multiple of 8: the
-# weights g (even + odd, in V's column order), the ceil(n/2) x even leading rows of the even columns, the
-# floor(n/2) x odd leading rows of the odd columns.  Nothing else is stored: the factorization's partial
-# Fourier frame and Fourier correction are fixed by (n, w, epsilon), and the loader rebuilds them.
+# "FSLT", u32 version, u64 n, f64 w, f64 epsilon, f64 alpha (+0.0 but for Tikhonov), u64 k, u8 kind, 7 zero pad
+# bytes, f64 error bound; then every kind's one spectral record, its SpectralFactor u: three u64, lead (the parity
+# of V's column 0), even count and odd count, then its arrays, column-major finite float64, every offset a multiple
+# of 8: the weights g (even + odd, in V's column order), the ceil(n/2) x even leading rows of the even columns, the
+# floor(n/2) x odd leading rows of the odd columns.  Nothing else is stored: the factorization's partial Fourier
+# frame and Fourier correction are fixed by (n, w, epsilon), and the loader rebuilds them.
 
 
 _MAGIC, _VERSION = b"FSLT", 5
@@ -351,9 +351,14 @@ def operator_from_bytes(data):
     (version,), at = _unpack(data, at, "<I", "version")
     if version != _VERSION:
         raise UnsupportedVersionError(f"unsupported format version {version}; only version {_VERSION} is read")
-    (n, w, epsilon, alpha, k, kind, error_bound, lead, even, odd), at = _unpack(data, at, "<QdddQB7xd3Q", "header")
+    (n, w, epsilon, alpha, k, kind, pad, error_bound, lead, even, odd), at = _unpack(data, at, "<QdddQB7sd3Q", "header")
     if kind not in _KIND_NAMES:
         raise FactorFileError(f"unknown operator kind {kind}")
+    # the fields the writer fixes hold its bytes: a file that differs there would load but not re-encode to itself
+    if kind != 4 and struct.pack("<d", alpha) != bytes(8):
+        raise FactorFileError(f"header alpha {alpha!r} of a {_KIND_NAMES[kind]} must be +0.0")
+    if pad != bytes(7):
+        raise FactorFileError("header pad bytes after the kind must be zero")
     first, second = (even, odd) if lead == 0 else (odd, even)
     if lead > 1 or not 0 <= first - second <= 1:
         raise FactorFileError(f"spectral record: {even} even, {odd} odd columns cannot alternate from parity {lead}")

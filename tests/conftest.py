@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,23 @@ ACCEPTANCE_LINES = []
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def mapped_bytes(monkeypatch):
+    """mapped_bytes() is the length of every anonymous memory map made since the test began.
+
+    tracemalloc sees no map, so a bound on what a step allocates adds these bytes to its traced peak.
+    """
+    made, real = [], mmap.mmap
+
+    def counted(fileno, length, *args, **kwargs):
+        if fileno == -1:
+            made.append(length)
+        return real(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", counted)
+    return lambda: sum(made)
 
 
 def pytest_terminal_summary(terminalreporter):

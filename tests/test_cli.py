@@ -322,6 +322,19 @@ class TestPrecomputeAndLoad:
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "half-bandwidth" in err
 
+    def test_alpha_or_pad_the_writer_fixes_is_io_error(self, tmp_path, capsys):
+        # a projector with alpha 5.0 or nan, a factorization with alpha -1.0, and a nonzero pad byte
+        import struct
+
+        path = tmp_path / "op.fslt"
+        proj, fact = small_fslt_files()[:2]
+        cases = [(proj[:32] + struct.pack("<d", alpha) + proj[40:], "alpha") for alpha in (5.0, math.nan)]
+        cases += [(fact[:32] + struct.pack("<d", -1.0) + fact[40:], "alpha"), (proj[:52] + b"\x07" + proj[53:], "pad")]
+        for blob, field in cases:
+            path.write_bytes(blob)
+            rc, _, err = run_cli(["load-check", str(path)], capsys)
+            assert rc == 2 and field in err and "Traceback" not in err, field
+
     def test_non_finite_factor_value_is_io_error(self, tmp_path, capsys):
         # a nan weight and an inf in the even parity half, the first array after the weights
         import struct

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from prolate import lowrank
+from prolate import dpss, lowrank
 from prolate.dpss import default_subspace_dim, transition_window
 from prolate.fft_kernels import PartialFourier, nearest_odd_integer
 from prolate.lowrank import (
@@ -336,6 +336,16 @@ class TestProjectionCorrection:
             # the halves stand for the full-row V diag(g) V^T
             full = (vecs * u.weights) @ vecs.T
             assert np.abs(factor_dense(u) - full).max() <= 1e-15
+
+    def test_a_warm_build_maps_only_its_record(self, mapped_bytes):
+        # the window is a view of the plan's rows: the record's parity halves are the build's one copy of it
+        n, w, eps = 2**14, 0.25, 1e-6
+        dpss.slepian_plan.cache_clear()
+        transition_window(n, w, eps, 1 - eps)
+        before = mapped_bytes()
+        u = projection_correction(n, w, eps, default_subspace_dim(n, w))
+        assert u.rank > 0
+        assert mapped_bytes() - before <= sum(h.nbytes for h in u.halves) + 2**16
 
 
 class TestPinvCorrection:

@@ -586,10 +586,11 @@ def files14():
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3, 4])
-def test_decode_allocates_nothing_in_proportion_to_the_file(files14, kind):
-    # from bytes the blocks are views of the file; a cold plan's Toeplitz part measured 8.0 x 8n. The
-    # factorization's rebuilt z lives in a memory map, which tracemalloc does not count: the test below bounds it
+def test_decode_allocates_nothing_in_proportion_to_the_file(files14, kind, mapped_bytes):
+    # from bytes the blocks are views of the file; a cold plan's Toeplitz part measured 8.0 x 8n. Only the
+    # factorization maps memory: its rebuilt z, r x n x 8 bytes, which the test below bounds by the file
     n, blob = 2**14, files14[kind - 1]
+    z_bytes = 8 * n * adi_rank(2 * n - 1, 4e-6 / 15) if kind == 2 else 0
     slepian_plan.cache_clear()
     tracemalloc.start()
     try:
@@ -598,7 +599,8 @@ def test_decode_allocates_nothing_in_proportion_to_the_file(files14, kind):
     finally:
         tracemalloc.stop()
     assert op.kind == kind and not any(a.flags.writeable for a in op.factors())
-    assert peak <= 10 * 8 * n + 2**16 < len(blob), (peak, len(blob))
+    assert peak + mapped_bytes() <= 10 * 8 * n + 2**16 + z_bytes, (peak, mapped_bytes(), z_bytes)
+    assert 10 * 8 * n + 2**16 < len(blob)
 
 
 def _factorization_file(n, eps, columns):
@@ -614,9 +616,6 @@ def test_factorization_rebuild_is_bounded_by_the_file(files14):
     n, blob = 2**14, files14[1]
     assert operator_from_bytes(blob).l.z.shape[1] * n <= 16 * (len(blob) - HEADER_LENGTH) // 8
     # and by the first alone: an empty file at the cap may name eps = 0.45, whose z is 6 x 2^20 (48 MB)
-    op = operator_from_bytes(_factorization_file(MAX_EMPTY_N, 0.45, 0))
-    assert op.l.z.shape == (MAX_EMPTY_N, 6) and op.u.rank == 0
-    # an empty file at the cap may name eps = 0.45, whose z is 6 x 2^20 (48 MB)
     op = operator_from_bytes(_factorization_file(MAX_EMPTY_N, 0.45, 0))
     assert op.l.z.shape == (MAX_EMPTY_N, 6) and op.u.rank == 0
 
@@ -662,6 +661,19 @@ class TestCorruptFiles:
         # the stored error bound, at offset 56, follows the kind and its padding
         with pytest.raises(FactorFileError, match="error bound disagrees"):
             operator_from_bytes(blob[:56] + struct.pack("<d", math.nan) + blob[64:])
+
+    def test_fields_the_writer_fixes_are_checked(self):
+        # alpha (offset 32) is +0.0 bit for bit but for Tikhonov, and the seven bytes after the kind (49-55) are
+        # zero: a file that differs there would load without re-encoding to itself
+        for kind, blob in enumerate(small_fslt_files(), 1):
+            if kind != 4:
+                for alpha in (5.0, math.nan, -1.0, -0.0, 5e-324):
+                    with pytest.raises(FactorFileError, match="alpha"):
+                        operator_from_bytes(blob[:32] + struct.pack("<d", alpha) + blob[40:])
+            for at in range(49, 56):
+                with pytest.raises(FactorFileError, match="pad"):
+                    operator_from_bytes(blob[:at] + b"\x01" + blob[at + 1:])
+            assert bytes(operator_to_bytes(operator_from_bytes(blob))) == blob
 
     def test_rank_zero_header_capped(self):
         n = MAX_EMPTY_N + 1
