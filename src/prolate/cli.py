@@ -4,7 +4,7 @@ The experiment subcommands emit RFC-4180-style CSV (UTF-8, LF, header row)
 to --out (stdout by default), precompute writes a factor file there and
 load-check prints one summary line.  Outputs are deterministic (for a fixed
 --seed where inputs are drawn) except the timing columns.  Exit codes: 0
-success, 1 validation error, 2 IO error.
+success, 1 validation error, 2 IO or memory error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpss import FULL_BASIS_MAX_N, PreconditionViolated, slepian_plan, transition_window
+from .dpss import FULL_BASIS_MAX_N, PreconditionViolated, slepian_plan, transition_window, unfold
+from .fft_kernels import prolate_column
 from .fourier_ext import FourierExtensionConfig, run_fourier_extension
 from .lowrank import transition_count_budget
 from .operators import (
@@ -264,9 +265,8 @@ def _cmd_fourier_ext(args):
 
 
 def prediction_rhs(n: int, w: float) -> np.ndarray:
-    """Right-hand side for one-step prediction: b[m] = sin(2 pi w (n-m)) / (pi (n-m))."""
-    gap = n - np.arange(n, dtype=float)
-    return np.sin(2.0 * np.pi * w * gap) / (np.pi * gap)
+    """One-step prediction's b[m] = sin(2 pi w (n-m)) / (pi (n-m)): the prolate column's tail, reversed."""
+    return prolate_column(n + 1, w)[:0:-1]
 
 
 def _cmd_linear_predict(args):
@@ -278,9 +278,9 @@ def _cmd_linear_predict(args):
         a = op.apply(b)
         resid = ""
         if n <= FULL_BASIS_MAX_N:
-            plan = slepian_plan(n, w)
-            lead = plan.pairs(0, op.params.k - 1)[0]
-            resid = _fmt(float(np.linalg.norm(lead @ (plan.b_op.apply(a) - b))))
+            plan, k = slepian_plan(n, w), op.params.k
+            lead = unfold(plan.pairs(0, k - 1)[0], np.arange(k), n)
+            resid = _fmt(float(np.linalg.norm(lead.T @ (plan.b_op.apply(a) - b))))
         rows.append((
             n, _fmt(w), _fmt(eps),
             _fmt(float(np.linalg.norm(a))),
@@ -331,11 +331,8 @@ def main(argv=None) -> int:
     except (ValueError, PreconditionViolated, RuntimeError) as exc:
         print(f"prolate: {exc}", file=sys.stderr)
         return 1
-    except FactorFileError as exc:
-        print(f"prolate: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"prolate: {exc}", file=sys.stderr)
+    except (FactorFileError, OSError, MemoryError) as exc:
+        print(f"prolate: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

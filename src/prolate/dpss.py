@@ -19,15 +19,15 @@ Where a caller weights eigenvalues steeply enough that double-precision
 quotients are too coarse, refine_window recomputes the ones it flags in
 extended precision.
 
-Every build at one (n, w) shares one SlepianPlan: the Toeplitz part and
-the pairs solved so far, about (pairs solved) x n x 8 bytes (about 27 MB
-at n = 2^16, w = 1/4), so a later window solves only the pairs no earlier
-one did; every window is a read-only view of it, never a copy.
-slepian_plan holds one (n, w) at a time; `prolate bench` clears it before
-each timed build.  The tridiagonal solves run scipy's OpenBLAS on the
-calling thread: their level-1 BLAS gains nothing from more threads, whose
-rounding and idle spinning only made a build's bytes depend on the thread
-count and its time on the load of the machine.
+Every build at one (n, w) shares one SlepianPlan: the Toeplitz part and the
+pairs solved so far as one block of their leading ceil(n/2) entries (each is
+even or odd), about (pairs solved) x ceil(n/2) x 8 bytes (13.5 MB at
+n = 2^16, w = 1/4).  A later window solves only the pairs no earlier one did
+and is a read-only view of the block; unfold mirrors full vectors out of it
+for the few callers that need them.  slepian_plan holds one (n, w) at a time.
+The tridiagonal solves run scipy's OpenBLAS on the calling thread: their
+level-1 BLAS gains nothing from more threads, whose rounding and idle spinning
+only made a build's bytes depend on the thread count and its time on the load.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import threading
 import numpy as np
 import scipy.linalg
 
-from .fft_kernels import ToeplitzOperator, circulant_embedding, next_pow2, prolate_column
+from .fft_kernels import ToeplitzOperator, prolate_column
 
 __all__ = [
     "PreconditionViolated",
@@ -59,8 +59,8 @@ __all__ = [
     "FULL_BASIS_MAX_N",
 ]
 
-# largest n at which the extension experiment's exact rows hold the full Slepian
-# basis (n^2 x 8 bytes, 134 MB at the cap) and linear prediction its leading k rows
+# largest n at which the extension experiment's exact rows hold the full Slepian basis unfolded (n^2 x 8
+# bytes, 134 MB at the cap) beside the plan's half block, and linear prediction its leading k vectors
 FULL_BASIS_MAX_N = 4096
 _CLAMP_TOL = 1e-12
 _SIGN_TOL = 1e-12
@@ -196,6 +196,17 @@ def mapped_columns(block: np.ndarray) -> np.ndarray:
     return out
 
 
+def unfold(block, parity, n, out=None):
+    """Adds into out (by default new zeros, column-major) the n-vectors whose leading rows are block's columns, each
+    mirrored below them, and negated there where its parity (one per column, or one for all) is odd."""
+    out = np.zeros((block.shape[1], n)).T if out is None else out
+    tail = out[n - n // 2:][::-1]
+    out[:len(block)] += block
+    for j, odd in enumerate(np.broadcast_to(np.asarray(parity) % 2, block.shape[1:])):
+        (np.subtract if odd else np.add)(tail[:, j], block[:len(tail), j], out=tail[:, j])
+    return out
+
+
 @functools.cache
 def _openblas_thread_setter():
     """openblas_set_num_threads_local of the OpenBLAS bundled with scipy, or None (another BLAS)."""
@@ -238,11 +249,11 @@ _one_blas_thread = _OneBlasThread()
 class SlepianPlan:
     """The Toeplitz part, the two parity tridiagonals and the Slepian pairs solved so far at one (n, w).
 
-    The pairs are one snapshot (first, rows, lams): rows[j] is Slepian vector first + j and lams[j]
-    its float64 Rayleigh quotient.  Stored arrays are read-only and a snapshot is replaced, never
-    written, so concurrent builds at one (n, w) can at worst solve the same missing pairs twice.
-    Rows live in their own memory maps: held on the malloc heap across builds, they kept it from
-    returning the builds' temporaries (peak RSS up to 50 MB higher).
+    The pairs are one snapshot (first, block, lams): column j of the column-major block holds the first ceil(n/2)
+    entries of Slepian vector first + j (the middle one zero if odd at odd n), lams[j] its float64 Rayleigh quotient.
+    Stored arrays are read-only and a snapshot is replaced, never written, so concurrent builds at one (n, w) can at
+    worst solve the same missing pairs twice.  Blocks live in their own memory maps: held on the malloc heap across
+    builds, they kept it from returning the builds' temporaries (peak RSS up to 50 MB higher).
     """
 
     def __init__(self, n: int, w: float):
@@ -251,44 +262,44 @@ class SlepianPlan:
         _read_only(self.b_op.col)
         _read_only(self.b_op.half_spectrum)
         self.tridiagonals = tuple((_read_only(d), _read_only(e)) for d, e in _parity_tridiagonals(n, w))
-        self._held = (0, _read_only(np.zeros((0, n))), _read_only(np.zeros(0)))
+        self._held = (0, _read_only(np.zeros(((n + 1) // 2, 0))), _read_only(np.zeros(0)))
 
     def pairs(self, first: int, last: int):
-        """(rows, lams) of Slepian indices first..last (inclusive), read-only.
+        """(block, lams) of Slepian indices first..last (inclusive), read-only views of the snapshot.
 
         Solves only the indices the snapshot lacks, one range per side that
         grows; a range apart from the snapshot replaces it.
         """
-        held_first, rows, lams = self._held
+        held_first, block, lams = self._held
         stop = held_first + lams.size
         if not held_first <= first <= last < stop:
             if last + 1 < held_first or first > stop or not lams.size:
-                held_first, (rows, lams) = first, self._solve(first, last)
+                held_first, (block, lams) = first, self._solve(first, last)
             else:
-                parts = ([self._solve(first, held_first - 1)] if first < held_first else []) + [(rows, lams)]
+                parts = ([self._solve(first, held_first - 1)] if first < held_first else []) + [(block, lams)]
                 parts += [self._solve(stop, last)] if last >= stop else []
                 held_first = min(first, held_first)
-                rows = np.concatenate([r for r, _ in parts], out=mapped_rows(max(last + 1, stop) - held_first, self.n))
+                out = mapped_rows(max(last + 1, stop) - held_first, len(block)).T
+                block = np.concatenate([b for b, _ in parts], axis=1, out=out)
                 lams = np.concatenate([v for _, v in parts])
-            self._held = (held_first, _read_only(rows), _read_only(lams))
+            self._held = (held_first, _read_only(block), _read_only(lams))
         at = first - held_first
-        return rows[at:at + last - first + 1], lams[at:at + last - first + 1]
+        return block[:, at:at + last - first + 1], lams[at:at + last - first + 1]
 
     def _solve(self, first: int, last: int):
-        """Slepian vectors first..last, one per row of a C-ordered array, and their quotients.
+        """Leading halves of Slepian vectors first..last, one per column of a column-major block, and their quotients.
 
         Each parity's share of the range is one index range of its half-size
         tridiagonal, solved by one bisection/inverse-iteration call whose
         bisection stops at _ISOLATION of the gap estimate.  If those
         eigenvalues are not isolated by the estimate (_isolated), the range is
         solved again with the bisection run to full precision.  The half
-        vectors are then scaled and mirrored into place, their signs fixed and
-        quotients taken _BLOCK_COLS rows at a time: a transform of the whole
-        range would hold about four times its size in buffers.
+        vectors are then scaled into place, their signs fixed and quotients
+        taken _BLOCK_COLS columns at a time, unfolded for the transform: one
+        of the whole range would hold about four times its size in buffers.
         """
-        n = self.n
-        rows = mapped_rows(last - first + 1, n)
-        p = n // 2
+        n, p = self.n, self.n // 2
+        block = mapped_rows(last - first + 1, n - p).T
         gap = _gap_estimate(n, self.w)
         for parity, (d, e) in enumerate(self.tridiagonals):
             j0, j1 = (first - parity + 1) // 2, (last - parity) // 2
@@ -305,15 +316,15 @@ class SlepianPlan:
                     isolated = False
                 if not isolated:
                     _, half = scipy.linalg.eigh_tridiagonal(d, e, **select)
-            half = half[:, ::-1].T
-            out = rows[2 * j0 + parity - first :: 2]
-            np.multiply(half[:, :p], _SQRT_HALF, out=out[:, :p])
-            (np.positive if parity == 0 else np.negative)(out[:, :p][:, ::-1], out=out[:, n - p :])
+            out = block[:, 2 * j0 + parity - first :: 2]
+            np.multiply(half[:p, ::-1], _SQRT_HALF, out=out[:p])
             if n % 2 and parity == 0:
-                out[:, p] = half[:, p]
-        blocks = (_fix_signs(rows[j:j + _BLOCK_COLS].T) for j in range(0, len(rows), _BLOCK_COLS))
+                out[p] = half[p, ::-1]
+        index = np.arange(first, last + 1)
+        blocks = (unfold(_fix_signs(block[:, j:j + _BLOCK_COLS]), index[j:j + _BLOCK_COLS], n)
+                  for j in range(0, block.shape[1], _BLOCK_COLS))
         lams = np.concatenate([np.einsum("ij,ij->j", v, self.b_op.apply_block(v)) for v in blocks])
-        return rows, np.array([_clamp_eigenvalue(float(x)) for x in lams])
+        return block, np.array([_clamp_eigenvalue(float(x)) for x in lams])
 
 
 @functools.lru_cache(maxsize=1)
@@ -355,8 +366,8 @@ def _window_edges(lams, lo, hi):
 def transition_window(n, w, lo, hi):
     """All consecutive eigenpairs with lo < lam < hi, taken from slepian_plan(n, w).
 
-    Returns (start_index, lams, vectors), read-only views of the plan's snapshot,
-    the vectors column-major.  The first request covers the index range that
+    Returns (start_index, lams, block), read-only views of the plan's snapshot, block's columns the leading
+    halves of the window's vectors.  The first request covers the index range that
     _predicted_range sizes from the asymptotic eigenvalue count; only if an edge is not reached inside it
     (an eigenvalue >= hi before the window on the low-index side, one <= lo
     after it on the high-index side, or the end of the spectrum) does the
@@ -366,7 +377,7 @@ def transition_window(n, w, lo, hi):
     that edge placed honestly re-decides it with refine_window.  The
     requested range is capped at _MAX_PAIRS.
     """
-    empty = np.zeros(0), np.zeros((n, 0))
+    empty = np.zeros(0), np.zeros(((n + 1) // 2, 0))
     if lo >= hi or hi <= 0.0 or lo >= 1.0:
         return min(max(default_subspace_dim(n, w), 0), n), *empty
     plan = slepian_plan(n, w)
@@ -379,7 +390,7 @@ def transition_window(n, w, lo, hi):
                 f"thresholds ({lo:g}, {hi:g}); thresholds are likely below "
                 "the eigenvalue resolution of double precision"
             )
-        rows, lams = plan.pairs(first, last)
+        block, lams = plan.pairs(first, last)
         if lams[0] < hi and first > 0:
             first -= min(chunk, first)
         elif _window_edges(lams, lo, hi)[1] == lams.size and last < n - 1:
@@ -389,7 +400,7 @@ def transition_window(n, w, lo, hi):
         chunk = min(2 * chunk, 512)
 
     start, stop = _window_edges(lams, lo, hi)
-    return first + start, lams[start:stop], rows[start:stop].T
+    return first + start, lams[start:stop], block[:, start:stop]
 
 
 def quotient_error(n: int, w: float, extended: bool = False) -> float:
@@ -431,41 +442,40 @@ def vector_error(n: int, w: float) -> float:
 def rayleigh_extended(vecs: np.ndarray, n: int, w: float) -> np.ndarray:
     """v'Bv / v'v for each column of vecs, evaluated in np.longdouble and rounded to float64.
 
-    B is applied through a longdouble real-FFT circulant embedding of the
-    longdouble prolate column.  A quotient's error is second order in the
-    vector's, so float64 vectors give eigenvalues to about quotient_error(n, w, True).
+    B is the Toeplitz operator of the longdouble prolate column, which keeps
+    its precision.  A quotient's error is second order in the vector's, so
+    float64 vectors give eigenvalues to about quotient_error(n, w, True).
     """
-    fft_len = next_pow2(2 * n)
-    half = np.fft.rfft(circulant_embedding(prolate_column(n, w, np.longdouble), fft_len)).real
+    b_op = ToeplitzOperator(prolate_column(n, w, np.longdouble))
     out = np.empty(vecs.shape[1])
     for j in range(0, vecs.shape[1], _BLOCK_COLS):
         v = vecs[:, j:j + _BLOCK_COLS].astype(np.longdouble)
-        bv = np.fft.irfft(half[:, None] * np.fft.rfft(v, n=fft_len, axis=0), n=fft_len, axis=0)[:n]
-        out[j:j + _BLOCK_COLS] = np.einsum("ij,ij->j", v, bv) / np.einsum("ij,ij->j", v, v)
+        out[j:j + _BLOCK_COLS] = np.einsum("ij,ij->j", v, b_op.apply_block(v)) / np.einsum("ij,ij->j", v, v)
     return np.array([_clamp_eigenvalue(float(x)) for x in out])
 
 
-def refine_window(n, w, start, lams, vecs, flagged, lo, extend=False):
+def refine_window(n, w, start, lams, block, flagged, lo, extend=False):
     """A transition window with the flagged eigenvalues recomputed in extended precision.
 
-    (start, lams, vecs) is a window from transition_window and flagged a
-    boolean mask over it.  With extend, the float64 quotients could not
-    place the low edge either: the pairs after the window are refined four
-    at a time until one falls to lo or to the extended noise floor.  The
-    window is then cut before the first eigenvalue at or below that edge.
-    The extra pairs come from slepian_plan(n, w), like the window's; only
-    their quotients are kept.  Returns (lams, vecs) for the pairs from start
-    on, vecs a read-only view of the plan's snapshot like the window's.
+    (start, lams, block) is a window from transition_window and flagged a
+    boolean mask over it; only flagged columns are unfolded.  With extend,
+    the float64 quotients could not place the low edge either: the pairs
+    after the window are refined four at a time until one falls to lo or to
+    the extended noise floor, and the window is cut before the first
+    eigenvalue at or below that edge.  The extra pairs come from
+    slepian_plan(n, w), like the window's; only their quotients are kept.
+    Returns (lams, block) for the pairs from start on, block a read-only
+    view of the plan's snapshot like the window's.
     """
     lams = np.array(lams, dtype=float)
     if np.any(flagged):
-        lams[flagged] = rayleigh_extended(vecs[:, flagged], n, w)
+        lams[flagged] = rayleigh_extended(unfold(block[:, flagged], start + np.flatnonzero(flagged), n), n, w)
     edge = max(lo, quotient_error(n, w, extended=True)) if extend else lo
     if extend:
         while start + lams.size < n and (lams.size == 0 or lams[-1] > edge):
             first = start + lams.size
-            new = slepian_plan(n, w).pairs(first, min(n - 1, first + 3))[0].T
-            lams = np.concatenate([lams, rayleigh_extended(new, n, w)])
+            new = slepian_plan(n, w).pairs(first, min(n - 1, first + 3))[0]
+            lams = np.concatenate([lams, rayleigh_extended(unfold(new, first + np.arange(new.shape[1]), n), n, w)])
     at_edge = np.flatnonzero(lams <= edge)
     stop = int(at_edge[0]) if at_edge.size else lams.size
-    return lams[:stop].copy(), slepian_plan(n, w).pairs(start, start + stop - 1)[0].T if stop else vecs[:, :0]
+    return lams[:stop].copy(), slepian_plan(n, w).pairs(start, start + stop - 1)[0] if stop else block[:, :0]

@@ -93,8 +93,9 @@ class ToeplitzOperator:
     """
 
     def __init__(self, col: np.ndarray):
-        """col is the first column: entry (m, l) of the matrix is col[|m - l|]."""
-        col = np.asarray(col, dtype=np.float64)
+        """col is the first column: entry (m, l) of the matrix is col[|m - l|]; a float column keeps its precision."""
+        col = np.asarray(col)
+        col = col if col.dtype.kind == "f" else col.astype(np.float64)
         if col.ndim != 1 or col.size == 0 or not np.all(np.isfinite(col)):
             raise ValueError("Toeplitz column must be a nonempty finite 1-d array")
         self.col, self.n = col, col.size

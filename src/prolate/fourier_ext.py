@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpss import FULL_BASIS_MAX_N, rayleigh_extended, slepian_plan
+from .dpss import FULL_BASIS_MAX_N, rayleigh_extended, slepian_plan, unfold
 from .operators import FastPseudoinverse, FastTikhonov, SlepianParams
 
 __all__ = [
@@ -216,10 +216,10 @@ def _reconstruct(coeffs: np.ndarray, m_max: int, half_period: float, start: floa
 def _exact_pairs(n: int, w: float):
     """All n Slepian pairs (lams, vecs) at (n, w), in descending order, vecs[:, j] the j-th vector.
 
-    The vectors come from slepian_plan(n, w), which then holds all of them
-    (n^2 x 8 bytes); the eigenvalues are their longdouble Rayleigh quotients.
+    The vectors (n^2 x 8 bytes) are unfolded from the halves slepian_plan(n, w)
+    then holds; the eigenvalues are their longdouble Rayleigh quotients.
     """
-    vecs = slepian_plan(n, w).pairs(0, n - 1)[0].T
+    vecs = unfold(slepian_plan(n, w).pairs(0, n - 1)[0], np.arange(n), n)
     return rayleigh_extended(vecs, n, w), vecs
 
 

@@ -17,7 +17,7 @@ per call: a FourierFactor holds the Hilbert factor z and two Taylor
 coefficient matrices (their monomial basis (m/n)^j is fixed by n and never
 stored: each row tile of a product forms a small local basis and shifts it),
 a SpectralFactor holds an eigen-partition correction V diag(g) V^T as only
-the leading rows of V's even and odd columns.
+the leading ceil(n/2) rows of V, the block the Slepian plan holds.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .dpss import (
     quotient_error,
     refine_window,
     transition_window,
+    unfold,
     vector_error,
 )
 from .fft_kernels import _reduced_product, nearest_odd_integer
@@ -93,24 +94,25 @@ def _real_rows(x):
 
 
 class SpectralFactor(LowRankFactor):
-    """V diag(g) V^T over the leading ceil(n/2) rows of V's even columns and the leading floor(n/2) rows of its odd
-    ones (parities 0 and 1 under row reversal), column 0 of parity lead.
+    """V diag(g) V^T over one column-major block of V's leading ceil(n/2) rows, column 0 of parity lead.
 
-    The coefficients keep V's column order: parity p's at abs(p - lead),
-    abs(p - lead) + 2, ...  Analysis folds x to x_lead +- reversed(x_tail),
-    synthesis unfolds both parities' products, and g enters as sqrt|g| on
-    each side of the coefficients.
+    Column j is a Slepian vector of the parity of lead + j, even (mirrored
+    below the block) or odd (mirrored and negated, its middle row zero at
+    odd n), as the plan holds them.  Analysis folds x to
+    x_lead +- reversed(x_tail) for each parity's half, synthesis unfolds
+    both parities' products, and g enters as sqrt|g| on each side of the
+    coefficients.
     """
 
-    def __init__(self, n: int, lead: int, halves, g):
-        self.n, self.lead = n, lead
-        self.halves = tuple(_column_major(h) for h in halves)
-        self.weights = np.asarray(g, dtype=float)
-        even, odd = (h.shape[1] if h.ndim == 2 else -1 for h in self.halves)
-        # columns alternate from parity lead: even - odd is 0 or 1 from an even column, -1 or 0 from an odd one
-        if (lead not in (0, 1) or even - odd + lead not in (0, 1) or self.weights.shape != (even + odd,)
-                or [len(h) for h in self.halves] != [(n + 1) // 2, n // 2]):
-            raise ValueError("parity halves must hold their leading rows, alternate from lead and take one weight each")
+    def __init__(self, n: int, lead: int, block, g):
+        self.n, self.lead, self.block, self.weights = n, lead, _column_major(block), np.asarray(g, dtype=float)
+        if lead not in (0, 1) or self.block.shape != ((n + 1) // 2, self.weights.size) or self.weights.ndim != 1:
+            raise ValueError("a spectral block must hold ceil(n/2) leading rows, one column per weight")
+
+    @property
+    def halves(self) -> tuple:
+        """Views of the block: its even columns, and the leading floor(n/2) rows of its odd ones."""
+        return self.block[:, self.lead::2], self.block[:self.n // 2, 1 - self.lead::2]
 
     @property
     def rank(self) -> int:
@@ -118,8 +120,8 @@ class SpectralFactor(LowRankFactor):
 
     @property
     def arrays(self) -> tuple:
-        """Every array the factor holds, in file order: the weights, the even half, the odd half."""
-        return (self.weights, *self.halves)
+        """Every array the factor holds, in file order: the weights and the block (its halves are views of it)."""
+        return (self.weights, self.block)
 
     def _analyze(self, rows):
         c = np.empty(self.rank, complex if len(rows) == 2 else float)
@@ -137,13 +139,12 @@ class SpectralFactor(LowRankFactor):
         if out is None:
             out = np.zeros(self.n, complex if np.iscomplexobj(c) else float)
         c = c * (np.sign(self.weights) * np.sqrt(np.abs(self.weights)))
-        prods = []  # per parity, its product's real (and imaginary) rows; unfolded together below
+        targets = (out.real, out.imag) if np.iscomplexobj(out) else (out,)
         for p, half in enumerate(self.halves):
             v = c[abs(p - self.lead)::2]
             coef = np.stack([v.real, v.imag] if np.iscomplexobj(v) else [v])
-            prods.append((coef[0] @ half.T)[None] if len(coef) == 1 else coef @ half.T)
-        for part, target in zip(zip(*prods), (out.real, out.imag) if np.iscomplexobj(out) else (out,)):
-            _unfold(part, target)
+            for prod, target in zip((coef[0] @ half.T)[None] if len(coef) == 1 else coef @ half.T, targets):
+                unfold(prod[:, None], p, self.n, target[:, None])
         return out
 
 
@@ -297,14 +298,6 @@ def _fold(rows, parity):
     out = rows[:, :(rows.shape[1] + 1 - parity) // 2].copy()
     (np.subtract if parity else np.add)(out[:, :p], rows[:, ::-1][:, :p], out=out[:, :p])
     return out
-
-
-def _unfold(halves, out):
-    """Adds to out the vectors whose leading rows are halves[parity], mirrored (even) or mirrored and negated (odd)."""
-    tail = out[len(out) - len(out) // 2:][::-1]
-    for parity, v in enumerate(halves):
-        out[:len(v)] += v
-        (np.subtract if parity else np.add)(tail, v[:len(tail)], out=tail)
 
 
 def _phases(n, w, step, m):
@@ -597,28 +590,25 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> FourierFactor
 # Eigen-partition corrections
 
 
-def _spectral(start, vectors, g):
-    """V diag(g) V^T for the window vectors V of Slepian indices start, start + 1, ...: Slepian vector l has the
-    parity of l, so only the leading rows of each parity's columns are copied out of V, which the build drops."""
-    n = vectors.shape[0]
-    halves = [mapped_columns(vectors[:(n + 1 - p) // 2, (p - start) % 2::2]) for p in (0, 1)]
-    return SpectralFactor(n, start % 2, halves, g)
+def _spectral(n, start, block, g):
+    """V diag(g) V^T for the window of Slepian indices start, start + 1, ...: one copy of its block."""
+    return SpectralFactor(n, start % 2, mapped_columns(block), g)
 
 
 def _split_window(n, w, epsilon, k):
-    """The window (start, lams, vecs) of eigenvalues in (epsilon, 1 - epsilon) and the count below the split k.
+    """The window (start, lams, block) of eigenvalues in (epsilon, 1 - epsilon) and the count below the split k.
 
     Raises PreconditionViolated unless lam^(k-1) > epsilon and lam^(k) < 1 - epsilon.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
-    start, lams, vecs = transition_window(n, w, epsilon, 1.0 - epsilon)
+    start, lams, block = transition_window(n, w, epsilon, 1.0 - epsilon)
     if not start <= k <= start + lams.size:
         raise PreconditionViolated(
             f"subspace dimension k={k} violates the split condition: eigenvalues in "
             f"({epsilon:g}, {1 - epsilon:g}) occupy indices [{start}, {start + lams.size})"
         )
-    return start, lams, vecs, k - start
+    return start, lams, block, k - start
 
 
 def projection_correction(n, w, epsilon, k) -> SpectralFactor:
@@ -627,8 +617,8 @@ def projection_correction(n, w, epsilon, k) -> SpectralFactor:
     V holds the eigenvectors with epsilon < lam < 1 - epsilon and g = [1 - L2, -L3]: the pairs
     below / at-or-above k, each pushed to its side of the split.
     """
-    start, lams, vecs, cut = _split_window(n, w, epsilon, k)
-    return _spectral(start, vecs, np.concatenate([1.0 - lams[:cut], -lams[cut:]]))
+    start, lams, block, cut = _split_window(n, w, epsilon, k)
+    return _spectral(n, start, block, np.concatenate([1.0 - lams[:cut], -lams[cut:]]))
 
 
 def pinv_correction(n, w, epsilon, k) -> SpectralFactor:
@@ -636,10 +626,10 @@ def pinv_correction(n, w, epsilon, k) -> SpectralFactor:
 
     V as for projection_correction, g = [1/L2 - L2, -L3].
     """
-    start, lams, vecs, cut = _split_window(n, w, epsilon, k)
+    start, lams, block, cut = _split_window(n, w, epsilon, k)
     if np.any(lams[:cut] <= 0.0):
         raise ValueError("below-split eigenvalues must be positive")
-    return _spectral(start, vecs, np.concatenate([1.0 / lams[:cut] - lams[:cut], -lams[cut:]]))
+    return _spectral(n, start, block, np.concatenate([1.0 / lams[:cut] - lams[:cut], -lams[cut:]]))
 
 
 def _tikhonov_weight(lams, alpha):
@@ -688,14 +678,14 @@ def tikhonov_correction(n, w, epsilon, alpha) -> SpectralFactor:
         raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
     lo = alpha * (1.0 + alpha) * epsilon
     hi = 1.0 - epsilon / 3.0
-    start, lams, vecs = transition_window(n, w, lo, hi)
+    start, lams, block = transition_window(n, w, lo, hi)
     max_slope = _REFINE_SHARE * epsilon / quotient_error(n, w)
     flagged = np.abs(_tikhonov_slope(lams, alpha)) > max_slope
     # a low edge at or above hi leaves the window empty; its slope would square the lo that a huge alpha gives
     extend = lo < hi and abs(_tikhonov_slope(lo, alpha)) > max_slope
     if extend or np.any(flagged):
-        lams, vecs = refine_window(n, w, start, lams, vecs, flagged, lo, extend=extend)
+        lams, block = refine_window(n, w, start, lams, block, flagged, lo, extend=extend)
     weights = _tikhonov_weight(lams, alpha)
     if np.any(weights < _SQRT_CLAMP):
         raise ValueError("negative spectral weight beyond the clamp tolerance")
-    return _spectral(start, vecs, np.maximum(weights, 0.0))
+    return _spectral(n, start, block, np.maximum(weights, 0.0))

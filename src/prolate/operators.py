@@ -126,7 +126,7 @@ class _SpectralOperator:
         return (self.u,)
 
     def factors(self):
-        """Every array the operator holds: its correction's weights and parity halves."""
+        """Every array the operator holds: its correction's weights and block."""
         return self.u.arrays
 
 
@@ -271,16 +271,16 @@ class FastFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: magic "FSLT", little-endian, version 5 only.
+# Persistence: magic "FSLT", little-endian, version 6 only.
 # "FSLT", u32 version, u64 n, f64 w, f64 epsilon, f64 alpha (+0.0 but for Tikhonov), u64 k, u8 kind, 7 zero pad
-# bytes, f64 error bound; then every kind's one spectral record, its SpectralFactor u: three u64, lead (the parity
-# of V's column 0), even count and odd count, then its arrays, column-major finite float64, every offset a multiple
-# of 8: the weights g (even + odd, in V's column order), the ceil(n/2) x even leading rows of the even columns, the
-# floor(n/2) x odd leading rows of the odd columns.  Nothing else is stored: the factorization's partial Fourier
-# frame and Fourier correction are fixed by (n, w, epsilon), and the loader rebuilds them.
+# bytes, f64 error bound; then every kind's one spectral record, its SpectralFactor u: two u64, lead (the parity
+# of V's column 0) and count, then its arrays, column-major finite float64, every offset a multiple of 8: the
+# count weights g, in V's column order, and the ceil(n/2) x count block of V's leading rows, its odd columns'
+# middle row +-0 at odd n.  Nothing else is stored: the factorization's partial Fourier frame and Fourier
+# correction are fixed by (n, w, epsilon), and the loader rebuilds them.
 
 
-_MAGIC, _VERSION = b"FSLT", 5
+_MAGIC, _VERSION = b"FSLT", 6
 _KIND_NAMES = {1: "projector", 2: "factorization", 3: "pinv", 4: "tikhonov"}
 # largest n a file without stored columns may name: its length cannot bound n
 MAX_EMPTY_N = 1 << 20
@@ -295,7 +295,7 @@ class BadMagicError(FactorFileError):
 
 
 class UnsupportedVersionError(FactorFileError):
-    """A format version other than 5; rebuild an older file with `prolate precompute` from its header."""
+    """A format version other than 6; rebuild an older file with `prolate precompute` from its header."""
 
 
 class TruncatedFileError(FactorFileError):
@@ -303,11 +303,11 @@ class TruncatedFileError(FactorFileError):
 
 
 def operator_to_bytes(op) -> bytearray:
-    """Serialize an operator as FSLT version 5, its spectral record's arrays written once into one preallocated
+    """Serialize an operator as FSLT version 6, its spectral record's arrays written once into one preallocated
     buffer."""
     p, u = op.params, op.u
-    head = struct.pack("<4sIQdddQB7xd3Q", _MAGIC, _VERSION, p.n, p.w, p.epsilon, getattr(op, "alpha", 0.0), p.k,
-                       op.kind, op.error_bound, u.lead, *(h.shape[1] for h in u.halves))
+    head = struct.pack("<4sIQdddQB7xd2Q", _MAGIC, _VERSION, p.n, p.w, p.epsilon, getattr(op, "alpha", 0.0), p.k,
+                       op.kind, op.error_bound, u.lead, u.rank)
     out, at = bytearray(len(head) + sum(a.nbytes for a in u.arrays)), len(head)
     out[:at] = head
     for a in u.arrays:
@@ -330,19 +330,19 @@ def _unpack(data, at, fmt, what):
 
 
 def operator_from_bytes(data):
-    """Rebuild an operator from FSLT version 5, recomputing the fast transforms from (n, w) and the factorization's
+    """Rebuild an operator from FSLT version 6, recomputing the fast transforms from (n, w) and the factorization's
     Fourier correction from (n, w, epsilon).
 
     The header is bounded before anything is allocated.  The spectral
-    record's arrays are read-only views of data.  Past them, a load
+    record's arrays are read-only views of data, every value finite and the
+    middle row of the odd columns zero at odd n.  Past them, a load
     allocates the Toeplitz part of slepian_plan(n, w) when that plan is not
-    held yet (about 8 x 8n bytes, mostly its transform) and a few KB
-    otherwise.  The factorization takes no plan but rebuilds its Hilbert
-    factor z, r x n x 8 bytes with r = adi_rank(2n - 1, 4 epsilon / 15); a
+    held yet (about 8 x 8n bytes, mostly its transform), a few KB otherwise.
+    The factorization takes no plan but rebuilds its Hilbert factor z,
+    r x n x 8 bytes with r = adi_rank(2n - 1, 4 epsilon / 15); a
     factorization file is rejected unless r n <= 8 MAX_EMPTY_N + 16 x (its
     stored values), so z takes at most 64 MB plus 16 times the file's
-    factor data.  Any other buffer, such as a bytearray, is first copied to
-    bytes: one more copy of the file.
+    factor data.  Any other buffer, such as a bytearray, is first copied.
     """
     data = bytes(data)
     (magic,), at = _unpack(data, 0, "<4s", "magic")
@@ -351,7 +351,7 @@ def operator_from_bytes(data):
     (version,), at = _unpack(data, at, "<I", "version")
     if version != _VERSION:
         raise UnsupportedVersionError(f"unsupported format version {version}; only version {_VERSION} is read")
-    (n, w, epsilon, alpha, k, kind, pad, error_bound, lead, even, odd), at = _unpack(data, at, "<QdddQB7sd3Q", "header")
+    (n, w, epsilon, alpha, k, kind, pad, error_bound, lead, columns), at = _unpack(data, at, "<QdddQB7sd2Q", "header")
     if kind not in _KIND_NAMES:
         raise FactorFileError(f"unknown operator kind {kind}")
     # the fields the writer fixes hold its bytes: a file that differs there would load but not re-encode to itself
@@ -359,20 +359,17 @@ def operator_from_bytes(data):
         raise FactorFileError(f"header alpha {alpha!r} of a {_KIND_NAMES[kind]} must be +0.0")
     if pad != bytes(7):
         raise FactorFileError("header pad bytes after the kind must be zero")
-    first, second = (even, odd) if lead == 0 else (odd, even)
-    if lead > 1 or not 0 <= first - second <= 1:
-        raise FactorFileError(f"spectral record: {even} even, {odd} odd columns cannot alternate from parity {lead}")
+    if lead > 1:
+        raise FactorFileError(f"spectral record: lead parity {lead} is neither 0 nor 1")
 
     # the arrays must fill the rest of the file, checked before any is read; without a stored
     # column the file's length cannot bound n, so n is capped at MAX_EMPTY_N
-    shapes = [(even + odd,), ((n + 1) // 2, even), (n // 2, odd)]
-    sizes = [math.prod(shape) for shape in shapes]
-    count = sum(sizes)
+    count = columns * (1 + (n + 1) // 2)
     if 8 * count != len(data) - at:
         if 8 * count > len(data) - at:
             raise TruncatedFileError("file truncated while reading factor data")
         raise FactorFileError("trailing bytes after factor data")
-    if not (even or odd) and n > MAX_EMPTY_N:
+    if not columns and n > MAX_EMPTY_N:
         raise FactorFileError(f"header size n={n} is too large to rebuild: a file without "
                               f"stored columns may name n up to {MAX_EMPTY_N}")
     # one pass over every stored value, allocating nothing per value: a nan or inf leaves the sum not finite, and
@@ -383,7 +380,11 @@ def operator_from_bytes(data):
         total = values.sum()
     if not (math.isfinite(total) or math.isfinite(values.min(initial=0.0) + values.max(initial=0.0))):
         raise FactorFileError("factor data holds a value that is not finite")
-    g, *halves = (part.reshape(shape, order="F") for part, shape in zip(np.split(values, np.cumsum(sizes[:2])), shapes))
+    g, block = values[:columns], values[columns:].reshape(((n + 1) // 2, columns), order="F")
+    # at odd n the writer's odd columns hold +-0 in the middle row, which the factor never reads
+    for value in block[-1, 1 - lead::2] if n % 2 else ():
+        if value:
+            raise FactorFileError(f"spectral record: an odd column holds {float(value)!r} in the middle row, not 0")
 
     # a header that passes the format checks can still name an impossible
     # operator (w outside (0, 1/2), mismatched ranks) or one too large to rebuild
@@ -394,7 +395,7 @@ def operator_from_bytes(data):
             raise FactorFileError(f"header n={n}, eps={epsilon:g} asks for a Hilbert factor of {rank} x n, "
                                   f"beyond what the file's {count} stored values may rebuild")
         cls = {1: FastProjector, 2: FastFactorization, 3: FastPseudoinverse, 4: FastTikhonov}[kind]
-        op = cls(params, *((float(alpha),) if kind == 4 else ()), SpectralFactor(params.n, lead, halves, g))
+        op = cls(params, *((float(alpha),) if kind == 4 else ()), SpectralFactor(params.n, lead, block, g))
     except (ValueError, OverflowError) as exc:
         raise FactorFileError(f"invalid operator header: {exc}") from exc
     except MemoryError:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from prolate.operators import FastFactorization, FastProjector, FastPseudoinverse, FastTikhonov, SlepianParams
 from prolate.operators import operator_to_bytes
 
-# bytes before the first array of a version-5 file of any kind: the 64-byte header and the spectral
-# record's three u64 (lead parity, even count, odd count)
-HEADER_LENGTH = 64 + 8 * 3
+# bytes before the first array of a version-6 file of any kind: the 64-byte header and the spectral
+# record's two u64 (lead parity, column count)
+HEADER_LENGTH = 64 + 8 * 2
 
 
 def with_version(blob, version):
@@ -24,21 +24,30 @@ def version_2_projector(params, error_bound):
     return b"FSLT" + struct.pack("<I", 2) + head + struct.pack("<QQ", 0, 0)
 
 
-@lru_cache(maxsize=1)
-def small_fslt_files():
-    """FSLT files of every kind at n = 48 (w = 1/4, eps = 1e-3, alpha = 1e-2), in kind order."""
-    params = SlepianParams.create(48, 0.25, 1e-3)
+@lru_cache(maxsize=2)
+def small_fslt_files(n=48):
+    """FSLT files of every kind at n (w = 1/4, eps = 1e-3, alpha = 1e-2), in kind order."""
+    params = SlepianParams.create(n, 0.25, 1e-3)
     built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
              FastTikhonov.build(params, 1e-2)]
     return tuple(bytes(operator_to_bytes(op)) for op in built)
 
 
+def middle_row_offsets(blob):
+    """Offsets of the middle-row entries of a version-6 block's odd columns: the one value the writer fixes in
+    the arrays, +-0 at odd n (none at even n)."""
+    (n,), (lead, count) = struct.unpack_from("<Q", blob, 8), struct.unpack_from("<2Q", blob, 64)
+    h = (n + 1) // 2
+    return [HEADER_LENGTH + 8 * (count + h * j + h - 1) for j in range(1 - lead, count, 2)] if n % 2 else []
+
+
 @st.composite
 def _mutated(draw):
     kind = draw(st.integers(1, 4))
-    blob = bytearray(small_fslt_files()[kind - 1])
-    # the fixed-width fields from n on: the header's u64 and f64 fields, the error bound and the record header
-    fields = range(8, HEADER_LENGTH, 8)
+    blob = bytearray(small_fslt_files(draw(st.sampled_from([48, 49])))[kind - 1])
+    # the fixed-width fields from n on: the header's u64 and f64 fields, the error bound, the record header's
+    # lead and count, and at odd n the middle row of the odd columns
+    fields = list(range(8, HEADER_LENGTH, 8)) + middle_row_offsets(blob)
     for _ in range(draw(st.integers(1, 4))):
         edit = draw(st.sampled_from(["byte", "u64", "f64"]))
         if edit == "byte":
@@ -56,6 +65,6 @@ def fslt_bytes():
     """Byte strings a factor-file loader may be handed: valid small files with a few edits
     (a byte, or an integer or float over a fixed-width field) and possibly truncated, an FSLT
     magic and version followed by noise, and plain noise."""
-    versioned = st.builds(lambda v, rest: b"FSLT" + struct.pack("<I", v) + rest, st.sampled_from([1, 2, 3, 4, 5]),
+    versioned = st.builds(lambda v, rest: b"FSLT" + struct.pack("<I", v) + rest, st.sampled_from([1, 2, 3, 4, 5, 6]),
                           st.binary(max_size=256))
     return st.one_of(_mutated(), versioned, st.binary(max_size=256))

@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +22,18 @@ from prolate.operators import (
 )
 
 from oracles import eig_dense, pinv_oracle, prolate_dense
-from strategies import HEADER_LENGTH, fslt_bytes, small_fslt_files, version_2_projector, with_version
+from strategies import (
+    HEADER_LENGTH,
+    fslt_bytes,
+    middle_row_offsets,
+    small_fslt_files,
+    version_2_projector,
+    with_version,
+)
+
+
+# address-space cap of the subprocesses whose allocations must be refused: room for the interpreter and its imports
+_AS_CAP = 2 << 30
 
 
 def run_cli(args, capsys):
@@ -107,6 +121,18 @@ class TestLinearPredict:
         gaps = n - np.arange(n)
         assert np.allclose(b, np.sin(2 * np.pi * w * gaps) / (np.pi * gaps))
         assert np.all(np.abs(b) <= 2 * w)
+
+    @pytest.mark.parametrize("w", [0.25, 0.3])
+    def test_rhs_sines_are_reduced_exactly(self, w):
+        # b is the prolate column's tail, its sine arguments reduced from the exact product: against 40-digit
+        # sines it reads 9e-17 to 1.7e-16 of ||b||, where sin(2 pi w (n - m)) read 3.6e-15 to 4.0e-15 at n = 4096
+        import mpmath
+
+        n = 4096
+        with mpmath.workdps(40):
+            ref = [mpmath.sin(2 * mpmath.pi * mpmath.mpf(w) * g) / (mpmath.pi * g) for g in range(n, 0, -1)]
+            err = [float(mpmath.mpf(float(b)) - r) for b, r in zip(prediction_rhs(n, w), ref)]
+        assert np.linalg.norm(err) <= 4 * np.finfo(float).eps * np.linalg.norm(np.array(ref, dtype=float))
 
     def test_fast_solution_matches_dense_oracle(self):
         n, w, eps = 512, 0.25, 1e-6
@@ -231,11 +257,11 @@ class TestPrecomputeAndLoad:
                  "--out", str(path)], capsys)
         data = path.read_bytes()
         # rank-0 version-1 and version-2 projectors as those versions laid them out, and this projector
-        # and a factorization under the version fields of 3, 4 and 99
+        # and a factorization under the version fields of 3, 4, 5 and 99
         v1 = (b"FSLT" + struct.pack("<I", 1) + struct.pack("<QdddQB", 64, 0.25, 1e-3, 0.0, 32, 1)
               + struct.pack("<d", 1e-3) + struct.pack("<QB", 0, 0) * 2)
         v2 = version_2_projector(SlepianParams.create(64, 0.25, 1e-3), 1e-3)
-        older = [with_version(blob, v) for blob in (data, small_fslt_files()[1]) for v in (3, 4, 99)]
+        older = [with_version(blob, v) for blob in (data, small_fslt_files()[1]) for v in (3, 4, 5, 99)]
         for blob in (v1, v2, *older):
             path.write_bytes(blob)
             rc, _, err = run_cli(["load-check", str(path)], capsys)
@@ -245,24 +271,24 @@ class TestPrecomputeAndLoad:
         assert rc == 2 and "truncated" in err
 
     def test_huge_header_size_is_io_error(self, tmp_path, capsys):
-        # a rank-0 record keeps the file at 88 bytes while its header asks for n = 2^40
+        # a rank-0 record keeps the file at 80 bytes while its header asks for n = 2^40
         import struct
 
         path = tmp_path / "op.fslt"
-        path.write_bytes(b"FSLT" + struct.pack("<I", 5)
+        path.write_bytes(b"FSLT" + struct.pack("<I", 6)
                          + struct.pack("<QdddQB7x", 1 << 40, 0.25, 1e-6, 0.0, 0, 1)
-                         + struct.pack("<d", 1e-6) + struct.pack("<QQQ", 0, 0, 0))
-        assert path.stat().st_size == 88
+                         + struct.pack("<d", 1e-6) + struct.pack("<QQ", 0, 0))
+        assert path.stat().st_size == 80
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "too large" in err
 
     def test_large_fourier_rebuild_is_io_error(self, tmp_path, capsys):
-        # an 88-byte factorization file whose header asks for a 178 x 2^20 Hilbert factor
+        # an 80-byte factorization file whose header asks for a 178 x 2^20 Hilbert factor
         import struct
 
         path = tmp_path / "fact.fslt"
-        path.write_bytes(b"FSLT" + struct.pack("<IQdddQB7xd3Q", 5, 1 << 20, 0.25, 1.1e-47, 0.0, 1 << 19, 2,
-                                                 2.2e-47, 0, 0, 0))
+        path.write_bytes(b"FSLT" + struct.pack("<IQdddQB7xd2Q", 6, 1 << 20, 0.25, 1.1e-47, 0.0, 1 << 19, 2,
+                                                 2.2e-47, 0, 0))
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "Hilbert factor" in err and "Traceback" not in err
 
@@ -272,8 +298,8 @@ class TestPrecomputeAndLoad:
 
         head = struct.pack("<QdddQB", MAX_EMPTY_N + 1, 0.25, 0.49, 0.0, 0, 1)
         path = tmp_path / "op.fslt"
-        path.write_bytes(b"FSLT" + struct.pack("<I", 5) + head + bytes(7) + struct.pack("<d", 0.49)
-                         + struct.pack("<QQQ", 0, 0, 0))
+        path.write_bytes(b"FSLT" + struct.pack("<I", 6) + head + bytes(7) + struct.pack("<d", 0.49)
+                         + struct.pack("<QQ", 0, 0))
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc == 2 and "too large" in err
 
@@ -335,8 +361,19 @@ class TestPrecomputeAndLoad:
             rc, _, err = run_cli(["load-check", str(path)], capsys)
             assert rc == 2 and field in err and "Traceback" not in err, field
 
+    def test_middle_row_the_writer_fixes_is_io_error(self, tmp_path, capsys):
+        # at odd n an odd column's middle row holds +-0 in every file the writer makes
+        import struct
+
+        path = tmp_path / "op.fslt"
+        for blob in small_fslt_files(49):
+            at = middle_row_offsets(blob)[-1]
+            path.write_bytes(blob[:at] + struct.pack("<d", 0.25) + blob[at + 8:])
+            rc, _, err = run_cli(["load-check", str(path)], capsys)
+            assert rc == 2 and "middle row" in err and "0.25" in err and "Traceback" not in err
+
     def test_non_finite_factor_value_is_io_error(self, tmp_path, capsys):
-        # a nan weight and an inf in the even parity half, the first array after the weights
+        # a nan weight and an inf in the block, the array after the weights
         import struct
 
         path = tmp_path / "op.fslt"
@@ -389,6 +426,26 @@ class TestPrecomputeAndLoad:
         rc, _, err = run_cli(["load-check", str(path)], capsys)
         assert rc in ((0, 2) if loads else (2,))
         assert "Traceback" not in err and (rc == 0 or err.startswith("prolate: "))
+
+    @pytest.mark.parametrize("argv", [
+        ["gap-count", "--n", "1000000000000"],
+        ["precompute", "--n", "1000000000000", "--w", "0.25", "--eps", "1e-6", "--kind", "project", "--out", "F"],
+        ["fourier-ext", "--m", "1", "--eval-points", "100000000000"],
+    ])
+    def test_refused_allocation_is_io_error(self, tmp_path, argv):
+        # each asks numpy for terabytes; under a 2 GB address-space cap the request is refused outright,
+        # whatever the machine's overcommit setting, and nothing is allocated
+        pytest.importorskip("resource")
+        capped = ("import resource, sys\n"
+                  f"resource.setrlimit(resource.RLIMIT_AS, ({_AS_CAP}, {_AS_CAP}))\n"
+                  "from prolate.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", capped, *argv], cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("prolate: ") and "allocate" in done.stderr and "Traceback" not in done.stderr
 
     def test_missing_file_is_io_error(self, capsys):
         rc, _, _ = run_cli(["load-check", "/no/such/file.fslt"], capsys)

@@ -16,6 +16,7 @@ from prolate.dpss import (
     rayleigh_extended,
     refine_window,
     transition_window,
+    unfold,
 )
 from prolate.fft_kernels import ToeplitzOperator, prolate_column
 from prolate.lowrank import pinv_correction, projection_correction, transition_count_budget
@@ -80,8 +81,9 @@ class TestParitySplit:
         diag, off = tridiagonal_dense(n, w)
         vals, full = scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stebz")
         vals, full = vals[::-1], full[:, ::-1]
-        start, lams, vecs = transition_window(n, w, -1.0, 2.0)
-        assert start == 0 and vecs.shape == (n, n)
+        start, lams, block = transition_window(n, w, -1.0, 2.0)
+        assert start == 0 and block.shape == ((n + 1) // 2, n)
+        vecs = unfold(block, np.arange(n), n)
         dev = np.minimum(np.abs(vecs - full).max(axis=0), np.abs(vecs + full).max(axis=0))
         diffs = np.abs(np.diff(vals))
         gap = np.minimum(np.append(diffs, np.inf), np.insert(diffs, 0, np.inf))
@@ -303,19 +305,42 @@ class TestSlepianPlan:
         assert np.abs(warm[2] - cold[2]).max() <= 1e-12
 
     def test_rayleigh_block_is_transformed_a_few_columns_at_a_time(self, mapped_bytes):
-        # the whole window transformed at once peaked at 4.5 blocks; with the rows' own mapped block, temporaries
-        # over the whole range (the scaled halves, the sign fix's |V| and mask) took 2.6, a pass per block 2.25
+        # in blocks of 8 n m bytes: the whole window transformed at once peaked at 4.5; with full rows in a map of
+        # their own, temporaries over the whole range (the scaled halves, the sign fix's |V| and mask) took 2.6, a
+        # pass per block 2.25.  The halves' map is half a block, and each pass unfolds only its own columns
         n, m = 2**14, 64
+        first = n // 2 - m // 2
         plan = dpss.SlepianPlan(n, 0.25)
         tracemalloc.start()
         try:
-            rows, lams = plan._solve(n // 2 - m // 2, n // 2 + m // 2 - 1)
+            block, lams = plan._solve(first, first + m - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak + mapped_bytes() < 2.5 * 8 * n * m, (peak, mapped_bytes())
-        whole = np.einsum("ij,ij->j", rows.T, plan.b_op.apply_block(rows.T))
+        vecs = unfold(block, first + np.arange(m), n)
+        whole = np.einsum("ij,ij->j", vecs, plan.b_op.apply_block(vecs))
         assert np.array_equal(lams, np.clip(whole, 0.0, 1.0))
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_held_pairs_are_one_block_of_leading_halves(self, n):
+        # the plan holds ceil(n/2) entries per pair, 8 x ceil(n/2) x pairs bytes, and no full-length row
+        dpss.slepian_plan.cache_clear()
+        transition_window(n, 0.25, 1e-9, 1 - 1e-9)
+        transition_window(n, 0.25, 1e-12, 1 - 1e-3)
+        plan = dpss.slepian_plan(n, 0.25)
+        first, block, lams = plan._held
+        assert block.shape == ((n + 1) // 2, lams.size) and block.flags.f_contiguous
+        assert block.nbytes == 8 * ((n + 1) // 2) * lams.size
+        held = [a for a in vars(plan).values() if isinstance(a, np.ndarray)] + [block, lams]
+        assert all(n not in a.shape for a in held)
+        # its columns are the leading halves of Slepian vectors, zero at the middle of an odd vector at odd n
+        vecs = unfold(block, first + np.arange(lams.size), n)
+        assert np.array_equal(vecs[:(n + 1) // 2], block)
+        assert np.abs(prolate_dense(n, 0.25) @ vecs - vecs * lams).max() <= 1e-13
+        assert np.abs(vecs.T @ vecs - np.eye(lams.size)).max() <= 1e-12
+        if n % 2:
+            assert not np.any(block[-1, (1 - first) % 2::2])
 
     def test_holds_one_point(self):
         dpss.slepian_plan.cache_clear()
@@ -350,7 +375,7 @@ class TestSlepianPlan:
         assert np.array_equal(again[1], lams) and np.array_equal(again[2], vecs)
 
     def test_windows_and_refined_windows_are_views_of_the_plan(self):
-        # the plan is the only holder of full-length pairs, also of those a refinement extends the window by
+        # the plan is the only holder of the pairs, also of those a refinement extends the window by
         n, w, lo = 256, 0.25, 1e-6
         dpss.slepian_plan.cache_clear()
         start, lams, vecs = transition_window(n, w, lo, 1 - lo)
@@ -359,10 +384,19 @@ class TestSlepianPlan:
         flagged = np.zeros(lams.size, bool)
         flagged[-1] = True
         refined_lams, refined = refine_window(n, w, start, lams, vecs, flagged, lo, extend=True)
-        assert refined.shape == (n, refined_lams.size) and refined_lams.size > 0
+        assert refined.shape == ((n + 1) // 2, refined_lams.size) and refined_lams.size > 0
         assert np.shares_memory(refined, dpss.slepian_plan(n, w)._held[1])
         for a in (lams, vecs, refined):
             assert not a.flags.writeable
+
+    @pytest.mark.parametrize("n", [257, 258])
+    def test_a_window_is_a_column_major_view_of_the_half_block(self, n):
+        dpss.slepian_plan.cache_clear()
+        start, lams, block = transition_window(n, 0.25, 1e-6, 1 - 1e-6)
+        held_first, held, _ = dpss.slepian_plan(n, 0.25)._held
+        assert block.shape == ((n + 1) // 2, lams.size) and block.flags.f_contiguous and not block.flags.writeable
+        assert np.shares_memory(block, held)
+        assert np.array_equal(block, held[:, start - held_first:start - held_first + lams.size])
 
 
 @pytest.fixture
@@ -485,7 +519,8 @@ class TestTransitionEigenpairs:
         assert lams.size == want
 
     def test_transition_vectors_orthogonal(self):
-        _, lams, vecs = _window(512, 0.25, 1e-6)
+        start, lams, block = _window(512, 0.25, 1e-6)
+        vecs = unfold(block, start + np.arange(lams.size), 512)
         gram = vecs.T @ vecs
         assert np.abs(gram - np.eye(lams.size)).max() <= 1e-8
 
@@ -569,10 +604,10 @@ class TestExtendedQuotients:
     @pytest.mark.parametrize("w", [0.25, 1.0 / 16.0, 0.45])
     def test_quotient_errors_within_estimates(self, w):
         n = 256
-        start, lams, vecs = transition_window(n, w, 1e-17, 1.0 - 1e-9)
+        start, lams, block = transition_window(n, w, 1e-17, 1.0 - 1e-9)
         ref = eig_extended(n, w)[0][start:start + lams.size].astype(float)
         assert np.max(np.abs(lams - ref)) <= quotient_error(n, w)
-        got = rayleigh_extended(vecs, n, w)
+        got = rayleigh_extended(unfold(block, start + np.arange(lams.size), n), n, w)
         # the refined values are rounded to float64, hence the relative term
         assert np.all(np.abs(got - ref) <= quotient_error(n, w, extended=True) + 2.0**-52 * ref)
 
@@ -586,6 +621,6 @@ class TestExtendedQuotients:
         got_lams, got_vecs = refine_window(n, w, start, lams, vecs, flagged, lo, extend=True)
         ref = eig_extended(n, w)[0].astype(float)
         floor = quotient_error(n, w, extended=True)
-        assert got_vecs.shape == (n, got_lams.size)
+        assert got_vecs.shape == ((n + 1) // 2, got_lams.size)
         assert np.all(got_lams > floor)
         assert ref[start + got_lams.size] <= 2 * floor

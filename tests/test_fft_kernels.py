@@ -145,6 +145,20 @@ class TestToeplitzOperator:
             for j in range(5):
                 assert np.linalg.norm(got[:, j] - op.apply(block[:, j])) < 1e-13
 
+    @needs_extended
+    def test_keeps_a_float_columns_precision(self, rng):
+        # float64 stays float64, a longdouble column applies in longdouble, and any other column becomes float64
+        assert ToeplitzOperator(prolate_column(8, 0.25)).half_spectrum.dtype == np.float64
+        assert ToeplitzOperator([1, 0, 0]).col.dtype == np.float64
+        col = prolate_column(64, 0.3, np.longdouble)
+        op = ToeplitzOperator(col)
+        assert op.col.dtype == op.half_spectrum.dtype == np.longdouble
+        x = rng.standard_normal((64, 3)).astype(np.longdouble)
+        got = op.apply_block(x)
+        dense = col[np.abs(np.subtract.outer(np.arange(64), np.arange(64)))]
+        assert got.dtype == np.longdouble
+        assert np.abs(got - dense @ x).max() <= 64 * np.finfo(np.longdouble).eps * np.abs(x).max()
+
     def test_real_path_matches_complex_path(self, rng):
         op = ToeplitzOperator(prolate_column(257, 0.23))
         x = rng.standard_normal(257)

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from prolate import dpss, lowrank
-from prolate.dpss import default_subspace_dim, transition_window
+from prolate.dpss import default_subspace_dim, transition_window, unfold
 from prolate.fft_kernels import PartialFourier, nearest_odd_integer
 from prolate.lowrank import (
     _FOURIER_TERMS,
@@ -321,31 +321,40 @@ class TestProjectionCorrection:
         assert norm2(projection_oracle(n, w, 128) - (b + factor_dense(u))) <= eps
 
     def test_block_structure(self):
-        # the window vectors of each parity stored once, as their leading rows; g keeps the
-        # below-split pairs (positive) and pushes the rest out (negative), in Slepian index order
+        # g keeps the below-split pairs (positive) and pushes the rest out (negative), in Slepian index order
         for n in (256, 257):
             k = default_subspace_dim(n, 0.25)
-            start, lams, vecs = transition_window(n, 0.25, 1e-6, 1 - 1e-6)
+            start, lams, block = transition_window(n, 0.25, 1e-6, 1 - 1e-6)
             u = projection_correction(n, 0.25, 1e-6, k)
-            n2, lead = k - start, start % 2
-            assert isinstance(u, SpectralFactor) and u.lead == lead
-            assert np.array_equal(u.halves[0], vecs[: (n + 1) // 2, lead::2])
-            assert np.array_equal(u.halves[1], vecs[: n // 2, 1 - lead :: 2])
+            n2 = k - start
+            assert isinstance(u, SpectralFactor) and u.lead == start % 2
             assert np.all(u.weights[:n2] > 0) and np.all(u.weights[n2:] < 0)
             assert np.array_equal(u.weights, np.concatenate([1 - lams[:n2], -lams[n2:]]))
-            # the halves stand for the full-row V diag(g) V^T
+            # the block stands for the full-row V diag(g) V^T
+            vecs = unfold(block, start + np.arange(lams.size), n)
             full = (vecs * u.weights) @ vecs.T
             assert np.abs(factor_dense(u) - full).max() <= 1e-15
 
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_a_records_block_is_its_windows_columns(self, n):
+        # one copy of the window: column-major, in a map of its own, its halves views of it
+        k = default_subspace_dim(n, 0.25)
+        start, _, block = transition_window(n, 0.25, 1e-6, 1 - 1e-6)
+        u = projection_correction(n, 0.25, 1e-6, k)
+        assert u.block.shape == ((n + 1) // 2, u.rank) and u.block.flags.f_contiguous
+        assert np.array_equal(u.block, block) and not np.shares_memory(u.block, block)
+        assert u.arrays == (u.weights, u.block)
+        assert all(np.shares_memory(half, u.block) for half in u.halves if half.size)
+
     def test_a_warm_build_maps_only_its_record(self, mapped_bytes):
-        # the window is a view of the plan's rows: the record's parity halves are the build's one copy of it
+        # the window is a view of the plan's block: the record's block is the build's one copy of it
         n, w, eps = 2**14, 0.25, 1e-6
         dpss.slepian_plan.cache_clear()
         transition_window(n, w, eps, 1 - eps)
         before = mapped_bytes()
         u = projection_correction(n, w, eps, default_subspace_dim(n, w))
         assert u.rank > 0
-        assert mapped_bytes() - before <= sum(h.nbytes for h in u.halves) + 2**16
+        assert mapped_bytes() - before <= u.block.nbytes + 2**16
 
 
 class TestPinvCorrection:
@@ -423,25 +432,26 @@ class TestTikhonovCorrection:
 
     def test_weights_nonnegative(self):
         u = tikhonov_correction(256, 0.25, 1e-6, 1e-2)
-        assert all(np.all(np.isfinite(b)) for b in u.halves)
-        # symmetric factor: the two parity halves without coefficient matrices, a nonnegative weight
+        assert np.all(np.isfinite(u.block))
+        # symmetric factor: one block of leading halves without coefficient matrices, a nonnegative weight
         assert isinstance(u, SpectralFactor)
         assert np.all(u.weights >= 0)
 
 
 class TestLowRankFactor:
     def test_apply_matches_dense(self, rng):
-        # a spectral record of parity halves, odd column first, and a modulated record with
-        # reversed halves and coefficient matrices on one basis, on real and complex input,
-        # against the dense matrix of their terms, at odd and even n
+        # a spectral record, odd column first, and a modulated record with reversed halves and
+        # coefficient matrices on one basis, on real and complex input, against the dense matrix
+        # of their terms, at odd and even n
         def draw(shape, cplx):
             out = rng.standard_normal(shape)
             return out + 1j * rng.standard_normal(shape) if cplx else out
 
         factors = []
         for n in (15, 16):
-            halves = (draw(((n + 1) // 2, 2), False), draw((n // 2, 3), False))
-            factors += [SpectralFactor(n, 1, halves, draw(5, False)),
+            block = draw(((n + 1) // 2, 5), False)
+            block[n // 2:, ::2] = 0.0  # the odd columns' middle row at odd n
+            factors += [SpectralFactor(n, 1, block, draw(5, False)),
                         FourierFactor(0.2, draw((n, 3), False), draw((2, 2), False), draw((4, 4), False))]
         for f in factors:
             n = f.n
@@ -456,21 +466,22 @@ class TestLowRankFactor:
 
     def test_zero_width(self, rng):
         for n in (1, 8, 9):
-            f = SpectralFactor(n, 1, (np.zeros(((n + 1) // 2, 0)), np.zeros((n // 2, 0))), np.zeros(0))
+            f = SpectralFactor(n, 1, np.zeros(((n + 1) // 2, 0)), np.zeros(0))
             assert f.rank == 0
             for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j):
                 assert np.linalg.norm(f.apply(x)) == 0.0 and f.apply(x).shape == (n,)
 
     def test_shape_mismatch(self):
-        two = (np.zeros((2, 1)), np.zeros((2, 1)))
-        for n, lead, halves, g in [
+        two = np.zeros((2, 2))
+        for n, lead, block, g in [
             (4, 0, two, np.zeros(3)),  # one weight per column
-            (5, 0, two, np.zeros(2)),  # odd n: the even half holds the middle row too
-            (4, 0, (np.zeros((2, 0)), np.zeros((2, 2))), np.zeros(2)),  # two odd columns cannot alternate
+            (4, 0, two, np.zeros((1, 2))),
+            (5, 0, two, np.zeros(2)),  # odd n: the block holds the middle row too
+            (4, 0, np.zeros(2), np.zeros(2)),  # one 2-D block
             (4, 2, two, np.zeros(2)),  # a lead parity of 0 or 1
         ]:
             with pytest.raises(ValueError):
-                SpectralFactor(n, lead, halves, g)
+                SpectralFactor(n, lead, block, g)
         z, square = np.zeros((4, 1)), np.zeros((2, 2))
         for w, block, coefs in [
             (0.25, z, (np.zeros((2, 1)), square)),  # coefficient matrices are square

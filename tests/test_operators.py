@@ -13,6 +13,7 @@ from prolate.dpss import (
     default_subspace_dim,
     slepian_plan,
     transition_window,
+    unfold,
 )
 from prolate.fft_kernels import PartialFourier, ToeplitzOperator
 from prolate.lowrank import SpectralFactor, adi_rank, taylor_widths, tikhonov_precision_floor
@@ -42,7 +43,14 @@ from oracles import (
     projection_oracle,
     tikhonov_oracle,
 )
-from strategies import HEADER_LENGTH, fslt_bytes, small_fslt_files, version_2_projector, with_version
+from strategies import (
+    HEADER_LENGTH,
+    fslt_bytes,
+    middle_row_offsets,
+    small_fslt_files,
+    version_2_projector,
+    with_version,
+)
 
 
 class TestSlepianParams:
@@ -383,7 +391,7 @@ _WINDOWS = {"empty": (0.1, 0.49), "narrow": (0.25, 0.3), "wide": (0.25, 1e-6)}
 
 
 class TestParityHalves:
-    """The spectral records keep each parity's leading rows; every kind still meets its bound."""
+    """The spectral records keep the leading rows of each vector; every kind still meets its bound."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 81, 161, 256, 257])
     @pytest.mark.parametrize("window", sorted(_WINDOWS))
@@ -413,7 +421,7 @@ class TestParityHalves:
         assert mixes == {(False, False), (True, False), (False, True), (True, True)}
 
     def test_agree_with_full_rows_from_the_plan(self, rng):
-        # apply, compress and decompress against V diag(g) V^T with the full rows of V from slepian_plan
+        # apply, compress and decompress against V diag(g) V^T with the full rows of V unfolded from slepian_plan
         n, w, eps, alpha = 2**14, 0.25, 1e-6, 1e-2
         params = SlepianParams.create(n, w, eps)
         start = transition_window(n, w, eps, 1 - eps)[0]
@@ -423,8 +431,8 @@ class TestParityHalves:
         x = rng.standard_normal(n)
         for op, first in built:
             g = np.asarray(op.u.weights)
-            v = slepian_plan(n, w).pairs(first, first + g.size - 1)[0].T
-            assert all(a.shape[0] <= (n + 1) // 2 for a in op.u.halves)
+            v = unfold(slepian_plan(n, w).pairs(first, first + g.size - 1)[0], first + np.arange(g.size), n)
+            assert op.u.block.shape == ((n + 1) // 2, g.size)
             for y in (x, x + 1j * rng.standard_normal(n)):
                 if op.kind == 2:
                     nf, nl = op.pf.num_cols, op.l.rank
@@ -472,7 +480,7 @@ class TestPersistence:
         blob = operator_to_bytes(ops[3])
         assert blob[:4] == b"FSLT"
         version, = struct.unpack("<I", blob[4:8])
-        assert version == 5
+        assert version == 6
 
     def test_bad_magic(self, ops):
         blob = operator_to_bytes(ops[0])
@@ -484,11 +492,11 @@ class TestPersistence:
         # a rank-0 version-1 projector as that version laid it out: unpadded header, a (rank, complex flag) per half
         v1 = (b"FSLT" + struct.pack("<I", 1) + struct.pack("<QdddQB", p.n, p.w, p.epsilon, 0.0, p.k, 1)
               + struct.pack("<d", ops[0].error_bound) + struct.pack("<QB", 0, 0) * 2)
-        # and every kind's version-5 file under the version fields of 3, 4 and 99: each older version
+        # and every kind's version-6 file under the version fields of 3, 4, 5 and 99: each older version
         # laid out some record otherwise, so none is read
-        older = [with_version(operator_to_bytes(op), v) for op in ops for v in (3, 4, 99)]
+        older = [with_version(operator_to_bytes(op), v) for op in ops for v in (3, 4, 5, 99)]
         for data in (v1, version_2_projector(p, ops[0].error_bound), *older):
-            with pytest.raises(UnsupportedVersionError, match="only version 5"):
+            with pytest.raises(UnsupportedVersionError, match="only version 6"):
                 operator_from_bytes(data)
 
     def test_truncated(self, ops):
@@ -540,14 +548,14 @@ class TestStructuredFactors:
     def test_built_blocks_live_in_maps_of_their_own(self, ops256):
         # a dropped operator then returns its blocks to the system, whatever was allocated after it
         for op in ops256:
-            for a in (b for f in op.corrections() for b in _blocks(f)):
+            for a in (f.block if isinstance(f, SpectralFactor) else f.z for f in op.corrections()):
                 base = a
                 while isinstance(base, np.ndarray):
                     base = base.base
                 assert a.flags.f_contiguous and isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
 
     def test_file_is_header_plus_listed_arrays(self, ops256):
-        # every kind: the 64-byte header, the spectral record's three u64 fields, then its weights and halves
+        # every kind: the 64-byte header, the spectral record's two u64 fields, then its weights and block
         # once; the factorization's Fourier correction is held (and listed) but rebuilt, not stored
         for op in ops256:
             assert len(operator_to_bytes(op)) == HEADER_LENGTH + sum(a.nbytes for a in op.u.arrays)
@@ -604,9 +612,9 @@ def test_decode_allocates_nothing_in_proportion_to_the_file(files14, kind, mappe
 
 
 def _factorization_file(n, eps, columns):
-    """A version-5 factorization file at (n, 1/4, eps) whose spectral record holds 0 or 1 even column of zeros."""
-    head = struct.pack("<4sIQdddQB7xd3Q", b"FSLT", 5, n, 0.25, eps, 0.0, default_subspace_dim(n, 0.25), 2, 2 * eps,
-                       0, columns, 0)
+    """A version-6 factorization file at (n, 1/4, eps) whose spectral record holds 0 or 1 even column of zeros."""
+    head = struct.pack("<4sIQdddQB7xd2Q", b"FSLT", 6, n, 0.25, eps, 0.0, default_subspace_dim(n, 0.25), 2, 2 * eps,
+                       0, columns)
     return head + bytes(8 * columns * (1 + (n + 1) // 2))
 
 
@@ -678,7 +686,7 @@ class TestCorruptFiles:
     def test_rank_zero_header_capped(self):
         n = MAX_EMPTY_N + 1
         head = struct.pack("<QdddQB", n, 0.25, 0.49, 0.0, default_subspace_dim(n, 0.25), 1)
-        blob = b"FSLT" + struct.pack("<I", 5) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQQ", 0, 0, 0)
+        blob = b"FSLT" + struct.pack("<I", 6) + head + bytes(7) + struct.pack("<d", 0.49) + struct.pack("<QQ", 0, 0)
         tracemalloc.start()
         try:
             with pytest.raises(FactorFileError, match="too large"):
@@ -695,16 +703,16 @@ class TestCorruptFiles:
         proj, fact = (bytes(b) for b in small_fslt_files()[:2])
         huge = 2**63 - 1
 
-        def spectral(lead, even, odd):
-            return proj[:64] + struct.pack("<QQQ", lead, even, odd) + proj[88:]
+        def spectral(lead, count):
+            return proj[:64] + struct.pack("<QQ", lead, count) + proj[80:]
 
-        lead, even, odd = struct.unpack("<QQQ", proj[64:88])
+        lead, count = struct.unpack("<QQ", proj[64:80])
         cases = [
-            (spectral(2, even, odd), "cannot alternate"),
-            (spectral(0, odd + 2, odd), "cannot alternate"),
-            (spectral(0, even, even + 1), "cannot alternate"),
-            (spectral(lead, huge, huge), "truncated"),
-            (spectral(0, 2**32, 2**32), "truncated"),
+            (spectral(2, count), "neither 0 nor 1"),
+            (spectral(huge, count), "neither 0 nor 1"),
+            (spectral(lead, count + 1), "truncated"),
+            (spectral(lead, huge), "truncated"),
+            (spectral(0, 2**32), "truncated"),
             # an eps whose even Taylor width is beyond float factorials, at the header's offset 24
             (fact[:24] + struct.pack("<d", 1e-50) + fact[32:], "even Taylor block"),
             # a Hilbert factor of 178 x 2^20 from no stored column or from one: r n > 8 x 2^20 + 16 x (values);
@@ -739,6 +747,26 @@ class TestCorruptFiles:
         proj, at = small_fslt_files()[0], HEADER_LENGTH
         op = operator_from_bytes(proj[:at] + struct.pack("<2d", 1.5e308, 1.5e308) + proj[at + 16:])
         assert list(op.u.weights[:2]) == [1.5e308, 1.5e308]
+
+    def test_middle_row_the_writer_fixes_is_checked(self):
+        # at odd n the odd columns' middle row is +-0 in every file the writer makes and read by no factor: any
+        # other value there, however small, is a file error that names it
+        for blob in small_fslt_files(49):
+            op, offsets = operator_from_bytes(blob), middle_row_offsets(blob)
+            assert offsets and not np.any(op.u.block[-1, 1 - op.u.lead::2])
+            for at in offsets:
+                for value in (1.0, -2.5, 5e-324):
+                    with pytest.raises(FactorFileError, match=f"holds {value!r} in the middle row"):
+                        operator_from_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8:])
+                # the sign of a zero there is not checked: the sign fix writes either
+                flipped = operator_from_bytes(blob[:at] + struct.pack("<d", -0.0) + blob[at + 8:])
+                assert np.array_equal(flipped.apply(np.arange(49.0)), op.apply(np.arange(49.0)))
+        # no even column's middle row, nor any row at even n, is held to a value
+        blob = small_fslt_files(49)[0]
+        lead, count = struct.unpack_from("<2Q", blob, 64)
+        at = HEADER_LENGTH + 8 * (count + 25 * (lead % 2 == 1) + 24)
+        assert at not in middle_row_offsets(blob) and middle_row_offsets(small_fslt_files()[0]) == []
+        operator_from_bytes(blob[:at] + struct.pack("<d", 0.125) + blob[at + 8:])
 
     def test_odd_columns_alone_bound_n(self):
         # a window of odd columns only: the halves still name n through their rows
