@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpss import FULL_BASIS_MAX_N, PreconditionViolated, slepian_plan, transition_window, unfold
+from .dpss import FULL_BASIS_MAX_N, PreconditionViolated, slepian_plan, transition_window
 from .fft_kernels import prolate_column
 from .fourier_ext import FourierExtensionConfig, run_fourier_extension
-from .lowrank import transition_count_budget
+from .lowrank import SpectralFactor, transition_count_budget
 from .operators import (
     FactorFileError,
     FastFactorization,
@@ -279,8 +279,8 @@ def _cmd_linear_predict(args):
         resid = ""
         if n <= FULL_BASIS_MAX_N:
             plan, k = slepian_plan(n, w), op.params.k
-            lead = unfold(plan.pairs(0, k - 1)[0], np.arange(k), n)
-            resid = _fmt(float(np.linalg.norm(lead.T @ (plan.b_op.apply(a) - b))))
+            lead = SpectralFactor(n, 0, plan.pairs(0, k - 1)[0], np.ones(k))
+            resid = _fmt(float(np.linalg.norm(lead.adjoint_apply(plan.b_op.apply(a) - b))))
         rows.append((
             n, _fmt(w), _fmt(eps),
             _fmt(float(np.linalg.norm(a))),

@@ -23,8 +23,8 @@ Every build at one (n, w) shares one SlepianPlan: the Toeplitz part and the
 pairs solved so far as one block of their leading ceil(n/2) entries (each is
 even or odd), about (pairs solved) x ceil(n/2) x 8 bytes (13.5 MB at
 n = 2^16, w = 1/4).  A later window solves only the pairs no earlier one did
-and is a read-only view of the block; unfold mirrors full vectors out of it
-for the few callers that need them.  slepian_plan holds one (n, w) at a time.
+and is a read-only view of the block, which only the quotients here and
+SpectralFactor.synthesize unfold.  slepian_plan holds one (n, w) at a time.
 The tridiagonal solves run scipy's OpenBLAS on the calling thread: their
 level-1 BLAS gains nothing from more threads, whose rounding and idle spinning
 only made a build's bytes depend on the thread count and its time on the load.
@@ -59,8 +59,8 @@ __all__ = [
     "FULL_BASIS_MAX_N",
 ]
 
-# largest n at which the extension experiment's exact rows hold the full Slepian basis unfolded (n^2 x 8
-# bytes, 134 MB at the cap) beside the plan's half block, and linear prediction its leading k vectors
+# largest n at which the extension experiment's exact solvers take all n Slepian pairs, the plan's n x ceil(n/2)
+# block (67 MB at the cap), and linear prediction its leading k
 FULL_BASIS_MAX_N = 4096
 _CLAMP_TOL = 1e-12
 _SIGN_TOL = 1e-12
@@ -439,17 +439,17 @@ def vector_error(n: int, w: float) -> float:
     return 0.5 * _EPS64 * (n / (4.0 * math.sin(2.0 * math.pi * w)) + 16.0)
 
 
-def rayleigh_extended(vecs: np.ndarray, n: int, w: float) -> np.ndarray:
-    """v'Bv / v'v for each column of vecs, evaluated in np.longdouble and rounded to float64.
+def rayleigh_extended(block: np.ndarray, index, n: int, w: float) -> np.ndarray:
+    """v'Bv / v'v in np.longdouble, rounded to float64, for Slepian vectors index[j] with leading halves block[:, j].
 
-    B is the Toeplitz operator of the longdouble prolate column, which keeps
-    its precision.  A quotient's error is second order in the vector's, so
-    float64 vectors give eigenvalues to about quotient_error(n, w, True).
+    Unfolded _BLOCK_COLS columns at a time; B is the Toeplitz operator of the
+    longdouble prolate column.  A quotient's error is second order in the
+    vector's, so float64 vectors give eigenvalues to about quotient_error(n, w, True).
     """
     b_op = ToeplitzOperator(prolate_column(n, w, np.longdouble))
-    out = np.empty(vecs.shape[1])
-    for j in range(0, vecs.shape[1], _BLOCK_COLS):
-        v = vecs[:, j:j + _BLOCK_COLS].astype(np.longdouble)
+    out = np.empty(block.shape[1])
+    for j in range(0, block.shape[1], _BLOCK_COLS):
+        v = unfold(block[:, j:j + _BLOCK_COLS], index[j:j + _BLOCK_COLS], n).astype(np.longdouble)
         out[j:j + _BLOCK_COLS] = np.einsum("ij,ij->j", v, b_op.apply_block(v)) / np.einsum("ij,ij->j", v, v)
     return np.array([_clamp_eigenvalue(float(x)) for x in out])
 
@@ -469,13 +469,13 @@ def refine_window(n, w, start, lams, block, flagged, lo, extend=False):
     """
     lams = np.array(lams, dtype=float)
     if np.any(flagged):
-        lams[flagged] = rayleigh_extended(unfold(block[:, flagged], start + np.flatnonzero(flagged), n), n, w)
+        lams[flagged] = rayleigh_extended(block[:, flagged], start + np.flatnonzero(flagged), n, w)
     edge = max(lo, quotient_error(n, w, extended=True)) if extend else lo
     if extend:
         while start + lams.size < n and (lams.size == 0 or lams[-1] > edge):
             first = start + lams.size
             new = slepian_plan(n, w).pairs(first, min(n - 1, first + 3))[0]
-            lams = np.concatenate([lams, rayleigh_extended(unfold(new, first + np.arange(new.shape[1]), n), n, w)])
+            lams = np.concatenate([lams, rayleigh_extended(new, first + np.arange(new.shape[1]), n, w)])
     at_edge = np.flatnonzero(lams <= edge)
     stop = int(at_edge[0]) if at_edge.size else lams.size
     return lams[:stop].copy(), slepian_plan(n, w).pairs(start, start + stop - 1)[0] if stop else block[:, :0]

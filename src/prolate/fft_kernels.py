@@ -100,7 +100,8 @@ class ToeplitzOperator:
             raise ValueError("Toeplitz column must be a nonempty finite 1-d array")
         self.col, self.n = col, col.size
         self.fft_len = next_pow2(2 * self.n)
-        self.half_spectrum = np.fft.rfft(circulant_embedding(col, self.fft_len)).real
+        # a contiguous copy: the .real view would keep the whole complex transform alive at twice the bytes
+        self.half_spectrum = np.fft.rfft(circulant_embedding(col, self.fft_len)).real.copy()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """T @ x in O(n log n); real x goes through apply_real, complex x as its real and imaginary parts."""

@@ -4,10 +4,10 @@ A function on [-1, 1] that is continuous but not smooth, with mismatched
 endpoints, is approximated three ways: by its truncated Fourier series
 (which rings), and by least-squares extension to a longer period, solving
 the prolate normal equations with either the truncated pseudoinverse or
-Tikhonov regularization -- each exactly, from all n Slepian pairs of the
-shared plan with extended-precision eigenvalues, and by a fast structured
-operator.  Coefficient integrals are computed by FFT quadrature whose
-length grows with the truncation order.
+Tikhonov regularization -- each exactly, as one SpectralFactor over all n
+Slepian pairs of the shared plan with extended-precision eigenvalues, and by
+a fast structured operator.  Coefficient integrals are computed by FFT
+quadrature whose length grows with the truncation order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpss import FULL_BASIS_MAX_N, rayleigh_extended, slepian_plan, unfold
+from .dpss import FULL_BASIS_MAX_N, rayleigh_extended, slepian_plan
+from .lowrank import SpectralFactor
 from .operators import FastPseudoinverse, FastTikhonov, SlepianParams
 
 __all__ = [
@@ -65,7 +66,7 @@ class FourierExtensionConfig:
             raise ValueError("truncation orders must be positive")
         if any(2 * m + 1 > FULL_BASIS_MAX_N for m in self.m_values):
             raise ValueError(f"truncation orders must be at most {(FULL_BASIS_MAX_N - 1) // 2}: the exact "
-                             f"solvers hold all n = 2m + 1 Slepian vectors, n <= {FULL_BASIS_MAX_N}")
+                             f"solvers take all n = 2m + 1 Slepian pairs, n <= {FULL_BASIS_MAX_N}")
         if self.eval_points < 2:
             raise ValueError(f"evaluation grid needs at least 2 points, got {self.eval_points}")
 
@@ -85,19 +86,21 @@ class SyntheticTarget:
     widths: np.ndarray
 
     @classmethod
-    def draw(cls, rng: np.random.Generator, slope: float = 5.0, n_bumps: int = 500) -> "SyntheticTarget":
+    def draw(cls, rng: np.random.Generator) -> "SyntheticTarget":
+        """Slope 5 and 500 bumps drawn from rng: amplitudes and centers uniform in [-1, 1], widths in [1e-3, 1e-1]."""
         return cls(
-            slope=slope,
+            slope=5.0,
             offset=0.0,
-            amps=rng.uniform(-1.0, 1.0, n_bumps),
-            centers=rng.uniform(-1.0, 1.0, n_bumps),
-            widths=rng.uniform(1e-3, 1e-1, n_bumps),
+            amps=rng.uniform(-1.0, 1.0, 500),
+            centers=rng.uniform(-1.0, 1.0, 500),
+            widths=rng.uniform(1e-3, 1e-1, 500),
         )
 
     @classmethod
-    def constant(cls, value: float = 1.0) -> "SyntheticTarget":
+    def constant(cls) -> "SyntheticTarget":
+        """The constant f = 1."""
         empty = np.zeros(0)
-        return cls(slope=0.0, offset=value, amps=empty, centers=empty, widths=empty)
+        return cls(slope=0.0, offset=1.0, amps=empty, centers=empty, widths=empty)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -214,13 +217,10 @@ def _reconstruct(coeffs: np.ndarray, m_max: int, half_period: float, start: floa
 
 
 def _exact_pairs(n: int, w: float):
-    """All n Slepian pairs (lams, vecs) at (n, w), in descending order, vecs[:, j] the j-th vector.
-
-    The vectors (n^2 x 8 bytes) are unfolded from the halves slepian_plan(n, w)
-    then holds; the eigenvalues are their longdouble Rayleigh quotients.
-    """
-    vecs = unfold(slepian_plan(n, w).pairs(0, n - 1)[0], np.arange(n), n)
-    return rayleigh_extended(vecs, n, w), vecs
+    """All n Slepian pairs (lams, block) at (n, w), descending: their longdouble Rayleigh quotients and the read-only
+    ceil(n/2) x n block of leading halves that slepian_plan(n, w) holds, so no n x n array is made."""
+    block = slepian_plan(n, w).pairs(0, n - 1)[0]
+    return rayleigh_extended(block, np.arange(n), n, w), block
 
 
 def run_fourier_extension(config: FourierExtensionConfig, seed: int = 0):
@@ -272,16 +272,16 @@ def run_fourier_extension(config: FourierExtensionConfig, seed: int = 0):
 
         # the eigenpairs shared by the two exact solvers
         t0 = time.perf_counter()
-        lams, vecs = _exact_pairs(n, w)
+        lams, block = _exact_pairs(n, w)
         t_eig = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        vk = vecs[:, :np.count_nonzero(lams >= config.pinv_threshold)]
-        ghat = vk @ ((vk.T @ yhat) / lams[:vk.shape[1]])
+        vk = block[:, :np.count_nonzero(lams >= config.pinv_threshold)]
+        ghat = SpectralFactor(n, 0, vk, 1.0 / lams[:vk.shape[1]]).apply(yhat)
         solved["ext_exact_pinv"] = ghat, t_ext_quad + t_eig + time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        ghat = (vecs * (lams / (lams**2 + config.alpha))) @ (vecs.T @ yhat)
+        ghat = SpectralFactor(n, 0, block, lams / (lams**2 + config.alpha)).apply(yhat)
         solved["ext_exact_tik"] = ghat, t_ext_quad + t_eig + time.perf_counter() - t0
 
         for method in METHODS[1:]:

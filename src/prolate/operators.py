@@ -11,6 +11,7 @@ are bit-identical to the original.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass
@@ -52,9 +53,9 @@ __all__ = [
 class SlepianParams:
     """Problem parameters (n, w, epsilon) plus the subspace split k.
 
-    k defaults to round(2nw) (half-up).  The eigenvalue condition on k is
-    validated when an operator is built, where the transition eigenpairs are
-    available.
+    n and k are integers, Python's or numpy's, and k defaults to round(2nw)
+    (half-up).  The eigenvalue condition on k is validated when an operator
+    is built, where the transition eigenpairs are available.
     """
 
     n: int
@@ -64,6 +65,9 @@ class SlepianParams:
 
     @classmethod
     def create(cls, n: int, w: float, epsilon: float, k: int | None = None) -> "SlepianParams":
+        for name, value in (("signal length n", n), ("subspace dimension k", k)):
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if n < 1:
             raise ValueError(f"signal length must be positive, got {n}")
         if not 0.0 < w < 0.5:
@@ -74,7 +78,7 @@ class SlepianParams:
             k = default_subspace_dim(n, w)
         if not 0 <= k <= n:
             raise ValueError(f"subspace dimension k={k} outside [0, {n}]")
-        return cls(n=n, w=w, epsilon=epsilon, k=k)
+        return cls(n=int(n), w=w, epsilon=epsilon, k=int(k))
 
 
 class PrecisionFloorWarning(UserWarning):
@@ -130,14 +134,6 @@ class _SpectralOperator:
         return self.u.arrays
 
 
-def _build_spectral(cls, params: SlepianParams, alpha: float | None = None):
-    """The kind's spectral weight g on the transition eigenvectors, plus what the kind derives from params
-    (alpha: Tikhonov's); the factorization's spectral correction is the projector's."""
-    build = {1: projection_correction, 2: projection_correction, 3: pinv_correction, 4: tikhonov_correction}[cls.kind]
-    correction = build(params.n, params.w, params.epsilon, alpha if cls.kind == 4 else params.k)
-    return _warn_below_floor(cls(params, *((alpha,) if cls.kind == 4 else ()), correction))
-
-
 def _apply_spectral(self, x) -> np.ndarray:
     x = _as_vector(x, self.params.n)
     return self.b_op.apply(x) / (1.0 + self.alpha) + self.u.apply(x)
@@ -151,8 +147,11 @@ class FastProjector(_SpectralOperator):
     """
 
     kind = 1
-    build = classmethod(_build_spectral)
     apply = _apply_spectral
+
+    @classmethod
+    def build(cls, params: SlepianParams) -> "FastProjector":
+        return _warn_below_floor(cls(params, projection_correction(params.n, params.w, params.epsilon, params.k)))
 
 
 class FastPseudoinverse(_SpectralOperator):
@@ -163,8 +162,11 @@ class FastPseudoinverse(_SpectralOperator):
     """
 
     kind, bound_factor = 3, 3.0
-    build = classmethod(_build_spectral)
     apply = _apply_spectral
+
+    @classmethod
+    def build(cls, params: SlepianParams) -> "FastPseudoinverse":
+        return _warn_below_floor(cls(params, pinv_correction(params.n, params.w, params.epsilon, params.k)))
 
     @classmethod
     def build_with_cutoff(cls, n: int, w: float, epsilon: float, cutoff: float) -> "FastPseudoinverse":
@@ -177,7 +179,8 @@ class FastPseudoinverse(_SpectralOperator):
             raise ValueError(f"cutoff {cutoff} must lie inside ({epsilon}, {1 - epsilon})")
         start, lams, _ = transition_window(n, w, epsilon, 1.0 - epsilon)
         k = start + int(np.count_nonzero(lams >= cutoff))
-        return _build_spectral(cls, SlepianParams.create(n, w, epsilon, k=k))
+        # not through build, which a tracer may wrap as a second build
+        return _warn_below_floor(cls(SlepianParams.create(n, w, epsilon, k=k), pinv_correction(n, w, epsilon, k)))
 
 
 class FastTikhonov(_SpectralOperator):
@@ -193,8 +196,11 @@ class FastTikhonov(_SpectralOperator):
     """
 
     kind = 4
-    build = classmethod(_build_spectral)
     apply = _apply_spectral
+
+    @classmethod
+    def build(cls, params: SlepianParams, alpha: float) -> "FastTikhonov":
+        return _warn_below_floor(cls(params, alpha, tikhonov_correction(params.n, params.w, params.epsilon, alpha)))
 
     def __init__(self, params: SlepianParams, alpha: float, correction: SpectralFactor):
         if not 0.0 < alpha < math.inf:
@@ -233,7 +239,7 @@ class FastFactorization:
     @classmethod
     def build(cls, params: SlepianParams) -> "FastFactorization":
         taylor_widths(params.epsilon)  # an eps beyond the Taylor blocks fails before the eigensolve
-        return _build_spectral(cls, params)
+        return _warn_below_floor(cls(params, projection_correction(params.n, params.w, params.epsilon, params.k)))
 
     @property
     def k_prime(self) -> int:

@@ -1,8 +1,10 @@
 """Hypothesis strategies and hand-built factor files shared across the test modules."""
 
+import math
 import struct
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import strategies as st
 
 from prolate.operators import FastFactorization, FastProjector, FastPseudoinverse, FastTikhonov, SlepianParams
@@ -22,6 +24,25 @@ def version_2_projector(params, error_bound):
     """A rank-0 projector as FSLT version 2 laid it out: its header, then a (weight count, width of V) record."""
     head = struct.pack("<QdddQB7xd", params.n, params.w, params.epsilon, 0.0, params.k, 1, error_bound)
     return b"FSLT" + struct.pack("<I", 2) + head + struct.pack("<QQ", 0, 0)
+
+
+@st.composite
+def build_requests(draw):
+    """(n, w, eps, k, alpha) for SlepianParams.create and the four builds: each within its range (n up to 256, as
+    an int or a numpy integer; k None or in [0, n]), or, for one field in two draws, beyond it (n not positive or a
+    float, k outside [0, n] or a float; alpha also zero, negative, infinite, nan, near the least subnormal or near
+    the largest float)."""
+    n = draw(st.integers(1, 256))
+    fields = [
+        (st.just(n) | st.just(np.int64(n)), st.integers(-2, 0) | st.floats(0.5, 256.5)),
+        (st.floats(1e-3, 0.499), st.sampled_from([0.0, 0.5, -0.25, 0.75, math.nan])),
+        (st.floats(1e-12, 0.4), st.sampled_from([1e-50, 0.0, 0.5, 1.0, math.nan])),
+        (st.none() | st.integers(0, n), st.sampled_from([-1, n + 1, 32.0, 12.5])),
+        (st.floats(1e-12, 1e2) | st.sampled_from([5e-324, 1e-300, 1e300]), st.sampled_from([0.0, -1.0, math.inf,
+                                                                                           math.nan])),
+    ]
+    beyond = draw(st.sampled_from([None, 0, 1, 2, 3, 4]) | st.none())
+    return tuple(draw(bad if i == beyond else good) for i, (good, bad) in enumerate(fields))
 
 
 @lru_cache(maxsize=2)

@@ -399,8 +399,9 @@ class TestPrecomputeAndLoad:
     def test_tiny_alpha_exits_without_traceback(self, tmp_path, capsys):
         # alpha far below where (lambda^2 + alpha)^2 underflows: the map builds with a precision-floor warning
         path = tmp_path / "tik.fslt"
-        rc, _, err = run_cli(["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-3", "--kind", "tikhonov",
-                              "--alpha", "1e-200", "--out", str(path)], capsys)
+        with pytest.warns(operators.PrecisionFloorWarning):
+            rc, _, err = run_cli(["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-3", "--kind", "tikhonov",
+                                  "--alpha", "1e-200", "--out", str(path)], capsys)
         assert rc == 0 and "ranks=[21]" in err and "Traceback" not in err
         rc, out, _ = run_cli(["load-check", str(path)], capsys)
         assert rc == 0 and "alpha=1e-200 ranks=[21]" in out

@@ -599,6 +599,17 @@ def test_default_subspace_dim_rounds_half_up():
     assert default_subspace_dim(10, 0.26) == 5  # 5.2 rounds down
 
 
+def _rayleigh_unfolded(vecs, n, w):
+    """rayleigh_extended as it took full columns: vecs' quotients against the longdouble Toeplitz apply,
+    _BLOCK_COLS columns at a time, rounded to float64 and clamped."""
+    b_op = ToeplitzOperator(prolate_column(n, w, np.longdouble))
+    out = np.empty(vecs.shape[1])
+    for j in range(0, vecs.shape[1], dpss._BLOCK_COLS):
+        v = vecs[:, j:j + dpss._BLOCK_COLS].astype(np.longdouble)
+        out[j:j + dpss._BLOCK_COLS] = np.einsum("ij,ij->j", v, b_op.apply_block(v)) / np.einsum("ij,ij->j", v, v)
+    return np.clip(out, 0.0, 1.0)
+
+
 class TestExtendedQuotients:
     @needs_extended
     @pytest.mark.parametrize("w", [0.25, 1.0 / 16.0, 0.45])
@@ -607,9 +618,21 @@ class TestExtendedQuotients:
         start, lams, block = transition_window(n, w, 1e-17, 1.0 - 1e-9)
         ref = eig_extended(n, w)[0][start:start + lams.size].astype(float)
         assert np.max(np.abs(lams - ref)) <= quotient_error(n, w)
-        got = rayleigh_extended(unfold(block, start + np.arange(lams.size), n), n, w)
+        got = rayleigh_extended(block, start + np.arange(lams.size), n, w)
         # the refined values are rounded to float64, hence the relative term
         assert np.all(np.abs(got - ref) <= quotient_error(n, w, extended=True) + 2.0**-52 * ref)
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_half_block_quotients_match_unfolded_columns(self, n):
+        # the half columns, unfolded a few at a time, give the quotients of the whole unfolded columns bit for bit,
+        # also for a scattered selection of both parities such as refine_window flags
+        w = 0.25
+        start, lams, block = transition_window(n, w, 1e-17, 1.0 - 1e-9)
+        assert lams.size > 2 * dpss._BLOCK_COLS
+        picks = [np.arange(lams.size), np.flatnonzero(np.arange(lams.size) % 3 != 1)]
+        for cols in picks:
+            got = rayleigh_extended(block[:, cols], start + cols, n, w)
+            assert np.array_equal(got, _rayleigh_unfolded(unfold(block[:, cols], start + cols, n), n, w))
 
     @needs_extended
     def test_extended_edge_reaches_past_float64_window(self):

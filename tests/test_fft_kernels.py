@@ -145,6 +145,13 @@ class TestToeplitzOperator:
             for j in range(5):
                 assert np.linalg.norm(got[:, j] - op.apply(block[:, j])) < 1e-13
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_half_spectrum_owns_its_values(self, dtype):
+        # the real part of the complex transform as a view kept the whole transform alive, twice the bytes
+        spec = ToeplitzOperator(prolate_column(1000, 0.25, dtype)).half_spectrum
+        assert spec.flags.owndata and spec.flags.c_contiguous and spec.base is None
+        assert spec.dtype == dtype and spec.nbytes == np.dtype(dtype).itemsize * (2048 // 2 + 1)
+
     @needs_extended
     def test_keeps_a_float_columns_precision(self, rng):
         # float64 stays float64, a longdouble column applies in longdouble, and any other column becomes float64

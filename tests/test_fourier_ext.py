@@ -1,11 +1,14 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from prolate.dpss import FULL_BASIS_MAX_N
+from prolate import dpss
+from prolate.dpss import FULL_BASIS_MAX_N, unfold
 from prolate.fourier_ext import (
     GRID_BLOCK,
     FourierExtensionConfig,
@@ -16,8 +19,9 @@ from prolate.fourier_ext import (
     _reconstruct,
     run_fourier_extension,
 )
+from prolate.lowrank import SpectralFactor
 
-from oracles import eigvals_dense, needs_extended, norm2, tikhonov_oracle
+from oracles import eigvals_dense, factor_dense, needs_extended, norm2, pinv_oracle, tikhonov_oracle
 
 U = np.finfo(float).eps
 
@@ -39,8 +43,14 @@ PINNED_ROWS = {
 
 
 def small_target(seed=3, n_bumps=5):
+    """SyntheticTarget.draw's target with n_bumps bumps in place of its 500, drawn in the same order."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return SyntheticTarget.draw(rng, n_bumps=n_bumps)
+    return SyntheticTarget(slope=5.0, offset=0.0, amps=rng.uniform(-1.0, 1.0, n_bumps),
+                           centers=rng.uniform(-1.0, 1.0, n_bumps), widths=rng.uniform(1e-3, 1e-1, n_bumps))
+
+
+def constant_target(value):
+    return dataclasses.replace(SyntheticTarget.constant(), offset=value)
 
 
 class TestQuadrature:
@@ -79,7 +89,7 @@ class TestQuadrature:
         assert np.array_equal(fv_fine, fv_coarse)
 
     def test_constant_series_coefficients_exact(self):
-        target = SyntheticTarget.constant(2.0)
+        target = constant_target(2.0)
         q = 1 << 10
         samples = _PeriodSamples(target, 2.0, q)
         got = _quad_coeffs(samples, q, 4, 1.0, 2.0)
@@ -112,6 +122,13 @@ class TestConfig:
 
 
 class TestSyntheticTarget:
+    def test_draw_and_constant(self):
+        # the experiment's target: 500 bumps on a slope of 5 from the generator's first draws; and f = 1
+        target = SyntheticTarget.draw(np.random.default_rng(np.random.SeedSequence(3)))
+        assert target.slope == 5.0 and target.offset == 0.0 and target.amps.size == 500
+        assert np.array_equal(target.amps[:5], small_target(seed=3).amps)
+        assert np.array_equal(SyntheticTarget.constant()(np.array([-1.0, 0.5])), np.ones(2))
+
     def test_chunked_evaluation_matches_direct(self):
         t = np.linspace(-1, 1, 70001)
         target = small_target(seed=1, n_bumps=130)
@@ -122,7 +139,7 @@ class TestSyntheticTarget:
         assert np.abs(got - want).max() <= 1e-12
 
     def test_constant(self):
-        target = SyntheticTarget.constant(3.5)
+        target = constant_target(3.5)
         assert np.array_equal(target(np.array([-1.0, 0.3, 1.0])), np.full(3, 3.5))
         assert np.array_equal(target.on_grid(-1.0, 0.01, GRID_BLOCK + 3), np.full(GRID_BLOCK + 3, 3.5))
 
@@ -192,16 +209,47 @@ class TestExactPairs:
     def test_exact_tikhonov_map_matches_extended_oracle(self):
         # the weight's slope reaches 1/alpha = 1e8, so the eigenvalues need extended precision
         n, w, alpha = 81, 1.0 / 3.0, 1e-8
-        lams, vecs = _exact_pairs(n, w)
-        got = (vecs * (lams / (lams**2 + alpha))) @ vecs.T
+        lams, block = _exact_pairs(n, w)
+        got = factor_dense(SpectralFactor(n, 0, block, lams / (lams**2 + alpha)))
         assert norm2(got - tikhonov_oracle(n, w, alpha)) <= 1e-10
+
+    def test_exact_pinv_map_matches_oracle(self):
+        # the pairs at or above the experiment's default cutoff 1e-4, weighted 1/lambda
+        n, w = 81, 1.0 / 3.0
+        lams, block = _exact_pairs(n, w)
+        k = int(np.count_nonzero(lams >= 1e-4))
+        got = factor_dense(SpectralFactor(n, 0, block[:, :k], 1.0 / lams[:k]))
+        want = pinv_oracle(n, w, k)
+        assert norm2(got - want) <= 1e-10 * norm2(want)
 
     def test_full_descending_orthonormal_basis(self):
         n, w = 41, 1.0 / 3.0
-        lams, vecs = _exact_pairs(n, w)
-        assert vecs.shape == (n, n) and lams.shape == (n,)
+        lams, block = _exact_pairs(n, w)
+        assert block.shape == ((n + 1) // 2, n) and lams.shape == (n,)
+        vecs = unfold(block, np.arange(n), n)
         assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-13
         assert np.abs(lams - eigvals_dense(n, w)).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    def test_pairs_are_the_plans_block_and_no_n_by_n_array_is_made(self, n, mapped_bytes):
+        # with the pairs solved, the quotients and both exact solves unfold at most a few columns at a time: they
+        # peaked at 0.16 (n = 1024) and 0.29 (1025, twice the transform length) of the n^2 x 8 bytes, 8.4 MB here,
+        # that the whole basis unfolded takes
+        w = 1.0 / 3.0
+        dpss.slepian_plan.cache_clear()
+        dpss.slepian_plan(n, w).pairs(0, n - 1)
+        y, solved = np.random.default_rng(n).standard_normal(n) * (1.0 + 1.0j), mapped_bytes()
+        tracemalloc.start()
+        try:
+            lams, block = _exact_pairs(n, w)
+            for g in (1.0 / lams[:n // 3], lams / (lams**2 + 1e-8)):
+                SpectralFactor(n, 0, block[:, :g.size], g).apply(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = dpss.slepian_plan(n, w)._held[1]
+        assert np.shares_memory(block, held) and not block.flags.writeable and block.shape == ((n + 1) // 2, n)
+        assert peak + mapped_bytes() - solved < n * n * 8 / 2, (peak, mapped_bytes() - solved)
 
 
 class TestRunExtension:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from prolate.dpss import (
     PreconditionViolated,
@@ -45,6 +45,7 @@ from oracles import (
 )
 from strategies import (
     HEADER_LENGTH,
+    build_requests,
     fslt_bytes,
     middle_row_offsets,
     small_fslt_files,
@@ -68,6 +69,55 @@ class TestSlepianParams:
                 SlepianParams.create(*bad)
         with pytest.raises(ValueError):
             SlepianParams.create(8, 0.25, 1e-6, k=9)
+
+    def test_rejects_non_integral_n_and_k(self):
+        # a float n or k passed create and failed inside the build with a TypeError
+        for n in (64.5, 64.0, "64"):
+            with pytest.raises(ValueError, match="signal length n must be an integer"):
+                SlepianParams.create(n, 0.25, 1e-6)
+        for k in (32.0, 31.5):
+            with pytest.raises(ValueError, match="subspace dimension k must be an integer"):
+                SlepianParams.create(64, 0.25, 1e-6, k=k)
+
+    def test_accepts_numpy_integers(self):
+        p = SlepianParams.create(np.int64(64), 0.25, 1e-6, k=np.int32(30))
+        assert (p.n, p.k) == (64, 30) and type(p.n) is int and type(p.k) is int
+        assert FastProjector.build(p).u.rank == FastProjector.build(SlepianParams.create(64, 0.25, 1e-6, k=30)).u.rank
+
+
+class TestBuildSignatures:
+    def test_each_kind_takes_its_own_arguments(self):
+        # the projector and pinv builds ignored a second argument, and the Tikhonov build without alpha failed
+        # inside the correction; now Python's own argument check refuses both
+        params = SlepianParams.create(64, 0.25, 1e-3)
+        for cls in (FastProjector, FastFactorization, FastPseudoinverse):
+            with pytest.raises(TypeError, match="positional argument"):
+                cls.build(params, 0.5)
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'alpha'"):
+            FastTikhonov.build(params)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(request=build_requests())
+    @example(request=(64.5, 0.25, 1e-6, None, 1e-2))  # built until a TypeError deep in the eigensolve
+    @example(request=(64, 0.25, 1e-6, 32.0, 1e-2))  # likewise, at slicing the window
+    @example(request=(np.int64(64), 0.25, 1e-6, np.int64(32), 5e-324))
+    def test_every_kind_builds_finite_or_refuses(self, request):
+        # across and beyond the ranges of n, w, eps, k and alpha: a finite map for real and complex input, or a
+        # ValueError (PreconditionViolated is one)
+        n, w, eps, k, alpha = request
+        builds = [lambda p: FastProjector.build(p), lambda p: FastFactorization.build(p),
+                  lambda p: FastPseudoinverse.build(p), lambda p: FastTikhonov.build(p, alpha)]
+        for build in builds:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PrecisionFloorWarning)
+                try:
+                    op = build(SlepianParams.create(n, w, eps, k=k))
+                except ValueError:
+                    continue
+            x = np.random.default_rng(0).standard_normal((2, op.params.n))
+            for y in (x[0], x[0] + 1j * x[1]):
+                out = op.apply(y)
+                assert out.shape == y.shape and np.all(np.isfinite(out)), (op.kind, request)
 
 
 class TestFastProjector:
