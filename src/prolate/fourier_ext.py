@@ -31,16 +31,16 @@ __all__ = [
 
 METHODS = ("fourier", "ext_exact_pinv", "ext_fast_pinv", "ext_exact_tik", "ext_fast_tik")
 
-# nodes per block of the uniform-grid sums: 256, 512 and 1024 come within 30 % of
-# each other on the extension grids, 512 best on the q = 2^22 ones
-GRID_BLOCK = 512
-
 
 def _grid_blocks(start: float, step: float, count: int) -> np.ndarray:
-    """Nodes start + j*step of a uniform grid in blocks of up to GRID_BLOCK, the last padded: (blocks, length)."""
-    if not step > 0.0 or count < 0:
-        raise ValueError(f"grid needs a positive step and a non-negative count, got {step} and {count}")
-    length = max(1, min(GRID_BLOCK, count))
+    """Nodes start + j*step of a uniform grid in blocks of about sqrt(count) nodes, the last padded: (blocks, length).
+
+    That length, a function of count alone, balances the blocked sums' (blocks x terms) exponentials against
+    their (terms x length) per-offset table."""
+    if not (math.isfinite(start) and 0.0 < step < math.inf) or count < 0:
+        raise ValueError(f"grid needs a finite start, a finite positive step and a non-negative count, "
+                         f"got {start}, {step} and {count}")
+    length = 1 << (int(count).bit_length() // 2)
     blocks = -(-count // length)
     return start + step * np.arange(blocks * length, dtype=float).reshape(blocks, length)
 
@@ -103,30 +103,32 @@ class SyntheticTarget:
         return cls(slope=0.0, offset=1.0, amps=empty, centers=empty, widths=empty)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
+        """Values at t, an array of t's shape; chunks of nodes share one buffer of about 2^20 doubles."""
         t = np.asarray(t, dtype=float)
-        out = self.offset + self.slope * t
+        flat = t.ravel()
+        out = self.offset + self.slope * flat
         if self.amps.size:
-            for lo in range(0, t.size, 65536):
-                seg = t[lo:lo + 65536, None]
-                acc = np.zeros(seg.shape[0])
-                for jb in range(0, self.amps.size, 64):
-                    sl = slice(jb, jb + 64)
-                    acc += (
-                        self.amps[sl]
-                        * np.exp(-np.abs(seg - self.centers[sl]) / self.widths[sl])
-                    ).sum(axis=1)
-                out[lo:lo + 65536] += acc
-        return out
+            rows = max(1, (1 << 20) // self.amps.size)
+            buf = np.empty((min(rows, out.size), self.amps.size))
+            for lo in range(0, out.size, rows):
+                b = buf[:min(rows, out.size - lo)]
+                np.subtract(flat[lo:lo + rows, None], self.centers, out=b)
+                np.abs(b, out=b)
+                np.divide(b, self.widths, out=b)
+                np.negative(b, out=b)
+                np.exp(b, out=b)
+                out[lo:lo + rows] += b @ self.amps
+        return out.reshape(t.shape)
 
     def on_grid(self, start: float, step: float, count: int) -> np.ndarray:
-        """Samples at the uniform grid start + j*step, j < count (step > 0).
+        """Samples at the uniform grid start + j*step, j < count (finite start, finite step > 0).
 
         Equal to __call__ at those nodes up to rounding of the nodes.  Within a
-        block of up to GRID_BLOCK nodes t = s + i*step, so a bump wholly left of
+        block of about sqrt(count) nodes t = s + i*step, so a bump wholly left of
         the block is a_k e^{-(s - c_k)/w_k} e^{-i step/w_k}, and one wholly right
-        of it the mirror image anchored at the block's last node: two
-        (blocks x bumps) @ (bumps x block) products.  The one block that holds
-        a bump's center gets that bump directly.
+        of it the mirror image anchored at the block's last node: one exponential
+        per (block, bump) at its near edge, then two (blocks x bumps) @ (bumps x block)
+        products.  The one block that holds a bump's center gets that bump directly.
         """
         nodes = _grid_blocks(start, step, count)
         out = self.offset + self.slope * nodes
@@ -135,9 +137,9 @@ class SyntheticTarget:
             first, last = nodes[:, :1], nodes[:, -1:]
             left = centers <= first
             right = ~left & (centers >= last)  # once, even where rounding collapses a block to one point
-            # masked gaps go to +inf, so their factor is exp(-inf) = 0 without overflow
-            head = amps * np.exp(-np.where(left, first - centers, np.inf) / widths)
-            tail = amps * np.exp(-np.where(right, centers - last, np.inf) / widths)
+            # one factor per (block, bump) at the block's near edge; the abs keeps a held bump's masked one finite
+            edge = amps * np.exp(-np.abs(np.where(left, first, last) - centers) / widths)
+            head, tail = edge * left, edge * right
             decay = np.exp(-(step * np.arange(nodes.shape[1])) / widths[:, None])
             out += head @ decay + tail @ decay[:, ::-1]
             block, bump = np.nonzero(~(left | right))  # sorted by block

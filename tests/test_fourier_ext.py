@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from prolate import dpss
 from prolate.dpss import FULL_BASIS_MAX_N, unfold
 from prolate.fourier_ext import (
-    GRID_BLOCK,
     FourierExtensionConfig,
     SyntheticTarget,
     _PeriodSamples,
     _exact_pairs,
+    _grid_blocks,
     _quad_coeffs,
     _reconstruct,
     run_fourier_extension,
@@ -77,16 +77,17 @@ class TestQuadrature:
             assert abs(got[m + m_max] - want) <= 5e-7 * max(1.0, abs(want))
 
     def test_nested_grids_agree_with_direct_sampling(self):
-        # a strided slice of the finest grid must reproduce the coarse grid
-        target = small_target(seed=9)
-        q_max, q = 1 << 12, 1 << 10
+        # a strided slice of the finest grid must reproduce the coarse grid; in the second case the two
+        # grids' first on_grid calls (5461 and 85 nodes) are cut into blocks of 64 and 8 nodes
         period = 3.0
-        fine = _PeriodSamples(target, period, q_max)
-        coarse = _PeriodSamples(target, period, q)
-        fv_fine, n_in_fine, h_fine = fine.for_q(q)
-        fv_coarse, n_in_coarse, h_coarse = coarse.for_q(q)
-        assert n_in_fine == n_in_coarse and h_fine == h_coarse
-        assert np.array_equal(fv_fine, fv_coarse)
+        for n_bumps, q_max, q in [(5, 1 << 12, 1 << 10), (500, 1 << 14, 1 << 8)]:
+            target = small_target(seed=9, n_bumps=n_bumps)
+            fine = _PeriodSamples(target, period, q_max)
+            coarse = _PeriodSamples(target, period, q)
+            fv_fine, n_in_fine, h_fine = fine.for_q(q)
+            fv_coarse, n_in_coarse, h_coarse = coarse.for_q(q)
+            assert n_in_fine == n_in_coarse and h_fine == h_coarse
+            assert np.array_equal(fv_fine, fv_coarse)
 
     def test_constant_series_coefficients_exact(self):
         target = constant_target(2.0)
@@ -141,20 +142,53 @@ class TestSyntheticTarget:
     def test_constant(self):
         target = constant_target(3.5)
         assert np.array_equal(target(np.array([-1.0, 0.3, 1.0])), np.full(3, 3.5))
-        assert np.array_equal(target.on_grid(-1.0, 0.01, GRID_BLOCK + 3), np.full(GRID_BLOCK + 3, 3.5))
+        count = 515
+        assert count % _grid_blocks(-1.0, 0.01, count).shape[1]  # the last block is padded
+        assert np.array_equal(target.on_grid(-1.0, 0.01, count), np.full(count, 3.5))
+
+    @pytest.mark.parametrize("target", [constant_target(3.5), small_target(seed=1, n_bumps=130)],
+                             ids=["constant", "bumps"])
+    def test_call_keeps_the_shape_of_t(self, target):
+        t = np.linspace(-1.2, 1.2, 12).reshape(3, 4)
+        want = np.array([target(np.array([v]))[0] for v in t.ravel()]).reshape(3, 4)
+        got = target(t)
+        assert isinstance(got, np.ndarray) and got.shape == (3, 4)
+        assert np.abs(got - want).max() <= 1e-14
+        for scalar in (0.3, np.float64(0.3), np.array(0.3)):
+            got = target(scalar)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert abs(got - target(np.array([0.3]))[0]) <= 1e-14
+
+    def test_call_memory_is_bounded(self):
+        # the benchmark's sampling of the m = 40 extension grid, 174,763 nodes x 500 bumps: evaluated a
+        # chunk of nodes at a time in one buffer of about 2^20 doubles (8.4 MB), where a (65,536 x 64)
+        # temporary per ufunc took 33.5 MB each
+        target = SyntheticTarget.draw(np.random.default_rng(np.random.SeedSequence(0)))
+        h = 3.0 / (1 << 18)
+        nodes = -1.0 + h * np.arange(int(math.floor(2.0 / h)) + 1)
+        assert nodes.size == 174_763
+        tracemalloc.start()
+        try:
+            target(nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_on_grid_matches_call(self, data):
-        # the blocked sums against direct evaluation at the same rounded nodes
-        count = data.draw(st.sampled_from([0, 1, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1])
-                          | st.integers(2, 3 * GRID_BLOCK + 7), label="count")
+        # the blocked sums against direct evaluation at the same rounded nodes; the counts around powers
+        # of 2 are where the block length changes
+        count = data.draw(st.sampled_from([0, 1, 2, 3, 4, 255, 256, 511, 512, 513, 1023, 1024])
+                          | st.integers(2, 1543), label="count")
         start = data.draw(st.floats(-2.0, 1.0), label="start")
         step = data.draw(st.floats(1e-5, 4.0 / max(count, 1)), label="step")
+        length = _grid_blocks(start, step, count).shape[1]
         node = st.integers(0, max(count - 1, 0)).map(lambda j: start + step * j)
         edge = (st.sampled_from([count - 1, count])
-                | st.integers(0, count // GRID_BLOCK + 1).flatmap(
-                    lambda b: st.sampled_from([b * GRID_BLOCK, b * GRID_BLOCK - 1]))).map(lambda j: start + step * j)
+                | st.integers(0, count // length + 1).flatmap(
+                    lambda b: st.sampled_from([b * length, b * length - 1]))).map(lambda j: start + step * j)
         outside = st.floats(1.0, 3.0, exclude_min=True) | st.floats(-3.0, -1.0, exclude_max=True)
         centers = data.draw(st.lists(node | edge | outside | st.floats(-1.0, 1.0), max_size=8), label="centers")
         k = len(centers)
@@ -170,7 +204,7 @@ class TestSyntheticTarget:
         want = target(nodes)
         assert got.shape == (count,)
         # node rounding moves each exponent by about u * max|t| / w_k; sums add k + 2 roundings
-        reach = abs(start) + step * (count + GRID_BLOCK)
+        reach = abs(start) + step * (count + length)
         amps = np.abs(target.amps)
         tol = (np.sum(amps * 16 * U * (reach / target.widths + 1))
                + (k + 4) * U * (amps.sum() + abs(target.offset) + abs(target.slope) * reach))
@@ -183,10 +217,14 @@ class TestSyntheticTarget:
         got = target.on_grid(-1.0, h, count)
         assert np.abs(got - target(-1.0 + h * np.arange(count))).max() <= 1e-12
 
-    @pytest.mark.parametrize("step, count", [(0.0, 10), (-0.1, 10), (float("nan"), 10), (0.1, -1)])
-    def test_on_grid_rejects_bad_grid(self, step, count):
+    @pytest.mark.parametrize("start, step, count", [
+        *(pytest.param(0.0, step, count, id=f"{step}-{count}")
+          for step, count in [(0.0, 10), (-0.1, 10), (math.nan, 10), (0.1, -1), (math.inf, 3)]),
+        *(pytest.param(start, 0.1, 10, id=f"start={start}") for start in (math.nan, math.inf, -math.inf)),
+    ])
+    def test_on_grid_rejects_bad_grid(self, start, step, count):
         with pytest.raises(ValueError):
-            small_target().on_grid(0.0, step, count)
+            small_target().on_grid(start, step, count)
 
 
 class TestReconstruct:
