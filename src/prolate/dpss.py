@@ -4,8 +4,12 @@ Only the handful of eigenpairs whose eigenvalues fall strictly between the
 two cluster plateaus are ever needed.  Their index range is predicted from
 the asymptotic eigenvalue distribution and solved in one pass on the two
 half-size tridiagonals of the even and the odd Slepian vectors, with each
-eigenvalue recovered as a Rayleigh quotient against the fast Toeplitz apply
-(the tridiagonal's own spectrum is unrelated to the concentration values).
+eigenvalue recovered as a Rayleigh quotient against the Toeplitz part (the
+tridiagonal's own spectrum is unrelated to the concentration values).  A
+Slepian vector is even or odd, so centred in the Toeplitz part's circulant its
+transform is real or imaginary: one DCT or DST of its half vector gives the
+quotient by Parseval's identity (half_quadratic_forms), in a quarter of the
+time of a real FFT pair of the unfolded vector at even n and in half at odd n.
 
 Inverse iteration needs a tridiagonal eigenvalue only isolated from its
 neighbours, not exact, so bisection stops at 1e-5 of _gap_estimate, a lower
@@ -23,7 +27,7 @@ Every build at one (n, w) shares one SlepianPlan: the Toeplitz part and the
 pairs solved so far as one block of their leading ceil(n/2) entries (each is
 even or odd), about (pairs solved) x ceil(n/2) x 8 bytes (13.5 MB at
 n = 2^16, w = 1/4).  A later window solves only the pairs no earlier one did
-and is a read-only view of the block, which only the quotients here and
+and is a read-only view of the block, which only rayleigh_extended and
 SpectralFactor.synthesize unfold.  slepian_plan holds one (n, w) at a time.
 The tridiagonal solves run scipy's OpenBLAS on the calling thread: their
 level-1 BLAS gains nothing from more threads, whose rounding and idle spinning
@@ -41,6 +45,7 @@ import os
 import threading
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .fft_kernels import ToeplitzOperator, prolate_column
@@ -72,7 +77,8 @@ _EPS_EXT = float(np.finfo(np.longdouble).eps)
 # bisection stops at this fraction of the gap estimate; inverse iteration from
 # there gives the full-precision solve's vectors to 2e-14 at n = 2^16 (1.4e-13 at 2^18)
 _ISOLATION = 1e-5
-# columns per block transform, bounding its workspace (complex256 for the longdouble one)
+# columns per chunk of the quotients' transforms and sign fix, bounding their workspace (for rayleigh_extended's
+# longdouble apply, complex256)
 _BLOCK_COLS = 16
 # most eigenpairs a transition window may request, solved or held
 _MAX_PAIRS = 4096
@@ -184,9 +190,10 @@ _MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "M
               if hasattr(mmap, "MAP_ANONYMOUS") else {})
 
 
-def mapped_rows(rows: int, n: int) -> np.ndarray:
-    """A zeroed C-ordered (rows, n) float array in an anonymous memory map of its own."""
-    return np.frombuffer(mmap.mmap(-1, max(8 * rows * n, 1), **_MAP_FLAGS), float, count=rows * n).reshape(rows, n)
+def mapped_rows(rows: int, n: int, dtype=float) -> np.ndarray:
+    """A zeroed C-ordered (rows, n) array in an anonymous memory map of its own."""
+    size = np.dtype(dtype).itemsize * rows * n
+    return np.frombuffer(mmap.mmap(-1, max(size, 1), **_MAP_FLAGS), dtype, count=rows * n).reshape(rows, n)
 
 
 def mapped_columns(block: np.ndarray) -> np.ndarray:
@@ -204,6 +211,41 @@ def unfold(block, parity, n, out=None):
     out[:len(block)] += block
     for j, odd in enumerate(np.broadcast_to(np.asarray(parity) % 2, block.shape[1:])):
         (np.subtract if odd else np.add)(tail[:, j], block[:len(tail), j], out=tail[:, j])
+    return out
+
+
+def half_quadratic_forms(b_op, block, parity):
+    """v'Bv for each Slepian vector v whose leading half is a column of block, parity[j] the parity of column j
+    and B the Toeplitz matrix of b_op, in b_op's precision; no vector is unfolded.
+
+    Centred in B's circulant of length L = 2m, an even or odd v has a real or an imaginary transform, whose
+    magnitudes are one DCT or DST of v's half read from the centre out (reversed, from the middle row at odd n
+    for an even v) and zero-padded.  Parseval's identity then gives v'Bv = sum_k c_k s_k y_k^2, s the half
+    spectrum and c_k = 1/L doubled for 0 < k < m.  Even n takes type 2 of length m (bins 0..m-1 for even v,
+    1..m for odd); odd n type 1 of length m+1 (bins 0..m) for even v and m-1 (bins 1..m-1) for odd.  One
+    parity's columns go through one column-major workspace _BLOCK_COLS at a time, transformed in place; the
+    weighted squares are summed along the contiguous axis, which numpy sums pairwise.
+    """
+    n, m = b_op.n, b_op.fft_len // 2
+    weights = b_op.half_spectrum / b_op.fft_len
+    weights[1:m] *= 2
+    parity = np.asarray(parity) % 2
+    out = np.empty(block.shape[1], weights.dtype)
+    work = mapped_rows(min(_BLOCK_COLS, block.shape[1]), m + 1, weights.dtype).T
+    for odd, transform in ((0, scipy.fft.dct), (1, scipy.fft.dst)):
+        rows = n // 2 + n % 2 * (1 - odd)
+        kind, size = (1, m + 1 - 2 * odd) if n % 2 else (2, m)
+        cols = np.flatnonzero(parity == odd)
+        for j in range(0, cols.size, _BLOCK_COLS):
+            chunk = cols[j:j + _BLOCK_COLS]
+            y = work[:size, :chunk.size]
+            for i, col in enumerate(chunk):
+                y[:rows, i] = block[:rows, col][::-1]
+            y[rows:] = 0.0
+            y = transform(y, kind, axis=0, overwrite_x=True)
+            y *= y
+            y *= weights[odd:odd + size, None]
+            out[chunk] = y.sum(axis=0)
     return out
 
 
@@ -294,9 +336,10 @@ class SlepianPlan:
         bisection stops at _ISOLATION of the gap estimate.  If those
         eigenvalues are not isolated by the estimate (_isolated), the range is
         solved again with the bisection run to full precision.  The half
-        vectors are then scaled into place, their signs fixed and quotients
-        taken _BLOCK_COLS columns at a time, unfolded for the transform: one
-        of the whole range would hold about four times its size in buffers.
+        vectors are then scaled into place and their signs fixed _BLOCK_COLS
+        columns at a time, and the quotients are taken from the halves
+        themselves by half_quadratic_forms, one DCT or DST per column in a
+        workspace of _BLOCK_COLS columns; no vector is unfolded.
         """
         n, p = self.n, self.n // 2
         block = mapped_rows(last - first + 1, n - p).T
@@ -320,10 +363,9 @@ class SlepianPlan:
             np.multiply(half[:p, ::-1], _SQRT_HALF, out=out[:p])
             if n % 2 and parity == 0:
                 out[p] = half[p, ::-1]
-        index = np.arange(first, last + 1)
-        blocks = (unfold(_fix_signs(block[:, j:j + _BLOCK_COLS]), index[j:j + _BLOCK_COLS], n)
-                  for j in range(0, block.shape[1], _BLOCK_COLS))
-        lams = np.concatenate([np.einsum("ij,ij->j", v, self.b_op.apply_block(v)) for v in blocks])
+        for j in range(0, block.shape[1], _BLOCK_COLS):
+            _fix_signs(block[:, j:j + _BLOCK_COLS])
+        lams = half_quadratic_forms(self.b_op, block, np.arange(first, last + 1))
         return block, np.array([_clamp_eigenvalue(float(x)) for x in lams])
 
 
@@ -410,10 +452,12 @@ def quotient_error(n: int, w: float, extended: bool = False) -> float:
     eps64 * (w n / 4 + 8 log2 n).  The w n term was the coherent sum of
     the float64 column's rounded sine arguments; since prolate_column
     reduces w*m from its exact product the error no longer grows with w n,
-    and the estimate stands as a conservative bound.  Measured 10-267x
-    below it against rayleigh_extended on the real-FFT quotients of the
-    window (1e-12, 1 - 1e-12), for n in [64, 2^16] and w in [0.01, 0.49]
-    (1.7-48x before the reduction).  For rayleigh_extended it is
+    and the estimate stands as a conservative bound.  Against
+    rayleigh_extended on the window (1e-12, 1 - 1e-12), for n in [64, 2^16]
+    and w in [0.01, 0.49], the DCT/DST quotients of half_quadratic_forms
+    measured 24-3750x below it, none more than 7.8e-16 off (the real-FFT
+    quotients of unfolded vectors read 10-267x, up to 1.0e-14 off, and
+    1.7-48x before the reduction).  For rayleigh_extended it is
     eps_ext * (8 + sqrt(n)), eps_ext the machine epsilon of np.longdouble;
     measured 3.2-27x below against 30-digit mpmath quotients of the same
     vectors for n in [64, 1024] and w in [0.01, 0.49].  Where np.longdouble

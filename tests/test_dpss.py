@@ -307,7 +307,8 @@ class TestSlepianPlan:
     def test_rayleigh_block_is_transformed_a_few_columns_at_a_time(self, mapped_bytes):
         # in blocks of 8 n m bytes: the whole window transformed at once peaked at 4.5; with full rows in a map of
         # their own, temporaries over the whole range (the scaled halves, the sign fix's |V| and mask) took 2.6, a
-        # pass per block 2.25.  The halves' map is half a block, and each pass unfolds only its own columns
+        # pass per block 2.25.  The halves' map is half a block, and the quotients transform _BLOCK_COLS halves at a
+        # time in one workspace
         n, m = 2**14, 64
         first = n // 2 - m // 2
         plan = dpss.SlepianPlan(n, 0.25)
@@ -318,9 +319,7 @@ class TestSlepianPlan:
         finally:
             tracemalloc.stop()
         assert peak + mapped_bytes() < 2.5 * 8 * n * m, (peak, mapped_bytes())
-        vecs = unfold(block, first + np.arange(m), n)
-        whole = np.einsum("ij,ij->j", vecs, plan.b_op.apply_block(vecs))
-        assert np.array_equal(lams, np.clip(whole, 0.0, 1.0))
+        assert np.abs(lams - rayleigh_extended(block, first + np.arange(m), n, 0.25)).max() <= 8 * 2.0**-52
 
     @pytest.mark.parametrize("n", [255, 256])
     def test_held_pairs_are_one_block_of_leading_halves(self, n):
@@ -397,6 +396,43 @@ class TestSlepianPlan:
         assert block.shape == ((n + 1) // 2, lams.size) and block.flags.f_contiguous and not block.flags.writeable
         assert np.shares_memory(block, held)
         assert np.array_equal(block, held[:, start - held_first:start - held_first + lams.size])
+
+
+class TestParsevalQuotients:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 255, 256])
+    def test_half_quadratic_forms_match_the_dense_form(self, n, rng):
+        # one DCT or DST per half covers every case of n's and the vector's parity; 20 columns run two chunks
+        w = 0.3
+        parity = rng.integers(0, 2 if n > 1 else 1, 20)
+        block = rng.standard_normal(((n + 1) // 2, parity.size))
+        if n % 2:
+            block[-1, parity == 1] = 0.0
+        vecs = unfold(block, parity, n)
+        want = np.einsum("ij,ij->j", vecs, prolate_dense(n, w) @ vecs)
+        got = dpss.half_quadratic_forms(ToeplitzOperator(prolate_column(n, w)), np.asfortranarray(block), parity)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.einsum("ij,ij->j", vecs, vecs))
+
+    @needs_extended
+    @pytest.mark.parametrize("n", [255, 256, 4095, 4096])
+    @pytest.mark.parametrize("w", [0.02, 0.25, 0.45])
+    def test_plan_quotients_match_the_extended_ones(self, n, w):
+        plan = dpss.SlepianPlan(n, w)
+        centre = default_subspace_dim(n, w)
+        for first in (centre - 6, centre - 5):
+            block, lams = plan._solve(first, first + 11)
+            assert np.abs(lams - rayleigh_extended(block, first + np.arange(12), n, w)).max() <= 8 * 2.0**-52
+
+    @needs_extended
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_a_longdouble_operator_gives_longdouble_forms(self, n):
+        # the workspace takes the operator's dtype, so rayleigh_extended's operator can go through the same transforms
+        start, lams, block = transition_window(n, 0.25, 1e-12, 1 - 1e-12)
+        index = start + np.arange(lams.size)
+        got = dpss.half_quadratic_forms(ToeplitzOperator(prolate_column(n, 0.25, np.longdouble)), block, index)
+        vecs = unfold(block, index, n).astype(np.longdouble)
+        assert got.dtype == np.longdouble
+        want = rayleigh_extended(block, index, n, 0.25)
+        assert np.abs(got / np.einsum("ij,ij->j", vecs, vecs) - want).max() <= 2.0**-53
 
 
 @pytest.fixture
