@@ -48,7 +48,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .fft_kernels import ToeplitzOperator, prolate_column
+from .fft_kernels import ToeplitzOperator, next_pow2, prolate_column
 
 __all__ = [
     "PreconditionViolated",
@@ -178,6 +178,24 @@ def _isolated(d, e, vals, gap) -> bool:
         return False
     lo, hi = vals[0] - gap, vals[-1] + gap
     return scipy.linalg.lapack.dstebz(d, e, 1, lo, hi, 0, 0, 2.0 * (hi - lo), b"E")[0] == vals.size
+
+
+def _require_memory(n: int, pairs: int) -> None:
+    """Raise MemoryError, before anything is allocated, if a plan at n and a solve of pairs Slepian pairs need more
+    than the machine's physical memory, where the system would kill the process rather than fail an allocation.
+
+    Counted in doubles: 8n to build the plan (prolate_column's peak; the plan then holds 4-6n), 3/2 ceil(n/2) per
+    pair for the solve's block and the eigensolver's vectors of one parity's share, and the quotients' workspace of
+    up to _BLOCK_COLS columns of fft_len/2 + 1.  Where the platform does not report its memory nothing is refused.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = 8 * (8 * n + 3 * ((n + 1) // 2) * pairs // 2 + min(pairs, _BLOCK_COLS) * (next_pow2(2 * n) // 2 + 1))
+    if need > memory:
+        raise MemoryError(f"unable to allocate a Slepian plan at n={n} solving {pairs} pairs: about "
+                          f"{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB of physical memory")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -342,6 +360,7 @@ class SlepianPlan:
         workspace of _BLOCK_COLS columns; no vector is unfolded.
         """
         n, p = self.n, self.n // 2
+        _require_memory(n, last - first + 1)
         block = mapped_rows(last - first + 1, n - p).T
         gap = _gap_estimate(n, self.w)
         for parity, (d, e) in enumerate(self.tridiagonals):
@@ -422,8 +441,9 @@ def transition_window(n, w, lo, hi):
     empty = np.zeros(0), np.zeros(((n + 1) // 2, 0))
     if lo >= hi or hi <= 0.0 or lo >= 1.0:
         return min(max(default_subspace_dim(n, w), 0), n), *empty
-    plan = slepian_plan(n, w)
     first, last = _predicted_range(n, w, lo, hi)
+    _require_memory(n, last - first + 1)
+    plan = slepian_plan(n, w)
     chunk = 16
     while True:
         if last - first + 1 > _MAX_PAIRS:

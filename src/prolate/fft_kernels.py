@@ -4,6 +4,9 @@ The two structured matrices everything else is built from are the prolate
 matrix (symmetric Toeplitz, sinc entries) and the orthogonal projector onto
 the lowest-frequency DFT columns (circulant, Dirichlet-kernel entries).
 Both apply to a vector in O(n log n) through a single precomputed transform.
+The Toeplitz matrix's circulant embedding is real and symmetric, so its
+spectrum is the DCT-I of the zero-padded first column.  Every transform is
+scipy.fft's, which computes in the input's precision (float64 or longdouble).
 """
 
 from __future__ import annotations
@@ -11,12 +14,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "ToeplitzOperator",
     "PartialFourier",
     "prolate_column",
-    "circulant_embedding",
     "nearest_odd_integer",
     "next_pow2",
 ]
@@ -71,25 +74,14 @@ def prolate_column(n: int, w: float, dtype=np.float64) -> np.ndarray:
     return col
 
 
-def circulant_embedding(col: np.ndarray, fft_len: int) -> np.ndarray:
-    """First column of the symmetric circulant of length fft_len >= 2n - 1 whose
-    leading n x n block is the symmetric Toeplitz matrix with first column col."""
-    n = col.size
-    circ = np.zeros(fft_len, dtype=col.dtype)
-    circ[:n] = col
-    if n > 1:
-        circ[fft_len - n + 1:] = col[1:][::-1]
-    return circ
-
-
 class ToeplitzOperator:
     """Fast application of a symmetric Toeplitz matrix via a circulant embedding.
 
-    The embedding length is the smallest power of two >= 2n.  The embedded
-    circulant is real and symmetric, so its spectrum is real; the half
-    spectrum is precomputed at construction and every apply is one real
-    FFT pair per real vector.  Instances are immutable and safe to share
-    across threads.
+    The embedding length L is the smallest power of two >= 2n.  The embedded
+    circulant is real and symmetric, so its half spectrum (bins 0..L/2) is
+    real: the DCT-I of the first column zero-padded to L/2 + 1 entries,
+    precomputed at construction.  Every apply is one real FFT pair per real
+    vector.  Instances are immutable and safe to share across threads.
     """
 
     def __init__(self, col: np.ndarray):
@@ -100,8 +92,7 @@ class ToeplitzOperator:
             raise ValueError("Toeplitz column must be a nonempty finite 1-d array")
         self.col, self.n = col, col.size
         self.fft_len = next_pow2(2 * self.n)
-        # a contiguous copy: the .real view would keep the whole complex transform alive at twice the bytes
-        self.half_spectrum = np.fft.rfft(circulant_embedding(col, self.fft_len)).real.copy()
+        self.half_spectrum = scipy.fft.dct(col, 1, n=self.fft_len // 2 + 1)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """T @ x in O(n log n); real x goes through apply_real, complex x as its real and imaginary parts."""
@@ -117,8 +108,7 @@ class ToeplitzOperator:
             raise ValueError(f"expected a length-{self.n} vector, got shape {x.shape}")
         if np.iscomplexobj(x):
             raise ValueError("apply_real expects a real vector")
-        xs = np.fft.rfft(x, n=self.fft_len)
-        return np.fft.irfft(self.half_spectrum * xs, n=self.fft_len)[: self.n]
+        return self._circular(x)[: self.n]
 
     def apply_block(self, x: np.ndarray) -> np.ndarray:
         """T @ X for a real (n, m) block of column vectors; returns a real block.
@@ -132,9 +122,13 @@ class ToeplitzOperator:
             raise ValueError(f"expected an ({self.n}, m) block, got shape {x.shape}")
         if np.iscomplexobj(x):
             raise ValueError("apply_block expects a real block")
-        xs = np.fft.rfft(x.T, n=self.fft_len)
+        return self._circular(x.T)[:, : self.n].T
+
+    def _circular(self, x: np.ndarray) -> np.ndarray:
+        """The embedded circulant times each row of x, zero-padded to fft_len, in the wider of their precisions."""
+        xs = scipy.fft.rfft(x.astype(np.result_type(x, self.half_spectrum), copy=False), n=self.fft_len)
         xs *= self.half_spectrum
-        return np.fft.irfft(xs, n=self.fft_len)[:, : self.n].T
+        return scipy.fft.irfft(xs, n=self.fft_len, overwrite_x=True)
 
 
 class PartialFourier:
@@ -145,7 +139,7 @@ class PartialFourier:
     projector F F* is then a real circulant with Dirichlet-kernel entries
     sin(2*pi*w'*(m-n)) / (n*sin(pi*(m-n)/n)) and diagonal 2w'.
 
-    adjoint() and apply() route through a single length-n FFT.
+    adjoint() and apply() route through a single orthonormal length-n FFT.
     """
 
     def __init__(self, n: int, w: float):
@@ -160,7 +154,6 @@ class PartialFourier:
         self.num_cols = q
         self.w_prime = q / (2.0 * n)
         self.half_span = (q - 1) // 2
-        self._scale = math.sqrt(n)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """F* x, ordered by ascending column frequency; a real x takes a real FFT and conjugates."""
@@ -169,19 +162,19 @@ class PartialFourier:
             raise ValueError(f"expected a length-{self.n} vector, got shape {x.shape}")
         r = self.half_span
         if np.iscomplexobj(x):
-            spec = np.fft.fft(x)
-            return np.concatenate([spec[self.n - r:], spec[: r + 1]]) / self._scale
-        low = np.fft.rfft(x)[: r + 1]
-        return np.concatenate([low[r:0:-1].conj(), low]) / self._scale
+            spec = scipy.fft.fft(x, norm="ortho")
+            return np.concatenate([spec[self.n - r:], spec[: r + 1]])
+        low = scipy.fft.rfft(x, norm="ortho")[: r + 1]
+        return np.concatenate([low[r:0:-1].conj(), low])
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        """F c: scatter the coefficients, scaled by sqrt(n), into their DFT bins and invert."""
+        """F c: scatter the coefficients into their DFT bins and invert."""
         c = np.asarray(c)
         if c.shape != (self.num_cols,):
             raise ValueError(f"expected {self.num_cols} coefficients, got shape {c.shape}")
-        r, c = self.half_span, c * self._scale
+        r = self.half_span
         spec = np.zeros(self.n, dtype=complex)
         if r > 0:
             spec[self.n - r:] = c[:r]
         spec[: r + 1] = c[r:]
-        return np.fft.ifft(spec)
+        return scipy.fft.ifft(spec, norm="ortho", overwrite_x=True)

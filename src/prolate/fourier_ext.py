@@ -13,10 +13,12 @@ quadrature whose length grows with the truncation order.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .dpss import FULL_BASIS_MAX_N, rayleigh_extended, slepian_plan
 from .lowrank import SpectralFactor
@@ -62,13 +64,15 @@ class FourierExtensionConfig:
             raise ValueError(f"extension half-period must be finite and exceed 1, got {self.t_ext}")
         if not 0.0 < self.pinv_threshold < 1.0:
             raise ValueError(f"eigenvalue cutoff must lie in (0, 1), got {self.pinv_threshold}")
+        if not self.m_values or not all(isinstance(m, numbers.Integral) for m in self.m_values):
+            raise ValueError(f"truncation orders must be a nonempty sequence of integers, got {self.m_values!r}")
         if any(m < 1 for m in self.m_values):
             raise ValueError("truncation orders must be positive")
         if any(2 * m + 1 > FULL_BASIS_MAX_N for m in self.m_values):
             raise ValueError(f"truncation orders must be at most {(FULL_BASIS_MAX_N - 1) // 2}: the exact "
                              f"solvers take all n = 2m + 1 Slepian pairs, n <= {FULL_BASIS_MAX_N}")
-        if self.eval_points < 2:
-            raise ValueError(f"evaluation grid needs at least 2 points, got {self.eval_points}")
+        if not isinstance(self.eval_points, numbers.Integral) or self.eval_points < 2:
+            raise ValueError(f"evaluation grid needs an integer count of at least 2 points, got {self.eval_points}")
 
     def fft_length(self, m: int) -> int:
         """Quadrature transform length 2^(13 + floor(log2 m))."""
@@ -190,7 +194,7 @@ def _quad_coeffs(samples: _PeriodSamples, q: int, m_max: int, half_period: float
     fv, n_in, h = samples.for_q(q)
     m = np.arange(-m_max, m_max + 1)
     # the samples are real, so the transform at -m is the conjugate of the one at m
-    spec = np.fft.rfft(fv, n=q)[np.abs(m)]
+    spec = scipy.fft.rfft(fv, n=q)[np.abs(m)]
     spec = np.where(m < 0, spec.conj(), spec)
     base = h * np.exp(1j * math.pi * m / half_period) * spec
     t_last = -1.0 + h * n_in

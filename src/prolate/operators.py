@@ -343,7 +343,8 @@ def operator_from_bytes(data):
     record's arrays are read-only views of data, every value finite and the
     middle row of the odd columns zero at odd n.  Past them, a load
     allocates the Toeplitz part of slepian_plan(n, w) when that plan is not
-    held yet (about 8 x 8n bytes, mostly its transform), a few KB otherwise.
+    held yet (about 8 x 8n bytes at its peak, while the prolate column is
+    computed, of which it keeps 4 to 6 x 8n), a few KB otherwise.
     The factorization takes no plan but rebuilds its Hilbert factor z,
     r x n x 8 bytes with r = adi_rank(2n - 1, 4 epsilon / 15); a
     factorization file is rejected unless r n <= 8 MAX_EMPTY_N + 16 x (its

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 from prolate.lowrank import _FOURIER_TERMS, SpectralFactor
@@ -37,6 +38,16 @@ def prolate_dense(n, w):
 def toeplitz_dense(op):
     """The symmetric Toeplitz matrix a ToeplitzOperator applies, from its first column."""
     return scipy.linalg.toeplitz(op.col)
+
+
+def circulant_half_spectrum(col, fft_len):
+    """Bins 0..fft_len/2 of the spectrum of the symmetric circulant of length fft_len >= 2n - 1 whose leading
+    n x n block is the Toeplitz matrix with first column col: the real part of the embedded column's real FFT."""
+    n = col.size
+    circ = np.zeros(fft_len, dtype=col.dtype)
+    circ[:n] = col
+    circ[fft_len - n + 1:] = col[1:][::-1]
+    return scipy.fft.rfft(circ).real
 
 
 def dirichlet_projector_dense(n, w_prime):

@@ -1,4 +1,5 @@
-"""The package's export list and the README's Library section name the same API, and every module's export list resolves."""
+"""The package's export list and the README's Library section name the same API, every module's export list
+resolves, and every transform comes from one library."""
 
 import importlib
 import pkgutil
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import prolate
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_lists_exactly_the_exports():
@@ -28,3 +30,9 @@ def test_every_module_export_resolves():
     for module in modules:
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_every_transform_is_scipy_fft():
+    # before numpy 2.0, numpy.fft computed longdouble input in float64
+    modules = (ROOT / "src" / "prolate").glob("*.py")
+    assert not [p.name for p in modules if re.search(r"\b(np|numpy)\.fft", p.read_text(encoding="utf-8"))]

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 
-from prolate import cli, operators
+from prolate import cli, dpss, operators
 from prolate.cli import main, prediction_rhs
 from prolate.fourier_ext import FourierExtensionConfig, SyntheticTarget, run_fourier_extension
 from prolate.operators import (
@@ -73,6 +73,17 @@ class TestGapCount:
             eps = float(row[2])
             want = int(np.count_nonzero((lams > eps) & (lams < 1 - eps)))
             assert int(row[3]) == want
+
+    def test_n_beyond_memory_exits_2_without_allocating(self, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("allocated before the memory check")
+
+        monkeypatch.setattr(dpss, "SlepianPlan", refused)
+        monkeypatch.setattr(dpss, "mapped_rows", refused)
+        rc, out, err = run_cli(["gap-count", "--n", str(2**40), "--w", "0.25", "--eps", "1e-3"], capsys)
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("prolate: unable to allocate a Slepian plan at n=1099511627776")
+        assert "physical memory" in err and "Traceback" not in err
 
     def test_validation_error_exit_code(self, capsys):
         rc, _, err = run_cli(["gap-count", "--n", "64", "--w", "0.9", "--eps", "1e-3"], capsys)
@@ -434,8 +445,8 @@ class TestPrecomputeAndLoad:
         ["fourier-ext", "--m", "1", "--eval-points", "100000000000"],
     ])
     def test_refused_allocation_is_io_error(self, tmp_path, argv):
-        # each asks numpy for terabytes; under a 2 GB address-space cap the request is refused outright,
-        # whatever the machine's overcommit setting, and nothing is allocated
+        # each asks for terabytes: the Slepian plan's memory check refuses the first two, and numpy, under a 2 GB
+        # address-space cap, the third, whatever the machine's overcommit setting; nothing is allocated
         pytest.importorskip("resource")
         capped = ("import resource, sys\n"
                   f"resource.setrlimit(resource.RLIMIT_AS, ({_AS_CAP}, {_AS_CAP}))\n"

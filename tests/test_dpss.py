@@ -388,6 +388,22 @@ class TestSlepianPlan:
         for a in (lams, vecs, refined):
             assert not a.flags.writeable
 
+    def test_what_memory_cannot_hold_is_refused_before_it_is_allocated(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("allocated before the memory check")
+
+        dpss.slepian_plan.cache_clear()
+        plan = dpss.slepian_plan(256, 0.25)
+        monkeypatch.setattr(dpss, "prolate_column", refused)
+        monkeypatch.setattr(dpss, "mapped_rows", refused)
+        # n = 2^40 needs terabytes for the plan alone, on any machine
+        with pytest.raises(MemoryError, match="n=1099511627776 solving"):
+            transition_window(2**40, 0.25, 1e-3, 1 - 1e-3)
+        # 256 KiB of memory: all 256 pairs at n = 256 need about 430 KiB (block, eigensolver vectors, workspace)
+        monkeypatch.setattr(dpss.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.get)
+        with pytest.raises(MemoryError, match="n=256 solving 256 pairs"):
+            plan.pairs(0, 255)
+
     @pytest.mark.parametrize("n", [257, 258])
     def test_a_window_is_a_column_major_view_of_the_half_block(self, n):
         dpss.slepian_plan.cache_clear()

@@ -12,6 +12,7 @@ from prolate.fft_kernels import (
 )
 
 from oracles import (
+    circulant_half_spectrum,
     dirichlet_projector_dense,
     fourier_columns_dense,
     fourier_projector_dense,
@@ -151,6 +152,10 @@ class TestToeplitzOperator:
         spec = ToeplitzOperator(prolate_column(1000, 0.25, dtype)).half_spectrum
         assert spec.flags.owndata and spec.flags.c_contiguous and spec.base is None
         assert spec.dtype == dtype and spec.nbytes == np.dtype(dtype).itemsize * (2048 // 2 + 1)
+        # the DCT-I of the padded column is the embedded circulant's spectrum, to the last bit
+        for n in (1, 2, 3, 64, 255, 256, 257, 4095):
+            op = ToeplitzOperator(prolate_column(n, 0.3, dtype))
+            assert np.array_equal(op.half_spectrum, circulant_half_spectrum(op.col, op.fft_len))
 
     @needs_extended
     def test_keeps_a_float_columns_precision(self, rng):
@@ -177,6 +182,9 @@ class TestToeplitzOperator:
         y = rng.standard_normal(257)
         assert np.array_equal(op.apply(x + 1j * y), real_out + 1j * op.apply_real(y))
         assert np.linalg.norm(real_out - toeplitz_dense(op) @ x) <= 1e-12 * np.linalg.norm(x)
+        # an input narrower than the column is transformed in the column's precision
+        x32 = x.astype(np.float32)
+        assert op.apply(x32).dtype == np.float64 and np.array_equal(op.apply(x32), op.apply(x32.astype(float)))
 
     def test_real_path_rejects_complex(self):
         op = ToeplitzOperator(prolate_column(8, 0.25))
@@ -232,20 +240,23 @@ class TestPartialFourier:
             assert np.linalg.norm(got - want) <= 1e-12
 
     def test_adjoint_matches_dense(self, rng):
-        pf = PartialFourier(64, 0.25)
-        cols = fourier_columns_dense(pf)
-        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        assert np.linalg.norm(pf.adjoint(x) - cols.conj().T @ x) <= 1e-12 * np.linalg.norm(x)
+        for n in (64, 81, 257):
+            pf = PartialFourier(n, 0.25)
+            cols = fourier_columns_dense(pf)
+            x = rng.standard_normal(n)
+            for x in (x, x + 1j * rng.standard_normal(n)):
+                assert np.linalg.norm(pf.adjoint(x) - cols.conj().T @ x) <= 1e-12 * np.linalg.norm(x)
 
     def test_apply_zero(self):
         pf = PartialFourier(32, 0.25)
         assert np.linalg.norm(pf.apply(np.zeros(pf.num_cols, dtype=complex))) == 0.0
 
     def test_apply_matches_dense(self, rng):
-        pf = PartialFourier(64, 0.25)
-        cols = fourier_columns_dense(pf)
-        c = rng.standard_normal(pf.num_cols) + 1j * rng.standard_normal(pf.num_cols)
-        assert np.linalg.norm(pf.apply(c) - cols @ c) <= 1e-12 * np.linalg.norm(c)
+        for n in (64, 81, 257):
+            pf = PartialFourier(n, 0.25)
+            cols = fourier_columns_dense(pf)
+            c = rng.standard_normal(pf.num_cols) + 1j * rng.standard_normal(pf.num_cols)
+            assert np.linalg.norm(pf.apply(c) - cols @ c) <= 1e-12 * np.linalg.norm(c)
 
     def test_projector_idempotent_and_hermitian(self):
         for n, w in [(64, 0.25), (256, 0.25), (100, 0.13)]:

@@ -114,8 +114,13 @@ class TestConfig:
             FourierExtensionConfig(pinv_threshold=2.0)
         with pytest.raises(ValueError):
             FourierExtensionConfig(m_values=(0,))
-        with pytest.raises(ValueError):
-            FourierExtensionConfig(eval_points=1)
+        for m_values in ((), (8.0,), (40, 80.5)):
+            with pytest.raises(ValueError, match="nonempty sequence of integers"):
+                FourierExtensionConfig(m_values=m_values)
+        for eval_points in (1, 64.5, 100.0):
+            with pytest.raises(ValueError, match="evaluation grid"):
+                FourierExtensionConfig(eval_points=eval_points)
+        FourierExtensionConfig(m_values=(np.int64(8),), eval_points=np.int64(64))
         # rejected before any quadrature: the exact solvers would hold all 4097 Slepian vectors
         with pytest.raises(ValueError, match="at most 2047"):
             FourierExtensionConfig(m_values=(40, 2048))
