@@ -8,8 +8,9 @@ eigenvalue recovered as a Rayleigh quotient against the Toeplitz part (the
 tridiagonal's own spectrum is unrelated to the concentration values).  A
 Slepian vector is even or odd, so centred in the Toeplitz part's circulant its
 transform is real or imaginary: one DCT or DST of its half vector gives the
-quotient by Parseval's identity (half_quadratic_forms), in a quarter of the
-time of a real FFT pair of the unfolded vector at even n and in half at odd n.
+quotient by Parseval's identity (half_quadratic_forms), where applying the
+Toeplitz part to the vector would take a DCT-II and a DCT-III of about the
+same length on each of its two halves.
 
 Inverse iteration needs a tridiagonal eigenvalue only isolated from its
 neighbours, not exact, so bisection stops at 1e-5 of _gap_estimate, a lower

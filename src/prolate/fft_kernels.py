@@ -3,10 +3,14 @@
 The two structured matrices everything else is built from are the prolate
 matrix (symmetric Toeplitz, sinc entries) and the orthogonal projector onto
 the lowest-frequency DFT columns (circulant, Dirichlet-kernel entries).
-Both apply to a vector in O(n log n) through a single precomputed transform.
+Both apply to a vector in O(n log n) through a single precomputed spectrum.
 The Toeplitz matrix's circulant embedding is real and symmetric, so its
-spectrum is the DCT-I of the zero-padded first column.  Every transform is
-scipy.fft's, which computes in the input's precision (float64 or longdouble).
+spectrum is the DCT-I of the zero-padded first column; and the matrix is
+persymmetric, so it maps the even and the odd half of a vector about its
+centre apart, each by a type-2 DCT, the spectrum and a type-3 DCT of half
+the embedding's length (symmetric convolution, Martucci 1994).  Every
+transform is scipy.fft's, which computes in the input's precision (float64
+or longdouble).
 """
 
 from __future__ import annotations
@@ -77,11 +81,15 @@ def prolate_column(n: int, w: float, dtype=np.float64) -> np.ndarray:
 class ToeplitzOperator:
     """Fast application of a symmetric Toeplitz matrix via a circulant embedding.
 
-    The embedding length L is the smallest power of two >= 2n.  The embedded
-    circulant is real and symmetric, so its half spectrum (bins 0..L/2) is
-    real: the DCT-I of the first column zero-padded to L/2 + 1 entries,
-    precomputed at construction.  Every apply is one real FFT pair per real
-    vector.  Instances are immutable and safe to share across threads.
+    The embedding length L is the smallest power of two >= 2n', n' the even
+    number n or n + 1, so either half of a vector about its centre (an odd n
+    padded by one zero) fits in m = L/2 entries.  The embedded circulant is
+    real and symmetric, so its half spectrum (bins 0..m) is real: the DCT-I
+    of the first column zero-padded to m + 1 entries, precomputed at
+    construction.
+    Every apply folds each real row into its even and odd half, stacks them,
+    and runs one in-place DCT-II/DCT-III pair of length m over the stack.
+    Instances are immutable and safe to share across threads.
     """
 
     def __init__(self, col: np.ndarray):
@@ -91,27 +99,36 @@ class ToeplitzOperator:
         if col.ndim != 1 or col.size == 0 or not np.all(np.isfinite(col)):
             raise ValueError("Toeplitz column must be a nonempty finite 1-d array")
         self.col, self.n = col, col.size
-        self.fft_len = next_pow2(2 * self.n)
-        self.half_spectrum = scipy.fft.dct(col, 1, n=self.fft_len // 2 + 1)
+        self.fft_len = next_pow2(2 * (self.n + self.n % 2))
+        m = self.fft_len // 2
+        self.half_spectrum = scipy.fft.dct(col, 1, n=m + 1)
+        # bins 0..m-1 for the even half and m..1 for the odd, over the fold's 2 and the DCT pair's L (exact)
+        self._spectra = np.stack([self.half_spectrum[:m], self.half_spectrum[m:0:-1]])[:, None] / (2 * self.fft_len)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """T @ x in O(n log n); real x goes through apply_real, complex x as its real and imaginary parts."""
+        """T @ x in O(n log n); real x goes through apply_real, complex x as its two parts in one product."""
         x = np.asarray(x)
-        if np.iscomplexobj(x):
-            return self.apply_real(x.real) + 1j * self.apply_real(x.imag)
-        return self.apply_real(x)
+        if not np.iscomplexobj(x):
+            return self.apply_real(x)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected a length-{self.n} vector, got shape {x.shape}")
+        out = np.empty(self.n, np.result_type(x, self.half_spectrum))
+        self._parity_product(_real_rows(x), _real_rows(out))
+        return out
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
-        """T @ x for real x through the half-spectrum; returns a real vector."""
+        """T @ x for real x; returns a real vector."""
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ValueError(f"expected a length-{self.n} vector, got shape {x.shape}")
         if np.iscomplexobj(x):
             raise ValueError("apply_real expects a real vector")
-        return self._circular(x)[: self.n]
+        out = np.empty(self.n, np.result_type(x, self.half_spectrum))
+        self._parity_product(x[None], out[None])
+        return out
 
     def apply_block(self, x: np.ndarray) -> np.ndarray:
-        """T @ X for a real (n, m) block of column vectors; returns a real block.
+        """T @ X for a real (n, m) block of column vectors; returns a real column-major block.
 
         The transforms run along the last axis of x.T, one row per column,
         which is the contiguous axis when x is column-major (a transposed
@@ -122,13 +139,50 @@ class ToeplitzOperator:
             raise ValueError(f"expected an ({self.n}, m) block, got shape {x.shape}")
         if np.iscomplexobj(x):
             raise ValueError("apply_block expects a real block")
-        return self._circular(x.T)[:, : self.n].T
+        out = np.empty((x.shape[1], self.n), np.result_type(x, self.half_spectrum))
+        self._parity_product(x.T, out)
+        return out.T
 
-    def _circular(self, x: np.ndarray) -> np.ndarray:
-        """The embedded circulant times each row of x, zero-padded to fft_len, in the wider of their precisions."""
-        xs = scipy.fft.rfft(x.astype(np.result_type(x, self.half_spectrum), copy=False), n=self.fft_len)
-        xs *= self.half_spectrum
-        return scipy.fft.irfft(xs, n=self.fft_len, overwrite_x=True)
+    def _parity_product(self, x: np.ndarray, out: np.ndarray):
+        """out[i] = T @ x[i] for each row of the real (r, n) x, in out's precision.
+
+        With h = ceil(n/2), the even half e_j = x[h+j] + x[h-1-j] and the odd
+        half o_j = x[h+j] - x[h-1-j] (x[n] = 0 at odd n), zero-padded to m,
+        extend to sequences of period L symmetric and antisymmetric about
+        -1/2, whose spectra are DCT-II(e) and DST-II(o).  The DST-II of o is
+        the reversed DCT-II of o with alternating signs, so both halves share
+        one DCT-II, a product with the even or the reversed half spectrum and
+        one DCT-III (the DST-III read back with alternating signs); then
+        y[h+j] = e'_j + o'_j and y[h-1-j] = e'_j - o'_j.
+        """
+        h, m = (self.n + 1) // 2, self.fft_len // 2
+        x = x.astype(out.dtype, copy=False)
+        right, left = x[:, h:], x[:, h - 1::-1]
+        k = right.shape[1]
+        work = np.empty((2, len(x), m), out.dtype)
+        even, odd = work
+        np.add(right, left[:, :k], out=even[:, :k])
+        np.subtract(right, left[:, :k], out=odd[:, :k])
+        if k < h:
+            even[:, k] = left[:, k]
+            np.negative(left[:, k], out=odd[:, k])
+        work[:, :, h:] = 0
+        odd[:, 1:h:2] *= -1
+        scipy.fft.dct(work, 2, overwrite_x=True)
+        work *= self._spectra
+        scipy.fft.dct(work, 3, overwrite_x=True)
+        odd[:, 1:h:2] *= -1
+        np.add(even[:, :k], odd[:, :k], out=out[:, h:])
+        np.subtract(even[:, :h], odd[:, :h], out=out[:, h - 1::-1])
+
+
+def _real_rows(x) -> np.ndarray:
+    """A vector as the rows of one real view: itself, or its real and imaginary parts."""
+    x = np.asarray(x)
+    if not np.iscomplexobj(x):
+        return x[None]
+    x = np.ascontiguousarray(x)
+    return x.view(x.real.dtype).reshape(-1, 2).T
 
 
 class PartialFourier:

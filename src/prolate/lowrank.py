@@ -40,7 +40,7 @@ from .dpss import (
     unfold,
     vector_error,
 )
-from .fft_kernels import _reduced_product, nearest_odd_integer
+from .fft_kernels import _real_rows, _reduced_product, nearest_odd_integer
 
 __all__ = [
     "LowRankFactor",
@@ -86,11 +86,6 @@ class LowRankFactor:
 
     def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
         return self._analyze(_real_rows(x))
-
-
-def _real_rows(x):
-    x = np.asarray(x)
-    return np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x[None, :]
 
 
 class SpectralFactor(LowRankFactor):

@@ -136,7 +136,10 @@ class _SpectralOperator:
 
 def _apply_spectral(self, x) -> np.ndarray:
     x = _as_vector(x, self.params.n)
-    return self.b_op.apply(x) / (1.0 + self.alpha) + self.u.apply(x)
+    y = self.b_op.apply(x)
+    if self.alpha:
+        y /= 1.0 + self.alpha
+    return self.u.synthesize(self.u.adjoint_apply(x), out=y)
 
 
 class FastProjector(_SpectralOperator):

@@ -35,9 +35,11 @@ def prolate_dense(n, w):
     return out
 
 
-def toeplitz_dense(op):
-    """The symmetric Toeplitz matrix a ToeplitzOperator applies, from its first column."""
-    return scipy.linalg.toeplitz(op.col)
+def toeplitz_dense(op, rows=None):
+    """The symmetric Toeplitz matrix a ToeplitzOperator applies, from its first column, or the given rows of it."""
+    if rows is None:
+        return scipy.linalg.toeplitz(op.col)
+    return op.col[np.abs(np.subtract.outer(rows, np.arange(op.n)))]
 
 
 def circulant_half_spectrum(col, fft_len):

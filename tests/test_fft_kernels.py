@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,9 +181,11 @@ class TestToeplitzOperator:
         assert not np.iscomplexobj(real_out)
         out = op.apply(x)
         assert not np.iscomplexobj(out) and np.array_equal(out, real_out)
-        # complex input is the same kernel on its real and imaginary parts
-        y = rng.standard_normal(257)
-        assert np.array_equal(op.apply(x + 1j * y), real_out + 1j * op.apply_real(y))
+        # complex input is the same kernel on its real and imaginary parts, to the last bit
+        for n in (1, 2, 256, 257):
+            other = ToeplitzOperator(prolate_column(n, 0.23))
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+            assert np.array_equal(other.apply(a + 1j * b), other.apply_real(a) + 1j * other.apply_real(b)), n
         assert np.linalg.norm(real_out - toeplitz_dense(op) @ x) <= 1e-12 * np.linalg.norm(x)
         # an input narrower than the column is transformed in the column's precision
         x32 = x.astype(np.float32)
@@ -203,6 +208,75 @@ class TestToeplitzOperator:
     def test_embedding_length(self):
         op = ToeplitzOperator(prolate_column(100, 0.25))
         assert op.fft_len == 256
+        # twice n rounded up to even: each half about the centre, an odd n's padded by one zero, fits in L/2
+        for n, length in ((1, 4), (2, 4), (3, 8), (4, 8), (5, 16), (128, 256), (129, 512)):
+            assert ToeplitzOperator(np.ones(n)).fft_len == length, n
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("w", [0.02, 0.25, 1.0 / 3.0, 0.45])
+    def test_parity_halves_match_dense(self, w, dtype, rng):
+        # the reference sums pairwise: a longdouble matmul's sequential sums are off by up to 14 eps max|x| at
+        # n = 4096.  Worst measured error in units of eps max|x|, over every n and w here and three seeds: 3.2 in
+        # float64, 3.1 in longdouble
+        bound = 16 * np.finfo(dtype).eps
+        for n in [*range(1, 41), 255, 256, 257, 1000, 4095, 4096, 2**14 + 1]:
+            op = ToeplitzOperator(prolate_column(n, w, dtype))
+            # beyond n = 1000, rows at both ends, about the centre and at random
+            rows = np.arange(n) if n <= 1000 else np.unique(
+                np.r_[0:8, n // 2 - 4:n // 2 + 4, n - 8:n, rng.integers(0, n, 24)])
+            dense = toeplitz_dense(op, rows)
+            x = rng.standard_normal((n, 3)).astype(dtype)
+            z = x[:, 0] + 1j * x[:, 1]
+            block = np.stack([np.sum(dense * v, axis=1) for v in x.T], axis=1)
+            for label, got, want in (("real", op.apply_real(x[:, 0]), block[:, 0]),
+                                     ("complex", op.apply(z), np.sum(dense * z, axis=1)),
+                                     ("block", op.apply_block(x), block),
+                                     ("column-major block", op.apply_block(np.asfortranarray(x)), block)):
+                assert got.dtype == want.dtype and got.shape == (n,) + want.shape[1:], (n, label)
+                err = np.abs(got[rows] - want).max()
+                assert err <= bound * np.abs(x).max(), (n, label, err / np.finfo(dtype).eps)
+
+    def test_apply_allocates_a_few_vectors(self, rng):
+        # traced bytes of one apply in n doubles at n = 2^14 = L/2, its output included: the stacked halves (two
+        # per real row) and the output read 3.0 for real x and 6.0 for complex x; the rfft pair read 4.0 and 7.0
+        n = 2**14
+        op = ToeplitzOperator(prolate_column(n, 0.25))
+        x = rng.standard_normal(n)
+        for v, bound in ((x, 3.5), (x + 1j * rng.standard_normal(n), 6.5)):
+            op.apply(v)
+            tracemalloc.start()
+            try:
+                op.apply(v)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * 8 * n, (v.dtype, peak / (8 * n))
+
+    def test_shared_across_threads(self, rng):
+        # two threads applying one operator get the sequential results, to the last bit
+        n = 4096
+        op = ToeplitzOperator(prolate_column(n, 0.25))
+        x, y, block = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal((n, 4))
+        calls = (lambda: op.apply_real(x), lambda: op.apply(x + 1j * y), lambda: op.apply_block(block))
+        want = [call() for call in calls]
+        agreed = [[], []]
+
+        def run(out):
+            for _ in range(50):
+                out.append(all(np.array_equal(call(), w) for call, w in zip(calls, want)))
+
+        threads = [threading.Thread(target=run, args=(out,)) for out in agreed]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert agreed == [[True] * 50] * 2
 
     def test_linearity(self, rng):
         op = ToeplitzOperator(prolate_column(64, 0.25))
