@@ -14,7 +14,7 @@ import csv
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,13 +130,14 @@ def _build_parser():
         "ext_exact_tik | ext_fast_tik), rel_rms (relative RMS error on a uniform "
         "evaluation grid of [-1, 1]), seconds (coefficient pipeline time).",
     )
-    p.add_argument("--m", type=_int_list, default=(40, 80, 160, 320, 640))
-    p.add_argument("--t-ext", type=float, default=1.5)
-    p.add_argument("--pinv-threshold", type=float, default=1e-4)
-    p.add_argument("--fast-eps", type=float, default=1e-5)
-    p.add_argument("--alpha", type=float, default=1e-8)
-    p.add_argument("--eval-points", type=int, default=10_000)
-    p.add_argument("--constant", action="store_true", help="replace the target with f = 1")
+    ext = FourierExtensionConfig()  # every flag is named after a field and defaults to it
+    p.add_argument("--m", dest="m_values", metavar="M", type=_int_list, default=ext.m_values)
+    p.add_argument("--t-ext", type=float, default=ext.t_ext)
+    p.add_argument("--pinv-threshold", type=float, default=ext.pinv_threshold)
+    p.add_argument("--fast-eps", type=float, default=ext.fast_eps)
+    p.add_argument("--alpha", type=float, default=ext.alpha)
+    p.add_argument("--eval-points", type=int, default=ext.eval_points)
+    p.add_argument("--constant", dest="constant_target", action="store_true", help="replace the target with f = 1")
 
     p = sub.add_parser(
         "linear-predict",
@@ -246,19 +247,15 @@ def _cmd_bench(args):
     return 0
 
 
+def _extension_config(args) -> FourierExtensionConfig:
+    """The config of the parsed fourier-ext flags."""
+    return FourierExtensionConfig(**{f.name: getattr(args, f.name) for f in fields(FourierExtensionConfig)})
+
+
 def _cmd_fourier_ext(args):
-    config = FourierExtensionConfig(
-        t_ext=args.t_ext,
-        m_values=tuple(args.m),
-        pinv_threshold=args.pinv_threshold,
-        fast_eps=args.fast_eps,
-        alpha=args.alpha,
-        eval_points=args.eval_points,
-        constant_target=args.constant,
-    )
     rows = [
         (m, method, _fmt(rel), _fmt(sec))
-        for m, method, rel, sec in run_fourier_extension(config, seed=args.seed)
+        for m, method, rel, sec in run_fourier_extension(_extension_config(args), seed=args.seed)
     ]
     _write_rows(args.out, ["m", "method", "rel_rms", "seconds"], rows)
     return 0

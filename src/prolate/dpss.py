@@ -49,7 +49,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .fft_kernels import ToeplitzOperator, next_pow2, prolate_column
+from .fft_kernels import ToeplitzOperator, _read_only, next_pow2, prolate_column
 
 __all__ = [
     "PreconditionViolated",
@@ -79,7 +79,7 @@ _EPS_EXT = float(np.finfo(np.longdouble).eps)
 # there gives the full-precision solve's vectors to 2e-14 at n = 2^16 (1.4e-13 at 2^18)
 _ISOLATION = 1e-5
 # columns per chunk of the quotients' transforms and sign fix, bounding their workspace (for rayleigh_extended's
-# longdouble apply, complex256)
+# longdouble apply, a real stack of parity halves)
 _BLOCK_COLS = 16
 # most eigenpairs a transition window may request, solved or held
 _MAX_PAIRS = 4096
@@ -199,11 +199,6 @@ def _require_memory(n: int, pairs: int) -> None:
                           f"{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB of physical memory")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 # private and faulted in at creation: every mapped array is written in full right away
 _MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)}
               if hasattr(mmap, "MAP_ANONYMOUS") else {})
@@ -282,7 +277,8 @@ def _openblas_thread_setter():
 
 
 class _OneBlasThread:
-    """Scipy's OpenBLAS runs one thread while any of these sections is open; its thread count is process-wide."""
+    """Scipy's OpenBLAS (scipy.linalg's LAPACK) runs one thread while any of these sections is open, process-wide;
+    numpy's own OpenBLAS, which runs numpy's matrix products, keeps its thread count."""
 
     def __init__(self):
         self._lock, self._open, self._restore = threading.Lock(), 0, 0
@@ -320,8 +316,6 @@ class SlepianPlan:
     def __init__(self, n: int, w: float):
         self.n, self.w = n, w
         self.b_op = ToeplitzOperator(prolate_column(n, w))
-        _read_only(self.b_op.col)
-        _read_only(self.b_op.half_spectrum)
         self.tridiagonals = tuple((_read_only(d), _read_only(e)) for d, e in _parity_tridiagonals(n, w))
         self._held = (0, _read_only(np.zeros(((n + 1) // 2, 0))), _read_only(np.zeros(0)))
 
@@ -470,15 +464,12 @@ def quotient_error(n: int, w: float, extended: bool = False) -> float:
     """Estimated absolute error of a transition eigenvalue taken as a Rayleigh quotient.
 
     For the float64 quotients of transition_window it is
-    eps64 * (w n / 4 + 8 log2 n).  The w n term was the coherent sum of
-    the float64 column's rounded sine arguments; since prolate_column
-    reduces w*m from its exact product the error no longer grows with w n,
-    and the estimate stands as a conservative bound.  Against
-    rayleigh_extended on the window (1e-12, 1 - 1e-12), for n in [64, 2^16]
-    and w in [0.01, 0.49], the DCT/DST quotients of half_quadratic_forms
-    measured 24-3750x below it, none more than 7.8e-16 off (the real-FFT
-    quotients of unfolded vectors read 10-267x, up to 1.0e-14 off, and
-    1.7-48x before the reduction).  For rayleigh_extended it is
+    eps64 * (w n / 4 + 8 log2 n), a conservative bound: prolate_column
+    reduces w*m from its exact product, so the error does not grow with
+    w n.  Against rayleigh_extended on the window (1e-12, 1 - 1e-12), for
+    n in [64, 2^16] and w in [0.01, 0.49], the DCT/DST quotients of
+    half_quadratic_forms measured 24-3750x below it, none more than
+    7.8e-16 off.  For rayleigh_extended it is
     eps_ext * (8 + sqrt(n)), eps_ext the machine epsilon of np.longdouble;
     measured 3.2-27x below against 30-digit mpmath quotients of the same
     vectors for n in [64, 1024] and w in [0.01, 0.49].  Where np.longdouble

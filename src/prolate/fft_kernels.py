@@ -59,6 +59,20 @@ def _reduced_product(w, m: np.ndarray) -> np.ndarray:
     return (p - np.rint(p)) + err
 
 
+def _shaped(x, size: int, unit: str = "") -> np.ndarray:
+    """x as an array of shape (size,), else a ValueError: "expected a length-size vector", or "expected size unit"."""
+    x = np.asarray(x)
+    if x.shape != (size,):
+        raise ValueError(f"expected {f'{size} {unit}' if unit else f'a length-{size} vector'}, got shape {x.shape}")
+    return x
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, no longer writable: pass a.view() to keep a caller's array as it was."""
+    a.flags.writeable = False
+    return a
+
+
 def prolate_column(n: int, w: float, dtype=np.float64) -> np.ndarray:
     """First column of the n x n prolate matrix with half-bandwidth w in (0, 1/2), in dtype.
 
@@ -98,29 +112,26 @@ class ToeplitzOperator:
         col = col if col.dtype.kind == "f" else col.astype(np.float64)
         if col.ndim != 1 or col.size == 0 or not np.all(np.isfinite(col)):
             raise ValueError("Toeplitz column must be a nonempty finite 1-d array")
-        self.col, self.n = col, col.size
+        self.col, self.n = _read_only(col.view()), col.size
         self.fft_len = next_pow2(2 * (self.n + self.n % 2))
         m = self.fft_len // 2
-        self.half_spectrum = scipy.fft.dct(col, 1, n=m + 1)
+        self.half_spectrum = spec = _read_only(scipy.fft.dct(col, 1, n=m + 1))
         # bins 0..m-1 for the even half and m..1 for the odd, over the fold's 2 and the DCT pair's L (exact)
-        self._spectra = np.stack([self.half_spectrum[:m], self.half_spectrum[m:0:-1]])[:, None] / (2 * self.fft_len)
+        self._spectra = _read_only(np.stack([spec[:m], spec[m:0:-1]])[:, None] / (2 * self.fft_len))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """T @ x in O(n log n); real x goes through apply_real, complex x as its two parts in one product."""
         x = np.asarray(x)
         if not np.iscomplexobj(x):
             return self.apply_real(x)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a length-{self.n} vector, got shape {x.shape}")
+        x = _shaped(x, self.n)
         out = np.empty(self.n, np.result_type(x, self.half_spectrum))
         self._parity_product(_real_rows(x), _real_rows(out))
         return out
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
         """T @ x for real x; returns a real vector."""
-        x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a length-{self.n} vector, got shape {x.shape}")
+        x = _shaped(x, self.n)
         if np.iscomplexobj(x):
             raise ValueError("apply_real expects a real vector")
         out = np.empty(self.n, np.result_type(x, self.half_spectrum))
@@ -211,9 +222,7 @@ class PartialFourier:
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """F* x, ordered by ascending column frequency; a real x takes a real FFT and conjugates."""
-        x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a length-{self.n} vector, got shape {x.shape}")
+        x = _shaped(x, self.n)
         r = self.half_span
         if np.iscomplexobj(x):
             spec = scipy.fft.fft(x, norm="ortho")
@@ -223,9 +232,7 @@ class PartialFourier:
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """F c: scatter the coefficients into their DFT bins and invert."""
-        c = np.asarray(c)
-        if c.shape != (self.num_cols,):
-            raise ValueError(f"expected {self.num_cols} coefficients, got shape {c.shape}")
+        c = _shaped(c, self.num_cols, "coefficients")
         r = self.half_span
         spec = np.zeros(self.n, dtype=complex)
         if r > 0:

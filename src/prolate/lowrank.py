@@ -22,7 +22,6 @@ the leading ceil(n/2) rows of V, the block the Slepian plan holds.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ import scipy.special
 
 from .dpss import (
     PreconditionViolated,
-    _read_only,
     mapped_columns,
     mapped_rows,
     quotient_error,
@@ -40,7 +38,7 @@ from .dpss import (
     unfold,
     vector_error,
 )
-from .fft_kernels import _real_rows, _reduced_product, nearest_odd_integer
+from .fft_kernels import _read_only, _real_rows, _reduced_product, _shaped, nearest_odd_integer
 
 __all__ = [
     "LowRankFactor",
@@ -79,13 +77,29 @@ _MAX_EVEN_WIDTH = 169
 
 
 class LowRankFactor:
-    """A correction in structured form, analyzing x as its real rows (x, or its two parts) and synthesizing."""
+    """A correction in structured form, analyzing x as its real rows (x, or its two parts) and synthesizing.
+
+    x is a length-n vector and c holds rank coefficients, real or complex; synthesize adds into a length-n out,
+    which must be complex where c or the kind's products are.  Anything else raises ValueError.  The arrays a
+    factor holds are read-only views.
+    """
+
+    _complex = False
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.synthesize(self._analyze(_real_rows(x)))
+        return self.synthesize(self._analyze(_real_rows(_shaped(x, self.n))))
 
     def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
-        return self._analyze(_real_rows(x))
+        return self._analyze(_real_rows(_shaped(x, self.n)))
+
+    def synthesize(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The factor's left side times c added into out, a new vector (complex where the sum is) by default."""
+        c = _shaped(c, self.rank, "coefficients")
+        cplx = self._complex or np.iscomplexobj(c)
+        out = np.zeros(self.n, complex if cplx else float) if out is None else _shaped(out, self.n)
+        if cplx and not np.iscomplexobj(out):
+            raise ValueError("expected a complex out: the synthesized sum is complex")
+        return self._synthesize(c, out)
 
 
 class SpectralFactor(LowRankFactor):
@@ -100,7 +114,8 @@ class SpectralFactor(LowRankFactor):
     """
 
     def __init__(self, n: int, lead: int, block, g):
-        self.n, self.lead, self.block, self.weights = n, lead, _column_major(block), np.asarray(g, dtype=float)
+        self.n, self.lead = n, lead
+        self.block, self.weights = _read_only(_column_major(block).view()), _read_only(np.asarray(g, float).view())
         if lead not in (0, 1) or self.block.shape != ((n + 1) // 2, self.weights.size) or self.weights.ndim != 1:
             raise ValueError("a spectral block must hold ceil(n/2) leading rows, one column per weight")
 
@@ -126,13 +141,8 @@ class SpectralFactor(LowRankFactor):
         c *= np.sqrt(np.abs(self.weights))
         return c
 
-    def synthesize(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """V diag(sign(g) sqrt|g|) c added into out, a new vector (complex for complex c) when none is given."""
-        c = np.asarray(c)
-        if c.shape != (self.rank,):
-            raise ValueError(f"expected {self.rank} coefficients, got shape {c.shape}")
-        if out is None:
-            out = np.zeros(self.n, complex if np.iscomplexobj(c) else float)
+    def _synthesize(self, c, out):
+        """V diag(sign(g) sqrt|g|) c added into out."""
         c = c * (np.sign(self.weights) * np.sqrt(np.abs(self.weights)))
         targets = (out.real, out.imag) if np.iscomplexobj(out) else (out,)
         for p, half in enumerate(self.halves):
@@ -167,12 +177,15 @@ class FourierFactor(LowRankFactor):
     side.
     """
 
+    _complex = True
+
     def __init__(self, w: float, z, ca, cb):
         if not 0.0 < w < 0.5 or np.ndim(z) != 2 or any(np.ndim(c) != 2 or len(c) != len(c.T) for c in (ca, cb)):
             raise ValueError(f"need a half-bandwidth in (0, 1/2), z of n rows and ca and cb square, got w={w}")
         # z kept column-major in a memory map of its own, as cfadi_solve returns it (see _column_major)
-        self.w, self.z = w, _column_major(z)
-        self.ca, self.cb = (np.asfortranarray(c, dtype=float) for c in (ca, cb))
+        self.w, self.z = w, _read_only(_column_major(z).view())
+        self.ca, self.cb = (_read_only(np.asfortranarray(c, dtype=float).view()) for c in (ca, cb))
+        self._tilings = {}
 
     @property
     def n(self) -> int:
@@ -186,6 +199,12 @@ class FourierFactor(LowRankFactor):
     def arrays(self) -> tuple:
         """Every array the factor holds: z, ca, cb."""
         return (self.z, self.ca, self.cb)
+
+    def _tiles(self, cap):
+        """The factor's _tiling for tiles of at most cap rows, formed at first use."""
+        if cap not in self._tilings:
+            self._tilings[cap] = _tiling(self.n, self.w, max(len(self.ca), len(self.cb)), cap)
+        return self._tilings[cap]
 
     def _terms(self):
         """Per outer product of _FOURIER_TERMS: its entry, its coefficient matrix (None for z) and its slot."""
@@ -201,8 +220,8 @@ class FourierFactor(LowRankFactor):
         one product each; a term sums its tiles' products under their
         rotations, e^{-i step i0} (reversed: e^{-i step (n - 1 - i0)}).
         """
-        n, m, z, width = self.n, len(rows), self.z, max(len(self.ca), len(self.cb))
-        tile, starts, basis, table, rotations, shift = _tiling(n, self.w, width, _ANALYSIS_TILE)
+        n, m, z = self.n, len(rows), self.z
+        tile, starts, basis, table, rotations, shift = self._tiles(_ANALYSIS_TILE)
         # x reversed times cos_a and sin_a, then x times cos_a, sin_a, cos_b and sin_b: z meets the first four
         copies = np.empty((6, m, tile))
         pz, pb = np.empty((len(starts), 4, m, z.shape[1])), np.empty((len(starts), 4, m, len(basis)))
@@ -224,8 +243,8 @@ class FourierFactor(LowRankFactor):
             c[slot] = acc if coef is None else coef @ acc[:len(coef)]
         return c
 
-    def synthesize(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Adds each term's D J P (post c[slot]) to out, a new complex vector when none is given.
+    def _synthesize(self, c, out):
+        """Adds each term's D J P (post c[slot]) to out.
 
         Terms sharing a block, a step size and a reversal form a group and
         enter as E = u+ + u- times cos and O = u+ - u- times i sin (reversed:
@@ -234,12 +253,8 @@ class FourierFactor(LowRankFactor):
         rows and one of the shifted local basis meet the groups' E and i O as
         real rows; the reversed group's sum is added to the mirrored rows.
         """
-        c = np.asarray(c)
-        if c.shape != (self.rank,):
-            raise ValueError(f"expected {self.rank} coefficients, got shape {c.shape}")
-        n, z, width = self.n, self.z, max(len(self.ca), len(self.cb))
-        out = np.zeros(n, complex) if out is None else out
-        tile, starts, basis, table, rotations, shift = _tiling(n, self.w, width, _SYNTHESIS_TILE)
+        n, z = self.n, self.z
+        tile, starts, basis, table, rotations, shift = self._tiles(_SYNTHESIS_TILE)
         # per tile and group (z: forward, reversed; basis: step 1, step 2): E and i O over the block's columns
         uz, ub = (np.zeros((len(starts), 2, 2, cols), complex) for cols in (z.shape[1], len(basis)))
         for (taylor, step, flip_left, _, post), _, slot in self._terms():
@@ -312,24 +327,24 @@ def _phases(n, w, step, m):
     return np.cos(angle), np.sin(angle)
 
 
-@functools.lru_cache(maxsize=2)
 def _tiling(n, w, width, cap):
-    """The Fourier correction's tiles at (n, w) for a basis of width columns, cached like slepian_plan.
+    """The Fourier correction's tiles at (n, w) for a basis of width columns, which a factor keeps.
 
     Returns the tile length, the tile starts i0, the local basis (k/n)^j as
-    width x tile, the local table [cos_a, cos_a, sin_a, sin_a, cos_b, cos_b,
-    sin_b, sin_b] of both steps' phases at k = 0..tile-1, the (cos, sin) of
-    the rotations of the starts and of their mirrors n - 1 - i0 per (step,
-    mirrored), and the Pascal shift of tile i.  A tile holds cap rows, or
-    n/4 (at least 64) where that is fewer, so that at small n its workspace
-    stays a fraction of z's bytes.  Every weight of a shift is positive, so
-    (k/n)^j S(t0) keeps the rounding bound of (m/n)^j.
+    width x tile and the local table [cos_a, cos_a, sin_a, sin_a, cos_b,
+    cos_b, sin_b, sin_b] of both steps' phases at k = 0..tile-1, each in a
+    memory map of its own as a factor's blocks are (see _column_major), the
+    (cos, sin) of the rotations of the starts and of their mirrors
+    n - 1 - i0 per (step, mirrored), and the Pascal shift of tile i.  A tile
+    holds cap rows, or n/4 (at least 64) where that is fewer, so that at
+    small n its workspace stays a fraction of z's bytes.  Every weight of a
+    shift is positive, so (k/n)^j S(t0) keeps the rounding bound of (m/n)^j.
     """
     tile = min(cap, max(64, n // 4), n)
     starts, local, j = np.arange(0, n, tile), np.arange(tile), np.arange(width)
-    basis = _read_only((local / n) ** j[:, None])
+    basis = _read_only(np.power(local / n, j[:, None], out=mapped_rows(width, tile)))
     (cos_a, sin_a), (cos_b, sin_b) = (_phases(n, w, s, local) for s in (1, 2))
-    table = _read_only(np.stack([cos_a, cos_a, sin_a, sin_a, cos_b, cos_b, sin_b, sin_b]))
+    table = _read_only(np.stack([cos_a, cos_a, sin_a, sin_a, cos_b, cos_b, sin_b, sin_b], out=mapped_rows(8, tile)))
     rotations = {(s, flip): tuple(map(_read_only, _phases(n, w, s, n - 1 - starts if flip else starts)))
                  for s in (1, 2) for flip in (0, 1)}
     binom = np.array([[math.comb(b, a) for b in j] for a in j], dtype=float)  # C(j, k) at [k, j]
@@ -578,7 +593,7 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> FourierFactor
     z = hilbert_factor(n, delta_h)
     odd = sinc_alias_factor(n, delta_taylor)
     even = bandwidth_shift_factor(n, w, w_prime, delta_taylor)
-    return FourierFactor(w, *(_read_only(np.asfortranarray(a)) for a in (z, odd.coeffs, even.coeffs)))
+    return FourierFactor(w, z, odd.coeffs, even.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dpss import default_subspace_dim, quotient_error, slepian_plan, transition_window
-from .fft_kernels import PartialFourier
+from .fft_kernels import PartialFourier, _shaped
 from .lowrank import (
     SpectralFactor,
     adi_rank,
@@ -91,7 +91,7 @@ class PrecisionFloorWarning(UserWarning):
 
 def _warn_below_floor(op):
     """op, after a PrecisionFloorWarning if its tolerance lies at or below its precision floor."""
-    p, alpha_txt = op.params, (f", alpha={op.alpha:g}" if op.kind == 4 else "")
+    p, alpha_txt = op.params, (f", alpha={op.alpha:g}" if op.alpha else "")
     if p.epsilon <= op.precision_floor:
         warnings.warn(f"tolerance {p.epsilon:g} lies below the {_KIND_NAMES[op.kind]} precision floor "
                       f"{op.precision_floor:.2g} at n={p.n}, w={p.w:g}{alpha_txt}; "
@@ -99,27 +99,13 @@ def _warn_below_floor(op):
     return op
 
 
-def _as_vector(x, n):
-    x = np.asarray(x)
-    if x.shape != (n,):
-        raise ValueError(f"expected a length-{n} vector, got shape {x.shape}")
-    return x
-
-
-class _SpectralOperator:
-    """B / (1 + alpha) plus one spectral correction V diag(g) V^T: the projector, pinv and Tikhonov map.
-
-    The kinds differ only in the spectral weight g they put on the transition
-    eigenvectors V, in alpha (zero but for Tikhonov) and in the multiple of
-    epsilon they certify; each binds build and apply in its own body.  B is
-    the Toeplitz part of slepian_plan(n, w).
-    """
+class _Operator:
+    """Every kind's params, spectral correction u, alpha (0 but for Tikhonov) and certified bound_factor * epsilon."""
 
     alpha, bound_factor = 0.0, 1.0
 
-    def __init__(self, params: SlepianParams, correction: SpectralFactor):
-        self.params, self.b_op, self.u = params, slepian_plan(params.n, params.w).b_op, correction
-        self.error_bound = self.bound_factor * params.epsilon
+    def __init__(self, params: SlepianParams, u: SpectralFactor):
+        self.params, self.u, self.error_bound = params, u, self.bound_factor * params.epsilon
 
     @property
     def precision_floor(self) -> float:
@@ -130,12 +116,24 @@ class _SpectralOperator:
         return (self.u,)
 
     def factors(self):
-        """Every array the operator holds: its correction's weights and block."""
-        return self.u.arrays
+        """Every array the operator holds: each correction's, in the order of corrections()."""
+        return sum((f.arrays for f in self.corrections()), ())
+
+
+class _SpectralOperator(_Operator):
+    """B / (1 + alpha) plus one spectral correction V diag(g) V^T: the projector, pinv and Tikhonov map.
+
+    The kinds differ only in the spectral weight g they put on the transition
+    eigenvectors V, in alpha and in bound_factor; each binds build and apply
+    in its own body.  B is the Toeplitz part of slepian_plan(n, w).
+    """
+
+    def __init__(self, params: SlepianParams, correction: SpectralFactor):
+        super().__init__(params, correction)
+        self.b_op = slepian_plan(params.n, params.w).b_op
 
 
 def _apply_spectral(self, x) -> np.ndarray:
-    x = _as_vector(x, self.params.n)
     y = self.b_op.apply(x)
     if self.alpha:
         y /= 1.0 + self.alpha
@@ -216,7 +214,7 @@ class FastTikhonov(_SpectralOperator):
         return tikhonov_precision_floor(self.params.n, self.params.w, self.alpha)
 
 
-class FastFactorization:
+class FastFactorization(_Operator):
     """Compressed two-sided factorization of the Slepian subspace projector.
 
     compress(x) stacks the partial Fourier coefficients with the two
@@ -229,15 +227,13 @@ class FastFactorization:
     spectral correction u is handed in.
     """
 
-    kind = 2
-    precision_floor = _SpectralOperator.precision_floor
+    kind, bound_factor = 2, 2.0
 
     def __init__(self, params: SlepianParams, u: SpectralFactor):
-        self.params, self.u = params, u
+        super().__init__(params, u)
         self.pf = PartialFourier(params.n, params.w)
         # looked up as this module's global at each call, where perfbench/tracing.py wraps it
         self.l = fourier_correction_factor(params.n, params.w, params.epsilon)
-        self.error_bound = 2.0 * params.epsilon
 
     @classmethod
     def build(cls, params: SlepianParams) -> "FastFactorization":
@@ -256,13 +252,10 @@ class FastFactorization:
         ) * math.log(15.0 / p.epsilon)
 
     def compress(self, x) -> np.ndarray:
-        x = _as_vector(x, self.params.n)
         return np.concatenate([self.pf.adjoint(x), self.l.adjoint_apply(x), self.u.adjoint_apply(x)])
 
     def decompress(self, c) -> np.ndarray:
-        c = np.asarray(c)
-        if c.shape != (self.k_prime,):
-            raise ValueError(f"expected {self.k_prime} coefficients, got shape {c.shape}")
+        c = _shaped(c, self.k_prime, "coefficients")
         nf, nl = self.pf.num_cols, self.l.rank
         out = self.pf.apply(c[:nf])
         self.l.synthesize(c[nf:nf + nl], out=out)
@@ -272,11 +265,8 @@ class FastFactorization:
         return self.decompress(self.compress(x))
 
     def corrections(self):
+        """The Fourier correction (z, ca and cb), then the spectral one."""
         return (self.l, self.u)
-
-    def factors(self):
-        """Every array the operator holds: the Fourier correction's z, ca and cb, then the spectral correction's."""
-        return self.l.arrays + self.u.arrays
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +305,7 @@ def operator_to_bytes(op) -> bytearray:
     """Serialize an operator as FSLT version 6, its spectral record's arrays written once into one preallocated
     buffer."""
     p, u = op.params, op.u
-    head = struct.pack("<4sIQdddQB7xd2Q", _MAGIC, _VERSION, p.n, p.w, p.epsilon, getattr(op, "alpha", 0.0), p.k,
+    head = struct.pack("<4sIQdddQB7xd2Q", _MAGIC, _VERSION, p.n, p.w, p.epsilon, op.alpha, p.k,
                        op.kind, op.error_bound, u.lead, u.rank)
     out, at = bytearray(len(head) + sum(a.nbytes for a in u.arrays)), len(head)
     out[:at] = head
@@ -423,7 +413,7 @@ def load_operator(path):
 def describe_operator(op) -> str:
     """Kind, parameters, each correction's coefficient rank, the bytes of every array held and the certified bound."""
     p = op.params
-    alpha_txt = f" alpha={op.alpha:g}" if op.kind == 4 else ""
+    alpha_txt = f" alpha={op.alpha:g}" if op.alpha else ""
     return (
         f"{_KIND_NAMES[op.kind]} n={p.n} w={p.w:g} eps={p.epsilon:g} k={p.k}{alpha_txt} "
         f"ranks=[{','.join(str(f.rank) for f in op.corrections())}] "

@@ -209,6 +209,15 @@ class TestFourierExtension:
         # the extension pulls ahead of the raw series once the order is not tiny
         assert rel[(16, "ext_exact_pinv")] < rel[(16, "fourier")]
 
+    def test_flags_default_to_the_config_and_set_its_fields(self):
+        parser = cli._build_parser()
+        assert cli._extension_config(parser.parse_args(["fourier-ext"])) == FourierExtensionConfig()
+        flags = ["--m", "8,16", "--t-ext", "2", "--pinv-threshold", "1e-3", "--fast-eps", "1e-6", "--alpha", "1e-4",
+                 "--eval-points", "99", "--constant"]
+        assert cli._extension_config(parser.parse_args(["fourier-ext", *flags])) == FourierExtensionConfig(
+            t_ext=2.0, m_values=(8, 16), pinv_threshold=1e-3, fast_eps=1e-6, alpha=1e-4, eval_points=99,
+            constant_target=True)
+
     def test_deterministic_given_seed(self):
         cfg = FourierExtensionConfig(m_values=(8,))
         a = run_fourier_extension(cfg, seed=42)

@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -495,6 +498,20 @@ class TestSolveThreads:
                 assert blas_threads() == 1
             assert blas_threads() == 1
         assert blas_threads() == want
+
+    def test_scipys_pool_reads_one_thread_inside_and_its_count_after(self, blas_threads):
+        # through the library's own getter rather than the setter's return value; the guard sets only scipy's
+        # bundled OpenBLAS, the one scipy.linalg's LAPACK runs on
+        pattern = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs", "libscipy_openblas*")
+        library = next(lib for lib in map(ctypes.CDLL, glob.glob(pattern))
+                       if hasattr(lib, "openblas_set_num_threads_local"))
+        pool = library.scipy_openblas_get_num_threads
+        blas_threads(2)
+        want = pool()
+        assert want == blas_threads()
+        with dpss._one_blas_thread:
+            assert pool() == 1
+        assert pool() == want
 
     def test_window_does_not_depend_on_the_thread_count(self, blas_threads):
         # at n = 2^15 the half-size tridiagonals are long enough for OpenBLAS to split level-1 BLAS

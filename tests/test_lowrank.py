@@ -494,8 +494,56 @@ class TestLowRankFactor:
                 FourierFactor(w, block, *coefs)
 
 
+    def test_wrong_inputs_raise(self, rng):
+        # a FourierFactor cut an x of length n + 1 or n + 2 to its first n entries, a SpectralFactor dropped the
+        # imaginary part of complex coefficients into a real out, and a FourierFactor into a real out failed in numpy
+        n = 32
+        spectral = projection_correction(n, 0.25, 1e-6, default_subspace_dim(n, 0.25))
+        for f in (spectral, fourier_correction_factor(n, 0.25, 1e-6)):
+            for size in (n - 1, n + 1, n + 2):
+                for call in (f.apply, f.adjoint_apply):
+                    with pytest.raises(ValueError, match=f"expected a length-{n} vector, got shape \\({size},\\)"):
+                        call(rng.standard_normal(size))
+            for size in (f.rank - 1, f.rank + 1):
+                with pytest.raises(ValueError, match=f"expected {f.rank} coefficients, got shape \\({size},\\)"):
+                    f.synthesize(rng.standard_normal(size))
+            c = rng.standard_normal(f.rank) + 1j * rng.standard_normal(f.rank)
+            for size in (n - 1, n + 1):
+                with pytest.raises(ValueError, match=f"expected a length-{n} vector"):
+                    f.synthesize(c, out=np.zeros(size, complex))
+            real_out = np.zeros(n)
+            for coef in (c, c.real) if isinstance(f, FourierFactor) else (c,):
+                with pytest.raises(ValueError, match="expected a complex out"):
+                    f.synthesize(coef, out=real_out)
+            assert not real_out.any()
+        # what stays valid: real coefficients into a real or a complex out of a spectral record
+        c = rng.standard_normal(spectral.rank)
+        assert np.array_equal(spectral.synthesize(c, out=np.zeros(n, complex)).real, spectral.synthesize(c))
+
+    def test_holds_read_only_views(self, rng):
+        # a factor cannot be changed through what it holds, and the caller's arrays keep their flags
+        n = 16
+        block, g, z, ca, cb = (rng.standard_normal(shape) for shape in ((8, 3), 3, (n, 2), (2, 2), (3, 3)))
+        block, z = np.asfortranarray(block), np.asfortranarray(z)
+        for f in (SpectralFactor(n, 0, block, g), FourierFactor(0.25, z, ca, cb)):
+            assert not any(a.flags.writeable for a in f.arrays)
+        assert all(a.flags.writeable for a in (block, g, z, ca, cb))
+
+
 class TestFourierTiles:
     """The Fourier correction's products run over row tiles of z and of a Pascal-shifted local basis."""
+
+    def test_each_factor_forms_its_tilings_once(self, monkeypatch, rng):
+        # one module cache of two entries missed on every call once two factorizations took turns
+        formed = []
+        tiling = lowrank._tiling
+        monkeypatch.setattr(lowrank, "_tiling", lambda *args: formed.append(args) or tiling(*args))
+        factors = [fourier_correction_factor(300, w, 1e-6) for w in (0.25, 1 / 16)]
+        x = rng.standard_normal(300)
+        for _ in range(5):
+            for f in factors:
+                f.apply(x)
+        assert len(formed) == 4 and len(set(formed)) == 4
 
     @pytest.mark.parametrize("tile", [64, 96])
     @pytest.mark.parametrize("tiles,rows", [(0, 1), (0, 2), (0, 3), (0, 81), (1, -1), (1, 0), (1, 1), (3, 5)])

@@ -661,6 +661,17 @@ def test_decode_allocates_nothing_in_proportion_to_the_file(files14, kind, mappe
     assert 10 * 8 * n + 2**16 < len(blob)
 
 
+def test_built_operators_hold_read_only_arrays():
+    # a loaded operator's arrays were read-only and a built one's writable, the shared Toeplitz part's too
+    params = SlepianParams.create(256, 0.25, 1e-6)
+    built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
+             FastTikhonov.build(params, 1e-2)]
+    for op in built:
+        b_op = getattr(op, "b_op", None)
+        held = list(op.factors()) + ([b_op.col, b_op.half_spectrum, b_op._spectra] if b_op else [])
+        assert held and not any(a.flags.writeable for a in held), op.kind
+
+
 def _factorization_file(n, eps, columns):
     """A version-6 factorization file at (n, 1/4, eps) whose spectral record holds 0 or 1 even column of zeros."""
     head = struct.pack("<4sIQdddQB7xd2Q", b"FSLT", 6, n, 0.25, eps, 0.0, default_subspace_dim(n, 0.25), 2, 2 * eps,
