@@ -26,10 +26,12 @@ extended precision.
 
 Every build at one (n, w) shares one SlepianPlan: the Toeplitz part and the
 pairs solved so far as one block of their leading ceil(n/2) entries (each is
-even or odd), about (pairs solved) x ceil(n/2) x 8 bytes (13.5 MB at
-n = 2^16, w = 1/4).  A later window solves only the pairs no earlier one did
-and is a read-only view of the block, which only rayleigh_extended and
-SpectralFactor.synthesize unfold.  slepian_plan holds one (n, w) at a time.
+even or odd), about (pairs solved) x ceil(n/2) x 8 bytes (47 pairs, 11.75 MiB,
+once all four operators are built at n = 2^16, w = 1/4, eps = 1e-6).  A later
+window starts from the held pairs and solves only what it needs beyond them to
+place its edges (none for a Tikhonov build after a projector at the benchmark
+points), and is a read-only view of the block, which only rayleigh_extended
+and SpectralFactor.synthesize unfold.  slepian_plan holds one (n, w) at a time.
 The tridiagonal solves run scipy's OpenBLAS on the calling thread: their
 level-1 BLAS gains nothing from more threads, whose rounding and idle spinning
 only made a build's bytes depend on the thread count and its time on the load.
@@ -319,6 +321,12 @@ class SlepianPlan:
         self.tridiagonals = tuple((_read_only(d), _read_only(e)) for d, e in _parity_tridiagonals(n, w))
         self._held = (0, _read_only(np.zeros(((n + 1) // 2, 0))), _read_only(np.zeros(0)))
 
+    @property
+    def held(self) -> range:
+        """The Slepian indices the snapshot holds (an empty range before the first solve)."""
+        first, _, lams = self._held
+        return range(first, first + lams.size)
+
     def pairs(self, first: int, last: int):
         """(block, lams) of Slepian indices first..last (inclusive), read-only views of the snapshot.
 
@@ -423,11 +431,12 @@ def transition_window(n, w, lo, hi):
     """All consecutive eigenpairs with lo < lam < hi, taken from slepian_plan(n, w).
 
     Returns (start_index, lams, block), read-only views of the plan's snapshot, block's columns the leading
-    halves of the window's vectors.  The first request covers the index range that
-    _predicted_range sizes from the asymptotic eigenvalue count; only if an edge is not reached inside it
-    (an eigenvalue >= hi before the window on the low-index side, one <= lo
-    after it on the high-index side, or the end of the spectrum) does the
-    range grow in chunks of 16, 32, ... on that side.  Eigenvalues below the float noise floor cannot be told
+    halves of the window's vectors.  Where the plan's held pairs overlap the index range that
+    _predicted_range sizes from the asymptotic eigenvalue count, the search starts from the held pairs;
+    otherwise it starts from that range.  A side grows only while its edge is not bracketed (an eigenvalue
+    >= hi before the window on the low-index side, one <= lo after it on the high-index side, or the end of
+    the spectrum): first to the predicted bound, then in chunks of 16, 32, ... on that side.  So a window
+    whose edges the held pairs bracket solves nothing.  Eigenvalues below the float noise floor cannot be told
     apart from zero (see quotient_error), so a low threshold below that ends
     the window wherever a noisy value first falls to it; a caller that needs
     that edge placed honestly re-decides it with refine_window.  The
@@ -436,9 +445,11 @@ def transition_window(n, w, lo, hi):
     empty = np.zeros(0), np.zeros(((n + 1) // 2, 0))
     if lo >= hi or hi <= 0.0 or lo >= 1.0:
         return min(max(default_subspace_dim(n, w), 0), n), *empty
-    first, last = _predicted_range(n, w, lo, hi)
-    _require_memory(n, last - first + 1)
+    low, high = _predicted_range(n, w, lo, hi)
+    _require_memory(n, high - low + 1)
     plan = slepian_plan(n, w)
+    held = plan.held
+    first, last = (held[0], held[-1]) if held and held[0] <= high and low <= held[-1] else (low, high)
     chunk = 16
     while True:
         if last - first + 1 > _MAX_PAIRS:
@@ -449,12 +460,17 @@ def transition_window(n, w, lo, hi):
             )
         block, lams = plan.pairs(first, last)
         if lams[0] < hi and first > 0:
-            first -= min(chunk, first)
+            if first > low:
+                first = low
+            else:
+                first, chunk = first - min(chunk, first), min(2 * chunk, 512)
         elif _window_edges(lams, lo, hi)[1] == lams.size and last < n - 1:
-            last += min(chunk, n - 1 - last)
+            if last < high:
+                last = high
+            else:
+                last, chunk = last + min(chunk, n - 1 - last), min(2 * chunk, 512)
         else:
             break
-        chunk = min(2 * chunk, 512)
 
     start, stop = _window_edges(lams, lo, hi)
     return first + start, lams[start:stop], block[:, start:stop]

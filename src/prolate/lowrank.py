@@ -201,10 +201,13 @@ class FourierFactor(LowRankFactor):
         return (self.z, self.ca, self.cb)
 
     def _tiles(self, cap):
-        """The factor's _tiling for tiles of at most cap rows, formed at first use."""
-        if cap not in self._tilings:
-            self._tilings[cap] = _tiling(self.n, self.w, max(len(self.ca), len(self.cb)), cap)
-        return self._tilings[cap]
+        """The factor's _tiling for tiles of cap rows, or of n/4 (at least 64) where that is fewer, so that at
+        small n its workspace stays a fraction of z's bytes; formed at first use and shared by the caps that
+        give one tile length."""
+        tile = min(cap, max(64, self.n // 4), self.n)
+        if tile not in self._tilings:
+            self._tilings[tile] = _tiling(self.n, self.w, max(len(self.ca), len(self.cb)), tile)
+        return self._tilings[tile]
 
     def _terms(self):
         """Per outer product of _FOURIER_TERMS: its entry, its coefficient matrix (None for z) and its slot."""
@@ -327,7 +330,7 @@ def _phases(n, w, step, m):
     return np.cos(angle), np.sin(angle)
 
 
-def _tiling(n, w, width, cap):
+def _tiling(n, w, width, tile):
     """The Fourier correction's tiles at (n, w) for a basis of width columns, which a factor keeps.
 
     Returns the tile length, the tile starts i0, the local basis (k/n)^j as
@@ -335,12 +338,10 @@ def _tiling(n, w, width, cap):
     cos_b, sin_b, sin_b] of both steps' phases at k = 0..tile-1, each in a
     memory map of its own as a factor's blocks are (see _column_major), the
     (cos, sin) of the rotations of the starts and of their mirrors
-    n - 1 - i0 per (step, mirrored), and the Pascal shift of tile i.  A tile
-    holds cap rows, or n/4 (at least 64) where that is fewer, so that at
-    small n its workspace stays a fraction of z's bytes.  Every weight of a
-    shift is positive, so (k/n)^j S(t0) keeps the rounding bound of (m/n)^j.
+    n - 1 - i0 per (step, mirrored), and the Pascal shift of tile i.  Every
+    weight of a shift is positive, so (k/n)^j S(t0) keeps the rounding bound
+    of (m/n)^j.
     """
-    tile = min(cap, max(64, n // 4), n)
     starts, local, j = np.arange(0, n, tile), np.arange(tile), np.arange(width)
     basis = _read_only(np.power(local / n, j[:, None], out=mapped_rows(width, tile)))
     (cos_a, sin_a), (cos_b, sin_b) = (_phases(n, w, s, local) for s in (1, 2))

@@ -45,6 +45,26 @@ def build_requests(draw):
     return tuple(draw(bad if i == beyond else good) for i, (good, bad) in enumerate(fields))
 
 
+def _window_thresholds():
+    """A transition threshold: at or beyond 0 or 1, within 1e-12 of either but above the float noise floor at
+    n <= 512 (at most 3.0e-14), or anywhere in [0, 1], the noise band included."""
+    return (st.sampled_from([-0.5, 0.0, 1.0, 1.5]) | st.floats(1.0, 12.0).map(lambda x: 10.0**-x)
+            | st.floats(1.0, 12.0).map(lambda x: 1.0 - 10.0**-x) | st.floats(0.0, 1.0))
+
+
+@st.composite
+def window_sequences(draw):
+    """(n, w, held, windows) at n up to 512: held is None or (side, gap, length), length pairs solved before the
+    first window that end gap indices before ("low") or start gap indices after ("high") its predicted range
+    (gap 1 adjoins it, gap <= 0 overlaps it), and windows one to three (lo, hi) threshold pairs, mostly lo < hi."""
+    n = draw(st.sampled_from([1, 2, 3, 64]) | st.integers(1, 512))
+    w = draw(st.sampled_from([1e-3, 0.25, 0.499]) | st.floats(1e-3, 0.499))
+    held = draw(st.none() | st.tuples(st.sampled_from(["low", "high"]), st.integers(-20, 40), st.integers(1, 60)))
+    pair = st.tuples(_window_thresholds(), _window_thresholds())
+    windows = draw(st.lists(pair.map(lambda t: tuple(sorted(t))) | pair, min_size=1, max_size=3))
+    return n, w, held, windows
+
+
 @lru_cache(maxsize=2)
 def small_fslt_files(n=48):
     """FSLT files of every kind at n (w = 1/4, eps = 1e-3, alpha = 1e-2), in kind order."""

@@ -35,6 +35,7 @@ from oracles import (
     rayleigh_lambda,
     tridiagonal_dense,
 )
+from strategies import window_sequences
 
 
 class TestCommutingTridiagonal:
@@ -280,7 +281,7 @@ class TestIsolatedBisection:
 
 class TestSlepianPlan:
     def test_repeat_and_superset_windows_solve_only_what_is_missing(self, monkeypatch):
-        n, w, eps, alpha = 4096, 0.25, 1e-6, 1e-2
+        n, w, eps = 4096, 0.25, 1e-6
         dpss.slepian_plan.cache_clear()
         calls = _count_eigh_calls(monkeypatch)
         first = transition_window(n, w, eps, 1.0 - eps)
@@ -289,12 +290,77 @@ class TestSlepianPlan:
         again = transition_window(n, w, eps, 1.0 - eps)
         assert calls == []
         assert again[0] == first[0] and np.array_equal(again[1], first[1]) and np.array_equal(again[2], first[2])
-        # the Tikhonov thresholds of FastTikhonov.build widen the window on both sides
-        held = dpss.slepian_plan(n, w)._held[2].size
-        start, lams, _ = transition_window(n, w, alpha * (1.0 + alpha) * eps, 1.0 - eps / 3.0)
-        growth = dpss.slepian_plan(n, w)._held[2].size - held
+        # the Tikhonov thresholds of FastTikhonov.build (alpha = 1e-2) widen the window inside the held pairs
+        # [2029, 2067]: the window [2034, 2064] is a view of the held block
+        plan = dpss.slepian_plan(n, w)
+        held, (_, block, _) = plan.held, plan._held
+        start, lams, vecs = transition_window(n, w, 1e-2 * (1.0 + 1e-2) * eps, 1.0 - eps / 3.0)
         assert start < first[0] and lams.size > first[1].size
-        assert 0 < len(calls) <= 4 and sum(calls) == growth > 0
+        assert calls == [] and plan.held == held and np.shares_memory(vecs, block)
+        # smaller alphas end the window at 2067 and 2074, where the high-index side's edge is not held:
+        # only that side is solved, [5, 5] and [9, 8] pairs (the whole predicted range solved one more
+        # pair below the held ones)
+        for alpha, solved in ((1e-4, [5, 5]), (1e-8, [9, 8])):
+            dpss.slepian_plan.cache_clear()
+            transition_window(n, w, eps, 1.0 - eps)
+            plan = dpss.slepian_plan(n, w)
+            held = plan.held
+            calls.clear()
+            start, lams, _ = transition_window(n, w, alpha * (1.0 + alpha) * eps, 1.0 - eps / 3.0)
+            assert start + lams.size >= held.stop
+            assert calls == solved and plan.held.start == held.start and plan.held.stop == held.stop + sum(solved)
+
+    @settings(max_examples=200, deadline=None)
+    @given(window_sequences())
+    def test_windows_from_held_pairs_match_cold_solves(self, case):
+        # each window of a sequence, after pairs held from a range near its prediction and from the windows
+        # before it, against a solve on an empty plan; where the held pairs it starts from (those overlapping its
+        # prediction) bracket its edges it solves nothing.
+        # A threshold at 0 or 1, or inside the noise floor there, puts its edge wherever a noisy quotient first
+        # crosses it, which depends on the solve that produced the quotient (a cold plan does the same after
+        # other windows): both edges must then lie in the noise band, and the shared pairs must agree
+        n, w, held, windows = case
+        floor = quotient_error(n, w)
+        cold = []
+        for lo, hi in windows:
+            dpss.slepian_plan.cache_clear()
+            cold.append(transition_window(n, w, lo, hi))
+        dpss.slepian_plan.cache_clear()
+        plan = dpss.slepian_plan(n, w)
+        if held is not None:
+            side, gap, length = held
+            low, high = dpss._predicted_range(n, w, *windows[0])
+            first = low - gap - length + 1 if side == "low" else high + gap
+            if max(first, 0) <= min(first + length - 1, n - 1):
+                plan.pairs(max(first, 0), min(first + length - 1, n - 1))
+        with pytest.MonkeyPatch.context() as m:
+            calls = _count_eigh_calls(m)
+            for (lo, hi), (start, lams, block) in zip(windows, cold):
+                have = plan.held
+                calls.clear()
+                got = transition_window(n, w, lo, hi)
+                low, high = dpss._predicted_range(n, w, lo, hi)
+                bracketed = max(got[0] - 1, 0) in have and min(got[0] + got[1].size, n - 1) in have
+                if bracketed and have[0] <= high and low <= have[-1]:
+                    assert calls == [], (lo, hi, have)
+                noisy_lo, noisy_hi = (0.0 <= t <= 1.0 and min(t, 1.0 - t) < floor for t in (lo, hi))
+                if lo < hi and hi > 0.0 and lo < 1.0 and (noisy_lo or noisy_hi):
+                    dense = eigvals_dense(n, w)
+                    for first, stop in ((start, start + lams.size), (got[0], got[0] + got[1].size)):
+                        if noisy_hi:
+                            assert first == 0 or dense[first - 1] >= hi - 2.0 * floor, (lo, hi)
+                            assert first == n or dense[first] < hi + 2.0 * floor, (lo, hi)
+                        else:
+                            assert first == start, (lo, hi)
+                        if noisy_lo:
+                            assert stop == n or dense[stop] <= lo + 2.0 * floor, (lo, hi)
+                            assert stop == first or dense[stop - 1] > lo - 2.0 * floor, (lo, hi)
+                    first, stop = max(start, got[0]), min(start + lams.size, got[0] + got[1].size)
+                    start, lams, block = first, lams[first - start:stop - start], block[:, first - start:stop - start]
+                    got = first, got[1][first - got[0]:stop - got[0]], got[2][:, first - got[0]:stop - got[0]]
+                assert (got[0], got[1].size) == (start, lams.size), (lo, hi)
+                assert np.abs(got[1] - lams).max(initial=0.0) <= floor
+                assert np.abs(got[2] - block).max(initial=0.0) <= 1e-12
 
     def test_window_matches_a_cold_solve_after_other_windows(self):
         n, w = 1024, 1.0 / 16.0

@@ -534,7 +534,8 @@ class TestFourierTiles:
     """The Fourier correction's products run over row tiles of z and of a Pascal-shifted local basis."""
 
     def test_each_factor_forms_its_tilings_once(self, monkeypatch, rng):
-        # one module cache of two entries missed on every call once two factorizations took turns
+        # one module cache of two entries missed on every call once two factorizations took turns; at n = 300
+        # both directions tile by n/4, so each factor forms one tiling
         formed = []
         tiling = lowrank._tiling
         monkeypatch.setattr(lowrank, "_tiling", lambda *args: formed.append(args) or tiling(*args))
@@ -543,7 +544,21 @@ class TestFourierTiles:
         for _ in range(5):
             for f in factors:
                 f.apply(x)
-        assert len(formed) == 4 and len(set(formed)) == 4
+        assert len(formed) == 2 and len(set(formed)) == 2
+
+    @pytest.mark.parametrize("n, tilings", [(2**14, 1), (2**16, 2)])
+    def test_directions_of_one_tile_length_share_a_tiling(self, n, tilings, rng):
+        # up to n = 2^14 the analysis and the synthesis tiles are both n/4 rows long, and the two equal tilings
+        # (1.08 MB each at 2^14) are one; a round trip gives the bytes of tilings formed per direction
+        f = fourier_correction_factor(n, 0.25, 1e-6)
+        width = max(len(f.ca), len(f.cb))
+        per_direction = FourierFactor(f.w, f.z, f.ca, f.cb)
+        per_direction._tiles = lambda cap: per_direction._tilings.setdefault(
+            cap, lowrank._tiling(n, f.w, width, min(cap, max(64, n // 4), n)))
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got, want = (g.synthesize(g.adjoint_apply(x)) for g in (f, per_direction))
+        assert len(f._tilings) == tilings and len(per_direction._tilings) == 2
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("tile", [64, 96])
     @pytest.mark.parametrize("tiles,rows", [(0, 1), (0, 2), (0, 3), (0, 81), (1, -1), (1, 0), (1, 1), (3, 5)])
