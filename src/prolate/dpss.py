@@ -437,10 +437,10 @@ def transition_window(n, w, lo, hi):
     >= hi before the window on the low-index side, one <= lo after it on the high-index side, or the end of
     the spectrum): first to the predicted bound, then in chunks of 16, 32, ... on that side.  So a window
     whose edges the held pairs bracket solves nothing.  Eigenvalues below the float noise floor cannot be told
-    apart from zero (see quotient_error), so a low threshold below that ends
-    the window wherever a noisy value first falls to it; a caller that needs
-    that edge placed honestly re-decides it with refine_window.  The
-    requested range is capped at _MAX_PAIRS.
+    apart from zero (see quotient_error), so a low threshold below that ends the window wherever a noisy value
+    first falls to it; a caller that needs that edge placed honestly re-decides it with refine_window.  Likewise
+    an eigenvalue within quotient_error(n, w) of a threshold may fall on either side of it, depending on the
+    solve.  The requested range is capped at _MAX_PAIRS.
     """
     empty = np.zeros(0), np.zeros(((n + 1) // 2, 0))
     if lo >= hi or hi <= 0.0 or lo >= 1.0:

@@ -12,12 +12,12 @@ Three families of factors are produced here:
 
 Assembled together they give the circulant-plus-low-rank split of the
 prolate matrix with an operator-norm certificate.  Each correction is kept
-in structured form, as one of the two LowRankFactor kinds, phases recomputed
-per call: a FourierFactor holds the Hilbert factor z and two Taylor
-coefficient matrices (their monomial basis (m/n)^j is fixed by n and never
-stored: each row tile of a product forms a small local basis and shifts it),
-a SpectralFactor holds an eigen-partition correction V diag(g) V^T as only
-the leading ceil(n/2) rows of V, the block the Slepian plan holds.
+in structured form, as one of the two LowRankFactor kinds, both in real
+arithmetic: a FourierFactor holds the Hilbert factor z and two Taylor
+coefficient matrices (their basis (m/n)^j is fixed by n and never stored;
+phases are recomputed per call), a SpectralFactor holds an eigen-partition
+correction V diag(g) V^T as only the leading ceil(n/2) rows of V, the block
+the Slepian plan holds.
 """
 
 from __future__ import annotations
@@ -79,12 +79,10 @@ _MAX_EVEN_WIDTH = 169
 class LowRankFactor:
     """A correction in structured form, analyzing x as its real rows (x, or its two parts) and synthesizing.
 
-    x is a length-n vector and c holds rank coefficients, real or complex; synthesize adds into a length-n out,
-    which must be complex where c or the kind's products are.  Anything else raises ValueError.  The arrays a
-    factor holds are read-only views.
+    x is a length-n vector and c holds rank coefficients, real or complex, and each kind maps real to real:
+    real x gives real coefficients, and real c a real sum.  synthesize adds into a length-n out, which must be
+    complex where c is.  Anything else raises ValueError.  The arrays a factor holds are read-only views.
     """
-
-    _complex = False
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.synthesize(self._analyze(_real_rows(_shaped(x, self.n))))
@@ -93,9 +91,9 @@ class LowRankFactor:
         return self._analyze(_real_rows(_shaped(x, self.n)))
 
     def synthesize(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The factor's left side times c added into out, a new vector (complex where the sum is) by default."""
+        """The factor's left side times c added into out, a new vector (complex where c is) by default."""
         c = _shaped(c, self.rank, "coefficients")
-        cplx = self._complex or np.iscomplexobj(c)
+        cplx = np.iscomplexobj(c)
         out = np.zeros(self.n, complex if cplx else float) if out is None else _shaped(out, self.n)
         if cplx and not np.iscomplexobj(out):
             raise ValueError("expected a complex out: the synthesized sum is complex")
@@ -153,31 +151,27 @@ class SpectralFactor(LowRankFactor):
         return out
 
 
-# The eight outer products of the Fourier correction, their coefficients in this order, (taylor, step, flip_left,
-# flip_right, post) each: D J^flip_left P diag(post) C P^T J^flip_right D^*, P the columns of z (taylor None) or the
-# leading columns of the monomial basis (m/n)^j with C = ca (taylor 0) or cb (taylor 1), J the reversal, and
-# D = d_a^{+-1} = e^{+-2 pi i w' m} (step +-1) or d_b^{+-1} = e^{+-i pi (w + w') m} (step +-2).
-_HILB, _ODD = 1.0 / (2.0 * math.pi * 1j), 1.0 / (2.0 * 1j)
-_FOURIER_TERMS = ((None, 1, False, True, _HILB), (None, 1, True, False, -_HILB),
-                  (None, -1, False, True, -_HILB), (None, -1, True, False, _HILB),
-                  (0, 1, False, False, _ODD), (0, -1, False, False, -_ODD),
-                  (1, 2, False, False, 0.5), (1, -2, False, False, 0.5))
+# The four terms of the Fourier correction B - F F*, each twice the real part of one member of a conjugate pair, in
+# coefficient order, (taylor, step, flip_left, flip_right, post): Re(post D X D^*), X = J^flip_left P M P^T J^flip_right
+# with P the columns of z (taylor None) or the leading ones of the basis (m/n)^j, M = ca (taylor 0) or cb (taylor 1),
+# J the reversal, D = C + i S = e^{2 pi i w' m} (step 1) or e^{i pi (w + w') m} (step 2): post -i p gives
+# p (S X C - C X S) (Hilbert and odd Taylor terms), a real post p gives p (C X C + S X S) (the even Taylor term).
+_FOURIER_TERMS = ((None, 1, False, True, -1j / math.pi), (None, 1, True, False, 1j / math.pi),
+                  (0, 1, False, False, -1j), (1, 2, False, False, 1.0))
 
 
 class FourierFactor(LowRankFactor):
     """B - F F* from the Hilbert factor z and the Taylor coefficient matrices ca and cb, phases recomputed per call.
 
-    Its eight terms are those of _FOURIER_TERMS; the monomial basis (m/n)^j
-    of the Taylor terms is fixed by n and held by no array.  The products
-    run over row tiles that read z once per call; the basis rows of the
-    tile at i0 are the local table (k/n)^j times the Pascal shift
-    S(t0)[k, j] = C(j, k) t0^(j - k), t0 = i0/n, and each phase is a local
-    cos/sin table times one rotation per tile, both from exactly reduced
-    turns (_phases).  The shift and the rotation act on the coefficient
-    side.
+    Each term of _FOURIER_TERMS has 2 width real coefficients per real row of
+    x, M P^T J (C x) then M P^T J (S x).  The basis (m/n)^j is held by no
+    array: the products run over row tiles that read z once per call, the
+    basis rows of the tile at i0 are the local table (k/n)^j times the
+    Pascal shift S(t0)[k, j] = C(j, k) t0^(j - k), t0 = i0/n, and each
+    phase is a local cos/sin table times one rotation per tile, both from
+    exactly reduced turns (_phases).  The shift and the rotation act on the
+    coefficient side.
     """
-
-    _complex = True
 
     def __init__(self, w: float, z, ca, cb):
         if not 0.0 < w < 0.5 or np.ndim(z) != 2 or any(np.ndim(c) != 2 or len(c) != len(c.T) for c in (ca, cb)):
@@ -193,7 +187,7 @@ class FourierFactor(LowRankFactor):
 
     @property
     def rank(self) -> int:
-        return 4 * self.z.shape[1] + 2 * len(self.ca) + 2 * len(self.cb)
+        return 2 * (2 * self.z.shape[1] + len(self.ca) + len(self.cb))
 
     @property
     def arrays(self) -> tuple:
@@ -212,16 +206,17 @@ class FourierFactor(LowRankFactor):
     def _terms(self):
         """Per outer product of _FOURIER_TERMS: its entry, its coefficient matrix (None for z) and its slot."""
         coefs = [None if taylor is None else (self.ca, self.cb)[taylor] for taylor, *_ in _FOURIER_TERMS]
-        edges = np.cumsum([0] + [self.z.shape[1] if c is None else len(c) for c in coefs]).tolist()
+        edges = np.cumsum([0] + [2 * (self.z.shape[1] if c is None else len(c)) for c in coefs]).tolist()
         return zip(_FOURIER_TERMS, coefs, map(slice, edges, edges[1:]))
 
     def _analyze(self, rows):
-        """C P^T J D^* x for every term, x given as its real rows.
+        """M P^T J (C x) and M P^T J (S x) for every term, x given as its real rows.
 
         Per tile, x (reversed for z's reversed terms) times the local cos and
         sin tables meets the tile's rows of z and its shifted local basis in
-        one product each; a term sums its tiles' products under their
-        rotations, e^{-i step i0} (reversed: e^{-i step (n - 1 - i0)}).
+        one product each; a term sums them under their rotations e^{i step i0}
+        (reversed: e^{i step (n - 1 - i0)}) in one complex product, its real
+        part the C half and its imaginary part the S half of each row.
         """
         n, m, z = self.n, len(rows), self.z
         tile, starts, basis, table, rotations, shift = self._tiles(_ANALYSIS_TILE)
@@ -230,60 +225,56 @@ class FourierFactor(LowRankFactor):
         pz, pb = np.empty((len(starts), 4, m, z.shape[1])), np.empty((len(starts), 4, m, len(basis)))
         for i, i0 in enumerate(starts):
             k = min(tile, n - i0)
-            np.multiply(rows[None, :, n - i0 - k:n - i0][..., ::-1], table[0:4:2, None, :k], out=copies[:2, :, :k])
-            np.multiply(rows[None, :, i0:i0 + k], table[::2, None, :k], out=copies[2:, :, :k])
+            np.multiply(rows[None, :, n - i0 - k:n - i0][..., ::-1], table[:2, None, :k], out=copies[:2, :, :k])
+            np.multiply(rows[None, :, i0:i0 + k], table[:, None, :k], out=copies[2:, :, :k])
             pz[i] = (copies[:4].reshape(4 * m, tile)[:, :k] @ z[i0:i0 + k]).reshape(4, m, -1)
             pb[i] = ((copies[2:].reshape(4 * m, tile)[:, :k] @ basis[:, :k].T) @ shift(i)).reshape(4, m, -1)
-        c = np.empty(self.rank, complex)
+        c = np.empty(self.rank, complex if m == 2 else float)
         for (taylor, step, _, flip_right, _), coef, slot in self._terms():
-            s, sign = abs(step), math.copysign(1.0, step)
-            p, j = (pz, 0 if flip_right else 2) if taylor is None else (pb, 2 * s - 2)
-            cos, sin = (p[:, i, 0] + 1j * p[:, i, 1] if m == 2 else p[:, i, 0] for i in (j, j + 1))
-            # e^{-i step m} at m = i0 + k is e^{-i step i0} (cos - i sign sin); reversed rows m = n - 1 - i0 - k
-            # take e^{-i step (n - 1 - i0)} (cos + i sign sin)
-            rot_cos, rot_sin = rotations[s, flip_right]
-            acc = (rot_cos - 1j * sign * rot_sin) @ (cos + (1j if flip_right else -1j) * sign * sin)
-            c[slot] = acc if coef is None else coef @ acc[:len(coef)]
+            p, j = (pz, 0 if flip_right else 2) if taylor is None else (pb, 2 * step - 2)
+            # e^{i step m} at m = i0 + k is e^{i step i0} (cos + i sin); reversed rows m = n - 1 - i0 - k take
+            # e^{i step (n - 1 - i0)} (cos - i sin)
+            rot_cos, rot_sin = rotations[step, flip_right]
+            local = p[:, j] + (-1j if flip_right else 1j) * p[:, j + 1]
+            acc = ((rot_cos + 1j * rot_sin) @ local.reshape(len(starts), -1)).reshape(m, -1)
+            acc = acc if coef is None else acc[:, :len(coef)] @ coef.T
+            halves = np.concatenate([acc.real, acc.imag], axis=1)
+            c[slot] = halves[0] if m == 1 else halves[0] + 1j * halves[1]
         return c
 
     def _synthesize(self, c, out):
-        """Adds each term's D J P (post c[slot]) to out.
+        """Adds each term's C J P u + S J P v to out, u + i v = conj(post) (c's first half + i its second).
 
-        Terms sharing a block, a step size and a reversal form a group and
-        enter as E = u+ + u- times cos and O = u+ - u- times i sin (reversed:
-        u- - u+), with u+- = e^{+-i |step| i0} post c[slot] for the tile at i0
-        (reversed: e^{+-i |step| (n - 1 - i0)}).  Per tile one product of z's
-        rows and one of the shifted local basis meet the groups' E and i O as
-        real rows; the reversed group's sum is added to the mirrored rows.
+        Per tile at i0 and real row of c, E = Re(r (u + i v)) times cos plus O = Im(r (u + i v)) times sin (reversed:
+        -Im), r = e^{-i step i0} (reversed: e^{-i step (n - 1 - i0)}), in one product of z's rows and one of the
+        shifted local basis for every term; the reversed term's sum is added to the mirrored rows.
         """
-        n, z = self.n, self.z
+        n, z, rows = self.n, self.z, _real_rows(c)
+        m = len(rows)
         tile, starts, basis, table, rotations, shift = self._tiles(_SYNTHESIS_TILE)
-        # per tile and group (z: forward, reversed; basis: step 1, step 2): E and i O over the block's columns
-        uz, ub = (np.zeros((len(starts), 2, 2, cols), complex) for cols in (z.shape[1], len(basis)))
+        # per tile and term (z: forward, reversed; basis: step 1, step 2): E and O per real row of c
+        uz, ub = (np.zeros((len(starts), 2, 2, m, cols)) for cols in (z.shape[1], len(basis)))
         for (taylor, step, flip_left, _, post), _, slot in self._terms():
-            s, sign = abs(step), math.copysign(1.0, step)
-            rot_cos, rot_sin = rotations[s, flip_left]
-            u = np.multiply.outer(rot_cos + 1j * sign * rot_sin, post * c[slot])
-            group = uz[:, int(flip_left)] if taylor is None else ub[:, s - 1, :, :slot.stop - slot.start]
-            group[:, 0] += u
-            group[:, 1] += (-1j if flip_left else 1j) * sign * u
-        # rows (E.re, E.im, (iO).re, (iO).im) per group, in the layout of the table's rows
-        uz, ub = (np.stack([u.real, u.imag], axis=3).reshape(len(starts), 8, -1) for u in (uz, ub))
-        re, im = out.real, out.imag
+            halves = rows[:, slot].reshape(m, 2, -1)
+            rot_cos, rot_sin = rotations[step, flip_left]
+            u = np.multiply.outer(rot_cos - 1j * rot_sin, np.conj(post) * (halves[:, 0] + 1j * halves[:, 1]))
+            group = uz[:, int(flip_left)] if taylor is None else ub[:, step - 1, :, :, :halves.shape[2]]
+            group[:, 0] = u.real
+            group[:, 1] = -u.imag if flip_left else u.imag
+        uz, ub = (u.reshape(len(starts), 4 * m, -1) for u in (uz, ub))
+        targets = (out.real, out.imag) if np.iscomplexobj(out) else (out,)
         for i, i0 in enumerate(starts):
             k = min(tile, n - i0)
-            yz = (uz[i] @ z[i0:i0 + k].T).reshape(2, 4, k)
-            yb = ((ub[i] @ shift(i).T) @ basis[:, :k]).reshape(2, 4, k)
-            yz *= table[:4, :k]
-            yb *= table[:, :k].reshape(2, 4, k)
-            # cos E + sin (i O): the real and imaginary rows of each group
-            yz, yb = yz[:, :2] + yz[:, 2:], yb[:, :2] + yb[:, 2:]
-            yz[0] += yb[0]
-            yz[0] += yb[1]
-            re[i0:i0 + k] += yz[0, 0]
-            im[i0:i0 + k] += yz[0, 1]
-            re[n - i0 - k:n - i0] += yz[1, 0, ::-1]
-            im[n - i0 - k:n - i0] += yz[1, 1, ::-1]
+            yz = (uz[i] @ z[i0:i0 + k].T).reshape(2, 2, m, k)
+            yb = ((ub[i] @ shift(i).T) @ basis[:, :k]).reshape(2, 2, m, k)
+            yz *= table[:2, None, :k]
+            yb *= table[:, None, :k].reshape(2, 2, 1, k)
+            # cos E + sin O per term
+            yz, yb = yz[:, 0] + yz[:, 1], yb[:, 0] + yb[:, 1]
+            yz[0] += yb[0] + yb[1]
+            for target, ahead, mirrored in zip(targets, yz[0], yz[1]):
+                target[i0:i0 + k] += ahead
+                target[n - i0 - k:n - i0] += mirrored[::-1]
         return out
 
 
@@ -334,20 +325,20 @@ def _tiling(n, w, width, tile):
     """The Fourier correction's tiles at (n, w) for a basis of width columns, which a factor keeps.
 
     Returns the tile length, the tile starts i0, the local basis (k/n)^j as
-    width x tile and the local table [cos_a, cos_a, sin_a, sin_a, cos_b,
-    cos_b, sin_b, sin_b] of both steps' phases at k = 0..tile-1, each in a
-    memory map of its own as a factor's blocks are (see _column_major), the
-    (cos, sin) of the rotations of the starts and of their mirrors
-    n - 1 - i0 per (step, mirrored), and the Pascal shift of tile i.  Every
+    width x tile and the local table [cos_a, sin_a, cos_b, sin_b] of both
+    steps' phases at k = 0..tile-1, each in a memory map of its own as a
+    factor's blocks are (see _column_major), the (cos, sin) of the rotations
+    of the starts per step and of their mirrors n - 1 - i0 for step 1, keyed
+    (step, mirrored), and the Pascal shift of tile i.  Every
     weight of a shift is positive, so (k/n)^j S(t0) keeps the rounding bound
     of (m/n)^j.
     """
     starts, local, j = np.arange(0, n, tile), np.arange(tile), np.arange(width)
     basis = _read_only(np.power(local / n, j[:, None], out=mapped_rows(width, tile)))
     (cos_a, sin_a), (cos_b, sin_b) = (_phases(n, w, s, local) for s in (1, 2))
-    table = _read_only(np.stack([cos_a, cos_a, sin_a, sin_a, cos_b, cos_b, sin_b, sin_b], out=mapped_rows(8, tile)))
+    table = _read_only(np.stack([cos_a, sin_a, cos_b, sin_b], out=mapped_rows(4, tile)))
     rotations = {(s, flip): tuple(map(_read_only, _phases(n, w, s, n - 1 - starts if flip else starts)))
-                 for s in (1, 2) for flip in (0, 1)}
+                 for s, flip in ((1, 0), (1, 1), (2, 0))}
     binom = np.array([[math.comb(b, a) for b in j] for a in j], dtype=float)  # C(j, k) at [k, j]
     powers, gap = (starts / n)[:, None] ** j, np.maximum(j - j[:, None], 0)
     return tile, starts, basis, table, rotations, lambda i: binom * powers[i][gap]

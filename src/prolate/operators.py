@@ -220,8 +220,8 @@ class FastFactorization(_Operator):
     compress(x) stacks the partial Fourier coefficients with the two
     low-rank coefficient blocks (k_prime numbers in total); decompress
     rebuilds a vector within 2 * epsilon * ||x|| of the exact projection.
-    The round trip stays complex; callers needing real output take the real
-    part, which stays within the same bound of the (real) exact projection.
+    Every part computes in real arithmetic, so a real x gives k_prime real
+    coefficients and real c a real vector; complex input stays complex.
     The partial Fourier frame and the Fourier correction are fixed by
     (n, w, epsilon), so the operator derives them from params; only the
     spectral correction u is handed in.
@@ -252,9 +252,11 @@ class FastFactorization(_Operator):
         ) * math.log(15.0 / p.epsilon)
 
     def compress(self, x) -> np.ndarray:
+        """The k_prime coefficients of x: float64 for a real x, complex for a complex one."""
         return np.concatenate([self.pf.adjoint(x), self.l.adjoint_apply(x), self.u.adjoint_apply(x)])
 
     def decompress(self, c) -> np.ndarray:
+        """The vector k_prime coefficients stand for: real for real c, complex for complex c."""
         c = _shaped(c, self.k_prime, "coefficients")
         nf, nl = self.pf.num_cols, self.l.rank
         out = self.pf.apply(c[:nf])

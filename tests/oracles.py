@@ -14,7 +14,7 @@ import pytest
 import scipy.fft
 import scipy.linalg
 
-from prolate.lowrank import _FOURIER_TERMS, SpectralFactor
+from prolate.lowrank import SpectralFactor
 
 _PI_EXT = np.arccos(np.longdouble(-1.0))
 
@@ -68,16 +68,18 @@ def hilbert_matrix_dense(n):
 
 
 def fourier_columns_dense(pf):
-    """The frame F of a PartialFourier, materialized: exp(2 pi i m k / n) / sqrt(n), k ascending."""
-    k = np.arange(-pf.half_span, pf.half_span + 1)
-    m = np.arange(pf.n)
-    return np.exp(2j * np.pi * np.outer(m, k) / pf.n) / math.sqrt(pf.n)
+    """The real frame F of a PartialFourier, materialized: 1/sqrt(n), then sqrt(2/n) cos(2 pi m k / n) and
+    -sqrt(2/n) sin(2 pi m k / n) for k = 1..half_span, the turns m k / n reduced modulo one in integers."""
+    k = np.arange(1, pf.half_span + 1)
+    angle = 2.0 * np.pi * (np.outer(np.arange(pf.n), k) % pf.n) / pf.n
+    scale = math.sqrt(2.0 / pf.n)
+    return np.hstack([np.full((pf.n, 1), 1.0 / math.sqrt(pf.n)), scale * np.cos(angle), -scale * np.sin(angle)])
 
 
 def fourier_projector_dense(pf):
     """F F* of a PartialFourier, from its materialized frame."""
     f = fourier_columns_dense(pf)
-    return f @ f.conj().T
+    return f @ f.T
 
 
 def sinc_alias_dense(n):
@@ -329,27 +331,53 @@ def unfolded_half(f, parity):
     return np.vstack([half, middle, mirror])
 
 
-def _fourier_terms(f, dtype=float):
-    """Per entry (taylor, step, flip_left, flip_right, post) of the FourierFactor f's term table: the entry, its
-    basis P (z, or the monomial basis (m/n)^j at its coefficient matrix's width, expanded here), its C (the
-    identity for z) and its slot, the slots following one another in table order; P and C in dtype."""
-    monomials, at = monomial_basis(f.n, max(len(f.ca), len(f.cb)), dtype), 0
-    for term in _FOURIER_TERMS:
-        coef = np.eye(f.z.shape[1], dtype=dtype) if term[0] is None else (f.ca, f.cb)[term[0]].astype(dtype)
-        basis = f.z.astype(dtype) if term[0] is None else monomials[:, : len(coef)]
-        yield term, basis, coef, slice(at, at + len(coef))
-        at += len(coef)
+# The Fourier correction B - F F* as four real terms, in the FourierFactor's coefficient order: (taylor, step,
+# flip_left, flip_right, p_sin, p_cos) each stands for p_sin (S X C - C X S) + p_cos (C X C + S X S),
+# X = J^flip_left P M P^T J^flip_right, C and S the cos and sin diagonals of the phase of step (phase_turns), P the
+# columns of z (taylor None: M the identity) or the monomial basis (m/n)^j with M = ca (taylor 0) or cb (taylor 1).
+# By the structural identity B - F F* = (H J - J H) / pi + A1 (odd, sine) + B0 (even, cosine), H ~ z z^T.
+_FOUR_TERMS = ((None, 1, False, True, 1.0 / math.pi, 0.0), (None, 1, True, False, -1.0 / math.pi, 0.0),
+               (0, 1, False, False, 1.0, 0.0), (1, 2, False, False, 0.0, 1.0))
+# The same correction as the eight complex outer products of both members of each conjugate pair, (taylor, step,
+# flip_left, flip_right, post) each: post D J^flip_left P M P^T J^flip_right D^*, D = e^{2 pi i phase_turns(step)}.
+_HILB, _ODD = 1.0 / (2.0 * math.pi * 1j), 1.0 / (2.0 * 1j)
+_EIGHT_TERMS = ((None, 1, False, True, _HILB), (None, 1, True, False, -_HILB),
+                (None, -1, False, True, -_HILB), (None, -1, True, False, _HILB),
+                (0, 1, False, False, _ODD), (0, -1, False, False, -_ODD),
+                (1, 2, False, False, 0.5), (1, -2, False, False, 0.5))
+
+
+def _blocks(f, taylor, dtype=float):
+    """The basis P and the coefficient matrix M of a term of the FourierFactor f, in dtype: z and the identity
+    (taylor None), or the monomial basis (m/n)^j at the width of ca (0) or cb (1), expanded here, and that matrix."""
+    if taylor is None:
+        return f.z.astype(dtype), np.eye(f.z.shape[1], dtype=dtype)
+    coef = (f.ca, f.cb)[taylor].astype(dtype)
+    return monomial_basis(f.n, len(coef), dtype), coef
+
+
+def _four_terms(f, dtype=float):
+    """Per entry of _FOUR_TERMS: the entry, the cos and sin diagonals of its phase (longdouble turns), its P and M
+    in dtype, and its slot of 2 width coefficients, the slots following one another in table order."""
+    at = 0
+    for term in _FOUR_TERMS:
+        basis, coef = _blocks(f, term[0], dtype)
+        angle = 2 * _PI_EXT * phase_turns(f.n, f.w, term[1])
+        cos, sin = np.cos(angle).astype(dtype), np.sin(angle).astype(dtype)
+        yield term, cos, sin, basis, coef, slice(at, at + 2 * len(coef))
+        at += 2 * len(coef)
 
 
 def factor_halves(f):
-    """Dense (left, right) with left @ right^H equal to the factor f, one column per coefficient.
+    """Dense real (left, right) with left @ right^T equal to the factor f, one column per coefficient.
 
     A SpectralFactor's parity halves are unfolded to n rows and placed at
     their coefficients abs(p - lead), abs(p - lead) + 2, ...; its weights g
-    put sqrt|g| on each side and their signs on the left, and the halves
-    stay real.  Each term of a FourierFactor gets its basis, coefficient
-    matrix, phase diagonal and reversals here, outside the factor's own
-    products, at its slot.
+    put sqrt|g| on each side and their signs on the left.  Each term of a
+    FourierFactor gets its basis, coefficient matrix, phase diagonals and
+    reversals here, outside the factor's own products, at its slot: the
+    right columns C J^flip_right P M^T, then S J^flip_right P M^T, and the
+    left ones that with them give the term's real form.
     """
     if isinstance(f, SpectralFactor):
         basis = np.zeros((f.n, f.rank))
@@ -357,41 +385,62 @@ def factor_halves(f):
             basis[:, abs(parity - f.lead)::2] = unfolded_half(f, parity)
         root = np.sqrt(np.abs(f.weights))
         return basis * (np.sign(f.weights) * root), basis * root
-    left, right = np.zeros((f.n, f.rank), complex), np.zeros((f.n, f.rank), complex)
-    for (_, step, flip_left, flip_right, post), basis, coef, slot in _fourier_terms(f):
-        d = np.exp(2j * np.pi * phase_turns(f.n, f.w, step).astype(float))[:, None]
-        left[:, slot] = d * (basis[::-1] if flip_left else basis) * post
-        right[:, slot] = d * ((basis[::-1] if flip_right else basis) @ coef.T)
+    left, right = np.zeros((f.n, f.rank)), np.zeros((f.n, f.rank))
+    for (_, _, flip_left, flip_right, p_sin, p_cos), cos, sin, basis, coef, slot in _four_terms(f):
+        mid = slot.start + len(coef)
+        outer, inner = (basis[::-1] if flip_left else basis), (basis[::-1] if flip_right else basis) @ coef.T
+        # with X = Y Z^T: p_sin (S X C - C X S) + p_cos (C X C + S X S)
+        # = (p_cos C + p_sin S) Y (C Z)^T + (p_cos S - p_sin C) Y (S Z)^T
+        left[:, slot.start:mid] = (p_cos * cos + p_sin * sin)[:, None] * outer
+        left[:, mid:slot.stop] = (p_cos * sin - p_sin * cos)[:, None] * outer
+        right[:, slot.start:mid] = cos[:, None] * inner
+        right[:, mid:slot.stop] = sin[:, None] * inner
     return left, right
 
 
 def factor_dense(f):
     """The dense matrix a SpectralFactor or FourierFactor stands for."""
     left, right = factor_halves(f)
-    return left @ right.conj().T
+    return left @ right.T
 
 
-def _phase_extended(f, step):
-    turns = 2 * _PI_EXT * phase_turns(f.n, f.w, step)
-    return np.cos(turns) + 1j * np.sin(turns)
+def fourier_correction_eight_terms(f):
+    """The dense complex matrix of the FourierFactor f's z, ca and cb as the eight outer products of _EIGHT_TERMS,
+    both members of each conjugate pair: the reference the factor's four real terms are judged against."""
+    out = np.zeros((f.n, f.n), complex)
+    for taylor, step, flip_left, flip_right, post in _EIGHT_TERMS:
+        basis, coef = _blocks(f, taylor)
+        d = np.exp(2j * np.pi * phase_turns(f.n, f.w, step).astype(float))
+        x = (basis[::-1] if flip_left else basis) @ coef @ (basis[::-1] if flip_right else basis).T
+        out += post * (d[:, None] * x * d.conj())
+    return out
+
+
+def _columns(basis, v):
+    """basis @ v for a real basis and real or complex v, each part its own real product."""
+    return basis @ v.real + 1j * (basis @ v.imag) if np.iscomplexobj(v) else basis @ v
 
 
 def fourier_synthesis_extended(f, c):
-    """f.synthesize(c) for the FourierFactor f, sum over the terms of D J^flip_left P (post c[slot]), in
-    np.longdouble."""
-    out = np.zeros(f.n, np.clongdouble)
-    for (_, step, flip_left, _, post), basis, _, slot in _fourier_terms(f, np.longdouble):
-        v = np.clongdouble(post) * np.asarray(c[slot], np.clongdouble)
-        col = basis @ v.real + 1j * (basis @ v.imag)
-        out += _phase_extended(f, step) * (col[::-1] if flip_left else col)
+    """f.synthesize(c) for the FourierFactor f, in np.longdouble: per term, with a and b the halves of its slot,
+    (p_cos C + p_sin S) J^flip_left P a + (p_cos S - p_sin C) J^flip_left P b."""
+    c = np.asarray(c)
+    out = np.zeros(f.n, np.clongdouble if np.iscomplexobj(c) else np.longdouble)
+    for (_, _, flip_left, _, p_sin, p_cos), cos, sin, basis, coef, slot in _four_terms(f, np.longdouble):
+        a, b = (_columns(basis, h.astype(np.clongdouble if np.iscomplexobj(c) else np.longdouble))
+                for h in np.split(c[slot], 2))
+        a, b = (a[::-1], b[::-1]) if flip_left else (a, b)
+        out += (p_cos * cos + p_sin * sin) * a + (p_cos * sin - p_sin * cos) * b
     return out
 
 
 def fourier_analysis_extended(f, x):
-    """f.adjoint_apply(x) for the FourierFactor f, C P^T J^flip_right D^* x per term, in np.longdouble."""
-    out = np.zeros(f.rank, np.clongdouble)
-    for (_, step, _, flip_right, _), basis, coef, slot in _fourier_terms(f, np.longdouble):
-        y = _phase_extended(f, step).conj() * np.asarray(x, np.clongdouble)
-        y = y[::-1] if flip_right else y
-        out[slot] = coef @ (basis.T @ y.real + 1j * (basis.T @ y.imag))
+    """f.adjoint_apply(x) for the FourierFactor f, M P^T J^flip_right (C x) then M P^T J^flip_right (S x) per
+    term, in np.longdouble."""
+    x = np.asarray(x)
+    x = x.astype(np.clongdouble if np.iscomplexobj(x) else np.longdouble)
+    out = np.zeros(f.rank, x.dtype)
+    for (_, _, _, flip_right, _, _), cos, sin, basis, coef, slot in _four_terms(f, np.longdouble):
+        halves = [y[::-1] if flip_right else y for y in (cos * x, sin * x)]
+        out[slot] = np.concatenate([coef @ _columns(basis.T, y) for y in halves])
     return out

@@ -1,12 +1,18 @@
 """The package's export list and the README's Library section name the same API, every module's export list
-resolves, and every transform comes from one library."""
+resolves, every transform comes from one library, and every kind maps real input to real output."""
 
 import importlib
 import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import prolate
+from prolate import FastFactorization, FastProjector, FastPseudoinverse, FastTikhonov, SlepianParams
+
+from oracles import pinv_oracle, projection_oracle, tikhonov_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -36,3 +42,27 @@ def test_every_transform_is_scipy_fft():
     # before numpy 2.0, numpy.fft computed longdouble input in float64
     modules = (ROOT / "src" / "prolate").glob("*.py")
     assert not [p.name for p in modules if re.search(r"\b(np|numpy)\.fft", p.read_text(encoding="utf-8"))]
+
+
+@pytest.mark.parametrize("n", [15, 16, 257, 1024])
+def test_every_kind_maps_real_to_real_within_its_bound(n):
+    # one dtype rule for the four kinds: real in, real out, complex in, complex out, each output within the
+    # certified bound of the dense oracle's map; the factorization's k' coefficients are float64 for a real x
+    w, eps, alpha = 0.25, 1e-6, 1e-2
+    params = SlepianParams.create(n, w, eps)
+    built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
+             FastTikhonov.build(params, alpha)]
+    maps = [projection_oracle(n, w, params.k), projection_oracle(n, w, params.k), pinv_oracle(n, w, params.k),
+            tikhonov_oracle(n, w, alpha)]
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    for op, exact in zip(built, maps):
+        for y in (x, x + 1j * rng.standard_normal(n)):
+            if op.kind == 2:
+                c = op.compress(y)
+                assert c.shape == (op.k_prime,) and c.dtype == (np.complex128 if np.iscomplexobj(y) else np.float64)
+                out = op.decompress(c)
+            else:
+                out = op.apply(y)
+            assert out.dtype == (np.complex128 if np.iscomplexobj(y) else np.float64), op.kind
+            assert np.linalg.norm(out - exact @ y) <= op.error_bound * np.linalg.norm(y), op.kind

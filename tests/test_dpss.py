@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prolate import dpss
 from prolate.cli import main
@@ -312,13 +312,17 @@ class TestSlepianPlan:
 
     @settings(max_examples=200, deadline=None)
     @given(window_sequences())
+    # at w = 1/4 and odd n, lam_k + lam_(n-1-k) = 1 puts lam_7 at 1/2 exactly for n = 15: the all-pairs solve read
+    # 0.5 + 2.2e-16 and the predicted-range solve 0.5 - 1.1e-16, so hi = 1/2 started the window at 8 or at 7
+    @example((15, 0.25, None, [(-0.5, 1.0), (-0.5, 0.5)]))
     def test_windows_from_held_pairs_match_cold_solves(self, case):
         # each window of a sequence, after pairs held from a range near its prediction and from the windows
         # before it, against a solve on an empty plan; where the held pairs it starts from (those overlapping its
         # prediction) bracket its edges it solves nothing.
-        # A threshold at 0 or 1, or inside the noise floor there, puts its edge wherever a noisy quotient first
-        # crosses it, which depends on the solve that produced the quotient (a cold plan does the same after
-        # other windows): both edges must then lie in the noise band, and the shared pairs must agree
+        # A threshold at 0 or 1, inside the noise floor there, or within twice the floor of an eigenvalue puts
+        # its edge wherever a noisy quotient first crosses it, which depends on the solve that produced the
+        # quotient (a cold plan does the same after other windows): both edges must then lie in the noise band,
+        # and the shared pairs must agree
         n, w, held, windows = case
         floor = quotient_error(n, w)
         cold = []
@@ -343,9 +347,11 @@ class TestSlepianPlan:
                 bracketed = max(got[0] - 1, 0) in have and min(got[0] + got[1].size, n - 1) in have
                 if bracketed and have[0] <= high and low <= have[-1]:
                     assert calls == [], (lo, hi, have)
-                noisy_lo, noisy_hi = (0.0 <= t <= 1.0 and min(t, 1.0 - t) < floor for t in (lo, hi))
-                if lo < hi and hi > 0.0 and lo < 1.0 and (noisy_lo or noisy_hi):
-                    dense = eigvals_dense(n, w)
+                dense = eigvals_dense(n, w) if lo < hi and hi > 0.0 and lo < 1.0 else None
+                noisy_lo, noisy_hi = (dense is not None and 0.0 <= t <= 1.0
+                                      and (min(t, 1.0 - t) < floor or np.abs(dense - t).min() <= 2.0 * floor)
+                                      for t in (lo, hi))
+                if noisy_lo or noisy_hi:
                     for first, stop in ((start, start + lams.size), (got[0], got[0] + got[1].size)):
                         if noisy_hi:
                             assert first == 0 or dense[first - 1] >= hi - 2.0 * floor, (lo, hi)

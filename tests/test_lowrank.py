@@ -34,6 +34,7 @@ from oracles import (
     factor_dense,
     factor_halves,
     fourier_analysis_extended,
+    fourier_correction_eight_terms,
     fourier_projector_dense,
     fourier_synthesis_extended,
     hilbert_matrix_dense,
@@ -283,8 +284,20 @@ class TestFourierCorrectionFactor:
         assert (odd.rank, even.rank) == taylor_widths(eps) and (odd.n, even.n) == (n, n)
         assert [np.array_equal(c, k.coeffs) for c, k in zip((fac.ca, fac.cb), (odd, even))] == [True, True]
         taylor = [t[0] for t in _FOURIER_TERMS if t[0] is not None]
-        assert sorted(len((fac.ca, fac.cb)[t]) for t in taylor) == sorted([odd.rank] * 2 + [even.rank] * 2)
+        assert [len((fac.ca, fac.cb)[t]) for t in taylor] == [odd.rank, even.rank]
         assert fac.rank == 4 * z.shape[1] + 2 * odd.rank + 2 * even.rank
+
+    @pytest.mark.parametrize("n,w,eps", [(256, 0.25, 1e-6), (257, 0.1, 1e-9), (300, 0.37, 1e-3), (999, 0.2, 1e-6),
+                                         (1000, 0.25, 1e-9)])
+    def test_four_real_terms_are_the_eight_complex_ones(self, n, w, eps):
+        # twice the real part of one member of each conjugate pair is the pair: the factor's four real terms
+        # against the eight complex outer products, both built densely from z, ca, cb and the exact phases; the
+        # local phase table holds cos and sin of each step once
+        f = fourier_correction_factor(n, w, eps)
+        assert len(_FOURIER_TERMS) == 4 and len(f._tiles(lowrank._ANALYSIS_TILE)[3]) == 4
+        reference = fourier_correction_eight_terms(f)
+        assert np.abs(reference.imag).max() <= 1e-15
+        assert norm2(factor_dense(f) - reference.real) <= 1e-15
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -461,8 +474,9 @@ class TestLowRankFactor:
                 assert np.allclose(f.apply(x), (left @ right.conj().T) @ x)
                 assert np.allclose(f.adjoint_apply(x), right.conj().T @ x)
                 assert np.allclose(f.synthesize(c), left @ c)
-            if isinstance(f, SpectralFactor):
-                assert not np.iscomplexobj(f.apply(draw(n, False)))
+            # real in, real out for both kinds
+            x, c = draw(n, False), draw(f.rank, False)
+            assert [np.iscomplexobj(y) for y in (f.apply(x), f.adjoint_apply(x), f.synthesize(c))] == [False] * 3
 
     def test_zero_width(self, rng):
         for n in (1, 8, 9):
@@ -495,8 +509,9 @@ class TestLowRankFactor:
 
 
     def test_wrong_inputs_raise(self, rng):
-        # a FourierFactor cut an x of length n + 1 or n + 2 to its first n entries, a SpectralFactor dropped the
-        # imaginary part of complex coefficients into a real out, and a FourierFactor into a real out failed in numpy
+        # a FourierFactor cut an x of length n + 1 or n + 2 to its first n entries, and a SpectralFactor dropped the
+        # imaginary part of complex coefficients into a real out; complex coefficients into a real out raise for
+        # both kinds, real ones into a real out are valid for both
         n = 32
         spectral = projection_correction(n, 0.25, 1e-6, default_subspace_dim(n, 0.25))
         for f in (spectral, fourier_correction_factor(n, 0.25, 1e-6)):
@@ -512,13 +527,13 @@ class TestLowRankFactor:
                 with pytest.raises(ValueError, match=f"expected a length-{n} vector"):
                     f.synthesize(c, out=np.zeros(size, complex))
             real_out = np.zeros(n)
-            for coef in (c, c.real) if isinstance(f, FourierFactor) else (c,):
-                with pytest.raises(ValueError, match="expected a complex out"):
-                    f.synthesize(coef, out=real_out)
+            with pytest.raises(ValueError, match="expected a complex out"):
+                f.synthesize(c, out=real_out)
             assert not real_out.any()
-        # what stays valid: real coefficients into a real or a complex out of a spectral record
-        c = rng.standard_normal(spectral.rank)
-        assert np.array_equal(spectral.synthesize(c, out=np.zeros(n, complex)).real, spectral.synthesize(c))
+            # what stays valid: real coefficients into a real or a complex out
+            assert f.synthesize(c.real, out=real_out) is real_out
+            assert np.array_equal(f.synthesize(c.real, out=np.zeros(n, complex)).real, real_out)
+            assert np.array_equal(f.synthesize(c.real), real_out)
 
     def test_holds_read_only_views(self, rng):
         # a factor cannot be changed through what it holds, and the caller's arrays keep their flags
