@@ -12,12 +12,12 @@ Three families of factors are produced here:
 
 Assembled together they give the circulant-plus-low-rank split of the
 prolate matrix with an operator-norm certificate.  Each correction is kept
-in structured form, as one of the two LowRankFactor kinds, both in real
-arithmetic: a FourierFactor holds the Hilbert factor z and two Taylor
-coefficient matrices (their basis (m/n)^j is fixed by n and never stored;
-phases are recomputed per call), a SpectralFactor holds an eigen-partition
-correction V diag(g) V^T as only the leading ceil(n/2) rows of V, the block
-the Slepian plan holds.
+in structured form, as one of the two LowRankFactor kinds, whose base class
+splits complex input into real rows once for a real core: a FourierFactor
+holds the Hilbert factor z and two Taylor coefficient matrices (their basis
+(m/n)^j is fixed by n and never stored; phases are recomputed per call), a
+SpectralFactor holds a correction V diag(g) V^T as only the leading
+ceil(n/2) rows of V, the block the Slepian plan holds.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .dpss import (
     unfold,
     vector_error,
 )
-from .fft_kernels import _read_only, _real_rows, _reduced_product, _shaped, nearest_odd_integer
+from .fft_kernels import _read_only, _real_rows, _reduced_product, _working, nearest_odd_integer
 
 __all__ = [
     "LowRankFactor",
@@ -77,27 +77,35 @@ _MAX_EVEN_WIDTH = 169
 
 
 class LowRankFactor:
-    """A correction in structured form, analyzing x as its real rows (x, or its two parts) and synthesizing.
+    """A correction in structured form: complex input is split into real rows once, here, and each kind's core is real.
 
-    x is a length-n vector and c holds rank coefficients, real or complex, and each kind maps real to real:
-    real x gives real coefficients, and real c a real sum.  synthesize adds into a length-n out, which must be
-    complex where c is.  Anything else raises ValueError.  The arrays a factor holds are read-only views.
+    x (length n) and c (rank coefficients) of a bool, integer, float or complex dtype compute in np.result_type(x,
+    float64); real x gives real coefficients, real c a real sum.  synthesize adds into a length-n array out (complex
+    where c is) and never copies it: a core's _synthesize(rows, targets) adds c's real rows into the views (out,) or
+    (out.real, out.imag), and its _analyze(rows) returns real (rows, rank) coefficients.  Anything else raises
+    ValueError.  The arrays a factor holds are read-only views.
     """
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.synthesize(self._analyze(_real_rows(_shaped(x, self.n))))
+        x = _working(x, self.n)
+        return self._add(self._analyze(_real_rows(x)), np.zeros(self.n, x.dtype))
 
     def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
-        return self._analyze(_real_rows(_shaped(x, self.n)))
+        rows = self._analyze(_real_rows(_working(x, self.n)))
+        return rows[0] if len(rows) == 1 else rows[0] + 1j * rows[1]
 
     def synthesize(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The factor's left side times c added into out, a new vector (complex where c is) by default."""
-        c = _shaped(c, self.rank, "coefficients")
-        cplx = np.iscomplexobj(c)
-        out = np.zeros(self.n, complex if cplx else float) if out is None else _shaped(out, self.n)
-        if cplx and not np.iscomplexobj(out):
-            raise ValueError("expected a complex out: the synthesized sum is complex")
-        return self._synthesize(c, out)
+        c = _working(c, self.rank, "coefficients")
+        out = np.zeros(self.n, c.dtype) if out is None else out
+        # an out that the input rule would copy cannot receive the sum
+        if _working(out, self.n) is not out or not np.can_cast(c.dtype, out.dtype):
+            raise ValueError(f"expected a {'complex' if np.iscomplexobj(c) else 'float'} out that holds {c.dtype}")
+        return self._add(_real_rows(c), out)
+
+    def _add(self, rows, out):
+        self._synthesize(rows, (out.real, out.imag) if np.iscomplexobj(out) else (out,))
+        return out
 
 
 class SpectralFactor(LowRankFactor):
@@ -132,23 +140,17 @@ class SpectralFactor(LowRankFactor):
         return (self.weights, self.block)
 
     def _analyze(self, rows):
-        c = np.empty(self.rank, complex if len(rows) == 2 else float)
+        c = np.empty((len(rows), self.rank), rows.dtype)
         for p, half in enumerate(self.halves):
-            prod = _half_product(half, _fold(rows, p))
-            c[abs(p - self.lead)::2] = prod[:, 0] if len(rows) == 1 else prod[:, 0] + 1j * prod[:, 1]
-        c *= np.sqrt(np.abs(self.weights))
-        return c
+            c[:, abs(p - self.lead)::2] = _half_product(half, _fold(rows, p)).T
+        return c * np.sqrt(np.abs(self.weights))
 
-    def _synthesize(self, c, out):
-        """V diag(sign(g) sqrt|g|) c added into out."""
-        c = c * (np.sign(self.weights) * np.sqrt(np.abs(self.weights)))
-        targets = (out.real, out.imag) if np.iscomplexobj(out) else (out,)
+    def _synthesize(self, rows, targets):
+        """V diag(sign(g) sqrt|g|) c added into the targets, one per real row of c."""
+        rows = rows * (np.sign(self.weights) * np.sqrt(np.abs(self.weights)))
         for p, half in enumerate(self.halves):
-            v = c[abs(p - self.lead)::2]
-            coef = np.stack([v.real, v.imag] if np.iscomplexobj(v) else [v])
-            for prod, target in zip((coef[0] @ half.T)[None] if len(coef) == 1 else coef @ half.T, targets):
+            for prod, target in zip(rows[:, abs(p - self.lead)::2] @ half.T, targets):
                 unfold(prod[:, None], p, self.n, target[:, None])
-        return out
 
 
 # The four terms of the Fourier correction B - F F*, each twice the real part of one member of a conjugate pair, in
@@ -229,7 +231,7 @@ class FourierFactor(LowRankFactor):
             np.multiply(rows[None, :, i0:i0 + k], table[:, None, :k], out=copies[2:, :, :k])
             pz[i] = (copies[:4].reshape(4 * m, tile)[:, :k] @ z[i0:i0 + k]).reshape(4, m, -1)
             pb[i] = ((copies[2:].reshape(4 * m, tile)[:, :k] @ basis[:, :k].T) @ shift(i)).reshape(4, m, -1)
-        c = np.empty(self.rank, complex if m == 2 else float)
+        c = np.empty((m, self.rank))
         for (taylor, step, _, flip_right, _), coef, slot in self._terms():
             p, j = (pz, 0 if flip_right else 2) if taylor is None else (pb, 2 * step - 2)
             # e^{i step m} at m = i0 + k is e^{i step i0} (cos + i sin); reversed rows m = n - 1 - i0 - k take
@@ -238,19 +240,17 @@ class FourierFactor(LowRankFactor):
             local = p[:, j] + (-1j if flip_right else 1j) * p[:, j + 1]
             acc = ((rot_cos + 1j * rot_sin) @ local.reshape(len(starts), -1)).reshape(m, -1)
             acc = acc if coef is None else acc[:, :len(coef)] @ coef.T
-            halves = np.concatenate([acc.real, acc.imag], axis=1)
-            c[slot] = halves[0] if m == 1 else halves[0] + 1j * halves[1]
+            c[:, slot] = np.concatenate([acc.real, acc.imag], axis=1)
         return c
 
-    def _synthesize(self, c, out):
-        """Adds each term's C J P u + S J P v to out, u + i v = conj(post) (c's first half + i its second).
+    def _synthesize(self, rows, targets):
+        """Adds each term's C J P u + S J P v to the targets, u + i v = conj(post) (c's first half + i its second).
 
         Per tile at i0 and real row of c, E = Re(r (u + i v)) times cos plus O = Im(r (u + i v)) times sin (reversed:
         -Im), r = e^{-i step i0} (reversed: e^{-i step (n - 1 - i0)}), in one product of z's rows and one of the
         shifted local basis for every term; the reversed term's sum is added to the mirrored rows.
         """
-        n, z, rows = self.n, self.z, _real_rows(c)
-        m = len(rows)
+        n, z, m = self.n, self.z, len(rows)
         tile, starts, basis, table, rotations, shift = self._tiles(_SYNTHESIS_TILE)
         # per tile and term (z: forward, reversed; basis: step 1, step 2): E and O per real row of c
         uz, ub = (np.zeros((len(starts), 2, 2, m, cols)) for cols in (z.shape[1], len(basis)))
@@ -262,7 +262,6 @@ class FourierFactor(LowRankFactor):
             group[:, 0] = u.real
             group[:, 1] = -u.imag if flip_left else u.imag
         uz, ub = (u.reshape(len(starts), 4 * m, -1) for u in (uz, ub))
-        targets = (out.real, out.imag) if np.iscomplexobj(out) else (out,)
         for i, i0 in enumerate(starts):
             k = min(tile, n - i0)
             yz = (uz[i] @ z[i0:i0 + k].T).reshape(2, 2, m, k)
@@ -275,7 +274,6 @@ class FourierFactor(LowRankFactor):
             for target, ahead, mirrored in zip(targets, yz[0], yz[1]):
                 target[i0:i0 + k] += ahead
                 target[n - i0 - k:n - i0] += mirrored[::-1]
-        return out
 
 
 def _column_major(block):

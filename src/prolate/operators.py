@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dpss import default_subspace_dim, quotient_error, slepian_plan, transition_window
-from .fft_kernels import PartialFourier, _shaped
+from .fft_kernels import PartialFourier, _working
 from .lowrank import (
     SpectralFactor,
     adi_rank,
@@ -257,7 +257,7 @@ class FastFactorization(_Operator):
 
     def decompress(self, c) -> np.ndarray:
         """The vector k_prime coefficients stand for: real for real c, complex for complex c."""
-        c = _shaped(c, self.k_prime, "coefficients")
+        c = _working(c, self.k_prime, "coefficients")
         nf, nl = self.pf.num_cols, self.l.rank
         out = self.pf.apply(c[:nf])
         self.l.synthesize(c[nf:nf + nl], out=out)

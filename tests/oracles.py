@@ -310,12 +310,13 @@ def kernel_dense(fac):
 def phase_turns(n, w, step):
     """Turns (angle / 2 pi) of a Fourier-correction phase at m = 0..n-1, in np.longdouble and within 2^-64.
 
-    |step| 1 is w' m = q m / (2n), |step| 2 is (w + w') m / 2, q = 2 floor(nw) + 1 the odd integer nearest
-    2nw; each is reduced modulo one in integer arithmetic from the exact binary value of w, and negated for a
-    negative step.
+    |step| 1 is w' m = q m / (2n), |step| 2 is (w + w') m / 2; each is reduced modulo one in integer arithmetic
+    from the exact binary value of w, and negated for a negative step.  q is the odd integer nearest the rounded
+    float product 2.0 * n * w, as the library takes it: at (300, 0.37) the exact 2nw is 221.999999999999997
+    and the float one 222.0, and q is 223, not 221.
     """
     num, den = Fraction(w).as_integer_ratio()
-    q = 2 * (n * num // den) + 1
+    q = 2 * math.floor(2.0 * n * w / 2.0) + 1
     # turns = a m / d exactly: q m / (2n), or (2 n num + q den) m / (4 n den)
     a, d = (q, 2 * n) if abs(step) == 1 else (2 * n * num + q * den, 4 * n * den)
     scaled = np.array([(a * m % d << 64) // d for m in range(n)], dtype=np.uint64)

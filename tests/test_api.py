@@ -47,22 +47,43 @@ def test_every_transform_is_scipy_fft():
 @pytest.mark.parametrize("n", [15, 16, 257, 1024])
 def test_every_kind_maps_real_to_real_within_its_bound(n):
     # one dtype rule for the four kinds: real in, real out, complex in, complex out, each output within the
-    # certified bound of the dense oracle's map; the factorization's k' coefficients are float64 for a real x
-    w, eps, alpha = 0.25, 1e-6, 1e-2
-    params = SlepianParams.create(n, w, eps)
-    built = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
-             FastTikhonov.build(params, alpha)]
-    maps = [projection_oracle(n, w, params.k), projection_oracle(n, w, params.k), pinv_oracle(n, w, params.k),
-            tikhonov_oracle(n, w, alpha)]
+    # certified bound of the dense oracle's map; the factorization's k' coefficients are float64 for a real x.
+    # Every input computes in np.result_type(x, float64): a bool, integer, float16, float32 or complex64 x is
+    # judged against the oracle applied to its float64 cast, and a longdouble x keeps its precision.  At
+    # n = 1024 and eps = 1e-9 a float32 x took the factorization about 40 times past its bound (its rfft ran
+    # in float32), and a bool x raised numpy's TypeError
+    w, alpha = 0.25, 1e-2
+    k = SlepianParams.create(n, w, 1e-6).k
+    maps = [projection_oracle(n, w, k), projection_oracle(n, w, k), pinv_oracle(n, w, k), tikhonov_oracle(n, w, alpha)]
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n)
-    for op, exact in zip(built, maps):
-        for y in (x, x + 1j * rng.standard_normal(n)):
+    xc = x + 1j * rng.standard_normal(n)
+    inputs = (x, xc, x > 0, np.round(4 * x).astype(np.int64), x.astype(np.float16), x.astype(np.float32),
+              xc.astype(np.complex64), x.astype(np.longdouble))
+    built = []
+    for eps in (1e-6, 1e-9):
+        params = SlepianParams.create(n, w, eps)
+        built += [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
+                  FastTikhonov.build(params, alpha)]
+    for op, exact in zip(built, maps * 2):
+        for y in inputs:
+            y64 = y.astype(np.result_type(y, np.float64))
             if op.kind == 2:
                 c = op.compress(y)
-                assert c.shape == (op.k_prime,) and c.dtype == (np.complex128 if np.iscomplexobj(y) else np.float64)
+                assert c.shape == (op.k_prime,) and c.dtype == y64.dtype
                 out = op.decompress(c)
             else:
                 out = op.apply(y)
-            assert out.dtype == (np.complex128 if np.iscomplexobj(y) else np.float64), op.kind
-            assert np.linalg.norm(out - exact @ y) <= op.error_bound * np.linalg.norm(y), op.kind
+            assert out.dtype == y64.dtype, (op.kind, y.dtype)
+            assert np.linalg.norm(out - exact @ y64) <= op.error_bound * np.linalg.norm(y64), (op.kind, y.dtype)
+    # an object x returned an object array from three kinds and a str x raised numpy's UFuncTypeError; both fail
+    # at the input rule in every kind and in both factor kinds' three methods
+    factorization = built[1]
+    for bad in (x.astype(object), x.astype(str)):
+        calls = [op.apply for op in built[:4]] + [factorization.compress, lambda v: factorization.decompress(
+            np.resize(v, factorization.k_prime))]
+        for f in (factorization.u, factorization.l):
+            calls += [f.apply, f.adjoint_apply, lambda v, f=f: f.synthesize(np.resize(v, f.rank))]
+        for call in calls:
+            with pytest.raises(ValueError, match="expected a real or complex vector"):
+                call(bad)

@@ -262,9 +262,11 @@ class TestStructuralIdentity:
 class TestFourierCorrectionFactor:
     @pytest.mark.parametrize(
         "n,w,eps",
-        [(64, 0.25, 1e-3), (64, 1 / 16, 1e-6), (256, 0.25, 1e-9), (256, 1 / 16, 1e-9)],
+        [(64, 0.25, 1e-3), (64, 1 / 16, 1e-6), (256, 0.25, 1e-9), (256, 1 / 16, 1e-9), (300, 0.37, 1e-3)],
     )
     def test_certified_bound_and_rank(self, n, w, eps):
+        # at (300, 0.37) the float 2nw is 222.0, a tie rounded up to q = 223, while the exact 2nw lies just below
+        # 222: an oracle that took q from the exact w read 411 eps here
         fac = fourier_correction_factor(n, w, eps)
         b = prolate_dense(n, w)
         ff = fourier_projector_dense(PartialFourier(n, w))
@@ -535,6 +537,22 @@ class TestLowRankFactor:
             assert np.array_equal(f.synthesize(c.real, out=np.zeros(n, complex)).real, real_out)
             assert np.array_equal(f.synthesize(c.real), real_out)
 
+    def test_synthesize_adds_through_views_of_out(self, rng):
+        # each core adds c's real rows into views of out: a strided complex out receives exactly the sum a fresh
+        # out gets, and real c leaves a complex out's imaginary part as it was, for both kinds
+        n = 32
+        spectral = projection_correction(n, 0.25, 1e-6, default_subspace_dim(n, 0.25))
+        for f in (spectral, fourier_correction_factor(n, 0.25, 1e-6)):
+            c = rng.standard_normal(f.rank) + 1j * rng.standard_normal(f.rank)
+            buffer = np.zeros(2 * n, complex)
+            assert f.synthesize(c, out=buffer[::2]).base is buffer
+            assert np.array_equal(buffer[::2], f.synthesize(c)) and not buffer[1::2].any()
+            start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            out = start.copy()
+            f.synthesize(c.real, out=out)
+            assert np.array_equal(out.imag, start.imag)
+            assert np.allclose(out.real, start.real + f.synthesize(c.real), rtol=0, atol=1e-14 * np.abs(out).max())
+
     def test_holds_read_only_views(self, rng):
         # a factor cannot be changed through what it holds, and the caller's arrays keep their flags
         n = 16
@@ -543,6 +561,17 @@ class TestLowRankFactor:
         for f in (SpectralFactor(n, 0, block, g), FourierFactor(0.25, z, ca, cb)):
             assert not any(a.flags.writeable for a in f.arrays)
         assert all(a.flags.writeable for a in (block, g, z, ca, cb))
+
+
+def _assert_products_match_dense(f, rng):
+    """f's apply, adjoint_apply and synthesize on real and complex input, each within 1e-13 of the dense factor."""
+    n, dense, (left, right) = f.n, factor_dense(f), factor_halves(f)
+    for cplx in (False, True):
+        x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if cplx else 0.0)
+        c = rng.standard_normal(f.rank) + (1j * rng.standard_normal(f.rank) if cplx else 0.0)
+        for got, want in ((f.apply(x), dense @ x), (f.adjoint_apply(x), right.conj().T @ x),
+                          (f.synthesize(c), left @ c)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (n, cplx)
 
 
 class TestFourierTiles:
@@ -581,15 +610,13 @@ class TestFourierTiles:
         # a tile of L rows for both directions; n = tiles L + rows at the tile edges and across several tiles
         monkeypatch.setattr(lowrank, "_ANALYSIS_TILE", tile)
         monkeypatch.setattr(lowrank, "_SYNTHESIS_TILE", tile)
-        n = tiles * tile + rows
-        f = fourier_correction_factor(n, 0.2, 1e-6)
-        dense, (left, right) = factor_dense(f), factor_halves(f)
-        for cplx in (False, True):
-            x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if cplx else 0.0)
-            c = rng.standard_normal(f.rank) + (1j * rng.standard_normal(f.rank) if cplx else 0.0)
-            for got, want in ((f.apply(x), dense @ x), (f.adjoint_apply(x), right.conj().T @ x),
-                              (f.synthesize(c), left @ c)):
-                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (n, cplx)
+        _assert_products_match_dense(fourier_correction_factor(tiles * tile + rows, 0.2, 1e-6), rng)
+
+    @pytest.mark.parametrize("n,w,eps", [(300, 0.37, 1e-3), (257, 0.1, 1e-9)])
+    def test_products_match_dense_across_bandwidths(self, n, w, eps, rng):
+        # (300, 0.37): the float 2nw is the even 222.0 and the factor takes q = 223, the exact 2nw lies just below
+        # 222; the dense factor of an oracle that took q = 221 from the exact w stood 0.41 (2-norm) away from it
+        _assert_products_match_dense(fourier_correction_factor(n, w, eps), rng)
 
     def test_synthesize_adds_into_out(self, rng):
         f = fourier_correction_factor(300, 0.25, 1e-6)

@@ -4,7 +4,8 @@ perfbench/tracing.py replaces library functions and methods by name for
 the length of a traced run.  A rename, or a caller that stops going through
 a wrapped name, would leave a traced run without that layer's spans; this
 runs every operator kind through an instrumented library and checks that
-each wrapped layer recorded at least one span.
+each wrapped layer recorded at least one span, and that no span nests in a
+span of its own name.
 """
 
 import importlib.util
@@ -84,6 +85,14 @@ def test_every_wrapped_layer_records_a_span():
     missing = LAYER_SPANS - set(names)
     assert not missing, sorted(missing)
     assert names.count("operators.build.pinv") == 2
+    # every time metric of the tracer is inclusive, so a wrapped layer that called its own wrapped name (a factor's
+    # apply through its adjoint_apply) would count its time twice: no span has an ancestor of its own name
+    def ancestors(sp):
+        while sp.parent is not None:
+            sp = tracer.spans[sp.parent]
+            yield sp.name
+
+    assert not [sp.name for sp in tracer.spans if sp.name in ancestors(sp)]
     # a reloaded factorization rebuilds its Fourier correction inside the decode
     assert any(sp.name == "lowrank.fourier_assembly" and sp.parent is not None
                and tracer.spans[sp.parent].name == "operators.from_bytes" for sp in tracer.spans)
