@@ -6,8 +6,9 @@ endpoints, is approximated three ways: by its truncated Fourier series
 the prolate normal equations with either the truncated pseudoinverse or
 Tikhonov regularization -- each exactly, as one SpectralFactor over all n
 Slepian pairs of the shared plan with extended-precision eigenvalues, and by
-a fast structured operator.  Coefficient integrals are computed by FFT
-quadrature whose length grows with the truncation order.
+a fast structured operator.  Coefficient integrals are trapezoid sums of
+length 2^(13 + floor(log2 m)), summed in closed form per bump; only the
+evaluation grid is sampled.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .dpss import FULL_BASIS_MAX_N, rayleigh_extended, slepian_plan
 from .lowrank import SpectralFactor
@@ -62,8 +62,12 @@ class FourierExtensionConfig:
     def __post_init__(self):
         if not 1.0 < self.t_ext < math.inf:
             raise ValueError(f"extension half-period must be finite and exceed 1, got {self.t_ext}")
-        if not 0.0 < self.pinv_threshold < 1.0:
-            raise ValueError(f"eigenvalue cutoff must lie in (0, 1), got {self.pinv_threshold}")
+        if not 0.0 < self.fast_eps < 0.5:
+            raise ValueError(f"tolerance must lie in (0, 1/2), got {self.fast_eps}")
+        if not self.fast_eps < self.pinv_threshold < 1.0 - self.fast_eps:
+            raise ValueError(f"cutoff {self.pinv_threshold} must lie inside ({self.fast_eps}, {1 - self.fast_eps})")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"regularization weight must be positive and finite, got {self.alpha}")
         if not self.m_values or not all(isinstance(m, numbers.Integral) for m in self.m_values):
             raise ValueError(f"truncation orders must be a nonempty sequence of integers, got {self.m_values!r}")
         if any(m < 1 for m in self.m_values):
@@ -154,53 +158,57 @@ class SyntheticTarget:
                 out[held] += np.add.reduceat(near, first_row, axis=0)
         return out.ravel()[:count]
 
+    def spectrum_on_grid(self, start: float, step: float, count: int, q: int, m_max: int) -> np.ndarray:
+        """S(m) = sum_{j<count} f(start + j*step) e^{-2 pi i j m / q}, m = 0..m_max < q: rfft(samples, n=q)[:m_max + 1].
 
-class _PeriodSamples:
-    """Target samples on the finest quadrature grid of one period family.
+        In closed form, with z = e^{-2 pi i m / q}: the trend is sum z^j and sum j z^j, and bump k is two
+        geometric series of ratio e^{-step/w_k} z^{-+1} from the nodes J_k and J_k + 1 either side of its
+        center.  Each z^k comes from k*m mod q in integers and each 1 - ratio from expm1 and sin^2, so
+        nothing cancels as step/w_k and m/q go to 0; the work is O(bumps x m_max), whatever count.
+        """
+        def turn(k):  # z^k, the exponent reduced mod q in integers
+            return np.exp((-2j * math.pi / q) * (k % q))
 
-    Grids for smaller transform lengths are strided subsets, so the target
-    is evaluated once per family.  Node j = 2^v * (odd) is sampled on the
-    grid of spacing 2^(v+1) h that holds the odd multiples of 2^v h, so a
-    sample does not depend on q_max: for_q(q) equals sampling at length q.
-    """
-
-    def __init__(self, target, period: float, q_max: int):
-        self.period = period
-        self.q_max = q_max
-        h = period / q_max
-        n_in = min(int(math.floor(2.0 / h)), q_max - 1)
-        self.values = np.empty(n_in + 1)
-        self.values[0] = target(np.array([-1.0]))[0]
-        stride = 1
-        while stride <= n_in:
-            step = h * stride
-            self.values[stride::2 * stride] = target.on_grid(-1.0 + step, 2.0 * step, (n_in // stride + 1) // 2)
-            stride *= 2
-
-    def for_q(self, q: int):
-        stride = self.q_max // q
-        h = self.period / q
-        n_in = min(int(math.floor(2.0 / h)), q - 1)
-        return self.values[::stride][: n_in + 1], n_in, h
+        m, last = np.arange(m_max + 1), count - 1
+        z, z_end, half, sin = turn(m), turn(count * m), np.sin(math.pi * m / q), np.sin(2.0 * math.pi * m / q)
+        level = self.offset + self.slope * start
+        out = np.full(m_max + 1, count * (level + self.slope * step * last / 2), dtype=complex)
+        d, z_last = 2.0 * half[1:] ** 2 + 1j * sin[1:], turn(last * m[1:])  # 1 - z and z^last, m >= 1
+        out[1:] = (level * (1.0 - z_end[1:]) + self.slope * step * z[1:] * ((1.0 - z_last) / d - last * z_last)) / d
+        if self.amps.size:
+            x = step / self.widths[:, None]
+            j = np.clip(np.floor((self.centers - start) / step), -1, last).astype(np.int64)[:, None]
+            gap = (start + step * j - self.centers[:, None]) / self.widths[:, None]  # (t_J - c_k) / w_k
+            # each bump at J and J + 1; an empty side (J = -1 or last) sums to zero, the abs keeps it finite
+            left, right = self.amps[:, None] * np.exp(-np.abs(gap)), self.amps[:, None] * np.exp(-np.abs(gap + x))
+            decay = np.exp(-x)
+            re, im = -np.expm1(-x) + 2.0 * decay * half**2, decay * sin  # 1 - e^{-x} z^{-+1} = re -+ i im
+            p = turn(j * m)
+            out += np.sum(left * (p - np.exp(-(j + 1) * x) * turn(-m)) / (re - 1j * im)
+                          + right * (p * z - np.exp(-(last - j) * x) * z_end) / (re + 1j * im), axis=0)
+        return out
 
 
-def _quad_coeffs(samples: _PeriodSamples, q: int, m_max: int, half_period: float, f_at_1: float):
-    """Trapezoid FFT quadrature of (1/sqrt(2T)) * integral of f(t) e^{-j pi m t / T} over [-1, 1].
+def _quad_coeffs(target: SyntheticTarget, q: int, m_max: int, half_period: float, f_at_1: float):
+    """Trapezoid quadrature of (1/sqrt(2T)) * integral of f(t) e^{-j pi m t / T} over [-1, 1], period 2T split in q.
 
     Works for both families: the Fourier series is the half_period = 1 case.
-    The right endpoint may fall between grid nodes (period > 2); the last
-    sliver is integrated by a one-panel trapezoid.
+    The grid's sums are target.spectrum_on_grid's closed forms; only the two
+    end nodes are sampled.  The right endpoint may fall between grid nodes
+    (period > 2); the last sliver is integrated by a one-panel trapezoid.
     """
-    fv, n_in, h = samples.for_q(q)
+    h = 2.0 * half_period / q
+    n_in = min(int(math.floor(2.0 / h)), q - 1)
+    t_last = -1.0 + h * n_in
+    f_first, f_last = target(np.array([-1.0, t_last]))
     m = np.arange(-m_max, m_max + 1)
-    # the samples are real, so the transform at -m is the conjugate of the one at m
-    spec = scipy.fft.rfft(fv, n=q)[np.abs(m)]
+    # the target is real, so the sum at -m is the conjugate of the one at m
+    spec = target.spectrum_on_grid(-1.0, h, n_in + 1, q, m_max)[np.abs(m)]
     spec = np.where(m < 0, spec.conj(), spec)
     base = h * np.exp(1j * math.pi * m / half_period) * spec
-    t_last = -1.0 + h * n_in
     phase_last = np.exp(-1j * math.pi * m * t_last / half_period)
-    g_first = fv[0] * np.exp(1j * math.pi * m / half_period)
-    g_last = fv[-1] * phase_last
+    g_first = f_first * np.exp(1j * math.pi * m / half_period)
+    g_last = f_last * phase_last
     g_end = f_at_1 * np.exp(-1j * math.pi * m / half_period)
     sliver = 1.0 - t_last
     total = base - 0.5 * h * (g_first + g_last) + 0.5 * sliver * (g_last + g_end)
@@ -209,17 +217,18 @@ def _quad_coeffs(samples: _PeriodSamples, q: int, m_max: int, half_period: float
 
 def _reconstruct(coeffs: np.ndarray, m_max: int, half_period: float, start: float, step: float,
                  count: int) -> np.ndarray:
-    """(1/sqrt(2T)) Re sum_m c_m e^{i pi m t / T} on the grid t = start + j*step, j < count.
+    """(1/sqrt(2T)) Re sum_m c_m e^{i pi m t / T} on the grid t = start + j*step, j < count, per row of coeffs.
 
-    Within a block t = s + i*step, so the sum is one product of the per-block
-    factors c_m e^{i pi m s / T} with the per-offset table e^{i pi m i step / T}.
+    coeffs is (2 m_max + 1,) or (rows, 2 m_max + 1), the result (count,) or (rows, count).  Within a block
+    t = s + i*step, so the sums are one product of the per-block factors c_m e^{i pi m s / T} of every row
+    with the per-offset table e^{i pi m i step / T} that all rows share.
     """
     nodes = _grid_blocks(start, step, count)
     freq = (math.pi / half_period) * np.arange(-m_max, m_max + 1)
-    head = np.exp(1j * np.outer(nodes[:, 0], freq)) * coeffs
+    head = (np.exp(1j * np.outer(nodes[:, 0], freq)) * coeffs[..., None, :]).reshape(-1, freq.size)
     table = np.exp(1j * np.outer(freq, step * np.arange(nodes.shape[1])))
     out = head.real @ table.real - head.imag @ table.imag
-    return out.ravel()[:count] / math.sqrt(2.0 * half_period)
+    return out.reshape(*coeffs.shape[:-1], -1)[..., :count] / math.sqrt(2.0 * half_period)
 
 
 def _exact_pairs(n: int, w: float):
@@ -242,10 +251,6 @@ def run_fourier_extension(config: FourierExtensionConfig, seed: int = 0):
     w = 1.0 / (2.0 * t_ext)
     f_at_1 = float(target(np.array([1.0]))[0])
 
-    q_max = config.fft_length(max(config.m_values))
-    series_samples = _PeriodSamples(target, 2.0, q_max)
-    ext_samples = _PeriodSamples(target, 2.0 * t_ext, q_max)
-
     eval_grid = (-1.0, 2.0 / (config.eval_points - 1), config.eval_points)
     f_eval = target.on_grid(*eval_grid)
     f_norm = float(np.linalg.norm(f_eval))
@@ -256,11 +261,11 @@ def run_fourier_extension(config: FourierExtensionConfig, seed: int = 0):
         q = config.fft_length(m)
 
         t0 = time.perf_counter()
-        fhat = _quad_coeffs(series_samples, q, m, 1.0, f_at_1)
+        fhat = _quad_coeffs(target, q, m, 1.0, f_at_1)
         t_series_quad = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        yhat = _quad_coeffs(ext_samples, q, m, t_ext, f_at_1)
+        yhat = _quad_coeffs(target, q, m, t_ext, f_at_1)
         t_ext_quad = time.perf_counter() - t0
 
         recon = _reconstruct(fhat, m, 1.0, *eval_grid)
@@ -290,10 +295,9 @@ def run_fourier_extension(config: FourierExtensionConfig, seed: int = 0):
         ghat = SpectralFactor(n, 0, block, lams / (lams**2 + config.alpha)).apply(yhat)
         solved["ext_exact_tik"] = ghat, t_ext_quad + t_eig + time.perf_counter() - t0
 
-        for method in METHODS[1:]:
-            ghat, seconds = solved[method]
-            recon = _reconstruct(ghat, m, t_ext, *eval_grid)
-            rows.append((m, method, _rel_rms(recon, f_eval, f_norm), seconds))
+        recons = _reconstruct(np.array([solved[method][0] for method in METHODS[1:]]), m, t_ext, *eval_grid)
+        for method, recon in zip(METHODS[1:], recons):
+            rows.append((m, method, _rel_rms(recon, f_eval, f_norm), solved[method][1]))
     return rows
 
 

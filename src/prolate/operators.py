@@ -176,6 +176,7 @@ class FastPseudoinverse(_SpectralOperator):
         cutoff must lie inside (epsilon, 1 - epsilon) for the split condition
         to hold automatically.
         """
+        SlepianParams.create(n, w, epsilon)  # n, w and epsilon checked before the cutoff and the window solve
         if not epsilon < cutoff < 1.0 - epsilon:
             raise ValueError(f"cutoff {cutoff} must lie inside ({epsilon}, {1 - epsilon})")
         start, lams, _ = transition_window(n, w, epsilon, 1.0 - epsilon)

@@ -114,6 +114,16 @@ def bandwidth_shift_dense(n, w, w_prime):
     return out
 
 
+def grid_spectrum_sampled(target, start, step, count, q, m_max):
+    """Bins 0..m_max of the length-q real FFT of a SyntheticTarget sampled node by node at start + j*step, j < count:
+    offset + slope t plus every bump a exp(-|t - c| / w), summed from the target's fields."""
+    t = start + step * np.arange(count)
+    f = target.offset + target.slope * t
+    for a, c, w in zip(target.amps, target.centers, target.widths):
+        f = f + a * np.exp(-np.abs(t - c) / w)
+    return scipy.fft.rfft(f, n=q)[:m_max + 1]
+
+
 @lru_cache(maxsize=32)
 def eig_dense(n, w):
     """Descending eigendecomposition of the dense prolate matrix; cached."""

@@ -218,6 +218,17 @@ class TestFourierExtension:
             t_ext=2.0, m_values=(8, 16), pinv_threshold=1e-3, fast_eps=1e-6, alpha=1e-4, eval_points=99,
             constant_target=True)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--fast-eps", "2"], "tolerance must lie in (0, 1/2), got 2.0"),
+        (["--pinv-threshold", "1e-6"], "cutoff 1e-06 must lie inside (1e-05, 0.99999)"),
+        (["--alpha", "nan"], "regularization weight must be positive and finite, got nan"),
+    ])
+    def test_bad_operator_settings_exit_before_any_work(self, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(cli, "run_fourier_extension", lambda *args, **kwargs: pytest.fail("the pipeline ran"))
+        rc, out, err = run_cli(["fourier-ext", "--m", "8", *flags], capsys)
+        assert rc == 1 and out == ""
+        assert err == f"prolate: {message}\n"
+
     def test_deterministic_given_seed(self):
         cfg = FourierExtensionConfig(m_values=(8,))
         a = run_fourier_extension(cfg, seed=42)

@@ -12,7 +12,6 @@ from prolate.dpss import FULL_BASIS_MAX_N, unfold
 from prolate.fourier_ext import (
     FourierExtensionConfig,
     SyntheticTarget,
-    _PeriodSamples,
     _exact_pairs,
     _grid_blocks,
     _quad_coeffs,
@@ -21,7 +20,15 @@ from prolate.fourier_ext import (
 )
 from prolate.lowrank import SpectralFactor
 
-from oracles import eigvals_dense, factor_dense, needs_extended, norm2, pinv_oracle, tikhonov_oracle
+from oracles import (
+    eigvals_dense,
+    factor_dense,
+    grid_spectrum_sampled,
+    needs_extended,
+    norm2,
+    pinv_oracle,
+    tikhonov_oracle,
+)
 
 U = np.finfo(float).eps
 
@@ -53,18 +60,33 @@ def constant_target(value):
     return dataclasses.replace(SyntheticTarget.constant(), offset=value)
 
 
+def assert_matches_sampled_fft(target, start, step, count, q, m_max):
+    """spectrum_on_grid within rounding of the FFT of the target sampled node by node, in units of U."""
+    got = target.spectrum_on_grid(start, step, count, q, m_max)
+    want = grid_spectrum_sampled(target, start, step, count, q, m_max)
+    assert got.shape == (m_max + 1,)
+    # the FFT's rounding, about log2 q units of the samples' l1 norm; a geometric series' rounding, a few units of
+    # its untruncated sum 2|a| (w / step + 1); and node rounding, which moves a bump's exponents by u |t - c| / w
+    reach = abs(start) + step * count
+    untruncated = 2.0 * np.abs(target.amps) * (target.widths / step + 1.0)
+    on_grid = np.minimum(untruncated, count * np.abs(target.amps))
+    l1 = count * (abs(target.offset) + abs(target.slope) * reach) + on_grid.sum()
+    tol = 8 * U * ((math.log2(q) + 2) * l1
+                   + np.sum(untruncated + on_grid * (reach + np.abs(target.centers)) / target.widths))
+    assert np.abs(got - want).max() <= tol
+
+
 class TestQuadrature:
     @pytest.mark.parametrize("half_period", [1.0, 1.5])
     def test_against_adaptive_quadrature(self, half_period):
-        # FFT-quadrature coefficients vs scipy adaptive integration of the
+        # trapezoid-quadrature coefficients vs scipy adaptive integration of the
         # same integrand; q matches the production length scale, where the
         # trapezoid error of the kinked target sits below 1e-8
         target = small_target()
         q = 1 << 18
         m_max = 6
-        samples = _PeriodSamples(target, 2 * half_period, q)
         f_at_1 = float(target(np.array([1.0]))[0])
-        got = _quad_coeffs(samples, q, m_max, half_period, f_at_1)
+        got = _quad_coeffs(target, q, m_max, half_period, f_at_1)
         scale = 1.0 / math.sqrt(2 * half_period)
         for m in (-m_max, -1, 0, 2, m_max):
             re, _ = scipy.integrate.quad(
@@ -76,24 +98,47 @@ class TestQuadrature:
             want = scale * complex(re, im)
             assert abs(got[m + m_max] - want) <= 5e-7 * max(1.0, abs(want))
 
-    def test_nested_grids_agree_with_direct_sampling(self):
-        # a strided slice of the finest grid must reproduce the coarse grid; in the second case the two
-        # grids' first on_grid calls (5461 and 85 nodes) are cut into blocks of 64 and 8 nodes
-        period = 3.0
-        for n_bumps, q_max, q in [(5, 1 << 12, 1 << 10), (500, 1 << 14, 1 << 8)]:
-            target = small_target(seed=9, n_bumps=n_bumps)
-            fine = _PeriodSamples(target, period, q_max)
-            coarse = _PeriodSamples(target, period, q)
-            fv_fine, n_in_fine, h_fine = fine.for_q(q)
-            fv_coarse, n_in_coarse, h_coarse = coarse.for_q(q)
-            assert n_in_fine == n_in_coarse and h_fine == h_coarse
-            assert np.array_equal(fv_fine, fv_coarse)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_sums_match_sampled_fft(self, data):
+        # the closed-form grid sums against the FFT of the target sampled node by node; q runs from count to
+        # 2 count, as on the quadrature grids (count = q at period 2, 2q/3 + 1 at period 3)
+        count = data.draw(st.sampled_from([1, 2, 3, 1 << 12]) | st.integers(1, 1 << 12), label="count")
+        q = data.draw(st.integers(count, 2 * count) | st.just(1 << (count - 1).bit_length()), label="q")
+        m_max = data.draw(st.integers(0, min(q // 2, 100)), label="m_max")
+        start = data.draw(st.floats(-2.0, 1.0), label="start")
+        step = data.draw(st.floats(1e-7, 4.0 / count), label="step")  # step / w down to 1e-6, as at q = 2^22
+        last = count - 1
+        # centers on nodes, in the cells of J = -1 and J = last (one side of the bump empty), beyond [-1, 1], in it
+        node = st.integers(-1, count).map(lambda j: start + step * j)
+        cell = st.sampled_from([-1, last]).flatmap(
+            lambda j: st.floats(0.0, 1.0, exclude_max=True).map(lambda u: start + step * (j + u)))
+        outside = st.floats(1.0, 3.0, exclude_min=True) | st.floats(-3.0, -1.0, exclude_max=True)
+        k = 0 if data.draw(st.booleans(), label="constant") else data.draw(st.integers(0, 8), label="bumps")
+        target = SyntheticTarget(
+            slope=0.0 if k == 0 else data.draw(st.floats(-5.0, 5.0), label="slope"),
+            offset=data.draw(st.floats(-2.0, 2.0), label="offset"),
+            amps=np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k), label="amps")),
+            centers=np.array(data.draw(st.lists(node | cell | outside | st.floats(-1.0, 1.0), min_size=k,
+                                                max_size=k), label="centers")),
+            widths=np.array(data.draw(st.lists(st.sampled_from([1e-3, 1e-1]) | st.floats(1e-3, 1e-1),
+                                               min_size=k, max_size=k), label="widths")),
+        )
+        assert_matches_sampled_fft(target, start, step, count, q, m_max)
+
+    @pytest.mark.parametrize("start, step, center", [(0.0, 1e-7, 0), (0.0, 1e-7, 2048), (-1.0, 1e-7, 4095),
+                                                     (0.0, 1e-5, 2048), (0.0, 1e-4, 100)])
+    def test_closed_form_sums_keep_their_digits_as_step_over_width_vanishes(self, start, step, center):
+        # one wide bump on a grid much shorter than it: 1 - e^{-x} taken as 1 - (its rounded value) would cost
+        # about u / x relative, 290 u * w / step at step = 1e-7, where the bound allows 16.5
+        target = SyntheticTarget(slope=0.0, offset=0.0, amps=np.array([1.0]), centers=np.array([start + step * center]),
+                                 widths=np.array([0.1]))
+        assert_matches_sampled_fft(target, start, step, 4096, 4096, 100)
 
     def test_constant_series_coefficients_exact(self):
         target = constant_target(2.0)
         q = 1 << 10
-        samples = _PeriodSamples(target, 2.0, q)
-        got = _quad_coeffs(samples, q, 4, 1.0, 2.0)
+        got = _quad_coeffs(target, q, 4, 1.0, 2.0)
         want = np.zeros(9, dtype=complex)
         want[4] = 2.0 * math.sqrt(2.0)  # only the zero-frequency term survives
         assert np.abs(got - want).max() <= 1e-12
@@ -110,8 +155,17 @@ class TestConfig:
         for t_ext in (0.9, math.nan, math.inf):
             with pytest.raises(ValueError, match="extension half-period must be finite and exceed 1"):
                 FourierExtensionConfig(t_ext=t_ext)
-        with pytest.raises(ValueError):
-            FourierExtensionConfig(pinv_threshold=2.0)
+        for pinv_threshold in (2.0, 0.0, 1e-6, 1.0 - 1e-6, math.nan):
+            with pytest.raises(ValueError, match=r"cutoff .* must lie inside \(1e-05, 0.99999\)"):
+                FourierExtensionConfig(pinv_threshold=pinv_threshold)
+        # the fast operators' checks, made before any work; the tolerance's first, as it bounds the cutoff
+        for fast_eps in (0.0, 0.5, 2.0, -1e-5, math.nan):
+            with pytest.raises(ValueError, match=r"tolerance must lie in \(0, 1/2\)"):
+                FourierExtensionConfig(fast_eps=fast_eps)
+        for alpha in (0.0, -1e-8, math.nan, math.inf):
+            with pytest.raises(ValueError, match="regularization weight must be positive and finite"):
+                FourierExtensionConfig(alpha=alpha)
+        FourierExtensionConfig(fast_eps=1e-3, pinv_threshold=2e-3, alpha=1e300)
         with pytest.raises(ValueError):
             FourierExtensionConfig(m_values=(0,))
         for m_values in ((), (8.0,), (40, 80.5)):
@@ -246,6 +300,15 @@ class TestReconstruct:
         got = _reconstruct(coeffs, m_max, half_period, -1.0, step, count)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_rows_share_one_table(self):
+        # a block of coefficient rows reconstructs as each row alone
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal((4, 81)) + 1j * rng.standard_normal((4, 81))
+        got = _reconstruct(coeffs, 40, 1.5, -1.0, 2.0 / 9999, 10_000)
+        assert got.shape == (4, 10_000)
+        for row, c in zip(got, coeffs):
+            assert np.abs(row - _reconstruct(c, 40, 1.5, -1.0, 2.0 / 9999, 10_000)).max() <= 1e-13
+
 
 class TestExactPairs:
     @needs_extended
@@ -313,6 +376,18 @@ class TestRunExtension:
         assert got.keys() == PINNED_ROWS.keys()
         for key, want in PINNED_ROWS.items():
             assert abs(got[key] - want) <= 1e-12 * want, key
+
+    def test_only_the_evaluation_grid_is_sampled(self, monkeypatch):
+        # the quadrature sums are closed forms: past the evaluation grid the target is sampled at f(1) and at
+        # each family's two end nodes per rung, where sampling the quadrature grids took 873,814 nodes here
+        nodes = []
+        call, on_grid = SyntheticTarget.__call__, SyntheticTarget.on_grid
+        monkeypatch.setattr(SyntheticTarget, "__call__", lambda self, t: nodes.append(np.size(t)) or call(self, t))
+        monkeypatch.setattr(SyntheticTarget, "on_grid",
+                            lambda self, start, step, count: nodes.append(count) or on_grid(self, start, step, count))
+        config = FourierExtensionConfig(m_values=(40, 80))
+        run_fourier_extension(config, seed=1)
+        assert sum(nodes) <= config.eval_points + 1 + 4 * len(config.m_values), nodes
 
     def test_error_decreases_with_order(self):
         rows = run_fourier_extension(FourierExtensionConfig(m_values=(16, 64)), seed=4)

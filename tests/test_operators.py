@@ -234,6 +234,19 @@ class TestFastPseudoinverse:
         lams, _ = eig_dense(n, w)
         assert op.params.k == int(np.count_nonzero(lams >= 1e-4))
 
+    @pytest.mark.parametrize("n, w, eps, cutoff, message", [
+        (81.5, 1 / 3, 1e-5, 1e-4, "signal length n must be an integer"),
+        (0, 1 / 3, 1e-5, 1e-4, "signal length must be positive"),
+        *((81, w, 1e-5, 1e-4, "half-bandwidth must lie in") for w in (0.7, 0.0, math.nan)),
+        *((81, 1 / 3, eps, 1e-4, "tolerance must lie in") for eps in (2.0, math.nan)),
+        *((81, 1 / 3, 1e-5, cutoff, "cutoff .* must lie inside") for cutoff in (1e-6, 1.0, math.nan)),
+    ])
+    def test_cutoff_constructor_validates_before_the_window_solve(self, monkeypatch, n, w, eps, cutoff, message):
+        # n, w and eps get SlepianParams' checks, then the cutoff its own, before transition_window runs
+        monkeypatch.setattr("prolate.operators.transition_window", lambda *args: pytest.fail("the window was solved"))
+        with pytest.raises(ValueError, match=message):
+            FastPseudoinverse.build_with_cutoff(n, w, eps, cutoff)
+
 
 class TestFastTikhonov:
     def test_eigenvector_action(self):
