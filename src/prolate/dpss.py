@@ -31,8 +31,9 @@ once all four operators are built at n = 2^16, w = 1/4, eps = 1e-6).  A later
 window starts from the held pairs and solves only what it needs beyond them to
 place its edges (none for a Tikhonov build after a projector at the benchmark
 points), and is a read-only view of the block, which only rayleigh_extended
-and SpectralFactor.synthesize unfold.  slepian_plan holds one (n, w) at a time.
-The tridiagonal solves run scipy's OpenBLAS on the calling thread: their
+and SpectralFactor.synthesize unfold; every spectral record keeps that view,
+so the block is the one copy of the pairs.  slepian_plan holds one (n, w) at a
+time.  The tridiagonal solves run scipy's OpenBLAS on the calling thread: their
 level-1 BLAS gains nothing from more threads, whose rounding and idle spinning
 only made a build's bytes depend on the thread count and its time on the load.
 """
@@ -212,13 +213,6 @@ def mapped_rows(rows: int, n: int, dtype=float) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(size, 1), **_MAP_FLAGS), dtype, count=rows * n).reshape(rows, n)
 
 
-def mapped_columns(block: np.ndarray) -> np.ndarray:
-    """A column-major copy of a 2-D block in a memory map of its own, returned to the system when dropped."""
-    out = mapped_rows(block.shape[1], block.shape[0]).T
-    out[...] = block
-    return out
-
-
 def unfold(block, parity, n, out=None):
     """Adds into out (by default new zeros, column-major) the n-vectors whose leading rows are block's columns, each
     mirrored below them, and negated there where its parity (one per column, or one for all) is odd."""
@@ -310,9 +304,12 @@ class SlepianPlan:
 
     The pairs are one snapshot (first, block, lams): column j of the column-major block holds the first ceil(n/2)
     entries of Slepian vector first + j (the middle one zero if odd at odd n), lams[j] its float64 Rayleigh quotient.
-    Stored arrays are read-only and a snapshot is replaced, never written, so concurrent builds at one (n, w) can at
-    worst solve the same missing pairs twice.  Blocks live in their own memory maps: held on the malloc heap across
-    builds, they kept it from returning the builds' temporaries (peak RSS up to 50 MB higher).
+    Stored arrays are read-only and a snapshot is replaced, never written (_solve fills a fresh block, pairs joins
+    into a new one), so concurrent builds at one (n, w) can at worst solve the same missing pairs twice, and windows
+    and records stay valid when it is replaced or the plan dropped.  A record keeps its whole snapshot alive (a
+    projector at (2^16, 1/4, 1e-6) the plan's 47 columns, not its 34).  Blocks live in their own memory maps, so a
+    dropped one goes back to the system whatever was allocated after it: on the malloc heap across builds, they kept
+    it from returning the builds' temporaries (peak RSS up to 50 MB higher).
     """
 
     def __init__(self, n: int, w: float):

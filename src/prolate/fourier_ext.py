@@ -22,7 +22,7 @@ import numpy as np
 
 from .dpss import FULL_BASIS_MAX_N, rayleigh_extended, slepian_plan
 from .lowrank import SpectralFactor
-from .operators import FastPseudoinverse, FastTikhonov, SlepianParams
+from .operators import FastPseudoinverse, FastTikhonov, SlepianParams, _real, _weight
 
 __all__ = [
     "FourierExtensionConfig",
@@ -60,14 +60,14 @@ class FourierExtensionConfig:
     constant_target: bool = False
 
     def __post_init__(self):
-        if not 1.0 < self.t_ext < math.inf:
-            raise ValueError(f"extension half-period must be finite and exceed 1, got {self.t_ext}")
-        if not 0.0 < self.fast_eps < 0.5:
-            raise ValueError(f"tolerance must lie in (0, 1/2), got {self.fast_eps}")
-        if not self.fast_eps < self.pinv_threshold < 1.0 - self.fast_eps:
-            raise ValueError(f"cutoff {self.pinv_threshold} must lie inside ({self.fast_eps}, {1 - self.fast_eps})")
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"regularization weight must be positive and finite, got {self.alpha}")
+        def real(name, lo, hi, message):  # the float fields take any real number and store it as a float
+            object.__setattr__(self, name, _real(getattr(self, name), lo, hi, message))
+
+        real("t_ext", 1.0, math.inf, f"extension half-period must be finite and exceed 1, got {self.t_ext}")
+        real("fast_eps", 0.0, 0.5, f"tolerance must lie in (0, 1/2), got {self.fast_eps}")
+        real("pinv_threshold", self.fast_eps, 1.0 - self.fast_eps,
+             f"cutoff {self.pinv_threshold} must lie inside ({self.fast_eps}, {1 - self.fast_eps})")
+        object.__setattr__(self, "alpha", _weight(self.alpha))
         if not self.m_values or not all(isinstance(m, numbers.Integral) for m in self.m_values):
             raise ValueError(f"truncation orders must be a nonempty sequence of integers, got {self.m_values!r}")
         if any(m < 1 for m in self.m_values):

@@ -16,8 +16,8 @@ in structured form, as one of the two LowRankFactor kinds, whose base class
 splits complex input into real rows once for a real core: a FourierFactor
 holds the Hilbert factor z and two Taylor coefficient matrices (their basis
 (m/n)^j is fixed by n and never stored; phases are recomputed per call), a
-SpectralFactor holds a correction V diag(g) V^T as only the leading
-ceil(n/2) rows of V, the block the Slepian plan holds.
+SpectralFactor holds a correction V diag(g) V^T as its weights g over a
+view of the Slepian plan's block of V's leading ceil(n/2) rows, uncopied.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import scipy.special
 
 from .dpss import (
     PreconditionViolated,
-    mapped_columns,
     mapped_rows,
     quotient_error,
     refine_window,
@@ -116,12 +115,15 @@ class SpectralFactor(LowRankFactor):
     odd n), as the plan holds them.  Analysis folds x to
     x_lead +- reversed(x_tail) for each parity's half, synthesis unfolds
     both parities' products, and g enters as sqrt|g| on each side of the
-    coefficients.
+    coefficients.  A column-major float64 block is kept as given: the
+    builders' view of the plan's snapshot, which it keeps alive (see
+    SlepianPlan), or the loader's of the file bytes; any other is copied onto
+    the heap.  arrays lists the block in full, though factors share it.
     """
 
     def __init__(self, n: int, lead: int, block, g):
-        self.n, self.lead = n, lead
-        self.block, self.weights = _read_only(_column_major(block).view()), _read_only(np.asarray(g, float).view())
+        self.n, self.lead, self.block = n, lead, _read_only(np.asfortranarray(block, dtype=float).view())
+        self.weights = _read_only(np.asarray(g, float).view())
         if lead not in (0, 1) or self.block.shape != ((n + 1) // 2, self.weights.size) or self.weights.ndim != 1:
             raise ValueError("a spectral block must hold ceil(n/2) leading rows, one column per weight")
 
@@ -178,10 +180,9 @@ class FourierFactor(LowRankFactor):
     def __init__(self, w: float, z, ca, cb):
         if not 0.0 < w < 0.5 or np.ndim(z) != 2 or any(np.ndim(c) != 2 or len(c) != len(c.T) for c in (ca, cb)):
             raise ValueError(f"need a half-bandwidth in (0, 1/2), z of n rows and ca and cb square, got w={w}")
-        # z kept column-major in a memory map of its own, as cfadi_solve returns it (see _column_major)
-        self.w, self.z = w, _read_only(_column_major(z).view())
-        self.ca, self.cb = (_read_only(np.asfortranarray(c, dtype=float).view()) for c in (ca, cb))
-        self._tilings = {}
+        # z as cfadi_solve returns it, column-major in a memory map of its own
+        self.z, self.ca, self.cb = (_read_only(np.asfortranarray(a, dtype=float).view()) for a in (z, ca, cb))
+        self.w, self._tilings = w, {}
 
     @property
     def n(self) -> int:
@@ -276,17 +277,6 @@ class FourierFactor(LowRankFactor):
                 target[n - i0 - k:n - i0] += mirrored[::-1]
 
 
-def _column_major(block):
-    """block if column-major already, else a column-major copy in a memory map of its own.
-
-    The builders hand over their blocks in maps (the loader: read-only views
-    of the file bytes), so a dropped operator returns its memory to the system
-    whatever was allocated after it; on the malloc heap, one small live
-    allocation above the blocks could keep tens of MB resident.
-    """
-    return block if block.flags.f_contiguous else mapped_columns(block)
-
-
 def _half_product(block, copies):
     """block^T copies^T for the folded input rows, summed over row chunks whose slices stay in cache."""
     if len(copies) == 1:
@@ -324,8 +314,8 @@ def _tiling(n, w, width, tile):
 
     Returns the tile length, the tile starts i0, the local basis (k/n)^j as
     width x tile and the local table [cos_a, sin_a, cos_b, sin_b] of both
-    steps' phases at k = 0..tile-1, each in a memory map of its own as a
-    factor's blocks are (see _column_major), the (cos, sin) of the rotations
+    steps' phases at k = 0..tile-1, each in a memory map of its own as
+    cfadi_solve's z is, the (cos, sin) of the rotations
     of the starts per step and of their mirrors n - 1 - i0 for step 1, keyed
     (step, mirrored), and the Pascal shift of tile i.  Every
     weight of a shift is positive, so (k/n)^j S(t0) keeps the rounding bound
@@ -424,6 +414,9 @@ def cfadi_solve(a_diag: np.ndarray, b_col: np.ndarray, shifts: np.ndarray) -> np
 
         Z_1 = sqrt(2 p_1) (A + p_1 I)^{-1} b
         Z_k = sqrt(p_k / p_{k-1}) (A - p_{k-1} I)(A + p_k I)^{-1} Z_{k-1}
+
+    Z is column-major in a memory map of its own, so a dropped factor returns it to the system whatever was allocated
+    after it: on the malloc heap, one small live allocation above it could keep tens of MB resident.
     """
     a_diag = np.asarray(a_diag, dtype=float)
     b_col = np.asarray(b_col, dtype=float)
@@ -590,11 +583,6 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> FourierFactor
 # Eigen-partition corrections
 
 
-def _spectral(n, start, block, g):
-    """V diag(g) V^T for the window of Slepian indices start, start + 1, ...: one copy of its block."""
-    return SpectralFactor(n, start % 2, mapped_columns(block), g)
-
-
 def _split_window(n, w, epsilon, k):
     """The window (start, lams, block) of eigenvalues in (epsilon, 1 - epsilon) and the count below the split k.
 
@@ -618,7 +606,7 @@ def projection_correction(n, w, epsilon, k) -> SpectralFactor:
     below / at-or-above k, each pushed to its side of the split.
     """
     start, lams, block, cut = _split_window(n, w, epsilon, k)
-    return _spectral(n, start, block, np.concatenate([1.0 - lams[:cut], -lams[cut:]]))
+    return SpectralFactor(n, start % 2, block, np.concatenate([1.0 - lams[:cut], -lams[cut:]]))
 
 
 def pinv_correction(n, w, epsilon, k) -> SpectralFactor:
@@ -629,7 +617,7 @@ def pinv_correction(n, w, epsilon, k) -> SpectralFactor:
     start, lams, block, cut = _split_window(n, w, epsilon, k)
     if np.any(lams[:cut] <= 0.0):
         raise ValueError("below-split eigenvalues must be positive")
-    return _spectral(n, start, block, np.concatenate([1.0 / lams[:cut] - lams[:cut], -lams[cut:]]))
+    return SpectralFactor(n, start % 2, block, np.concatenate([1.0 / lams[:cut] - lams[:cut], -lams[cut:]]))
 
 
 def _tikhonov_weight(lams, alpha):
@@ -688,4 +676,4 @@ def tikhonov_correction(n, w, epsilon, alpha) -> SpectralFactor:
     weights = _tikhonov_weight(lams, alpha)
     if np.any(weights < _SQRT_CLAMP):
         raise ValueError("negative spectral weight beyond the clamp tolerance")
-    return _spectral(n, start, block, np.maximum(weights, 0.0))
+    return SpectralFactor(n, start % 2, block, np.maximum(weights, 0.0))

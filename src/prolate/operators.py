@@ -49,13 +49,27 @@ __all__ = [
 ]
 
 
+def _real(value, lo: float, hi: float, message: str) -> float:
+    """value as a float where it is a numbers.Real (Python's, numpy's or a Fraction) in (lo, hi), else
+    ValueError(message): a float32 kept as given would round the builds' float64 arithmetic to float32."""
+    if not (isinstance(value, numbers.Real) and lo < value < hi):
+        raise ValueError(message)
+    return float(value)
+
+
+def _weight(alpha) -> float:
+    """The Tikhonov weight alpha as a positive finite float, else ValueError."""
+    return _real(alpha, 0.0, math.inf, f"regularization weight must be positive and finite, got {alpha}")
+
+
 @dataclass(frozen=True)
 class SlepianParams:
     """Problem parameters (n, w, epsilon) plus the subspace split k.
 
     n and k are integers, Python's or numpy's, and k defaults to round(2nw)
-    (half-up).  The eigenvalue condition on k is validated when an operator
-    is built, where the transition eigenpairs are available.
+    (half-up); w and epsilon are real numbers, stored as floats.  The
+    eigenvalue condition on k is validated when an operator is built, where
+    the transition eigenpairs are available.
     """
 
     n: int
@@ -70,10 +84,8 @@ class SlepianParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if n < 1:
             raise ValueError(f"signal length must be positive, got {n}")
-        if not 0.0 < w < 0.5:
-            raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
-        if not 0.0 < epsilon < 0.5:
-            raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
+        w = _real(w, 0.0, 0.5, f"half-bandwidth must lie in (0, 1/2), got {w}")
+        epsilon = _real(epsilon, 0.0, 0.5, f"tolerance must lie in (0, 1/2), got {epsilon}")
         if k is None:
             k = default_subspace_dim(n, w)
         if not 0 <= k <= n:
@@ -176,9 +188,9 @@ class FastPseudoinverse(_SpectralOperator):
         cutoff must lie inside (epsilon, 1 - epsilon) for the split condition
         to hold automatically.
         """
-        SlepianParams.create(n, w, epsilon)  # n, w and epsilon checked before the cutoff and the window solve
-        if not epsilon < cutoff < 1.0 - epsilon:
-            raise ValueError(f"cutoff {cutoff} must lie inside ({epsilon}, {1 - epsilon})")
+        params = SlepianParams.create(n, w, epsilon)  # n, w and epsilon checked before the cutoff and the window solve
+        n, w, epsilon = params.n, params.w, params.epsilon
+        cutoff = _real(cutoff, epsilon, 1.0 - epsilon, f"cutoff {cutoff} must lie inside ({epsilon}, {1 - epsilon})")
         start, lams, _ = transition_window(n, w, epsilon, 1.0 - epsilon)
         k = start + int(np.count_nonzero(lams >= cutoff))
         # not through build, which a tracer may wrap as a second build
@@ -202,12 +214,11 @@ class FastTikhonov(_SpectralOperator):
 
     @classmethod
     def build(cls, params: SlepianParams, alpha: float) -> "FastTikhonov":
+        alpha = _weight(alpha)
         return _warn_below_floor(cls(params, alpha, tikhonov_correction(params.n, params.w, params.epsilon, alpha)))
 
     def __init__(self, params: SlepianParams, alpha: float, correction: SpectralFactor):
-        if not 0.0 < alpha < math.inf:
-            raise ValueError(f"regularization weight must be positive and finite, got {alpha}")
-        self.alpha = alpha
+        self.alpha = _weight(alpha)
         super().__init__(params, correction)
 
     @property

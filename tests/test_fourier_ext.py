@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +75,13 @@ def assert_matches_sampled_fft(target, start, step, count, q, m_max):
     l1 = count * (abs(target.offset) + abs(target.slope) * reach) + on_grid.sum()
     tol = 8 * U * ((math.log2(q) + 2) * l1
                    + np.sum(untruncated + on_grid * (reach + np.abs(target.centers)) / target.widths))
+    # and underflow, which no relative term covers: each product or quotient may add |eta| <= 2^-1075 (Higham,
+    # Accuracy and Stability, 2nd ed., section 2.1), per sample and butterfly on the FFT's side and per frequency
+    # and series on the closed form's, whose quotients by 1 - z (|1 - z| >= 4 m / q) magnify it up to q^2 / 16
+    bumps = target.amps.size
+    sampled_ops = count * (3 * bumps + 2) + 2 * q * (math.log2(q) + 1)
+    closed_ops = (m_max + 1) * 16 * (bumps + 1) * (1 + q * q / 16)
+    tol += (sampled_ops + closed_ops) / 2 * 2.0**-1074  # 2.0**-1075 itself rounds to zero
     assert np.abs(got - want).max() <= tol
 
 
@@ -126,6 +135,10 @@ class TestQuadrature:
         )
         assert_matches_sampled_fft(target, start, step, count, q, m_max)
 
+    def test_closed_form_sums_of_a_subnormal_constant_are_within_underflow(self):
+        # a draw the relative terms alone refused: the sums were one subnormal ulp (4.9e-324) from the FFT's
+        assert_matches_sampled_fft(constant_target(2.225073858507e-311), 0.0, 0.5, 6, 8, 1)
+
     @pytest.mark.parametrize("start, step, center", [(0.0, 1e-7, 0), (0.0, 1e-7, 2048), (-1.0, 1e-7, 4095),
                                                      (0.0, 1e-5, 2048), (0.0, 1e-4, 100)])
     def test_closed_form_sums_keep_their_digits_as_step_over_width_vanishes(self, start, step, center):
@@ -166,6 +179,17 @@ class TestConfig:
             with pytest.raises(ValueError, match="regularization weight must be positive and finite"):
                 FourierExtensionConfig(alpha=alpha)
         FourierExtensionConfig(fast_eps=1e-3, pinv_threshold=2e-3, alpha=1e300)
+        # a str, complex, None, array or Decimal raised TypeError at the range check; any real is stored as a float
+        messages = {"t_ext": "extension half-period", "fast_eps": "tolerance must lie in",
+                    "pinv_threshold": "cutoff .* must lie inside", "alpha": "regularization weight"}
+        for field, message in messages.items():
+            good = getattr(FourierExtensionConfig(), field)
+            for bad in (str(good), complex(good), None, np.array([good]), Decimal(str(good))):
+                with pytest.raises(ValueError, match=message):
+                    FourierExtensionConfig(**{field: bad})
+            for real in (np.float32(good), Fraction(good)):
+                value = getattr(FourierExtensionConfig(**{field: real}), field)
+                assert type(value) is float and value == float(real), field
         with pytest.raises(ValueError):
             FourierExtensionConfig(m_values=(0,))
         for m_values in ((), (8.0,), (40, 80.5)):

@@ -3,6 +3,8 @@ import mmap
 import struct
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +80,32 @@ class TestSlepianParams:
         for k in (32.0, 31.5):
             with pytest.raises(ValueError, match="subspace dimension k must be an integer"):
                 SlepianParams.create(64, 0.25, 1e-6, k=k)
+
+    @pytest.mark.parametrize("field, value", [(field, bad) for field, good in (("w", 0.25), ("epsilon", 1e-6))
+                                              for bad in (str(good), complex(good), None, np.array([good]),
+                                                          Decimal(str(good)))])
+    def test_rejects_w_and_epsilon_that_are_not_real(self, field, value):
+        # a str, complex, None or array raised TypeError at the range check, and a Decimal passed it and failed
+        # inside the build
+        args = {"w": 0.25, "epsilon": 1e-6, field: value}
+        message = "half-bandwidth must lie in" if field == "w" else "tolerance must lie in"
+        with pytest.raises(ValueError, match=message):
+            SlepianParams.create(64, args["w"], args["epsilon"])
+
+    @pytest.mark.parametrize("w, eps", [(np.float32(0.1), np.float32(1e-6)), (Fraction(1, 4), Fraction(1, 10**6)),
+                                        (np.float16(0.25), 1e-6), (0.25, np.float64(1e-6))])
+    def test_stores_any_real_w_and_epsilon_as_a_float(self, w, eps):
+        p = SlepianParams.create(64, w, eps)
+        assert type(p.w) is float and type(p.epsilon) is float and (p.w, p.epsilon) == (float(w), float(eps))
+
+    def test_a_float32_w_factorization_reloads_bit_identically(self, rng):
+        # kept as float32, w rounded bandwidth_shift_factor's (w - w') to float32 while the header stored its
+        # float64 value, and the reload was 2.0e-7 away at |x| = 64
+        n = 4099
+        op = FastFactorization.build(SlepianParams.create(n, np.float32(0.1), 1e-6))
+        back = operator_from_bytes(operator_to_bytes(op))
+        for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            assert np.array_equal(back.compress(x), op.compress(x)) and np.array_equal(back.apply(x), op.apply(x))
 
     def test_accepts_numpy_integers(self):
         p = SlepianParams.create(np.int64(64), 0.25, 1e-6, k=np.int32(30))
@@ -273,6 +301,18 @@ class TestFastTikhonov:
             with pytest.raises(ValueError, match="regularization weight must be positive and finite"):
                 tikhonov_precision_floor(64, 0.25, alpha)
 
+    @pytest.mark.parametrize("alpha", ["1e-2", 1e-2 + 0j, None, np.array([1e-2]), Decimal("1e-2")])
+    def test_rejects_alpha_that_is_not_real(self, alpha):
+        with pytest.raises(ValueError, match="regularization weight must be positive and finite"):
+            FastTikhonov.build(SlepianParams.create(64, 0.25, 1e-3), alpha)
+
+    def test_stores_a_real_alpha_as_a_float(self):
+        params = SlepianParams.create(64, 0.25, 1e-3)
+        for alpha in (np.float32(1e-2), Fraction(1, 100)):
+            op = FastTikhonov.build(params, alpha)
+            assert type(op.alpha) is float and op.alpha == float(alpha)
+            assert operator_to_bytes(operator_from_bytes(operator_to_bytes(op))) == operator_to_bytes(op)
+
     @pytest.mark.parametrize("eps", [0.1, 1e-5])
     def test_huge_alpha_builds_or_is_a_value_error(self, eps, rng):
         # the window's low edge alpha (1 + alpha) eps passes 1 - eps/3 long before alpha nears the float limit;
@@ -385,6 +425,28 @@ class TestSharedPlan:
             assert [f.rank for f in op.corrections()] == [f.rank for f in ref.corrections()]
             want = _apply(ref, x)
             assert np.linalg.norm(_apply(op, x) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_records_view_the_plans_block_and_outlive_its_snapshot(self, rng):
+        # the four kinds kept at one (n, w) hold no block of their own; a projector built before a Tikhonov at
+        # alpha = 1e-8 replaces the snapshot, and before the plan moves to another (n, w), keeps its own bits
+        n, w = 4099, 0.25
+        params = SlepianParams.create(n, w, 1e-6)
+        slepian_plan.cache_clear()
+        ops = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
+               FastTikhonov.build(params, 1e-2)]
+        plan = slepian_plan(n, w)
+        held = plan.held
+        assert all(np.shares_memory(op.u.block, plan.pairs(held[0], held[-1])[0]) for op in ops)
+        projector, xs = ops[0], (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        want = [projector.apply(x) for x in xs], bytes(operator_to_bytes(projector))
+        FastTikhonov.build(params, 1e-8)
+        assert slepian_plan(n, w) is plan and plan.held != held
+        assert not np.shares_memory(projector.u.block, plan.pairs(plan.held[0], plan.held[-1])[0])
+        del ops, plan
+        for stage in ("grown", "evicted"):
+            got = [projector.apply(x) for x in xs], bytes(operator_to_bytes(projector))
+            assert all(map(np.array_equal, got[0], want[0])) and got[1] == want[1], stage
+            slepian_plan(n + 2, w)
 
 
 def test_all_operators_linear(rng):
@@ -616,6 +678,29 @@ class TestStructuredFactors:
                 while isinstance(base, np.ndarray):
                     base = base.base
                 assert a.flags.f_contiguous and isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    def test_every_built_record_and_z_is_column_major_in_an_anonymous_map(self, n, monkeypatch):
+        # the records keep the plan's block (a grown and refined window's too) and the factorization cfadi_solve's
+        # z as they are, so none of them lands on the malloc heap
+        made, real = [], mmap.mmap
+
+        def recorded(fileno, length, *args, **kwargs):
+            mapped = real(fileno, length, *args, **kwargs)
+            if fileno == -1:
+                made.append(mapped)
+            return mapped
+
+        monkeypatch.setattr(mmap, "mmap", recorded)
+        slepian_plan.cache_clear()
+        params = SlepianParams.create(n, 0.25, 1e-6)
+        ops = [FastProjector.build(params), FastFactorization.build(params), FastPseudoinverse.build(params),
+               FastTikhonov.build(params, 1e-2), FastTikhonov.build(params, 1e-8)]
+        for a in [op.u.block for op in ops] + [ops[1].l.z]:
+            base = a
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert a.flags.f_contiguous and isinstance(base, memoryview) and any(base.obj is m for m in made)
 
     def test_file_is_header_plus_listed_arrays(self, ops256):
         # every kind: the 64-byte header, the spectral record's two u64 fields, then its weights and block
