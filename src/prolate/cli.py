@@ -189,12 +189,6 @@ def _write_rows(path, header, rows):
             fh.close()
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return x
-
-
 def _cmd_gap_count(args):
     grid = ExperimentGrid(args.n, args.w, args.eps)
     rows = []
@@ -202,7 +196,7 @@ def _cmd_gap_count(args):
         count = transition_window(n, w, eps, 1.0 - eps)[1].size
         bound = transition_count_budget(n, eps)
         asym = 2.0 / math.pi**2 * math.log(n) * math.log(1.0 / eps - 1.0)
-        rows.append((n, _fmt(w), _fmt(eps), count, _fmt(bound), _fmt(asym)))
+        rows.append((n, w, eps, count, bound, asym))
     _write_rows(args.out, ["n", "w", "eps", "count", "cor1_bound", "asymptotic"], rows)
     return 0
 
@@ -242,7 +236,7 @@ def _cmd_bench(args):
                                  slepian_plan.cache_clear)
             op = _build_operator(mode, n, w, eps, args.alpha)
             apply_s = _median_time(lambda: op.apply(x), args.trials)
-            rows.append((n, _fmt(w), _fmt(eps), mode, _fmt(setup), _fmt(apply_s)))
+            rows.append((n, w, eps, mode, setup, apply_s))
     _write_rows(args.out, ["n", "w", "eps", "mode", "setup_seconds", "apply_seconds"], rows)
     return 0
 
@@ -253,10 +247,7 @@ def _extension_config(args) -> FourierExtensionConfig:
 
 
 def _cmd_fourier_ext(args):
-    rows = [
-        (m, method, _fmt(rel), _fmt(sec))
-        for m, method, rel, sec in run_fourier_extension(_extension_config(args), seed=args.seed)
-    ]
+    rows = run_fourier_extension(_extension_config(args), seed=args.seed)
     _write_rows(args.out, ["m", "method", "rel_rms", "seconds"], rows)
     return 0
 
@@ -277,13 +268,8 @@ def _cmd_linear_predict(args):
         if n <= FULL_BASIS_MAX_N:
             plan, k = slepian_plan(n, w), op.params.k
             lead = SpectralFactor(n, 0, plan.pairs(0, k - 1)[0], np.ones(k))
-            resid = _fmt(float(np.linalg.norm(lead.adjoint_apply(plan.b_op.apply(a) - b))))
-        rows.append((
-            n, _fmt(w), _fmt(eps),
-            _fmt(float(np.linalg.norm(a))),
-            _fmt(float(np.max(np.abs(a)))),
-            resid,
-        ))
+            resid = float(np.linalg.norm(lead.adjoint_apply(plan.b_op.apply(a) - b)))
+        rows.append((n, w, eps, float(np.linalg.norm(a)), float(np.max(np.abs(a))), resid))
     _write_rows(args.out, ["n", "w", "eps", "coeff_l2", "coeff_linf", "topk_residual"], rows)
     return 0
 

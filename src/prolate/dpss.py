@@ -52,7 +52,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .fft_kernels import ToeplitzOperator, _read_only, next_pow2, prolate_column
+from .fft_kernels import ToeplitzOperator, _read_only, _real, _size, next_pow2, prolate_column
 
 __all__ = [
     "PreconditionViolated",
@@ -104,20 +104,20 @@ def commuting_tridiagonal(n: int, w: float):
     Its eigenvectors, ordered by descending tridiagonal eigenvalue, are the
     Slepian basis vectors in descending concentration order.
     """
-    if n <= 0:
-        raise ValueError(f"dimension must be positive, got {n}")
-    if not 0.0 < w < 0.5:
-        raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
+    n = _size(n, f"dimension must be positive, got {n}")
+    w = _real(w, 0.0, 0.5, f"half-bandwidth must lie in (0, 1/2), got {w}")
     m = np.arange(n, dtype=float)
     diag = ((n - 1 - 2 * m) / 2.0) ** 2 * math.cos(2.0 * math.pi * w)
     off = (m[: n - 1] + 1.0) * (n - 1 - m[: n - 1]) / 2.0
     return diag, off
 
 
-def _clamp_eigenvalue(lam: float) -> float:
-    if lam < -_CLAMP_TOL or lam > 1.0 + _CLAMP_TOL:
-        raise ValueError(f"eigenvalue estimate {lam} outside [0, 1] beyond clamp tolerance")
-    return min(max(lam, 0.0), 1.0)
+def _clamp_eigenvalues(lams: np.ndarray) -> np.ndarray:
+    """float64 eigenvalue estimates clamped into [0, 1], else ValueError for the first beyond _CLAMP_TOL of it."""
+    beyond = (lams < -_CLAMP_TOL) | (lams > 1.0 + _CLAMP_TOL)
+    if np.any(beyond):
+        raise ValueError(f"eigenvalue estimate {lams[beyond][0]} outside [0, 1] beyond clamp tolerance")
+    return np.where(lams < 0.0, 0.0, np.minimum(lams, 1.0))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -249,8 +249,7 @@ def half_quadratic_forms(b_op, block, parity):
         for j in range(0, cols.size, _BLOCK_COLS):
             chunk = cols[j:j + _BLOCK_COLS]
             y = work[:size, :chunk.size]
-            for i, col in enumerate(chunk):
-                y[:rows, i] = block[:rows, col][::-1]
+            y[:rows] = block[:rows][::-1, chunk]
             y[rows:] = 0.0
             y = transform(y, kind, axis=0, overwrite_x=True)
             y *= y
@@ -385,7 +384,7 @@ class SlepianPlan:
         for j in range(0, block.shape[1], _BLOCK_COLS):
             _fix_signs(block[:, j:j + _BLOCK_COLS])
         lams = half_quadratic_forms(self.b_op, block, np.arange(first, last + 1))
-        return block, np.array([_clamp_eigenvalue(float(x)) for x in lams])
+        return block, _clamp_eigenvalues(lams)
 
 
 @functools.lru_cache(maxsize=1)
@@ -439,6 +438,8 @@ def transition_window(n, w, lo, hi):
     an eigenvalue within quotient_error(n, w) of a threshold may fall on either side of it, depending on the
     solve.  The requested range is capped at _MAX_PAIRS.
     """
+    n = _size(n, f"signal length must be positive, got {n}")
+    w = _real(w, 0.0, 0.5, f"half-bandwidth must lie in (0, 1/2), got {w}")
     empty = np.zeros(0), np.zeros(((n + 1) // 2, 0))
     if lo >= hi or hi <= 0.0 or lo >= 1.0:
         return min(max(default_subspace_dim(n, w), 0), n), *empty
@@ -520,7 +521,7 @@ def rayleigh_extended(block: np.ndarray, index, n: int, w: float) -> np.ndarray:
     for j in range(0, block.shape[1], _BLOCK_COLS):
         v = unfold(block[:, j:j + _BLOCK_COLS], index[j:j + _BLOCK_COLS], n).astype(np.longdouble)
         out[j:j + _BLOCK_COLS] = np.einsum("ij,ij->j", v, b_op.apply_block(v)) / np.einsum("ij,ij->j", v, v)
-    return np.array([_clamp_eigenvalue(float(x)) for x in out])
+    return _clamp_eigenvalues(out)
 
 
 def refine_window(n, w, start, lams, block, flagged, lo, extend=False):

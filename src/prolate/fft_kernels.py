@@ -11,11 +11,18 @@ centre apart, each by a type-2 DCT, the spectrum and a type-3 DCT of half
 the embedding's length (symmetric convolution, Martucci 1994).  Every
 transform is scipy.fft's, which computes in the input's precision (float64
 or longdouble).
+
+Every layer takes its input through the two rules here.  A vector
+(_working) computes in np.result_type(x, float64).  A scalar is checked at
+construction: n (_size) is any numbers.Integral of at least 1, stored as an
+int, and w, epsilon, a tolerance or alpha (_real, _weight) any numbers.Real
+inside its open interval, stored as a float; anything else raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 import scipy.fft
@@ -59,6 +66,26 @@ def _reduced_product(w, m: np.ndarray) -> np.ndarray:
     return (p - np.rint(p)) + err
 
 
+def _size(n, message: str) -> int:
+    """n as an int where it is a numbers.Integral (Python's or numpy's) of at least 1, else ValueError(message)."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(message)
+    return int(n)
+
+
+def _real(value, lo: float, hi: float, message: str) -> float:
+    """value as a float where it is a numbers.Real (Python's, numpy's or a Fraction) in (lo, hi), else
+    ValueError(message): a float32 kept as given would round the builds' float64 arithmetic to float32."""
+    if not (isinstance(value, numbers.Real) and lo < value < hi):
+        raise ValueError(message)
+    return float(value)
+
+
+def _weight(alpha) -> float:
+    """The Tikhonov weight alpha as a positive finite float, else ValueError."""
+    return _real(alpha, 0.0, math.inf, f"regularization weight must be positive and finite, got {alpha}")
+
+
 def _working(x, size: int, unit: str = "") -> np.ndarray:
     """x as a vector of shape (size,) in np.result_type(x, float64), else a ValueError: "expected a length-size vector"
     or "expected size unit", or "expected a real or complex vector" for a dtype not bool, integer, float or complex."""
@@ -83,10 +110,8 @@ def prolate_column(n: int, w: float, dtype=np.float64) -> np.ndarray:
     w*m is reduced modulo one from its exact product before the sine, so each
     sine argument is off by a few ulps of 2*pi rather than of 2*pi*w*m.
     """
-    if n <= 0:
-        raise ValueError(f"matrix dimension must be positive, got {n}")
-    if not 0.0 < w < 0.5:
-        raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
+    n = _size(n, f"matrix dimension must be positive, got {n}")
+    w = _real(w, 0.0, 0.5, f"half-bandwidth must lie in (0, 1/2), got {w}")
     pi = np.arccos(dtype(-1.0))
     m = np.arange(1, n).astype(dtype)
     col = np.empty(n, dtype=dtype)
@@ -212,10 +237,8 @@ class PartialFourier:
     """
 
     def __init__(self, n: int, w: float):
-        if n <= 0:
-            raise ValueError(f"signal length must be positive, got {n}")
-        if not 0.0 < w < 0.5:
-            raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
+        n = _size(n, f"signal length must be positive, got {n}")
+        w = _real(w, 0.0, 0.5, f"half-bandwidth must lie in (0, 1/2), got {w}")
         q = nearest_odd_integer(2.0 * n * w)
         if q > n:
             raise ValueError(f"frequency count {q} exceeds signal length {n}")

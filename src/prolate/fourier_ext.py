@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dpss import FULL_BASIS_MAX_N, rayleigh_extended, slepian_plan
+from .fft_kernels import _real, _weight
 from .lowrank import SpectralFactor
-from .operators import FastPseudoinverse, FastTikhonov, SlepianParams, _real, _weight
+from .operators import FastPseudoinverse, FastTikhonov, SlepianParams
 
 __all__ = [
     "FourierExtensionConfig",

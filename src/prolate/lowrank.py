@@ -37,7 +37,7 @@ from .dpss import (
     unfold,
     vector_error,
 )
-from .fft_kernels import _read_only, _real_rows, _reduced_product, _working, nearest_odd_integer
+from .fft_kernels import _read_only, _real, _real_rows, _reduced_product, _size, _weight, _working, nearest_odd_integer
 
 __all__ = [
     "LowRankFactor",
@@ -178,11 +178,12 @@ class FourierFactor(LowRankFactor):
     """
 
     def __init__(self, w: float, z, ca, cb):
-        if not 0.0 < w < 0.5 or np.ndim(z) != 2 or any(np.ndim(c) != 2 or len(c) != len(c.T) for c in (ca, cb)):
-            raise ValueError(f"need a half-bandwidth in (0, 1/2), z of n rows and ca and cb square, got w={w}")
+        message = f"need a half-bandwidth in (0, 1/2), z of n rows and ca and cb square, got w={w}"
+        self.w, self._tilings = _real(w, 0.0, 0.5, message), {}
+        if np.ndim(z) != 2 or any(np.ndim(c) != 2 or len(c) != len(c.T) for c in (ca, cb)):
+            raise ValueError(message)
         # z as cfadi_solve returns it, column-major in a memory map of its own
         self.z, self.ca, self.cb = (_read_only(np.asfortranarray(a, dtype=float).view()) for a in (z, ca, cb))
-        self.w, self._tilings = w, {}
 
     @property
     def n(self) -> int:
@@ -439,10 +440,8 @@ def hilbert_factor(n: int, delta_h: float) -> np.ndarray:
     right-hand side, so CF-ADI with relative target delta_h / pi applies;
     the condition number is 2n - 1.
     """
-    if n <= 0:
-        raise ValueError(f"dimension must be positive, got {n}")
-    if delta_h <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {delta_h}")
+    n = _size(n, f"dimension must be positive, got {n}")
+    delta_h = _real(delta_h, 0.0, math.inf, f"tolerance must be positive and finite, got {delta_h}")
     r = adi_rank(2 * n - 1, min(delta_h / math.pi, 1.0))
     return cfadi_solve(np.arange(n) + 0.5, np.ones(n), adi_shifts(0.5, n - 0.5, r))
 
@@ -511,10 +510,8 @@ def sinc_alias_factor(n: int, tol: float) -> PolynomialKernelFactor:
     coefficients (2/(n pi)) [1 - (1 - 2^(1-2k)) zeta(2k)].  Truncating after
     r terms leaves a Frobenius error of at most (2/(3 pi)) 4^(-r).
     """
-    if n <= 0:
-        raise ValueError(f"dimension must be positive, got {n}")
-    if not 0.0 < tol < 8.0 / (3.0 * math.pi):
-        raise ValueError(f"tolerance must lie in (0, 8/(3 pi)), got {tol}")
+    n = _size(n, f"dimension must be positive, got {n}")
+    tol = _real(tol, 0.0, 8.0 / (3.0 * math.pi), f"tolerance must lie in (0, 8/(3 pi)), got {tol}")
     r = _odd_terms(tol)
     by_degree = []
     for k in range(1, r + 1):
@@ -531,12 +528,10 @@ def bandwidth_shift_factor(n: int, w: float, w_prime: float, tol: float) -> Poly
     count; |2nw - 2nw'| <= 1 keeps the series argument below pi/2 so r
     Taylor terms leave a Frobenius error of at most (3/2) (pi/6)^(2r).
     """
-    if n <= 0:
-        raise ValueError(f"dimension must be positive, got {n}")
+    n = _size(n, f"dimension must be positive, got {n}")
     if abs(2.0 * n * w_prime - 2.0 * n * w) > 1.0 + 1e-9:
         raise ValueError("w' must round 2nw to a neighboring odd integer")
-    if not 0.0 < tol < 1.5:
-        raise ValueError(f"tolerance must lie in (0, 3/2), got {tol}")
+    tol = _real(tol, 0.0, 1.5, f"tolerance must lie in (0, 3/2), got {tol}")
     r = _even_terms(tol)
     beta = math.pi * (w - w_prime) * n
     by_degree = []
@@ -569,8 +564,7 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> FourierFactor
     stays within correction_rank_budget(n, epsilon); epsilon must pass taylor_widths.
     """
     taylor_widths(epsilon)
-    if not 0.0 < w < 0.5:
-        raise ValueError(f"half-bandwidth must lie in (0, 1/2), got {w}")
+    w = _real(w, 0.0, 0.5, f"half-bandwidth must lie in (0, 1/2), got {w}")
     w_prime = nearest_odd_integer(2.0 * n * w) / (2.0 * n)
     delta_h, delta_taylor = 4.0 * math.pi / 15.0 * epsilon, 7.0 / 30.0 * epsilon
     z = hilbert_factor(n, delta_h)
@@ -588,8 +582,7 @@ def _split_window(n, w, epsilon, k):
 
     Raises PreconditionViolated unless lam^(k-1) > epsilon and lam^(k) < 1 - epsilon.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
+    epsilon = _real(epsilon, 0.0, 0.5, f"tolerance must lie in (0, 1/2), got {epsilon}")
     start, lams, block = transition_window(n, w, epsilon, 1.0 - epsilon)
     if not start <= k <= start + lams.size:
         raise PreconditionViolated(
@@ -639,8 +632,7 @@ def tikhonov_precision_floor(n: int, w: float, alpha: float) -> float:
     magnified by the weight itself (up to 1/(2 sqrt(alpha))).  Both grow
     with n.  No tolerance below it can be met.
     """
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"regularization weight must be positive and finite, got {alpha}")
+    alpha = _weight(alpha)
     # |f'| peaks at lambda = 0 or at its minimum, lambda^2 = 3 alpha (or the end of [0, 1]): it is f'(0) =
     # 1/(alpha (1 + alpha)) up to alpha = 1 and -f'(1) = 2/(1 + alpha)^2 beyond, neither taken by squaring alpha
     slope = 1.0 / (alpha * (1.0 + alpha)) if alpha <= 1.0 else 2.0 / (1.0 + alpha) / (1.0 + alpha)
@@ -660,10 +652,8 @@ def tikhonov_correction(n, w, epsilon, alpha) -> SpectralFactor:
     refined values when float64 cannot place it.  The bound holds for
     epsilon down to tikhonov_precision_floor(n, w, a).
     """
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"regularization weight must be positive and finite, got {alpha}")
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"tolerance must lie in (0, 1/2), got {epsilon}")
+    alpha = _weight(alpha)
+    epsilon = _real(epsilon, 0.0, 0.5, f"tolerance must lie in (0, 1/2), got {epsilon}")
     lo = alpha * (1.0 + alpha) * epsilon
     hi = 1.0 - epsilon / 3.0
     start, lams, block = transition_window(n, w, lo, hi)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dpss import default_subspace_dim, quotient_error, slepian_plan, transition_window
-from .fft_kernels import PartialFourier, _working
+from .fft_kernels import PartialFourier, _real, _weight, _working
 from .lowrank import (
     SpectralFactor,
     adi_rank,
@@ -47,19 +47,6 @@ __all__ = [
     "UnsupportedVersionError",
     "TruncatedFileError",
 ]
-
-
-def _real(value, lo: float, hi: float, message: str) -> float:
-    """value as a float where it is a numbers.Real (Python's, numpy's or a Fraction) in (lo, hi), else
-    ValueError(message): a float32 kept as given would round the builds' float64 arithmetic to float32."""
-    if not (isinstance(value, numbers.Real) and lo < value < hi):
-        raise ValueError(message)
-    return float(value)
-
-
-def _weight(alpha) -> float:
-    """The Tikhonov weight alpha as a positive finite float, else ValueError."""
-    return _real(alpha, 0.0, math.inf, f"regularization weight must be positive and finite, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +201,7 @@ class FastTikhonov(_SpectralOperator):
 
     @classmethod
     def build(cls, params: SlepianParams, alpha: float) -> "FastTikhonov":
-        alpha = _weight(alpha)
+        # tikhonov_correction, called first, and __init__ both take alpha through _weight
         return _warn_below_floor(cls(params, alpha, tikhonov_correction(params.n, params.w, params.epsilon, alpha)))
 
     def __init__(self, params: SlepianParams, alpha: float, correction: SpectralFactor):

@@ -1,9 +1,11 @@
 """The package's export list and the README's Library section name the same API, every module's export list
-resolves, every transform comes from one library, and every kind maps real input to real output."""
+resolves, every transform comes from one library, every kind maps real input to real output, and every layer takes
+its scalars through one rule."""
 
 import importlib
 import pkgutil
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,17 @@ import pytest
 
 import prolate
 from prolate import FastFactorization, FastProjector, FastPseudoinverse, FastTikhonov, SlepianParams
+from prolate.dpss import commuting_tridiagonal, transition_window
+from prolate.fft_kernels import PartialFourier, prolate_column
+from prolate.lowrank import (
+    FourierFactor,
+    fourier_correction_factor,
+    hilbert_factor,
+    projection_correction,
+    sinc_alias_factor,
+    tikhonov_correction,
+    tikhonov_precision_floor,
+)
 
 from oracles import pinv_oracle, projection_oracle, tikhonov_oracle
 
@@ -87,3 +100,50 @@ def test_every_kind_maps_real_to_real_within_its_bound(n):
         for call in calls:
             with pytest.raises(ValueError, match="expected a real or complex vector"):
                 call(bad)
+
+
+# each lower-layer entry point with one scalar left open: its w, n, epsilon, tolerance or alpha
+_SCALAR_SLOTS = {
+    "prolate_column n": lambda v: prolate_column(v, 0.25),
+    "prolate_column w": lambda v: prolate_column(64, v),
+    "PartialFourier n": lambda v: PartialFourier(v, 0.25),
+    "PartialFourier w": lambda v: PartialFourier(64, v),
+    "commuting_tridiagonal n": lambda v: commuting_tridiagonal(v, 0.25),
+    "commuting_tridiagonal w": lambda v: commuting_tridiagonal(64, v),
+    "transition_window n": lambda v: transition_window(v, 0.25, 1e-6, 1.0 - 1e-6),
+    "transition_window w": lambda v: transition_window(64, v, 1e-6, 1.0 - 1e-6),
+    "hilbert_factor n": lambda v: hilbert_factor(v, 1e-6),
+    "hilbert_factor delta_h": lambda v: hilbert_factor(64, v),
+    "sinc_alias_factor n": lambda v: sinc_alias_factor(v, 1e-6),
+    "sinc_alias_factor tol": lambda v: sinc_alias_factor(64, v),
+    "fourier_correction_factor w": lambda v: fourier_correction_factor(64, v, 1e-6),
+    "FourierFactor w": lambda v: FourierFactor(v, np.zeros((4, 1)), np.zeros((2, 2)), np.zeros((2, 2))),
+    "projection_correction n": lambda v: projection_correction(v, 0.25, 1e-6, 32),
+    "projection_correction w": lambda v: projection_correction(64, v, 1e-6, 32),
+    "projection_correction epsilon": lambda v: projection_correction(64, 0.25, v, 32),
+    "tikhonov_correction w": lambda v: tikhonov_correction(64, v, 1e-6, 1e-2),
+    "tikhonov_correction epsilon": lambda v: tikhonov_correction(64, 0.25, v, 1e-2),
+    "tikhonov_correction alpha": lambda v: tikhonov_correction(64, 0.25, 1e-6, v),
+    "tikhonov_precision_floor alpha": lambda v: tikhonov_precision_floor(64, 0.25, v),
+}
+
+
+@pytest.mark.parametrize("value", ["0.25", None, 0.25 + 0j, np.array([0.25]), Decimal("0.25")], ids=repr)
+@pytest.mark.parametrize("slot", list(_SCALAR_SLOTS))
+def test_every_layer_rejects_a_scalar_that_is_not_real(slot, value):
+    # the range checks of these layers compared the value by hand: a str, None or complex raised TypeError
+    with pytest.raises(ValueError):
+        _SCALAR_SLOTS[slot](value)
+
+
+def test_fourier_correction_factor_stores_a_float32_w_as_a_float():
+    # a float32 w was kept as given, and its rounding to the odd column count and the bandwidth shift ran in float32
+    w = np.float32(0.1)
+    got, want = (fourier_correction_factor(4099, v, 1e-6) for v in (w, float(w)))
+    assert type(got.w) is float and got.w == want.w
+    for a, b in zip(got.arrays, want.arrays):
+        assert np.array_equal(a, b)
+    x = np.random.default_rng(4099).standard_normal(4099)
+    c = got.adjoint_apply(x)
+    assert np.array_equal(c, want.adjoint_apply(x))
+    assert np.array_equal(got.synthesize(c), want.synthesize(c))

@@ -85,10 +85,21 @@ class TestGapCount:
         assert err.count("\n") == 1 and err.startswith("prolate: unable to allocate a Slepian plan at n=1099511627776")
         assert "physical memory" in err and "Traceback" not in err
 
-    def test_validation_error_exit_code(self, capsys):
-        rc, _, err = run_cli(["gap-count", "--n", "64", "--w", "0.9", "--eps", "1e-3"], capsys)
-        assert rc == 1
-        assert "half-bandwidth" in err
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "64", "--w", "0.9", "--eps", "1e-3"], "half-bandwidths must lie in (0, 1/2)"),
+        (["--n", "1"], "signal lengths must be at least 2"),
+        (["--eps", "0.7"], "tolerances must lie in (0, 1/2)"),
+    ])
+    def test_validation_error_exit_code(self, capsys, flags, message):
+        rc, out, err = run_cli(["gap-count", *flags], capsys)
+        assert rc == 1 and out == "" and err == f"prolate: {message}\n"
+
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys):
+        args = ["gap-count", "--n", "64,96", "--w", "0.25,0.1", "--eps", "1e-3"]
+        _, out, _ = run_cli(args, capsys)
+        path = tmp_path / "gaps.csv"
+        assert run_cli([*args, "--out", str(path)], capsys) == (0, "", "")
+        assert path.read_bytes() == out.encode("utf-8")
 
 
 class TestBench:
@@ -367,6 +378,20 @@ class TestPrecomputeAndLoad:
             assert rc == 0 and err.strip() == line
             rc, out, _ = run_cli(["load-check", str(path)], capsys)
             assert rc == 0 and out.strip() == line
+
+    def test_bound_one_ulp_off_does_not_round_trip(self, tmp_path, capsys):
+        # the loader allows the stored error bound 1e-15 relative, so the file loads but re-encodes differently
+        import struct
+
+        path = tmp_path / "op.fslt"
+        run_cli(["precompute", "--n", "64", "--w", "0.25", "--eps", "1e-3", "--kind", "project",
+                 "--out", str(path)], capsys)
+        data = path.read_bytes()
+        (bound,) = struct.unpack_from("<d", data, 56)
+        path.write_bytes(data[:56] + struct.pack("<d", math.nextafter(bound, math.inf)) + data[64:])
+        assert operator_from_bytes(path.read_bytes()).error_bound == bound
+        rc, out, err = run_cli(["load-check", str(path)], capsys)
+        assert rc == 2 and out == "" and "does not round-trip bit-identically" in err
 
     def test_header_outside_domain_is_io_error(self, tmp_path, capsys):
         import struct

@@ -740,6 +740,15 @@ def test_default_subspace_dim_rounds_half_up():
     assert default_subspace_dim(10, 0.26) == 5  # 5.2 rounds down
 
 
+def test_eigenvalues_clamp_within_tolerance_and_raise_beyond():
+    got = dpss._clamp_eigenvalues(np.array([0.5, -1e-13, 1.0 + 1e-13, -0.0, 1.0, math.nan]))
+    assert np.array_equal(got, [0.5, 0.0, 1.0, -0.0, 1.0, math.nan], equal_nan=True)
+    assert math.copysign(1.0, got[3]) == -1.0  # a -0.0 estimate passes as it is
+    for lams, first_beyond in (([0.5, 1.0 + 2e-12, -1.0], 1.0 + 2e-12), ([-2e-12], -2e-12)):
+        with pytest.raises(ValueError, match=f"eigenvalue estimate {first_beyond} outside"):
+            dpss._clamp_eigenvalues(np.array(lams))
+
+
 def _rayleigh_unfolded(vecs, n, w):
     """rayleigh_extended as it took full columns: vecs' quotients against the longdouble Toeplitz apply,
     _BLOCK_COLS columns at a time, rounded to float64 and clamped."""

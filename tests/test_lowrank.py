@@ -90,6 +90,11 @@ class TestAdiShifts:
         want = scipy.special.ellipj(u, 1 - one_minus_m)[2]
         assert np.abs(got - want).max() <= 1e-9
 
+    def test_jacobi_dn_at_modulus_zero_is_one(self):
+        # m = 0 takes no Landen step: dn(u | 0) = 1
+        u = np.linspace(-3.0, 3.0, 7)
+        assert np.array_equal(jacobi_dn(u, 1.0), np.ones_like(u))
+
     def test_shift_quality_bound(self):
         # the rational function built from elliptic shifts meets the rank certificate
         for n, delta in [(64, 1e-4), (256, 1e-6), (1024, 1e-9)]:
