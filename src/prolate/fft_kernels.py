@@ -14,9 +14,10 @@ or longdouble).
 
 Every layer takes its input through the two rules here.  A vector
 (_working) computes in np.result_type(x, float64).  A scalar is checked at
-construction: n (_size) is any numbers.Integral of at least 1, stored as an
-int, and w, epsilon, a tolerance or alpha (_real, _weight) any numbers.Real
-inside its open interval, stored as a float; anything else raises ValueError.
+construction: n (_size) is any numbers.Integral of at least 1 (a split k of
+at least 0), stored as an int, and w, epsilon, a tolerance or alpha (_real,
+_weight) any numbers.Real inside its open interval, stored as a float;
+anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ def _reduced_product(w, m: np.ndarray) -> np.ndarray:
     return (p - np.rint(p)) + err
 
 
-def _size(n, message: str) -> int:
-    """n as an int where it is a numbers.Integral (Python's or numpy's) of at least 1, else ValueError(message)."""
-    if not (isinstance(n, numbers.Integral) and n >= 1):
+def _size(n, message: str, least: int = 1) -> int:
+    """n as an int where it is a numbers.Integral (Python's or numpy's) of at least least, else ValueError(message)."""
+    if not (isinstance(n, numbers.Integral) and n >= least):
         raise ValueError(message)
     return int(n)
 

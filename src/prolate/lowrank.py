@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.special
@@ -67,10 +68,10 @@ _SQRT_CLAMP = -1e-14
 _REFINE_SHARE = 0.25
 # rows per chunk of a spectral record's analysis products
 _CHUNK = 8192
-# rows per tile of the Fourier correction's products: analysis sums over a tile's rows, which
-# ran fastest while a tile of z and its modulated copies stay in cache; synthesis writes them,
-# which two BLAS threads share best in long tiles
-_ANALYSIS_TILE, _SYNTHESIS_TILE = 4096, 16384
+# rows per tile of both directions of the Fourier correction's products: analysis ran fastest while a tile of z and
+# its modulated copies stay in cache, and synthesis' own tiles of n/4 rows (up to 16384) were no faster while they
+# held a second tiling, 3.8 MB at n = 2^16, eps = 1e-6
+_TILE = 4096
 # widest even Taylor block: its last coefficient divides by width!, and 171! is beyond float range
 _MAX_EVEN_WIDTH = 169
 
@@ -169,8 +170,9 @@ class FourierFactor(LowRankFactor):
 
     Each term of _FOURIER_TERMS has 2 width real coefficients per real row of
     x, M P^T J (C x) then M P^T J (S x).  The basis (m/n)^j is held by no
-    array: the products run over row tiles that read z once per call, the
-    basis rows of the tile at i0 are the local table (k/n)^j times the
+    array: both directions run over one tiling of _TILE-row tiles (synthesis'
+    longer tiles held a second tiling and were no faster) that read z once per
+    call, the basis rows of the tile at i0 are the local table (k/n)^j times the
     Pascal shift S(t0)[k, j] = C(j, k) t0^(j - k), t0 = i0/n, and each
     phase is a local cos/sin table times one rotation per tile, both from
     exactly reduced turns (_phases).  The shift and the rotation act on the
@@ -179,7 +181,7 @@ class FourierFactor(LowRankFactor):
 
     def __init__(self, w: float, z, ca, cb):
         message = f"need a half-bandwidth in (0, 1/2), z of n rows and ca and cb square, got w={w}"
-        self.w, self._tilings = _real(w, 0.0, 0.5, message), {}
+        self.w = _real(w, 0.0, 0.5, message)
         if np.ndim(z) != 2 or any(np.ndim(c) != 2 or len(c) != len(c.T) for c in (ca, cb)):
             raise ValueError(message)
         # z as cfadi_solve returns it, column-major in a memory map of its own
@@ -198,14 +200,11 @@ class FourierFactor(LowRankFactor):
         """Every array the factor holds: z, ca, cb."""
         return (self.z, self.ca, self.cb)
 
-    def _tiles(self, cap):
-        """The factor's _tiling for tiles of cap rows, or of n/4 (at least 64) where that is fewer, so that at
-        small n its workspace stays a fraction of z's bytes; formed at first use and shared by the caps that
-        give one tile length."""
-        tile = min(cap, max(64, self.n // 4), self.n)
-        if tile not in self._tilings:
-            self._tilings[tile] = _tiling(self.n, self.w, max(len(self.ca), len(self.cb)), tile)
-        return self._tilings[tile]
+    @cached_property
+    def _tiles(self):
+        """The factor's one _tiling, formed at first use, for tiles of _TILE rows or of n/4 (at least 64) where that
+        is fewer, so that at small n its workspace stays a fraction of z's bytes."""
+        return _tiling(self.n, self.w, max(len(self.ca), len(self.cb)), min(_TILE, max(64, self.n // 4), self.n))
 
     def _terms(self):
         """Per outer product of _FOURIER_TERMS: its entry, its coefficient matrix (None for z) and its slot."""
@@ -223,7 +222,7 @@ class FourierFactor(LowRankFactor):
         part the C half and its imaginary part the S half of each row.
         """
         n, m, z = self.n, len(rows), self.z
-        tile, starts, basis, table, rotations, shift = self._tiles(_ANALYSIS_TILE)
+        tile, starts, basis, table, rotations, shift = self._tiles
         # x reversed times cos_a and sin_a, then x times cos_a, sin_a, cos_b and sin_b: z meets the first four
         copies = np.empty((6, m, tile))
         pz, pb = np.empty((len(starts), 4, m, z.shape[1])), np.empty((len(starts), 4, m, len(basis)))
@@ -253,7 +252,7 @@ class FourierFactor(LowRankFactor):
         shifted local basis for every term; the reversed term's sum is added to the mirrored rows.
         """
         n, z, m = self.n, self.z, len(rows)
-        tile, starts, basis, table, rotations, shift = self._tiles(_SYNTHESIS_TILE)
+        tile, starts, basis, table, rotations, shift = self._tiles
         # per tile and term (z: forward, reversed; basis: step 1, step 2): E and O per real row of c
         uz, ub = (np.zeros((len(starts), 2, 2, m, cols)) for cols in (z.shape[1], len(basis)))
         for (taylor, step, flip_left, _, post), _, slot in self._terms():
@@ -350,12 +349,14 @@ def adi_rank(kappa: float, delta: float) -> int:
 
 
 def _agm_sequence(one_minus_m: float):
-    """AGM iterates for modulus-squared m = 1 - one_minus_m."""
+    """AGM iterates for modulus-squared m = 1 - one_minus_m, until c is 0 or no longer shrinks (it can stall at
+    half an ulp of a, 1.39e-17 at a = 0.13 for n = 16384's one_minus_m, above a tolerance relative to a)."""
     a, b = 1.0, math.sqrt(one_minus_m)
-    c = math.sqrt(max(1.0 - one_minus_m, 0.0))
-    a_seq, c_seq = [a], [c]
-    while abs(c) > 1e-17 * a and len(a_seq) < 64:
+    a_seq, c_seq = [a], [math.sqrt(max(1.0 - one_minus_m, 0.0))]
+    while c_seq[-1] != 0.0:
         a, b, c = (a + b) / 2.0, math.sqrt(a * b), (a - b) / 2.0
+        if abs(c) >= abs(c_seq[-1]):
+            break
         a_seq.append(a)
         c_seq.append(c)
     return a_seq, c_seq
@@ -417,7 +418,8 @@ def cfadi_solve(a_diag: np.ndarray, b_col: np.ndarray, shifts: np.ndarray) -> np
         Z_k = sqrt(p_k / p_{k-1}) (A - p_{k-1} I)(A + p_k I)^{-1} Z_{k-1}
 
     Z is column-major in a memory map of its own, so a dropped factor returns it to the system whatever was allocated
-    after it: on the malloc heap, one small live allocation above it could keep tens of MB resident.
+    after it: on the malloc heap, one small live allocation above it could keep tens of MB resident.  Each column is
+    formed in its row, in the order of operations above, through one n-length workspace for the denominators.
     """
     a_diag = np.asarray(a_diag, dtype=float)
     b_col = np.asarray(b_col, dtype=float)
@@ -426,10 +428,12 @@ def cfadi_solve(a_diag: np.ndarray, b_col: np.ndarray, shifts: np.ndarray) -> np
         raise ValueError("diagonal entries must be positive")
     if np.any(shifts <= 0.0):
         raise ValueError("shift parameters must be positive")
-    cols = mapped_rows(shifts.size, a_diag.size)
-    cols[0] = z = math.sqrt(2.0 * shifts[0]) / (a_diag + shifts[0]) * b_col
+    cols, den = mapped_rows(shifts.size, a_diag.size), np.empty_like(a_diag)
+    np.divide(math.sqrt(2.0 * shifts[0]), np.add(a_diag, shifts[0], out=den), out=cols[0])
+    cols[0] *= b_col
     for k in range(1, shifts.size):
-        cols[k] = z = math.sqrt(shifts[k] / shifts[k - 1]) * (a_diag - shifts[k - 1]) / (a_diag + shifts[k]) * z
+        np.multiply(math.sqrt(shifts[k] / shifts[k - 1]), np.subtract(a_diag, shifts[k - 1], out=cols[k]), out=cols[k])
+        np.multiply(np.divide(cols[k], np.add(a_diag, shifts[k], out=den), out=cols[k]), cols[k - 1], out=cols[k])
     return cols.T
 
 
@@ -487,9 +491,10 @@ def taylor_widths(epsilon: float) -> tuple:
 
     Raises ValueError where rb would pass _MAX_EVEN_WIDTH, for epsilon below about 1.09e-47.
     """
-    tol = 7.0 / 30.0 * epsilon
-    if not (0.0 < epsilon < 0.5 and tol >= np.finfo(float).tiny):
-        raise ValueError(f"tolerance must lie in (0, 1/2), 7/30 of it a normal float, got {epsilon}")
+    message = f"tolerance must lie in (0, 1/2), 7/30 of it a normal float, got {epsilon}"
+    tol = 7.0 / 30.0 * _real(epsilon, 0.0, 0.5, message)
+    if tol < np.finfo(float).tiny:
+        raise ValueError(message)
     return 2 * _odd_terms(tol), 2 * _even_terms(tol) - 1
 
 
@@ -564,6 +569,7 @@ def fourier_correction_factor(n: int, w: float, epsilon: float) -> FourierFactor
     stays within correction_rank_budget(n, epsilon); epsilon must pass taylor_widths.
     """
     taylor_widths(epsilon)
+    n = _size(n, f"dimension must be positive, got {n}")
     w = _real(w, 0.0, 0.5, f"half-bandwidth must lie in (0, 1/2), got {w}")
     w_prime = nearest_odd_integer(2.0 * n * w) / (2.0 * n)
     delta_h, delta_taylor = 4.0 * math.pi / 15.0 * epsilon, 7.0 / 30.0 * epsilon
@@ -583,6 +589,7 @@ def _split_window(n, w, epsilon, k):
     Raises PreconditionViolated unless lam^(k-1) > epsilon and lam^(k) < 1 - epsilon.
     """
     epsilon = _real(epsilon, 0.0, 0.5, f"tolerance must lie in (0, 1/2), got {epsilon}")
+    k = _size(k, f"subspace dimension must be a non-negative integer, got {k}", least=0)
     start, lams, block = transition_window(n, w, epsilon, 1.0 - epsilon)
     if not start <= k <= start + lams.size:
         raise PreconditionViolated(
@@ -632,7 +639,8 @@ def tikhonov_precision_floor(n: int, w: float, alpha: float) -> float:
     magnified by the weight itself (up to 1/(2 sqrt(alpha))).  Both grow
     with n.  No tolerance below it can be met.
     """
-    alpha = _weight(alpha)
+    n, alpha = _size(n, f"dimension must be positive, got {n}"), _weight(alpha)
+    w = _real(w, 0.0, 0.5, f"half-bandwidth must lie in (0, 1/2), got {w}")
     # |f'| peaks at lambda = 0 or at its minimum, lambda^2 = 3 alpha (or the end of [0, 1]): it is f'(0) =
     # 1/(alpha (1 + alpha)) up to alpha = 1 and -f'(1) = 2/(1 + alpha)^2 beyond, neither taken by squaring alpha
     slope = 1.0 / (alpha * (1.0 + alpha)) if alpha <= 1.0 else 2.0 / (1.0 + alpha) / (1.0 + alpha)

@@ -19,8 +19,10 @@ from prolate.lowrank import (
     FourierFactor,
     fourier_correction_factor,
     hilbert_factor,
+    pinv_correction,
     projection_correction,
     sinc_alias_factor,
+    taylor_widths,
     tikhonov_correction,
     tikhonov_precision_floor,
 )
@@ -116,14 +118,21 @@ _SCALAR_SLOTS = {
     "hilbert_factor delta_h": lambda v: hilbert_factor(64, v),
     "sinc_alias_factor n": lambda v: sinc_alias_factor(v, 1e-6),
     "sinc_alias_factor tol": lambda v: sinc_alias_factor(64, v),
+    "taylor_widths epsilon": lambda v: taylor_widths(v),
+    "fourier_correction_factor n": lambda v: fourier_correction_factor(v, 0.25, 1e-6),
     "fourier_correction_factor w": lambda v: fourier_correction_factor(64, v, 1e-6),
+    "fourier_correction_factor epsilon": lambda v: fourier_correction_factor(64, 0.25, v),
     "FourierFactor w": lambda v: FourierFactor(v, np.zeros((4, 1)), np.zeros((2, 2)), np.zeros((2, 2))),
     "projection_correction n": lambda v: projection_correction(v, 0.25, 1e-6, 32),
     "projection_correction w": lambda v: projection_correction(64, v, 1e-6, 32),
     "projection_correction epsilon": lambda v: projection_correction(64, 0.25, v, 32),
+    "projection_correction k": lambda v: projection_correction(64, 0.25, 1e-6, v),
+    "pinv_correction k": lambda v: pinv_correction(64, 0.25, 1e-6, v),
     "tikhonov_correction w": lambda v: tikhonov_correction(64, v, 1e-6, 1e-2),
     "tikhonov_correction epsilon": lambda v: tikhonov_correction(64, 0.25, v, 1e-2),
     "tikhonov_correction alpha": lambda v: tikhonov_correction(64, 0.25, 1e-6, v),
+    "tikhonov_precision_floor n": lambda v: tikhonov_precision_floor(v, 0.25, 1e-2),
+    "tikhonov_precision_floor w": lambda v: tikhonov_precision_floor(64, v, 1e-2),
     "tikhonov_precision_floor alpha": lambda v: tikhonov_precision_floor(64, 0.25, v),
 }
 

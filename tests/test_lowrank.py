@@ -90,6 +90,12 @@ class TestAdiShifts:
         want = scipy.special.ellipj(u, 1 - one_minus_m)[2]
         assert np.abs(got - want).max() <= 1e-9
 
+    def test_landen_descent_stops_where_c_stops_shrinking(self):
+        # c = (a - b) / 2 stalled at half an ulp of a (1.39e-17, a = 0.13) above the old stop |c| <= 1e-17 a, and
+        # the sequence ran to its cap of 64 for 1,207 of these n
+        ns = list(range(2, 5001)) + [2**p + d for p in range(13, 21) for d in (-1, 0, 1)]
+        assert max(len(lowrank._agm_sequence((0.5 / (n - 0.5)) ** 2)[0]) for n in ns) <= 12
+
     def test_jacobi_dn_at_modulus_zero_is_one(self):
         # m = 0 takes no Landen step: dn(u | 0) = 1
         u = np.linspace(-3.0, 3.0, 7)
@@ -144,6 +150,17 @@ class TestCfadi:
             phi *= (a - p) / (a + p)
         want = (phi[:, None] * x) * phi[None, :]
         assert np.abs((x - z @ z.T) - want).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [1024, 2**14])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9])
+    def test_in_place_columns_are_the_recurrence_bit_for_bit(self, n, eps):
+        # each column is formed in its row through one workspace, in the recurrence's order of operations
+        a, b = np.arange(n) + 0.5, np.ones(n)
+        p = adi_shifts(0.5, n - 0.5, adi_rank(2 * n - 1, 4 * eps / 15))
+        want = [math.sqrt(2.0 * p[0]) / (a + p[0]) * b]
+        for k in range(1, p.size):
+            want.append(math.sqrt(p[k] / p[k - 1]) * (a - p[k - 1]) / (a + p[k]) * want[-1])
+        assert np.array_equal(cfadi_solve(a, b, p), np.array(want).T)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -301,7 +318,7 @@ class TestFourierCorrectionFactor:
         # against the eight complex outer products, both built densely from z, ca, cb and the exact phases; the
         # local phase table holds cos and sin of each step once
         f = fourier_correction_factor(n, w, eps)
-        assert len(_FOURIER_TERMS) == 4 and len(f._tiles(lowrank._ANALYSIS_TILE)[3]) == 4
+        assert len(_FOURIER_TERMS) == 4 and len(f._tiles[3]) == 4
         reference = fourier_correction_eight_terms(f)
         assert np.abs(reference.imag).max() <= 1e-15
         assert norm2(factor_dense(f) - reference.real) <= 1e-15
@@ -583,8 +600,7 @@ class TestFourierTiles:
     """The Fourier correction's products run over row tiles of z and of a Pascal-shifted local basis."""
 
     def test_each_factor_forms_its_tilings_once(self, monkeypatch, rng):
-        # one module cache of two entries missed on every call once two factorizations took turns; at n = 300
-        # both directions tile by n/4, so each factor forms one tiling
+        # one module cache of two entries missed on every call once two factorizations took turns
         formed = []
         tiling = lowrank._tiling
         monkeypatch.setattr(lowrank, "_tiling", lambda *args: formed.append(args) or tiling(*args))
@@ -595,26 +611,27 @@ class TestFourierTiles:
                 f.apply(x)
         assert len(formed) == 2 and len(set(formed)) == 2
 
-    @pytest.mark.parametrize("n, tilings", [(2**14, 1), (2**16, 2)])
-    def test_directions_of_one_tile_length_share_a_tiling(self, n, tilings, rng):
-        # up to n = 2^14 the analysis and the synthesis tiles are both n/4 rows long, and the two equal tilings
-        # (1.08 MB each at 2^14) are one; a round trip gives the bytes of tilings formed per direction
+    @pytest.mark.parametrize("n", [2**14, 2**16])
+    def test_a_factor_forms_exactly_one_tiling(self, n, monkeypatch, rng):
+        # both directions tile by 4096 rows; a copy whose synthesis tiles by n/4 rows, as it once did (a second
+        # tiling of 3.8 MB at 2^16, one tiling at 2^14), gives the same round trip to rounding
         f = fourier_correction_factor(n, 0.25, 1e-6)
-        width = max(len(f.ca), len(f.cb))
-        per_direction = FourierFactor(f.w, f.z, f.ca, f.cb)
-        per_direction._tiles = lambda cap: per_direction._tilings.setdefault(
-            cap, lowrank._tiling(n, f.w, width, min(cap, max(64, n // 4), n)))
+        formed, tiling = [], lowrank._tiling
+        monkeypatch.setattr(lowrank, "_tiling", lambda *args: formed.append(args[3]) or tiling(*args))
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got, want = (g.synthesize(g.adjoint_apply(x)) for g in (f, per_direction))
-        assert len(f._tilings) == tilings and len(per_direction._tilings) == 2
-        assert np.array_equal(got, want)
+        got = f.synthesize(f.adjoint_apply(x))
+        f.apply(x)
+        assert formed == [4096]
+        analysis, synthesis = (FourierFactor(f.w, f.z, f.ca, f.cb) for _ in range(2))
+        analysis._tiles, synthesis._tiles = (tiling(n, f.w, max(len(f.ca), len(f.cb)), t) for t in (4096, n // 4))
+        want = synthesis.synthesize(analysis.adjoint_apply(x))
+        assert np.abs(got - want).max() <= 2e-16 * np.abs(want).max()
 
     @pytest.mark.parametrize("tile", [64, 96])
     @pytest.mark.parametrize("tiles,rows", [(0, 1), (0, 2), (0, 3), (0, 81), (1, -1), (1, 0), (1, 1), (3, 5)])
     def test_tile_edges_match_dense(self, tile, tiles, rows, monkeypatch, rng):
-        # a tile of L rows for both directions; n = tiles L + rows at the tile edges and across several tiles
-        monkeypatch.setattr(lowrank, "_ANALYSIS_TILE", tile)
-        monkeypatch.setattr(lowrank, "_SYNTHESIS_TILE", tile)
+        # a tile of L rows; n = tiles L + rows at the tile edges and across several tiles
+        monkeypatch.setattr(lowrank, "_TILE", tile)
         _assert_products_match_dense(fourier_correction_factor(tiles * tile + rows, 0.2, 1e-6), rng)
 
     @pytest.mark.parametrize("n,w,eps", [(300, 0.37, 1e-3), (257, 0.1, 1e-9)])
