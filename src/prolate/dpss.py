@@ -18,7 +18,8 @@ estimate of the smallest same-parity gap; at n = 2^16 that halves the
 bisection's time.  Each loose solve is then checked: its eigenvalues must
 lie at least the estimate apart, and a Sturm count must find no other
 eigenvalue within the estimate of their range.  A range that fails is
-solved again with the bisection run to full precision.
+solved again with the bisection run to full precision.  A request lacking
+over _WHOLE_SHARE of n <= FULL_BASIS_MAX_N pairs gets all n from stevd.
 
 Where a caller weights eigenvalues steeply enough that double-precision
 quotients are too coarse, refine_window recomputes the ones it flags in
@@ -69,8 +70,10 @@ __all__ = [
 ]
 
 # largest n at which the extension experiment's exact solvers take all n Slepian pairs, the plan's n x ceil(n/2)
-# block (67 MB at the cap), and linear prediction its leading k
+# block (67 MB at the cap), and linear prediction its leading k; also the largest n of a whole-spectrum solve
 FULL_BASIS_MAX_N = 4096
+# stevd + _inverse_step on a half of h = 41..2048 rows cost as much as bisecting 20-50 % of it (30 % from h = 161)
+_WHOLE_SHARE = 0.3
 _CLAMP_TOL = 1e-12
 _SIGN_TOL = 1e-12
 _SQRT_HALF = math.sqrt(0.5)
@@ -78,8 +81,8 @@ _SQRT_HALF = math.sqrt(0.5)
 _WINDOW_MARGIN = 4
 _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_EXT = float(np.finfo(np.longdouble).eps)
-# bisection stops at this fraction of the gap estimate; inverse iteration from
-# there gives the full-precision solve's vectors to 2e-14 at n = 2^16 (1.4e-13 at 2^18)
+# bisection stops (and _inverse_step shifts) at this fraction of the gap estimate; inverse iteration from there
+# gives the full-precision solve's vectors to 2e-14 at n = 2^16 (1.4e-13 at 2^18)
 _ISOLATION = 1e-5
 # columns per chunk of the quotients' transforms and sign fix, bounding their workspace (for rayleigh_extended's
 # longdouble apply, a real stack of parity halves)
@@ -184,19 +187,33 @@ def _isolated(d, e, vals, gap) -> bool:
     return scipy.linalg.lapack.dstebz(d, e, 1, lo, hi, 0, 0, 2.0 * (hi - lo), b"E")[0] == vals.size
 
 
+def _inverse_step(d, e, shifts, vecs):
+    """vecs, in place, after one step of inverse iteration each on (d, e) shifted to shifts[j]; 2^16 rows per solve."""
+    step = max(1, 2**16 // d.size)
+    for j in range(0, vecs.shape[1], step):
+        cols = vecs[:, j:j + step]
+        bands = np.zeros((3, cols.shape[1], d.size))
+        bands[0, :, 1:] = bands[2, :, :-1] = e
+        np.subtract(d, shifts[j:j + step, None], out=bands[1])
+        x = scipy.linalg.solve_banded((1, 1), bands.reshape(3, -1), cols.T.ravel()).reshape(cols.shape[::-1]).T
+        np.divide(x, np.linalg.norm(x, axis=0), out=cols)
+
+
 def _require_memory(n: int, pairs: int) -> None:
     """Raise MemoryError, before anything is allocated, if a plan at n and a solve of pairs Slepian pairs need more
     than the machine's physical memory, where the system would kill the process rather than fail an allocation.
 
-    Counted in doubles: 8n to build the plan (prolate_column's peak; the plan then holds 4-6n), 3/2 ceil(n/2) per
-    pair for the solve's block and the eigensolver's vectors of one parity's share, and the quotients' workspace of
-    up to _BLOCK_COLS columns of fft_len/2 + 1.  Where the platform does not report its memory nothing is refused.
+    Counted in doubles: 8n to build the plan (prolate_column's peak; it then holds 4-6n), per pair h = ceil(n/2) for
+    the block and h/2 for the eigensolver's vectors (all n: 2h^2 plus stevd's 1 + 4h + h^2), and up to _BLOCK_COLS
+    columns of fft_len/2 + 1 for the quotients.  Nothing is refused where the platform does not report its memory.
     """
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    need = 8 * (8 * n + 3 * ((n + 1) // 2) * pairs // 2 + min(pairs, _BLOCK_COLS) * (next_pow2(2 * n) // 2 + 1))
+    h = (n + 1) // 2
+    solver = 3 * h * h + 4 * h + 1 if pairs == n else h * pairs // 2
+    need = 8 * (8 * n + h * pairs + solver + min(pairs, _BLOCK_COLS) * (next_pow2(2 * n) // 2 + 1))
     if need > memory:
         raise MemoryError(f"unable to allocate a Slepian plan at n={n} solving {pairs} pairs: about "
                           f"{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB of physical memory")
@@ -326,13 +343,18 @@ class SlepianPlan:
     def pairs(self, first: int, last: int):
         """(block, lams) of Slepian indices first..last (inclusive), read-only views of the snapshot.
 
-        Solves only the indices the snapshot lacks, one range per side that
-        grows; a range apart from the snapshot replaces it.
+        Solves only the indices the snapshot lacks, one range per side that grows; a range apart from the snapshot
+        replaces it.  Where more than _WHOLE_SHARE of n are lacking, n <= FULL_BASIS_MAX_N, all n are solved.
         """
         held_first, block, lams = self._held
         stop = held_first + lams.size
         if not held_first <= first <= last < stop:
-            if last + 1 < held_first or first > stop or not lams.size:
+            lacking = last - first + 1 - max(0, min(last + 1, stop) - max(first, held_first))
+            if self.n <= FULL_BASIS_MAX_N and lacking > _WHOLE_SHARE * self.n:
+                whole, whole_lams = self._solve(0, self.n - 1)
+                whole[:, held_first:stop], whole_lams[held_first:stop] = block, lams  # held pairs keep their bits
+                held_first, block, lams = 0, whole, whole_lams
+            elif last + 1 < held_first or first > stop or not lams.size:
                 held_first, (block, lams) = first, self._solve(first, last)
             else:
                 parts = ([self._solve(first, held_first - 1)] if first < held_first else []) + [(block, lams)]
@@ -348,15 +370,12 @@ class SlepianPlan:
     def _solve(self, first: int, last: int):
         """Leading halves of Slepian vectors first..last, one per column of a column-major block, and their quotients.
 
-        Each parity's share of the range is one index range of its half-size
-        tridiagonal, solved by one bisection/inverse-iteration call whose
-        bisection stops at _ISOLATION of the gap estimate.  If those
-        eigenvalues are not isolated by the estimate (_isolated), the range is
-        solved again with the bisection run to full precision.  The half
-        vectors are then scaled into place and their signs fixed _BLOCK_COLS
-        columns at a time, and the quotients are taken from the halves
-        themselves by half_quadratic_forms, one DCT or DST per column in a
-        workspace of _BLOCK_COLS columns; no vector is unfolded.
+        Each parity's share of the range is one index range of its half-size tridiagonal: a whole half is solved by
+        divide and conquer and _inverse_step, any other by one bisection/inverse-iteration call whose bisection stops
+        at _ISOLATION of the gap estimate, solved again with the bisection run to full precision if those eigenvalues
+        are not isolated by the estimate (_isolated).  The half vectors are then scaled into place and their signs
+        fixed _BLOCK_COLS columns at a time, and the quotients are taken from the halves themselves by
+        half_quadratic_forms, one DCT or DST per column in a workspace of _BLOCK_COLS columns; none is unfolded.
         """
         n, p = self.n, self.n // 2
         _require_memory(n, last - first + 1)
@@ -371,8 +390,12 @@ class SlepianPlan:
             # inverse iteration's level-1 BLAS on half-length vectors: a second thread only changes its rounding
             with _one_blas_thread:
                 try:
-                    vals, half = scipy.linalg.eigh_tridiagonal(d, e, tol=_ISOLATION * gap, **select)
-                    isolated = _isolated(d, e, vals, gap)
+                    if j1 - j0 + 1 < d.size:
+                        vals, half = scipy.linalg.eigh_tridiagonal(d, e, tol=_ISOLATION * gap, **select)
+                    else:  # a whole half: divide and conquer and one step of inverse iteration, nothing to isolate
+                        vals, half = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd")
+                        _inverse_step(d, e, vals + _ISOLATION * gap, half)
+                    isolated = vals.size == d.size or _isolated(d, e, vals, gap)
                 except np.linalg.LinAlgError:
                     isolated = False
                 if not isolated:
@@ -497,14 +520,13 @@ def quotient_error(n: int, w: float, extended: bool = False) -> float:
 def vector_error(n: int, w: float) -> float:
     """Estimated norm error of a window eigenvector from the tridiagonal solve.
 
-    u * (n / (4 sin(2 pi w)) + 16), u the float64 unit roundoff.  The
-    commuting tridiagonal separates every eigenvalue, so the float64 vectors
-    are resolved individually, but its gaps near the transition shrink with
-    sin(2 pi w) while its norm does not.  Measured 5.9-92x below this on
-    the window (1e-12, 1 - 1e-12) for n in [64, 16384] and w in
-    [0.01, 0.49], against vectors refined by longdouble inverse iteration
-    on the full tridiagonal (4.0-99x with the bisection run to full
-    precision instead of to isolation).
+    u * (n / (4 sin(2 pi w)) + 16), u the float64 unit roundoff.  The commuting tridiagonal separates every
+    eigenvalue, so the float64 vectors are resolved individually, but its gaps near the transition shrink with
+    sin(2 pi w) while its norm does not.  Measured 5.9-92x below this on the window (1e-12, 1 - 1e-12) for n in
+    [64, 16384] and w in [0.01, 0.49], against vectors refined by longdouble inverse iteration on the full
+    tridiagonal (4.0-99x with the bisection run to full precision instead of to isolation); whole-spectrum vectors
+    2.7-46x for n in [17, 4096], against longdouble inverse iteration on the halves (divide and conquer's own,
+    before _inverse_step, 0.16-3.1x).
     """
     return 0.5 * _EPS64 * (n / (4.0 * math.sin(2.0 * math.pi * w)) + 16.0)
 

@@ -5,10 +5,10 @@ endpoints, is approximated three ways: by its truncated Fourier series
 (which rings), and by least-squares extension to a longer period, solving
 the prolate normal equations with either the truncated pseudoinverse or
 Tikhonov regularization -- each exactly, as one SpectralFactor over all n
-Slepian pairs of the shared plan with extended-precision eigenvalues, and by
-a fast structured operator.  Coefficient integrals are trapezoid sums of
-length 2^(13 + floor(log2 m)), summed in closed form per bump; only the
-evaluation grid is sampled.
+Slepian pairs of the shared plan (one whole-spectrum solve) with
+extended-precision eigenvalues, and by a fast structured operator.
+Coefficient integrals are trapezoid sums of length 2^(13 + floor(log2 m)),
+summed in closed form per bump; only the evaluation grid is sampled.
 """
 
 from __future__ import annotations
@@ -162,10 +162,10 @@ class SyntheticTarget:
     def spectrum_on_grid(self, start: float, step: float, count: int, q: int, m_max: int) -> np.ndarray:
         """S(m) = sum_{j<count} f(start + j*step) e^{-2 pi i j m / q}, m = 0..m_max < q: rfft(samples, n=q)[:m_max + 1].
 
-        In closed form, with z = e^{-2 pi i m / q}: the trend is sum z^j and sum j z^j, and bump k is two
-        geometric series of ratio e^{-step/w_k} z^{-+1} from the nodes J_k and J_k + 1 either side of its
-        center.  Each z^k comes from k*m mod q in integers and each 1 - ratio from expm1 and sin^2, so
-        nothing cancels as step/w_k and m/q go to 0; the work is O(bumps x m_max), whatever count.
+        In closed form, with z = e^{-2 pi i m / q}: the trend is sum z^j and sum j z^j, and bump k is two geometric
+        series of ratio e^{-step/w_k} z^{-+1} from the nodes J_k and J_k + 1 either side of its center.  Each z^k
+        comes from k mod q in integers, z^{jm} as z^{jBa} z^{jb} (m = aB + b, B ~ sqrt(m_max)), and each 1 - ratio
+        from expm1 and sin^2, so nothing cancels as step/w_k and m/q go to 0; the work is O(bumps x m_max).
         """
         def turn(k):  # z^k, the exponent reduced mod q in integers
             return np.exp((-2j * math.pi / q) * (k % q))
@@ -176,17 +176,22 @@ class SyntheticTarget:
         out = np.full(m_max + 1, count * (level + self.slope * step * last / 2), dtype=complex)
         d, z_last = 2.0 * half[1:] ** 2 + 1j * sin[1:], turn(last * m[1:])  # 1 - z and z^last, m >= 1
         out[1:] = (level * (1.0 - z_end[1:]) + self.slope * step * z[1:] * ((1.0 - z_last) / d - last * z_last)) / d
-        if self.amps.size:
-            x = step / self.widths[:, None]
-            j = np.clip(np.floor((self.centers - start) / step), -1, last).astype(np.int64)[:, None]
-            gap = (start + step * j - self.centers[:, None]) / self.widths[:, None]  # (t_J - c_k) / w_k
+        split, rows = math.isqrt(m_max) + 1, max(1, 2**13 // (m_max + 1))  # bumps per pass: 128 KiB temporaries
+        for k in range(0, self.amps.size, rows):
+            amps, centers, widths = (a[k:k + rows, None] for a in (self.amps, self.centers, self.widths))
+            x = step / widths
+            j = np.clip(np.floor((centers - start) / step), -1, last).astype(np.int64)
+            gap = (start + step * j - centers) / widths  # (t_J - c_k) / w_k
             # each bump at J and J + 1; an empty side (J = -1 or last) sums to zero, the abs keeps it finite
-            left, right = self.amps[:, None] * np.exp(-np.abs(gap)), self.amps[:, None] * np.exp(-np.abs(gap + x))
+            left, right = amps * np.exp(-np.abs(gap)), amps * np.exp(-np.abs(gap + x))
             decay = np.exp(-x)
             re, im = -np.expm1(-x) + 2.0 * decay * half**2, decay * sin  # 1 - e^{-x} z^{-+1} = re -+ i im
-            p = turn(j * m)
-            out += np.sum(left * (p - np.exp(-(j + 1) * x) * turn(-m)) / (re - 1j * im)
-                          + right * (p * z - np.exp(-(last - j) * x) * z_end) / (re + 1j * im), axis=0)
+            p = turn(j * split * np.arange(m_max // split + 1))[:, :, None] * turn(j * np.arange(split))[:, None, :]
+            p = p.reshape(j.size, -1)[:, :m_max + 1]
+            ahead = left * (p - np.exp(-(j + 1) * x) * turn(-m))
+            behind = right * (p * z - np.exp(-(last - j) * x) * z_end)
+            # ahead / (re - i im) + behind / (re + i im) over one real denominator
+            out += np.sum(((ahead + behind) * re + (ahead - behind) * (1j * im)) / (re * re + im * im), axis=0)
         return out
 
 
@@ -222,11 +227,14 @@ def _reconstruct(coeffs: np.ndarray, m_max: int, half_period: float, start: floa
 
     coeffs is (2 m_max + 1,) or (rows, 2 m_max + 1), the result (count,) or (rows, count).  Within a block
     t = s + i*step, so the sums are one product of the per-block factors c_m e^{i pi m s / T} of every row
-    with the per-offset table e^{i pi m i step / T} that all rows share.
+    with the per-offset table e^{i pi m i step / T} that all rows share.  Re c e^{-i x} = Re conj(c) e^{i x}, so
+    they run over m >= 0 only, with c_m + conj(c_-m).
     """
     nodes = _grid_blocks(start, step, count)
-    freq = (math.pi / half_period) * np.arange(-m_max, m_max + 1)
-    head = (np.exp(1j * np.outer(nodes[:, 0], freq)) * coeffs[..., None, :]).reshape(-1, freq.size)
+    freq = (math.pi / half_period) * np.arange(m_max + 1)
+    folded = coeffs[..., m_max:].copy()
+    folded[..., 1:] += coeffs[..., :m_max][..., ::-1].conj()
+    head = (np.exp(1j * np.outer(nodes[:, 0], freq)) * folded[..., None, :]).reshape(-1, freq.size)
     table = np.exp(1j * np.outer(freq, step * np.arange(nodes.shape[1])))
     out = head.real @ table.real - head.imag @ table.imag
     return out.reshape(*coeffs.shape[:-1], -1)[..., :count] / math.sqrt(2.0 * half_period)

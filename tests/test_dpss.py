@@ -285,6 +285,104 @@ class TestIsolatedBisection:
         assert not dpss._isolated(d, e, vals[-1:], 1.01 * (vals[-1] - vals[-2]))
 
 
+class _Overlay:
+    """A module with some attributes replaced, the others read through: how the benchmark's tracer wraps dpss.scipy."""
+
+    def __init__(self, real, **replaced):
+        self.__dict__.update(replaced)
+        self._real = real
+
+    def __getattr__(self, attr):
+        return getattr(self._real, attr)
+
+
+def _record_solves(monkeypatch):
+    """A list that gets the keyword arguments of each eigh_tridiagonal call dpss makes, through a dpss.scipy overlay."""
+    calls, solve = [], scipy.linalg.eigh_tridiagonal
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dpss, "scipy", _Overlay(scipy, linalg=_Overlay(scipy.linalg, eigh_tridiagonal=recorded)))
+    return calls
+
+
+def _bisect_whole_halves(monkeypatch, n, w):
+    """Solve a whole parity half as any other range: bisection to isolation, then inverse iteration."""
+    solve, tol = scipy.linalg.eigh_tridiagonal, dpss._ISOLATION * dpss._gap_estimate(n, w)
+
+    def bisect(d, e, **kwargs):
+        if kwargs.get("lapack_driver") == "stevd":
+            return solve(d, e, tol=tol, select="i", select_range=(0, d.size - 1))
+        return solve(d, e, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", bisect)
+
+
+class TestWholeSpectrum:
+    @pytest.mark.parametrize("n", [17, 80, 81, 160, 161, 1023, 1024])
+    @pytest.mark.parametrize("w", [0.02, 0.25, 1.0 / 3.0, 0.45])
+    def test_divide_and_conquer_matches_bisection(self, monkeypatch, n, w):
+        block, lams = dpss.SlepianPlan(n, w).pairs(0, n - 1)
+        with monkeypatch.context() as m:
+            _bisect_whole_halves(m, n, w)
+            want_block, want_lams = dpss.SlepianPlan(n, w).pairs(0, n - 1)
+        # a column is the leading half of a vector: the whole vector moves by at most sqrt(2) times as much
+        assert math.sqrt(2.0) * np.linalg.norm(block - want_block, axis=0).max() <= vector_error(n, w)
+        assert np.abs(lams - want_lams).max() <= quotient_error(n, w)
+        for eps in (1e-3, 1e-6, 1e-9):
+            assert dpss._window_edges(lams, eps, 1 - eps) == dpss._window_edges(want_lams, eps, 1 - eps), eps
+        assert np.count_nonzero(lams >= 1e-4) == np.count_nonzero(want_lams >= 1e-4)
+
+    @pytest.mark.parametrize("n", [80, 81])
+    def test_all_pairs_take_one_divide_and_conquer_call_per_parity(self, monkeypatch, n):
+        calls = _record_solves(monkeypatch)
+        dpss.SlepianPlan(n, 0.25).pairs(0, n - 1)
+        assert calls == [{"lapack_driver": "stevd"}] * 2
+
+    def test_a_benchmark_window_bisects(self, monkeypatch):
+        dpss.slepian_plan.cache_clear()
+        calls = _record_solves(monkeypatch)
+        transition_window(4096, 0.25, 1e-6, 1 - 1e-6)
+        assert calls and all(c.get("select") == "i" and "lapack_driver" not in c for c in calls)
+
+    def test_only_a_request_lacking_more_than_the_share_solves_every_pair(self, monkeypatch):
+        n = 100
+        plan = dpss.SlepianPlan(n, 0.25)
+        calls = _record_solves(monkeypatch)
+        # 30 pairs are not more than _WHOLE_SHARE of n, and a request overlapping them lacks 30 more
+        for first, last, held in ((35, 64, range(35, 65)), (20, 79, range(20, 80))):
+            block, lams = plan.pairs(first, last)
+            assert plan.held == held and calls and all(c.get("select") == "i" for c in calls)
+            calls.clear()
+        whole, whole_lams = plan.pairs(0, n - 1)
+        assert plan.held == range(n) and calls == [{"lapack_driver": "stevd"}] * 2
+        # the pairs held before keep their bits
+        assert np.array_equal(whole[:, 20:80], block) and np.array_equal(whole_lams[20:80], lams)
+
+    def test_memory_for_a_whole_spectrum_is_refused_before_it_is_allocated(self, monkeypatch):
+        # at n = 1024 all pairs need about 10.7 MB with divide and conquer's two 512 x 512 matrices and workspace,
+        # 6.5 MB counted as bisection's vectors: 8 MiB refuses them, and any request that would solve them, but
+        # not a window of 100 pairs
+        n = 1024
+        plan = dpss.SlepianPlan(n, 0.25)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("allocated before the memory check")
+
+        with monkeypatch.context() as m:
+            m.setattr(dpss.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2048}.get)
+            m.setattr(dpss, "mapped_rows", refused)
+            m.setattr(scipy.linalg, "eigh_tridiagonal", refused)
+            for first, last in ((0, n - 1), (300, 699)):
+                with pytest.raises(MemoryError, match=f"n={n} solving {n} pairs"):
+                    plan.pairs(first, last)
+            m.undo()
+            m.setattr(dpss.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2048}.get)
+            assert plan.pairs(462, 561)[1].size == 100
+
+
 class TestSlepianPlan:
     def test_repeat_and_superset_windows_solve_only_what_is_missing(self, monkeypatch):
         n, w, eps = 4096, 0.25, 1e-6
@@ -321,6 +419,9 @@ class TestSlepianPlan:
     # at w = 1/4 and odd n, lam_k + lam_(n-1-k) = 1 puts lam_7 at 1/2 exactly for n = 15: the all-pairs solve read
     # 0.5 + 2.2e-16 and the predicted-range solve 0.5 - 1.1e-16, so hi = 1/2 started the window at 8 or at 7
     @example((15, 0.25, None, [(-0.5, 1.0), (-0.5, 0.5)]))
+    # the first window holds 7 of 64 pairs and the second solves all of them: where that solve replaced the held
+    # pairs, a quotient at the noise floor fell to lo = 0 inside them, so the held pairs seemed to bracket its edge
+    @example((64, 0.0010000000000000002, None, [(0.0001, 1.0), (0.0, 1.0)]))
     def test_windows_from_held_pairs_match_cold_solves(self, case):
         # each window of a sequence, after pairs held from a range near its prediction and from the windows
         # before it, against a solve on an empty plan; where the held pairs it starts from (those overlapping its

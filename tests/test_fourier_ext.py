@@ -135,6 +135,22 @@ class TestQuadrature:
         )
         assert_matches_sampled_fft(target, start, step, count, q, m_max)
 
+    @pytest.mark.parametrize("m_max", [1, 3, 8, 9, 80])
+    def test_closed_form_sums_at_the_edges_of_the_turn_tables(self, m_max):
+        # z^{jm} is z^{jBa} z^{jb} with m = a B + b, B = isqrt(m_max) + 1: the tables end on m_max at 1, 3, 8 and 80
+        # and run past it at 9; bumps sit in the cells of J = -1 and J = last (each with one empty side), on a node
+        # and beyond the grid, as on the m = 40 extension grid, and 250 more make three passes of bumps at m_max = 80
+        q = 1 << 13
+        step, count = 3.0 / q, int(2.0 / (3.0 / q)) + 1
+        last = count - 1
+        edges = [-1.0 - 0.5 * step, -1.0 - 0.01 * step, -1.0 + step * (last + 0.5), -1.0 + step * (last + 0.99),
+                 -1.0 + 100 * step, 2.5]
+        many = small_target(seed=m_max, n_bumps=250)
+        target = SyntheticTarget(slope=5.0, offset=0.5, amps=np.append([1.0, -0.7, 0.9, -0.4, 0.6, 0.8], many.amps),
+                                 centers=np.append(edges, many.centers),
+                                 widths=np.append([1e-3, 1e-1, 1e-2, 1e-3, 1e-1, 1e-2], many.widths))
+        assert_matches_sampled_fft(target, -1.0, step, count, q, m_max)
+
     def test_closed_form_sums_of_a_subnormal_constant_are_within_underflow(self):
         # a draw the relative terms alone refused: the sums were one subnormal ulp (4.9e-324) from the FFT's
         assert_matches_sampled_fft(constant_target(2.225073858507e-311), 0.0, 0.5, 6, 8, 1)
@@ -311,9 +327,10 @@ class TestSyntheticTarget:
 
 
 class TestReconstruct:
-    @pytest.mark.parametrize("m_max", [8, 80, 640])
+    @pytest.mark.parametrize("m_max", [1, 8, 80, 640])
     @pytest.mark.parametrize("half_period", [1.0, 1.5])
     def test_blocked_matches_dense_basis(self, m_max, half_period):
+        # the sums at -m fold onto those at m as conjugates, m_max = 1 the smallest fold
         rng = np.random.default_rng(m_max)
         coeffs = rng.standard_normal(2 * m_max + 1) + 1j * rng.standard_normal(2 * m_max + 1)
         count = 10_000
