@@ -5,12 +5,8 @@ two cluster plateaus are ever needed.  Their index range is predicted from
 the asymptotic eigenvalue distribution and solved in one pass on the two
 half-size tridiagonals of the even and the odd Slepian vectors, with each
 eigenvalue recovered as a Rayleigh quotient against the Toeplitz part (the
-tridiagonal's own spectrum is unrelated to the concentration values).  A
-Slepian vector is even or odd, so centred in the Toeplitz part's circulant its
-transform is real or imaginary: one DCT or DST of its half vector gives the
-quotient by Parseval's identity (half_quadratic_forms), where applying the
-Toeplitz part to the vector would take a DCT-II and a DCT-III of about the
-same length on each of its two halves.
+tridiagonal's own spectrum is unrelated to the concentration values), which
+takes it from the half vector alone (ToeplitzOperator.half_quadratic_forms).
 
 Inverse iteration needs a tridiagonal eigenvalue only isolated from its
 neighbours, not exact, so bisection stops at 1e-5 of _gap_estimate, a lower
@@ -45,15 +41,13 @@ import ctypes
 import functools
 import glob
 import math
-import mmap
 import os
 import threading
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
-from .fft_kernels import ToeplitzOperator, _read_only, _real, _size, next_pow2, prolate_column
+from .fft_kernels import _BLOCK_COLS, ToeplitzOperator, _read_only, _real, _size, mapped_rows, prolate_column
 
 __all__ = [
     "PreconditionViolated",
@@ -84,9 +78,6 @@ _EPS_EXT = float(np.finfo(np.longdouble).eps)
 # bisection stops (and _inverse_step shifts) at this fraction of the gap estimate; inverse iteration from there
 # gives the full-precision solve's vectors to 2e-14 at n = 2^16 (1.4e-13 at 2^18)
 _ISOLATION = 1e-5
-# columns per chunk of the quotients' transforms and sign fix, bounding their workspace (for rayleigh_extended's
-# longdouble apply, a real stack of parity halves)
-_BLOCK_COLS = 16
 # most eigenpairs a transition window may request, solved or held
 _MAX_PAIRS = 4096
 
@@ -205,7 +196,8 @@ def _require_memory(n: int, pairs: int) -> None:
 
     Counted in doubles: 8n to build the plan (prolate_column's peak; it then holds 4-6n), per pair h = ceil(n/2) for
     the block and h/2 for the eigensolver's vectors (all n: 2h^2 plus stevd's 1 + 4h + h^2), and up to _BLOCK_COLS
-    columns of fft_len/2 + 1 for the quotients.  Nothing is refused where the platform does not report its memory.
+    columns of half the Toeplitz part's embedding length, plus one, for the quotients.  Nothing is refused where
+    the platform does not report its memory.
     """
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -213,21 +205,10 @@ def _require_memory(n: int, pairs: int) -> None:
         return
     h = (n + 1) // 2
     solver = 3 * h * h + 4 * h + 1 if pairs == n else h * pairs // 2
-    need = 8 * (8 * n + h * pairs + solver + min(pairs, _BLOCK_COLS) * (next_pow2(2 * n) // 2 + 1))
+    need = 8 * (8 * n + h * pairs + solver + min(pairs, _BLOCK_COLS) * (ToeplitzOperator.embedding_length(n) // 2 + 1))
     if need > memory:
         raise MemoryError(f"unable to allocate a Slepian plan at n={n} solving {pairs} pairs: about "
                           f"{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB of physical memory")
-
-
-# private and faulted in at creation: every mapped array is written in full right away
-_MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)}
-              if hasattr(mmap, "MAP_ANONYMOUS") else {})
-
-
-def mapped_rows(rows: int, n: int, dtype=float) -> np.ndarray:
-    """A zeroed C-ordered (rows, n) array in an anonymous memory map of its own."""
-    size = np.dtype(dtype).itemsize * rows * n
-    return np.frombuffer(mmap.mmap(-1, max(size, 1), **_MAP_FLAGS), dtype, count=rows * n).reshape(rows, n)
 
 
 def unfold(block, parity, n, out=None):
@@ -238,40 +219,6 @@ def unfold(block, parity, n, out=None):
     out[:len(block)] += block
     for j, odd in enumerate(np.broadcast_to(np.asarray(parity) % 2, block.shape[1:])):
         (np.subtract if odd else np.add)(tail[:, j], block[:len(tail), j], out=tail[:, j])
-    return out
-
-
-def half_quadratic_forms(b_op, block, parity):
-    """v'Bv for each Slepian vector v whose leading half is a column of block, parity[j] the parity of column j
-    and B the Toeplitz matrix of b_op, in b_op's precision; no vector is unfolded.
-
-    Centred in B's circulant of length L = 2m, an even or odd v has a real or an imaginary transform, whose
-    magnitudes are one DCT or DST of v's half read from the centre out (reversed, from the middle row at odd n
-    for an even v) and zero-padded.  Parseval's identity then gives v'Bv = sum_k c_k s_k y_k^2, s the half
-    spectrum and c_k = 1/L doubled for 0 < k < m.  Even n takes type 2 of length m (bins 0..m-1 for even v,
-    1..m for odd); odd n type 1 of length m+1 (bins 0..m) for even v and m-1 (bins 1..m-1) for odd.  One
-    parity's columns go through one column-major workspace _BLOCK_COLS at a time, transformed in place; the
-    weighted squares are summed along the contiguous axis, which numpy sums pairwise.
-    """
-    n, m = b_op.n, b_op.fft_len // 2
-    weights = b_op.half_spectrum / b_op.fft_len
-    weights[1:m] *= 2
-    parity = np.asarray(parity) % 2
-    out = np.empty(block.shape[1], weights.dtype)
-    work = mapped_rows(min(_BLOCK_COLS, block.shape[1]), m + 1, weights.dtype).T
-    for odd, transform in ((0, scipy.fft.dct), (1, scipy.fft.dst)):
-        rows = n // 2 + n % 2 * (1 - odd)
-        kind, size = (1, m + 1 - 2 * odd) if n % 2 else (2, m)
-        cols = np.flatnonzero(parity == odd)
-        for j in range(0, cols.size, _BLOCK_COLS):
-            chunk = cols[j:j + _BLOCK_COLS]
-            y = work[:size, :chunk.size]
-            y[:rows] = block[:rows][::-1, chunk]
-            y[rows:] = 0.0
-            y = transform(y, kind, axis=0, overwrite_x=True)
-            y *= y
-            y *= weights[odd:odd + size, None]
-            out[chunk] = y.sum(axis=0)
     return out
 
 
@@ -374,8 +321,8 @@ class SlepianPlan:
         divide and conquer and _inverse_step, any other by one bisection/inverse-iteration call whose bisection stops
         at _ISOLATION of the gap estimate, solved again with the bisection run to full precision if those eigenvalues
         are not isolated by the estimate (_isolated).  The half vectors are then scaled into place and their signs
-        fixed _BLOCK_COLS columns at a time, and the quotients are taken from the halves themselves by
-        half_quadratic_forms, one DCT or DST per column in a workspace of _BLOCK_COLS columns; none is unfolded.
+        fixed _BLOCK_COLS columns at a time, and the quotients are taken from the halves themselves by the Toeplitz
+        part's half_quadratic_forms; none is unfolded.
         """
         n, p = self.n, self.n // 2
         _require_memory(n, last - first + 1)
@@ -394,7 +341,10 @@ class SlepianPlan:
                         vals, half = scipy.linalg.eigh_tridiagonal(d, e, tol=_ISOLATION * gap, **select)
                     else:  # a whole half: divide and conquer and one step of inverse iteration, nothing to isolate
                         vals, half = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd")
-                        _inverse_step(d, e, vals + _ISOLATION * gap, half)
+                        # at least a few ulps of the half's norm (or of 1): a 1 x 1 half's shift within half an ulp
+                        # of its value (n <= 3 at w <= 1e-13) rounds to it, and the solve is singular
+                        offset = max(_ISOLATION * gap, 4 * np.spacing(max(np.abs(vals).max(), 1.0)))
+                        _inverse_step(d, e, vals + offset, half)
                     isolated = vals.size == d.size or _isolated(d, e, vals, gap)
                 except np.linalg.LinAlgError:
                     isolated = False
@@ -406,7 +356,7 @@ class SlepianPlan:
                 out[p] = half[p, ::-1]
         for j in range(0, block.shape[1], _BLOCK_COLS):
             _fix_signs(block[:, j:j + _BLOCK_COLS])
-        lams = half_quadratic_forms(self.b_op, block, np.arange(first, last + 1))
+        lams = self.b_op.half_quadratic_forms(block, np.arange(first, last + 1))
         return block, _clamp_eigenvalues(lams)
 
 
@@ -505,7 +455,7 @@ def quotient_error(n: int, w: float, extended: bool = False) -> float:
     reduces w*m from its exact product, so the error does not grow with
     w n.  Against rayleigh_extended on the window (1e-12, 1 - 1e-12), for
     n in [64, 2^16] and w in [0.01, 0.49], the DCT/DST quotients of
-    half_quadratic_forms measured 24-3750x below it, none more than
+    ToeplitzOperator.half_quadratic_forms measured 24-3750x below it, none more than
     7.8e-16 off.  For rayleigh_extended it is
     eps_ext * (8 + sqrt(n)), eps_ext the machine epsilon of np.longdouble;
     measured 3.2-27x below against 30-digit mpmath quotients of the same
@@ -526,7 +476,9 @@ def vector_error(n: int, w: float) -> float:
     [64, 16384] and w in [0.01, 0.49], against vectors refined by longdouble inverse iteration on the full
     tridiagonal (4.0-99x with the bisection run to full precision instead of to isolation); whole-spectrum vectors
     2.7-46x for n in [17, 4096], against longdouble inverse iteration on the halves (divide and conquer's own,
-    before _inverse_step, 0.16-3.1x).
+    before _inverse_step, 0.16-3.1x).  Not everywhere: at (64, 0.22011605627059908) a cold window (0.1, 0.99999)
+    returns index 27's vector 907x above it (3.3e-12) against longdouble dense eigenvectors, its neighbours
+    0.06-0.15x; full-precision bisection over indices 16-34 and the whole-spectrum solve read 0.09x and 0.10x there.
     """
     return 0.5 * _EPS64 * (n / (4.0 * math.sin(2.0 * math.pi * w)) + 16.0)
 

@@ -8,9 +8,11 @@ The Toeplitz matrix's circulant embedding is real and symmetric, so its
 spectrum is the DCT-I of the zero-padded first column; and the matrix is
 persymmetric, so it maps the even and the odd half of a vector about its
 centre apart, each by a type-2 DCT, the spectrum and a type-3 DCT of half
-the embedding's length (symmetric convolution, Martucci 1994).  Every
-transform is scipy.fft's, which computes in the input's precision (float64
-or longdouble).
+the embedding's length (symmetric convolution, Martucci 1994), which need
+only reach n rounded up to even: scipy.fft.next_fast_len, as fast as a power
+of two (Frigo & Johnson 2005).  The operator also takes quadratic forms from
+half vectors, so no other module reads the embedding.  Every transform is
+scipy.fft's, which computes in the input's precision (float64 or longdouble).
 
 Every layer takes its input through the two rules here.  A vector
 (_working) computes in np.result_type(x, float64).  A scalar is checked at
@@ -23,6 +25,7 @@ anything else raises ValueError.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 
 import numpy as np
@@ -33,13 +36,20 @@ __all__ = [
     "PartialFourier",
     "prolate_column",
     "nearest_odd_integer",
-    "next_pow2",
 ]
 
+# columns per chunk of a pass over a block of halves, bounding its workspace (the quadratic forms' transforms)
+_BLOCK_COLS = 16
 
-def next_pow2(m: int) -> int:
-    """Smallest power of two >= m."""
-    return 1 << (int(m) - 1).bit_length()
+# private and faulted in at creation: every mapped array is written in full right away
+_MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)}
+              if hasattr(mmap, "MAP_ANONYMOUS") else {})
+
+
+def mapped_rows(rows: int, n: int, dtype=float) -> np.ndarray:
+    """A zeroed C-ordered (rows, n) array in an anonymous memory map of its own."""
+    size = np.dtype(dtype).itemsize * rows * n
+    return np.frombuffer(mmap.mmap(-1, max(size, 1), **_MAP_FLAGS), dtype, count=rows * n).reshape(rows, n)
 
 
 def nearest_odd_integer(x: float) -> int:
@@ -124,15 +134,13 @@ def prolate_column(n: int, w: float, dtype=np.float64) -> np.ndarray:
 class ToeplitzOperator:
     """Fast application of a symmetric Toeplitz matrix via a circulant embedding.
 
-    The embedding length L is the smallest power of two >= 2n', n' the even
-    number n or n + 1, so either half of a vector about its centre (an odd n
-    padded by one zero) fits in m = L/2 entries.  The embedded circulant is
-    real and symmetric, so its half spectrum (bins 0..m) is real: the DCT-I
-    of the first column zero-padded to m + 1 entries, precomputed at
-    construction.
-    Every apply folds each real row into its even and odd half, stacks them,
-    and runs one in-place DCT-II/DCT-III pair of length m over the stack.
-    Instances are immutable and safe to share across threads.
+    The embedding length is L = 2m with m = scipy.fft.next_fast_len(n'), n' the even number n or n + 1, so either
+    half of a vector about its centre (an odd n padded by one zero) fits in m entries and every transform has a
+    2-3-5-smooth length (m = n at a power of two n).  The embedded circulant is real and symmetric, so its half
+    spectrum (bins 0..m) is real: the DCT-I of the first column zero-padded to m + 1 entries, stored once at
+    construction, scaled by 1/(2L), as the even half's bins 0..m-1 over the odd half's m..1.  Every apply folds
+    each real row into its even and odd half, stacks them, and runs one in-place DCT-II/DCT-III pair of length m
+    over the stack.  Instances are immutable and safe to share across threads.
     """
 
     def __init__(self, col: np.ndarray):
@@ -141,19 +149,23 @@ class ToeplitzOperator:
         col = col if col.dtype.kind == "f" else col.astype(np.float64)
         if col.ndim != 1 or col.size == 0 or not np.all(np.isfinite(col)):
             raise ValueError("Toeplitz column must be a nonempty finite 1-d array")
-        self.col, self.n = _read_only(col.view()), col.size
-        self.fft_len = next_pow2(2 * (self.n + self.n % 2))
+        self.n, self.fft_len = col.size, self.embedding_length(col.size)
         m = self.fft_len // 2
-        self.half_spectrum = spec = _read_only(scipy.fft.dct(col, 1, n=m + 1))
-        # bins 0..m-1 for the even half and m..1 for the odd, over the fold's 2 and the DCT pair's L (exact)
+        spec = scipy.fft.dct(col, 1, n=m + 1)
+        # bins 0..m-1 for the even half and m..1 for the odd, over the fold's 2 and the DCT pair's L
         self._spectra = _read_only(np.stack([spec[:m], spec[m:0:-1]])[:, None] / (2 * self.fft_len))
+
+    @staticmethod
+    def embedding_length(n: int) -> int:
+        """The circulant length L of an n x n operator: twice the fast length at or above n rounded up to even."""
+        return 2 * scipy.fft.next_fast_len(n + n % 2, real=True)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """T @ x in O(n log n); real x goes through apply_real, complex x as its two parts in one product."""
         x = _working(x, self.n)
         if not np.iscomplexobj(x):
             return self.apply_real(x)
-        out = np.empty(self.n, np.result_type(x, self.half_spectrum))
+        out = np.empty(self.n, np.result_type(x, self._spectra))
         self._parity_product(_real_rows(x), _real_rows(out))
         return out
 
@@ -162,7 +174,7 @@ class ToeplitzOperator:
         x = _working(x, self.n)
         if np.iscomplexobj(x):
             raise ValueError("apply_real expects a real vector")
-        out = np.empty(self.n, np.result_type(x, self.half_spectrum))
+        out = np.empty(self.n, np.result_type(x, self._spectra))
         self._parity_product(x[None], out[None])
         return out
 
@@ -178,7 +190,7 @@ class ToeplitzOperator:
             raise ValueError(f"expected an ({self.n}, m) block, got shape {x.shape}")
         if np.iscomplexobj(x):
             raise ValueError("apply_block expects a real block")
-        out = np.empty((x.shape[1], self.n), np.result_type(x, self.half_spectrum))
+        out = np.empty((x.shape[1], self.n), np.result_type(x, self._spectra))
         self._parity_product(x.T, out)
         return out.T
 
@@ -213,6 +225,39 @@ class ToeplitzOperator:
         odd[:, 1:h:2] *= -1
         np.add(even[:, :k], odd[:, :k], out=out[:, h:])
         np.subtract(even[:, :h], odd[:, :h], out=out[:, h - 1::-1])
+
+    def half_quadratic_forms(self, block, parity):
+        """v'Tv for each vector v whose leading ceil(n/2) entries are a column of block, even or odd as parity[j]
+        is for column j (its middle entry zero if odd at odd n), in the operator's precision; none is unfolded.
+
+        Centred in the circulant, an even or odd v has a real or an imaginary transform, whose magnitudes are one
+        DCT or DST of v's half read from the centre out (reversed, from the middle row at odd n for an even v) and
+        zero-padded.  Parseval's identity then gives v'Tv = sum_k c_k s_k y_k^2, s the half spectrum and c_k = 1/L
+        doubled for 0 < k < m, so c_k s_k is twice the stored s/(2L).  Even n takes type 2 of length m (bins 0..m-1
+        for even v, 1..m for odd); odd n type 1 of length m+1 (bins 0..m) for even v and m-1 (bins 1..m-1) for odd.
+        One parity's columns go through one column-major workspace _BLOCK_COLS at a time, transformed in place; the
+        weighted squares are summed along the contiguous axis, which numpy sums pairwise.
+        """
+        n, m = self.n, self.fft_len // 2
+        weights = 2 * np.append(self._spectra[0, 0], self._spectra[1, 0, 0])
+        weights[1:m] *= 2
+        parity = np.asarray(parity) % 2
+        out = np.empty(block.shape[1], weights.dtype)
+        work = mapped_rows(min(_BLOCK_COLS, block.shape[1]), m + 1, weights.dtype).T
+        for odd, transform in ((0, scipy.fft.dct), (1, scipy.fft.dst)):
+            rows = n // 2 + n % 2 * (1 - odd)
+            kind, size = (1, m + 1 - 2 * odd) if n % 2 else (2, m)
+            cols = np.flatnonzero(parity == odd)
+            for j in range(0, cols.size, _BLOCK_COLS):
+                chunk = cols[j:j + _BLOCK_COLS]
+                y = work[:size, :chunk.size]
+                y[:rows] = block[:rows][::-1, chunk]
+                y[rows:] = 0.0
+                y = transform(y, kind, axis=0, overwrite_x=True)
+                y *= y
+                y *= weights[odd:odd + size, None]
+                out[chunk] = y.sum(axis=0)
+        return out
 
 
 def _real_rows(x) -> np.ndarray:

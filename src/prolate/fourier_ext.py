@@ -296,7 +296,8 @@ def run_fourier_extension(config: FourierExtensionConfig, seed: int = 0):
         t_eig = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        vk = block[:, :np.count_nonzero(lams >= config.pinv_threshold)]
+        # the pairs before the first quotient below the cutoff: past their noise floor the quotients do not descend
+        vk = block[:, :np.append(lams < config.pinv_threshold, True).argmax()]
         ghat = SpectralFactor(n, 0, vk, 1.0 / lams[:vk.shape[1]]).apply(yhat)
         solved["ext_exact_pinv"] = ghat, t_ext_quad + t_eig + time.perf_counter() - t0
 

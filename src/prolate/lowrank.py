@@ -31,14 +31,14 @@ import scipy.special
 
 from .dpss import (
     PreconditionViolated,
-    mapped_rows,
     quotient_error,
     refine_window,
     transition_window,
     unfold,
     vector_error,
 )
-from .fft_kernels import _read_only, _real, _real_rows, _reduced_product, _size, _weight, _working, nearest_odd_integer
+from .fft_kernels import (_read_only, _real, _real_rows, _reduced_product, _size, _weight, _working, mapped_rows,
+                          nearest_odd_integer)
 
 __all__ = [
     "LowRankFactor",

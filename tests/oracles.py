@@ -35,11 +35,11 @@ def prolate_dense(n, w):
     return out
 
 
-def toeplitz_dense(op, rows=None):
-    """The symmetric Toeplitz matrix a ToeplitzOperator applies, from its first column, or the given rows of it."""
+def toeplitz_dense(col, rows=None):
+    """The symmetric Toeplitz matrix with first column col, or the given rows of it."""
     if rows is None:
-        return scipy.linalg.toeplitz(op.col)
-    return op.col[np.abs(np.subtract.outer(rows, np.arange(op.n)))]
+        return scipy.linalg.toeplitz(col)
+    return col[np.abs(np.subtract.outer(rows, np.arange(col.size)))]
 
 
 def circulant_half_spectrum(col, fft_len):

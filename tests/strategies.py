@@ -29,13 +29,13 @@ def version_2_projector(params, error_bound):
 @st.composite
 def build_requests(draw):
     """(n, w, eps, k, alpha) for SlepianParams.create and the four builds: each within its range (n up to 256, as
-    an int or a numpy integer; k None or in [0, n]), or, for one field in two draws, beyond it (n not positive or a
-    float, k outside [0, n] or a float; alpha also zero, negative, infinite, nan, near the least subnormal or near
-    the largest float)."""
-    n = draw(st.integers(1, 256))
+    an int or a numpy integer; w down to the least subnormal at n <= 4; k None or in [0, n]), or, for one field in
+    two draws, beyond it (n not positive or a float, k outside [0, n] or a float; alpha also zero, negative,
+    infinite, nan, near the least subnormal or near the largest float)."""
+    n = draw(st.integers(1, 4) | st.integers(1, 256))
     fields = [
         (st.just(n) | st.just(np.int64(n)), st.integers(-2, 0) | st.floats(0.5, 256.5)),
-        (st.floats(1e-3, 0.499), st.sampled_from([0.0, 0.5, -0.25, 0.75, math.nan])),
+        (st.floats(1e-3, 0.499) | _tiny_bandwidths(n), st.sampled_from([0.0, 0.5, -0.25, 0.75, math.nan])),
         (st.floats(1e-12, 0.4), st.sampled_from([1e-50, 0.0, 0.5, 1.0, math.nan])),
         (st.none() | st.integers(0, n), st.sampled_from([-1, n + 1, 32.0, 12.5])),
         (st.floats(1e-12, 1e2) | st.sampled_from([5e-324, 1e-300, 1e300]), st.sampled_from([0.0, -1.0, math.inf,
@@ -43,6 +43,12 @@ def build_requests(draw):
     ]
     beyond = draw(st.sampled_from([None, 0, 1, 2, 3, 4]) | st.none())
     return tuple(draw(bad if i == beyond else good) for i, (good, bad) in enumerate(fields))
+
+
+def _tiny_bandwidths(n):
+    """A half-bandwidth from the least subnormal to 1e-3 at n <= 4, where a parity half has one or two rows; none
+    beyond."""
+    return st.sampled_from([5e-324, 1e-300, 1e-30, 1e-13]) | st.floats(5e-324, 1e-3) if n <= 4 else st.nothing()
 
 
 def _window_thresholds():
@@ -54,11 +60,12 @@ def _window_thresholds():
 
 @st.composite
 def window_sequences(draw):
-    """(n, w, held, windows) at n up to 512: held is None or (side, gap, length), length pairs solved before the
-    first window that end gap indices before ("low") or start gap indices after ("high") its predicted range
-    (gap 1 adjoins it, gap <= 0 overlaps it), and windows one to three (lo, hi) threshold pairs, mostly lo < hi."""
+    """(n, w, held, windows) at n up to 512, w down to the least subnormal at n <= 4: held is None or (side, gap,
+    length), length pairs solved before the first window that end gap indices before ("low") or start gap indices
+    after ("high") its predicted range (gap 1 adjoins it, gap <= 0 overlaps it), and windows one to three (lo, hi)
+    threshold pairs, mostly lo < hi."""
     n = draw(st.sampled_from([1, 2, 3, 64]) | st.integers(1, 512))
-    w = draw(st.sampled_from([1e-3, 0.25, 0.499]) | st.floats(1e-3, 0.499))
+    w = draw(st.sampled_from([1e-3, 0.25, 0.499]) | st.floats(1e-3, 0.499) | _tiny_bandwidths(n))
     held = draw(st.none() | st.tuples(st.sampled_from(["low", "high"]), st.integers(-20, 40), st.integers(1, 60)))
     pair = st.tuples(_window_thresholds(), _window_thresholds())
     windows = draw(st.lists(pair.map(lambda t: tuple(sorted(t))) | pair, min_size=1, max_size=3))

@@ -240,6 +240,15 @@ class TestFourierExtension:
         assert rc == 1 and out == ""
         assert err == f"prolate: {message}\n"
 
+    def test_a_cutoff_below_the_quotients_noise_gives_finite_rows(self, capsys):
+        # below their noise the exact quotients no longer descend: every pair at or above the cutoff was kept, a
+        # zero quotient among them, and ext_exact_pinv printed nan with exit 0
+        with pytest.warns(operators.PrecisionFloorWarning):
+            rc, out, _ = run_cli(["fourier-ext", "--m", "40", "--fast-eps", "1e-300", "--pinv-threshold", "1e-200"],
+                                 capsys)
+        _, rows = parse_csv(out)
+        assert rc == 0 and len(rows) == 5 and all(math.isfinite(float(row[2])) for row in rows), rows
+
     def test_deterministic_given_seed(self):
         cfg = FourierExtensionConfig(m_values=(8,))
         a = run_fourier_extension(cfg, seed=42)

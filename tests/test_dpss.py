@@ -335,6 +335,15 @@ class TestWholeSpectrum:
             assert dpss._window_edges(lams, eps, 1 - eps) == dpss._window_edges(want_lams, eps, 1 - eps), eps
         assert np.count_nonzero(lams >= 1e-4) == np.count_nonzero(want_lams >= 1e-4)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("w", [1e-13, 1e-30, 1e-300])
+    def test_one_row_halves_at_a_tiny_bandwidth_give_finite_pairs(self, n, w):
+        # the inverse step's shift, a fraction of the gap estimate, fell within half an ulp of a 1 x 1 half's
+        # eigenvalue: a singular solve, nan vectors and nan quotients
+        block, lams = dpss.SlepianPlan(n, w).pairs(0, n - 1)
+        vecs = unfold(block, np.arange(n), n)
+        assert np.all(np.isfinite(lams)) and np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-15
+
     @pytest.mark.parametrize("n", [80, 81])
     def test_all_pairs_take_one_divide_and_conquer_call_per_parity(self, monkeypatch, n):
         calls = _record_solves(monkeypatch)
@@ -537,7 +546,7 @@ class TestSlepianPlan:
         plan = dpss.slepian_plan(256, 0.25)
         _, rows, lams = plan._held
         rows_view, lams_view = plan.pairs(120, 130)
-        stored = [rows, lams, rows_view, lams_view, plan.b_op.half_spectrum, plan.b_op.col]
+        stored = [rows, lams, rows_view, lams_view, plan.b_op._spectra]
         stored += [a for pair in plan.tridiagonals for a in pair]
         for a in stored:
             assert not a.flags.writeable
@@ -597,7 +606,7 @@ class TestSlepianPlan:
 
 
 class TestParsevalQuotients:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 255, 256])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65, 100, 129, 255, 256])
     def test_half_quadratic_forms_match_the_dense_form(self, n, rng):
         # one DCT or DST per half covers every case of n's and the vector's parity; 20 columns run two chunks
         w = 0.3
@@ -607,7 +616,7 @@ class TestParsevalQuotients:
             block[-1, parity == 1] = 0.0
         vecs = unfold(block, parity, n)
         want = np.einsum("ij,ij->j", vecs, prolate_dense(n, w) @ vecs)
-        got = dpss.half_quadratic_forms(ToeplitzOperator(prolate_column(n, w)), np.asfortranarray(block), parity)
+        got = ToeplitzOperator(prolate_column(n, w)).half_quadratic_forms(np.asfortranarray(block), parity)
         assert np.all(np.abs(got - want) <= 1e-14 * np.einsum("ij,ij->j", vecs, vecs))
 
     @needs_extended
@@ -626,7 +635,7 @@ class TestParsevalQuotients:
         # the workspace takes the operator's dtype, so rayleigh_extended's operator can go through the same transforms
         start, lams, block = transition_window(n, 0.25, 1e-12, 1 - 1e-12)
         index = start + np.arange(lams.size)
-        got = dpss.half_quadratic_forms(ToeplitzOperator(prolate_column(n, 0.25, np.longdouble)), block, index)
+        got = ToeplitzOperator(prolate_column(n, 0.25, np.longdouble)).half_quadratic_forms(block, index)
         vecs = unfold(block, index, n).astype(np.longdouble)
         assert got.dtype == np.longdouble
         want = rayleigh_extended(block, index, n, 0.25)

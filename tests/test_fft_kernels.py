@@ -10,7 +10,6 @@ from prolate.fft_kernels import (
     PartialFourier,
     ToeplitzOperator,
     nearest_odd_integer,
-    next_pow2,
     prolate_column,
 )
 
@@ -24,10 +23,6 @@ from oracles import (
     prolate_dense,
     toeplitz_dense,
 )
-
-
-def test_next_pow2():
-    assert [next_pow2(m) for m in (1, 2, 3, 8, 9, 1023)] == [1, 2, 4, 8, 16, 1024]
 
 
 @pytest.mark.parametrize(
@@ -88,7 +83,7 @@ class TestProlateSymbol:
             assert prolate_column(2, 0.25, dtype)[1] == pytest.approx(1.0 / math.pi, abs=1e-15)
 
     def test_matches_entrywise_formula(self):
-        got = toeplitz_dense(ToeplitzOperator(prolate_column(64, 0.25)))
+        got = toeplitz_dense(prolate_column(64, 0.25))
         assert np.abs(got - prolate_dense(64, 0.25)).max() < 1e-15
 
     def test_bounded_by_diagonal(self):
@@ -113,7 +108,6 @@ class TestToeplitzOperator:
         op = ToeplitzOperator(col)
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         assert np.linalg.norm(op.apply(x) - x) < 1e-14
-        assert op.col.dtype == np.float64 and np.array_equal(op.col, col)
 
     def test_rejects_bad_column(self):
         for col in (np.zeros(0), np.zeros((2, 2)), np.array([1.0, np.nan]), np.array([np.inf])):
@@ -127,15 +121,17 @@ class TestToeplitzOperator:
         assert got[1].real == pytest.approx(1.0 / math.pi, abs=1e-15)
 
     def test_matches_dense_multiply(self, rng):
-        op = ToeplitzOperator(prolate_column(128, 0.25))
+        col = prolate_column(128, 0.25)
+        op = ToeplitzOperator(col)
         x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        dense = toeplitz_dense(op)
+        dense = toeplitz_dense(col)
         assert np.linalg.norm(op.apply(x) - dense @ x) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("n", [3, 17, 64, 257, 1024])
     def test_dense_agreement_grid(self, n, rng):
-        op = ToeplitzOperator(prolate_column(n, 0.21))
-        dense = toeplitz_dense(op)
+        col = prolate_column(n, 0.21)
+        op = ToeplitzOperator(col)
+        dense = toeplitz_dense(col)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert np.linalg.norm(op.apply(x) - dense @ x) <= 1e-10 * np.linalg.norm(x)
 
@@ -151,23 +147,26 @@ class TestToeplitzOperator:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_half_spectrum_owns_its_values(self, dtype):
-        # the real part of the complex transform as a view kept the whole transform alive, twice the bytes
-        spec = ToeplitzOperator(prolate_column(1000, 0.25, dtype)).half_spectrum
+        # the real part of the complex transform as a view kept the whole transform alive, twice the bytes; the
+        # applies' stack is the one copy: L values, at n = 1000 L = 2000
+        spec = ToeplitzOperator(prolate_column(1000, 0.25, dtype))._spectra
         assert spec.flags.owndata and spec.flags.c_contiguous and spec.base is None
-        assert spec.dtype == dtype and spec.nbytes == np.dtype(dtype).itemsize * (2048 // 2 + 1)
-        # the DCT-I of the padded column is the embedded circulant's spectrum, to the last bit
-        for n in (1, 2, 3, 64, 255, 256, 257, 4095):
-            op = ToeplitzOperator(prolate_column(n, 0.3, dtype))
-            assert np.array_equal(op.half_spectrum, circulant_half_spectrum(op.col, op.fft_len))
+        assert spec.dtype == dtype and spec.nbytes == np.dtype(dtype).itemsize * 2000
+        # the DCT-I of the padded column is the embedded circulant's spectrum, to the last bit, at every length
+        for n in (1, 2, 3, 5, 64, 65, 100, 129, 255, 256, 257, 1000, 1025, 4095):
+            col = prolate_column(n, 0.3, dtype)
+            op = ToeplitzOperator(col)
+            m, want = op.fft_len // 2, circulant_half_spectrum(col, op.fft_len)
+            assert np.array_equal(op._spectra, np.stack([want[:m], want[m:0:-1]])[:, None] / (2 * op.fft_len)), n
 
     @needs_extended
     def test_keeps_a_float_columns_precision(self, rng):
         # float64 stays float64, a longdouble column applies in longdouble, and any other column becomes float64
-        assert ToeplitzOperator(prolate_column(8, 0.25)).half_spectrum.dtype == np.float64
-        assert ToeplitzOperator([1, 0, 0]).col.dtype == np.float64
+        assert ToeplitzOperator(prolate_column(8, 0.25))._spectra.dtype == np.float64
+        assert ToeplitzOperator([1, 0, 0])._spectra.dtype == np.float64
         col = prolate_column(64, 0.3, np.longdouble)
         op = ToeplitzOperator(col)
-        assert op.col.dtype == op.half_spectrum.dtype == np.longdouble
+        assert op._spectra.dtype == np.longdouble
         x = rng.standard_normal((64, 3)).astype(np.longdouble)
         got = op.apply_block(x)
         dense = col[np.abs(np.subtract.outer(np.arange(64), np.arange(64)))]
@@ -175,7 +174,8 @@ class TestToeplitzOperator:
         assert np.abs(got - dense @ x).max() <= 64 * np.finfo(np.longdouble).eps * np.abs(x).max()
 
     def test_real_path_matches_complex_path(self, rng):
-        op = ToeplitzOperator(prolate_column(257, 0.23))
+        col = prolate_column(257, 0.23)
+        op = ToeplitzOperator(col)
         x = rng.standard_normal(257)
         real_out = op.apply_real(x)
         assert not np.iscomplexobj(real_out)
@@ -186,7 +186,7 @@ class TestToeplitzOperator:
             other = ToeplitzOperator(prolate_column(n, 0.23))
             a, b = rng.standard_normal(n), rng.standard_normal(n)
             assert np.array_equal(other.apply(a + 1j * b), other.apply_real(a) + 1j * other.apply_real(b)), n
-        assert np.linalg.norm(real_out - toeplitz_dense(op) @ x) <= 1e-12 * np.linalg.norm(x)
+        assert np.linalg.norm(real_out - toeplitz_dense(col) @ x) <= 1e-12 * np.linalg.norm(x)
         # an input narrower than the column is transformed in the column's precision
         x32 = x.astype(np.float32)
         assert op.apply(x32).dtype == np.float64 and np.array_equal(op.apply(x32), op.apply(x32.astype(float)))
@@ -206,11 +206,13 @@ class TestToeplitzOperator:
             op.apply_real(np.zeros(9))
 
     def test_embedding_length(self):
-        op = ToeplitzOperator(prolate_column(100, 0.25))
-        assert op.fft_len == 256
-        # twice n rounded up to even: each half about the centre, an odd n's padded by one zero, fits in L/2
-        for n, length in ((1, 4), (2, 4), (3, 8), (4, 8), (5, 16), (128, 256), (129, 512)):
-            assert ToeplitzOperator(np.ones(n)).fft_len == length, n
+        # twice n rounded up to even and then to a 2-3-5-smooth length: each half about the centre, an odd n's
+        # padded by one zero, fits in L/2, and a power of two n keeps L = 2n
+        for n, length in ((1, 4), (2, 4), (3, 8), (4, 8), (5, 12), (13, 30), (100, 200), (128, 256), (129, 270),
+                          (2**16, 2**17), (2**16 + 1, 131220), (81920, 163840), (98304, 196608)):
+            assert ToeplitzOperator.embedding_length(n) == length, n
+            if n <= 2**10:
+                assert ToeplitzOperator(np.ones(n)).fft_len == length, n
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("w", [0.02, 0.25, 1.0 / 3.0, 0.45])
@@ -220,11 +222,12 @@ class TestToeplitzOperator:
         # float64, 3.1 in longdouble
         bound = 16 * np.finfo(dtype).eps
         for n in [*range(1, 41), 255, 256, 257, 1000, 4095, 4096, 2**14 + 1]:
-            op = ToeplitzOperator(prolate_column(n, w, dtype))
+            col = prolate_column(n, w, dtype)
+            op = ToeplitzOperator(col)
             # beyond n = 1000, rows at both ends, about the centre and at random
             rows = np.arange(n) if n <= 1000 else np.unique(
                 np.r_[0:8, n // 2 - 4:n // 2 + 4, n - 8:n, rng.integers(0, n, 24)])
-            dense = toeplitz_dense(op, rows)
+            dense = toeplitz_dense(col, rows)
             x = rng.standard_normal((n, 3)).astype(dtype)
             z = x[:, 0] + 1j * x[:, 1]
             block = np.stack([np.sum(dense * v, axis=1) for v in x.T], axis=1)
