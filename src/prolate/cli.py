@@ -10,16 +10,18 @@ success, 1 validation error, 2 IO or memory error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
 from .dpss import FULL_BASIS_MAX_N, PreconditionViolated, slepian_plan, transition_window
-from .fft_kernels import prolate_column
+from .fft_kernels import _real, _size, prolate_column
 from .fourier_ext import FourierExtensionConfig, run_fourier_extension
 from .lowrank import SpectralFactor, transition_count_budget
 from .operators import (
@@ -35,7 +37,7 @@ from .operators import (
     save_operator,
 )
 
-__all__ = ["main", "ExperimentGrid"]
+__all__ = ["main"]
 
 _MODES = {
     "project": FastProjector,
@@ -43,29 +45,6 @@ _MODES = {
     "pinv": FastPseudoinverse,
     "tikhonov": FastTikhonov,
 }
-
-
-@dataclass(frozen=True)
-class ExperimentGrid:
-    """Cartesian experiment grid over signal lengths, half-bandwidths and tolerances."""
-
-    n_values: tuple[int, ...]
-    w_values: tuple[float, ...]
-    eps_values: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(n < 2 for n in self.n_values):
-            raise ValueError("signal lengths must be at least 2")
-        if any(not 0.0 < w < 0.5 for w in self.w_values):
-            raise ValueError("half-bandwidths must lie in (0, 1/2)")
-        if any(not 0.0 < e < 0.5 for e in self.eps_values):
-            raise ValueError("tolerances must lie in (0, 1/2)")
-
-    def points(self):
-        for n in self.n_values:
-            for w in self.w_values:
-                for eps in self.eps_values:
-                    yield n, w, eps
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,27 +151,22 @@ def _build_parser():
     return parser
 
 
-def _open_out(path):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
-
-
 def _write_rows(path, header, rows):
-    fh, close = _open_out(path)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
+    """The CSV of header and rows, to path or, at '-', to stdout."""
+    with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+def _grid(args):
+    """The (n, w, eps) points of --n, --w and --eps, every value checked before the first point runs."""
+    return list(itertools.product([_size(n, "signal lengths must be at least 2", least=2) for n in args.n],
+                                  [_real(w, 0.0, 0.5, "half-bandwidths must lie in (0, 1/2)") for w in args.w],
+                                  [_real(eps, 0.0, 0.5, "tolerances must lie in (0, 1/2)") for eps in args.eps]))
 
 
 def _cmd_gap_count(args):
-    grid = ExperimentGrid(args.n, args.w, args.eps)
     rows = []
-    for n, w, eps in grid.points():
+    for n, w, eps in _grid(args):
         count = transition_window(n, w, eps, 1.0 - eps)[1].size
         bound = transition_count_budget(n, eps)
         asym = 2.0 / math.pi**2 * math.log(n) * math.log(1.0 / eps - 1.0)
@@ -221,12 +195,11 @@ def _median_time(fn, trials, reset=lambda: None):
 def _cmd_bench(args):
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
-    grid = ExperimentGrid(args.n, args.w, args.eps)
-    modes = args.mode or sorted(_MODES)
-    seeds = np.random.SeedSequence(args.seed).spawn(len(list(grid.points())) * len(modes))
+    points, modes = _grid(args), args.mode or sorted(_MODES)
+    seeds = np.random.SeedSequence(args.seed).spawn(len(points) * len(modes))
     rows = []
     i = 0
-    for n, w, eps in grid.points():
+    for n, w, eps in points:
         for mode in modes:
             rng = np.random.default_rng(seeds[i])
             i += 1
@@ -258,9 +231,8 @@ def prediction_rhs(n: int, w: float) -> np.ndarray:
 
 
 def _cmd_linear_predict(args):
-    grid = ExperimentGrid(args.n, args.w, args.eps)
     rows = []
-    for n, w, eps in grid.points():
+    for n, w, eps in _grid(args):
         b = prediction_rhs(n, w)
         op = FastPseudoinverse.build(SlepianParams.create(n, w, eps))
         a = op.apply(b)

@@ -78,6 +78,9 @@ _EPS_EXT = float(np.finfo(np.longdouble).eps)
 # bisection stops (and _inverse_step shifts) at this fraction of the gap estimate; inverse iteration from there
 # gives the full-precision solve's vectors to 2e-14 at n = 2^16 (1.4e-13 at 2^18)
 _ISOLATION = 1e-5
+# a window of a parity half of at most this many rows (n <= 513) bisects to full precision: inverse iteration from
+# a value bisected to isolation read 907x vector_error there (see vector_error); up to about 2 ms per cold window
+_EXACT_HALF = 256
 # most eigenpairs a transition window may request, solved or held
 _MAX_PAIRS = 4096
 
@@ -319,8 +322,9 @@ class SlepianPlan:
 
         Each parity's share of the range is one index range of its half-size tridiagonal: a whole half is solved by
         divide and conquer and _inverse_step, any other by one bisection/inverse-iteration call whose bisection stops
-        at _ISOLATION of the gap estimate, solved again with the bisection run to full precision if those eigenvalues
-        are not isolated by the estimate (_isolated).  The half vectors are then scaled into place and their signs
+        at _ISOLATION of the gap estimate (runs to full precision on a half of at most _EXACT_HALF rows), solved
+        again with the bisection run to full precision if those eigenvalues are not isolated by the estimate
+        (_isolated).  The half vectors are then scaled into place and their signs
         fixed _BLOCK_COLS columns at a time, and the quotients are taken from the halves themselves by the Toeplitz
         part's half_quadratic_forms; none is unfolded.
         """
@@ -334,18 +338,19 @@ class SlepianPlan:
                 continue
             # descending index j is the (size-1-j)-th ascending eigenvalue
             select = {"select": "i", "select_range": (d.size - 1 - j1, d.size - 1 - j0)}
+            tol = _ISOLATION * gap if d.size > _EXACT_HALF else 0.0
             # inverse iteration's level-1 BLAS on half-length vectors: a second thread only changes its rounding
             with _one_blas_thread:
                 try:
                     if j1 - j0 + 1 < d.size:
-                        vals, half = scipy.linalg.eigh_tridiagonal(d, e, tol=_ISOLATION * gap, **select)
+                        vals, half = scipy.linalg.eigh_tridiagonal(d, e, tol=tol, **select)
                     else:  # a whole half: divide and conquer and one step of inverse iteration, nothing to isolate
                         vals, half = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd")
                         # at least a few ulps of the half's norm (or of 1): a 1 x 1 half's shift within half an ulp
                         # of its value (n <= 3 at w <= 1e-13) rounds to it, and the solve is singular
                         offset = max(_ISOLATION * gap, 4 * np.spacing(max(np.abs(vals).max(), 1.0)))
                         _inverse_step(d, e, vals + offset, half)
-                    isolated = vals.size == d.size or _isolated(d, e, vals, gap)
+                    isolated = vals.size == d.size or not tol or _isolated(d, e, vals, gap)
                 except np.linalg.LinAlgError:
                     isolated = False
                 if not isolated:
@@ -415,7 +420,7 @@ def transition_window(n, w, lo, hi):
     w = _real(w, 0.0, 0.5, f"half-bandwidth must lie in (0, 1/2), got {w}")
     empty = np.zeros(0), np.zeros(((n + 1) // 2, 0))
     if lo >= hi or hi <= 0.0 or lo >= 1.0:
-        return min(max(default_subspace_dim(n, w), 0), n), *empty
+        return default_subspace_dim(n, w), *empty
     low, high = _predicted_range(n, w, lo, hi)
     _require_memory(n, high - low + 1)
     plan = slepian_plan(n, w)
@@ -476,9 +481,12 @@ def vector_error(n: int, w: float) -> float:
     [64, 16384] and w in [0.01, 0.49], against vectors refined by longdouble inverse iteration on the full
     tridiagonal (4.0-99x with the bisection run to full precision instead of to isolation); whole-spectrum vectors
     2.7-46x for n in [17, 4096], against longdouble inverse iteration on the halves (divide and conquer's own,
-    before _inverse_step, 0.16-3.1x).  Not everywhere: at (64, 0.22011605627059908) a cold window (0.1, 0.99999)
-    returns index 27's vector 907x above it (3.3e-12) against longdouble dense eigenvectors, its neighbours
-    0.06-0.15x; full-precision bisection over indices 16-34 and the whole-spectrum solve read 0.09x and 0.10x there.
+    before _inverse_step, 0.16-3.1x).  Not everywhere with the bisection stopped at isolation: at
+    (64, 0.22011605627059908) a cold window (0.1, 0.99999) returned index 27's vector 907x above it (3.3e-12)
+    against longdouble dense eigenvectors, its neighbours 0.06-0.15x.  So a window of a half of at most _EXACT_HALF
+    rows bisects to full precision; that window's columns now read at most 0.11x against 40-digit mpmath
+    eigenvectors, and the whole-spectrum solve 0.10x.  Larger halves still bisect to isolation, where scans of
+    random cold windows (n <= 8192) found a few columns up to 10.9x above it (at n = 1151).
     """
     return 0.5 * _EPS64 * (n / (4.0 * math.sin(2.0 * math.pi * w)) + 16.0)
 

@@ -80,7 +80,7 @@ class FourierExtensionConfig:
             raise ValueError(f"evaluation grid needs an integer count of at least 2 points, got {self.eval_points}")
 
     def fft_length(self, m: int) -> int:
-        """Quadrature transform length 2^(13 + floor(log2 m))."""
+        """The quadrature's trapezoid panel count per period, 2^(13 + floor(log2 m)); no transform of it is taken."""
         return 1 << (13 + int(math.floor(math.log2(m))))
 
 

@@ -11,7 +11,9 @@ Three families of factors are produced here:
   pseudoinverse, or the Tikhonov solution map.
 
 Assembled together they give the circulant-plus-low-rank split of the
-prolate matrix with an operator-norm certificate.  Each correction is kept
+prolate matrix with an operator-norm certificate.  This module alone shares
+epsilon among the certificate's blocks, and tells the factor-file loader
+the Hilbert factor's rank (hilbert_rank).  Each correction is kept
 in structured form, as one of the two LowRankFactor kinds, whose base class
 splits complex input into real rows once for a real core: a FourierFactor
 holds the Hilbert factor z and two Taylor coefficient matrices (their basis
@@ -46,6 +48,7 @@ __all__ = [
     "FourierFactor",
     "PolynomialKernelFactor",
     "taylor_widths",
+    "hilbert_rank",
     "adi_rank",
     "adi_shifts",
     "jacobi_dn",
@@ -62,6 +65,9 @@ __all__ = [
     "transition_count_budget",
 ]
 
+# the shares of epsilon that fourier_correction_factor gives its Hilbert block (whose two terms scale it by 1/pi)
+# and each of its two Taylor blocks: 2 (4/15) + 2 (7/30) = 1
+_HILBERT_SHARE, _TAYLOR_SHARE = 4.0 * math.pi / 15.0, 7.0 / 30.0
 _SQRT_CLAMP = -1e-14
 # share of epsilon that one window eigenvalue's quotient error may cost the
 # Tikhonov map before that eigenvalue is recomputed in extended precision
@@ -293,7 +299,7 @@ def _fold(rows, parity):
 
 
 def _phases(n, w, step, m):
-    """cos and sin of the phase of |step| at the integer rows m, from its turns reduced modulo one exactly.
+    """cos and sin of the phase of step (1 or 2) at the integer rows m, from its turns reduced modulo one exactly.
 
     The turns are w' m = q m / (2n) (step 1), taken from the integer
     q m mod 2n, or (w + w') m / 2 (step 2): w m / 2 through
@@ -301,7 +307,7 @@ def _phases(n, w, step, m):
     nearest 2nw, so no angle error grows with n.
     """
     q = nearest_odd_integer(2.0 * n * w)
-    if abs(step) == 1:
+    if step == 1:
         turns = (q * m % (2 * n)) / (2 * n)
     else:
         turns = _reduced_product(0.5 * w, m.astype(float)) + (q * m % (4 * n)) / (4 * n)
@@ -446,8 +452,17 @@ def hilbert_factor(n: int, delta_h: float) -> np.ndarray:
     """
     n = _size(n, f"dimension must be positive, got {n}")
     delta_h = _real(delta_h, 0.0, math.inf, f"tolerance must be positive and finite, got {delta_h}")
-    r = adi_rank(2 * n - 1, min(delta_h / math.pi, 1.0))
-    return cfadi_solve(np.arange(n) + 0.5, np.ones(n), adi_shifts(0.5, n - 0.5, r))
+    return cfadi_solve(np.arange(n) + 0.5, np.ones(n), adi_shifts(0.5, n - 0.5, _hilbert_columns(n, delta_h)))
+
+
+def _hilbert_columns(n, delta_h):
+    """The column count of hilbert_factor(n, delta_h)."""
+    return adi_rank(2 * n - 1, min(delta_h / math.pi, 1.0))
+
+
+def hilbert_rank(n: int, epsilon: float) -> int:
+    """The column count of the Hilbert factor z that fourier_correction_factor(n, w, epsilon) builds, at any w."""
+    return _hilbert_columns(n, _HILBERT_SHARE * epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +507,7 @@ def taylor_widths(epsilon: float) -> tuple:
     Raises ValueError where rb would pass _MAX_EVEN_WIDTH, for epsilon below about 1.09e-47.
     """
     message = f"tolerance must lie in (0, 1/2), 7/30 of it a normal float, got {epsilon}"
-    tol = 7.0 / 30.0 * _real(epsilon, 0.0, 0.5, message)
+    tol = _TAYLOR_SHARE * _real(epsilon, 0.0, 0.5, message)
     if tol < np.finfo(float).tiny:
         raise ValueError(message)
     return 2 * _odd_terms(tol), 2 * _even_terms(tol) - 1
@@ -564,15 +579,15 @@ def transition_count_budget(n: int, epsilon: float) -> float:
 def fourier_correction_factor(n: int, w: float, epsilon: float) -> FourierFactor:
     """Factor with ||B - F F* - factor|| <= epsilon, held as z and two Taylor coefficient matrices, all read-only.
 
-    The tolerance is split 4 pi/15 to the Hilbert block and 7/30 to each
-    Taylor block, which sums back to epsilon after the assembly; the rank
-    stays within correction_rank_budget(n, epsilon); epsilon must pass taylor_widths.
+    The tolerance is split 4 pi/15 (_HILBERT_SHARE) to the Hilbert block, of hilbert_rank(n, epsilon) columns, and
+    7/30 (_TAYLOR_SHARE) to each Taylor block, which sums back to epsilon after the assembly; the rank stays within
+    correction_rank_budget(n, epsilon); epsilon must pass taylor_widths.
     """
     taylor_widths(epsilon)
     n = _size(n, f"dimension must be positive, got {n}")
     w = _real(w, 0.0, 0.5, f"half-bandwidth must lie in (0, 1/2), got {w}")
     w_prime = nearest_odd_integer(2.0 * n * w) / (2.0 * n)
-    delta_h, delta_taylor = 4.0 * math.pi / 15.0 * epsilon, 7.0 / 30.0 * epsilon
+    delta_h, delta_taylor = _HILBERT_SHARE * epsilon, _TAYLOR_SHARE * epsilon
     z = hilbert_factor(n, delta_h)
     odd = sinc_alias_factor(n, delta_taylor)
     even = bandwidth_shift_factor(n, w, w_prime, delta_taylor)

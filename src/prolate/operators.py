@@ -2,7 +2,9 @@
 
 Each operator packages a fast Toeplitz (or partial Fourier) part with the
 low-rank correction that turns it into the target spectral operator, plus
-the certified operator-norm error bound of the construction.  A common
+the certified operator-norm error bound of the construction; how that bound
+shares epsilon among the factorization's blocks, and the ranks and budgets
+that follow, are lowrank's alone.  A common
 binary format persists any of them to disk as its header and its spectral
 correction in structured form, and restores an operator whose applications
 are bit-identical to the original.
@@ -22,13 +24,15 @@ from .dpss import default_subspace_dim, quotient_error, slepian_plan, transition
 from .fft_kernels import PartialFourier, _real, _weight, _working
 from .lowrank import (
     SpectralFactor,
-    adi_rank,
+    correction_rank_budget,
     fourier_correction_factor,
+    hilbert_rank,
     pinv_correction,
     projection_correction,
     taylor_widths,
     tikhonov_correction,
     tikhonov_precision_floor,
+    transition_count_budget,
 )
 
 __all__ = [
@@ -244,11 +248,10 @@ class FastFactorization(_Operator):
         return self.pf.num_cols + self.l.rank + self.u.rank
 
     def k_prime_budget(self) -> float:
-        """ceil(2nw) + (12/pi^2 log(8n) + 18) log(15/epsilon)."""
-        p = self.params
-        return math.ceil(2.0 * p.n * p.w) + (
-            12.0 / math.pi**2 * math.log(8.0 * p.n) + 18.0
-        ) * math.log(15.0 / p.epsilon)
+        """ceil(2nw) + correction_rank_budget(n, epsilon) + transition_count_budget(n, epsilon): the frame, then the
+        Fourier and the spectral correction."""
+        n, eps = self.params.n, self.params.epsilon
+        return math.ceil(2.0 * n * self.params.w) + correction_rank_budget(n, eps) + transition_count_budget(n, eps)
 
     def compress(self, x) -> np.ndarray:
         """The k_prime coefficients of x: float64 for a real x, complex for a complex one."""
@@ -340,7 +343,7 @@ def operator_from_bytes(data):
     held yet (about 8 x 8n bytes at its peak, while the prolate column is
     computed, of which it keeps 4 to 6 x 8n), a few KB otherwise.
     The factorization takes no plan but rebuilds its Hilbert factor z,
-    r x n x 8 bytes with r = adi_rank(2n - 1, 4 epsilon / 15); a
+    r x n x 8 bytes with r = hilbert_rank(n, epsilon) of lowrank, which owns the tolerance split; a
     factorization file is rejected unless r n <= 8 MAX_EMPTY_N + 16 x (its
     stored values), so z takes at most 64 MB plus 16 times the file's
     factor data.  Any other buffer, such as a bytearray, is first copied.
@@ -391,7 +394,7 @@ def operator_from_bytes(data):
     # operator (w outside (0, 1/2), mismatched ranks) or one too large to rebuild
     try:
         params = SlepianParams.create(int(n), float(w), float(epsilon), k=int(k))
-        rank = adi_rank(2 * n - 1, 4.0 * params.epsilon / 15.0) if kind == 2 else 0
+        rank = hilbert_rank(params.n, params.epsilon) if kind == 2 else 0
         if rank * n > 8 * MAX_EMPTY_N + 16 * count:
             raise FactorFileError(f"header n={n}, eps={epsilon:g} asks for a Hilbert factor of {rank} x n, "
                                   f"beyond what the file's {count} stored values may rebuild")

@@ -1,4 +1,4 @@
-"""Hypothesis strategies and hand-built factor files shared across the test modules."""
+"""Hypothesis strategies, hand-built factor files and the tolerances they name, shared across the test modules."""
 
 import math
 import struct
@@ -7,12 +7,25 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import strategies as st
 
+from prolate.lowrank import hilbert_rank
 from prolate.operators import FastFactorization, FastProjector, FastPseudoinverse, FastTikhonov, SlepianParams
 from prolate.operators import operator_to_bytes
 
 # bytes before the first array of a version-6 file of any kind: the 64-byte header and the spectral
 # record's two u64 (lead parity, column count)
 HEADER_LENGTH = 64 + 8 * 2
+
+
+def hilbert_rank_step(n, r):
+    """The least float eps at which hilbert_rank(n, eps) is at most r: its ceiling steps near
+    15 exp(-pi^2 r / log(4 (2n - 1))), and the float is found by bisection on the bits about there."""
+    step = 15.0 * math.exp(-math.pi**2 * r / math.log(4.0 * (2 * n - 1)))
+    lo, hi = (np.float64(step * f).view(np.int64) for f in (1.0 - 1e-9, 1.0 + 1e-9))
+    assert hilbert_rank(n, float(lo.view(np.float64))) > r >= hilbert_rank(n, float(hi.view(np.float64)))
+    while hi - lo > 1:
+        mid = lo + (hi - lo) // 2
+        lo, hi = (lo, mid) if hilbert_rank(n, float(mid.view(np.float64))) <= r else (mid, hi)
+    return float(hi.view(np.float64))
 
 
 def with_version(blob, version):

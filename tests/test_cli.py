@@ -102,6 +102,24 @@ class TestGapCount:
         assert path.read_bytes() == out.encode("utf-8")
 
 
+@pytest.mark.parametrize("command", ["gap-count", "bench", "linear-predict"])
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "64,1"], "signal lengths must be at least 2"),
+    (["--w", "0.25,0.5"], "half-bandwidths must lie in (0, 1/2)"),
+    (["--eps", "1e-6,nan"], "tolerances must lie in (0, 1/2)"),
+])
+def test_every_grid_value_is_checked_before_any_point_runs(capsys, monkeypatch, tmp_path, command, flags, message):
+    # a bad last value fails the command with exit 1 before its first, valid point is computed or --out is opened
+    def ran(*args, **kwargs):
+        raise AssertionError("a grid point ran")
+
+    for name in ("transition_window", "_build_operator", "prediction_rhs"):
+        monkeypatch.setattr(cli, name, ran)
+    path = tmp_path / "out.csv"
+    rc, out, err = run_cli([command, *flags, "--out", str(path)], capsys)
+    assert rc == 1 and out == "" and err == f"prolate: {message}\n" and not path.exists()
+
+
 class TestBench:
     def test_row_shape(self, capsys):
         rc, out, _ = run_cli(

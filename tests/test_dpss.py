@@ -431,6 +431,9 @@ class TestSlepianPlan:
     # the first window holds 7 of 64 pairs and the second solves all of them: where that solve replaced the held
     # pairs, a quotient at the noise floor fell to lo = 0 inside them, so the held pairs seemed to bracket its edge
     @example((64, 0.0010000000000000002, None, [(0.0001, 1.0), (0.0, 1.0)]))
+    # a cold window (0.1, 0.99999) whose odd half was bisected only to isolation returned index 27's vector 907x
+    # vector_error off, 1.19e-12 from the warm window of the whole-spectrum pairs
+    @example((64, 0.22011605627059908, None, [(-0.5, -0.5), (-0.5, 1.0), (0.1, 0.99999)]))
     def test_windows_from_held_pairs_match_cold_solves(self, case):
         # each window of a sequence, after pairs held from a range near its prediction and from the windows
         # before it, against a solve on an empty plan; where the held pairs it starts from (those overlapping its

@@ -17,6 +17,7 @@ from prolate.lowrank import (
     cfadi_solve,
     fourier_correction_factor,
     hilbert_factor,
+    hilbert_rank,
     jacobi_dn,
     pinv_correction,
     projection_correction,
@@ -49,6 +50,7 @@ from oracles import (
     sinc_alias_dense,
     tikhonov_oracle,
 )
+from strategies import hilbert_rank_step
 
 
 class TestAdiRank:
@@ -326,6 +328,18 @@ class TestFourierCorrectionFactor:
     def test_domain(self):
         with pytest.raises(ValueError):
             fourier_correction_factor(64, 0.25, 0.7)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1025, 2**16])
+    def test_hilbert_rank_counts_the_columns_it_builds(self, n):
+        # the FSLT loader caps a factorization's rebuild by hilbert_rank before building anything; here on
+        # either side of two steps of adi_rank's ceiling too, where 4 eps / 15 and the factor's (4 pi / 15) eps / pi
+        # round apart about once in six steps
+        eps = [0.49, 1e-3, 1e-9, 1e-20, 1e-40]
+        for r in (hilbert_rank(n, 1e-6), hilbert_rank(n, 1e-30)):
+            step = hilbert_rank_step(n, r)
+            eps += [step, float(np.nextafter(step, 0.0))]
+        for e in eps:
+            assert hilbert_rank(n, e) == fourier_correction_factor(n, 0.25, e).z.shape[1], e
 
     def test_widths_are_capped_where_factorials_leave_float_range(self):
         # the even block's last coefficient divides by rb!, and 171! overflows a float

@@ -18,7 +18,14 @@ from prolate.dpss import (
     unfold,
 )
 from prolate.fft_kernels import PartialFourier, ToeplitzOperator
-from prolate.lowrank import SpectralFactor, adi_rank, taylor_widths, tikhonov_precision_floor
+from prolate.lowrank import (
+    SpectralFactor,
+    correction_rank_budget,
+    hilbert_rank,
+    taylor_widths,
+    tikhonov_precision_floor,
+    transition_count_budget,
+)
 from prolate.operators import (
     MAX_EMPTY_N,
     BadMagicError,
@@ -49,6 +56,7 @@ from strategies import (
     HEADER_LENGTH,
     build_requests,
     fslt_bytes,
+    hilbert_rank_step,
     middle_row_offsets,
     small_fslt_files,
     version_2_projector,
@@ -218,6 +226,15 @@ class TestFastFactorization:
         for eps in (1e-3, 1e-9):
             op = FastFactorization.build(SlepianParams.create(256, 0.25, eps))
             assert op.k_prime <= op.k_prime_budget()
+
+    @pytest.mark.parametrize("n, w, eps", [(64, 0.25, 1e-3), (255, 0.1, 1e-9), (1000, 1 / 3, 1e-12)])
+    def test_budget_is_the_frame_and_the_two_correction_budgets(self, n, w, eps):
+        # the frame's ceil(2nw) columns, then the Fourier and the spectral correction's budgets, which sum to the
+        # paper's (12/pi^2 log(8n) + 18) log(15/eps) on top of the frame
+        budget = FastFactorization.build(SlepianParams.create(n, w, eps)).k_prime_budget()
+        parts = math.ceil(2 * n * w) + correction_rank_budget(n, eps) + transition_count_budget(n, eps)
+        paper = math.ceil(2 * n * w) + (12 / math.pi**2 * math.log(8 * n) + 18) * math.log(15 / eps)
+        assert budget == pytest.approx(parts, rel=1e-15, abs=0) and budget == pytest.approx(paper, rel=1e-15, abs=0)
 
     def test_zero_round_trip(self):
         op = FastFactorization.build(SlepianParams.create(64, 0.25, 1e-3))
@@ -735,7 +752,7 @@ class TestStructuredFactors:
         assert sum(a.nbytes for a in proj.factors()) == 8 * ((even + odd) + h * even + h * odd)
         assert operator_to_bytes(fact)[64:] == operator_to_bytes(proj)[64:]
         z, ra, rb = fact.l.z.shape[1], len(fact.l.ca), len(fact.l.cb)
-        assert (ra, rb) == taylor_widths(1e-6) and z == adi_rank(2 * n - 1, 4e-6 / 15)
+        assert (ra, rb) == taylor_widths(1e-6) and z == hilbert_rank(n, 1e-6)
         assert sum(a.nbytes for a in fact.l.arrays) == 8 * (n * z + ra * ra + rb * rb)
 
     def test_ranks_keep_their_meaning(self, ops256):
@@ -768,7 +785,7 @@ def test_decode_allocates_nothing_in_proportion_to_the_file(files14, kind, mappe
     # from bytes the blocks are views of the file; a cold plan's Toeplitz part measured 8.0 x 8n. Only the
     # factorization maps memory: its rebuilt z, r x n x 8 bytes, which the test below bounds by the file
     n, blob = 2**14, files14[kind - 1]
-    z_bytes = 8 * n * adi_rank(2 * n - 1, 4e-6 / 15) if kind == 2 else 0
+    z_bytes = 8 * n * hilbert_rank(n, 1e-6) if kind == 2 else 0
     slepian_plan.cache_clear()
     tracemalloc.start()
     try:
@@ -807,6 +824,16 @@ def test_factorization_rebuild_is_bounded_by_the_file(files14):
     # and by the first alone: an empty file at the cap may name eps = 0.45, whose z is 6 x 2^20 (48 MB)
     op = operator_from_bytes(_factorization_file(MAX_EMPTY_N, 0.45, 0))
     assert op.l.z.shape == (MAX_EMPTY_N, 6) and op.u.rank == 0
+
+
+def test_rebuild_cap_counts_the_columns_a_load_builds():
+    # empty factorization files at n = 2^20 whose eps lies on either side of a step of the Hilbert rank, past the
+    # cap: the refusal names lowrank's count, where the loader's own adi_rank(2n - 1, 4 eps / 15) read one fewer
+    n = 1 << 20
+    step = hilbert_rank_step(n, 128)
+    for eps in (step, float(np.nextafter(step, 0.0))):
+        with pytest.raises(FactorFileError, match=f"a Hilbert factor of {hilbert_rank(n, eps)} x n"):
+            operator_from_bytes(_factorization_file(n, eps, 0))
 
 
 class TestCorruptFiles:
