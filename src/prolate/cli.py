@@ -2,9 +2,9 @@
 
 The experiment subcommands emit RFC-4180-style CSV (UTF-8, LF, header row)
 to --out (stdout by default), precompute writes a factor file there and
-load-check prints one summary line.  Outputs are deterministic (for a fixed
---seed where inputs are drawn) except the timing columns.  Exit codes: 0
-success, 1 validation error, 2 IO or memory error.
+load-check prints one summary line.  Outputs are deterministic (fourier-ext's
+for a fixed --seed) except the timing columns.  Exit codes: 0 success, 1
+validation error, 2 IO or memory error.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ def _build_parser():
     )
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=12345, help="RNG seed (default 12345)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -89,10 +87,10 @@ def _build_parser():
 
     p = sub.add_parser(
         "bench",
-        parents=[out, seed],
+        parents=[out],
         help="setup/apply timings for the fast operators",
         description="CSV columns: n, w, eps, mode, setup_seconds (cold build), apply_seconds.  "
-        "Medians over --trials.",
+        "Medians over --trials; every apply takes one fixed random input.",
     )
     p.add_argument("--mode", choices=sorted(_MODES), action="append", default=None)
     p.add_argument("--n", type=_int_list, default=(1024, 4096, 16384))
@@ -103,12 +101,13 @@ def _build_parser():
 
     p = sub.add_parser(
         "fourier-ext",
-        parents=[out, seed],
+        parents=[out],
         help="Gibbs-suppression comparison on the extension least-squares problem",
         description="CSV columns: m, method (fourier | ext_exact_pinv | ext_fast_pinv | "
         "ext_exact_tik | ext_fast_tik), rel_rms (relative RMS error on a uniform "
         "evaluation grid of [-1, 1]), seconds (coefficient pipeline time).",
     )
+    p.add_argument("--seed", type=int, default=12345, help="RNG seed (default 12345)")
     ext = FourierExtensionConfig()  # every flag is named after a field and defaults to it
     p.add_argument("--m", dest="m_values", metavar="M", type=_int_list, default=ext.m_values)
     p.add_argument("--t-ext", type=float, default=ext.t_ext)
@@ -196,13 +195,9 @@ def _cmd_bench(args):
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
     points, modes = _grid(args), args.mode or sorted(_MODES)
-    seeds = np.random.SeedSequence(args.seed).spawn(len(points) * len(modes))
-    rows = []
-    i = 0
+    rng, rows = np.random.default_rng(0), []
     for n, w, eps in points:
         for mode in modes:
-            rng = np.random.default_rng(seeds[i])
-            i += 1
             x = rng.standard_normal(n)
             # a cold plan before each trial, so that no trial reuses another's solved pairs
             setup = _median_time(lambda: _build_operator(mode, n, w, eps, args.alpha), args.trials,

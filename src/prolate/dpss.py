@@ -11,7 +11,8 @@ takes it from the half vector alone (ToeplitzOperator.half_quadratic_forms).
 Inverse iteration needs a tridiagonal eigenvalue only isolated from its
 neighbours, not exact, so bisection stops at 1e-5 of _gap_estimate, a lower
 estimate of the smallest same-parity gap; at n = 2^16 that halves the
-bisection's time.  Each loose solve is then checked: its eigenvalues must
+bisection's time.  Halves of at most 256 rows (_EXACT_HALF) bisect to full
+precision.  Each loose solve is then checked: its eigenvalues must
 lie at least the estimate apart, and a Sturm count must find no other
 eigenvalue within the estimate of their range.  A range that fails is
 solved again with the bisection run to full precision.  A request lacking
@@ -118,10 +119,12 @@ def _clamp_eigenvalues(lams: np.ndarray) -> np.ndarray:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the first entry larger than the sign tolerance positive, per column (in place)."""
-    mag = np.abs(vectors)
-    big = mag > _SIGN_TOL
-    lead = np.where(big.any(axis=0), big.argmax(axis=0), mag.argmax(axis=0))
+    """Make the first entry larger than the sign tolerance positive, per column (in place).
+
+    Every column is the leading half of a unit Slepian vector, whose squares sum to at least 1/2, so one entry is at
+    least 1/sqrt(n + 1), far above the tolerance.
+    """
+    lead = (np.abs(vectors) > _SIGN_TOL).argmax(axis=0)
     vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
     return vectors
 
@@ -173,8 +176,6 @@ def _isolated(d, e, vals, gap) -> bool:
     dstebz over (vals[0] - gap, vals[-1] + gap], stopped before any bisection)
     settles their outer neighbours.
     """
-    if d.size == 1:
-        return True
     if np.any(np.diff(vals) < gap):
         return False
     lo, hi = vals[0] - gap, vals[-1] + gap

@@ -272,9 +272,10 @@ def _real_rows(x) -> np.ndarray:
 class PartialFourier:
     """Real frame of the span of the lowest 2nw' frequency DFT columns of length n.
 
-    2nw' is the nearest odd integer to 2nw, so the column frequencies k/n,
-    k = -r .. r with r = (2nw'-1)/2, form a symmetric integer set.  The Gram
-    projector F F* is then a real circulant with Dirichlet-kernel entries
+    2nw' is the nearest odd integer to 2nw (at most n, as w < 1/2), so the
+    column frequencies k/n, k = -r .. r with r = (2nw'-1)/2, form a
+    symmetric integer set.  The Gram projector F F* is then a real
+    circulant with Dirichlet-kernel entries
     sin(2*pi*w'*(m-n)) / (n*sin(pi*(m-n)/n)) and diagonal 2w'.  With X the
     orthonormal DFT of x, F* x is X_0, (X_k + X_-k)/sqrt(2) and then
     i (X_-k - X_k)/sqrt(2) for k = 1..r: for a real x, sqrt(2) Re X_k and
@@ -286,8 +287,6 @@ class PartialFourier:
         n = _size(n, f"signal length must be positive, got {n}")
         w = _real(w, 0.0, 0.5, f"half-bandwidth must lie in (0, 1/2), got {w}")
         q = nearest_odd_integer(2.0 * n * w)
-        if q > n:
-            raise ValueError(f"frequency count {q} exceeds signal length {n}")
         self.n, self.num_cols, self.w_prime, self.half_span = n, q, q / (2.0 * n), (q - 1) // 2
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:

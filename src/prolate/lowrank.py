@@ -68,7 +68,6 @@ __all__ = [
 # the shares of epsilon that fourier_correction_factor gives its Hilbert block (whose two terms scale it by 1/pi)
 # and each of its two Taylor blocks: 2 (4/15) + 2 (7/30) = 1
 _HILBERT_SHARE, _TAYLOR_SHARE = 4.0 * math.pi / 15.0, 7.0 / 30.0
-_SQRT_CLAMP = -1e-14
 # share of epsilon that one window eigenvalue's quotient error may cost the
 # Tikhonov map before that eigenvalue is recomputed in extended precision
 _REFINE_SHARE = 0.25
@@ -627,15 +626,15 @@ def projection_correction(n, w, epsilon, k) -> SpectralFactor:
 def pinv_correction(n, w, epsilon, k) -> SpectralFactor:
     """V diag(g) V' with ||B_k^+ - (B + V diag(g) V')|| within three times the search tolerance.
 
-    V as for projection_correction, g = [1/L2 - L2, -L3].
+    V as for projection_correction, g = [1/L2 - L2, -L3]; every L2 exceeds epsilon > 0.
     """
     start, lams, block, cut = _split_window(n, w, epsilon, k)
-    if np.any(lams[:cut] <= 0.0):
-        raise ValueError("below-split eigenvalues must be positive")
     return SpectralFactor(n, start % 2, block, np.concatenate([1.0 / lams[:cut] - lams[:cut], -lams[cut:]]))
 
 
 def _tikhonov_weight(lams, alpha):
+    """lam/(lam^2 + a) - lam/(1 + a), at least +0 for lam in [0, 1]: rounding is monotone, so fl(lam^2 + a) <=
+    fl(1 + a) and the first quotient is never below the second."""
     return lams / (lams**2 + alpha) - lams / (1.0 + alpha)
 
 
@@ -668,7 +667,8 @@ def tikhonov_correction(n, w, epsilon, alpha) -> SpectralFactor:
 
     The retained eigenpairs are those with a(1+a)*epsilon < lam < 1 - epsilon/3
     (thresholds of the regularized solution map, not the projector ones);
-    their weights are lam (1 - lam^2) / ((1+a)(lam^2 + a)).  The weight's
+    their weights are lam (1 - lam^2) / ((1+a)(lam^2 + a)), never negative
+    as computed (see _tikhonov_weight).  The weight's
     slope reaches about 1/a, so each window eigenvalue whose float64
     quotient error would cost the map more than a quarter of epsilon is
     recomputed in extended precision, and the low edge is decided on the
@@ -686,7 +686,4 @@ def tikhonov_correction(n, w, epsilon, alpha) -> SpectralFactor:
     extend = lo < hi and abs(_tikhonov_slope(lo, alpha)) > max_slope
     if extend or np.any(flagged):
         lams, block = refine_window(n, w, start, lams, block, flagged, lo, extend=extend)
-    weights = _tikhonov_weight(lams, alpha)
-    if np.any(weights < _SQRT_CLAMP):
-        raise ValueError("negative spectral weight beyond the clamp tolerance")
-    return SpectralFactor(n, start % 2, block, np.maximum(weights, 0.0))
+    return SpectralFactor(n, start % 2, block, _tikhonov_weight(lams, alpha))

@@ -548,7 +548,7 @@ class TestPrecomputeAndLoad:
 
     def test_each_subcommand_takes_only_the_options_it_reads(self, capsys):
         for argv in (["gap-count", "--seed", "1"], ["gap-count", "--trials", "2"], ["linear-predict", "--seed", "1"],
-                     ["fourier-ext", "--dense-guard", "8"], ["bench", "--dense-guard", "8"],
+                     ["bench", "--seed", "1"], ["fourier-ext", "--dense-guard", "8"], ["bench", "--dense-guard", "8"],
                      ["linear-predict", "--dense-guard", "8"], ["load-check", "--out", "x.csv", "op.fslt"]):
             rc, _, err = run_cli(argv, capsys)
             assert rc == 1 and "unrecognized arguments" in err, argv

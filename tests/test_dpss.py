@@ -470,6 +470,9 @@ class TestSlepianPlan:
                 noisy_lo, noisy_hi = (dense is not None and 0.0 <= t <= 1.0
                                       and (min(t, 1.0 - t) < floor or np.abs(dense - t).min() <= 2.0 * floor)
                                       for t in (lo, hi))
+                # every quotient lies above lo (so pinv_correction's 1/lam is finite), and below hi where no noisy
+                # quotient can cross it
+                assert np.all(got[1] > lo) and (noisy_hi or np.all(got[1] < hi)), (lo, hi)
                 if noisy_lo or noisy_hi:
                     for first, stop in ((start, start + lams.size), (got[0], got[0] + got[1].size)):
                         if noisy_hi:
@@ -514,6 +517,16 @@ class TestSlepianPlan:
             tracemalloc.stop()
         assert peak + mapped_bytes() < 2.5 * 8 * n * m, (peak, mapped_bytes())
         assert np.abs(lams - rayleigh_extended(block, first + np.arange(m), n, 0.25)).max() <= 8 * 2.0**-52
+
+    @pytest.mark.parametrize("n, w, first, last", [(n, w, 0, n - 1) for n in (1, 2, 3, 4, 65, 600)
+                                                     for w in (5e-324, 1e-13, 0.25, 0.4999)] + [(1030, 0.25, 400, 600)])
+    def test_every_column_has_an_entry_above_the_sign_tolerance(self, n, w, first, last):
+        # _fix_signs reads the first such entry: a column is the leading half of a unit vector, so its squares sum
+        # to at least 1/2 and one entry is at least 1/sqrt(n + 1)
+        block, _ = dpss.SlepianPlan(n, w).pairs(first, last)
+        assert np.all(np.sum(block**2, axis=0) >= 0.5 - 1e-12)
+        least = (1.0 - 1e-12) / math.sqrt(n + 1)
+        assert least > dpss._SIGN_TOL and np.all(np.abs(block).max(axis=0) >= least)
 
     @pytest.mark.parametrize("n", [255, 256])
     def test_held_pairs_are_one_block_of_leading_halves(self, n):
@@ -597,6 +610,14 @@ class TestSlepianPlan:
         monkeypatch.setattr(dpss.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.get)
         with pytest.raises(MemoryError, match="n=256 solving 256 pairs"):
             plan.pairs(0, 255)
+
+    @pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+    def test_a_platform_that_reports_no_memory_refuses_nothing(self, monkeypatch, error):
+        def unreported(name):
+            raise error(name)
+
+        monkeypatch.setattr(dpss.os, "sysconf", unreported)
+        assert dpss._require_memory(2**40, 2**40) is None
 
     @pytest.mark.parametrize("n", [257, 258])
     def test_a_window_is_a_column_major_view_of_the_half_block(self, n):
@@ -703,6 +724,19 @@ class TestSolveThreads:
         with dpss._one_blas_thread:
             assert pool() == 1
         assert pool() == want
+
+    def test_without_a_loadable_openblas_the_sections_do_nothing(self, monkeypatch, tmp_path):
+        # a library that does not load is skipped, and with none left there is no setter to call
+        fake = tmp_path / "libscipy_openblas-fake.so"
+        fake.write_bytes(b"not a shared library")
+        monkeypatch.setattr(dpss.glob, "glob", lambda pattern: [str(fake)])
+        dpss._openblas_thread_setter.cache_clear()
+        try:
+            assert dpss._openblas_thread_setter() is None
+            with dpss._one_blas_thread:
+                assert dpss._one_blas_thread._open == 0
+        finally:
+            dpss._openblas_thread_setter.cache_clear()
 
     def test_window_does_not_depend_on_the_thread_count(self, blas_threads):
         # at n = 2^15 the half-size tridiagonals are long enough for OpenBLAS to split level-1 BLAS

@@ -204,6 +204,9 @@ class TestToeplitzOperator:
             op.apply(np.zeros(9))
         with pytest.raises(ValueError):
             op.apply_real(np.zeros(9))
+        for block in (np.zeros((9, 2)), np.zeros(8)):
+            with pytest.raises(ValueError, match=r"expected an \(8, m\) block, got shape"):
+                op.apply_block(block)
 
     def test_embedding_length(self):
         # twice n rounded up to even and then to a 2-3-5-smooth length: each half about the centre, an odd n's
@@ -298,7 +301,12 @@ class TestPartialFourier:
         assert pf.num_cols == 25  # 2nw = 25.6
 
     def test_odd_count_invariant(self):
-        for n, w in [(17, 0.3), (64, 1 / 16), (101, 0.49), (6, 0.05)]:
+        # fl(2n w) <= n for w < 1/2, so the count never passes n: at the widest w, every n <= 5000 and 2^k +- 3
+        # for k < 80, which float(n) rounds beyond 2^53
+        widest = float(np.nextafter(0.5, 0.0))
+        cases = [(17, 0.3), (64, 1 / 16), (101, 0.49), (6, 0.05)]
+        cases += [(n, widest) for n in [*range(1, 5001), *(2**k + d for k in range(2, 80) for d in (-3, 3))]]
+        for n, w in cases:
             pf = PartialFourier(n, w)
             assert pf.num_cols % 2 == 1
             assert 1 <= pf.num_cols <= n

@@ -103,6 +103,11 @@ class TestAdiShifts:
         u = np.linspace(-3.0, 3.0, 7)
         assert np.array_equal(jacobi_dn(u, 1.0), np.ones_like(u))
 
+    def test_jacobi_dn_rejects_a_complementary_parameter_outside_the_unit_interval(self):
+        for one_minus_m in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"complementary parameter must lie in \(0, 1\]"):
+                jacobi_dn(0.5, one_minus_m)
+
     def test_shift_quality_bound(self):
         # the rational function built from elliptic shifts meets the rank certificate
         for n, delta in [(64, 1e-4), (256, 1e-6), (1024, 1e-9)]:
@@ -341,6 +346,10 @@ class TestFourierCorrectionFactor:
         for e in eps:
             assert hilbert_rank(n, e) == fourier_correction_factor(n, 0.25, e).z.shape[1], e
 
+    def test_a_tolerance_whose_taylor_share_is_subnormal_is_refused(self):
+        with pytest.raises(ValueError, match="7/30 of it a normal float, got 1e-308"):
+            taylor_widths(1e-308)
+
     def test_widths_are_capped_where_factorials_leave_float_range(self):
         # the even block's last coefficient divides by rb!, and 171! overflows a float
         assert taylor_widths(1.1e-47) == (156, 169)
@@ -487,6 +496,15 @@ class TestTikhonovCorrection:
         # symmetric factor: one block of leading halves without coefficient matrices, a nonnegative weight
         assert isinstance(u, SpectralFactor)
         assert np.all(u.weights >= 0)
+
+    def test_weight_is_never_negative_on_the_unit_interval(self):
+        # rounding is monotone, so fl(lam^2 + alpha) <= fl(1 + alpha) and the difference of the two quotients is
+        # +0 or more: lam linear, log-spaced down to 1e-320 and up to 1 - 1e-17, alpha from 5e-324 to 1.7e308
+        lams = np.concatenate([np.linspace(0.0, 1.0, 20001), np.logspace(-320, 0, 20000),
+                               1.0 - np.logspace(-17, -1, 20000)])
+        for alpha in [5e-324, 1e-300, 1e-200, 1e-100, *np.logspace(-30, 30, 13), 1e100, 1e300, 1.7e308]:
+            weights = lowrank._tikhonov_weight(lams, alpha)
+            assert weights.min() == 0.0 and not np.signbit(weights).any(), alpha
 
 
 class TestLowRankFactor:
