@@ -31,13 +31,19 @@ place its edges (none for a Tikhonov build after a projector at the benchmark
 points), and is a read-only view of the block, which only rayleigh_extended
 and SpectralFactor.synthesize unfold; every spectral record keeps that view,
 so the block is the one copy of the pairs.  slepian_plan holds one (n, w) at a
-time.  The tridiagonal solves run scipy's OpenBLAS on the calling thread: their
+time.  The tridiagonal solves run scipy's OpenBLAS on one thread: their
 level-1 BLAS gains nothing from more threads, whose rounding and idle spinning
 only made a build's bytes depend on the thread count and its time on the load.
+But the two parity halves are independent: where both bisect windows of at
+least _THREAD_HALF rows and a second CPU is usable, a short-lived thread solves
+the odd half beside the even one, through _bisect's GIL-free calls of scipy's
+own LAPACK (through scipy's f2py wrappers, which hold the GIL, two threads ran
+no faster than one).  The bytes are the same on either path.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import ctypes
 import functools
 import glob
@@ -47,6 +53,7 @@ import threading
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from .fft_kernels import _BLOCK_COLS, ToeplitzOperator, _read_only, _real, _size, mapped_rows, prolate_column
 
@@ -84,6 +91,9 @@ _ISOLATION = 1e-5
 _EXACT_HALF = 256
 # most eigenpairs a transition window may request, solved or held
 _MAX_PAIRS = 4096
+# parity halves of at least this many rows (n >= 8191) have their windows solved on two threads: a 25-pair window
+# takes about 25 ms per half there, some 100x a thread's start and join
+_THREAD_HALF = 4096
 
 
 class PreconditionViolated(ValueError):
@@ -169,6 +179,49 @@ def _gap_estimate(n: int, w: float) -> float:
     return 2.0 * s / max(math.log(8.0 * s), 1.0)
 
 
+@functools.cache
+def _routine(name: str):
+    """scipy's own LAPACK routine name (scipy.linalg.cython_lapack, every argument a pointer) as a ctypes function,
+    which, unlike scipy's f2py wrappers, releases the GIL while it runs."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    signature = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, signature)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * signature.count(b"*"))(pointer)
+
+
+def _lapack(name: str, *args) -> None:
+    """Calls _routine(name) on args, arrays by address, ctypes scalars by reference and bytes as characters, and on
+    its trailing info; LinAlgError if info is not 0."""
+    info = ctypes.c_int()
+    _routine(name)(*[a.ctypes.data if isinstance(a, np.ndarray) else a if isinstance(a, bytes) else ctypes.byref(a)
+                     for a in args], ctypes.byref(info))
+    if info.value:
+        raise np.linalg.LinAlgError(f"{name} failed (LAPACK info={info.value})")
+
+
+def _stebz(d, e, select: bytes, vl, vu, il, iu, tol):
+    """LAPACK dstebz on (d, e), contiguous float64, for the ascending indices il..iu (select b"I") or the values in
+    (vl, vu] (b"V"), bisected to tol and ordered by split-off block: (count as a c_int, values, int and float work)."""
+    h, m, c_int, c_double = d.size, ctypes.c_int(), ctypes.c_int, ctypes.c_double
+    vals, ints, work = np.empty(h), np.empty(5 * h, np.intc), np.empty(5 * h)
+    _lapack("dstebz", select, b"B", c_int(h), c_double(vl), c_double(vu), c_int(il + 1), c_int(iu + 1),
+            c_double(tol), d, e, m, c_int(), vals, ints, ints[h:], work, ints[2 * h:])
+    return m, vals, ints, work
+
+
+def _bisect(d, e, il: int, iu: int, tol: float, out=None):
+    """scipy.linalg.eigh_tridiagonal(d, e, tol=tol, select="i", select_range=(il, iu)) bit for bit, and LinAlgError
+    where it raises one, by the same LAPACK dstebz and dstein run without the GIL; the vectors go into out (column-
+    major, d.size x (iu - il + 1)) if given.  The values come out ascending, as the wrapper sorts them, because a
+    parity half does not split: an off-diagonal entry would fall below dstebz's threshold only near n = 1e16."""
+    m, vals, ints, work = _stebz(d, e, b"I", 0.0, 0.0, il, iu, tol)
+    h, rows = d.size, ctypes.c_int(d.size)
+    out = np.empty((h, m.value), order="F") if out is None else out
+    _lapack("dstein", rows, d, e, m, vals, ints, ints[h:], out, rows, work, ints[2 * h:], ints[3 * h:])
+    return vals[:m.value], out[:, :m.value]
+
+
 def _isolated(d, e, vals, gap) -> bool:
     """Whether the consecutive ascending eigenvalues vals of the tridiagonal (d, e) lie at least gap from every other.
 
@@ -179,7 +232,29 @@ def _isolated(d, e, vals, gap) -> bool:
     if np.any(np.diff(vals) < gap):
         return False
     lo, hi = vals[0] - gap, vals[-1] + gap
-    return scipy.linalg.lapack.dstebz(d, e, 1, lo, hi, 0, 0, 2.0 * (hi - lo), b"E")[0] == vals.size
+    return _stebz(d, e, b"V", lo, hi, 0, 0, 2.0 * (hi - lo))[0].value == vals.size
+
+
+def _half_vectors(d, e, il, iu, gap, out):
+    """Ascending eigenvectors il..iu of the parity half (d, e), one per column: a whole half by divide and conquer
+    and _inverse_step, any other range by _bisect into out to _ISOLATION of the gap estimate (to full precision on a
+    half of at most _EXACT_HALF rows), and again to full precision if those eigenvalues are not isolated by the
+    estimate (_isolated) or a LAPACK call fails."""
+    tol = _ISOLATION * gap if d.size > _EXACT_HALF else 0.0
+    try:
+        if iu - il + 1 == d.size:  # nothing to isolate
+            vals, half = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd")
+            # at least a few ulps of the half's norm (or of 1): a 1 x 1 half's shift within half an ulp of its value
+            # (n <= 3 at w <= 1e-13) rounds to it, and the solve is singular
+            offset = max(_ISOLATION * gap, 4 * np.spacing(max(np.abs(vals).max(), 1.0)))
+            _inverse_step(d, e, vals + offset, half)
+            return half
+        vals, half = _bisect(d, e, il, iu, tol, out)
+        if not tol or _isolated(d, e, vals, gap):
+            return half
+    except np.linalg.LinAlgError:
+        pass
+    return _bisect(d, e, il, iu, 0.0, out)[1]
 
 
 def _inverse_step(d, e, shifts, vecs):
@@ -199,16 +274,16 @@ def _require_memory(n: int, pairs: int) -> None:
     than the machine's physical memory, where the system would kill the process rather than fail an allocation.
 
     Counted in doubles: 8n to build the plan (prolate_column's peak; it then holds 4-6n), per pair h = ceil(n/2) for
-    the block and h/2 for the eigensolver's vectors (all n: 2h^2 plus stevd's 1 + 4h + h^2), and up to _BLOCK_COLS
-    columns of half the Toeplitz part's embedding length, plus one, for the quotients.  Nothing is refused where
-    the platform does not report its memory.
+    the block and h for the eigensolver's vectors, both parities' at once (all n: 2h^2 plus stevd's 1 + 4h + h^2),
+    and up to _BLOCK_COLS columns of half the Toeplitz part's embedding length, plus one, for the quotients.
+    Nothing is refused where the platform does not report its memory.
     """
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
     h = (n + 1) // 2
-    solver = 3 * h * h + 4 * h + 1 if pairs == n else h * pairs // 2
+    solver = 3 * h * h + 4 * h + 1 if pairs == n else h * pairs
     need = 8 * (8 * n + h * pairs + solver + min(pairs, _BLOCK_COLS) * (ToeplitzOperator.embedding_length(n) // 2 + 1))
     if need > memory:
         raise MemoryError(f"unable to allocate a Slepian plan at n={n} solving {pairs} pairs: about "
@@ -321,41 +396,34 @@ class SlepianPlan:
     def _solve(self, first: int, last: int):
         """Leading halves of Slepian vectors first..last, one per column of a column-major block, and their quotients.
 
-        Each parity's share of the range is one index range of its half-size tridiagonal: a whole half is solved by
-        divide and conquer and _inverse_step, any other by one bisection/inverse-iteration call whose bisection stops
-        at _ISOLATION of the gap estimate (runs to full precision on a half of at most _EXACT_HALF rows), solved
-        again with the bisection run to full precision if those eigenvalues are not isolated by the estimate
-        (_isolated).  The half vectors are then scaled into place and their signs
-        fixed _BLOCK_COLS columns at a time, and the quotients are taken from the halves themselves by the Toeplitz
-        part's half_quadratic_forms; none is unfolded.
+        Each parity's share of the range is one index range of its half-size tridiagonal, solved by _half_vectors,
+        the odd one on a second thread where the module docstring says; that thread is joined, and its error raised,
+        here.  The half vectors are then scaled into place and their signs fixed _BLOCK_COLS columns at a time, and
+        the quotients are taken from the halves themselves by the Toeplitz part's half_quadratic_forms; none is
+        unfolded.
         """
         n, p = self.n, self.n // 2
         _require_memory(n, last - first + 1)
         block = mapped_rows(last - first + 1, n - p).T
         gap = _gap_estimate(n, self.w)
+        # two threads where a second CPU is usable and, below, both parities bisect windows of _THREAD_HALF rows or more
+        threaded = len(getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)) > 1
+        jobs = []  # per parity with pairs in the range: its first index and the arguments of _half_vectors
         for parity, (d, e) in enumerate(self.tridiagonals):
             j0, j1 = (first - parity + 1) // 2, (last - parity) // 2
-            if j0 > j1:
-                continue
-            # descending index j is the (size-1-j)-th ascending eigenvalue
-            select = {"select": "i", "select_range": (d.size - 1 - j1, d.size - 1 - j0)}
-            tol = _ISOLATION * gap if d.size > _EXACT_HALF else 0.0
-            # inverse iteration's level-1 BLAS on half-length vectors: a second thread only changes its rounding
-            with _one_blas_thread:
-                try:
-                    if j1 - j0 + 1 < d.size:
-                        vals, half = scipy.linalg.eigh_tridiagonal(d, e, tol=tol, **select)
-                    else:  # a whole half: divide and conquer and one step of inverse iteration, nothing to isolate
-                        vals, half = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd")
-                        # at least a few ulps of the half's norm (or of 1): a 1 x 1 half's shift within half an ulp
-                        # of its value (n <= 3 at w <= 1e-13) rounds to it, and the solve is singular
-                        offset = max(_ISOLATION * gap, 4 * np.spacing(max(np.abs(vals).max(), 1.0)))
-                        _inverse_step(d, e, vals + offset, half)
-                    isolated = vals.size == d.size or not tol or _isolated(d, e, vals, gap)
-                except np.linalg.LinAlgError:
-                    isolated = False
-                if not isolated:
-                    _, half = scipy.linalg.eigh_tridiagonal(d, e, **select)
+            if j0 <= j1:  # descending index j is the (size-1-j)-th ascending eigenvalue
+                window = np.empty((d.size, j1 - j0 + 1), order="F") if j1 - j0 + 1 < d.size else None
+                jobs.append((parity, j0, (d, e, d.size - 1 - j1, d.size - 1 - j0, gap, window)))
+                threaded = threaded and window is not None and d.size >= _THREAD_HALF
+        # inverse iteration's level-1 BLAS on half-length vectors: a second BLAS thread only changes its rounding
+        with _one_blas_thread:
+            if threaded and len(jobs) == 2:  # the odd half on one more thread, beside this one
+                with concurrent.futures.ThreadPoolExecutor(1) as pool:
+                    odd = pool.submit(_half_vectors, *jobs[1][2])
+                    halves = [_half_vectors(*jobs[0][2]), odd.result()]
+            else:
+                halves = [_half_vectors(*args) for *_, args in jobs]
+        for (parity, j0, _), half in zip(jobs, halves):
             out = block[:, 2 * j0 + parity - first :: 2]
             np.multiply(half[:p, ::-1], _SQRT_HALF, out=out[:p])
             if n % 2 and parity == 0:

@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 
 from prolate import cli, dpss, operators
@@ -136,13 +135,13 @@ class TestBench:
 
     def test_every_trial_builds_cold(self, capsys, monkeypatch):
         calls = []
-        solve = scipy.linalg.eigh_tridiagonal
+        solve = dpss._bisect
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(1)
-            return solve(*args, **kwargs)
+            return solve(*args)
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+        monkeypatch.setattr(dpss, "_bisect", counted)
         per_trial = {}
         for trials in (1, 3):
             calls.clear()

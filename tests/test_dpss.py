@@ -2,6 +2,7 @@ import ctypes
 import glob
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from prolate.dpss import (
 )
 from prolate.fft_kernels import ToeplitzOperator, prolate_column
 from prolate.lowrank import pinv_correction, projection_correction, transition_count_budget
+from prolate.operators import FastProjector, SlepianParams
 
 from oracles import (
     chunked_window,
@@ -117,19 +119,20 @@ _PAIRS = [(1e-3, 1 - 1e-3), (1e-6, 1 - 1e-6), (1e-9, 1 - 1e-9), (1.01e-8, 1 - 1e
 _BELOW_FLOOR = [(1e-17, 1 - 1e-9), (1e-40, 1 - 1e-6)]
 
 
-def _count_eigh_calls(monkeypatch, tols=None):
-    """A list that gets, per eigh_tridiagonal call, the number of pairs it solved (and tols its bisection tolerance)."""
+def _count_bisections(monkeypatch, tols=None):
+    """A list that gets, per window solve (dpss._bisect call), the number of pairs it solved (and tols its bisection
+    tolerance)."""
     calls = []
-    solve = scipy.linalg.eigh_tridiagonal
+    solve = dpss._bisect
 
-    def counted(*args, **kwargs):
-        out = solve(*args, **kwargs)
-        calls.append(out[1].shape[1])
+    def counted(d, e, il, iu, tol, out=None):
+        result = solve(d, e, il, iu, tol, out)
+        calls.append(result[1].shape[1])
         if tols is not None:
-            tols.append(kwargs.get("tol", 0.0))
-        return out
+            tols.append(tol)
+        return result
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(dpss, "_bisect", counted)
     return calls
 
 
@@ -157,7 +160,7 @@ class TestPredictedWindow:
         center = dpss.default_subspace_dim(n, w)
         monkeypatch.setattr(dpss, "_predicted_range", lambda *args: (center, center))
         dpss.slepian_plan.cache_clear()
-        calls = _count_eigh_calls(monkeypatch)
+        calls = _count_bisections(monkeypatch)
         start, lams, vecs = transition_window(n, w, lo, hi)
         assert len(calls) > 2
         assert (start, lams.size) == (want_start, want_lams.size) == chunked_window(n, w, lo, hi)
@@ -179,7 +182,7 @@ class TestPredictedWindow:
     ])
     def test_benchmark_point_makes_two_solves(self, monkeypatch, w, lo, hi):
         dpss.slepian_plan.cache_clear()
-        calls = _count_eigh_calls(monkeypatch)
+        calls = _count_bisections(monkeypatch)
         _, lams, _ = transition_window(2**14, w, lo, hi)
         assert lams.size > 0 and len(calls) <= 2
 
@@ -193,9 +196,9 @@ _ISOLATION_POINTS = [
 
 
 def _full_precision(monkeypatch):
-    """Make every eigh_tridiagonal call bisect to full precision, whatever tol it is passed."""
-    solve = scipy.linalg.eigh_tridiagonal
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", lambda *args, tol=0.0, **kwargs: solve(*args, **kwargs))
+    """Make every window solve (dpss._bisect call) bisect to full precision, whatever tol it is passed."""
+    solve = dpss._bisect
+    monkeypatch.setattr(dpss, "_bisect", lambda d, e, il, iu, tol, out=None: solve(d, e, il, iu, 0.0, out))
 
 
 class TestIsolatedBisection:
@@ -232,7 +235,7 @@ class TestIsolatedBisection:
         monkeypatch.setattr(dpss, "_gap_estimate", lambda n, w: 1e3 * n * n)
         dpss.slepian_plan.cache_clear()
         tols = []
-        calls = _count_eigh_calls(monkeypatch, tols)
+        calls = _count_bisections(monkeypatch, tols)
         got = transition_window(n, w, lo, hi)
         # each parity: the loose solve, rejected, then the full-precision one
         assert len(calls) == 4 and tols[0] > 0.0 and tols[1] == 0.0 and tols[2] > 0.0 and tols[3] == 0.0
@@ -242,14 +245,14 @@ class TestIsolatedBisection:
         n, w, lo, hi = 1024, 0.25, 1e-9, 1 - 1e-9
         dpss.slepian_plan.cache_clear()
         want = transition_window(n, w, lo, hi)
-        solve = scipy.linalg.eigh_tridiagonal
+        solve = dpss._bisect
 
-        def failing(*args, tol=0.0, **kwargs):
+        def failing(d, e, il, iu, tol, out=None):
             if tol > 0.0:
                 raise np.linalg.LinAlgError("eigenvectors failed to converge")
-            return solve(*args, **kwargs)
+            return solve(d, e, il, iu, tol, out)
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
+        monkeypatch.setattr(dpss, "_bisect", failing)
         dpss.slepian_plan.cache_clear()
         got = transition_window(n, w, lo, hi)
         assert got[0] == want[0] and got[1].size == want[1].size
@@ -260,7 +263,7 @@ class TestIsolatedBisection:
         # a projector window, then the wider Tikhonov one (alpha = 1e-2) grown from it
         dpss.slepian_plan.cache_clear()
         tols = []
-        calls = _count_eigh_calls(monkeypatch, tols)
+        calls = _count_bisections(monkeypatch, tols)
         transition_window(2**14, w, eps, 1 - eps)
         transition_window(2**14, w, 1e-2 * (1 + 1e-2) * eps, 1 - eps / 3)
         assert 2 <= len(calls) <= 6 and all(t > 0.0 for t in tols)
@@ -285,6 +288,37 @@ class TestIsolatedBisection:
         assert not dpss._isolated(d, e, vals[-1:], 1.01 * (vals[-1] - vals[-2]))
 
 
+class TestBisect:
+    # halves of 1 and 2 rows (n = 2, 3), 257 (n = 514, 515) and more than _THREAD_HALF rows (n = 8200, 8201)
+    @pytest.mark.parametrize("n", [2, 3, 514, 515, 8200, 8201])
+    def test_matches_scipys_wrapper_bit_for_bit(self, n):
+        gap = dpss._gap_estimate(n, 0.25)
+        for d, e in dpss._parity_tridiagonals(n, 0.25):
+            h, mid = d.size, d.size // 2
+            for il, iu in {(0, 0), (h - 1, h - 1), (mid, mid), (max(mid - 10, 0), min(mid + 10, h - 1)), (0, h - 1)}:
+                if iu - il > 40:
+                    continue
+                for tol in (0.0, dpss._ISOLATION * gap):
+                    want = scipy.linalg.eigh_tridiagonal(d, e, tol=tol, select="i", select_range=(il, iu))
+                    got = dpss._bisect(d, e, il, iu, tol)
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (h, il, iu, tol)
+
+    def test_writes_into_the_array_it_is_given(self):
+        (d, e), _ = dpss._parity_tridiagonals(1024, 0.25)
+        out = np.empty((d.size, 5), order="F")
+        vals, vecs = dpss._bisect(d, e, 250, 254, 0.0, out)
+        want = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(250, 254))
+        assert np.shares_memory(vecs, out) and np.array_equal(vecs, want[1]) and np.array_equal(vals, want[0])
+
+    def test_a_failing_call_raises_what_scipys_wrapper_raises(self):
+        (d, e), _ = dpss._parity_tridiagonals(64, 0.25)
+        d = np.where(np.arange(d.size) == 3, np.nan, d)
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(3, 6), check_finite=False)
+        with pytest.raises(np.linalg.LinAlgError, match="dstebz"):
+            dpss._bisect(d, e, 3, 6, 0.0)
+
+
 class _Overlay:
     """A module with some attributes replaced, the others read through: how the benchmark's tracer wraps dpss.scipy."""
 
@@ -297,14 +331,20 @@ class _Overlay:
 
 
 def _record_solves(monkeypatch):
-    """A list that gets the keyword arguments of each eigh_tridiagonal call dpss makes, through a dpss.scipy overlay."""
-    calls, solve = [], scipy.linalg.eigh_tridiagonal
+    """A list that gets the keyword arguments of each eigh_tridiagonal call dpss makes, through a dpss.scipy overlay,
+    and those of the eigh_tridiagonal call that each dpss._bisect call equals."""
+    calls, solve, bisect = [], scipy.linalg.eigh_tridiagonal, dpss._bisect
 
     def recorded(*args, **kwargs):
         calls.append(kwargs)
         return solve(*args, **kwargs)
 
+    def recorded_bisection(d, e, il, iu, tol, out=None):
+        calls.append({"tol": tol, "select": "i", "select_range": (il, iu)})
+        return bisect(d, e, il, iu, tol, out)
+
     monkeypatch.setattr(dpss, "scipy", _Overlay(scipy, linalg=_Overlay(scipy.linalg, eigh_tridiagonal=recorded)))
+    monkeypatch.setattr(dpss, "_bisect", recorded_bisection)
     return calls
 
 
@@ -384,6 +424,7 @@ class TestWholeSpectrum:
             m.setattr(dpss.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2048}.get)
             m.setattr(dpss, "mapped_rows", refused)
             m.setattr(scipy.linalg, "eigh_tridiagonal", refused)
+            m.setattr(dpss, "_bisect", refused)
             for first, last in ((0, n - 1), (300, 699)):
                 with pytest.raises(MemoryError, match=f"n={n} solving {n} pairs"):
                     plan.pairs(first, last)
@@ -396,7 +437,7 @@ class TestSlepianPlan:
     def test_repeat_and_superset_windows_solve_only_what_is_missing(self, monkeypatch):
         n, w, eps = 4096, 0.25, 1e-6
         dpss.slepian_plan.cache_clear()
-        calls = _count_eigh_calls(monkeypatch)
+        calls = _count_bisections(monkeypatch)
         first = transition_window(n, w, eps, 1.0 - eps)
         assert len(calls) <= 2
         calls.clear()
@@ -457,7 +498,7 @@ class TestSlepianPlan:
             if max(first, 0) <= min(first + length - 1, n - 1):
                 plan.pairs(max(first, 0), min(first + length - 1, n - 1))
         with pytest.MonkeyPatch.context() as m:
-            calls = _count_eigh_calls(m)
+            calls = _count_bisections(m)
             for (lo, hi), (start, lams, block) in zip(windows, cold):
                 have = plan.held
                 calls.clear()
@@ -666,6 +707,12 @@ class TestParsevalQuotients:
         assert np.abs(got / np.einsum("ij,ij->j", vecs, vecs) - want).max() <= 2.0**-53
 
 
+def _scipy_openblas():
+    """scipy's bundled OpenBLAS, found without the library's own lookup."""
+    pattern = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs", "libscipy_openblas*")
+    return next(lib for lib in map(ctypes.CDLL, glob.glob(pattern)) if hasattr(lib, "openblas_set_num_threads_local"))
+
+
 @pytest.fixture
 def blas_threads():
     """blas_threads() reads scipy's OpenBLAS thread count, blas_threads(k) sets it; restored after the test."""
@@ -690,17 +737,34 @@ class TestSolveThreads:
         blas_threads(2)
         want = blas_threads()
         seen = []
-        solve = scipy.linalg.eigh_tridiagonal
+        solve = dpss._bisect
 
-        def watched(*args, **kwargs):
+        def watched(*args):
             seen.append(blas_threads())
-            return solve(*args, **kwargs)
+            return solve(*args)
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", watched)
+        monkeypatch.setattr(dpss, "_bisect", watched)
         dpss.slepian_plan.cache_clear()
         transition_window(256, 0.25, 1e-6, 1 - 1e-6)
         assert seen and set(seen) == {1}
         assert blas_threads() == want
+
+    def test_both_threads_solve_on_one_blas_thread(self, monkeypatch, blas_threads):
+        # at n = 2^14 both halves have 8192 rows: the odd one is solved on a second thread, made usable here
+        blas_threads(2)
+        pool = _scipy_openblas().scipy_openblas_get_num_threads
+        seen, solve = [], dpss._bisect
+
+        def watched(*args):
+            seen.append((threading.get_ident(), pool()))
+            return solve(*args)
+
+        monkeypatch.setattr(dpss, "_bisect", watched)
+        monkeypatch.setattr(dpss.os, "sched_getaffinity", lambda pid: {0, 1})
+        dpss.slepian_plan.cache_clear()
+        transition_window(2**14, 0.25, 1e-6, 1 - 1e-6)
+        assert len({ident for ident, _ in seen}) == 2 and {threads for _, threads in seen} == {1}
+        assert pool() == 2
 
     def test_sections_nest(self, blas_threads):
         blas_threads(2)
@@ -714,10 +778,7 @@ class TestSolveThreads:
     def test_scipys_pool_reads_one_thread_inside_and_its_count_after(self, blas_threads):
         # through the library's own getter rather than the setter's return value; the guard sets only scipy's
         # bundled OpenBLAS, the one scipy.linalg's LAPACK runs on
-        pattern = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs", "libscipy_openblas*")
-        library = next(lib for lib in map(ctypes.CDLL, glob.glob(pattern))
-                       if hasattr(lib, "openblas_set_num_threads_local"))
-        pool = library.scipy_openblas_get_num_threads
+        pool = _scipy_openblas().scipy_openblas_get_num_threads
         blas_threads(2)
         want = pool()
         assert want == blas_threads()
@@ -747,6 +808,89 @@ class TestSolveThreads:
             windows.append(transition_window(2**15, 0.25, 1e-6, 1 - 1e-6))
         (start1, lams1, vecs1), (start2, lams2, vecs2) = windows
         assert start1 == start2 and np.array_equal(lams1, lams2) and np.array_equal(vecs1, vecs2)
+
+
+def _usable_cpus(monkeypatch, count):
+    """Make count CPUs usable as dpss sees them."""
+    monkeypatch.setattr(dpss.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _on_worker():
+    return threading.current_thread() is not threading.main_thread()
+
+
+class TestParityThreads:
+    """Both parity halves at once: n >= 8191 puts at least _THREAD_HALF rows in each."""
+
+    @pytest.mark.parametrize("n", [2**14, 2**14 + 1])
+    def test_same_block_and_quotients_as_one_thread(self, monkeypatch, n):
+        solvers, solve = [], dpss._bisect
+
+        def watched(*args):
+            solvers.append(threading.get_ident())
+            return solve(*args)
+
+        monkeypatch.setattr(dpss, "_bisect", watched)
+        center = default_subspace_dim(n, 0.25)
+        pairs = {}
+        for cpus in (2, 1):
+            _usable_cpus(monkeypatch, cpus)
+            solvers.clear()
+            pairs[cpus] = dpss.SlepianPlan(n, 0.25).pairs(center - 15, center + 15)
+            assert len(set(solvers)) == cpus
+        assert np.array_equal(pairs[1][0], pairs[2][0]) and np.array_equal(pairs[1][1], pairs[2][1])
+
+    def test_small_halves_whole_halves_and_one_parity_stay_on_one_thread(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(dpss.concurrent.futures, "ThreadPoolExecutor", None)
+        dpss.SlepianPlan(8190, 0.25).pairs(4080, 4110)  # halves of 4095 rows
+        dpss.SlepianPlan(2**14, 0.25).pairs(8190, 8190)  # the even parity only
+        monkeypatch.setattr(dpss, "_THREAD_HALF", 1)
+        dpss.SlepianPlan(64, 0.25).pairs(0, 63)  # both halves whole
+
+    def test_a_failed_loose_solve_on_the_second_thread_is_retried_at_full_precision(self, monkeypatch):
+        n, first, last = 2**14, 8170, 8210
+        want = dpss.SlepianPlan(n, 0.25).pairs(first, last)[0]
+        with monkeypatch.context() as m:
+            _full_precision(m)
+            exact = dpss.SlepianPlan(n, 0.25).pairs(first, last)[0]
+        calls, solve = [], dpss._bisect
+
+        def failing(d, e, il, iu, tol, out=None):
+            calls.append((_on_worker(), tol))
+            if _on_worker() and tol > 0.0:
+                raise np.linalg.LinAlgError("eigenvectors failed to converge")
+            return solve(d, e, il, iu, tol, out)
+
+        monkeypatch.setattr(dpss, "_bisect", failing)
+        _usable_cpus(monkeypatch, 2)
+        got = dpss.SlepianPlan(n, 0.25).pairs(first, last)[0]
+        worker = [tol for on_worker, tol in calls if on_worker]
+        assert len(worker) == 2 and worker[0] > 0.0 and worker[1] == 0.0
+        # the odd columns (first is even) as the full-precision solve's, the even ones as the loose solve's
+        assert np.array_equal(got[:, 1::2], exact[:, 1::2]) and np.array_equal(got[:, ::2], want[:, ::2])
+
+    def test_an_error_on_the_second_thread_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+        solve = dpss._bisect
+
+        def failing(*args):
+            if _on_worker():
+                raise np.linalg.LinAlgError("eigenvectors failed to converge")
+            return solve(*args)
+
+        monkeypatch.setattr(dpss, "_bisect", failing)
+        _usable_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="failed to converge"):
+            dpss.SlepianPlan(2**14, 0.25).pairs(8170, 8210)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_build(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        dpss.slepian_plan.cache_clear()
+        before = threading.active_count()
+        FastProjector.build(SlepianParams.create(2**14, 0.25, 1e-6))
+        assert threading.active_count() == before
 
 
 class TestRayleighLambda:
