@@ -8,15 +8,14 @@ eigenvalue recovered as a Rayleigh quotient against the Toeplitz part (the
 tridiagonal's own spectrum is unrelated to the concentration values), which
 takes it from the half vector alone (ToeplitzOperator.half_quadratic_forms).
 
-Inverse iteration needs a tridiagonal eigenvalue only isolated from its
-neighbours, not exact, so bisection stops at 1e-5 of _gap_estimate, a lower
-estimate of the smallest same-parity gap; at n = 2^16 that halves the
-bisection's time.  Halves of at most 256 rows (_EXACT_HALF) bisect to full
-precision.  Each loose solve is then checked: its eigenvalues must
-lie at least the estimate apart, and a Sturm count must find no other
-eigenvalue within the estimate of their range.  A range that fails is
-solved again with the bisection run to full precision.  A request lacking
-over _WHOLE_SHARE of n <= FULL_BASIS_MAX_N pairs gets all n from stevd.
+Each pair is computed one way, so its bits depend only on (n, w, index):
+inverse iteration needs an eigenvalue only isolated, not exact (Parlett, The
+Symmetric Eigenvalue Problem, ch. 7), so _half_vectors shifts it to the midpoint
+of its dyadic cell, a power of two at least 16 _ISOLATION times _gap_estimate (a
+lower estimate of the smallest same-parity gap) wide.  A window's eigenvalues
+are bisected to _ISOLATION of the gap (at n = 2^16 that halves the bisection's
+time), a whole half's come from stevd, which a request lacking over _WHOLE_SHARE
+of n <= FULL_BASIS_MAX_N pairs gets.
 
 Where a caller weights eigenvalues steeply enough that double-precision
 quotients are too coarse, refine_window recomputes the ones it flags in
@@ -31,14 +30,12 @@ place its edges (none for a Tikhonov build after a projector at the benchmark
 points), and is a read-only view of the block, which only rayleigh_extended
 and SpectralFactor.synthesize unfold; every spectral record keeps that view,
 so the block is the one copy of the pairs.  slepian_plan holds one (n, w) at a
-time.  The tridiagonal solves run scipy's OpenBLAS on one thread: their
-level-1 BLAS gains nothing from more threads, whose rounding and idle spinning
-only made a build's bytes depend on the thread count and its time on the load.
-But the two parity halves are independent: where both bisect windows of at
-least _THREAD_HALF rows and a second CPU is usable, a short-lived thread solves
-the odd half beside the even one, through _bisect's GIL-free calls of scipy's
-own LAPACK (through scipy's f2py wrappers, which hold the GIL, two threads ran
-no faster than one).  The bytes are the same on either path.
+time.  stevd runs scipy's OpenBLAS on one thread, whose count only moved its
+rounding and its time.  Where each parity half has _THREAD_WORK rows x pairs
+or more to solve and a second CPU is usable, a short-lived thread solves the
+odd half beside the even one: bisection and inverse iteration call scipy's own
+LAPACK through ctypes, which releases the GIL (its f2py wrappers hold it).  The
+bytes are the same on either path.
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ __all__ = [
 # largest n at which the extension experiment's exact solvers take all n Slepian pairs, the plan's n x ceil(n/2)
 # block (67 MB at the cap), and linear prediction its leading k; also the largest n of a whole-spectrum solve
 FULL_BASIS_MAX_N = 4096
-# stevd + _inverse_step on a half of h = 41..2048 rows cost as much as bisecting 20-50 % of it (30 % from h = 161)
+# a request lacking this share solves all n, as the extension experiment asks next (a 55-75 % window costs as much)
 _WHOLE_SHARE = 0.3
 _CLAMP_TOL = 1e-12
 _SIGN_TOL = 1e-12
@@ -83,17 +80,17 @@ _SQRT_HALF = math.sqrt(0.5)
 _WINDOW_MARGIN = 4
 _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_EXT = float(np.finfo(np.longdouble).eps)
-# bisection stops (and _inverse_step shifts) at this fraction of the gap estimate; inverse iteration from there
-# gives the full-precision solve's vectors to 2e-14 at n = 2^16 (1.4e-13 at 2^18)
+# a window's bisection stops at this fraction of the gap estimate, and the shifts' cells are at most 32x as wide
 _ISOLATION = 1e-5
-# a window of a parity half of at most this many rows (n <= 513) bisects to full precision: inverse iteration from
-# a value bisected to isolation read 907x vector_error there (see vector_error); up to about 2 ms per cold window
-_EXACT_HALF = 256
+# inverse iteration steps per vector (three read 441-885x vector_error on whole spectra at n = 64..1151), and _STEPS
+# more for one with less than _WEAK_START of the start vector's RMS in it (5 of 3616 columns, up to 5x)
+_STEPS, _WEAK_START = 4, 1e-2
+# most rows of one block-diagonal inverse iteration solve (a half of more rows is solved one column at a time)
+_CHUNK_ROWS = 2**14
 # most eigenpairs a transition window may request, solved or held
 _MAX_PAIRS = 4096
-# parity halves of at least this many rows (n >= 8191) have their windows solved on two threads: a 25-pair window
-# takes about 25 ms per half there, some 100x a thread's start and join
-_THREAD_HALF = 4096
+# rows x pairs of each parity half from which both are solved on two threads (16 of 4096 rows take about 10 ms)
+_THREAD_WORK = 4096 * 16
 
 
 class PreconditionViolated(ValueError):
@@ -190,83 +187,89 @@ def _routine(name: str):
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * signature.count(b"*"))(pointer)
 
 
-def _lapack(name: str, *args) -> None:
-    """Calls _routine(name) on args, arrays by address, ctypes scalars by reference and bytes as characters, and on
-    its trailing info; LinAlgError if info is not 0."""
+def _lapack(name: str, *args, times: int = 1) -> None:
+    """Calls _routine(name) times on args, arrays by address, ctypes scalars by reference and bytes as characters,
+    and on its trailing info; LinAlgError if info is not 0."""
     info = ctypes.c_int()
-    _routine(name)(*[a.ctypes.data if isinstance(a, np.ndarray) else a if isinstance(a, bytes) else ctypes.byref(a)
-                     for a in args], ctypes.byref(info))
-    if info.value:
-        raise np.linalg.LinAlgError(f"{name} failed (LAPACK info={info.value})")
+    pointers = [a.ctypes.data if isinstance(a, np.ndarray) else a if isinstance(a, bytes) else ctypes.byref(a)
+                for a in args + (info,)]
+    for _ in range(times):
+        _routine(name)(*pointers)
+        if info.value:
+            raise np.linalg.LinAlgError(f"{name} failed (LAPACK info={info.value})")
 
 
-def _stebz(d, e, select: bytes, vl, vu, il, iu, tol):
-    """LAPACK dstebz on (d, e), contiguous float64, for the ascending indices il..iu (select b"I") or the values in
-    (vl, vu] (b"V"), bisected to tol and ordered by split-off block: (count as a c_int, values, int and float work)."""
+def _stebz(d, e, select: bytes, vl, vu, il, iu, tol, work) -> np.ndarray:
+    """LAPACK dstebz on (d, e) in a _Workspace for the ascending indices il..iu (select b"I") or the values in
+    (vl, vu] (b"V"), bisected to tol: a view of the values, ascending as a parity half does not split."""
     h, m, c_int, c_double = d.size, ctypes.c_int(), ctypes.c_int, ctypes.c_double
-    vals, ints, work = np.empty(h), np.empty(5 * h, np.intc), np.empty(5 * h)
+    vals, ints = work.floats.reshape(-1), work.ints
     _lapack("dstebz", select, b"B", c_int(h), c_double(vl), c_double(vu), c_int(il + 1), c_int(iu + 1),
-            c_double(tol), d, e, m, c_int(), vals, ints, ints[h:], work, ints[2 * h:])
-    return m, vals, ints, work
+            c_double(tol), d, e, m, c_int(), vals, ints, ints[h:], vals[h:], ints[2 * h:])
+    return vals[:m.value]
 
 
-def _bisect(d, e, il: int, iu: int, tol: float, out=None):
-    """scipy.linalg.eigh_tridiagonal(d, e, tol=tol, select="i", select_range=(il, iu)) bit for bit, and LinAlgError
-    where it raises one, by the same LAPACK dstebz and dstein run without the GIL; the vectors go into out (column-
-    major, d.size x (iu - il + 1)) if given.  The values come out ascending, as the wrapper sorts them, because a
-    parity half does not split: an off-diagonal entry would fall below dstebz's threshold only near n = 1e16."""
-    m, vals, ints, work = _stebz(d, e, b"I", 0.0, 0.0, il, iu, tol)
-    h, rows = d.size, ctypes.c_int(d.size)
-    out = np.empty((h, m.value), order="F") if out is None else out
-    _lapack("dstein", rows, d, e, m, vals, ints, ints[h:], out, rows, work, ints[2 * h:], ints[3 * h:])
-    return vals[:m.value], out[:, :m.value]
+@functools.lru_cache(maxsize=4)
+def _start_vector(h: int) -> np.ndarray:
+    """The one start vector of inverse iteration on a half of h rows: fixed uniform draws in (-1, 1), read-only."""
+    return _read_only(np.random.default_rng(0).uniform(-1.0, 1.0, h))
 
 
-def _isolated(d, e, vals, gap) -> bool:
-    """Whether the consecutive ascending eigenvalues vals of the tridiagonal (d, e) lie at least gap from every other.
-
-    Their own differences settle the gaps among them; one Sturm count (LAPACK
-    dstebz over (vals[0] - gap, vals[-1] + gap], stopped before any bisection)
-    settles their outer neighbours.
-    """
-    if np.any(np.diff(vals) < gap):
-        return False
-    lo, hi = vals[0] - gap, vals[-1] + gap
-    return _stebz(d, e, b"V", lo, hi, 0, 0, 2.0 * (hi - lo))[0].value == vals.size
-
-
-def _half_vectors(d, e, il, iu, gap, out):
-    """Ascending eigenvectors il..iu of the parity half (d, e), one per column: a whole half by divide and conquer
-    and _inverse_step, any other range by _bisect into out to _ISOLATION of the gap estimate (to full precision on a
-    half of at most _EXACT_HALF rows), and again to full precision if those eigenvalues are not isolated by the
-    estimate (_isolated) or a LAPACK call fails."""
-    tol = _ISOLATION * gap if d.size > _EXACT_HALF else 0.0
-    try:
-        if iu - il + 1 == d.size:  # nothing to isolate
-            vals, half = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd")
-            # at least a few ulps of the half's norm (or of 1): a 1 x 1 half's shift within half an ulp of its value
-            # (n <= 3 at w <= 1e-13) rounds to it, and the solve is singular
-            offset = max(_ISOLATION * gap, 4 * np.spacing(max(np.abs(vals).max(), 1.0)))
-            _inverse_step(d, e, vals + offset, half)
-            return half
-        vals, half = _bisect(d, e, il, iu, tol, out)
-        if not tol or _isolated(d, e, vals, gap):
-            return half
-    except np.linalg.LinAlgError:
-        pass
-    return _bisect(d, e, il, iu, 0.0, out)[1]
+def _inverse_iteration(d, e, shifts, work, tol) -> None:
+    """work.out[:, j], a unit vector after _STEPS steps (2 _STEPS where too little of it was in the start) of inverse
+    iteration on (d, e) shifted to shifts[j] from _start_vector, by LAPACK dlagtf and dlagts (JOB = -1 perturbs a
+    tiny pivot by tol, as dstein does).  The columns of a chunk form one block-diagonal tridiagonal, whose zero
+    couplings keep each column's bits the same in any chunk or alone; sums run pairwise along the contiguous axis."""
+    h, c_int, c_double, start = d.size, ctypes.c_int, ctypes.c_double, _start_vector(d.size)
+    weak, step = _WEAK_START**2 * np.square(start).mean(), work.floats.shape[1] // h
+    for j in range(0, shifts.size, step):
+        shift = shifts[j:j + step]
+        rows = shift.size * h
+        diag, upper, lower, second, scratch = (a[:rows].reshape(shift.size, h) for a in work.floats)
+        piv, vecs = work.ints[:rows].reshape(shift.size, h), work.out[:, j:j + shift.size].T
+        np.subtract(d, shift[:, None], out=diag)
+        upper[:, :-1], upper[:, -1] = e, 0.0
+        lower[...], vecs[...] = upper, start
+        _lapack("dlagtf", c_int(rows), diag, c_double(0.0), upper, lower, c_double(0.0), second, piv)
+        _lapack("dlagts", c_int(-1), c_int(rows), diag, upper, lower, second, piv, vecs, c_double(tol), times=_STEPS)
+        starts = np.multiply(vecs, start, out=scratch).sum(axis=1)
+        for k in np.flatnonzero(starts * starts < weak * np.square(vecs, out=scratch).sum(axis=1)):
+            _lapack("dlagts", c_int(-1), c_int(h), diag[k], upper[k], lower[k], second[k], piv[k], vecs[k],
+                    c_double(tol), times=_STEPS)
+        vecs /= np.sqrt(np.square(vecs, out=scratch).sum(axis=1))[:, None]
 
 
-def _inverse_step(d, e, shifts, vecs):
-    """vecs, in place, after one step of inverse iteration each on (d, e) shifted to shifts[j]; 2^16 rows per solve."""
-    step = max(1, 2**16 // d.size)
-    for j in range(0, vecs.shape[1], step):
-        cols = vecs[:, j:j + step]
-        bands = np.zeros((3, cols.shape[1], d.size))
-        bands[0, :, 1:] = bands[2, :, :-1] = e
-        np.subtract(d, shifts[j:j + step, None], out=bands[1])
-        x = scipy.linalg.solve_banded((1, 1), bands.reshape(3, -1), cols.T.ravel()).reshape(cols.shape[::-1]).T
-        np.divide(x, np.linalg.norm(x, axis=0), out=cols)
+class _Workspace:
+    """_half_vectors' arrays for a half of h rows solving cols pairs, allocated before any worker thread starts: the
+    vectors, and float and int work that dstebz (5h of each) and then inverse iteration (5 and 1 per row) share."""
+
+    def __init__(self, h: int, cols: int):
+        rows = min(cols, max(1, _CHUNK_ROWS // h)) * h  # of inverse iteration, from h to max(_CHUNK_ROWS, h)
+        self.out = np.empty((h, cols), order="F")
+        self.floats, self.ints = np.empty((5, rows)), np.empty(max(5 * h, rows), np.intc)
+
+
+def _half_vectors(d, e, il, iu, gap, work):
+    """Ascending eigenvectors il..iu of the parity half (d, e) in work.out, each a function of (d, e) and its index:
+    inverse iteration shifted to the midpoint of the eigenvalue's dyadic cell, at least 16 _ISOLATION gap (and a few
+    ulps of the half's norm) wide, so within 1.6e-4 gap of it.  The cells come from stevd's values for a whole half
+    (to h eps ||T||; its vectors go unread, but perfbench/tracing.py counts pairs by them), else from bisection."""
+    norm = max(float(np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0)), 1.0)
+    tau = math.ldexp(1.0, math.frexp(max(16.0 * _ISOLATION * gap, 4.0 * np.spacing(norm)))[1])
+    if iu - il + 1 == d.size:
+        vals, error = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd")[0], d.size * _EPS64 * norm
+    else:  # dstebz returns an interval's midpoint
+        vals = _stebz(d, e, b"I", 0.0, 0.0, il, iu, _ISOLATION * gap, work).copy()
+        error = 0.5 * _ISOLATION * gap + 4.0 * _EPS64 * norm
+    # eigenvalue il + j lies in (k tau, (k + 1) tau], k = cells[j]; one Sturm count settles an estimate near an edge
+    cells = np.floor(vals / tau)
+    above = (cells + 1.0) * tau - vals < error
+    for j in np.flatnonzero((vals - cells * tau < error) | above):
+        edge = (cells[j] + above[j]) * tau
+        at_or_below = _stebz(d, e, b"V", -2.0 * norm, edge, 0, 0, 2.0 * (edge + 2.0 * norm), work).size
+        cells[j] += int(above[j]) - int(at_or_below > il + j)
+    _inverse_iteration(d, e, (cells + 0.5) * tau, work, _EPS64 * norm)
+    return work.out
 
 
 def _require_memory(n: int, pairs: int) -> None:
@@ -274,16 +277,17 @@ def _require_memory(n: int, pairs: int) -> None:
     than the machine's physical memory, where the system would kill the process rather than fail an allocation.
 
     Counted in doubles: 8n to build the plan (prolate_column's peak; it then holds 4-6n), per pair h = ceil(n/2) for
-    the block and h for the eigensolver's vectors, both parities' at once (all n: 2h^2 plus stevd's 1 + 4h + h^2),
-    and up to _BLOCK_COLS columns of half the Toeplitz part's embedding length, plus one, for the quotients.
-    Nothing is refused where the platform does not report its memory.
+    the block and h for the eigensolver's vectors (all n: plus stevd's h^2 and 1 + 4h + h^2), both _Workspace's
+    5.5 per row of inverse iteration (and up to 2.5h ints), and up to _BLOCK_COLS columns of half the Toeplitz part's
+    embedding length, plus one, for the quotients.  Nothing is refused where the platform does not report its memory.
     """
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
     h = (n + 1) // 2
-    solver = 3 * h * h + 4 * h + 1 if pairs == n else h * pairs
+    solver = 2 * h * h + 4 * h + 1 if pairs == n else 0
+    solver += h * pairs + 5 * h + 11 * min(h * pairs, 2 * max(_CHUNK_ROWS, h)) // 2
     need = 8 * (8 * n + h * pairs + solver + min(pairs, _BLOCK_COLS) * (ToeplitzOperator.embedding_length(n) // 2 + 1))
     if need > memory:
         raise MemoryError(f"unable to allocate a Slepian plan at n={n} solving {pairs} pairs: about "
@@ -377,9 +381,7 @@ class SlepianPlan:
         if not held_first <= first <= last < stop:
             lacking = last - first + 1 - max(0, min(last + 1, stop) - max(first, held_first))
             if self.n <= FULL_BASIS_MAX_N and lacking > _WHOLE_SHARE * self.n:
-                whole, whole_lams = self._solve(0, self.n - 1)
-                whole[:, held_first:stop], whole_lams[held_first:stop] = block, lams  # held pairs keep their bits
-                held_first, block, lams = 0, whole, whole_lams
+                held_first, (block, lams) = 0, self._solve(0, self.n - 1)
             elif last + 1 < held_first or first > stop or not lams.size:
                 held_first, (block, lams) = first, self._solve(first, last)
             else:
@@ -396,28 +398,28 @@ class SlepianPlan:
     def _solve(self, first: int, last: int):
         """Leading halves of Slepian vectors first..last, one per column of a column-major block, and their quotients.
 
-        Each parity's share of the range is one index range of its half-size tridiagonal, solved by _half_vectors,
-        the odd one on a second thread where the module docstring says; that thread is joined, and its error raised,
-        here.  The half vectors are then scaled into place and their signs fixed _BLOCK_COLS columns at a time, and
-        the quotients are taken from the halves themselves by the Toeplitz part's half_quadratic_forms; none is
-        unfolded.
+        Each parity's share of the range is one index range of its half-size tridiagonal, solved by _half_vectors
+        in a _Workspace allocated here, the odd one on a second thread where the module docstring says; that thread
+        is joined, and its error raised, here.  The half vectors are then scaled into place and their signs fixed
+        _BLOCK_COLS columns at a time, and the quotients are taken from the halves themselves by the Toeplitz part's
+        half_quadratic_forms; none is unfolded.
         """
         n, p = self.n, self.n // 2
         _require_memory(n, last - first + 1)
         block = mapped_rows(last - first + 1, n - p).T
         gap = _gap_estimate(n, self.w)
-        # two threads where a second CPU is usable and, below, both parities bisect windows of _THREAD_HALF rows or more
-        threaded = len(getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)) > 1
         jobs = []  # per parity with pairs in the range: its first index and the arguments of _half_vectors
         for parity, (d, e) in enumerate(self.tridiagonals):
             j0, j1 = (first - parity + 1) // 2, (last - parity) // 2
             if j0 <= j1:  # descending index j is the (size-1-j)-th ascending eigenvalue
-                window = np.empty((d.size, j1 - j0 + 1), order="F") if j1 - j0 + 1 < d.size else None
-                jobs.append((parity, j0, (d, e, d.size - 1 - j1, d.size - 1 - j0, gap, window)))
-                threaded = threaded and window is not None and d.size >= _THREAD_HALF
-        # inverse iteration's level-1 BLAS on half-length vectors: a second BLAS thread only changes its rounding
+                work = _Workspace(d.size, j1 - j0 + 1)
+                jobs.append((parity, j0, (d, e, d.size - 1 - j1, d.size - 1 - j0, gap, work)))
+        # two threads where a second CPU is usable and both parities have _THREAD_WORK rows x pairs or more
+        threaded = (len(jobs) == 2 and min(args[5].out.size for *_, args in jobs) >= _THREAD_WORK
+                    and len(getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)) > 1)
+        # stevd's level-3 BLAS on one thread: a second one only changes its rounding
         with _one_blas_thread:
-            if threaded and len(jobs) == 2:  # the odd half on one more thread, beside this one
+            if threaded:  # the odd half on one more thread, beside this one
                 with concurrent.futures.ThreadPoolExecutor(1) as pool:
                     odd = pool.submit(_half_vectors, *jobs[1][2])
                     halves = [_half_vectors(*jobs[0][2]), odd.result()]
@@ -428,6 +430,7 @@ class SlepianPlan:
             np.multiply(half[:p, ::-1], _SQRT_HALF, out=out[:p])
             if n % 2 and parity == 0:
                 out[p] = half[p, ::-1]
+        del jobs, halves  # the workspaces go before the quotients' own
         for j in range(0, block.shape[1], _BLOCK_COLS):
             _fix_signs(block[:, j:j + _BLOCK_COLS])
         lams = self.b_op.half_quadratic_forms(block, np.arange(first, last + 1))
@@ -546,16 +549,10 @@ def vector_error(n: int, w: float) -> float:
 
     u * (n / (4 sin(2 pi w)) + 16), u the float64 unit roundoff.  The commuting tridiagonal separates every
     eigenvalue, so the float64 vectors are resolved individually, but its gaps near the transition shrink with
-    sin(2 pi w) while its norm does not.  Measured 5.9-92x below this on the window (1e-12, 1 - 1e-12) for n in
-    [64, 16384] and w in [0.01, 0.49], against vectors refined by longdouble inverse iteration on the full
-    tridiagonal (4.0-99x with the bisection run to full precision instead of to isolation); whole-spectrum vectors
-    2.7-46x for n in [17, 4096], against longdouble inverse iteration on the halves (divide and conquer's own,
-    before _inverse_step, 0.16-3.1x).  Not everywhere with the bisection stopped at isolation: at
-    (64, 0.22011605627059908) a cold window (0.1, 0.99999) returned index 27's vector 907x above it (3.3e-12)
-    against longdouble dense eigenvectors, its neighbours 0.06-0.15x.  So a window of a half of at most _EXACT_HALF
-    rows bisects to full precision; that window's columns now read at most 0.11x against 40-digit mpmath
-    eigenvectors, and the whole-spectrum solve 0.10x.  Larger halves still bisect to isolation, where scans of
-    random cold windows (n <= 8192) found a few columns up to 10.9x above it (at n = 1151).
+    sin(2 pi w) while its norm does not.  Against the halves' vectors refined by longdouble inverse iteration, the
+    window (1e-12, 1 - 1e-12) read 0.016-0.32 of it over 41 draws of n in [64, 16384] and w in [0.01, 0.49] (the
+    most at (64, 0.22011605627059908), where bisection and dstein had read 907x), whole spectra 0.12-0.41 for n in
+    [17, 4096].
     """
     return 0.5 * _EPS64 * (n / (4.0 * math.sin(2.0 * math.pi * w)) + 16.0)
 

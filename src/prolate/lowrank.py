@@ -638,6 +638,7 @@ def _tikhonov_weight(lams, alpha):
     return lams / (lams**2 + alpha) - lams / (1.0 + alpha)
 
 
+@np.errstate(over="ignore")  # near lambda = 0 a subnormal alpha gives inf, which flags the eigenvalue as intended
 def _tikhonov_slope(lams, alpha):
     """Derivative of the correction weight in lambda, divided twice by lambda^2 + alpha: its square underflows
     to zero for a tiny alpha."""

@@ -135,13 +135,13 @@ class TestBench:
 
     def test_every_trial_builds_cold(self, capsys, monkeypatch):
         calls = []
-        solve = dpss._bisect
+        solve = dpss._half_vectors
 
         def counted(*args):
             calls.append(1)
             return solve(*args)
 
-        monkeypatch.setattr(dpss, "_bisect", counted)
+        monkeypatch.setattr(dpss, "_half_vectors", counted)
         per_trial = {}
         for trials in (1, 3):
             calls.clear()

@@ -119,20 +119,16 @@ _PAIRS = [(1e-3, 1 - 1e-3), (1e-6, 1 - 1e-6), (1e-9, 1 - 1e-9), (1.01e-8, 1 - 1e
 _BELOW_FLOOR = [(1e-17, 1 - 1e-9), (1e-40, 1 - 1e-6)]
 
 
-def _count_bisections(monkeypatch, tols=None):
-    """A list that gets, per window solve (dpss._bisect call), the number of pairs it solved (and tols its bisection
-    tolerance)."""
+def _count_solves(monkeypatch):
+    """A list that gets, per parity half solved (dpss._half_vectors call), the number of pairs it solved."""
     calls = []
-    solve = dpss._bisect
+    solve = dpss._half_vectors
 
-    def counted(d, e, il, iu, tol, out=None):
-        result = solve(d, e, il, iu, tol, out)
-        calls.append(result[1].shape[1])
-        if tols is not None:
-            tols.append(tol)
-        return result
+    def counted(d, e, il, iu, gap, work):
+        calls.append(iu - il + 1)
+        return solve(d, e, il, iu, gap, work)
 
-    monkeypatch.setattr(dpss, "_bisect", counted)
+    monkeypatch.setattr(dpss, "_half_vectors", counted)
     return calls
 
 
@@ -160,7 +156,7 @@ class TestPredictedWindow:
         center = dpss.default_subspace_dim(n, w)
         monkeypatch.setattr(dpss, "_predicted_range", lambda *args: (center, center))
         dpss.slepian_plan.cache_clear()
-        calls = _count_bisections(monkeypatch)
+        calls = _count_solves(monkeypatch)
         start, lams, vecs = transition_window(n, w, lo, hi)
         assert len(calls) > 2
         assert (start, lams.size) == (want_start, want_lams.size) == chunked_window(n, w, lo, hi)
@@ -182,7 +178,7 @@ class TestPredictedWindow:
     ])
     def test_benchmark_point_makes_two_solves(self, monkeypatch, w, lo, hi):
         dpss.slepian_plan.cache_clear()
-        calls = _count_bisections(monkeypatch)
+        calls = _count_solves(monkeypatch)
         _, lams, _ = transition_window(2**14, w, lo, hi)
         assert lams.size > 0 and len(calls) <= 2
 
@@ -195,78 +191,95 @@ _ISOLATION_POINTS = [
 ]
 
 
-def _full_precision(monkeypatch):
-    """Make every window solve (dpss._bisect call) bisect to full precision, whatever tol it is passed."""
-    solve = dpss._bisect
-    monkeypatch.setattr(dpss, "_bisect", lambda d, e, il, iu, tol, out=None: solve(d, e, il, iu, 0.0, out))
+def _full_precision_pairs(n, w, first, last):
+    """(block, lams) of Slepian indices first..last as a plan holds them, from scipy's bisection to full precision
+    and dstein (eigh_tridiagonal, select="i") on the parity halves."""
+    p = n // 2
+    block = np.zeros(((n + 1) // 2, last - first + 1), order="F")
+    for parity, (d, e) in enumerate(dpss._parity_tridiagonals(n, w)):
+        j0, j1 = (first - parity + 1) // 2, (last - parity) // 2
+        if j0 <= j1:
+            half = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(d.size - 1 - j1, d.size - 1 - j0))[1]
+            out = block[:, 2 * j0 + parity - first::2]
+            out[:p] = half[:p, ::-1] * math.sqrt(0.5)
+            if n % 2 and parity == 0:
+                out[p] = half[p, ::-1]
+    dpss._fix_signs(block)
+    return block, ToeplitzOperator(prolate_column(n, w)).half_quadratic_forms(block, np.arange(first, last + 1))
 
 
-class TestIsolatedBisection:
-    @pytest.mark.parametrize("n, w, lo, hi", _ISOLATION_POINTS)
-    def test_vectors_match_a_full_precision_solve(self, monkeypatch, n, w, lo, hi):
-        # within TestParitySplit's bound 16 u (1 + ||T|| / gap), gap the full tridiagonal's, and within
-        # vector_error: that bound passed a 10x looser isolation at every point, with vectors 28 (whole spectrum)
-        # and 60 (4096, 1/4) vector_error away; here they read at most 0.65 of it
+class TestInverseIteration:
+    # the isolation points; the n = 64 draw whose column 27 read 907x vector_error from bisection to isolation and
+    # dstein; the n = 1151 windows where that solve read up to 10.9x
+    @pytest.mark.parametrize("n, w, lo, hi", _ISOLATION_POINTS + [
+        (64, 0.22011605627059908, 0.1, 0.99999), (1151, 0.3, 1e-9, 1 - 1e-9), (1151, 0.3, 1e-12, 1 - 1e-12),
+    ])
+    def test_vectors_match_a_full_precision_solve(self, n, w, lo, hi):
+        # within TestParitySplit's bound 16 u (1 + ||T|| / gap), gap the full tridiagonal's, and within vector_error
+        # of scipy's full-precision solve, whose own error is part of the difference; the full-precision quotients
+        # place the same window edges
         dpss.slepian_plan.cache_clear()
         start, lams, vecs = transition_window(n, w, lo, hi)
-        with monkeypatch.context() as m:
-            _full_precision(m)
-            dpss.slepian_plan.cache_clear()
-            want_start, want_lams, want_vecs = transition_window(n, w, lo, hi)
-        assert (start, lams.size) == (want_start, want_lams.size)
-        diag, off = tridiagonal_dense(n, w)
         first, last = max(start - 1, 0), min(start + lams.size, n - 1)
-        vals = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - 1 - last, n - 1 - first))[::-1]
+        want_vecs, want_lams = _full_precision_pairs(n, w, first, last)
+        assert dpss._window_edges(want_lams, lo, hi) == (start - first, start - first + lams.size)
+        want_vecs, want_lams = want_vecs[:, start - first:][:, :lams.size], want_lams[start - first:][:lams.size]
+        diag, off = tridiagonal_dense(n, w)
+        vals = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - 1 - last, n - 1 - first))
+        vals = vals[::-1]
         diffs = np.abs(np.diff(vals))
         gap = np.minimum(np.append(diffs, np.inf), np.insert(diffs, 0, np.inf))[start - first:][:lams.size]
         norm = np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0)
+        assert np.all(np.isfinite(vecs))
         dev = np.abs(vecs - want_vecs).max(axis=0)
         assert np.all(dev <= 16.0 * np.finfo(float).eps * (1.0 + norm / gap))
         # a column is the leading half of a vector: the whole vector moves by at most sqrt(2) times as much
         assert np.all(math.sqrt(2.0) * np.linalg.norm(vecs - want_vecs, axis=0) <= vector_error(n, w))
         assert np.abs(lams - want_lams).max() <= quotient_error(n, w)
 
-    def test_too_large_a_gap_estimate_falls_back_to_full_precision(self, monkeypatch):
-        n, w, lo, hi = 4096, 0.25, 1e-9, 1 - 1e-9
-        with monkeypatch.context() as m:
-            _full_precision(m)
-            dpss.slepian_plan.cache_clear()
-            want = transition_window(n, w, lo, hi)
-        monkeypatch.setattr(dpss, "_gap_estimate", lambda n, w: 1e3 * n * n)
-        dpss.slepian_plan.cache_clear()
-        tols = []
-        calls = _count_bisections(monkeypatch, tols)
-        got = transition_window(n, w, lo, hi)
-        # each parity: the loose solve, rejected, then the full-precision one
-        assert len(calls) == 4 and tols[0] > 0.0 and tols[1] == 0.0 and tols[2] > 0.0 and tols[3] == 0.0
-        assert got[0] == want[0] and np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
-
-    def test_failed_loose_solve_falls_back_to_full_precision(self, monkeypatch):
-        n, w, lo, hi = 1024, 0.25, 1e-9, 1 - 1e-9
-        dpss.slepian_plan.cache_clear()
-        want = transition_window(n, w, lo, hi)
-        solve = dpss._bisect
-
-        def failing(d, e, il, iu, tol, out=None):
-            if tol > 0.0:
-                raise np.linalg.LinAlgError("eigenvectors failed to converge")
-            return solve(d, e, il, iu, tol, out)
-
-        monkeypatch.setattr(dpss, "_bisect", failing)
-        dpss.slepian_plan.cache_clear()
-        got = transition_window(n, w, lo, hi)
-        assert got[0] == want[0] and got[1].size == want[1].size
-        assert np.abs(got[1] - want[1]).max() <= quotient_error(n, w) and np.abs(got[2] - want[2]).max() <= 1e-12
-
     @pytest.mark.parametrize("w, eps", [(0.25, 1e-6), (1.0 / 16.0, 1e-9)])
-    def test_benchmark_points_bisect_loosely_without_fallback(self, monkeypatch, w, eps):
+    def test_benchmark_points_bisect_each_range_once_and_loosely(self, monkeypatch, w, eps):
         # a projector window, then the wider Tikhonov one (alpha = 1e-2) grown from it
         dpss.slepian_plan.cache_clear()
-        tols = []
-        calls = _count_bisections(monkeypatch, tols)
+        calls = _record_solves(monkeypatch)
         transition_window(2**14, w, eps, 1 - eps)
         transition_window(2**14, w, 1e-2 * (1 + 1e-2) * eps, 1 - eps / 3)
-        assert 2 <= len(calls) <= 6 and all(t > 0.0 for t in tols)
+        assert 2 <= len(calls) <= 6 and all(c["tol"] == dpss._ISOLATION * dpss._gap_estimate(2**14, w) for c in calls)
+
+    def test_a_vector_nearly_orthogonal_to_the_start_takes_more_steps(self, monkeypatch):
+        # at (4360, 0.2531) the first odd pair of the range predicted for (1e-12, 1 - 1e-12) has 1.2e-6 of the start
+        # vector's root mean square in it: four steps left it 5x vector_error from the full-precision solve
+        n, w = 4360, 0.25306480068235404
+        first, last = dpss._predicted_range(n, w, 1e-12, 1 - 1e-12)
+        want = _full_precision_pairs(n, w, first, last)[0]
+        errors = []
+        for weak in (dpss._WEAK_START, 0.0):
+            monkeypatch.setattr(dpss, "_WEAK_START", weak)
+            block = dpss.SlepianPlan(n, w).pairs(first, last)[0]
+            errors.append(math.sqrt(2.0) * np.linalg.norm(block - want, axis=0).max())
+        assert errors[0] <= 0.1 * vector_error(n, w) and errors[1] > vector_error(n, w)
+
+    def test_an_exact_zero_pivot_is_perturbed(self):
+        # [[1, 1], [1, 1]] shifted to its eigenvalue 0 eliminates to an exactly zero last pivot, on which LAPACK
+        # dgttrf stops; dlagts adds tol to it and returns the eigenvector
+        d, e = np.ones(2), np.ones(1)
+        work = dpss._Workspace(2, 1)
+        dpss._inverse_iteration(d, e, np.zeros(1), work, 1e-16)
+        assert np.abs(np.abs(work.out[:, 0]) - math.sqrt(0.5)).max() <= 1e-15 and work.out[0, 0] == -work.out[1, 0]
+
+    @pytest.mark.parametrize("n, w", [(1024, 0.25), (1151, 0.3), (2048, 1.0 / 16.0)])
+    def test_a_pair_has_the_same_bits_in_every_range(self, n, w):
+        # two overlapping windows, the whole spectrum, and every chunking of the block-diagonal solves
+        centre = default_subspace_dim(n, w)
+        ranges = [(centre - 20, centre + 9), (centre - 5, centre + 30), (0, n - 1)]
+        solved = [(first, dpss.SlepianPlan(n, w).pairs(first, last)) for first, last in ranges]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dpss, "_CHUNK_ROWS", 1)
+            solved.append((centre - 12, dpss.SlepianPlan(n, w).pairs(centre - 12, centre + 12)))
+        for first, (block, lams) in solved:
+            at = centre - 5 - first
+            assert np.array_equal(block[:, at:at + 15], solved[0][1][0][:, 15:30])
+            assert np.array_equal(lams[at:at + 15], solved[0][1][1][15:30])
 
     def test_gap_estimate_is_below_every_same_parity_gap(self):
         for n in [2, 3, 4, 5, 9, 16, 33, 100, 257, 1024]:
@@ -274,49 +287,49 @@ class TestIsolatedBisection:
                 for d, e in dpss._parity_tridiagonals(n, w):
                     if d.size > 1:
                         assert np.diff(scipy.linalg.eigvalsh_tridiagonal(d, e)).min() >= dpss._gap_estimate(n, w)
-
-    def test_isolation_check_sees_outer_neighbours(self):
-        (d, e), _ = dpss._parity_tridiagonals(512, 0.25)
-        vals = scipy.linalg.eigvalsh_tridiagonal(d, e)
-        gap = np.diff(vals).min()
-        assert dpss._isolated(d, e, vals[100:110], gap) and dpss._isolated(d, e, vals[100:101], gap)
-        assert not dpss._isolated(d, e, vals[100:110], 1.01 * (vals[101] - vals[100]))
-        # the ends of the spectrum have one outer neighbour each, seen only by the Sturm count
-        assert dpss._isolated(d, e, vals[:1], 0.99 * (vals[1] - vals[0]))
-        assert not dpss._isolated(d, e, vals[:1], 1.01 * (vals[1] - vals[0]))
-        assert dpss._isolated(d, e, vals[-1:], 0.99 * (vals[-1] - vals[-2]))
-        assert not dpss._isolated(d, e, vals[-1:], 1.01 * (vals[-1] - vals[-2]))
+        # and over the transition windows of the benchmark points, with a neighbour on each side
+        for n in (2**14, 2**16):
+            for w in (0.25, 1.0 / 16.0):
+                first, last = dpss._predicted_range(n, w, 1e-12, 1 - 1e-12)
+                for parity, (d, e) in enumerate(dpss._parity_tridiagonals(n, w)):
+                    j0, j1 = (first - parity + 1) // 2 - 1, (last - parity) // 2 + 1
+                    vals = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i",
+                                                            select_range=(d.size - 1 - j1, d.size - 1 - j0))
+                    assert np.diff(vals).min() >= dpss._gap_estimate(n, w), (n, w, parity)
 
 
-class TestBisect:
-    # halves of 1 and 2 rows (n = 2, 3), 257 (n = 514, 515) and more than _THREAD_HALF rows (n = 8200, 8201)
+class TestLapackCalls:
+    # halves of 1 and 2 rows (n = 2, 3), 257 (n = 514, 515) and more than 4096 rows (n = 8200, 8201)
     @pytest.mark.parametrize("n", [2, 3, 514, 515, 8200, 8201])
-    def test_matches_scipys_wrapper_bit_for_bit(self, n):
+    def test_bisection_matches_scipys_wrapper_bit_for_bit(self, n):
         gap = dpss._gap_estimate(n, 0.25)
         for d, e in dpss._parity_tridiagonals(n, 0.25):
             h, mid = d.size, d.size // 2
+            work = dpss._Workspace(h, 1)
             for il, iu in {(0, 0), (h - 1, h - 1), (mid, mid), (max(mid - 10, 0), min(mid + 10, h - 1)), (0, h - 1)}:
                 if iu - il > 40:
                     continue
                 for tol in (0.0, dpss._ISOLATION * gap):
-                    want = scipy.linalg.eigh_tridiagonal(d, e, tol=tol, select="i", select_range=(il, iu))
-                    got = dpss._bisect(d, e, il, iu, tol)
-                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (h, il, iu, tol)
+                    want = scipy.linalg.eigvalsh_tridiagonal(d, e, tol=tol, select="i", select_range=(il, iu),
+                                                             lapack_driver="stebz")
+                    got = dpss._stebz(d, e, b"I", 0.0, 0.0, il, iu, tol, work)
+                    assert np.array_equal(got, want), (h, il, iu, tol)
 
-    def test_writes_into_the_array_it_is_given(self):
+    def test_writes_into_the_workspace_it_is_given(self):
         (d, e), _ = dpss._parity_tridiagonals(1024, 0.25)
-        out = np.empty((d.size, 5), order="F")
-        vals, vecs = dpss._bisect(d, e, 250, 254, 0.0, out)
-        want = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(250, 254))
-        assert np.shares_memory(vecs, out) and np.array_equal(vecs, want[1]) and np.array_equal(vals, want[0])
+        work = dpss._Workspace(d.size, 5)
+        vecs = dpss._half_vectors(d, e, 250, 254, dpss._gap_estimate(1024, 0.25), work)
+        want = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(250, 254))[1]
+        assert vecs is work.out and vecs.flags.f_contiguous
+        assert np.abs(np.abs(vecs.T @ want) - np.eye(5)).max() <= 1e-13
 
-    def test_a_failing_call_raises_what_scipys_wrapper_raises(self):
+    def test_a_failing_call_raises_a_linalg_error(self):
         (d, e), _ = dpss._parity_tridiagonals(64, 0.25)
         d = np.where(np.arange(d.size) == 3, np.nan, d)
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(3, 6), check_finite=False)
         with pytest.raises(np.linalg.LinAlgError, match="dstebz"):
-            dpss._bisect(d, e, 3, 6, 0.0)
+            dpss._half_vectors(d, e, 3, 6, dpss._gap_estimate(64, 0.25), dpss._Workspace(d.size, 4))
 
 
 class _Overlay:
@@ -332,54 +345,41 @@ class _Overlay:
 
 def _record_solves(monkeypatch):
     """A list that gets the keyword arguments of each eigh_tridiagonal call dpss makes, through a dpss.scipy overlay,
-    and those of the eigh_tridiagonal call that each dpss._bisect call equals."""
-    calls, solve, bisect = [], scipy.linalg.eigh_tridiagonal, dpss._bisect
+    and those of the eigh_tridiagonal call whose eigenvalues each window bisection (dpss._stebz over indices)
+    equals."""
+    calls, solve, bisect = [], scipy.linalg.eigh_tridiagonal, dpss._stebz
 
     def recorded(*args, **kwargs):
         calls.append(kwargs)
         return solve(*args, **kwargs)
 
-    def recorded_bisection(d, e, il, iu, tol, out=None):
-        calls.append({"tol": tol, "select": "i", "select_range": (il, iu)})
-        return bisect(d, e, il, iu, tol, out)
+    def recorded_bisection(d, e, select, vl, vu, il, iu, tol, work):
+        if select == b"I":
+            calls.append({"tol": tol, "select": "i", "select_range": (il, iu)})
+        return bisect(d, e, select, vl, vu, il, iu, tol, work)
 
     monkeypatch.setattr(dpss, "scipy", _Overlay(scipy, linalg=_Overlay(scipy.linalg, eigh_tridiagonal=recorded)))
-    monkeypatch.setattr(dpss, "_bisect", recorded_bisection)
+    monkeypatch.setattr(dpss, "_stebz", recorded_bisection)
     return calls
-
-
-def _bisect_whole_halves(monkeypatch, n, w):
-    """Solve a whole parity half as any other range: bisection to isolation, then inverse iteration."""
-    solve, tol = scipy.linalg.eigh_tridiagonal, dpss._ISOLATION * dpss._gap_estimate(n, w)
-
-    def bisect(d, e, **kwargs):
-        if kwargs.get("lapack_driver") == "stevd":
-            return solve(d, e, tol=tol, select="i", select_range=(0, d.size - 1))
-        return solve(d, e, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", bisect)
 
 
 class TestWholeSpectrum:
     @pytest.mark.parametrize("n", [17, 80, 81, 160, 161, 1023, 1024])
     @pytest.mark.parametrize("w", [0.02, 0.25, 1.0 / 3.0, 0.45])
-    def test_divide_and_conquer_matches_bisection(self, monkeypatch, n, w):
+    def test_whole_halves_match_window_solves_bit_for_bit(self, n, w):
+        # stevd's values and bisection place every eigenvalue in the same cell
         block, lams = dpss.SlepianPlan(n, w).pairs(0, n - 1)
-        with monkeypatch.context() as m:
-            _bisect_whole_halves(m, n, w)
-            want_block, want_lams = dpss.SlepianPlan(n, w).pairs(0, n - 1)
-        # a column is the leading half of a vector: the whole vector moves by at most sqrt(2) times as much
-        assert math.sqrt(2.0) * np.linalg.norm(block - want_block, axis=0).max() <= vector_error(n, w)
-        assert np.abs(lams - want_lams).max() <= quotient_error(n, w)
-        for eps in (1e-3, 1e-6, 1e-9):
-            assert dpss._window_edges(lams, eps, 1 - eps) == dpss._window_edges(want_lams, eps, 1 - eps), eps
-        assert np.count_nonzero(lams >= 1e-4) == np.count_nonzero(want_lams >= 1e-4)
+        plan = dpss.SlepianPlan(n, w)
+        for first, last in ((0, n // 2 - 1), (n // 2, n - 1)):
+            want_block, want_lams = plan._solve(first, last)
+            assert np.array_equal(block[:, first:last + 1], want_block)
+            assert np.array_equal(lams[first:last + 1], want_lams)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("w", [1e-13, 1e-30, 1e-300])
     def test_one_row_halves_at_a_tiny_bandwidth_give_finite_pairs(self, n, w):
-        # the inverse step's shift, a fraction of the gap estimate, fell within half an ulp of a 1 x 1 half's
-        # eigenvalue: a singular solve, nan vectors and nan quotients
+        # a shift within half an ulp of a 1 x 1 half's eigenvalue gave a singular solve, nan vectors and nan
+        # quotients
         block, lams = dpss.SlepianPlan(n, w).pairs(0, n - 1)
         vecs = unfold(block, np.arange(n), n)
         assert np.all(np.isfinite(lams)) and np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-15
@@ -407,13 +407,13 @@ class TestWholeSpectrum:
             calls.clear()
         whole, whole_lams = plan.pairs(0, n - 1)
         assert plan.held == range(n) and calls == [{"lapack_driver": "stevd"}] * 2
-        # the pairs held before keep their bits
+        # the pairs held before have the same bits in the whole spectrum
         assert np.array_equal(whole[:, 20:80], block) and np.array_equal(whole_lams[20:80], lams)
 
     def test_memory_for_a_whole_spectrum_is_refused_before_it_is_allocated(self, monkeypatch):
-        # at n = 1024 all pairs need about 10.7 MB with divide and conquer's two 512 x 512 matrices and workspace,
-        # 6.5 MB counted as bisection's vectors: 8 MiB refuses them, and any request that would solve them, but
-        # not a window of 100 pairs
+        # at n = 1024 all pairs are counted at about 14.3 MB (the block, both halves' vectors, stevd's and its
+        # workspace, and inverse iteration's), a window of 100 pairs at 2.5 MB: 8 MiB refuses the first, and any
+        # request that would solve them, but not the second
         n = 1024
         plan = dpss.SlepianPlan(n, 0.25)
 
@@ -424,7 +424,7 @@ class TestWholeSpectrum:
             m.setattr(dpss.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2048}.get)
             m.setattr(dpss, "mapped_rows", refused)
             m.setattr(scipy.linalg, "eigh_tridiagonal", refused)
-            m.setattr(dpss, "_bisect", refused)
+            m.setattr(dpss, "_Workspace", refused)
             for first, last in ((0, n - 1), (300, 699)):
                 with pytest.raises(MemoryError, match=f"n={n} solving {n} pairs"):
                     plan.pairs(first, last)
@@ -437,7 +437,7 @@ class TestSlepianPlan:
     def test_repeat_and_superset_windows_solve_only_what_is_missing(self, monkeypatch):
         n, w, eps = 4096, 0.25, 1e-6
         dpss.slepian_plan.cache_clear()
-        calls = _count_bisections(monkeypatch)
+        calls = _count_solves(monkeypatch)
         first = transition_window(n, w, eps, 1.0 - eps)
         assert len(calls) <= 2
         calls.clear()
@@ -498,7 +498,7 @@ class TestSlepianPlan:
             if max(first, 0) <= min(first + length - 1, n - 1):
                 plan.pairs(max(first, 0), min(first + length - 1, n - 1))
         with pytest.MonkeyPatch.context() as m:
-            calls = _count_bisections(m)
+            calls = _count_solves(m)
             for (lo, hi), (start, lams, block) in zip(windows, cold):
                 have = plan.held
                 calls.clear()
@@ -647,7 +647,7 @@ class TestSlepianPlan:
         # n = 2^40 needs terabytes for the plan alone, on any machine
         with pytest.raises(MemoryError, match="n=1099511627776 solving"):
             transition_window(2**40, 0.25, 1e-3, 1 - 1e-3)
-        # 256 KiB of memory: all 256 pairs at n = 256 need about 430 KiB (block, eigensolver vectors, workspace)
+        # 256 KiB of memory: all 256 pairs at n = 256 are counted at about 2.2 MiB (block, vectors, workspaces)
         monkeypatch.setattr(dpss.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.get)
         with pytest.raises(MemoryError, match="n=256 solving 256 pairs"):
             plan.pairs(0, 255)
@@ -737,13 +737,13 @@ class TestSolveThreads:
         blas_threads(2)
         want = blas_threads()
         seen = []
-        solve = dpss._bisect
+        solve = dpss._half_vectors
 
         def watched(*args):
             seen.append(blas_threads())
             return solve(*args)
 
-        monkeypatch.setattr(dpss, "_bisect", watched)
+        monkeypatch.setattr(dpss, "_half_vectors", watched)
         dpss.slepian_plan.cache_clear()
         transition_window(256, 0.25, 1e-6, 1 - 1e-6)
         assert seen and set(seen) == {1}
@@ -753,13 +753,13 @@ class TestSolveThreads:
         # at n = 2^14 both halves have 8192 rows: the odd one is solved on a second thread, made usable here
         blas_threads(2)
         pool = _scipy_openblas().scipy_openblas_get_num_threads
-        seen, solve = [], dpss._bisect
+        seen, solve = [], dpss._half_vectors
 
         def watched(*args):
             seen.append((threading.get_ident(), pool()))
             return solve(*args)
 
-        monkeypatch.setattr(dpss, "_bisect", watched)
+        monkeypatch.setattr(dpss, "_half_vectors", watched)
         monkeypatch.setattr(dpss.os, "sched_getaffinity", lambda pid: {0, 1})
         dpss.slepian_plan.cache_clear()
         transition_window(2**14, 0.25, 1e-6, 1 - 1e-6)
@@ -820,68 +820,45 @@ def _on_worker():
 
 
 class TestParityThreads:
-    """Both parity halves at once: n >= 8191 puts at least _THREAD_HALF rows in each."""
+    """Both parity halves at once: each must have at least _THREAD_WORK rows x pairs to solve."""
 
-    @pytest.mark.parametrize("n", [2**14, 2**14 + 1])
-    def test_same_block_and_quotients_as_one_thread(self, monkeypatch, n):
-        solvers, solve = [], dpss._bisect
+    @pytest.mark.parametrize("n, first, last", [(2**14, 8177, 8207), (2**14 + 1, 8177, 8207), (1281, 0, 1280)])
+    def test_same_block_and_quotients_as_one_thread(self, monkeypatch, n, first, last):
+        # two windows and a whole spectrum, whose stevd calls hold the GIL and whose inverse iteration does not
+        solvers, solve = [], dpss._half_vectors
 
         def watched(*args):
             solvers.append(threading.get_ident())
             return solve(*args)
 
-        monkeypatch.setattr(dpss, "_bisect", watched)
-        center = default_subspace_dim(n, 0.25)
+        monkeypatch.setattr(dpss, "_half_vectors", watched)
         pairs = {}
         for cpus in (2, 1):
             _usable_cpus(monkeypatch, cpus)
             solvers.clear()
-            pairs[cpus] = dpss.SlepianPlan(n, 0.25).pairs(center - 15, center + 15)
+            pairs[cpus] = dpss.SlepianPlan(n, 0.25).pairs(first, last)
             assert len(set(solvers)) == cpus
         assert np.array_equal(pairs[1][0], pairs[2][0]) and np.array_equal(pairs[1][1], pairs[2][1])
 
-    def test_small_halves_whole_halves_and_one_parity_stay_on_one_thread(self, monkeypatch):
+    def test_little_work_and_one_parity_stay_on_one_thread(self, monkeypatch):
         _usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(dpss.concurrent.futures, "ThreadPoolExecutor", None)
-        dpss.SlepianPlan(8190, 0.25).pairs(4080, 4110)  # halves of 4095 rows
+        dpss.SlepianPlan(8190, 0.25).pairs(4080, 4110)  # 15 pairs of a 4095-row half, 16 of the other
         dpss.SlepianPlan(2**14, 0.25).pairs(8190, 8190)  # the even parity only
-        monkeypatch.setattr(dpss, "_THREAD_HALF", 1)
-        dpss.SlepianPlan(64, 0.25).pairs(0, 63)  # both halves whole
-
-    def test_a_failed_loose_solve_on_the_second_thread_is_retried_at_full_precision(self, monkeypatch):
-        n, first, last = 2**14, 8170, 8210
-        want = dpss.SlepianPlan(n, 0.25).pairs(first, last)[0]
-        with monkeypatch.context() as m:
-            _full_precision(m)
-            exact = dpss.SlepianPlan(n, 0.25).pairs(first, last)[0]
-        calls, solve = [], dpss._bisect
-
-        def failing(d, e, il, iu, tol, out=None):
-            calls.append((_on_worker(), tol))
-            if _on_worker() and tol > 0.0:
-                raise np.linalg.LinAlgError("eigenvectors failed to converge")
-            return solve(d, e, il, iu, tol, out)
-
-        monkeypatch.setattr(dpss, "_bisect", failing)
-        _usable_cpus(monkeypatch, 2)
-        got = dpss.SlepianPlan(n, 0.25).pairs(first, last)[0]
-        worker = [tol for on_worker, tol in calls if on_worker]
-        assert len(worker) == 2 and worker[0] > 0.0 and worker[1] == 0.0
-        # the odd columns (first is even) as the full-precision solve's, the even ones as the loose solve's
-        assert np.array_equal(got[:, 1::2], exact[:, 1::2]) and np.array_equal(got[:, ::2], want[:, ::2])
+        dpss.SlepianPlan(161, 0.25).pairs(0, 160)  # both halves whole, 81 x 81 and 80 x 80
 
     def test_an_error_on_the_second_thread_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
-        solve = dpss._bisect
+        solve = dpss._half_vectors
 
         def failing(*args):
             if _on_worker():
-                raise np.linalg.LinAlgError("eigenvectors failed to converge")
+                raise np.linalg.LinAlgError("dstebz failed (LAPACK info=4)")
             return solve(*args)
 
-        monkeypatch.setattr(dpss, "_bisect", failing)
+        monkeypatch.setattr(dpss, "_half_vectors", failing)
         _usable_cpus(monkeypatch, 2)
         before = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError, match="failed to converge"):
+        with pytest.raises(np.linalg.LinAlgError, match="info=4"):
             dpss.SlepianPlan(2**14, 0.25).pairs(8170, 8210)
         assert threading.active_count() == before
 
